@@ -157,7 +157,7 @@ fn run_tenant_smoke() {
             .register(None, prior, 0.8, None, true)
             .expect("probe registration succeeds");
     }
-    let (probe_bytes, _, _) = probe.memory_stats();
+    let probe_bytes = probe.totals().resident_bytes;
     let per_key = (probe_bytes / 8).max(1);
     let budget = per_key * tenants as u64 / 4;
 
@@ -173,7 +173,9 @@ fn run_tenant_smoke() {
     let register_seconds = register_started.elapsed().as_secs_f64();
     assert_eq!(warmed, tenants, "every tenant needs its own warm-up");
 
-    let (resident_after_load, _, evictions_after_load) = service.memory_stats();
+    let load_totals = service.totals();
+    let (resident_after_load, evictions_after_load) =
+        (load_totals.resident_bytes, load_totals.evictions);
     let evicted_after_load = entries
         .iter()
         .filter(|e| e.state() == KeyState::Evicted)
@@ -202,7 +204,7 @@ fn run_tenant_smoke() {
             "key {:x} lost its answers after eviction",
             entry.key()
         );
-        let (resident, _, _) = service.memory_stats();
+        let resident = service.totals().resident_bytes;
         assert!(
             resident <= budget,
             "byte accounting above budget mid-queries: {resident} > {budget}"
@@ -210,9 +212,13 @@ fn run_tenant_smoke() {
     }
     service.wait_idle();
     let query_seconds = query_started.elapsed().as_secs_f64();
-    let (resident_after_queries, _, evictions_total) = service.memory_stats();
+    let query_totals = service.totals();
+    let (resident_after_queries, evictions_total, rewarms_total) = (
+        query_totals.resident_bytes,
+        query_totals.evictions,
+        query_totals.rewarms,
+    );
     assert!(resident_after_queries <= budget);
-    let rewarms_total: u64 = entries.iter().map(|e| e.rewarms()).sum();
     assert!(
         rewarms_total > 0,
         "querying every key must have re-warmed the evicted ones"

@@ -127,6 +127,13 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
+
+    /// Overwrites the value. Only for a counter that is a view of a
+    /// total stored elsewhere and published at readout: the owner keeps
+    /// it monotonic by publishing monotonic sums.
+    pub fn set(&self, value: u64) {
+        self.0.store(value, Ordering::Relaxed);
+    }
 }
 
 /// A last-write-wins instantaneous value (resident bytes, key count).
@@ -562,6 +569,9 @@ mod tests {
         assert_eq!(snap.gauges, vec![("resident".to_string(), 17)]);
         assert_eq!(snap.histograms.len(), 1);
         assert_eq!(snap.histograms[0].count, 1);
+        // A view counter is published, not counted.
+        registry.counter("requests").set(7);
+        assert_eq!(a.get(), 7);
     }
 
     #[test]

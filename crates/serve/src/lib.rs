@@ -133,8 +133,8 @@ pub use pipeline::{
 pub use protocol::{EstimateDto, KeyStatsDto, MatrixDto, Request, Response};
 pub use registry::{KeyEntry, Registry};
 pub use service::{
-    KeySnapshot, ServeError, Service, ServiceConfig, ServiceSnapshot, MAX_OMEGA_SLOTS,
-    MAX_REFRESH_RUNS, REFRESH_TARGET_BLEND,
+    KeySnapshot, ServeError, Service, ServiceConfig, ServiceSnapshot, ServiceTotals,
+    MAX_OMEGA_SLOTS, MAX_REFRESH_RUNS, REFRESH_TARGET_BLEND,
 };
 pub use shard::ShardedOmega;
 pub use telemetry::{ServeEvent, ServeObs, DEFAULT_TRACE_CAP};

@@ -40,12 +40,15 @@
 //! The struct also owns everything the state guards: the sharded warm-Ω
 //! store, the pinned streaming pipeline (disguise channel, ingest
 //! accumulators, posterior), the warm-start seed set, the deterministic
-//! run counter, and the drift/coverage/eviction telemetry — plus the byte
-//! accounting and LRU touch stamp the memory-budgeted registry evicts by.
+//! run counter, and the per-key counters — plus the byte accounting and
+//! LRU touch stamp the memory-budgeted registry evicts by. Those counters
+//! are the only store of their facts: every service-wide total
+//! (`Service::totals`, the `Stats {}` verb, the `Metrics` view counters)
+//! is a sum over the registry computed when it is read.
 
 use crate::pipeline::KeyPipeline;
 use crate::shard::ShardedOmega;
-use optrr::RunStatistics;
+use optrr::{OptrrOutcome, RunStatistics};
 use rr::RrMatrix;
 use stats::Categorical;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -479,23 +482,6 @@ impl StateCell {
         assert!(resolved, "finish_evict without a won try_evict claim");
     }
 
-    /// Opens a key directly as warm without an engine run — the snapshot
-    /// restore path (`Cold | Warming | Evicted → Warm`). Returns `false`
-    /// when warm data was already resident (or an eviction is mid-flight).
-    pub fn open_warm(&self) -> bool {
-        loop {
-            let observed = self.state();
-            match observed {
-                KeyState::Cold | KeyState::Warming | KeyState::Evicted => {
-                    if self.cas(observed, KeyState::Warm) {
-                        return true;
-                    }
-                }
-                _ => return false,
-            }
-        }
-    }
-
     /// Restores a freshly created key directly into `Evicted` — the
     /// snapshot-load path for keys whose resident state was evicted
     /// before the snapshot was written (their next query re-warms them
@@ -538,6 +524,9 @@ pub struct KeyLifecycle {
     store: ShardedOmega,
     engine_runs: AtomicU64,
     queries: AtomicU64,
+    /// Queries that found warm data resident on arrival (no wait for a
+    /// warm-up or re-warm).
+    warm_hits: AtomicU64,
     warm_seeds: Mutex<Vec<RrMatrix>>,
     last_statistics: Mutex<Option<RunStatistics>>,
     pipeline: Mutex<Option<Arc<KeyPipeline>>>,
@@ -561,12 +550,12 @@ pub struct KeyLifecycle {
     failure_streak: AtomicU64,
 }
 
-// The per-key telemetry counters (queries, touch stamp, coverage misses,
-// drift events, evictions, re-warms) are accessed with `Ordering::Relaxed`
-// throughout: they guard nothing and order nothing — every exactly-once
-// guarantee in this module (one scheduled refresh per coverage episode,
-// one eviction claim, one re-warm) comes from a `StateCell` CAS, never
-// from a counter value. The counters only need each increment to land,
+// The per-key telemetry counters (queries, warm hits, touch stamp,
+// coverage misses, drift events, evictions, re-warms) are accessed with
+// `Ordering::Relaxed` throughout: they guard nothing and order nothing —
+// every exactly-once guarantee in this module (one scheduled refresh per
+// coverage episode, one eviction claim, one re-warm) comes from a
+// `StateCell` CAS, never from a counter value. The counters only need each increment to land,
 // which `fetch_add` guarantees at any ordering. The exceptions that stay
 // SeqCst: the `StateCell` word itself (see `StateCell::state`) and
 // `engine_runs`, whose value seeds deterministic refresh runs.
@@ -588,6 +577,7 @@ impl KeyLifecycle {
             store: ShardedOmega::new(num_slots, num_shards),
             engine_runs: AtomicU64::new(0),
             queries: AtomicU64::new(0),
+            warm_hits: AtomicU64::new(0),
             warm_seeds: Mutex::new(Vec::new()),
             last_statistics: Mutex::new(None),
             pipeline: Mutex::new(None),
@@ -688,9 +678,18 @@ impl KeyLifecycle {
         self.queries.load(Ordering::Relaxed)
     }
 
-    /// Counts one served query.
-    pub fn count_query(&self) {
+    /// Queries that found warm data resident on arrival.
+    pub fn warm_hits(&self) -> u64 {
+        self.warm_hits.load(Ordering::Relaxed)
+    }
+
+    /// Counts one served query, and a warm hit when the query found warm
+    /// data resident on arrival.
+    pub fn count_query(&self, was_warm: bool) {
         self.queries.fetch_add(1, Ordering::Relaxed);
+        if was_warm {
+            self.warm_hits.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     // The seed/stats/pipeline locks below recover from poisoning
@@ -725,12 +724,16 @@ impl KeyLifecycle {
             .clone()
     }
 
-    /// Records a finished run's statistics.
-    pub fn put_statistics(&self, statistics: RunStatistics) {
+    /// Lands a finished engine run: its Ω joins the warm store, its
+    /// archive becomes the next run's warm-start seed set, and its
+    /// statistics become the latest.
+    pub fn land_run(&self, outcome: OptrrOutcome) {
+        self.store.absorb(&outcome.omega);
+        self.put_warm_seeds(outcome.warm_seeds());
         *self
             .last_statistics
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(statistics);
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(outcome.statistics);
     }
 
     /// The streaming pipeline pinned to this key, when any batch has been
@@ -1009,7 +1012,6 @@ mod tests {
         assert_eq!(cell.state(), KeyState::Evicting);
         assert!(!cell.try_evict(), "concurrent eviction claims must lose");
         assert!(!cell.claim_rewarm(), "re-warm waits out the eviction");
-        assert!(!cell.open_warm(), "snapshot restore waits out the eviction");
         cell.finish_evict();
         assert_eq!(cell.state(), KeyState::Evicted);
         assert!(!cell.try_evict(), "double eviction is illegal");
@@ -1035,6 +1037,13 @@ mod tests {
         cell.claim_warmup();
         assert!(!cell.try_mark_stale(StaleReason::Drift), "warming ≠ warm");
         assert_eq!(cell.state(), KeyState::Warming);
+        // Only a cold key restores straight into Evicted (a key persisted
+        // after its eviction; its next query re-warms it).
+        assert!(!cell.restore_evicted(), "only cold keys restore evicted");
+        let evicted = StateCell::new();
+        assert!(evicted.restore_evicted());
+        assert_eq!(evicted.state(), KeyState::Evicted);
+        assert!(!evicted.restore_evicted());
     }
 
     #[test]
@@ -1058,26 +1067,6 @@ mod tests {
         assert_eq!(cell.state(), KeyState::Warming);
         cell.finish_run(true);
         assert_eq!(cell.state(), KeyState::Warm);
-    }
-
-    #[test]
-    fn open_warm_covers_the_snapshot_paths_only() {
-        let restore = StateCell::new();
-        assert!(restore.open_warm(), "cold snapshot load opens warm");
-        assert!(!restore.open_warm(), "already warm");
-        assert_eq!(restore.state(), KeyState::Warm);
-
-        restore.try_mark_stale(StaleReason::Drift);
-        assert!(!restore.open_warm(), "stale keys are not snapshot targets");
-        assert_eq!(restore.state(), KeyState::Stale(StaleReason::Drift));
-
-        // A key persisted *after* its eviction restores straight into
-        // Evicted (its next query re-warms it); only cold keys qualify.
-        let evicted = StateCell::new();
-        assert!(evicted.restore_evicted());
-        assert_eq!(evicted.state(), KeyState::Evicted);
-        assert!(!evicted.restore_evicted());
-        assert!(!restore.restore_evicted(), "only cold keys restore evicted");
     }
 
     #[test]

@@ -66,7 +66,6 @@ pub struct KeyPipeline {
     counts: ShardedCounts,
     raw_records: AtomicU64,
     estimates: AtomicU64,
-    drift_events: AtomicU64,
     posterior: Mutex<Option<Categorical>>,
 }
 
@@ -88,7 +87,6 @@ impl KeyPipeline {
             counts: ShardedCounts::new(num_categories, num_shards),
             raw_records: AtomicU64::new(0),
             estimates: AtomicU64::new(0),
-            drift_events: AtomicU64::new(0),
             posterior: Mutex::new(None),
         })
     }
@@ -131,11 +129,6 @@ impl KeyPipeline {
         self.estimates.load(Ordering::SeqCst)
     }
 
-    /// Drift events (estimates beyond the MSE threshold) for this key.
-    pub fn drift_events(&self) -> u64 {
-        self.drift_events.load(Ordering::SeqCst)
-    }
-
     /// The previous estimate, used to warm-start the iterative estimator
     /// — and, under drift-driven re-optimization, as the refresh run's
     /// optimization target.
@@ -169,7 +162,6 @@ impl KeyPipeline {
             counts: self.counts.merge(),
             raw_records: self.raw_records(),
             estimates: self.estimates(),
-            drift_events: self.drift_events(),
             posterior: self.posterior(),
         }
     }
@@ -207,9 +199,6 @@ impl KeyPipeline {
         pipeline
             .estimates
             .store(snapshot.estimates, Ordering::SeqCst);
-        pipeline
-            .drift_events
-            .store(snapshot.drift_events, Ordering::SeqCst);
         if let Some(posterior) = &snapshot.posterior {
             if posterior.num_categories() != n {
                 return Err(format!(
@@ -232,7 +221,10 @@ impl KeyPipeline {
 /// The persisted form of a [`KeyPipeline`] (pipeline persistence phase 2):
 /// enough for a restarted server to resume the in-flight estimation
 /// stream — the pinned channel, the merged accumulator, and the posterior
-/// the next estimate warm-starts from.
+/// the next estimate warm-starts from. The key's drift history lives in
+/// [`crate::KeySnapshot::drift_events`]; older snapshots that also carry
+/// a pipeline `drift_events` field still decode (unknown fields are
+/// ignored).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineSnapshot {
     /// The disguise matrix pinned at first ingest.
@@ -247,8 +239,6 @@ pub struct PipelineSnapshot {
     pub raw_records: u64,
     /// Estimates computed before the snapshot.
     pub estimates: u64,
-    /// Drift events observed before the snapshot.
-    pub drift_events: u64,
     /// The warm-start posterior, when an estimate has run (serialized
     /// bit-exact so resumed re-estimates match the live service).
     pub posterior: Option<Categorical>,
@@ -569,7 +559,6 @@ impl Service {
             .expect("estimate and prior share one domain");
         let drifted = mse_vs_prior > self.config().drift_mse_threshold;
         if drifted {
-            pipeline.drift_events.fetch_add(1, Ordering::SeqCst);
             entry.count_drift_event();
             self.obs().emit(ServeEvent::Drift {
                 key: entry.key(),
@@ -766,7 +755,7 @@ mod tests {
         let out = service.estimate(&entry).unwrap();
         assert!(out.drifted, "mse {}", out.mse_vs_prior);
         assert!(entry.is_stale() || entry.engine_runs() > 1);
-        assert_eq!(entry.pipeline().unwrap().drift_events(), 1);
+        assert_eq!(entry.drift_events(), 1);
         service.wait_idle();
         // The scheduled refresh ran and cleared the staleness flag.
         assert_eq!(entry.engine_runs(), 2);

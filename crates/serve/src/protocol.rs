@@ -281,6 +281,8 @@ pub struct KeyStatsDto {
     pub engine_runs: u64,
     /// Queries served from this key's warm store.
     pub queries: u64,
+    /// Queries that found warm data resident on arrival.
+    pub warm_hits: u64,
     /// The lifecycle state, e.g. `"warm"`, `"stale(drift)"`,
     /// `"refreshing(coverage)"`, `"evicted"`.
     pub state: String,
@@ -548,6 +550,8 @@ pub enum Response {
         budget_bytes: Option<u64>,
         /// Evictions performed since start (budget, TTL, and manual).
         evictions: u64,
+        /// Re-warms of evicted keys across all keys.
+        rewarms: u64,
         /// Failed (errored or panicked) refresh runs across all keys.
         refresh_failures: u64,
         /// Automatic backoff retries scheduled across all keys.
@@ -841,6 +845,7 @@ mod tests {
                     num_slots: 500,
                     engine_runs: 2,
                     queries: 11,
+                    warm_hits: 10,
                     state: "stale(drift)".into(),
                     resident_bytes: 40_960,
                     drift_events: 3,
@@ -864,6 +869,7 @@ mod tests {
                 resident_bytes: 1_234_567,
                 budget_bytes: Some(8_000_000),
                 evictions: 5,
+                rewarms: 4,
                 refresh_failures: 2,
                 retries: 1,
                 degraded: 1,

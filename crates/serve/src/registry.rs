@@ -259,8 +259,10 @@ mod tests {
         assert_eq!(entry.claim_run_index(), 0);
         assert_eq!(entry.claim_run_index(), 1);
         assert_eq!(entry.engine_runs(), 2);
-        entry.count_query();
-        assert_eq!(entry.queries(), 1);
+        entry.count_query(true);
+        entry.count_query(false);
+        assert_eq!(entry.queries(), 2);
+        assert_eq!(entry.warm_hits(), 1);
         assert!(entry.take_warm_seeds().is_empty());
         assert!(entry.last_statistics().is_none());
         assert_eq!(entry.delta(), 0.8);

@@ -1,9 +1,11 @@
 //! The serving front door: registry + worker pool + protocol handling.
 //!
 //! A [`Service`] is the long-lived object behind the `serve` binary and the
-//! load-generator bench. It owns the warm-Ω [`Registry`], a [`WorkerPool`]
-//! that executes engine runs for cold, stale, or evicted keys, and the
-//! counters the protocol's `Stats` request reports. Point queries never run
+//! load-generator bench. It owns the warm-Ω [`Registry`] and a
+//! [`WorkerPool`] that executes engine runs for cold, stale, or evicted
+//! keys. It holds no counters of its own: the protocol's `Stats` request
+//! and the `Metrics` view counters read [`Service::totals`], a sum over
+//! the per-key lifecycle counters. Point queries never run
 //! the engine synchronously in-protocol: they wait for the key's lifecycle
 //! to report warm data, then answer from the sharded store in O(slots)
 //! under per-shard locks.
@@ -51,7 +53,6 @@ use rr::estimate::IterativeConfig;
 use serde::{Deserialize, Serialize};
 use stats::Categorical;
 use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -155,12 +156,10 @@ pub struct ServiceConfig {
     pub drift_mse_threshold: f64,
     /// Whether a drifted estimate also schedules one refresh engine run
     /// (the telemetry-driven refresh trigger), on top of marking stale.
+    /// Drift- and coverage-stale refreshes re-optimize against the
+    /// estimated posterior (blended per [`REFRESH_TARGET_BLEND`]) instead
+    /// of the registered prior.
     pub refresh_on_drift: bool,
-    /// Whether a drift- or coverage-stale key's refresh run re-optimizes
-    /// against the estimated posterior (blended per
-    /// [`REFRESH_TARGET_BLEND`]) instead of the registered prior. Manual
-    /// refreshes always target the registered prior.
-    pub reoptimize_on_drift: bool,
     /// Point queries that matched *no* stored matrix before the key is
     /// marked coverage-stale and a refresh is scheduled. `0` disables the
     /// query-shape trigger.
@@ -221,7 +220,6 @@ impl Default for ServiceConfig {
             iterative: IterativeConfig::default(),
             drift_mse_threshold: 1e-3,
             refresh_on_drift: true,
-            reoptimize_on_drift: true,
             coverage_miss_threshold: 8,
             memory_budget_bytes: None,
             key_ttl: None,
@@ -315,11 +313,75 @@ pub struct KeySnapshot {
     pub pipeline: Option<PipelineSnapshot>,
 }
 
+impl KeySnapshot {
+    /// Checks that this persisted state fits the registration it lands
+    /// on: the Ω resolution, and the category count of every stored
+    /// matrix and of the pinned pipeline. `Load` and the eviction-sidecar
+    /// restore both run it before installing anything, so state of the
+    /// wrong shape is never served (a wrong-sized pinned channel would
+    /// otherwise fail estimation on a dimension mismatch).
+    fn check_shape(&self, prior: &Categorical, slots: usize) -> std::result::Result<(), String> {
+        if self.omega.num_slots() != slots {
+            return Err(format!(
+                "key omega has {} slots, registration says {slots}",
+                self.omega.num_slots()
+            ));
+        }
+        let categories = prior.num_categories();
+        if let Some(entry) = self
+            .omega
+            .entries()
+            .find(|e| e.matrix.num_categories() != categories)
+        {
+            return Err(format!(
+                "key omega holds a {}-category matrix for a {categories}-category prior",
+                entry.matrix.num_categories()
+            ));
+        }
+        match &self.pipeline {
+            Some(pipeline) if pipeline.matrix.num_categories() != categories => Err(format!(
+                "key pipeline pins a {}-category matrix for a {categories}-category prior",
+                pipeline.matrix.num_categories()
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// A whole-service snapshot: every registered key in ascending key order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceSnapshot {
     /// The persisted keys.
     pub keys: Vec<KeySnapshot>,
+}
+
+/// Service-wide totals, summed over the registry in one pass when read
+/// (see [`Service::totals`]). Every count here is stored once, in the
+/// per-key lifecycle counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServiceTotals {
+    /// Registered keys.
+    pub keys: usize,
+    /// Engine-run indices claimed across all keys.
+    pub engine_runs: u64,
+    /// Point/front queries served.
+    pub queries: u64,
+    /// Queries that found warm data resident on arrival.
+    pub warm_hits: u64,
+    /// Evictions (budget, TTL, and manual).
+    pub evictions: u64,
+    /// Re-warms of evicted keys.
+    pub rewarms: u64,
+    /// Failed (errored or panicked) refresh runs.
+    pub refresh_failures: u64,
+    /// Automatic backoff retries scheduled after refresh failures.
+    pub retries: u64,
+    /// Keys currently serving degraded (last-good) data.
+    pub degraded: usize,
+    /// Approximate resident bytes across all keys.
+    pub resident_bytes: u64,
+    /// The configured memory budget, when one is set.
+    pub budget_bytes: Option<u64>,
 }
 
 /// Resolves one run's `finish_run` on every exit path — error return and
@@ -407,9 +469,6 @@ pub struct Service {
     registry: Registry,
     pool: WorkerPool,
     started: Instant,
-    queries: AtomicU64,
-    warm_hits: AtomicU64,
-    evictions: AtomicU64,
     obs: Arc<ServeObs>,
     /// The live fault injector, when a chaos plan is configured. `None`
     /// in production: every fault site then short-circuits on one branch.
@@ -429,11 +488,6 @@ impl Service {
     pub fn with_clock(config: ServiceConfig, clock: Arc<dyn Clock>) -> Self {
         let pool = WorkerPool::new(config.workers);
         let obs = Arc::new(ServeObs::new(config.metrics, config.trace_cap, clock));
-        // Route pool-level panics (jobs that escaped their own
-        // containment — refresh runs catch and account theirs) into the
-        // observability hub instead of a bare stderr line.
-        let pool_obs = Arc::clone(&obs);
-        pool.set_panic_hook(move || pool_obs.count_pool_panic());
         let faults = config
             .faults
             .clone()
@@ -443,9 +497,6 @@ impl Service {
             registry: Registry::new(),
             pool,
             started: Instant::now(),
-            queries: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             obs,
             faults,
         }
@@ -513,12 +564,9 @@ impl Service {
 
     /// The optimization target of one refresh run. Drift- and
     /// coverage-stale keys re-optimize against the estimated posterior
-    /// (when one exists and re-optimization is enabled); warm-ups, manual
-    /// refreshes, and re-warms target the registered prior.
+    /// (when one exists); warm-ups, manual refreshes, and re-warms target
+    /// the registered prior.
     fn refresh_target(&self, entry: &KeyEntry, from: KeyState) -> Option<Categorical> {
-        if !self.config.reoptimize_on_drift {
-            return None;
-        }
         match from.stale_reason() {
             Some(StaleReason::Drift) | Some(StaleReason::Coverage) => entry
                 .pipeline()
@@ -545,7 +593,6 @@ impl Service {
             // pre-eviction Ω and warm-starts from the restored seed chain
             // instead of cold-running into a wiped store.
             self.restore_resident(entry);
-            entry.count_rewarm();
         }
         let run_index = entry.claim_run_index();
         let config = self.run_config(entry, run_index);
@@ -601,9 +648,7 @@ impl Service {
                     pairs_computed: stats.fitness_pairs_computed,
                     landed: true,
                 });
-                entry.store().absorb(&outcome.omega);
-                entry.put_warm_seeds(outcome.warm_seeds());
-                entry.put_statistics(outcome.statistics);
+                entry.land_run(outcome);
                 // A landed run ends the failure episode: the key leaves
                 // `Degraded` (via the guard) and the streak starts over.
                 entry.reset_failure_streak();
@@ -720,36 +765,37 @@ impl Service {
     /// prior-targeted run histories — a replay cannot recover the
     /// posterior a dropped pipeline once held). Touches only resident
     /// structures, never the state machine; callers hold a run claim.
+    /// This is the one place a re-warm is counted and traced.
     fn restore_resident(self: &Arc<Self>, entry: &Arc<KeyEntry>) -> bool {
-        if self.restore_from_sidecar(entry) {
-            return true;
-        }
-        let runs = entry.engine_runs().max(1);
-        let mut seeds = Vec::new();
-        let mut replayed = true;
-        for run_index in 0..runs {
+        let restored = self.restore_from_sidecar(entry) || self.replay_runs(entry);
+        entry.count_rewarm();
+        self.obs.emit(ServeEvent::Rewarmed { key: entry.key() });
+        restored
+    }
+
+    /// Replays a key's engine runs `0..n` in order, each warm-started from
+    /// the previous one's archive, without claiming new run indices.
+    /// Returns whether every run landed; a failed run leaves the seed set
+    /// empty.
+    fn replay_runs(&self, entry: &KeyEntry) -> bool {
+        for run_index in 0..entry.engine_runs().max(1) {
             let config = self.run_config(entry, run_index);
+            let seeds = entry.take_warm_seeds();
             match Optimizer::new(config)
                 .and_then(|o| o.optimize_distribution_seeded(entry.prior(), seeds))
             {
-                Ok(outcome) => {
-                    entry.store().absorb(&outcome.omega);
-                    seeds = outcome.warm_seeds();
-                    entry.put_statistics(outcome.statistics);
-                }
+                Ok(outcome) => entry.land_run(outcome),
                 Err(error) => {
                     eprintln!(
                         "optrr-serve: re-warm of key {:x} failed at run {run_index}: {error}",
                         entry.key()
                     );
-                    replayed = false;
-                    seeds = Vec::new();
-                    break;
+                    entry.put_warm_seeds(Vec::new());
+                    return false;
                 }
             }
         }
-        entry.put_warm_seeds(seeds);
-        replayed
+        true
     }
 
     /// Re-warms an evicted key on a pool worker (the query path's
@@ -762,8 +808,6 @@ impl Service {
             degrade: false,
         };
         guard.landed = self.restore_resident(entry);
-        entry.count_rewarm();
-        self.obs.emit(ServeEvent::Rewarmed { key: entry.key() });
         entry.touch(self.now_ms());
         // As in run_refresh: budget holds before any waiter wakes.
         self.enforce_memory(entry.key());
@@ -886,9 +930,7 @@ impl Service {
                         let entry = &entries[*index];
                         entry.lifecycle().begin_run();
                         entry.claim_run_index();
-                        entry.store().absorb(&outcome.omega);
-                        entry.put_warm_seeds(outcome.warm_seeds());
-                        entry.put_statistics(outcome.statistics);
+                        entry.land_run(outcome);
                         entry.lifecycle().finish_run(true);
                     }
                 }
@@ -923,19 +965,13 @@ impl Service {
     }
 
     /// Counts one query against an entry, noting whether it was served
-    /// without waiting (warm hit) or had to wait for warm-up/re-warm.
+    /// without waiting (warm hit) or had to wait for warm-up/re-warm. The
+    /// hottest counting site: per-key relaxed increments only.
     fn count_query(self: &Arc<Self>, entry: &Arc<KeyEntry>) {
         let was_warm = entry.is_warm();
         self.ensure_live(entry);
-        entry.count_query();
+        entry.count_query(was_warm);
         entry.touch(self.now_ms());
-        self.queries.fetch_add(1, Ordering::SeqCst);
-        if was_warm {
-            self.warm_hits.fetch_add(1, Ordering::SeqCst);
-        }
-        // The hottest instrumentation site: one branch plus at most two
-        // relaxed increments, no trace event, no timestamp.
-        self.obs.count_query(was_warm);
     }
 
     /// Counts a coverage miss — a point query no stored matrix satisfied —
@@ -1032,7 +1068,7 @@ impl Service {
             return None;
         }
         if let Some(base) = &self.config.snapshot_path {
-            let snapshot = self.key_snapshot(entry);
+            let snapshot = self.key_snapshot(entry, self.registry.names_of(entry.key()));
             let path = Self::sidecar_path(base, entry.key());
             let encoded = serde_json::to_string(&snapshot).expect("snapshots serialize");
             if let Err(error) = self.write_snapshot_file(&path, &encoded) {
@@ -1043,7 +1079,6 @@ impl Service {
             }
         }
         let freed = entry.drop_resident_state();
-        self.evictions.fetch_add(1, Ordering::SeqCst);
         self.obs.emit(ServeEvent::Evicted {
             key: entry.key(),
             bytes_freed: freed,
@@ -1156,12 +1191,8 @@ impl Service {
             Ok(snapshot) => snapshot,
             Err(e) => return failed(format!("did not decode: {e}")),
         };
-        if snapshot.omega.num_slots() != entry.num_slots() {
-            return failed(format!(
-                "omega has {} slots, registration says {}",
-                snapshot.omega.num_slots(),
-                entry.num_slots()
-            ));
+        if let Err(reason) = snapshot.check_shape(entry.prior(), entry.num_slots()) {
+            return failed(reason);
         }
         entry.store().absorb(&snapshot.omega);
         if let Some(seeds) = &snapshot.warm_seeds {
@@ -1249,6 +1280,7 @@ impl Service {
             num_slots: entry.num_slots(),
             engine_runs: entry.engine_runs(),
             queries: entry.queries(),
+            warm_hits: entry.warm_hits(),
             state: entry.state().to_string(),
             resident_bytes: entry.resident_bytes(),
             drift_events: entry.drift_events(),
@@ -1265,52 +1297,50 @@ impl Service {
         }
     }
 
-    /// Service-wide robustness counters:
-    /// `(refresh_failures, retries, degraded keys)`.
-    pub fn robustness_stats(&self) -> (u64, u64, usize) {
-        let entries = self.registry.entries();
-        (
-            entries.iter().map(|e| e.refresh_failures()).sum(),
-            entries.iter().map(|e| e.retries()).sum(),
-            entries.iter().filter(|e| e.state().is_degraded()).count(),
-        )
+    /// Service-wide totals from one pass over the registry: every count
+    /// is a sum of the per-key lifecycle counters, read now.
+    pub fn totals(&self) -> ServiceTotals {
+        let mut totals = ServiceTotals {
+            budget_bytes: self.config.memory_budget_bytes,
+            ..ServiceTotals::default()
+        };
+        for entry in self.registry.entries() {
+            totals.keys += 1;
+            totals.engine_runs += entry.engine_runs();
+            totals.queries += entry.queries();
+            totals.warm_hits += entry.warm_hits();
+            totals.evictions += entry.evictions();
+            totals.rewarms += entry.rewarms();
+            totals.refresh_failures += entry.refresh_failures();
+            totals.retries += entry.retries();
+            totals.degraded += usize::from(entry.state().is_degraded());
+            totals.resident_bytes += entry.resident_bytes();
+        }
+        totals
     }
 
-    /// Service-wide counters: `(keys, engine_runs, queries, warm_hits)`.
+    /// Service-wide counters: `(keys, engine_runs, queries, warm_hits)`,
+    /// read from [`Service::totals`].
     pub fn service_stats(&self) -> (usize, u64, u64, u64) {
-        let engine_runs = self
-            .registry
-            .entries()
-            .iter()
-            .map(|e| e.engine_runs())
-            .sum();
+        let totals = self.totals();
         (
-            self.registry.len(),
-            engine_runs,
-            self.queries.load(Ordering::SeqCst),
-            self.warm_hits.load(Ordering::SeqCst),
+            totals.keys,
+            totals.engine_runs,
+            totals.queries,
+            totals.warm_hits,
         )
     }
 
-    /// Memory-policy counters:
-    /// `(resident_bytes, budget_bytes, evictions)`.
-    pub fn memory_stats(&self) -> (u64, Option<u64>, u64) {
-        (
-            self.registry.resident_bytes(),
-            self.config.memory_budget_bytes,
-            self.evictions.load(Ordering::SeqCst),
-        )
-    }
-
-    /// One key's snapshot, including its pinned pipeline when any.
-    fn key_snapshot(&self, entry: &KeyEntry) -> KeySnapshot {
+    /// One key's snapshot under the given aliases, including its pinned
+    /// pipeline when any.
+    fn key_snapshot(&self, entry: &KeyEntry, names: Vec<String>) -> KeySnapshot {
         KeySnapshot {
             prior: entry.prior().probs().to_vec(),
             delta: entry.delta(),
             slots: entry.num_slots(),
             engine_runs: entry.engine_runs(),
             drift_events: Some(entry.drift_events()),
-            names: self.registry.names_of(entry.key()),
+            names,
             omega: entry.store().merge(),
             warm_seeds: Some(entry.take_warm_seeds()),
             pipeline: entry.pipeline().map(|p| p.snapshot()),
@@ -1329,16 +1359,8 @@ impl Service {
         ServiceSnapshot {
             keys: entries
                 .iter()
-                .map(|entry| KeySnapshot {
-                    prior: entry.prior().probs().to_vec(),
-                    delta: entry.delta(),
-                    slots: entry.num_slots(),
-                    engine_runs: entry.engine_runs(),
-                    drift_events: Some(entry.drift_events()),
-                    names: names.remove(&entry.key()).unwrap_or_default(),
-                    omega: entry.store().merge(),
-                    warm_seeds: Some(entry.take_warm_seeds()),
-                    pipeline: entry.pipeline().map(|p| p.snapshot()),
+                .map(|entry| {
+                    self.key_snapshot(entry, names.remove(&entry.key()).unwrap_or_default())
                 })
                 .collect(),
         }
@@ -1407,35 +1429,8 @@ impl Service {
             Self::validate_delta(key.delta)?;
             let prior = Self::prior_from_weights(&key.prior)?;
             let slots = key.slots.clamp(1, MAX_OMEGA_SLOTS);
-            if key.omega.num_slots() != slots {
-                return Err(ServeError::Snapshot(format!(
-                    "key omega has {} slots, registration says {slots}",
-                    key.omega.num_slots()
-                )));
-            }
-            // Every stored matrix must act on the registered domain, or a
-            // later Ingest would pin a wrong-sized channel and estimation
-            // would die on a dimension mismatch.
-            if let Some(entry) = key
-                .omega
-                .entries()
-                .find(|e| e.matrix.num_categories() != prior.num_categories())
-            {
-                return Err(ServeError::Snapshot(format!(
-                    "key omega holds a {}-category matrix for a {}-category prior",
-                    entry.matrix.num_categories(),
-                    prior.num_categories()
-                )));
-            }
-            if let Some(pipeline) = &key.pipeline {
-                if pipeline.matrix.num_categories() != prior.num_categories() {
-                    return Err(ServeError::Snapshot(format!(
-                        "key pipeline pins a {}-category matrix for a {}-category prior",
-                        pipeline.matrix.num_categories(),
-                        prior.num_categories()
-                    )));
-                }
-            }
+            key.check_shape(&prior, slots)
+                .map_err(ServeError::Snapshot)?;
             let (entry, created) = self.registry.insert_or_get_observed(
                 &prior,
                 key.delta,
@@ -1591,14 +1586,7 @@ impl Service {
             } => {
                 let entry = self.resolve(key, name.as_deref())?;
                 match self.best_for_privacy(&entry, min_privacy) {
-                    Some(found) => Response::Matrix {
-                        key: entry.key(),
-                        privacy: found.evaluation.privacy,
-                        mse: found.evaluation.mse,
-                        max_posterior: found.evaluation.max_posterior,
-                        matrix: MatrixDto::from_matrix(&found.matrix),
-                        degraded: self.degraded_flag(&entry),
-                    },
+                    Some(found) => self.matrix_response(&entry, &found),
                     None => Response::NoMatch {
                         key: entry.key(),
                         reason: format!("no stored matrix with privacy >= {min_privacy}"),
@@ -1609,14 +1597,7 @@ impl Service {
             Request::BestForMse { key, name, max_mse } => {
                 let entry = self.resolve(key, name.as_deref())?;
                 match self.best_for_mse(&entry, max_mse) {
-                    Some(found) => Response::Matrix {
-                        key: entry.key(),
-                        privacy: found.evaluation.privacy,
-                        mse: found.evaluation.mse,
-                        max_posterior: found.evaluation.max_posterior,
-                        matrix: MatrixDto::from_matrix(&found.matrix),
-                        degraded: self.degraded_flag(&entry),
-                    },
+                    Some(found) => self.matrix_response(&entry, &found),
                     None => Response::NoMatch {
                         key: entry.key(),
                         reason: format!("no stored matrix with mse <= {max_mse}"),
@@ -1746,20 +1727,19 @@ impl Service {
             }
             Request::Stats { key, name } => {
                 if key.is_none() && name.is_none() {
-                    let (keys, engine_runs, queries, warm_hits) = self.service_stats();
-                    let (resident_bytes, budget_bytes, evictions) = self.memory_stats();
-                    let (refresh_failures, retries, degraded) = self.robustness_stats();
+                    let totals = self.totals();
                     Response::ServiceStats {
-                        keys,
-                        engine_runs,
-                        queries,
-                        warm_hits,
-                        resident_bytes,
-                        budget_bytes,
-                        evictions,
-                        refresh_failures,
-                        retries,
-                        degraded,
+                        keys: totals.keys,
+                        engine_runs: totals.engine_runs,
+                        queries: totals.queries,
+                        warm_hits: totals.warm_hits,
+                        resident_bytes: totals.resident_bytes,
+                        budget_bytes: totals.budget_bytes,
+                        evictions: totals.evictions,
+                        rewarms: totals.rewarms,
+                        refresh_failures: totals.refresh_failures,
+                        retries: totals.retries,
+                        degraded: totals.degraded,
                     }
                 } else {
                     let entry = self.resolve(key, name.as_deref())?;
@@ -1794,14 +1774,24 @@ impl Service {
         })
     }
 
-    /// Answers the `Metrics` verb: refreshes the point-in-time gauges
-    /// (registered keys, resident bytes, worker-pool totals), then ships
-    /// one snapshot as DTOs plus its Prometheus-style rendering.
+    /// A point query's answer: the stored matrix with its evaluation.
+    fn matrix_response(&self, entry: &KeyEntry, found: &optrr::OmegaEntry) -> Response {
+        Response::Matrix {
+            key: entry.key(),
+            privacy: found.evaluation.privacy,
+            mse: found.evaluation.mse,
+            max_posterior: found.evaluation.max_posterior,
+            matrix: MatrixDto::from_matrix(&found.matrix),
+            degraded: self.degraded_flag(entry),
+        }
+    }
+
+    /// Answers the `Metrics` verb: publishes the service totals (the
+    /// registered-keys and resident-bytes gauges and the view counters)
+    /// and the worker-pool gauges, then ships one snapshot as DTOs plus
+    /// its Prometheus-style rendering.
     fn metrics_response(&self) -> Response {
-        self.obs
-            .set_gauge("serve_registered_keys", self.registry.len() as u64);
-        self.obs
-            .set_gauge("serve_resident_bytes", self.registry.resident_bytes());
+        self.obs.publish_totals(&self.totals());
         self.obs
             .set_gauge("serve_worker_jobs_submitted", self.pool.jobs_submitted());
         self.obs
@@ -1879,6 +1869,14 @@ mod tests {
 
     fn smoke_service() -> Arc<Service> {
         Arc::new(Service::new(ServiceConfig::smoke(77)))
+    }
+
+    /// The Prometheus text of one `Metrics` readout.
+    fn metrics_text(service: &Arc<Service>) -> String {
+        match service.handle(Request::Metrics) {
+            Response::Metrics { prometheus, .. } => prometheus,
+            other => panic!("expected Metrics, got {other:?}"),
+        }
     }
 
     const PRIOR: [f64; 5] = [0.35, 0.25, 0.2, 0.12, 0.08];
@@ -2135,8 +2133,8 @@ mod tests {
         assert_eq!(entry.store().merge(), warm_merge);
         assert_eq!(entry.engine_runs(), 1);
         assert_eq!(entry.rewarms(), 1);
-        let (_, _, evictions) = service.memory_stats();
-        assert_eq!(evictions, 1);
+        let totals = service.totals();
+        assert_eq!((totals.evictions, totals.rewarms), (1, 1));
     }
 
     #[test]
@@ -2187,7 +2185,7 @@ mod tests {
         for prior in &priors {
             probe.register(None, prior, 0.8, None, true).unwrap();
         }
-        let (full_load, _, _) = probe.memory_stats();
+        let full_load = probe.totals().resident_bytes;
         assert!(full_load > 0);
         let budget = full_load * 3 / 5;
 
@@ -2199,7 +2197,12 @@ mod tests {
             entries.push(service.register(None, prior, 0.8, None, true).unwrap());
         }
         service.wait_idle();
-        let (resident, reported_budget, evictions) = service.memory_stats();
+        let ServiceTotals {
+            resident_bytes: resident,
+            budget_bytes: reported_budget,
+            evictions,
+            ..
+        } = service.totals();
         assert_eq!(reported_budget, Some(budget));
         assert!(resident <= budget, "{resident} > {budget}");
         assert!(evictions > 0, "a 4-key load must evict under this budget");
@@ -2210,7 +2213,7 @@ mod tests {
             assert!(service.best_for_privacy(entry, 0.0).is_some());
         }
         service.wait_idle();
-        let (resident, _, _) = service.memory_stats();
+        let resident = service.totals().resident_bytes;
         assert!(resident <= budget, "{resident} > {budget}");
     }
 
@@ -2356,9 +2359,12 @@ mod tests {
         assert!(stats.degraded);
         assert_eq!(stats.refresh_failures, 2);
         assert_eq!(stats.retries, 1);
-        let (failures, retries, degraded_keys) = service.robustness_stats();
-        assert_eq!((failures, retries, degraded_keys), (2, 1, 1));
-        let metrics = service.obs().render_prometheus();
+        let totals = service.totals();
+        assert_eq!(
+            (totals.refresh_failures, totals.retries, totals.degraded),
+            (2, 1, 1)
+        );
+        let metrics = metrics_text(&service);
         assert!(
             metrics.contains("serve_refresh_failures_total 2"),
             "{metrics}"
@@ -2521,6 +2527,63 @@ mod tests {
         assert_eq!(entry.store().merge(), warm_merge);
         assert_eq!(entry.engine_runs(), 1, "replayed, not loaded");
         let metrics = service.obs().render_prometheus();
+        assert!(
+            metrics.contains("serve_snapshot_load_failures_total 1"),
+            "{metrics}"
+        );
+        let _ = std::fs::remove_file(&sidecar);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn mis_shaped_legacy_sidecar_is_refused_and_replayed() {
+        let dir = std::env::temp_dir().join("optrr_serve_sidecar_shape_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("auto.json");
+        let path_str = path.to_str().unwrap().to_string();
+        let mut config = ServiceConfig::smoke(77);
+        config.snapshot_path = Some(path_str.clone());
+        let service = Arc::new(Service::new(config));
+        let entry = service
+            .register(Some("four"), &[0.4, 0.3, 0.2, 0.1], 0.8, None, true)
+            .unwrap();
+        let warm_merge = entry.store().merge();
+        // A pinned 3-category pipeline from another key.
+        let three = service
+            .register(Some("three"), &[0.5, 0.3, 0.2], 0.8, None, true)
+            .unwrap();
+        service
+            .ingest(&three, Some(0.0), None, Some(&[50, 30, 20]), None)
+            .unwrap();
+        let foreign_pipeline = three.pipeline().unwrap().snapshot();
+
+        // Rewrite the 4-category key's sidecar as a legacy headerless file
+        // whose pipeline pins the 3×3 channel: slot count and Ω still
+        // match, so only the shape check can refuse it.
+        service.evict_key(&entry).expect("idle key evicts");
+        let sidecar = Service::sidecar_path(&path_str, entry.key());
+        let text = std::fs::read_to_string(&sidecar).unwrap();
+        let (_, payload) = text.split_once('\n').expect("headered sidecar");
+        let mut snapshot: KeySnapshot = serde_json::from_str(payload.trim()).unwrap();
+        snapshot.pipeline = Some(foreign_pipeline);
+        std::fs::write(&sidecar, serde_json::to_string(&snapshot).unwrap()).unwrap();
+
+        // The re-warm refuses the sidecar (typed event, counter) and
+        // replays: the Ω comes back bitwise and no channel is pinned, so
+        // Estimate answers an error instead of panicking on the
+        // dimension mismatch.
+        let response = service.handle(Request::Estimate {
+            key: Some(entry.key()),
+            name: None,
+        });
+        assert!(
+            matches!(response, Response::Error { .. }),
+            "got {response:?}"
+        );
+        assert_eq!(entry.state(), KeyState::Warm);
+        assert_eq!(entry.store().merge(), warm_merge);
+        assert!(entry.pipeline().is_none());
+        let metrics = metrics_text(&service);
         assert!(
             metrics.contains("serve_snapshot_load_failures_total 1"),
             "{metrics}"

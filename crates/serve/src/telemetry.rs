@@ -21,6 +21,7 @@
 //! branch per instrumentation site.
 
 use crate::lifecycle::{KeyState, TransitionSink};
+use crate::service::ServiceTotals;
 use obs::{Clock, Counter, MetricsRegistry, MetricsSnapshot, TraceEntry, TraceRing};
 use std::sync::Arc;
 
@@ -291,17 +292,27 @@ struct EventCounters {
     generations: Arc<Counter>,
     drift_trips: Arc<Counter>,
     coverage_trips: Arc<Counter>,
-    evictions: Arc<Counter>,
-    rewarms: Arc<Counter>,
     ingest_batches: Arc<Counter>,
     ingest_records: Arc<Counter>,
     sampler_rebuilds: Arc<Counter>,
     snapshot_saves: Arc<Counter>,
     snapshot_loads: Arc<Counter>,
-    refresh_failures: Arc<Counter>,
-    refresh_retries: Arc<Counter>,
     degraded: Arc<Counter>,
     snapshot_load_failures: Arc<Counter>,
+}
+
+/// Handles for the view counters: totals whose only store is the
+/// per-key lifecycle counters. The hub never counts them; each
+/// `Metrics` readout publishes the registry sums through
+/// [`ServeObs::publish_totals`].
+#[derive(Debug)]
+struct ViewCounters {
+    queries: Arc<Counter>,
+    warm_hits: Arc<Counter>,
+    evictions: Arc<Counter>,
+    rewarms: Arc<Counter>,
+    refresh_failures: Arc<Counter>,
+    refresh_retries: Arc<Counter>,
 }
 
 /// Pre-resolved handles for the network front door's totals
@@ -325,8 +336,7 @@ pub struct ServeObs {
     registry: MetricsRegistry,
     trace: TraceRing<ServeEvent>,
     events: EventCounters,
-    queries: Arc<Counter>,
-    warm_hits: Arc<Counter>,
+    views: ViewCounters,
     coverage_misses: Arc<Counter>,
     net: NetCounters,
 }
@@ -343,20 +353,22 @@ impl ServeObs {
             generations: registry.counter("serve_engine_generations_total"),
             drift_trips: registry.counter("serve_drift_trips_total"),
             coverage_trips: registry.counter("serve_coverage_trips_total"),
-            evictions: registry.counter("serve_evictions_total"),
-            rewarms: registry.counter("serve_rewarms_total"),
             ingest_batches: registry.counter("serve_ingest_batches_total"),
             ingest_records: registry.counter("serve_ingest_records_total"),
             sampler_rebuilds: registry.counter("serve_sampler_rebuilds_total"),
             snapshot_saves: registry.counter("serve_snapshot_saves_total"),
             snapshot_loads: registry.counter("serve_snapshot_loads_total"),
-            refresh_failures: registry.counter("serve_refresh_failures_total"),
-            refresh_retries: registry.counter("serve_refresh_retries_total"),
             degraded: registry.counter("serve_degraded_total"),
             snapshot_load_failures: registry.counter("serve_snapshot_load_failures_total"),
         };
-        let queries = registry.counter("serve_queries_total");
-        let warm_hits = registry.counter("serve_warm_hits_total");
+        let views = ViewCounters {
+            queries: registry.counter("serve_queries_total"),
+            warm_hits: registry.counter("serve_warm_hits_total"),
+            evictions: registry.counter("serve_evictions_total"),
+            rewarms: registry.counter("serve_rewarms_total"),
+            refresh_failures: registry.counter("serve_refresh_failures_total"),
+            refresh_retries: registry.counter("serve_refresh_retries_total"),
+        };
         let coverage_misses = registry.counter("serve_coverage_misses_total");
         let net = NetCounters {
             conns: registry.counter("serve_net_conns_total"),
@@ -370,8 +382,7 @@ impl ServeObs {
             clock,
             registry,
             events,
-            queries,
-            warm_hits,
+            views,
             coverage_misses,
             net,
         }
@@ -394,8 +405,10 @@ impl ServeObs {
         self.trace.capacity()
     }
 
-    /// Records one structured event: bumps the variant's total and
-    /// appends to the trace ring.
+    /// Records one structured event: bumps the variant's total, when it
+    /// has one the hub stores, and appends to the trace ring. `Evicted`,
+    /// `Rewarmed`, `RefreshFailed` and `RefreshRetry` are trace-only:
+    /// their totals are view counters.
     pub fn emit(&self, event: ServeEvent) {
         if !self.enabled {
             return;
@@ -406,8 +419,6 @@ impl ServeObs {
             ServeEvent::Generation { .. } => self.events.generations.inc(),
             ServeEvent::Drift { .. } => self.events.drift_trips.inc(),
             ServeEvent::CoverageTrip { .. } => self.events.coverage_trips.inc(),
-            ServeEvent::Evicted { .. } => self.events.evictions.inc(),
-            ServeEvent::Rewarmed { .. } => self.events.rewarms.inc(),
             ServeEvent::Ingest { accepted, .. } => {
                 self.events.ingest_batches.inc();
                 self.events.ingest_records.add(*accepted);
@@ -415,24 +426,14 @@ impl ServeObs {
             ServeEvent::SamplerRebuild { .. } => self.events.sampler_rebuilds.inc(),
             ServeEvent::SnapshotSaved { .. } => self.events.snapshot_saves.inc(),
             ServeEvent::SnapshotLoaded { .. } => self.events.snapshot_loads.inc(),
-            ServeEvent::RefreshFailed { .. } => self.events.refresh_failures.inc(),
-            ServeEvent::RefreshRetry { .. } => self.events.refresh_retries.inc(),
             ServeEvent::Degraded { .. } => self.events.degraded.inc(),
             ServeEvent::SnapshotLoadFailed { .. } => self.events.snapshot_load_failures.inc(),
+            ServeEvent::Evicted { .. }
+            | ServeEvent::Rewarmed { .. }
+            | ServeEvent::RefreshFailed { .. }
+            | ServeEvent::RefreshRetry { .. } => {}
         }
         self.trace.push(event);
-    }
-
-    /// Counts one point query (the hottest instrumentation site: two
-    /// relaxed increments, no trace event, no timestamp).
-    pub fn count_query(&self, warm_hit: bool) {
-        if !self.enabled {
-            return;
-        }
-        self.queries.inc();
-        if warm_hit {
-            self.warm_hits.inc();
-        }
     }
 
     /// Counts one coverage miss (threshold trips emit a
@@ -442,20 +443,6 @@ impl ServeObs {
             return;
         }
         self.coverage_misses.inc();
-    }
-
-    /// Counts one job panic that escaped all the way to the worker pool
-    /// (`serve_worker_pool_panics_total`). Refresh runs contain their own
-    /// panics and report them as typed [`ServeEvent::RefreshFailed`]
-    /// events with key and run context; a panic landing here came from a
-    /// job with no key context left to attach.
-    pub fn count_pool_panic(&self) {
-        if !self.enabled {
-            return;
-        }
-        self.registry
-            .counter("serve_worker_pool_panics_total")
-            .inc();
     }
 
     /// Records one handled protocol verb into its per-verb latency
@@ -537,6 +524,29 @@ impl ServeObs {
             return;
         }
         self.registry.gauge(name).set(value);
+    }
+
+    /// Publishes the service totals read at a `Metrics` readout: the
+    /// registered-keys and resident-bytes gauges, and the view counters.
+    /// The counters keep their `counter` type: each is a sum of per-key
+    /// counters that only ever grow.
+    pub fn publish_totals(&self, totals: &ServiceTotals) {
+        if !self.enabled {
+            return;
+        }
+        self.registry
+            .gauge("serve_registered_keys")
+            .set(totals.keys as u64);
+        self.registry
+            .gauge("serve_resident_bytes")
+            .set(totals.resident_bytes);
+        let views = &self.views;
+        views.queries.set(totals.queries);
+        views.warm_hits.set(totals.warm_hits);
+        views.evictions.set(totals.evictions);
+        views.rewarms.set(totals.rewarms);
+        views.refresh_failures.set(totals.refresh_failures);
+        views.refresh_retries.set(totals.retries);
     }
 
     /// A per-key lifecycle sink for
@@ -639,12 +649,18 @@ mod tests {
     fn disabled_hub_records_nothing_and_hands_out_no_hooks() {
         let hub = hub(false);
         hub.emit(ServeEvent::Rewarmed { key: 1 });
-        hub.count_query(true);
         hub.count_coverage_miss();
         hub.record_verb("estimate", 125);
         hub.set_gauge("serve_registered_keys", 3);
+        hub.publish_totals(&ServiceTotals {
+            keys: 1,
+            queries: 4,
+            warm_hits: 3,
+            ..ServiceTotals::default()
+        });
         let snap = hub.metrics_snapshot();
         assert!(snap.counters.iter().all(|(_, v)| *v == 0));
+        assert!(snap.gauges.iter().all(|(_, v)| *v == 0));
         assert!(snap.histograms.is_empty());
         assert!(hub.trace_snapshot(None).0.is_empty());
         assert!(hub.transition_sink(1).is_none());
@@ -820,6 +836,10 @@ mod tests {
 
     #[test]
     fn failure_events_bump_their_dedicated_counters() {
+        // Degradations and snapshot load failures are counted by their
+        // events; refresh failures and retries are view counters, which
+        // their events leave alone and a `Metrics` readout publishes from
+        // the per-key totals.
         let hub = hub(true);
         hub.emit(ServeEvent::RefreshFailed {
             key: 5,
@@ -840,18 +860,25 @@ mod tests {
             path: "x.json".to_string(),
             reason: "torn".to_string(),
         });
-        let snap = hub.metrics_snapshot();
         let counter = |name: &str| {
-            snap.counters
+            hub.metrics_snapshot()
+                .counters
                 .iter()
                 .find(|(n, _)| n == name)
                 .map(|(_, v)| *v)
                 .unwrap_or_else(|| panic!("{name} not registered"))
         };
-        assert_eq!(counter("serve_refresh_failures_total"), 1);
-        assert_eq!(counter("serve_refresh_retries_total"), 1);
+        assert_eq!(counter("serve_refresh_failures_total"), 0);
+        assert_eq!(counter("serve_refresh_retries_total"), 0);
         assert_eq!(counter("serve_degraded_total"), 1);
         assert_eq!(counter("serve_snapshot_load_failures_total"), 1);
+        hub.publish_totals(&ServiceTotals {
+            refresh_failures: 1,
+            retries: 1,
+            ..ServiceTotals::default()
+        });
+        assert_eq!(counter("serve_refresh_failures_total"), 1);
+        assert_eq!(counter("serve_refresh_retries_total"), 1);
         let (entries, _) = hub.trace_snapshot(None);
         let kinds: Vec<&str> = entries.iter().map(|e| e.event.kind()).collect();
         assert_eq!(

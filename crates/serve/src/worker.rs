@@ -17,11 +17,6 @@ use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Called (in place of the default stderr line) whenever a job's panic
-/// escapes to the pool, so the owner can route it into its observability
-/// hub instead of losing it in the log stream.
-type PanicHook = Box<dyn Fn() + Send + Sync + 'static>;
-
 struct PoolState {
     queue: VecDeque<Job>,
     /// Jobs submitted but not yet finished (queued + running).
@@ -41,8 +36,6 @@ struct PoolShared {
     jobs_submitted: Counter,
     jobs_executed: Counter,
     jobs_panicked: Counter,
-    /// Optional owner-installed panic sink (see [`WorkerPool::set_panic_hook`]).
-    panic_hook: Mutex<Option<PanicHook>>,
 }
 
 impl PoolShared {
@@ -91,7 +84,6 @@ impl WorkerPool {
             jobs_submitted: Counter::new(),
             jobs_executed: Counter::new(),
             jobs_panicked: Counter::new(),
-            panic_hook: Mutex::new(None),
         });
         let handles = (0..workers)
             .map(|index| {
@@ -113,18 +105,6 @@ impl WorkerPool {
     /// Jobs submitted but not yet finished.
     pub fn pending(&self) -> usize {
         self.shared.lock_state().pending
-    }
-
-    /// Installs the panic sink called whenever a job's panic escapes to
-    /// the pool, replacing the default stderr line. The service routes
-    /// this into [`crate::telemetry::ServeObs`]
-    /// (`serve_worker_pool_panics_total`).
-    pub fn set_panic_hook(&self, hook: impl Fn() + Send + Sync + 'static) {
-        *self
-            .shared
-            .panic_hook
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(Box::new(hook));
     }
 
     /// Enqueues a job for execution on some worker.
@@ -149,7 +129,8 @@ impl WorkerPool {
     }
 
     /// Jobs whose closure panicked (the panic is contained; see
-    /// `worker_loop`).
+    /// `worker_loop`). The service publishes this as the
+    /// `serve_worker_jobs_panicked` gauge.
     pub fn jobs_panicked(&self) -> u64 {
         self.shared.jobs_panicked.get()
     }
@@ -203,14 +184,7 @@ fn worker_loop(shared: &PoolShared) {
         shared.jobs_executed.inc();
         if outcome.is_err() {
             shared.jobs_panicked.inc();
-            let hook = shared
-                .panic_hook
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            match hook.as_ref() {
-                Some(hook) => hook(),
-                None => eprintln!("optrr-serve: a worker job panicked; continuing"),
-            }
+            eprintln!("optrr-serve: a worker job panicked; continuing");
         }
         let mut state = shared.lock_state();
         state.pending -= 1;

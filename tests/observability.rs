@@ -95,12 +95,20 @@ fn observability_is_bitwise_invisible_end_to_end() {
 #[test]
 fn metrics_and_trace_verbs_report_a_coherent_session() {
     let service = smoke_service(99, true);
+    // After the shared lifecycle, a second eviction whose re-warm is
+    // driven by a refresh (not a query), then both `Stats` readouts right
+    // before `Metrics`, so the view counters can be checked against them.
     let session = [
         lifecycle_session()
             .lines()
             .filter(|l| *l != r#""Shutdown""#)
             .collect::<Vec<_>>()
             .join("\n"),
+        r#"{"Evict":{"name":"demo"}}"#.into(),
+        r#"{"Refresh":{"name":"demo","runs":1}}"#.into(),
+        r#""Sync""#.into(),
+        r#"{"Stats":{"name":"demo"}}"#.into(),
+        r#"{"Stats":{}}"#.into(),
         r#""Metrics""#.into(),
         r#"{"Trace":{}}"#.into(),
         r#""Shutdown""#.into(),
@@ -141,7 +149,7 @@ fn metrics_and_trace_verbs_report_a_coherent_session() {
     assert_eq!(verb_count("ingest"), 2);
     assert_eq!(verb_count("estimate"), 1);
     assert_eq!(verb_count("best_for_privacy"), 2);
-    assert_eq!(verb_count("evict"), 1);
+    assert_eq!(verb_count("evict"), 2);
     for h in histograms {
         assert!(h.p50 <= h.p99, "{}: p50 above p99", h.name);
         assert!(h.p99 <= h.max.next_power_of_two().max(1), "{}", h.name);
@@ -152,8 +160,8 @@ fn metrics_and_trace_verbs_report_a_coherent_session() {
     // warm-store selections Front/Disguise/Estimate make internally.
     assert!(counter(counters, "serve_queries_total") >= 2);
     assert_eq!(counter(counters, "serve_ingest_batches_total"), 2);
-    assert_eq!(counter(counters, "serve_evictions_total"), 1);
-    assert_eq!(counter(counters, "serve_rewarms_total"), 1);
+    assert_eq!(counter(counters, "serve_evictions_total"), 2);
+    assert_eq!(counter(counters, "serve_rewarms_total"), 2);
     assert!(counter(counters, "serve_transitions_total") >= 4);
     assert!(counter(counters, "serve_refresh_runs_total") >= 2);
     assert!(counter(counters, "serve_engine_generations_total") > 0);
@@ -161,6 +169,50 @@ fn metrics_and_trace_verbs_report_a_coherent_session() {
     assert!(counter(gauges, "serve_resident_bytes") > 0);
     assert!(prometheus.contains("# TYPE serve_queries_total counter"));
     assert!(prometheus.contains("serve_verb_register_latency_ns_count 1"));
+
+    // Every view counter is its `ServiceStats` field and the sum of its
+    // per-key `KeyStats` fields (one key here): one stored fact, three
+    // readouts — including the re-warm the refresh drove.
+    let Response::KeyStats { stats } = &decoded[n - 5] else {
+        panic!("expected KeyStats, got {:?}", decoded[n - 5]);
+    };
+    let Response::ServiceStats {
+        keys,
+        queries,
+        warm_hits,
+        evictions,
+        rewarms,
+        refresh_failures,
+        retries,
+        ..
+    } = &decoded[n - 4]
+    else {
+        panic!("expected ServiceStats, got {:?}", decoded[n - 4]);
+    };
+    assert_eq!(*keys, 1);
+    for (name, service_total, key_sum) in [
+        ("serve_queries_total", *queries, stats.queries),
+        ("serve_warm_hits_total", *warm_hits, stats.warm_hits),
+        ("serve_evictions_total", *evictions, stats.evictions),
+        ("serve_rewarms_total", *rewarms, stats.rewarms),
+        (
+            "serve_refresh_failures_total",
+            *refresh_failures,
+            stats.refresh_failures,
+        ),
+        ("serve_refresh_retries_total", *retries, stats.retries),
+    ] {
+        assert_eq!(
+            counter(counters, name),
+            service_total,
+            "{name} vs Stats {{}}"
+        );
+        assert_eq!(service_total, key_sum, "{name} vs the KeyStats sum");
+        assert!(
+            prometheus.contains(&format!("# TYPE {name} counter\n{name} {service_total}\n")),
+            "{name} must render as a counter"
+        );
+    }
 
     let Response::Trace {
         enabled,
