@@ -534,6 +534,13 @@ fn main() {
         matches!(response, Response::Registered { warm: true, .. }),
         "the bench key must be warm before the measured window"
     );
+    // `Estimate` needs one ingested batch; without it the first
+    // estimate of the window races the first ingest on another
+    // connection.
+    let response = setup
+        .request(&ingest_request("bench", INGEST_BATCH, 0))
+        .expect("ingest");
+    assert!(matches!(response, Response::Ingested { .. }));
     drop(setup);
 
     let mut codec_runs = Vec::new();

@@ -111,7 +111,7 @@ fn main() {
     let stdin = io::stdin();
     let stdout = io::stdout();
     if let Err(error) = service.run_loop(BufReader::new(stdin.lock()), stdout.lock()) {
-        eprintln!("optrr-serve: session I/O error: {error}");
+        eprintln!("optrr-serve: session failed: {error}");
         std::process::exit(1);
     }
 }

@@ -28,7 +28,7 @@
 //!   refresh_panic=p  rate of refresh runs that panic          (default 0)
 //!   stall=p          rate of refresh runs that stall first    (default 0)
 //!   stall_ms=N       stall duration in milliseconds           (default 10)
-//!   conn_drop=p      rate of network requests whose client
+//!   conn_drop=p      rate of session requests whose client
 //!                    connection is dropped mid-frame          (default 0)
 //!   budget=N         total faults injected before the plan
 //!                    goes quiet (unset = unbounded)
@@ -62,9 +62,10 @@ pub struct FaultPlan {
     pub stall: f64,
     /// Stall duration in milliseconds.
     pub stall_ms: u64,
-    /// Probability a network session's client connection is dropped
-    /// abruptly mid-frame, exercising the torn-frame cleanup path
-    /// (`serve::net` consults this before handling each request).
+    /// Probability a session's client connection is dropped abruptly
+    /// mid-frame, exercising the torn-frame cleanup path (the session
+    /// core consults this before handling each request; stdio is
+    /// connection 0).
     pub conn_drop: f64,
     /// Total faults injected before the plan goes quiet; `None` is
     /// unbounded.
@@ -269,7 +270,7 @@ impl FaultInjector {
             .then(|| std::time::Duration::from_millis(self.plan.stall_ms))
     }
 
-    /// Should request `request_index` of network connection `conn_id`
+    /// Should request `request_index` of session connection `conn_id`
     /// have its client connection dropped mid-frame? Keyed by
     /// `(connection, request)` like the refresh sites are keyed by
     /// `(key, run)`, so scripted single-connection sessions draw a

@@ -24,7 +24,10 @@
 //! * [`worker`] — the fixed worker pool that executes engine runs for cold
 //!   or stale keys in the background.
 //! * [`protocol`] — the framed JSON request/response protocol (one frame
-//!   per line) spoken by the `serve` binary over stdin/stdout.
+//!   per line) spoken by the `serve` binary over stdin/stdout and sockets.
+//! * `session` (crate-private) — the one request loop that stdio
+//!   ([`Service::run_loop`]) and every socket session run, and the frame
+//!   readers it shares with [`NetClient`]: one framing rule everywhere.
 //! * [`service`] — [`Service`]: the front door tying the pieces together,
 //!   including the multi-prior batch registration that fans independent
 //!   problems across cores via `Optimizer::optimize_many`; the
@@ -118,6 +121,7 @@ pub mod pipeline;
 pub mod protocol;
 pub mod registry;
 pub mod service;
+mod session;
 pub mod shard;
 pub mod telemetry;
 pub mod wire;

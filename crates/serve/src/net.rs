@@ -4,10 +4,11 @@
 //! [`NetServer::start`] binds a listener ([`ListenAddr::Tcp`] or
 //! [`ListenAddr::Unix`]) and runs an accept loop feeding a bounded
 //! connection pool (`max_conns`; excess connections wait in the OS
-//! backlog). Each accepted connection gets a session thread that reuses
-//! the [`Service::run_loop`] semantics — decode one request, handle,
-//! respond in order — plus a writer thread behind a bounded queue
-//! (`conn_queue`), so:
+//! backlog). Each accepted connection gets a session thread that runs the
+//! session core (the one request loop stdio runs too: decode one request,
+//! handle, respond in order, with one framing rule for every transport)
+//! plus a writer thread behind a bounded queue (`conn_queue`). This
+//! module keeps only what belongs to sockets:
 //!
 //! * **Pipelining** — a client may send many requests without reading;
 //!   responses are written strictly in request order per connection
@@ -21,15 +22,16 @@
 //!   deliver bitwise-identical requests to the service, so a binary
 //!   session produces byte-identical warm stores and estimates to the
 //!   same session over JSON.
-//! * **Graceful drain** — any session's `Shutdown` request (after its
+//! * **Graceful drain** — any session's `Shutdown` request (before its
 //!   `Bye` is queued) puts the whole server into drain: the accept loop
 //!   stops, idle sessions close after flushing their write queues, and
 //!   [`NetServer::wait`] force-closes stragglers only after
 //!   `drain_ms`.
 //!
 //! A torn frame — truncated length prefix, half-written JSON line,
-//! checksum mismatch, abrupt disconnect — closes *that* session with a
-//! typed [`ServeError::Transport`] (counted in
+//! oversized frame, checksum mismatch, abrupt disconnect — closes *that*
+//! session with a typed
+//! [`ServeError::Transport`](crate::ServeError::Transport) (counted in
 //! `serve_net_conn_errors_total`, answered best-effort with a
 //! `code: "transport"` error response) and leaves the shared service
 //! fully usable: sessions hold no service locks across requests, so
@@ -38,16 +40,17 @@
 //! session mid-frame on purpose to keep that path covered.
 
 use crate::protocol::{self, Request, Response};
-use crate::service::{ServeError, Service};
+use crate::service::Service;
+use crate::session::{self, invalid_data, is_poll_timeout, SessionEnd};
 use crate::telemetry::ServeObs;
 use crate::wire::{self, Codec};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::Receiver;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -118,39 +121,35 @@ trait SessionStream: Read + Write + Send {
     /// An independently owned handle to the same socket (for the
     /// writer thread and the force-close registry).
     fn try_clone_stream(&self) -> io::Result<Box<dyn SessionStream>>;
-    /// Bounds blocking reads so sessions can poll the drain flag.
-    fn set_read_timeout_stream(&self, timeout: Option<Duration>) -> io::Result<()>;
-    /// Closes both directions, unblocking any reader or writer.
-    fn shutdown_stream(&self) -> io::Result<()>;
+    /// Makes reads blocking but bounded by [`POLL_MS`], so sessions can
+    /// poll the drain flag (accepted sockets inherit the listener's
+    /// non-blocking flag on some platforms).
+    fn poll_reads(&self) -> io::Result<()>;
+    /// Closes one or both directions; closing both unblocks any reader
+    /// or writer.
+    fn shutdown_stream(&self, how: Shutdown) -> io::Result<()>;
 }
 
-impl SessionStream for TcpStream {
-    fn try_clone_stream(&self) -> io::Result<Box<dyn SessionStream>> {
-        Ok(Box::new(self.try_clone()?))
-    }
+macro_rules! impl_session_stream {
+    ($($stream:ty),*) => {$(
+        impl SessionStream for $stream {
+            fn try_clone_stream(&self) -> io::Result<Box<dyn SessionStream>> {
+                Ok(Box::new(self.try_clone()?))
+            }
 
-    fn set_read_timeout_stream(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
-    }
+            fn poll_reads(&self) -> io::Result<()> {
+                self.set_nonblocking(false)?;
+                self.set_read_timeout(Some(Duration::from_millis(POLL_MS)))
+            }
 
-    fn shutdown_stream(&self) -> io::Result<()> {
-        self.shutdown(std::net::Shutdown::Both)
-    }
+            fn shutdown_stream(&self, how: Shutdown) -> io::Result<()> {
+                self.shutdown(how)
+            }
+        }
+    )*};
 }
 
-impl SessionStream for UnixStream {
-    fn try_clone_stream(&self) -> io::Result<Box<dyn SessionStream>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-
-    fn set_read_timeout_stream(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
-    }
-
-    fn shutdown_stream(&self) -> io::Result<()> {
-        self.shutdown(std::net::Shutdown::Both)
-    }
-}
+impl_session_stream!(TcpStream, UnixStream);
 
 enum Listener {
     Tcp(TcpListener),
@@ -181,21 +180,10 @@ impl Listener {
     }
 
     fn accept(&self) -> io::Result<Box<dyn SessionStream>> {
-        match self {
-            Listener::Tcp(l) => {
-                let (stream, _) = l.accept()?;
-                // Accepted sockets inherit the listener's non-blocking
-                // flag on some platforms; sessions want blocking reads
-                // bounded by a timeout instead.
-                stream.set_nonblocking(false)?;
-                Ok(Box::new(stream))
-            }
-            Listener::Unix(l) => {
-                let (stream, _) = l.accept()?;
-                stream.set_nonblocking(false)?;
-                Ok(Box::new(stream))
-            }
-        }
+        Ok(match self {
+            Listener::Tcp(l) => Box::new(l.accept()?.0),
+            Listener::Unix(l) => Box::new(l.accept()?.0),
+        })
     }
 
     fn local_tcp_addr(&self) -> Option<SocketAddr> {
@@ -332,7 +320,7 @@ impl NetServer {
         // Force-close whatever is still open; their session threads
         // observe the closed socket at the next read or write.
         for (_, stream) in lock(&self.shared.conns).drain() {
-            let _ = stream.shutdown_stream();
+            let _ = stream.shutdown_stream(Shutdown::Both);
         }
         let handles: Vec<JoinHandle<()>> = lock(&self.shared.sessions).drain(..).collect();
         for handle in handles {
@@ -382,9 +370,7 @@ fn spawn_session(shared: &Arc<NetShared>, stream: Box<dyn SessionStream>) {
         let now = shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
         shared.obs().set_connections_active(now);
     };
-    let registered = stream
-        .set_read_timeout_stream(Some(Duration::from_millis(POLL_MS)))
-        .and_then(|_| stream.try_clone_stream());
+    let registered = stream.poll_reads().and_then(|_| stream.try_clone_stream());
     let handle = match registered {
         Ok(clone) => {
             lock(&shared.conns).insert(conn_id, clone);
@@ -415,309 +401,70 @@ fn spawn_session(shared: &Arc<NetShared>, stream: Box<dyn SessionStream>) {
     }
 }
 
-/// Why a session's read loop stopped.
-enum SessionEnd {
-    /// The client closed cleanly at a frame boundary (or sent `Bye`).
-    Clean,
-    /// Drain was requested and the connection was idle.
-    Drained,
-    /// The transport failed mid-frame — the typed error to account.
-    Torn(ServeError),
-}
-
 fn run_session(shared: &Arc<NetShared>, stream: Box<dyn SessionStream>, conn_id: u64) {
-    let obs = Arc::clone(shared.obs());
-    let writer_stream = match stream.try_clone_stream() {
-        Ok(clone) => clone,
-        Err(_) => return,
+    let mut reader = BufReader::new(stream);
+    let Ok(codec) = negotiate_codec(&mut reader, shared) else {
+        // The connection failed before its first byte: nobody to answer.
+        shared.obs().count_net_conn_error();
+        return;
+    };
+    let Ok(writer_stream) = reader.get_ref().try_clone_stream() else {
+        return;
     };
     let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(shared.config.conn_queue);
-    let writer_obs = Arc::clone(&obs);
     let writer = thread::Builder::new()
         .name(format!("optrr-net-write-{conn_id}"))
         .stack_size(SESSION_STACK)
-        .spawn(move || writer_loop(rx, writer_stream, writer_obs));
+        .spawn(move || writer_loop(rx, writer_stream));
     let Ok(writer) = writer else { return };
 
-    let mut reader = BufReader::new(stream);
-    let mut codec = Codec::Json;
-    let end = match negotiate_codec(&mut reader, shared) {
-        Ok(Some(negotiated)) => {
-            codec = negotiated;
-            session_loop(shared, &mut reader, &tx, codec, conn_id)
-        }
-        Ok(None) => SessionEnd::Clean, // opened and closed without a byte
-        Err(end) => end,
-    };
-    if let SessionEnd::Torn(error) = end {
-        obs.count_net_conn_error();
-        // Best-effort: tell the client what happened, in its own codec,
-        // before closing. On an abrupt disconnect the write simply
-        // fails; either way the session ends and the shared service is
-        // untouched.
-        let response = Response::Error {
-            reason: error.to_string(),
-            code: error.code().to_string(),
-        };
-        let _ = tx.try_send(encode_response_bytes(&response, codec));
+    let end = session::run_session(
+        &shared.service,
+        &mut reader,
+        codec,
+        conn_id,
+        &shared.draining,
+        &mut |bytes| {
+            // A failed send means the writer died (the client stopped
+            // reading and went away).
+            tx.send(bytes)
+                .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "the writer closed"))
+        },
+    );
+    if let SessionEnd::Dropped(_) = end {
+        // The injected disconnect hangs up before anything else is
+        // written.
+        let _ = reader.get_ref().shutdown_stream(Shutdown::Both);
     }
     drop(tx);
     let _ = writer.join();
     // Closing our half unblocks a client still waiting on reads.
-    let _ = reader.get_ref().shutdown_stream();
+    let _ = reader.get_ref().shutdown_stream(Shutdown::Both);
 }
 
-/// Reads the connection's first byte and selects the codec. `Ok(None)`
-/// is a connection that closed before sending anything.
+/// Peeks at the connection's first byte to select the codec. A
+/// connection that closes or drains before sending anything is left to
+/// the session core, whose first read ends it the same way.
 fn negotiate_codec(
     reader: &mut BufReader<Box<dyn SessionStream>>,
     shared: &Arc<NetShared>,
-) -> Result<Option<Codec>, SessionEnd> {
+) -> io::Result<Codec> {
     loop {
         match reader.fill_buf() {
-            Ok([]) => return Ok(None),
-            Ok(buf) => {
-                return if buf[0] == wire::PREAMBLE {
-                    reader.consume(1);
-                    shared.obs().add_net_bytes_in(1);
-                    Ok(Some(Codec::Binary))
-                } else {
-                    Ok(Some(Codec::Json))
-                };
+            Ok([wire::PREAMBLE, ..]) => {
+                reader.consume(1);
+                shared.obs().add_net_bytes_in(1);
+                return Ok(Codec::Binary);
             }
-            Err(e) if is_poll_timeout(&e) => {
-                if shared.draining() {
-                    return Err(SessionEnd::Drained);
-                }
-            }
-            Err(e) => {
-                return Err(SessionEnd::Torn(ServeError::Transport(format!(
-                    "reading the codec preamble: {e}"
-                ))))
-            }
+            Ok(_) => return Ok(Codec::Json),
+            Err(e) if !is_poll_timeout(&e) => return Err(e),
+            Err(_) if shared.draining() => return Ok(Codec::Json),
+            Err(_) => {}
         }
     }
 }
 
-fn is_poll_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-    )
-}
-
-fn session_loop(
-    shared: &Arc<NetShared>,
-    reader: &mut BufReader<Box<dyn SessionStream>>,
-    tx: &SyncSender<Vec<u8>>,
-    codec: Codec,
-    conn_id: u64,
-) -> SessionEnd {
-    let obs = Arc::clone(shared.obs());
-    let injector = shared.service.fault_injector().cloned();
-    let mut request_index: u64 = 0;
-    loop {
-        let request = match read_request(reader, shared, codec) {
-            Ok(Some(decoded)) => decoded,
-            Ok(None) => return SessionEnd::Clean,
-            Err(end) => return end,
-        };
-        // The deterministic disconnect fault: hang up abruptly instead
-        // of handling, exercising the torn-frame cleanup end to end.
-        if let Some(injector) = &injector {
-            if injector.conn_drop(conn_id, request_index) {
-                let _ = reader.get_ref().shutdown_stream();
-                return SessionEnd::Torn(ServeError::Transport(format!(
-                    "injected connection drop before request {request_index}"
-                )));
-            }
-        }
-        request_index += 1;
-        let response = match request {
-            Ok(request) if obs.enabled() => {
-                let verb = request.verb();
-                let start_ns = obs.now_ns();
-                let response = shared.service.handle(request);
-                let elapsed = obs.now_ns().saturating_sub(start_ns);
-                obs.record_verb(verb, elapsed);
-                obs.record_net_verb(verb, codec.label(), elapsed);
-                response
-            }
-            Ok(request) => shared.service.handle(request),
-            Err(reason) => Response::Error {
-                reason,
-                code: "invalid_request".to_string(),
-            },
-        };
-        let bye = response == Response::Bye;
-        if tx.send(encode_response_bytes(&response, codec)).is_err() {
-            // The writer died (client stopped reading and went away).
-            return SessionEnd::Torn(ServeError::Transport(
-                "response writer closed mid-session".to_string(),
-            ));
-        }
-        if bye {
-            // `Shutdown` drains the whole front door: stop accepting,
-            // flush, exit. The response is already queued, so the
-            // client sees its `Bye`.
-            shared.draining.store(true, Ordering::SeqCst);
-            return SessionEnd::Clean;
-        }
-    }
-}
-
-/// Reads one request off the connection. `Ok(None)` is a clean close at
-/// a frame boundary; `Ok(Some(Err(reason)))` is a decodable-but-invalid
-/// request (answered with an `invalid_request` error, session
-/// continues); `Err` ends the session.
-#[allow(clippy::type_complexity)]
-fn read_request(
-    reader: &mut BufReader<Box<dyn SessionStream>>,
-    shared: &Arc<NetShared>,
-    codec: Codec,
-) -> Result<Option<std::result::Result<Request, String>>, SessionEnd> {
-    match codec {
-        Codec::Json => read_json_request(reader, shared),
-        Codec::Binary => read_binary_request(reader, shared),
-    }
-}
-
-#[allow(clippy::type_complexity)]
-fn read_json_request(
-    reader: &mut BufReader<Box<dyn SessionStream>>,
-    shared: &Arc<NetShared>,
-) -> Result<Option<std::result::Result<Request, String>>, SessionEnd> {
-    let mut line = Vec::new();
-    loop {
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) => {
-                // EOF. Bytes without a newline are a half-written line.
-                return if line.is_empty() {
-                    Ok(None)
-                } else {
-                    Err(SessionEnd::Torn(ServeError::Transport(format!(
-                        "connection closed mid-line after {} bytes",
-                        line.len()
-                    ))))
-                };
-            }
-            Ok(_) if line.ends_with(b"\n") => {
-                shared.obs().add_net_bytes_in(line.len() as u64);
-                let text = match std::str::from_utf8(&line) {
-                    Ok(text) => text.trim(),
-                    Err(_) => return Ok(Some(Err("request line is not UTF-8".into()))),
-                };
-                if text.is_empty() {
-                    line.clear();
-                    continue;
-                }
-                return Ok(Some(
-                    protocol::decode_request(text).map_err(|e| format!("bad request line: {e}")),
-                ));
-            }
-            Ok(_) => {
-                // Delimiter not reached before the buffer drained; keep
-                // reading the same line.
-            }
-            Err(e) if is_poll_timeout(&e) => {
-                if shared.draining() && line.is_empty() {
-                    return Err(SessionEnd::Drained);
-                }
-            }
-            Err(e) => {
-                return Err(SessionEnd::Torn(ServeError::Transport(format!(
-                    "reading a request line: {e}"
-                ))))
-            }
-        }
-    }
-}
-
-#[allow(clippy::type_complexity)]
-fn read_binary_request(
-    reader: &mut BufReader<Box<dyn SessionStream>>,
-    shared: &Arc<NetShared>,
-) -> Result<Option<std::result::Result<Request, String>>, SessionEnd> {
-    let mut header = [0u8; 4];
-    if !read_full(reader, shared, &mut header, true)? {
-        return Ok(None);
-    }
-    let body_len = wire::parse_header(header)
-        .map_err(|e| SessionEnd::Torn(ServeError::Transport(e.to_string())))?;
-    let mut body = vec![0u8; body_len];
-    // Mid-frame EOF below is a torn length prefix / truncated body.
-    read_full(reader, shared, &mut body, false)?;
-    shared.obs().add_net_bytes_in(4 + body_len as u64);
-    let (tag, payload) = wire::parse_body(&body)
-        .map_err(|e| SessionEnd::Torn(ServeError::Transport(e.to_string())))?;
-    match wire::decode_request_frame(tag, payload) {
-        Ok(request) => Ok(Some(Ok(request))),
-        // The frame passed its checksum but decodes to no valid
-        // request: answer `invalid_request` and keep the session, the
-        // transport itself is healthy (mirrors a bad JSON line).
-        Err(e) => Ok(Some(Err(format!("bad request frame: {e}")))),
-    }
-}
-
-/// Fills `buf` from the connection, polling the drain flag on read
-/// timeouts. Returns `Ok(false)` on a clean EOF before the first byte
-/// (only when `clean_eof_ok`); EOF after the first byte is a torn
-/// frame.
-fn read_full(
-    reader: &mut BufReader<Box<dyn SessionStream>>,
-    shared: &Arc<NetShared>,
-    buf: &mut [u8],
-    clean_eof_ok: bool,
-) -> Result<bool, SessionEnd> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 && clean_eof_ok {
-                    Ok(false)
-                } else {
-                    Err(SessionEnd::Torn(ServeError::Transport(format!(
-                        "connection closed mid-frame after {filled} of {} bytes",
-                        buf.len()
-                    ))))
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e) if is_poll_timeout(&e) => {
-                if shared.draining() && filled == 0 && clean_eof_ok {
-                    return Err(SessionEnd::Drained);
-                }
-            }
-            Err(e) => {
-                return Err(SessionEnd::Torn(ServeError::Transport(format!(
-                    "reading a frame: {e}"
-                ))))
-            }
-        }
-    }
-    Ok(true)
-}
-
-fn encode_response_bytes(response: &Response, codec: Codec) -> Vec<u8> {
-    match codec {
-        Codec::Json => {
-            let mut bytes = protocol::encode_response(response).into_bytes();
-            bytes.push(b'\n');
-            bytes
-        }
-        Codec::Binary => wire::encode_response_frame(response).unwrap_or_else(|e| {
-            // Unencodable responses are bounded-size errors by
-            // construction, so this fallback frame always encodes.
-            wire::encode_response_frame(&Response::Error {
-                reason: format!("response unencodable: {e}"),
-                code: "transport".to_string(),
-            })
-            .expect("a small error frame always encodes")
-        }),
-    }
-}
-
-fn writer_loop(rx: Receiver<Vec<u8>>, mut stream: Box<dyn SessionStream>, obs: Arc<ServeObs>) {
+fn writer_loop(rx: Receiver<Vec<u8>>, mut stream: Box<dyn SessionStream>) {
     loop {
         let Ok(mut pending) = rx.recv() else {
             // Session over: everything queued was written.
@@ -730,7 +477,6 @@ fn writer_loop(rx: Receiver<Vec<u8>>, mut stream: Box<dyn SessionStream>, obs: A
                 // fail, ending it with a typed transport error.
                 return;
             }
-            obs.add_net_bytes_out(pending.len() as u64);
             match rx.try_recv() {
                 Ok(next) => pending = next,
                 Err(_) => break,
@@ -751,6 +497,7 @@ pub struct NetClient {
     reader: BufReader<Box<dyn SessionStream>>,
     writer: Box<dyn SessionStream>,
     codec: Codec,
+    frame: Vec<u8>,
 }
 
 impl std::fmt::Debug for NetClient {
@@ -769,10 +516,6 @@ impl NetClient {
             ListenAddr::Tcp(addr) => Box::new(TcpStream::connect(addr)?),
             ListenAddr::Unix(path) => Box::new(UnixStream::connect(path)?),
         };
-        Self::from_stream(stream, codec)
-    }
-
-    fn from_stream(stream: Box<dyn SessionStream>, codec: Codec) -> io::Result<Self> {
         let mut writer = stream.try_clone_stream()?;
         if codec == Codec::Binary {
             writer.write_all(&[wire::PREAMBLE])?;
@@ -781,6 +524,7 @@ impl NetClient {
             reader: BufReader::new(stream),
             writer,
             codec,
+            frame: Vec::new(),
         })
     }
 
@@ -792,47 +536,31 @@ impl NetClient {
     /// Sends one request without waiting for the response — the
     /// pipelining half; pair with [`NetClient::recv`] in request order.
     pub fn send(&mut self, request: &Request) -> io::Result<()> {
-        match self.codec {
-            Codec::Json => {
-                let mut line = protocol::encode_request(request).into_bytes();
-                line.push(b'\n');
-                self.writer.write_all(&line)
-            }
-            Codec::Binary => {
-                let frame = wire::encode_request_frame(request)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-                self.writer.write_all(&frame)
-            }
-        }
+        let bytes = match self.codec {
+            Codec::Json => (protocol::encode_request(request) + "\n").into_bytes(),
+            Codec::Binary => wire::encode_request_frame(request)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?,
+        };
+        self.writer.write_all(&bytes)
     }
 
-    /// Receives one response (in request order).
+    /// Receives one response (in request order), read by the same
+    /// framing readers the server's sessions use.
     pub fn recv(&mut self) -> io::Result<Response> {
+        if !session::read_frame(&mut self.reader, self.codec, &mut self.frame, &|| false)? {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            ));
+        }
         match self.codec {
             Codec::Json => {
-                let mut line = String::new();
-                let n = self.reader.read_line(&mut line)?;
-                if n == 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    ));
-                }
-                protocol::decode_response(line.trim())
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+                let text = std::str::from_utf8(&self.frame).map_err(invalid_data)?;
+                protocol::decode_response(text.trim()).map_err(invalid_data)
             }
-            Codec::Binary => {
-                let mut header = [0u8; 4];
-                self.reader.read_exact(&mut header)?;
-                let body_len = wire::parse_header(header)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                let mut body = vec![0u8; body_len];
-                self.reader.read_exact(&mut body)?;
-                let (tag, payload) = wire::parse_body(&body)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                wire::decode_response_frame(tag, payload)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-            }
+            Codec::Binary => wire::parse_body(&self.frame[4..])
+                .and_then(|(tag, payload)| wire::decode_response_frame(tag, payload))
+                .map_err(invalid_data),
         }
     }
 
@@ -848,9 +576,15 @@ impl NetClient {
         self.writer.write_all(bytes)
     }
 
+    /// Closes the sending direction: the server reads EOF after the bytes
+    /// already sent, and their responses can still be received.
+    pub fn close_write(&mut self) -> io::Result<()> {
+        self.writer.shutdown_stream(Shutdown::Write)
+    }
+
     /// Closes both directions immediately (an abrupt client hang-up).
     pub fn hang_up(&mut self) {
-        let _ = self.writer.shutdown_stream();
+        let _ = self.writer.shutdown_stream(Shutdown::Both);
     }
 }
 

@@ -52,7 +52,6 @@ use optrr::{OmegaSet, Optimizer, OptrrConfig, OptrrError};
 use rr::estimate::IterativeConfig;
 use serde::{Deserialize, Serialize};
 use stats::Categorical;
-use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -88,10 +87,11 @@ pub enum ServeError {
     /// previous generation or to deterministic replay, never serve the
     /// partial contents.
     SnapshotCorrupt(String),
-    /// A network session's transport failed mid-frame: a torn length
-    /// prefix, a half-written JSON line, a checksum mismatch, or an
-    /// abrupt client disconnect. The session closes; the shared service
-    /// is untouched (no poisoned locks, no leaked `Warming` states).
+    /// A session's transport failed mid-frame: a torn length prefix, a
+    /// half-written JSON line, a frame over the size cap, a checksum
+    /// mismatch, or an abrupt client disconnect. The session closes; the
+    /// shared service is untouched (no poisoned locks, no leaked
+    /// `Warming` states).
     Transport(String),
 }
 
@@ -519,7 +519,7 @@ impl Service {
     }
 
     /// Borrow the live fault injector, when a chaos plan is configured
-    /// (`serve::net` consults the `conn_drop` site per request).
+    /// (the session core consults the `conn_drop` site per request).
     pub(crate) fn fault_injector(&self) -> Option<&Arc<crate::faults::FaultInjector>> {
         self.faults.as_ref()
     }
@@ -1819,47 +1819,6 @@ impl Service {
                 .collect(),
             prometheus: self.obs.render_prometheus(),
         }
-    }
-
-    /// Drives a whole framed-JSON session: one request per input line, one
-    /// response per output line, until `Shutdown` or end of input.
-    /// Malformed lines produce `Error` responses and the session continues.
-    pub fn run_loop<R: BufRead, W: Write>(
-        self: &Arc<Self>,
-        reader: R,
-        mut writer: W,
-    ) -> std::io::Result<()> {
-        for line in reader.lines() {
-            let line = line?;
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let response = match crate::protocol::decode_request(trimmed) {
-                // Time every verb into its latency histogram. The timing
-                // wraps `handle` only when recording is on, so a
-                // metrics-off session takes zero clock reads per request.
-                Ok(request) if self.obs.enabled() => {
-                    let verb = request.verb();
-                    let start_ns = self.obs.now_ns();
-                    let response = self.handle(request);
-                    self.obs
-                        .record_verb(verb, self.obs.now_ns().saturating_sub(start_ns));
-                    response
-                }
-                Ok(request) => self.handle(request),
-                Err(error) => Response::Error {
-                    reason: format!("bad request line: {error}"),
-                    code: "invalid_request".to_string(),
-                },
-            };
-            writeln!(writer, "{}", crate::protocol::encode_response(&response))?;
-            writer.flush()?;
-            if response == Response::Bye {
-                break;
-            }
-        }
-        Ok(())
     }
 }
 

@@ -315,8 +315,8 @@ struct ViewCounters {
     refresh_retries: Arc<Counter>,
 }
 
-/// Pre-resolved handles for the network front door's totals
-/// (`serve::net`): connection and byte counters are on the per-request
+/// Pre-resolved handles for the transport totals (`serve::net` and the
+/// session core): connection and byte counters are on the per-request
 /// hot path, so they must not pay a registry lookup per event.
 #[derive(Debug)]
 struct NetCounters {
@@ -465,9 +465,9 @@ impl ServeObs {
         self.net.conns.inc();
     }
 
-    /// Counts one network session that ended on a transport error — a
-    /// torn frame, a failed checksum, an abrupt client disconnect
-    /// (`serve_net_conn_errors_total`).
+    /// Counts one session (stdio or socket) that ended on a transport
+    /// error — a torn or oversized frame, a failed checksum, an abrupt
+    /// client disconnect (`serve_net_conn_errors_total`).
     pub fn count_net_conn_error(&self) {
         if !self.enabled {
             return;
@@ -475,7 +475,7 @@ impl ServeObs {
         self.net.conn_errors.inc();
     }
 
-    /// Adds request bytes read off a network connection
+    /// Adds request bytes a session read, on any transport
     /// (`serve_net_bytes_in_total`).
     pub fn add_net_bytes_in(&self, bytes: u64) {
         if !self.enabled {
@@ -484,7 +484,7 @@ impl ServeObs {
         self.net.bytes_in.add(bytes);
     }
 
-    /// Adds response bytes written to a network connection
+    /// Adds response bytes a session emitted, on any transport
     /// (`serve_net_bytes_out_total`).
     pub fn add_net_bytes_out(&self, bytes: u64) {
         if !self.enabled {
@@ -503,10 +503,10 @@ impl ServeObs {
         self.registry.gauge("serve_connections_active").set(count);
     }
 
-    /// Records one network-handled verb into its per-codec latency
-    /// histogram (`serve_net_verb_<verb>_<codec>_latency_ns`), beside
-    /// the codec-agnostic [`ServeObs::record_verb`] histogram the
-    /// session also feeds.
+    /// Records one handled verb into its per-codec latency histogram
+    /// (`serve_net_verb_<verb>_<codec>_latency_ns`), beside the
+    /// codec-agnostic [`ServeObs::record_verb`] histogram the session
+    /// core also feeds, on every transport (stdio is `json`).
     pub fn record_net_verb(&self, verb: &str, codec: &str, nanos: u64) {
         if !self.enabled {
             return;

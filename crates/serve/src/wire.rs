@@ -782,9 +782,10 @@ pub fn decode_response_frame(tag: u8, payload: &[u8]) -> Result<Response> {
 }
 
 /// Decodes one complete frame (as produced by [`encode_frame`]) into
-/// its tag and payload — the buffer-level entry point tests and the
-/// client use; sessions read the header and body separately so a torn
-/// prefix is detected at the exact read that hit it.
+/// its tag and payload — the buffer-level entry point for tests. Sessions
+/// and the client read frames off a stream with the session core's frame
+/// reader instead (header first, so a torn prefix is detected at the
+/// exact read that hit it) and call [`parse_header`] and [`parse_body`].
 pub fn decode_frame(frame: &[u8]) -> Result<(u8, Vec<u8>)> {
     if frame.len() < 4 {
         return Err(WireError::Truncated {

@@ -10,8 +10,9 @@
 //! lifecycle event sequence in causal order (a key warms before it
 //! ingests, trips drift before it refreshes, and so on).
 
-use serve::protocol::decode_response;
-use serve::{Response, Service, ServiceConfig};
+use serve::net::{ListenAddr, NetClient, NetConfig, NetServer};
+use serve::protocol::{decode_response, encode_response};
+use serve::{Codec, Response, Service, ServiceConfig};
 use std::sync::Arc;
 
 const PRIOR: &str = "[0.3,0.22,0.18,0.14,0.1,0.06]";
@@ -285,4 +286,55 @@ fn sampler_rebuilds_are_amortized_across_small_ingest_batches() {
         "ten raw ingest batches must share the single pin-time sampler build"
     );
     assert_eq!(entry.pipeline().unwrap().counts().total(), 40);
+}
+
+/// The responses a socket session sends for raw `input`, as framed-JSON
+/// text: the client sends the bytes, closes its sending half, and reads
+/// until the server closes.
+fn unix_session_output(service: Arc<Service>, input: &[u8], tag: &str) -> String {
+    let path = std::env::temp_dir().join(format!("optrr_twin_{tag}_{}.sock", std::process::id()));
+    let server = NetServer::start(service, NetConfig::new(ListenAddr::Unix(path)))
+        .expect("binding a Unix socket succeeds");
+    let mut client = NetClient::connect(&server.listen_addr(), Codec::Json).unwrap();
+    client.send_raw(input).unwrap();
+    client.close_write().unwrap();
+    let output: String = std::iter::from_fn(|| client.recv().ok())
+        .map(|response| encode_response(&response) + "\n")
+        .collect();
+    server.request_drain();
+    server.wait();
+    output
+}
+
+#[test]
+fn stdio_and_socket_sessions_answer_byte_identically() {
+    let lifecycle = lifecycle_session();
+    let inputs: [(&str, &[u8]); 5] = [
+        ("lifecycle", lifecycle.as_bytes()),
+        ("non_utf8", b"\xff\xfe\n{\"Stats\":{}}\n\"Shutdown\"\n"),
+        ("malformed", b"{\"Nope\":1}\n{\"Stats\":{}}\n\"Shutdown\"\n"),
+        ("unterminated_request", b"{\"Stats\":{}}\n{\"Stats\":{}}"),
+        ("unterminated_garbage", b"{\"Stats\":{}}\n{\"Stats\":"),
+    ];
+    for (tag, input) in inputs {
+        let stdio = smoke_service(31, true);
+        let mut output = Vec::new();
+        // A torn final line ends `run_loop` with an error after its
+        // transport error is answered; the answers are what is compared.
+        let result = stdio.run_loop(input, &mut output);
+        assert_eq!(result.is_err(), tag == "unterminated_garbage", "{tag}");
+        let stdio_output = String::from_utf8(output).unwrap();
+        let socket_output = unix_session_output(smoke_service(31, true), input, tag);
+        assert_eq!(stdio_output, socket_output, "{tag}: stdio vs Unix socket");
+        assert!(!stdio_output.is_empty(), "{tag}");
+
+        // Stdio records the per-codec histograms sockets record.
+        let histograms = stdio.obs().metrics_snapshot().histograms;
+        assert!(
+            histograms
+                .iter()
+                .any(|h| h.name == "serve_net_verb_stats_json_latency_ns" && h.count > 0),
+            "{tag}: stdio recorded no per-codec histogram"
+        );
+    }
 }
