@@ -294,8 +294,10 @@ impl Optimizer {
     /// refresh run should optimize the matrices for the distribution the
     /// estimates actually observe. The override must live on the same
     /// category domain as the registered prior — the disguise channel's
-    /// dimension is fixed at registration — and `None` reproduces the
-    /// plain warm-started refresh bit for bit.
+    /// dimension is fixed at registration. With `None` this is bit for
+    /// bit [`Optimizer::optimize_distribution_seeded`] on the registered
+    /// prior, so a serving layer can make every run of a key — warm-up,
+    /// refresh, or replay — through this one call.
     pub fn optimize_refresh(
         &self,
         registered: &Categorical,

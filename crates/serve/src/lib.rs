@@ -28,15 +28,18 @@
 //! * `session` (crate-private) — the one request loop that stdio
 //!   ([`Service::run_loop`]) and every socket session run, and the frame
 //!   readers it shares with [`NetClient`]: one framing rule everywhere.
-//! * [`service`] — [`Service`]: the front door tying the pieces together,
-//!   including the multi-prior batch registration that fans independent
-//!   problems across cores via `Optimizer::optimize_many`; the
-//!   `Save`/`Load` snapshot persistence (now covering ingest accumulators
-//!   and posteriors, with autosave on `Sync`/shutdown) that lets a
-//!   restarted server skip warm-up *and* resume estimation streams; and
-//!   the memory budget that bounds resident bytes by evicting
-//!   least-recently-touched keys, which re-warm transparently on their
-//!   next query.
+//! * [`service`] — [`Service`]: the front door tying the pieces together:
+//!   configuration, one admission path for every registration (including
+//!   the multi-prior batch that fans problems across cores via
+//!   `Optimizer::optimize_many`), and the query methods. The rest of
+//!   `impl Service` sits in three crate-private modules: `refresh` (the
+//!   one per-key job — run claim, evicted-key restore, engine run, the
+//!   one landing path, retry/backoff/degrade, and the memory budget that
+//!   evicts least-recently-touched keys, which re-warm transparently on
+//!   their next query), `persist` (crash-safe snapshot files,
+//!   all-or-nothing `Save`/`Load` covering ingest accumulators and
+//!   posteriors, eviction sidecars, and the one installer of a persisted
+//!   key), and `dispatch` ([`Service::handle`]).
 //! * [`counts`] — [`ShardedCounts`]: per-key sharded accumulators of
 //!   disguised response batches (round-robin disjoint locks, collapsed via
 //!   `CountSet::merge`).
@@ -57,7 +60,7 @@
 //!   the `Metrics`/`Trace` protocol verbs and a Prometheus-style text
 //!   rendering. Recording-only by construction: responses, Ω, and
 //!   posteriors are bitwise-identical with metrics on or off.
-//! * [`env`] — validated `OPTRR_SERVE_*` environment configuration for
+//! * [`mod@env`] — validated `OPTRR_SERVE_*` environment configuration for
 //!   the binary (bad values abort startup instead of silently
 //!   defaulting).
 //! * [`net`] — the network front door: TCP + Unix-domain socket sessions
@@ -113,12 +116,15 @@
 #![warn(missing_docs)]
 
 pub mod counts;
+mod dispatch;
 pub mod env;
 pub mod faults;
 pub mod lifecycle;
 pub mod net;
+mod persist;
 pub mod pipeline;
 pub mod protocol;
+mod refresh;
 pub mod registry;
 pub mod service;
 mod session;

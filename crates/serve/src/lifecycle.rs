@@ -1,18 +1,13 @@
 //! The per-key lifecycle engine: one state machine per registered tenant.
 //!
-//! Before this module, the per-key serving state was implicit and spread
-//! across four files: the registry held a one-way warm latch and a boolean
-//! staleness flag, the pipeline pinned its disguise channel on first
-//! ingest, the refresh worker claimed run indices, and the service's call
-//! sites had to cooperate to keep "exactly one scheduled refresh" true.
-//! [`KeyLifecycle`] pulls all of it into one place and makes the
-//! transitions explicit:
+//! [`KeyLifecycle`] holds all of a key's serving state in one place and
+//! makes its transitions explicit:
 //!
 //! ```text
-//!            claim_warmup          finish_run(landed)
+//!            claim_warmup            run claim resolves
 //!   Cold ───────────────▶ Warming ───────────────────▶ Warm
 //!                            ▲                          │ ▲
-//!               claim_rewarm │          try_mark_stale  │ │ finish_run(landed)
+//!               claim_rewarm │          try_mark_stale  │ │ landed claim resolves
 //!                            │                          ▼ │
 //!   Evicted ◀─ try_evict ────┴─ Warm|Stale|Degraded  Stale(reason)
 //!      │                                                │
@@ -344,18 +339,15 @@ impl StateCell {
         self.cas(KeyState::Warm, KeyState::Stale(reason))
     }
 
-    /// A worker starts one engine run. Transitions `Warm`/`Stale` into
-    /// `Refreshing` (keeping the reason), keeps `Warming`/`Refreshing`
-    /// (a second concurrent run), and re-opens `Cold`/`Evicted` as
-    /// `Warming` (a queued job that raced an eviction re-warms the key).
-    /// A recovery run for a `Degraded` key keeps the state — the key must
-    /// keep reporting degraded until the run actually lands. A run
-    /// arriving mid-eviction waits for the (brief) `Evicting` →
-    /// `Evicted` transition first, so it can never interleave with the
-    /// evictor's snapshot-and-drop. Returns the state the run started
-    /// from, which tells the worker whether this is a warm-up or a
-    /// refresh and for which reason.
-    pub fn begin_run(&self) -> KeyState {
+    /// A worker starts one engine run, held by the returned [`RunClaim`]
+    /// until it resolves. Transitions `Warm`/`Stale` into `Refreshing`
+    /// (keeping the reason), keeps `Warming`/`Refreshing` (a second
+    /// concurrent run) and `Degraded` (until a run actually lands), and
+    /// re-opens `Cold`/`Evicted` as `Warming` (a queued job that raced an
+    /// eviction re-warms the key). A run arriving mid-eviction first waits
+    /// out `Evicting`, so it never interleaves with the evictor's
+    /// snapshot-and-drop.
+    pub fn begin_run(&self) -> RunClaim<'_> {
         self.inflight.fetch_add(1, Ordering::SeqCst);
         loop {
             let observed = self.state();
@@ -370,7 +362,12 @@ impl StateCell {
                 KeyState::Degraded(r) => KeyState::Degraded(r),
             };
             if observed == next || self.cas(observed, next) {
-                return observed;
+                return RunClaim {
+                    cell: self,
+                    started_from: observed,
+                    landed: false,
+                    degrade: false,
+                };
             }
         }
     }
@@ -388,54 +385,28 @@ impl StateCell {
         }
     }
 
-    /// A worker finished one engine run. When the last in-flight run
-    /// lands, `Warming`/`Refreshing` resolve to `Warm` on success;
-    /// on failure a warm-up still resolves to `Warm` (the store is empty
-    /// and queries answer `NoMatch` rather than wedging) while a refresh
-    /// falls back to `Stale(reason)` so the debt stays visible.
-    pub fn finish_run(&self, landed: bool) {
-        self.finish_run_outcome(landed, false);
-    }
-
-    /// [`finish_run`] with an explicit degradation verdict: when the last
-    /// in-flight run failed *and* the caller reports the refresh fail
-    /// budget exhausted (`degrade`), a `Refreshing(r)` key resolves to
-    /// `Degraded(r)` instead of `Stale(r)` — it keeps answering from the
-    /// last-good store but stops being retried automatically. A landed
-    /// run always restores `Warm`, including from `Degraded`.
-    ///
-    /// [`finish_run`]: StateCell::finish_run
-    pub fn finish_run_outcome(&self, landed: bool, degrade: bool) {
-        let before = self.inflight.fetch_sub(1, Ordering::SeqCst);
-        assert!(before > 0, "finish_run without a matching begin_run");
-        if before != 1 {
+    /// Resolves one run (only ever from [`RunClaim`]'s drop). When the
+    /// last in-flight run resolves, `Warming` becomes `Warm` whether or
+    /// not the run landed (a failed warm-up leaves an empty store that
+    /// answers `NoMatch` rather than wedging). `Refreshing(r)` becomes
+    /// `Warm` when the run landed, `Degraded(r)` when it failed and
+    /// exhausted the fail budget (`degrade`), and `Stale(r)` otherwise,
+    /// so the debt stays visible. A landed run always restores `Warm`,
+    /// including from `Degraded`.
+    fn finish_run(&self, landed: bool, degrade: bool) {
+        if self.inflight.fetch_sub(1, Ordering::SeqCst) != 1 {
             return;
         }
         loop {
             let observed = self.state();
             let next = match observed {
                 KeyState::Warming => KeyState::Warm,
-                KeyState::Refreshing(r) => {
-                    if landed {
-                        KeyState::Warm
-                    } else if degrade {
-                        KeyState::Degraded(r)
-                    } else {
-                        KeyState::Stale(r)
-                    }
-                }
-                // A recovery run restores Warm; a failed one keeps the
-                // degraded verdict (the fail budget stays exhausted).
-                KeyState::Degraded(r) => {
-                    if landed {
-                        KeyState::Warm
-                    } else {
-                        KeyState::Degraded(r)
-                    }
-                }
-                // A concurrent begin_run already owns the state again, or
-                // the key was never in a running state (illegal pairing
-                // caught by the inflight assert above).
+                KeyState::Refreshing(_) | KeyState::Degraded(_) if landed => KeyState::Warm,
+                KeyState::Refreshing(r) if degrade => KeyState::Degraded(r),
+                KeyState::Refreshing(r) => KeyState::Stale(r),
+                // A failed recovery run keeps the degraded verdict (the
+                // fail budget stays exhausted), and a concurrent
+                // begin_run may already own the state again.
                 other => other,
             };
             if observed == next || self.cas(observed, next) {
@@ -508,6 +479,45 @@ impl StateCell {
                 .wait(guard)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
+    }
+}
+
+/// One engine run's claim on a key, from [`StateCell::begin_run`].
+/// Dropping it resolves the run — on return, error and unwinding panic
+/// alike — so no run can wedge its key in `Warming`/`Refreshing`. The
+/// run counts as failed unless [`RunClaim::land`] was called.
+#[derive(Debug)]
+#[must_use = "dropping the claim resolves the run at once"]
+pub struct RunClaim<'a> {
+    cell: &'a StateCell,
+    started_from: KeyState,
+    landed: bool,
+    degrade: bool,
+}
+
+impl RunClaim<'_> {
+    /// The state the run started from: whether this is a warm-up or a
+    /// refresh, and for which reason.
+    pub fn started_from(&self) -> KeyState {
+        self.started_from
+    }
+
+    /// Marks the run landed: the claim resolves the key `Warm`.
+    pub fn land(&mut self) {
+        self.landed = true;
+    }
+
+    /// Marks a failed run as exhausting the refresh fail budget: a
+    /// `Refreshing(r)` key resolves to `Degraded(r)` instead of
+    /// `Stale(r)`.
+    pub fn degrade(&mut self) {
+        self.degrade = true;
+    }
+}
+
+impl Drop for RunClaim<'_> {
+    fn drop(&mut self) {
+        self.cell.finish_run(self.landed, self.degrade);
     }
 }
 
@@ -904,6 +914,14 @@ impl KeyLifecycle {
 mod tests {
     use super::*;
 
+    /// Runs one engine run on `cell` start to finish, landed or failed.
+    fn run(cell: &StateCell, landed: bool) {
+        let mut claim = cell.begin_run();
+        if landed {
+            claim.land();
+        }
+    }
+
     #[test]
     fn warmup_claim_is_exactly_once_and_runs_land_warm() {
         let cell = StateCell::new();
@@ -913,9 +931,11 @@ mod tests {
         assert!(!cell.claim_warmup(), "second claim must lose");
         assert_eq!(cell.state(), KeyState::Warming);
 
-        assert_eq!(cell.begin_run(), KeyState::Warming);
+        let mut claim = cell.begin_run();
+        assert_eq!(claim.started_from(), KeyState::Warming);
         assert_eq!(cell.inflight(), 1);
-        cell.finish_run(true);
+        claim.land();
+        drop(claim);
         assert_eq!(cell.state(), KeyState::Warm);
         assert_eq!(cell.inflight(), 0);
         assert!(cell.state().has_warm_data());
@@ -925,8 +945,7 @@ mod tests {
     fn failed_warmup_still_opens_the_key() {
         let cell = StateCell::new();
         cell.claim_warmup();
-        cell.begin_run();
-        cell.finish_run(false);
+        run(&cell, false);
         // The old latch behavior: a failed cold run opens the key so
         // queries see an empty store instead of wedging.
         assert_eq!(cell.state(), KeyState::Warm);
@@ -937,8 +956,7 @@ mod tests {
     fn stale_claim_is_exactly_once_per_episode_and_keeps_its_reason() {
         let cell = StateCell::new();
         cell.claim_warmup();
-        cell.begin_run();
-        cell.finish_run(true);
+        run(&cell, true);
 
         assert!(cell.try_mark_stale(StaleReason::Drift));
         assert!(
@@ -953,10 +971,12 @@ mod tests {
 
         // The refresh run carries the reason through Refreshing and lands
         // Warm, after which a new episode can be claimed.
-        assert_eq!(cell.begin_run(), KeyState::Stale(StaleReason::Drift));
+        let mut claim = cell.begin_run();
+        assert_eq!(claim.started_from(), KeyState::Stale(StaleReason::Drift));
         assert_eq!(cell.state(), KeyState::Refreshing(StaleReason::Drift));
         assert!(cell.state().is_stale(), "refreshing still reports stale");
-        cell.finish_run(true);
+        claim.land();
+        drop(claim);
         assert_eq!(cell.state(), KeyState::Warm);
         assert!(cell.try_mark_stale(StaleReason::Coverage));
     }
@@ -965,11 +985,9 @@ mod tests {
     fn failed_refresh_keeps_the_staleness_debt() {
         let cell = StateCell::new();
         cell.claim_warmup();
-        cell.begin_run();
-        cell.finish_run(true);
+        run(&cell, true);
         cell.try_mark_stale(StaleReason::Coverage);
-        cell.begin_run();
-        cell.finish_run(false);
+        run(&cell, false);
         assert_eq!(cell.state(), KeyState::Stale(StaleReason::Coverage));
     }
 
@@ -977,19 +995,20 @@ mod tests {
     fn concurrent_refresh_runs_resolve_when_the_last_lands() {
         let cell = StateCell::new();
         cell.claim_warmup();
-        cell.begin_run();
-        cell.finish_run(true);
+        run(&cell, true);
         cell.try_mark_stale(StaleReason::Manual);
-        cell.begin_run();
-        cell.begin_run();
+        let mut first = cell.begin_run();
+        let mut second = cell.begin_run();
         assert_eq!(cell.inflight(), 2);
-        cell.finish_run(true);
+        first.land();
+        drop(first);
         assert_eq!(
             cell.state(),
             KeyState::Refreshing(StaleReason::Manual),
             "one run still in flight"
         );
-        cell.finish_run(true);
+        second.land();
+        drop(second);
         assert_eq!(cell.state(), KeyState::Warm);
     }
 
@@ -1000,12 +1019,12 @@ mod tests {
         assert!(!cell.try_evict(), "cold keys cannot be evicted");
         cell.claim_warmup();
         assert!(!cell.try_evict(), "warming keys cannot be evicted");
-        cell.begin_run();
-        cell.finish_run(true);
+        run(&cell, true);
         cell.try_mark_stale(StaleReason::Manual);
-        cell.begin_run();
+        let mut claim = cell.begin_run();
         assert!(!cell.try_evict(), "in-flight runs block eviction");
-        cell.finish_run(true);
+        claim.land();
+        drop(claim);
         assert!(cell.try_evict());
         // The claim parks the key in Evicting until the evictor resolves
         // it; nothing else can claim, re-warm, or open it meanwhile.
@@ -1021,8 +1040,7 @@ mod tests {
         assert!(cell.claim_rewarm());
         assert!(!cell.claim_rewarm());
         assert_eq!(cell.state(), KeyState::Warming);
-        cell.begin_run();
-        cell.finish_run(true);
+        run(&cell, true);
         assert_eq!(cell.state(), KeyState::Warm);
     }
 
@@ -1047,25 +1065,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "matching begin_run")]
-    fn finish_without_begin_panics() {
-        let cell = StateCell::new();
-        cell.finish_run(true);
-    }
-
-    #[test]
     fn begin_run_reopens_an_evicted_key() {
         // A refresh job queued before an eviction begins afterwards: the
         // run re-warms the key instead of landing in a corrupt state.
         let cell = StateCell::new();
         cell.claim_warmup();
-        cell.begin_run();
-        cell.finish_run(true);
+        run(&cell, true);
         assert!(cell.try_evict());
         cell.finish_evict();
-        assert_eq!(cell.begin_run(), KeyState::Evicted);
+        let mut claim = cell.begin_run();
+        assert_eq!(claim.started_from(), KeyState::Evicted);
         assert_eq!(cell.state(), KeyState::Warming);
-        cell.finish_run(true);
+        claim.land();
+        drop(claim);
         assert_eq!(cell.state(), KeyState::Warm);
     }
 
@@ -1079,8 +1091,7 @@ mod tests {
                 std::thread::spawn(move || cell.wait_while_warming())
             })
             .collect();
-        cell.begin_run();
-        cell.finish_run(true);
+        run(&cell, true);
         for w in waiters {
             assert_eq!(w.join().unwrap(), KeyState::Warm);
         }
@@ -1098,6 +1109,38 @@ mod tests {
     }
 
     #[test]
+    fn a_claim_dropped_by_a_panic_resolves_its_run_and_wakes_waiters() {
+        let cell = Arc::new(StateCell::new());
+        cell.claim_warmup();
+        let waiter = {
+            let cell = Arc::clone(&cell);
+            std::thread::spawn(move || cell.wait_while_warming())
+        };
+        // A warm-up whose engine run panics: the unwinding drop of its
+        // claim opens the key (empty, as a failed warm-up does) and
+        // releases the blocked waiter.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _claim = cell.begin_run();
+            panic!("the warm-up run panicked");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(cell.inflight(), 0);
+        assert_eq!(cell.state(), KeyState::Warm);
+        assert_eq!(waiter.join().unwrap(), KeyState::Warm);
+
+        // A refresh that panics keeps its staleness debt.
+        assert!(cell.try_mark_stale(StaleReason::Drift));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _claim = cell.begin_run();
+            assert_eq!(cell.state(), KeyState::Refreshing(StaleReason::Drift));
+            panic!("the refresh run panicked");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(cell.inflight(), 0);
+        assert_eq!(cell.state(), KeyState::Stale(StaleReason::Drift));
+    }
+
+    #[test]
     fn transition_sink_sees_every_won_cas_and_no_lost_one() {
         let log = Arc::new(Mutex::new(Vec::new()));
         let sink: TransitionSink = {
@@ -1106,15 +1149,13 @@ mod tests {
         };
         let cell = StateCell::with_sink(Some(sink));
         assert!(cell.claim_warmup());
-        cell.begin_run();
-        cell.finish_run(true);
+        run(&cell, true);
         assert!(cell.try_mark_stale(StaleReason::Drift));
         assert!(
             !cell.try_mark_stale(StaleReason::Manual),
             "a lost claim emits nothing"
         );
-        cell.begin_run();
-        cell.finish_run(true);
+        run(&cell, true);
         let seen = log.lock().unwrap().clone();
         assert_eq!(
             seen,
@@ -1187,14 +1228,12 @@ mod tests {
     fn exhausted_fail_budget_degrades_and_a_landed_run_recovers() {
         let cell = StateCell::new();
         cell.claim_warmup();
-        cell.begin_run();
-        cell.finish_run(true);
+        run(&cell, true);
         assert!(cell.try_mark_stale(StaleReason::Drift));
 
         // A failed refresh whose caller reports the budget exhausted
         // resolves to Degraded with the original reason.
-        cell.begin_run();
-        cell.finish_run_outcome(false, true);
+        cell.begin_run().degrade();
         assert_eq!(cell.state(), KeyState::Degraded(StaleReason::Drift));
         assert!(cell.state().has_warm_data(), "degraded keys still answer");
         assert!(cell.state().is_stale(), "degraded keys still owe a refresh");
@@ -1205,15 +1244,16 @@ mod tests {
         // stale), and a recovery run keeps the degraded verdict visible
         // while it is in flight.
         assert!(!cell.try_mark_stale(StaleReason::Manual));
-        assert_eq!(cell.begin_run(), KeyState::Degraded(StaleReason::Drift));
+        let mut claim = cell.begin_run();
+        assert_eq!(claim.started_from(), KeyState::Degraded(StaleReason::Drift));
         assert_eq!(cell.state(), KeyState::Degraded(StaleReason::Drift));
 
         // A failed recovery keeps the key degraded; a landed one restores
         // Warm and a fresh staleness episode can begin.
-        cell.finish_run_outcome(false, true);
+        claim.degrade();
+        drop(claim);
         assert_eq!(cell.state(), KeyState::Degraded(StaleReason::Drift));
-        cell.begin_run();
-        cell.finish_run(true);
+        run(&cell, true);
         assert_eq!(cell.state(), KeyState::Warm);
         assert!(cell.try_mark_stale(StaleReason::Coverage));
     }
@@ -1222,11 +1262,9 @@ mod tests {
     fn degraded_keys_are_evictable_and_rewarm_like_any_other() {
         let cell = StateCell::new();
         cell.claim_warmup();
-        cell.begin_run();
-        cell.finish_run(true);
+        run(&cell, true);
         cell.try_mark_stale(StaleReason::Manual);
-        cell.begin_run();
-        cell.finish_run_outcome(false, true);
+        cell.begin_run().degrade();
         assert_eq!(cell.state(), KeyState::Degraded(StaleReason::Manual));
 
         // Eviction is a recovery path: the deterministic re-warm replay
@@ -1235,8 +1273,7 @@ mod tests {
         cell.finish_evict();
         assert_eq!(cell.state(), KeyState::Evicted);
         assert!(cell.claim_rewarm());
-        cell.begin_run();
-        cell.finish_run(true);
+        run(&cell, true);
         assert_eq!(cell.state(), KeyState::Warm);
     }
 
@@ -1284,8 +1321,7 @@ mod tests {
         assert!(cell.gate.is_poisoned());
 
         cell.claim_warmup();
-        cell.begin_run();
-        cell.finish_run(true);
+        run(&cell, true);
         assert_eq!(cell.state(), KeyState::Warm);
         assert_eq!(cell.wait_while_warming(), KeyState::Warm);
     }
@@ -1300,7 +1336,7 @@ mod tests {
 
         // Land a fake warm-up: seeds + a stored matrix.
         entry.lifecycle().claim_warmup();
-        entry.lifecycle().begin_run();
+        let mut claim = entry.lifecycle().begin_run();
         let m = rr::schemes::warner(4, 0.7).unwrap();
         entry.store().offer(
             &m,
@@ -1313,7 +1349,8 @@ mod tests {
         );
         entry.put_warm_seeds(vec![m]);
         assert_eq!(entry.claim_run_index(), 0);
-        entry.lifecycle().finish_run(true);
+        claim.land();
+        drop(claim);
 
         let resident = entry.resident_bytes();
         assert!(resident > entry.store().num_slots() as u64);

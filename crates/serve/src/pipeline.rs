@@ -572,7 +572,7 @@ impl Service {
             if entry.lifecycle().try_mark_stale(StaleReason::Drift)
                 && self.config().refresh_on_drift
             {
-                self.schedule_runs(entry, 1);
+                self.submit(entry, crate::refresh::Job::Run);
             }
         }
         entry.touch(self.now_ms());

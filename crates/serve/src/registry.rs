@@ -281,8 +281,7 @@ mod tests {
         assert!(registry.lru_evictable(0).is_none());
         for entry in [&a, &b, &c] {
             entry.lifecycle().claim_warmup();
-            entry.lifecycle().begin_run();
-            entry.lifecycle().finish_run(true);
+            entry.lifecycle().begin_run().land();
         }
         a.touch(30);
         b.touch(10);
@@ -293,8 +292,8 @@ mod tests {
         // Stale keys remain evictable; keys with runs in flight are not.
         b.lifecycle().try_mark_stale(StaleReason::Drift);
         assert_eq!(registry.lru_evictable(0).unwrap().key(), b.key());
-        b.lifecycle().begin_run();
+        let claim = b.lifecycle().begin_run();
         assert_eq!(registry.lru_evictable(0).unwrap().key(), c.key());
-        b.lifecycle().finish_run(true);
+        drop(claim);
     }
 }

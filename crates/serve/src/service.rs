@@ -1,56 +1,41 @@
-//! The serving front door: registry + worker pool + protocol handling.
+//! The serving front door: the [`Service`] that owns the configuration,
+//! the warm-Ω [`Registry`], the [`WorkerPool`] that runs engine jobs, and
+//! the observability hub.
 //!
-//! A [`Service`] is the long-lived object behind the `serve` binary and the
-//! load-generator bench. It owns the warm-Ω [`Registry`] and a
-//! [`WorkerPool`] that executes engine runs for cold, stale, or evicted
-//! keys. It holds no counters of its own: the protocol's `Stats` request
-//! and the `Metrics` view counters read [`Service::totals`], a sum over
-//! the per-key lifecycle counters. Point queries never run
-//! the engine synchronously in-protocol: they wait for the key's lifecycle
-//! to report warm data, then answer from the sharded store in O(slots)
-//! under per-shard locks.
+//! This file holds the configuration, the one admission path of
+//! `Register`, `RegisterBatch` and `Load`, and the query methods, which
+//! wait for the key's lifecycle ([`crate::lifecycle`]) to report warm
+//! data and answer from the sharded store in O(slots). The service holds
+//! no counters of its own: [`Service::totals`] sums the per-key ones.
+//! The rest of `impl Service` lives in three crate-private modules:
 //!
-//! Since the lifecycle refactor, every per-key transition — warm-up claim,
-//! staleness, refresh, eviction, re-warm — goes through the
-//! compare-exchange-guarded state machine in [`crate::lifecycle`], and the
-//! service adds three policies on top:
-//!
-//! * **memory budget**: with [`ServiceConfig::memory_budget_bytes`] set,
-//!   the total resident bytes (Ω matrices + warm-start seeds + ingest
-//!   accumulators) are bounded by evicting least-recently-touched idle
-//!   keys; with [`ServiceConfig::key_ttl`] set, untouched keys expire.
-//!   Evicted keys re-warm transparently on their next query — from the
-//!   per-key eviction sidecar when [`ServiceConfig::snapshot_path`] is
-//!   configured (bitwise-identical), or by deterministically replaying the
-//!   key's engine-run sequence otherwise (bitwise-identical for
-//!   prior-targeted run histories).
-//! * **drift-driven re-optimization**: a key marked stale by estimation
-//!   drift (or by coverage telemetry) refreshes against the *estimated*
-//!   posterior instead of the registered prior, through
-//!   [`Optimizer::optimize_refresh`]'s distribution override.
-//! * **query-shape telemetry**: point queries that find no matrix for
-//!   their privacy floor count as coverage misses; past the configured
-//!   threshold the key goes stale and a refresh is scheduled.
+//! * `refresh` — the one job that runs on a key: it claims the run,
+//!   restores an evicted key (sidecar or deterministic replay), runs the
+//!   engine unless the job is a pure re-warm, lands the outcome through
+//!   the one landing path or retries, backs off and degrades, and
+//!   enforces the memory budget and TTL before the claim resolves.
+//! * `persist` — the crash-safe snapshot file, all-or-nothing
+//!   `Save`/`Load`, eviction sidecars, and the one installer of a
+//!   persisted [`KeySnapshot`].
+//! * `dispatch` — [`Service::handle`]: protocol requests onto this API,
+//!   errors onto the [`ServeError::code`] taxonomy.
 //!
 //! Determinism contract: the warm-up run of a key uses exactly the
 //! configured base seed, and run `i` of that key uses `seed + i`, so a
 //! service warm-up is bitwise-reproducible against a plain
-//! [`Optimizer::optimize_distribution`] call with the same configuration —
-//! the end-to-end tests assert this front-for-front.
+//! [`optrr::Optimizer::optimize_distribution`] call with the same
+//! configuration — the end-to-end tests assert this front-for-front.
 
 use crate::lifecycle::{KeyState, StaleReason};
-use crate::pipeline::PipelineSnapshot;
-use crate::protocol::{
-    EstimateDto, HistogramDto, KeyStatsDto, MatrixDto, MetricValueDto, Request, Response,
-    TraceEventDto,
-};
+pub use crate::persist::{KeySnapshot, ServiceSnapshot};
+use crate::protocol::KeyStatsDto;
+use crate::refresh::Job;
 use crate::registry::{KeyEntry, Registry};
 use crate::telemetry::{ServeEvent, ServeObs, DEFAULT_TRACE_CAP};
 use crate::worker::WorkerPool;
 use obs::{Clock, MonotonicClock};
-use optrr::{OmegaSet, Optimizer, OptrrConfig, OptrrError};
+use optrr::{OptrrConfig, OptrrError};
 use rr::estimate::IterativeConfig;
-use serde::{Deserialize, Serialize};
 use stats::Categorical;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -238,121 +223,37 @@ impl ServiceConfig {
     /// A small-budget configuration for tests and CI smoke sessions:
     /// sub-second warm-ups that still fill a meaningful Ω.
     pub fn smoke(seed: u64) -> Self {
-        Self {
-            base: OptrrConfig {
-                engine: emoo::EngineConfig {
-                    population_size: 16,
-                    archive_size: 8,
-                    generations: 30,
-                    mutation_rate: 0.5,
-                    density_k: 1,
-                },
-                omega_slots: 200,
-                ..OptrrConfig::fast(0.75, seed)
-            },
-            default_slots: 200,
-            num_shards: 4,
-            workers: 2,
-            ..Self::default()
-        }
+        Self::small(seed, [16, 8, 30], 200, 4)
     }
 
     /// An even smaller budget for multi-tenant tests and the `--smoke`
     /// load generator: dozens of keys warm up in well under a second.
     pub fn tiny(seed: u64) -> Self {
+        Self::small(seed, [8, 4, 8], 64, 2)
+    }
+
+    /// Two workers and an engine budget of `[population, archive,
+    /// generations]`, with `slots` Ω resolution over `num_shards` shards.
+    fn small(seed: u64, budget: [usize; 3], slots: usize, num_shards: usize) -> Self {
+        let [population_size, archive_size, generations] = budget;
         Self {
             base: OptrrConfig {
                 engine: emoo::EngineConfig {
-                    population_size: 8,
-                    archive_size: 4,
-                    generations: 8,
+                    population_size,
+                    archive_size,
+                    generations,
                     mutation_rate: 0.5,
                     density_k: 1,
                 },
-                omega_slots: 64,
+                omega_slots: slots,
                 ..OptrrConfig::fast(0.75, seed)
             },
-            default_slots: 64,
-            num_shards: 2,
+            default_slots: slots,
+            num_shards,
             workers: 2,
             ..Self::default()
         }
     }
-}
-
-/// One key's persisted state: enough to re-register it and refill its
-/// warm store — and resume its in-flight estimation stream — without an
-/// engine run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KeySnapshot {
-    /// The registered prior's probabilities.
-    pub prior: Vec<f64>,
-    /// The privacy bound δ.
-    pub delta: f64,
-    /// The Ω resolution.
-    pub slots: usize,
-    /// Engine runs completed before the snapshot (restored so refresh
-    /// seeds continue the sequence).
-    pub engine_runs: u64,
-    /// Drift events observed before the snapshot (restored so `Stats`
-    /// keeps reporting the stream's history across restarts). Optional so
-    /// older snapshots still decode.
-    pub drift_events: Option<u64>,
-    /// Aliases bound to the key, sorted.
-    pub names: Vec<String>,
-    /// The merged warm Ω.
-    pub omega: OmegaSet,
-    /// The warm-start seed set (the last run's archive), so a refresh
-    /// after restore warm-starts exactly like a refresh on the live
-    /// service would have. Optional so snapshots written before this
-    /// field existed still decode.
-    pub warm_seeds: Option<Vec<rr::RrMatrix>>,
-    /// The streaming pipeline (pinned channel, merged accumulators,
-    /// posterior), when one was pinned. Absent in snapshots written
-    /// before pipeline persistence phase 2.
-    pub pipeline: Option<PipelineSnapshot>,
-}
-
-impl KeySnapshot {
-    /// Checks that this persisted state fits the registration it lands
-    /// on: the Ω resolution, and the category count of every stored
-    /// matrix and of the pinned pipeline. `Load` and the eviction-sidecar
-    /// restore both run it before installing anything, so state of the
-    /// wrong shape is never served (a wrong-sized pinned channel would
-    /// otherwise fail estimation on a dimension mismatch).
-    fn check_shape(&self, prior: &Categorical, slots: usize) -> std::result::Result<(), String> {
-        if self.omega.num_slots() != slots {
-            return Err(format!(
-                "key omega has {} slots, registration says {slots}",
-                self.omega.num_slots()
-            ));
-        }
-        let categories = prior.num_categories();
-        if let Some(entry) = self
-            .omega
-            .entries()
-            .find(|e| e.matrix.num_categories() != categories)
-        {
-            return Err(format!(
-                "key omega holds a {}-category matrix for a {categories}-category prior",
-                entry.matrix.num_categories()
-            ));
-        }
-        match &self.pipeline {
-            Some(pipeline) if pipeline.matrix.num_categories() != categories => Err(format!(
-                "key pipeline pins a {}-category matrix for a {categories}-category prior",
-                pipeline.matrix.num_categories()
-            )),
-            _ => Ok(()),
-        }
-    }
-}
-
-/// A whole-service snapshot: every registered key in ascending key order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServiceSnapshot {
-    /// The persisted keys.
-    pub keys: Vec<KeySnapshot>,
 }
 
 /// Service-wide totals, summed over the registry in one pass when read
@@ -384,95 +285,17 @@ pub struct ServiceTotals {
     pub budget_bytes: Option<u64>,
 }
 
-/// Resolves one run's `finish_run` on every exit path — error return and
-/// panic alike — so a failing engine run can never wedge the state machine
-/// in `Warming`/`Refreshing`.
-struct RunGuard<'a> {
-    cell: &'a crate::lifecycle::StateCell,
-    landed: bool,
-    /// Set when the run failed *and* exhausted the fail budget: the
-    /// resolution demotes the key to `Degraded` instead of `Stale`.
-    degrade: bool,
-}
-
-impl Drop for RunGuard<'_> {
-    fn drop(&mut self) {
-        self.cell.finish_run_outcome(self.landed, self.degrade);
-    }
-}
-
-/// Magic prefix of the crash-safe snapshot header. The full header line is
-/// `OPTRR-SNAP v1 crc=<fnv64-hex> len=<payload bytes>`, followed by the
-/// JSON payload on the next line(s); files without the magic are legacy
-/// headerless snapshots and load unverified.
-const SNAPSHOT_MAGIC: &str = "OPTRR-SNAP v1 ";
-
-/// Builds the header line for a snapshot payload.
-fn snapshot_header(payload: &str) -> String {
-    format!(
-        "{SNAPSHOT_MAGIC}crc={:016x} len={}",
-        crate::faults::fingerprint(payload),
-        payload.len()
-    )
-}
-
-/// Verifies a snapshot header against the payload that followed it:
-/// length first (a torn tail fails fast), then the checksum (bit rot and
-/// mid-payload tears).
-fn verify_snapshot_header(header: &str, payload: &str) -> std::result::Result<(), String> {
-    let expected = snapshot_header(payload);
-    if header == expected {
-        return Ok(());
-    }
-    let want_len = header
-        .split(" len=")
-        .nth(1)
-        .and_then(|v| v.parse::<usize>().ok());
-    match want_len {
-        Some(len) if len != payload.len() => Err(format!(
-            "is torn: header promises {len} payload bytes, found {}",
-            payload.len()
-        )),
-        _ => Err("fails its checksum".to_string()),
-    }
-}
-
-/// Outcome of reading one snapshot/sidecar file.
-enum SnapshotRead {
-    /// No file at the path — the normal "nothing persisted yet" case.
-    Missing,
-    /// The read itself failed (OS error or injected fault).
-    Io(String),
-    /// The file exists but is torn, fails its checksum, or has a mangled
-    /// header — its contents must not be served.
-    Corrupt(String),
-    /// The verified payload.
-    Ok(String),
-}
-
-/// Renders a caught panic payload into the failure reason the typed
-/// `RefreshFailed` event carries.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(text) = payload.downcast_ref::<&str>() {
-        format!("panic: {text}")
-    } else if let Some(text) = payload.downcast_ref::<String>() {
-        format!("panic: {text}")
-    } else {
-        "panic: unknown payload".into()
-    }
-}
-
 /// The long-lived matrix-serving service.
 #[derive(Debug)]
 pub struct Service {
-    config: ServiceConfig,
-    registry: Registry,
-    pool: WorkerPool,
+    pub(crate) config: ServiceConfig,
+    pub(crate) registry: Registry,
+    pub(crate) pool: WorkerPool,
     started: Instant,
-    obs: Arc<ServeObs>,
+    pub(crate) obs: Arc<ServeObs>,
     /// The live fault injector, when a chaos plan is configured. `None`
     /// in production: every fault site then short-circuits on one branch.
-    faults: Option<Arc<crate::faults::FaultInjector>>,
+    pub(crate) faults: Option<Arc<crate::faults::FaultInjector>>,
 }
 
 impl Service {
@@ -518,300 +341,61 @@ impl Service {
         &self.registry
     }
 
-    /// Borrow the live fault injector, when a chaos plan is configured
-    /// (the session core consults the `conn_drop` site per request).
-    pub(crate) fn fault_injector(&self) -> Option<&Arc<crate::faults::FaultInjector>> {
-        self.faults.as_ref()
-    }
-
     /// Milliseconds since this service started — the LRU/TTL clock.
     pub fn now_ms(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
     }
 
-    /// Validates and normalizes a weight vector into a prior.
-    fn prior_from_weights(weights: &[f64]) -> Result<Categorical> {
-        if weights.len() < 2 {
-            return Err(ServeError::InvalidRequest(
-                "a prior needs at least two categories".into(),
-            ));
-        }
-        Categorical::from_weights(weights)
-            .map_err(|e| ServeError::InvalidRequest(format!("invalid prior: {e}")))
-    }
-
-    fn validate_delta(delta: f64) -> Result<()> {
+    /// Validates one registration: δ in (0, 1], prior weights that
+    /// normalize into a distribution over at least two categories, and
+    /// the Ω resolution (the configured default when absent) clamped to
+    /// `1..=`[`MAX_OMEGA_SLOTS`]. Returns the prior and the resolution.
+    pub(crate) fn check_registration(
+        &self,
+        weights: &[f64],
+        delta: f64,
+        slots: Option<usize>,
+    ) -> Result<(Categorical, usize)> {
         if !(delta > 0.0 && delta <= 1.0) {
             return Err(ServeError::InvalidRequest(format!(
                 "delta must be in (0, 1], got {delta}"
             )));
         }
-        Ok(())
+        if weights.len() < 2 {
+            return Err(ServeError::InvalidRequest(
+                "a prior needs at least two categories".into(),
+            ));
+        }
+        let prior = Categorical::from_weights(weights)
+            .map_err(|e| ServeError::InvalidRequest(format!("invalid prior: {e}")))?;
+        let slots = slots
+            .unwrap_or(self.config.default_slots)
+            .clamp(1, MAX_OMEGA_SLOTS);
+        Ok((prior, slots))
     }
 
-    /// The engine configuration for one run of one key: the shared budget
-    /// template with the key's δ and Ω resolution overlaid and the seed
-    /// advanced by the run index, so every run of every key is
-    /// deterministic and distinct.
-    fn run_config(&self, entry: &KeyEntry, run_index: u64) -> OptrrConfig {
-        OptrrConfig {
-            delta: entry.delta(),
-            omega_slots: entry.num_slots(),
-            seed: self.config.base.seed.wrapping_add(run_index),
-            ..self.config.base.clone()
-        }
-    }
-
-    /// The optimization target of one refresh run. Drift- and
-    /// coverage-stale keys re-optimize against the estimated posterior
-    /// (when one exists); warm-ups, manual refreshes, and re-warms target
-    /// the registered prior.
-    fn refresh_target(&self, entry: &KeyEntry, from: KeyState) -> Option<Categorical> {
-        match from.stale_reason() {
-            Some(StaleReason::Drift) | Some(StaleReason::Coverage) => entry
-                .pipeline()
-                .and_then(|p| p.posterior())
-                .map(|posterior| rr::estimate::handoff_posterior(&posterior, REFRESH_TARGET_BLEND)),
-            _ => None,
-        }
-    }
-
-    /// Executes one engine run for a key and lands the result in its warm
-    /// store. Runs on a pool worker (or inline for batch registration).
-    fn run_refresh(self: &Arc<Self>, entry: &Arc<KeyEntry>) {
-        let from = entry.lifecycle().begin_run();
-        let mut guard = RunGuard {
-            cell: entry.lifecycle(),
-            landed: false,
-            degrade: false,
-        };
-        if from == KeyState::Evicted {
-            // The key was evicted between this job's scheduling and its
-            // execution (an explicit Refresh after an Evict, or a budget
-            // eviction racing a queued drift refresh). Restore the
-            // resident state first, so this run *improves* on the
-            // pre-eviction Ω and warm-starts from the restored seed chain
-            // instead of cold-running into a wiped store.
-            self.restore_resident(entry);
-        }
-        let run_index = entry.claim_run_index();
-        let config = self.run_config(entry, run_index);
-        // Injected chaos applies only to refreshes of keys that already
-        // hold warm data: warm-ups and re-warm replays are the recovery
-        // paths every chaos scenario converges through, so they stay
-        // fault-free by construction.
-        let inject = self.faults.as_deref().filter(|_| from.has_warm_data());
-        if let Some(injector) = inject {
-            if let Some(pause) = injector.stall(entry.key(), run_index) {
-                std::thread::sleep(pause);
-            }
-        }
-        let inject_panic = inject.is_some_and(|i| i.refresh_panic(entry.key(), run_index));
-        // The engine run is contained: a panic (injected or genuine)
-        // unwinds to here, is converted into a failure, and goes through
-        // the same retry/degrade accounting as an engine error.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if inject_panic {
-                panic!(
-                    "injected refresh fault (key {:x}, run {run_index})",
-                    entry.key()
-                );
-            }
-            // Seeds are consumed only past the injection point, so the
-            // retry after an injected panic warm-starts from the exact
-            // seed set this run would have used — that, plus the run-index
-            // roll-back below, is what keeps a faulted-then-recovered
-            // store bitwise-equal to a never-faulted one.
-            let warm_seeds = entry.take_warm_seeds();
-            let target = self.refresh_target(entry, from);
-            Optimizer::new(config).and_then(|optimizer| {
-                // Forward per-generation engine snapshots into the event
-                // trace. The hook is recording-only (the optimizer ignores
-                // it for every decision), so attaching it cannot perturb
-                // the run — `None` when metrics are off.
-                let optimizer = match self.obs.generation_observer(entry.key()) {
-                    Some(hook) => optimizer.with_generation_observer(hook),
-                    None => optimizer,
-                };
-                optimizer.optimize_refresh(entry.prior(), target.as_ref(), warm_seeds)
-            })
-        }));
-        match result {
-            Ok(Ok(outcome)) => {
-                let stats = &outcome.statistics;
-                self.obs.emit(ServeEvent::RefreshRun {
-                    key: entry.key(),
-                    run_index,
-                    generations: stats.generations_run as u64,
-                    evaluations: stats.evaluations as u64,
-                    pairs_reused: stats.fitness_pairs_reused,
-                    pairs_computed: stats.fitness_pairs_computed,
-                    landed: true,
-                });
-                entry.land_run(outcome);
-                // A landed run ends the failure episode: the key leaves
-                // `Degraded` (via the guard) and the streak starts over.
-                entry.reset_failure_streak();
-                guard.landed = true;
-            }
-            Ok(Err(error)) => {
-                self.note_refresh_failure(entry, &mut guard, from, run_index, error.to_string());
-            }
-            Err(payload) => {
-                self.note_refresh_failure(
-                    entry,
-                    &mut guard,
-                    from,
-                    run_index,
-                    panic_message(payload),
-                );
-            }
-        }
-        // Enforce the budget before the run resolves, so a waiter woken by
-        // this run never observes the accounting above budget.
-        self.enforce_memory(entry.key());
-        drop(guard);
-    }
-
-    /// Accounts one failed (errored or panicked) refresh run: typed
-    /// telemetry, bounded exponential-backoff retry, and — once the fail
-    /// budget is exhausted — graceful degradation to the last-good store.
-    fn note_refresh_failure(
-        self: &Arc<Self>,
-        entry: &Arc<KeyEntry>,
-        guard: &mut RunGuard<'_>,
-        from: KeyState,
-        run_index: u64,
-        reason: String,
-    ) {
-        self.obs.emit(ServeEvent::RefreshRun {
-            key: entry.key(),
-            run_index,
-            generations: 0,
-            evaluations: 0,
-            pairs_reused: 0,
-            pairs_computed: 0,
-            landed: false,
-        });
-        eprintln!(
-            "optrr-serve: refresh of key {:x} (run {run_index}) failed: {reason}",
-            entry.key()
+    /// Admits one checked registration (see
+    /// [`Service::check_registration`]): finds or creates its key, tracing
+    /// its transitions from creation on, and binds the aliases. Returns
+    /// the entry and whether it was created.
+    pub(crate) fn admit<'a>(
+        &self,
+        prior: &Categorical,
+        delta: f64,
+        slots: usize,
+        names: impl IntoIterator<Item = &'a str>,
+    ) -> (Arc<KeyEntry>, bool) {
+        let (entry, created) = self.registry.insert_or_get_observed(
+            prior,
+            delta,
+            slots,
+            self.config.num_shards,
+            |key| self.obs.transition_sink(key),
         );
-        if !from.has_warm_data() {
-            // A failed warm-up resolves warm-and-empty exactly as before
-            // this retry policy existed: there is no last-good Ω to
-            // degrade to, and a NoMatch answer beats a retry loop against
-            // a configuration the optimizer rejects deterministically.
-            return;
+        for name in names {
+            self.registry.bind_name(name, entry.key());
         }
-        // Roll the claimed run index back so the retry — or the eventual
-        // recovery refresh — re-runs the *same* deterministic seed
-        // instead of burning it.
-        entry.unclaim_run_index(run_index);
-        let streak = entry.count_refresh_failure();
-        self.obs.emit(ServeEvent::RefreshFailed {
-            key: entry.key(),
-            run_index,
-            streak,
-            reason,
-        });
-        if streak >= self.config.fail_budget {
-            // Budget exhausted: stop the automatic retries and serve the
-            // last-good store, flagged degraded, until a later (manual or
-            // drift-scheduled) refresh lands and restores `Warm`.
-            guard.degrade = true;
-            self.obs.emit(ServeEvent::Degraded {
-                key: entry.key(),
-                failures: streak,
-            });
-            return;
-        }
-        entry.count_retry();
-        let delay = self.retry_delay(streak);
-        self.obs.emit(ServeEvent::RefreshRetry {
-            key: entry.key(),
-            attempt: streak,
-            delay_ms: delay.as_millis() as u64,
-        });
-        let service = Arc::clone(self);
-        let job = Arc::clone(entry);
-        // The backoff sleeps *inside* the retry job, on a pool worker:
-        // the job is already pending when this run resolves, so
-        // `wait_idle` (and the protocol's `Sync`) remain true barriers
-        // over the whole retry chain.
-        self.pool.submit(move || {
-            std::thread::sleep(delay);
-            service.run_refresh(&job);
-        });
-    }
-
-    /// Deterministic exponential backoff: attempt `n` (1-based) waits
-    /// `retry_base_ms << (n - 1)` milliseconds, saturating at
-    /// `retry_max_ms`.
-    fn retry_delay(&self, attempt: u64) -> Duration {
-        let exponent = attempt.saturating_sub(1).min(20) as u32;
-        let ms = self
-            .config
-            .retry_base_ms
-            .saturating_mul(1u64 << exponent)
-            .min(self.config.retry_max_ms);
-        Duration::from_millis(ms)
-    }
-
-    /// Restores an evicted key's resident state (store, seeds, pipeline):
-    /// from its eviction sidecar when persistence is configured
-    /// (bitwise-identical restore), by deterministically replaying its
-    /// engine-run sequence otherwise (bitwise-identical for
-    /// prior-targeted run histories — a replay cannot recover the
-    /// posterior a dropped pipeline once held). Touches only resident
-    /// structures, never the state machine; callers hold a run claim.
-    /// This is the one place a re-warm is counted and traced.
-    fn restore_resident(self: &Arc<Self>, entry: &Arc<KeyEntry>) -> bool {
-        let restored = self.restore_from_sidecar(entry) || self.replay_runs(entry);
-        entry.count_rewarm();
-        self.obs.emit(ServeEvent::Rewarmed { key: entry.key() });
-        restored
-    }
-
-    /// Replays a key's engine runs `0..n` in order, each warm-started from
-    /// the previous one's archive, without claiming new run indices.
-    /// Returns whether every run landed; a failed run leaves the seed set
-    /// empty.
-    fn replay_runs(&self, entry: &KeyEntry) -> bool {
-        for run_index in 0..entry.engine_runs().max(1) {
-            let config = self.run_config(entry, run_index);
-            let seeds = entry.take_warm_seeds();
-            match Optimizer::new(config)
-                .and_then(|o| o.optimize_distribution_seeded(entry.prior(), seeds))
-            {
-                Ok(outcome) => entry.land_run(outcome),
-                Err(error) => {
-                    eprintln!(
-                        "optrr-serve: re-warm of key {:x} failed at run {run_index}: {error}",
-                        entry.key()
-                    );
-                    entry.put_warm_seeds(Vec::new());
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Re-warms an evicted key on a pool worker (the query path's
-    /// transparent restore; see [`Service::restore_resident`]).
-    fn run_rewarm(self: &Arc<Self>, entry: &Arc<KeyEntry>) {
-        entry.lifecycle().begin_run();
-        let mut guard = RunGuard {
-            cell: entry.lifecycle(),
-            landed: false,
-            degrade: false,
-        };
-        guard.landed = self.restore_resident(entry);
-        entry.touch(self.now_ms());
-        // As in run_refresh: budget holds before any waiter wakes.
-        self.enforce_memory(entry.key());
-        drop(guard);
+        (entry, created)
     }
 
     /// Blocks until the entry can answer queries, claiming and scheduling
@@ -826,9 +410,7 @@ impl Service {
             }
             if state == KeyState::Evicted {
                 if entry.lifecycle().claim_rewarm() {
-                    let service = Arc::clone(self);
-                    let job = Arc::clone(entry);
-                    self.pool.submit(move || service.run_rewarm(&job));
+                    self.submit(entry, Job::Rewarm);
                 }
                 continue;
             }
@@ -847,28 +429,13 @@ impl Service {
         slots: Option<usize>,
         block_until_warm: bool,
     ) -> Result<Arc<KeyEntry>> {
-        Self::validate_delta(delta)?;
-        let prior = Self::prior_from_weights(weights)?;
-        let num_slots = slots
-            .unwrap_or(self.config.default_slots)
-            .clamp(1, MAX_OMEGA_SLOTS);
-        let (entry, _created) = self.registry.insert_or_get_observed(
-            &prior,
-            delta,
-            num_slots,
-            self.config.num_shards,
-            |key| self.obs.transition_sink(key),
-        );
-        if let Some(name) = name {
-            self.registry.bind_name(name, entry.key());
-        }
+        let (prior, slots) = self.check_registration(weights, delta, slots)?;
+        let (entry, _) = self.admit(&prior, delta, slots, name);
         // The warm-up claim is the exactly-once gate: whichever concurrent
         // registration wins the Cold → Warming compare-exchange schedules
         // the single warm-up run.
         if entry.lifecycle().claim_warmup() {
-            let service = Arc::clone(self);
-            let job_entry = Arc::clone(&entry);
-            self.pool.submit(move || service.run_refresh(&job_entry));
+            self.submit(&entry, Job::Run);
         }
         entry.touch(self.now_ms());
         if block_until_warm {
@@ -878,10 +445,11 @@ impl Service {
     }
 
     /// Registers many priors under one δ and warms the cold ones in one
-    /// parallel batch via [`Optimizer::optimize_many`] — the multi-prior
-    /// batch front door. Returns the entries in input order plus the number
-    /// of engine runs the batch actually needed (already-warm keys are
-    /// reused, not re-run).
+    /// parallel batch via `Optimizer::optimize_many` — the multi-prior
+    /// batch front door. Every prior is checked before any key is
+    /// created, so an invalid prior registers nothing. Returns the
+    /// entries in input order plus the number of engine runs the batch
+    /// actually needed (already-warm keys are reused, not re-run).
     pub fn register_batch(
         self: &Arc<Self>,
         names: Option<&[String]>,
@@ -889,67 +457,23 @@ impl Service {
         delta: f64,
         slots: Option<usize>,
     ) -> Result<(Vec<Arc<KeyEntry>>, usize)> {
-        Self::validate_delta(delta)?;
-        if priors.is_empty() {
-            return Ok((Vec::new(), 0));
-        }
-        let num_slots = slots
-            .unwrap_or(self.config.default_slots)
-            .clamp(1, MAX_OMEGA_SLOTS);
+        let checked = priors
+            .iter()
+            .map(|weights| self.check_registration(weights, delta, slots))
+            .collect::<Result<Vec<_>>>()?;
         let now = self.now_ms();
-        let mut entries = Vec::with_capacity(priors.len());
-        let mut cold: Vec<(usize, Categorical)> = Vec::new();
-        for (index, weights) in priors.iter().enumerate() {
-            let prior = Self::prior_from_weights(weights)?;
-            let (entry, _) = self.registry.insert_or_get_observed(
-                &prior,
-                delta,
-                num_slots,
-                self.config.num_shards,
-                |key| self.obs.transition_sink(key),
-            );
-            if let Some(name) = names.and_then(|n| n.get(index)) {
-                self.registry.bind_name(name, entry.key());
-            }
+        let mut entries = Vec::with_capacity(checked.len());
+        let mut cold = Vec::new();
+        for (index, (prior, slots)) in checked.into_iter().enumerate() {
+            let name = names.and_then(|n| n.get(index)).map(String::as_str);
+            let (entry, _) = self.admit(&prior, delta, slots, name);
             if entry.lifecycle().claim_warmup() {
-                cold.push((index, prior));
+                cold.push((Arc::clone(&entry), prior));
             }
             entry.touch(now);
             entries.push(entry);
         }
-        if !cold.is_empty() {
-            // One optimizer fans the cold priors across cores; every run
-            // uses the base seed (run index 0), exactly like a solo
-            // warm-up, so batch and solo registration are bit-identical.
-            let cold_priors: Vec<Categorical> = cold.iter().map(|(_, p)| p.clone()).collect();
-            let config = self.run_config(&entries[cold[0].0], 0);
-            let ran = Optimizer::new(config).and_then(|o| o.optimize_many(&cold_priors));
-            match ran {
-                Ok(outcomes) => {
-                    for ((index, _), outcome) in cold.iter().zip(outcomes) {
-                        let entry = &entries[*index];
-                        entry.lifecycle().begin_run();
-                        entry.claim_run_index();
-                        entry.land_run(outcome);
-                        entry.lifecycle().finish_run(true);
-                    }
-                }
-                Err(error) => {
-                    // The cold entries are already in the registry; mirror
-                    // a failed solo warm-up (run counted, state resolved
-                    // warm-and-empty) so they answer NoMatch instead of
-                    // wedging every later query and re-registration.
-                    for (index, _) in &cold {
-                        let entry = &entries[*index];
-                        entry.lifecycle().begin_run();
-                        entry.claim_run_index();
-                        entry.lifecycle().finish_run(false);
-                    }
-                    return Err(error.into());
-                }
-            }
-            self.enforce_memory(u64::MAX);
-        }
+        self.warm_batch(&cold)?;
         Ok((entries, cold.len()))
     }
 
@@ -993,7 +517,7 @@ impl Service {
             // so a floor the refresh still cannot cover costs one engine
             // run per `threshold` misses, not one per miss.
             entry.reset_coverage_misses();
-            self.schedule_runs(entry, 1);
+            self.submit(entry, Job::Run);
         }
     }
 
@@ -1033,15 +557,6 @@ impl Service {
             .collect()
     }
 
-    /// Submits `runs` refresh jobs for an entry.
-    pub(crate) fn schedule_runs(self: &Arc<Self>, entry: &Arc<KeyEntry>, runs: usize) {
-        for _ in 0..runs {
-            let service = Arc::clone(self);
-            let job_entry = Arc::clone(entry);
-            self.pool.submit(move || service.run_refresh(&job_entry));
-        }
-    }
-
     /// Marks a key manually stale and schedules `runs` refresh engine runs
     /// on the worker pool. Returns the number scheduled.
     pub fn refresh(self: &Arc<Self>, entry: &Arc<KeyEntry>, runs: usize) -> usize {
@@ -1049,7 +564,7 @@ impl Service {
         // A drift- or coverage-stale key keeps its recorded reason (the
         // compare-exchange fails); the scheduled runs execute either way.
         entry.lifecycle().try_mark_stale(StaleReason::Manual);
-        self.schedule_runs(entry, runs);
+        (0..runs).for_each(|_| self.submit(entry, Job::Run));
         runs
     }
 
@@ -1067,17 +582,7 @@ impl Service {
         if !entry.lifecycle().try_evict() {
             return None;
         }
-        if let Some(base) = &self.config.snapshot_path {
-            let snapshot = self.key_snapshot(entry, self.registry.names_of(entry.key()));
-            let path = Self::sidecar_path(base, entry.key());
-            let encoded = serde_json::to_string(&snapshot).expect("snapshots serialize");
-            if let Err(error) = self.write_snapshot_file(&path, &encoded) {
-                // A failed sidecar write degrades the eviction to
-                // replay-on-rewarm, it never blocks it: the key's state is
-                // still recoverable deterministically.
-                eprintln!("optrr-serve: eviction sidecar {path:?} failed: {error}");
-            }
-        }
+        self.write_sidecar(entry);
         let freed = entry.drop_resident_state();
         self.obs.emit(ServeEvent::Evicted {
             key: entry.key(),
@@ -1085,177 +590,6 @@ impl Service {
         });
         entry.lifecycle().finish_evict();
         Some(freed)
-    }
-
-    /// The per-key eviction sidecar next to the configured snapshot path.
-    fn sidecar_path(base: &str, key: u64) -> String {
-        format!("{base}.key-{key:016x}.json")
-    }
-
-    /// Writes one snapshot/sidecar payload crash-safely: a version +
-    /// checksum header is prepended, the whole file goes to `<path>.tmp`,
-    /// is fsynced, and only then renamed over `path` — so a crash (or an
-    /// injected torn write) at any point leaves either the previous
-    /// generation or a complete new one at `path`, never a torn file.
-    fn write_snapshot_file(&self, path: &str, payload: &str) -> Result<()> {
-        if let Some(injector) = &self.faults {
-            if injector.snapshot_write_error(path) {
-                return Err(ServeError::Snapshot(format!(
-                    "injected write fault for {path:?}"
-                )));
-            }
-        }
-        let header = snapshot_header(payload);
-        let full = format!("{header}\n{payload}\n");
-        let tmp = format!("{path}.tmp");
-        let bytes = full.as_bytes();
-        let torn = self
-            .faults
-            .as_ref()
-            .and_then(|injector| injector.torn_write(path, bytes.len()));
-        if let Some(cut) = torn {
-            // Simulated crash mid-write: a truncated prefix reaches the
-            // temporary file and the rename never happens — the previous
-            // generation at `path` stays intact.
-            let _ = std::fs::write(&tmp, &bytes[..cut]);
-            return Err(ServeError::Snapshot(format!(
-                "injected torn write for {path:?} (cut at byte {cut} of {})",
-                bytes.len()
-            )));
-        }
-        let write = || -> std::io::Result<()> {
-            let mut file = std::fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut file, bytes)?;
-            file.sync_all()?;
-            std::fs::rename(&tmp, path)
-        };
-        write().map_err(|e| ServeError::Snapshot(format!("write {path:?} failed: {e}")))
-    }
-
-    /// Reads one snapshot/sidecar file back, verifying the crash-safety
-    /// header when present. Files written before the header existed
-    /// (no `OPTRR-SNAP` magic) are accepted as-is, so old snapshots keep
-    /// loading.
-    fn read_snapshot_file(&self, path: &str) -> SnapshotRead {
-        if let Some(injector) = &self.faults {
-            if injector.snapshot_read_error(path) {
-                return SnapshotRead::Io(format!("injected read fault for {path:?}"));
-            }
-        }
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return SnapshotRead::Missing,
-            Err(e) => return SnapshotRead::Io(format!("read {path:?} failed: {e}")),
-        };
-        if !text.starts_with(SNAPSHOT_MAGIC) {
-            // Legacy headerless file: nothing to verify.
-            return SnapshotRead::Ok(text.trim().to_string());
-        }
-        let Some((header, rest)) = text.split_once('\n') else {
-            return SnapshotRead::Corrupt(format!("{path:?} is truncated inside its header"));
-        };
-        let payload = rest.strip_suffix('\n').unwrap_or(rest);
-        match verify_snapshot_header(header, payload) {
-            Ok(()) => SnapshotRead::Ok(payload.to_string()),
-            Err(reason) => SnapshotRead::Corrupt(format!("{path:?} {reason}")),
-        }
-    }
-
-    /// Restores an evicted key from its eviction sidecar, when persistence
-    /// is configured and the sidecar decodes. Returns whether it did; any
-    /// failure other than "no sidecar exists" emits a typed
-    /// [`ServeEvent::SnapshotLoadFailed`] (bumping
-    /// `serve_snapshot_load_failures_total`) and falls back to the
-    /// deterministic engine replay — a torn or unreadable sidecar is
-    /// never served and never silently ignored.
-    fn restore_from_sidecar(self: &Arc<Self>, entry: &Arc<KeyEntry>) -> bool {
-        let Some(base) = &self.config.snapshot_path else {
-            return false;
-        };
-        let path = Self::sidecar_path(base, entry.key());
-        let failed = |reason: String| {
-            self.obs.emit(ServeEvent::SnapshotLoadFailed {
-                path: path.clone(),
-                reason: reason.clone(),
-            });
-            eprintln!("optrr-serve: eviction sidecar {path:?} unusable ({reason}); replaying runs");
-            false
-        };
-        let text = match self.read_snapshot_file(&path) {
-            SnapshotRead::Missing => return false,
-            SnapshotRead::Io(reason) => return failed(reason),
-            SnapshotRead::Corrupt(reason) => return failed(reason),
-            SnapshotRead::Ok(text) => text,
-        };
-        let snapshot = match serde_json::from_str::<KeySnapshot>(text.trim()) {
-            Ok(snapshot) => snapshot,
-            Err(e) => return failed(format!("did not decode: {e}")),
-        };
-        if let Err(reason) = snapshot.check_shape(entry.prior(), entry.num_slots()) {
-            return failed(reason);
-        }
-        entry.store().absorb(&snapshot.omega);
-        if let Some(seeds) = &snapshot.warm_seeds {
-            if !seeds.is_empty() {
-                entry.put_warm_seeds(seeds.clone());
-            }
-        }
-        if let Some(pipeline) = &snapshot.pipeline {
-            match crate::pipeline::KeyPipeline::restore(pipeline, self.config.num_shards) {
-                Ok(restored) => {
-                    self.obs
-                        .emit(ServeEvent::SamplerRebuild { key: entry.key() });
-                    entry.install_pipeline(restored);
-                }
-                Err(reason) => {
-                    eprintln!(
-                        "optrr-serve: sidecar pipeline of key {:x} skipped: {reason}",
-                        entry.key()
-                    );
-                }
-            }
-        }
-        true
-    }
-
-    /// Evicts expired keys (TTL) and then least-recently-touched keys
-    /// until resident bytes fit the budget. `protect` is never evicted
-    /// (the key that just grew — evicting it immediately would thrash).
-    fn enforce_memory(&self, protect: u64) {
-        self.sweep_ttl();
-        let Some(budget) = self.config.memory_budget_bytes else {
-            return;
-        };
-        // One registry-wide byte sum, then subtract what each eviction
-        // frees — not a recount per victim, which would make a budget
-        // squeeze quadratic in the key count.
-        let mut resident = self.registry.resident_bytes();
-        while resident > budget {
-            let Some(victim) = self.registry.lru_evictable(protect) else {
-                break;
-            };
-            match self.evict_key(&victim) {
-                Some(freed) => resident = resident.saturating_sub(freed),
-                None => break,
-            }
-        }
-    }
-
-    /// Evicts every idle key untouched for longer than the configured TTL.
-    fn sweep_ttl(&self) {
-        let Some(ttl) = self.config.key_ttl else {
-            return;
-        };
-        let ttl_ms = ttl.as_millis() as u64;
-        let now = self.now_ms();
-        for entry in self.registry.entries() {
-            if entry.state().has_warm_data()
-                && entry.lifecycle().inflight() == 0
-                && now.saturating_sub(entry.last_touch_ms()) > ttl_ms
-            {
-                self.evict_key(&entry);
-            }
-        }
     }
 
     /// Blocks until all scheduled engine runs have finished.
@@ -1322,509 +656,16 @@ impl Service {
     /// Service-wide counters: `(keys, engine_runs, queries, warm_hits)`,
     /// read from [`Service::totals`].
     pub fn service_stats(&self) -> (usize, u64, u64, u64) {
-        let totals = self.totals();
-        (
-            totals.keys,
-            totals.engine_runs,
-            totals.queries,
-            totals.warm_hits,
-        )
-    }
-
-    /// One key's snapshot under the given aliases, including its pinned
-    /// pipeline when any.
-    fn key_snapshot(&self, entry: &KeyEntry, names: Vec<String>) -> KeySnapshot {
-        KeySnapshot {
-            prior: entry.prior().probs().to_vec(),
-            delta: entry.delta(),
-            slots: entry.num_slots(),
-            engine_runs: entry.engine_runs(),
-            drift_events: Some(entry.drift_events()),
-            names,
-            omega: entry.store().merge(),
-            warm_seeds: Some(entry.take_warm_seeds()),
-            pipeline: entry.pipeline().map(|p| p.snapshot()),
-        }
-    }
-
-    /// Serializable snapshot of the whole registry: every key's
-    /// registration metadata, run counter, aliases, merged warm Ω, and
-    /// pinned pipeline, in ascending key order. Scheduled engine runs are
-    /// drained first so the snapshot is consistent.
-    pub fn snapshot(&self) -> ServiceSnapshot {
-        self.wait_idle();
-        let mut entries = self.registry.entries();
-        entries.sort_by_key(|e| e.key());
-        let mut names = self.registry.names_by_key();
-        ServiceSnapshot {
-            keys: entries
-                .iter()
-                .map(|entry| {
-                    self.key_snapshot(entry, names.remove(&entry.key()).unwrap_or_default())
-                })
-                .collect(),
-        }
-    }
-
-    /// Writes a snapshot of the warm stores to `path`. Returns the number
-    /// of keys saved.
-    pub fn save_snapshot(&self, path: &str) -> Result<usize> {
-        let snapshot = self.snapshot();
-        let encoded = serde_json::to_string(&snapshot)
-            .map_err(|e| ServeError::Snapshot(format!("encode failed: {e}")))?;
-        self.write_snapshot_file(path, &encoded)?;
-        self.obs.emit(ServeEvent::SnapshotSaved {
-            keys: snapshot.keys.len() as u64,
-        });
-        Ok(snapshot.keys.len())
-    }
-
-    /// Writes the configured snapshot automatically (on `Sync`, shutdown,
-    /// and library callers that want the same behavior). A failure is
-    /// reported on stderr, never escalated — an autosave must not take the
-    /// serving loop down.
-    pub fn autosave(&self) {
-        let Some(path) = self.config.snapshot_path.clone() else {
-            return;
-        };
-        if let Err(error) = self.save_snapshot(&path) {
-            eprintln!("optrr-serve: autosave to {path:?} failed: {error}");
-        }
-    }
-
-    /// Loads a snapshot file into the registry: missing keys are created
-    /// *warm* (no engine run — the whole point of persistence), existing
-    /// keys absorb the snapshot's Ω, which only ever improves them.
-    /// Pipeline snapshots resume in-flight estimation streams on keys that
-    /// have none pinned yet. Returns `(created, merged)`.
-    pub fn load_snapshot(self: &Arc<Self>, path: &str) -> Result<(usize, usize)> {
-        let text = match self.read_snapshot_file(path) {
-            SnapshotRead::Missing => {
-                return Err(ServeError::Snapshot(format!(
-                    "read {path:?} failed: not found"
-                )))
-            }
-            SnapshotRead::Io(reason) => return Err(ServeError::Snapshot(reason)),
-            SnapshotRead::Corrupt(reason) => {
-                self.obs.emit(ServeEvent::SnapshotLoadFailed {
-                    path: path.to_string(),
-                    reason: reason.clone(),
-                });
-                return Err(ServeError::SnapshotCorrupt(reason));
-            }
-            SnapshotRead::Ok(text) => text,
-        };
-        let snapshot: ServiceSnapshot = serde_json::from_str(text.trim()).map_err(|e| {
-            let reason = format!("decode {path:?} failed: {e}");
-            self.obs.emit(ServeEvent::SnapshotLoadFailed {
-                path: path.to_string(),
-                reason: reason.clone(),
-            });
-            ServeError::SnapshotCorrupt(reason)
-        })?;
-        let mut created_count = 0usize;
-        let mut merged_count = 0usize;
-        let now = self.now_ms();
-        for key in &snapshot.keys {
-            Self::validate_delta(key.delta)?;
-            let prior = Self::prior_from_weights(&key.prior)?;
-            let slots = key.slots.clamp(1, MAX_OMEGA_SLOTS);
-            key.check_shape(&prior, slots)
-                .map_err(ServeError::Snapshot)?;
-            let (entry, created) = self.registry.insert_or_get_observed(
-                &prior,
-                key.delta,
-                slots,
-                self.config.num_shards,
-                |key| self.obs.transition_sink(key),
-            );
-            for name in &key.names {
-                self.registry.bind_name(name, entry.key());
-            }
-            // A key persisted with engine runs behind it but an *empty* Ω
-            // was evicted before the snapshot was written; restoring it
-            // "warm" would pin it empty forever (warm keys never re-warm).
-            // Restore it evicted instead: the next query re-warms it from
-            // its eviction sidecar or by engine replay.
-            let persisted_evicted = key.omega.is_empty() && key.engine_runs > 0;
-            if persisted_evicted {
-                if created {
-                    entry.restore_engine_runs(key.engine_runs);
-                    entry.restore_drift_events(key.drift_events.unwrap_or(0));
-                    entry.lifecycle().restore_evicted();
-                }
-                entry.touch(now);
-            } else {
-                // Hold a run claim while the snapshot lands: a concurrent
-                // budget/TTL eviction cannot interleave with the absorb
-                // (try_evict refuses keys with runs in flight), and the
-                // claim itself waits out any eviction already mid-drop —
-                // then resolves the key Warm with the loaded data.
-                entry.lifecycle().begin_run();
-                entry.store().absorb(&key.omega);
-                // Seeds restore only where none are held: a live
-                // service's own (newer) archive wins over the snapshot's.
-                if let Some(seeds) = &key.warm_seeds {
-                    if !seeds.is_empty() && entry.take_warm_seeds().is_empty() {
-                        entry.put_warm_seeds(seeds.clone());
-                    }
-                }
-                let pipeline_restore = match &key.pipeline {
-                    Some(pipeline) if entry.pipeline().is_none() => {
-                        crate::pipeline::KeyPipeline::restore(pipeline, self.config.num_shards)
-                            .map(Some)
-                    }
-                    _ => Ok(None),
-                };
-                match &pipeline_restore {
-                    Ok(Some(_)) | Ok(None) => {}
-                    Err(_) => {
-                        // Release the claim before surfacing the error,
-                        // or the key would hang in Warming forever.
-                        entry.lifecycle().finish_run(false);
-                    }
-                }
-                if let Some(restored) = pipeline_restore.map_err(ServeError::Snapshot)? {
-                    self.obs
-                        .emit(ServeEvent::SamplerRebuild { key: entry.key() });
-                    entry.install_pipeline(restored);
-                }
-                if created {
-                    entry.restore_engine_runs(key.engine_runs);
-                }
-                if let Some(drift_events) = key.drift_events {
-                    if drift_events > entry.drift_events() {
-                        entry.restore_drift_events(drift_events);
-                    }
-                }
-                entry.touch(now);
-                entry.lifecycle().finish_run(true);
-            }
-            if created {
-                created_count += 1;
-            } else {
-                merged_count += 1;
-            }
-        }
-        self.enforce_memory(u64::MAX);
-        self.obs.emit(ServeEvent::SnapshotLoaded {
-            created: created_count as u64,
-            merged: merged_count as u64,
-        });
-        Ok((created_count, merged_count))
-    }
-
-    /// Converts an estimate outcome into its transport form.
-    fn estimate_dto(outcome: crate::pipeline::EstimateOutcome, degraded: bool) -> EstimateDto {
-        EstimateDto {
-            key: outcome.key,
-            method: outcome.method.to_string(),
-            distribution: outcome.distribution.probs().to_vec(),
-            iterations: outcome.iterations,
-            residual: outcome.residual,
-            mse_vs_prior: outcome.mse_vs_prior,
-            total_responses: outcome.total_responses,
-            batches: outcome.batches,
-            drifted: outcome.drifted,
-            stale: outcome.stale,
-            degraded,
-        }
-    }
-
-    /// Whether a key is currently serving degraded (last-good) data.
-    fn degraded_flag(&self, entry: &KeyEntry) -> bool {
-        entry.state().is_degraded()
-    }
-
-    /// Handles one protocol request, mapping library errors to
-    /// [`Response::Error`] with the stable [`ServeError::code`] taxonomy.
-    pub fn handle(self: &Arc<Self>, request: Request) -> Response {
-        match self.try_handle(request) {
-            Ok(response) => response,
-            Err(error) => Response::Error {
-                reason: error.to_string(),
-                code: error.code().to_string(),
-            },
-        }
-    }
-
-    fn try_handle(self: &Arc<Self>, request: Request) -> Result<Response> {
-        Ok(match request {
-            Request::Register {
-                name,
-                prior,
-                delta,
-                slots,
-                lazy,
-            } => {
-                let block = !lazy.unwrap_or(false);
-                let entry = self.register(name.as_deref(), &prior, delta, slots, block)?;
-                Response::Registered {
-                    key: entry.key(),
-                    warm: entry.is_warm(),
-                    filled_slots: entry.store().len(),
-                    engine_runs: entry.engine_runs(),
-                }
-            }
-            Request::RegisterBatch {
-                names,
-                priors,
-                delta,
-                slots,
-            } => {
-                let (entries, warmed) =
-                    self.register_batch(names.as_deref(), &priors, delta, slots)?;
-                Response::RegisteredBatch {
-                    keys: entries.iter().map(|e| e.key()).collect(),
-                    warmed,
-                }
-            }
-            Request::BestForPrivacy {
-                key,
-                name,
-                min_privacy,
-            } => {
-                let entry = self.resolve(key, name.as_deref())?;
-                match self.best_for_privacy(&entry, min_privacy) {
-                    Some(found) => self.matrix_response(&entry, &found),
-                    None => Response::NoMatch {
-                        key: entry.key(),
-                        reason: format!("no stored matrix with privacy >= {min_privacy}"),
-                        degraded: self.degraded_flag(&entry),
-                    },
-                }
-            }
-            Request::BestForMse { key, name, max_mse } => {
-                let entry = self.resolve(key, name.as_deref())?;
-                match self.best_for_mse(&entry, max_mse) {
-                    Some(found) => self.matrix_response(&entry, &found),
-                    None => Response::NoMatch {
-                        key: entry.key(),
-                        reason: format!("no stored matrix with mse <= {max_mse}"),
-                        degraded: self.degraded_flag(&entry),
-                    },
-                }
-            }
-            Request::Front { key, name } => {
-                let entry = self.resolve(key, name.as_deref())?;
-                Response::Front {
-                    key: entry.key(),
-                    points: self.front(&entry),
-                    degraded: self.degraded_flag(&entry),
-                }
-            }
-            Request::Ingest {
-                key,
-                name,
-                min_privacy,
-                records,
-                counts,
-                seed,
-            } => {
-                let entry = self.resolve(key, name.as_deref())?;
-                let outcome = self.ingest(
-                    &entry,
-                    min_privacy,
-                    records.as_deref(),
-                    counts.as_deref(),
-                    seed,
-                )?;
-                Response::Ingested {
-                    key: outcome.key,
-                    accepted: outcome.accepted,
-                    retained: outcome.retained,
-                    total: outcome.total,
-                    batches: outcome.batches,
-                    privacy: outcome.privacy,
-                }
-            }
-            Request::Disguise {
-                key,
-                name,
-                min_privacy,
-                records,
-                seed,
-            } => {
-                let entry = self.resolve(key, name.as_deref())?;
-                let (evaluation, disguised, retained) =
-                    self.disguise(&entry, min_privacy, &records, seed)?;
-                Response::Disguised {
-                    key: entry.key(),
-                    privacy: evaluation.privacy,
-                    mse: evaluation.mse,
-                    retained,
-                    records: disguised,
-                }
-            }
-            Request::Estimate { key, name } => {
-                let entry = self.resolve(key, name.as_deref())?;
-                let outcome = self.estimate(&entry)?;
-                let degraded = self.degraded_flag(&entry);
-                Response::Estimated {
-                    stats: Self::estimate_dto(outcome, degraded),
-                }
-            }
-            Request::EstimateAll => {
-                let (outcomes, skipped, failed) = self.estimate_all();
-                Response::EstimatedAll {
-                    estimates: outcomes
-                        .into_iter()
-                        .map(|outcome| {
-                            let degraded = self
-                                .registry
-                                .resolve(Some(outcome.key), None)
-                                .is_some_and(|e| self.degraded_flag(&e));
-                            Self::estimate_dto(outcome, degraded)
-                        })
-                        .collect(),
-                    skipped,
-                    failed,
-                }
-            }
-            Request::Save { path } => {
-                let keys = self.save_snapshot(&path)?;
-                Response::Saved { path, keys }
-            }
-            Request::Load { path } => {
-                let (created, merged) = self.load_snapshot(&path)?;
-                Response::Loaded {
-                    path,
-                    created,
-                    merged,
-                }
-            }
-            Request::Refresh { key, name, runs } => {
-                let entry = self.resolve(key, name.as_deref())?;
-                let scheduled = self.refresh(&entry, runs.unwrap_or(1));
-                Response::Scheduled {
-                    key: entry.key(),
-                    runs: scheduled,
-                }
-            }
-            Request::Evict { key, name } => {
-                let entry = self.resolve(key, name.as_deref())?;
-                match self.evict_key(&entry) {
-                    Some(bytes_freed) => Response::Evicted {
-                        key: entry.key(),
-                        evicted: true,
-                        bytes_freed,
-                    },
-                    None => Response::Evicted {
-                        key: entry.key(),
-                        evicted: false,
-                        bytes_freed: 0,
-                    },
-                }
-            }
-            Request::Sync => {
-                self.wait_idle();
-                // Autosave before the TTL sweep: the full snapshot then
-                // carries the expiring keys' complete state (a sweep-first
-                // order would persist them as already-empty).
-                self.autosave();
-                self.sweep_ttl();
-                Response::Synced
-            }
-            Request::Stats { key, name } => {
-                if key.is_none() && name.is_none() {
-                    let totals = self.totals();
-                    Response::ServiceStats {
-                        keys: totals.keys,
-                        engine_runs: totals.engine_runs,
-                        queries: totals.queries,
-                        warm_hits: totals.warm_hits,
-                        resident_bytes: totals.resident_bytes,
-                        budget_bytes: totals.budget_bytes,
-                        evictions: totals.evictions,
-                        rewarms: totals.rewarms,
-                        refresh_failures: totals.refresh_failures,
-                        retries: totals.retries,
-                        degraded: totals.degraded,
-                    }
-                } else {
-                    let entry = self.resolve(key, name.as_deref())?;
-                    Response::KeyStats {
-                        stats: self.key_stats(&entry),
-                    }
-                }
-            }
-            Request::Metrics => self.metrics_response(),
-            Request::Trace { limit } => {
-                let (entries, dropped) = self.obs.trace_snapshot(limit);
-                Response::Trace {
-                    enabled: self.obs.enabled() && self.obs.trace_capacity() > 0,
-                    dropped,
-                    events: entries
-                        .into_iter()
-                        .map(|entry| TraceEventDto {
-                            seq: entry.seq,
-                            at_ns: entry.at_ns,
-                            kind: entry.event.kind().to_string(),
-                            key: entry.event.key(),
-                            detail: entry.event.detail(),
-                        })
-                        .collect(),
-                }
-            }
-            Request::Shutdown => {
-                self.wait_idle();
-                self.autosave();
-                Response::Bye
-            }
-        })
-    }
-
-    /// A point query's answer: the stored matrix with its evaluation.
-    fn matrix_response(&self, entry: &KeyEntry, found: &optrr::OmegaEntry) -> Response {
-        Response::Matrix {
-            key: entry.key(),
-            privacy: found.evaluation.privacy,
-            mse: found.evaluation.mse,
-            max_posterior: found.evaluation.max_posterior,
-            matrix: MatrixDto::from_matrix(&found.matrix),
-            degraded: self.degraded_flag(entry),
-        }
-    }
-
-    /// Answers the `Metrics` verb: publishes the service totals (the
-    /// registered-keys and resident-bytes gauges and the view counters)
-    /// and the worker-pool gauges, then ships one snapshot as DTOs plus
-    /// its Prometheus-style rendering.
-    fn metrics_response(&self) -> Response {
-        self.obs.publish_totals(&self.totals());
-        self.obs
-            .set_gauge("serve_worker_jobs_submitted", self.pool.jobs_submitted());
-        self.obs
-            .set_gauge("serve_worker_jobs_executed", self.pool.jobs_executed());
-        self.obs
-            .set_gauge("serve_worker_jobs_panicked", self.pool.jobs_panicked());
-        let snapshot = self.obs.metrics_snapshot();
-        let value_dto = |(name, value): (String, u64)| MetricValueDto { name, value };
-        Response::Metrics {
-            enabled: self.obs.enabled(),
-            counters: snapshot.counters.into_iter().map(value_dto).collect(),
-            gauges: snapshot.gauges.into_iter().map(value_dto).collect(),
-            histograms: snapshot
-                .histograms
-                .into_iter()
-                .map(|h| HistogramDto {
-                    name: h.name,
-                    count: h.count,
-                    sum: h.sum,
-                    max: h.max,
-                    p50: h.p50,
-                    p90: h.p90,
-                    p99: h.p99,
-                })
-                .collect(),
-            prometheus: self.obs.render_prometheus(),
-        }
+        let t = self.totals();
+        (t.keys, t.engine_runs, t.queries, t.warm_hits)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::SNAPSHOT_MAGIC;
+    use crate::protocol::{Request, Response};
 
     fn smoke_service() -> Arc<Service> {
         Arc::new(Service::new(ServiceConfig::smoke(77)))
@@ -1836,6 +677,13 @@ mod tests {
             Response::Metrics { prometheus, .. } => prometheus,
             other => panic!("expected Metrics, got {other:?}"),
         }
+    }
+
+    /// One counter of the service's metrics registry.
+    fn counter(service: &Arc<Service>, name: &str) -> u64 {
+        let snapshot = service.obs().metrics_snapshot();
+        let found = snapshot.counters.iter().find(|(n, _)| n == name);
+        found.map(|(_, value)| *value).unwrap_or(0)
     }
 
     const PRIOR: [f64; 5] = [0.35, 0.25, 0.2, 0.12, 0.08];
@@ -1892,6 +740,16 @@ mod tests {
             .is_err());
         assert!(service.resolve(Some(123), None).is_err());
         assert!(service.resolve(None, None).is_err());
+        // A batch with one invalid prior registers none of its priors,
+        // and leaves nothing claimed: the valid prior still warms alone.
+        let batch = [PRIOR.to_vec(), vec![1.0]];
+        assert!(matches!(
+            service.register_batch(None, &batch, 0.8, None),
+            Err(ServeError::InvalidRequest(_))
+        ));
+        assert!(service.registry().is_empty());
+        let entry = service.register(None, &PRIOR, 0.8, None, true).unwrap();
+        assert_eq!(entry.state(), KeyState::Warm);
     }
 
     #[test]
@@ -1967,6 +825,16 @@ mod tests {
         let solo_front = solo_entry.store().merge();
         assert_eq!(batch_front, solo_front);
 
+        // Batch warm-ups land through the same path as solo ones, so
+        // they are counted and traced alike.
+        solo.register(None, &priors[1], 0.8, None, true).unwrap();
+        assert_eq!(service.totals().engine_runs, solo.totals().engine_runs);
+        assert_eq!(
+            counter(&service, "serve_refresh_runs_total"),
+            counter(&solo, "serve_refresh_runs_total")
+        );
+        assert_eq!(counter(&service, "serve_refresh_runs_total"), 2);
+
         // Re-batching with one new prior only warms the new one.
         let extended = vec![priors[0].clone(), priors[1].clone(), vec![0.7, 0.2, 0.1]];
         let (entries2, warmed2) = service.register_batch(None, &extended, 0.8, None).unwrap();
@@ -1978,6 +846,62 @@ mod tests {
         let (none, zero) = service.register_batch(None, &[], 0.8, None).unwrap();
         assert!(none.is_empty());
         assert_eq!(zero, 0);
+    }
+
+    #[test]
+    fn load_with_one_mis_shaped_key_installs_nothing() {
+        let dir = std::env::temp_dir().join("optrr_serve_load_all_or_nothing_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snapshot.json");
+        let path = path.to_str().unwrap();
+
+        // Three keys, each with a pinned pipeline, saved.
+        let service = smoke_service();
+        for (index, delta) in [0.8, 0.75, 0.7].into_iter().enumerate() {
+            let entry = service
+                .register(
+                    Some(&format!("k{index}")),
+                    &[0.4, 0.3, 0.2, 0.1],
+                    delta,
+                    None,
+                    true,
+                )
+                .unwrap();
+            service
+                .ingest(&entry, Some(0.0), None, Some(&[40, 30, 20, 10]), None)
+                .unwrap();
+        }
+        let three = service
+            .register(None, &[0.5, 0.3, 0.2], 0.8, None, true)
+            .unwrap();
+        service
+            .ingest(&three, Some(0.0), None, Some(&[50, 30, 20]), None)
+            .unwrap();
+        let mut snapshot = service.snapshot();
+        snapshot.keys.retain(|key| key.prior.len() == 4);
+        assert_eq!(snapshot.keys.len(), 3);
+
+        // The second key's 4×4 channel gets 3-category counts.
+        let foreign_counts = three.pipeline().unwrap().snapshot().counts;
+        snapshot.keys[1].pipeline.as_mut().unwrap().counts = foreign_counts;
+        std::fs::write(path, serde_json::to_string(&snapshot).unwrap()).unwrap();
+
+        let restarted = smoke_service();
+        restarted
+            .register(Some("resident"), &PRIOR, 0.8, None, true)
+            .unwrap();
+        let response = restarted.handle(Request::Load {
+            path: path.to_string(),
+        });
+        assert!(
+            matches!(&response, Response::Error { code, .. } if code == "snapshot_corrupt"),
+            "got {response:?}"
+        );
+        // The registry is exactly as before the failed Load.
+        assert_eq!(restarted.registry().len(), 1);
+        assert!(restarted.resolve(None, Some("k0")).is_err());
+        assert_eq!(counter(&restarted, "serve_snapshot_load_failures_total"), 1);
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]
@@ -2507,7 +1431,10 @@ mod tests {
             .register(Some("four"), &[0.4, 0.3, 0.2, 0.1], 0.8, None, true)
             .unwrap();
         let warm_merge = entry.store().merge();
-        // A pinned 3-category pipeline from another key.
+        service
+            .ingest(&entry, Some(0.0), None, Some(&[40, 30, 20, 10]), None)
+            .unwrap();
+        let own_pipeline = entry.pipeline().unwrap().snapshot();
         let three = service
             .register(Some("three"), &[0.5, 0.3, 0.2], 0.8, None, true)
             .unwrap();
@@ -2515,38 +1442,43 @@ mod tests {
             .ingest(&three, Some(0.0), None, Some(&[50, 30, 20]), None)
             .unwrap();
         let foreign_pipeline = three.pipeline().unwrap().snapshot();
+        // Two pipelines that do not fit a 4-category key: a pinned 3×3
+        // channel from another key, and the key's own 4×4 channel over
+        // 3-category counts.
+        let mut foreign_counts = own_pipeline;
+        foreign_counts.counts = foreign_pipeline.counts.clone();
 
-        // Rewrite the 4-category key's sidecar as a legacy headerless file
-        // whose pipeline pins the 3×3 channel: slot count and Ω still
-        // match, so only the shape check can refuse it.
-        service.evict_key(&entry).expect("idle key evicts");
         let sidecar = Service::sidecar_path(&path_str, entry.key());
-        let text = std::fs::read_to_string(&sidecar).unwrap();
-        let (_, payload) = text.split_once('\n').expect("headered sidecar");
-        let mut snapshot: KeySnapshot = serde_json::from_str(payload.trim()).unwrap();
-        snapshot.pipeline = Some(foreign_pipeline);
-        std::fs::write(&sidecar, serde_json::to_string(&snapshot).unwrap()).unwrap();
+        for (round, pipeline) in [foreign_pipeline, foreign_counts].into_iter().enumerate() {
+            // Rewrite the key's sidecar as a legacy headerless file with
+            // the mis-shaped pipeline: slot count and Ω still match, so
+            // only the shape check can refuse it.
+            service.evict_key(&entry).expect("idle key evicts");
+            let text = std::fs::read_to_string(&sidecar).unwrap();
+            let (_, payload) = text.split_once('\n').expect("headered sidecar");
+            let mut snapshot: KeySnapshot = serde_json::from_str(payload.trim()).unwrap();
+            snapshot.pipeline = Some(pipeline);
+            std::fs::write(&sidecar, serde_json::to_string(&snapshot).unwrap()).unwrap();
 
-        // The re-warm refuses the sidecar (typed event, counter) and
-        // replays: the Ω comes back bitwise and no channel is pinned, so
-        // Estimate answers an error instead of panicking on the
-        // dimension mismatch.
-        let response = service.handle(Request::Estimate {
-            key: Some(entry.key()),
-            name: None,
-        });
-        assert!(
-            matches!(response, Response::Error { .. }),
-            "got {response:?}"
-        );
-        assert_eq!(entry.state(), KeyState::Warm);
-        assert_eq!(entry.store().merge(), warm_merge);
-        assert!(entry.pipeline().is_none());
-        let metrics = metrics_text(&service);
-        assert!(
-            metrics.contains("serve_snapshot_load_failures_total 1"),
-            "{metrics}"
-        );
+            // The re-warm refuses the sidecar (typed event, counter) and
+            // replays: the Ω comes back bitwise and no channel is pinned,
+            // so Estimate answers an error instead of panicking on the
+            // dimension mismatch.
+            let response = service.handle(Request::Estimate {
+                key: Some(entry.key()),
+                name: None,
+            });
+            assert!(
+                matches!(response, Response::Error { .. }),
+                "got {response:?}"
+            );
+            assert_eq!(entry.state(), KeyState::Warm);
+            assert_eq!(entry.store().merge(), warm_merge);
+            assert!(entry.pipeline().is_none());
+            let metrics = metrics_text(&service);
+            let failures = format!("serve_snapshot_load_failures_total {}", round + 1);
+            assert!(metrics.contains(&failures), "{metrics}");
+        }
         let _ = std::fs::remove_file(&sidecar);
         let _ = std::fs::remove_file(&path);
     }

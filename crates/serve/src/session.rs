@@ -142,7 +142,7 @@ fn request_loop<R: BufRead>(
         }
         // The deterministic disconnect fault: hang up instead of
         // handling, exercising the torn-frame cleanup end to end.
-        if let Some(injector) = service.fault_injector() {
+        if let Some(injector) = service.faults.as_ref() {
             if injector.conn_drop(conn_id, request_index) {
                 return SessionEnd::Dropped(ServeError::Transport(format!(
                     "injected connection drop before request {request_index}"
