@@ -11,10 +11,10 @@
 //!  [-- --smoke | --report]`
 //!
 //! `--smoke` runs a fast pass without writing the baseline; `--report`
-//! does no measuring at all — it parses the committed `BENCH_*.json`
-//! files and prints their headline speedup lines (report-only; missing
-//! files are noted, never fatal), which is what the CI perf-delta step
-//! runs.
+//! does no measuring at all — it parses the committed `BENCH_kernels.json`
+//! and `BENCH_fitness.json` and prints their headline speedup lines
+//! (report-only; missing files are noted, never fatal), which is what the
+//! CI perf-delta step runs.
 
 use bench_support::{summarize_ns, time_iterations, TimingSummary, DEFAULT_WARMUP_ITERS};
 use datagen::CategoricalDataset;
@@ -333,14 +333,6 @@ fn report() {
                 num(&row, "scratch_over_incremental_parallel"),
             );
         }
-    }
-    if let Some(pipeline) = load("BENCH_pipeline.json") {
-        println!(
-            "perf-delta: pipeline ingest {:.0} records/s (p50 {} ns), estimate p50 {} ns",
-            num(&pipeline, "ingest_records_per_second"),
-            int(&pipeline, "ingest_latency_p50_ns"),
-            int(&pipeline, "estimate_latency_p50_ns"),
-        );
     }
 }
 

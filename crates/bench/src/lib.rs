@@ -36,8 +36,8 @@ pub enum Fidelity {
 
 impl Fidelity {
     /// Reads the fidelity from the command line (`--fast` / `--paper`) and
-    /// the `OPTRR_FIDELITY` environment variable (`fast` / `standard` /
-    /// `paper`), defaulting to [`Fidelity::Standard`].
+    /// the `OPTRR_FIDELITY` environment variable (see [`parse_fidelity`]),
+    /// defaulting to [`Fidelity::Standard`]. An unrecognised value exits 2.
     pub fn from_env_and_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
         if args.iter().any(|a| a == "--fast") {
@@ -46,15 +46,7 @@ impl Fidelity {
         if args.iter().any(|a| a == "--paper") {
             return Fidelity::Paper;
         }
-        match std::env::var("OPTRR_FIDELITY")
-            .unwrap_or_default()
-            .to_lowercase()
-            .as_str()
-        {
-            "fast" => Fidelity::Fast,
-            "paper" => Fidelity::Paper,
-            _ => Fidelity::Standard,
-        }
+        env_selection("OPTRR_FIDELITY", parse_fidelity)
     }
 
     /// The optimizer configuration for this fidelity at a given δ and seed.
@@ -98,10 +90,55 @@ impl Fidelity {
     }
 }
 
+/// Parses an `OPTRR_FIDELITY` value: `fast`, `standard` or `paper`,
+/// case-insensitive. Unset or empty gives [`Fidelity::Standard`].
+pub fn parse_fidelity(value: Option<&str>) -> Result<Fidelity, String> {
+    let raw = value.unwrap_or_default();
+    match raw.to_lowercase().as_str() {
+        "" | "standard" => Ok(Fidelity::Standard),
+        "fast" => Ok(Fidelity::Fast),
+        "paper" => Ok(Fidelity::Paper),
+        _ => Err(format!("{raw:?} is not one of fast, standard, paper")),
+    }
+}
+
+/// Parses an `OPTRR_ENGINE` value: `spea2`, `nsga2` or `nsga-ii`,
+/// case-insensitive. Unset or empty gives the paper's SPEA2.
+pub fn parse_engine_kind(value: Option<&str>) -> Result<EngineKind, String> {
+    let raw = value.unwrap_or_default();
+    match raw.to_lowercase().as_str() {
+        "" | "spea2" => Ok(EngineKind::Spea2),
+        "nsga2" | "nsga-ii" => Ok(EngineKind::Nsga2),
+        _ => Err(format!("{raw:?} is not one of spea2, nsga2, nsga-ii")),
+    }
+}
+
+/// Parses an `OPTRR_PARALLEL` value: `1`/`true`/`yes` or `0`/`false`/`no`,
+/// case-insensitive. Unset or empty gives serial evaluation.
+pub fn parse_parallel(value: Option<&str>) -> Result<bool, String> {
+    let raw = value.unwrap_or_default();
+    match raw.to_lowercase().as_str() {
+        "1" | "true" | "yes" => Ok(true),
+        "" | "0" | "false" | "no" => Ok(false),
+        _ => Err(format!("{raw:?} is not one of 1/0, true/false, yes/no")),
+    }
+}
+
+/// Reads one selection variable through its parser. An unrecognised value
+/// prints the accepted ones and exits 2, so a run never silently reports
+/// an engine or budget other than the one asked for.
+fn env_selection<T>(name: &str, parse: fn(Option<&str>) -> Result<T, String>) -> T {
+    let raw = std::env::var(name).ok();
+    parse(raw.as_deref()).unwrap_or_else(|reason| {
+        eprintln!("invalid {name}: {reason}");
+        std::process::exit(2)
+    })
+}
+
 /// Reads the EMOO backend selection from the command line (`--nsga2` /
-/// `--spea2`) and the `OPTRR_ENGINE` environment variable (`nsga2` /
-/// `spea2`), defaulting to the paper's SPEA2. Every experiment binary runs
-/// against either backend through this one switch.
+/// `--spea2`) and the `OPTRR_ENGINE` environment variable (see
+/// [`parse_engine_kind`]), defaulting to the paper's SPEA2. Every
+/// experiment binary runs against either backend through this one switch.
 pub fn engine_kind_from_env_and_args() -> EngineKind {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--nsga2") {
@@ -110,31 +147,18 @@ pub fn engine_kind_from_env_and_args() -> EngineKind {
     if args.iter().any(|a| a == "--spea2") {
         return EngineKind::Spea2;
     }
-    match std::env::var("OPTRR_ENGINE")
-        .unwrap_or_default()
-        .to_lowercase()
-        .as_str()
-    {
-        "nsga2" | "nsga-ii" => EngineKind::Nsga2,
-        _ => EngineKind::Spea2,
-    }
+    env_selection("OPTRR_ENGINE", parse_engine_kind)
 }
 
 /// Reads the parallel-evaluation switch from the command line
-/// (`--parallel`) and the `OPTRR_PARALLEL` environment variable (`1` /
-/// `true`). Parallel evaluation is bit-identical to serial; it only
-/// changes wall-clock time.
+/// (`--parallel`) and the `OPTRR_PARALLEL` environment variable (see
+/// [`parse_parallel`]). Parallel evaluation is bit-identical to serial; it
+/// only changes wall-clock time.
 pub fn parallel_evaluation_from_env_and_args() -> bool {
     if std::env::args().any(|a| a == "--parallel") {
         return true;
     }
-    matches!(
-        std::env::var("OPTRR_PARALLEL")
-            .unwrap_or_default()
-            .to_lowercase()
-            .as_str(),
-        "1" | "true" | "yes"
-    )
+    env_selection("OPTRR_PARALLEL", parse_parallel)
 }
 
 /// Applies the run-wide engine selection (backend kind and parallel
@@ -259,16 +283,14 @@ pub fn optrr_front(report: &ExperimentReport) -> &ParetoFront {
         .expect("figure reports always contain an OptRR front")
 }
 
-/// Reads the `usize` value following a `--name` CLI flag, shared by the
-/// load-generator binaries.
+/// Reads the `usize` value following a `--name` CLI flag.
 pub fn arg_value(name: &str) -> Option<usize> {
     let args: Vec<String> = std::env::args().collect();
     let at = args.iter().position(|a| a == name)?;
     args.get(at + 1)?.parse().ok()
 }
 
-/// Nearest-rank percentile of a sorted latency sample (0 when empty),
-/// shared by the load-generator binaries.
+/// Nearest-rank percentile of a sorted sample (0 when empty).
 pub fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -369,6 +391,55 @@ mod tests {
         // variable is cleared for this check.
         std::env::remove_var("OPTRR_FIDELITY");
         assert_eq!(Fidelity::from_env_and_args(), Fidelity::Standard);
+    }
+
+    #[test]
+    fn selection_parsers_accept_the_documented_spellings_and_reject_the_rest() {
+        let fidelity = [
+            (None, Ok(Fidelity::Standard)),
+            (Some(""), Ok(Fidelity::Standard)),
+            (Some("standard"), Ok(Fidelity::Standard)),
+            (Some("fast"), Ok(Fidelity::Fast)),
+            (Some("PAPER"), Ok(Fidelity::Paper)),
+            (Some("fsat"), Err(())),
+        ];
+        for (value, expected) in fidelity {
+            assert_eq!(parse_fidelity(value).map_err(drop), expected, "{value:?}");
+        }
+        let engine = [
+            (None, Ok(EngineKind::Spea2)),
+            (Some(""), Ok(EngineKind::Spea2)),
+            (Some("SPEA2"), Ok(EngineKind::Spea2)),
+            (Some("nsga2"), Ok(EngineKind::Nsga2)),
+            (Some("NSGA-II"), Ok(EngineKind::Nsga2)),
+            (Some("nsga_ii"), Err(())),
+        ];
+        for (value, expected) in engine {
+            assert_eq!(
+                parse_engine_kind(value).map_err(drop),
+                expected,
+                "{value:?}"
+            );
+        }
+        let parallel = [
+            (None, Ok(false)),
+            (Some(""), Ok(false)),
+            (Some("0"), Ok(false)),
+            (Some("False"), Ok(false)),
+            (Some("no"), Ok(false)),
+            (Some("1"), Ok(true)),
+            (Some("TRUE"), Ok(true)),
+            (Some("yes"), Ok(true)),
+            (Some("on"), Err(())),
+        ];
+        for (value, expected) in parallel {
+            assert_eq!(parse_parallel(value).map_err(drop), expected, "{value:?}");
+        }
+        let reason = parse_engine_kind(Some("nsga_ii")).unwrap_err();
+        assert!(
+            reason.contains("nsga_ii") && reason.contains("spea2"),
+            "{reason}"
+        );
     }
 
     #[test]

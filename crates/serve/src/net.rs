@@ -490,9 +490,9 @@ fn writer_loop(rx: Receiver<Vec<u8>>, mut stream: Box<dyn SessionStream>) {
 
 // ---- client -----------------------------------------------------------------
 
-/// A blocking protocol client for either transport and codec — what the
-/// `bench_net` load generator and the integration tests drive sessions
-/// with, and a reference for external client implementations.
+/// A blocking protocol client for either transport and codec — what
+/// perfbench and the integration tests drive sessions with, and a
+/// reference for external client implementations.
 pub struct NetClient {
     reader: BufReader<Box<dyn SessionStream>>,
     writer: Box<dyn SessionStream>,

@@ -226,8 +226,8 @@ impl ServiceConfig {
         Self::small(seed, [16, 8, 30], 200, 4)
     }
 
-    /// An even smaller budget for multi-tenant tests and the `--smoke`
-    /// load generator: dozens of keys warm up in well under a second.
+    /// An even smaller budget for multi-tenant tests: dozens of keys warm
+    /// up in well under a second.
     pub fn tiny(seed: u64) -> Self {
         Self::small(seed, [8, 4, 8], 64, 2)
     }

@@ -266,6 +266,8 @@ fn memory_budgeted_session_evicts_lru_and_answers_bitwise_after_rewarm() {
     for (entry, warm_merge) in entries.iter().zip(&warm_merges) {
         let found = service.best_for_privacy(entry, 0.0);
         assert!(found.is_some(), "key {:x} lost its answers", entry.key());
+        let resident = service.totals().resident_bytes;
+        assert!(resident <= budget, "{resident} > {budget} mid-queries");
         assert!(
             same_omega_slots(&entry.store().merge(), warm_merge),
             "key {:x} re-warmed differently",
@@ -274,8 +276,16 @@ fn memory_budgeted_session_evicts_lru_and_answers_bitwise_after_rewarm() {
         assert_eq!(entry.engine_runs(), 1, "re-warm replays, never re-claims");
     }
     service.wait_idle();
-    let resident = service.totals().resident_bytes;
-    assert!(resident <= budget, "{resident} > {budget} after re-warms");
+    let totals = service.totals();
+    assert!(
+        totals.resident_bytes <= budget,
+        "{} > {budget} after re-warms",
+        totals.resident_bytes
+    );
+    assert!(
+        totals.rewarms > 0,
+        "querying every key re-warms the evicted ones"
+    );
 }
 
 /// The events the lifecycle property test interleaves.

@@ -502,6 +502,27 @@ fn concurrent_sessions_share_one_service_without_interference() {
     for worker in workers {
         worker.join().unwrap();
     }
+
+    // The load never re-ran the engine, and every query over either codec
+    // was answered from the warm store.
+    let Response::ServiceStats {
+        engine_runs,
+        queries,
+        warm_hits,
+        ..
+    } = setup
+        .request(&Request::Stats {
+            key: None,
+            name: None,
+        })
+        .unwrap()
+    else {
+        panic!("expected ServiceStats");
+    };
+    assert_eq!(engine_runs, 1, "only the registration ran the engine");
+    assert_eq!(queries, 80);
+    assert_eq!(warm_hits, 80, "every query is a warm hit");
+
     server.request_drain();
     server.wait();
 }

@@ -51,6 +51,7 @@ fn sharded_concurrent_ingest_is_bitwise_equal_to_the_single_stream_run() {
             });
         }
     });
+    assert_eq!(entry.engine_runs(), 1, "ingest never re-runs the engine");
 
     let single = smoke_service(seed);
     let solo_entry = single.register(None, &PRIOR, DELTA, None, true).unwrap();
@@ -74,6 +75,11 @@ fn sharded_concurrent_ingest_is_bitwise_equal_to_the_single_stream_run() {
     // And the estimates are bitwise-equal, category for category.
     let a = concurrent.estimate(&entry).unwrap();
     let b = single.estimate(&solo_entry).unwrap();
+    assert!(
+        !a.drifted,
+        "batches follow the prior (mse {})",
+        a.mse_vs_prior
+    );
     assert_eq!(a.method, b.method);
     assert_eq!(a.total_responses, b.total_responses);
     for (x, y) in a
