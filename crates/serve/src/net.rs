@@ -22,6 +22,11 @@
 //!   deliver bitwise-identical requests to the service, so a binary
 //!   session produces byte-identical warm stores and estimates to the
 //!   same session over JSON.
+//! * **No Nagle** — every TCP stream, accepted or connected by
+//!   [`NetClient`], sets `TCP_NODELAY`: a pipelined burst of small
+//!   frames would otherwise stall on the peer's delayed ACK (Nagle,
+//!   RFC 896, holds back a short segment until the previous one is
+//!   acknowledged; RFC 1122 delays that ACK by up to ~40 ms).
 //! * **Graceful drain** — any session's `Shutdown` request (before its
 //!   `Bye` is queued) puts the whole server into drain: the accept loop
 //!   stops, idle sessions close after flushing their write queues, and
@@ -47,6 +52,7 @@ use crate::wire::{self, Codec};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -117,7 +123,7 @@ impl NetConfig {
 /// The transports a session can run on, behind one object-safe
 /// surface. Both [`TcpStream`] and [`UnixStream`] provide exactly
 /// these operations; the session code is transport-agnostic.
-trait SessionStream: Read + Write + Send {
+trait SessionStream: Read + Write + Send + AsFd {
     /// An independently owned handle to the same socket (for the
     /// writer thread and the force-close registry).
     fn try_clone_stream(&self) -> io::Result<Box<dyn SessionStream>>;
@@ -151,6 +157,13 @@ macro_rules! impl_session_stream {
 
 impl_session_stream!(TcpStream, UnixStream);
 
+/// Turns Nagle's algorithm off on a TCP session stream, so each frame
+/// leaves as soon as it is written (see the module doc).
+fn no_delay(stream: TcpStream) -> io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 enum Listener {
     Tcp(TcpListener),
     Unix(UnixListener),
@@ -181,7 +194,7 @@ impl Listener {
 
     fn accept(&self) -> io::Result<Box<dyn SessionStream>> {
         Ok(match self {
-            Listener::Tcp(l) => Box::new(l.accept()?.0),
+            Listener::Tcp(l) => Box::new(no_delay(l.accept()?.0)?),
             Listener::Unix(l) => Box::new(l.accept()?.0),
         })
     }
@@ -513,7 +526,7 @@ impl NetClient {
     /// send the [`wire::PREAMBLE`] byte; JSON clients send nothing).
     pub fn connect(addr: &ListenAddr, codec: Codec) -> io::Result<Self> {
         let stream: Box<dyn SessionStream> = match addr {
-            ListenAddr::Tcp(addr) => Box::new(TcpStream::connect(addr)?),
+            ListenAddr::Tcp(addr) => Box::new(no_delay(TcpStream::connect(addr)?)?),
             ListenAddr::Unix(path) => Box::new(UnixStream::connect(path)?),
         };
         let mut writer = stream.try_clone_stream()?;
@@ -641,6 +654,22 @@ mod tests {
         assert!(matches!(response, Response::Matrix { .. }));
         assert_eq!(client.request(&Request::Shutdown).unwrap(), Response::Bye);
         assert_eq!(server.wait(), 1, "one session was served");
+    }
+
+    #[test]
+    fn both_ends_of_a_tcp_session_set_nodelay() {
+        // Read the option back through a duplicate of each boxed
+        // stream's descriptor: the same socket, seen as a `TcpStream`.
+        let nodelay = |stream: &dyn SessionStream| {
+            let fd = stream.as_fd().try_clone_to_owned().unwrap();
+            TcpStream::from(fd).nodelay().unwrap()
+        };
+        let listener = Listener::bind(&ListenAddr::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
+        let addr = ListenAddr::Tcp(listener.local_tcp_addr().unwrap());
+        let client = NetClient::connect(&addr, Codec::Binary).unwrap();
+        let accepted = listener.accept().unwrap();
+        assert!(nodelay(accepted.as_ref()), "the accepted stream");
+        assert!(nodelay(client.writer.as_ref()), "the client's stream");
     }
 
     #[test]

@@ -177,9 +177,16 @@ impl std::error::Error for WireError {}
 pub type Result<T> = std::result::Result<T, WireError>;
 
 // ---- CRC32 (IEEE, reflected) ------------------------------------------------
+//
+// Slicing-by-8 (Kounavis & Berry, "A Systematic Approach to Building High
+// Performance Software-Based CRC Generators", ISCC 2005): table `k` maps a
+// byte to its CRC contribution when `k` more zero bytes follow it, so one
+// step folds eight input bytes with eight independent lookups instead of
+// eight dependent ones. Table 0 is the classic bytewise table; the test
+// module keeps the bytewise loop over it as the oracle.
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -192,21 +199,44 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut t = 1;
+        while t < 8 {
+            let c = tables[t - 1][i];
+            tables[t][i] = tables[0][(c & 0xFF) as usize] ^ (c >> 8);
+            t += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC32 (IEEE 802.3, the zlib polynomial) over a byte slice — the
 /// frame integrity check. Collision resistance is not the threat model;
 /// torn and bit-flipped frames are.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for b in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(b[4])]
+            ^ t[2][usize::from(b[5])]
+            ^ t[1][usize::from(b[6])]
+            ^ t[0][usize::from(b[7])];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -252,6 +282,13 @@ fn put_opt<T>(
             put(out, value)
         }
     }
+}
+
+/// The little-endian `f64` in an 8-byte chunk.
+fn f64_le(c: &[u8]) -> f64 {
+    f64::from_bits(u64::from_le_bytes([
+        c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
+    ]))
 }
 
 /// A bounds-checked cursor over one frame payload. Every accessor
@@ -360,14 +397,7 @@ impl<'a> FieldReader<'a> {
                 .checked_mul(8)
                 .ok_or_else(|| WireError::Malformed("float-vector length overflows".into()))?,
         )?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| {
-                f64::from_bits(u64::from_le_bytes([
-                    c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
-                ]))
-            })
-            .collect())
+        Ok(bytes.chunks_exact(8).map(f64_le).collect())
     }
 
     fn opt_u64(&mut self) -> Result<Option<u64>> {
@@ -407,31 +437,50 @@ impl<'a> FieldReader<'a> {
 
 // ---- frame assembly ---------------------------------------------------------
 
-/// Assembles one complete frame (length prefix + tag + payload + CRC)
-/// from a tag and payload.
-pub fn encode_frame(tag: u8, payload: &[u8]) -> Result<Vec<u8>> {
-    let body_len = 1 + payload.len() + 4;
-    let len = u32::try_from(body_len)
+/// Bytes ahead of the payload in a frame: the length prefix and the tag.
+const FRAME_HEAD: usize = 5;
+
+/// Payload bytes a hot frame starts with room for: its fixed-width
+/// fields with a short key name. A variable-size payload reserves this
+/// much on top of its variable part before writing anything.
+const SMALL_PAYLOAD: usize = 64;
+
+/// Starts an outgoing frame: placeholders for the length prefix and the
+/// tag, which [`finish_frame`] fills in once the payload is written
+/// after them, plus room for `payload_len` payload bytes and the CRC.
+/// Size hints only avoid regrowth; a short hint is never an error.
+fn start_frame(payload_len: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEAD + payload_len + 4);
+    frame.resize(FRAME_HEAD, 0);
+    frame
+}
+
+/// Completes a frame begun by [`start_frame`] whose payload is written:
+/// patches the length prefix and the tag in place and appends the CRC
+/// over `frame[4..]` (tag + payload), so the payload is never copied.
+fn finish_frame(mut frame: Vec<u8>, tag: u8) -> Result<Vec<u8>> {
+    let payload_len = frame.len() - FRAME_HEAD;
+    let len = u32::try_from(1 + payload_len + 4)
         .ok()
         .filter(|&l| l <= MAX_FRAME_LEN)
         .ok_or_else(|| {
             WireError::Unencodable(format!(
-                "payload of {} bytes exceeds the frame cap",
-                payload.len()
+                "payload of {payload_len} bytes exceeds the frame cap"
             ))
         })?;
-    let mut frame = Vec::with_capacity(4 + body_len);
-    put_u32(&mut frame, len);
-    frame.push(tag);
-    frame.extend_from_slice(payload);
-    let crc = {
-        let mut checked = Vec::with_capacity(1 + payload.len());
-        checked.push(tag);
-        checked.extend_from_slice(payload);
-        crc32(&checked)
-    };
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4] = tag;
+    let crc = crc32(&frame[4..]);
     put_u32(&mut frame, crc);
     Ok(frame)
+}
+
+/// Assembles one complete frame (length prefix + tag + payload + CRC)
+/// from a tag and payload.
+pub fn encode_frame(tag: u8, payload: &[u8]) -> Result<Vec<u8>> {
+    let mut frame = start_frame(payload.len());
+    frame.extend_from_slice(payload);
+    finish_frame(frame, tag)
 }
 
 /// Validates a frame's 4-byte length prefix and returns the body length
@@ -472,7 +521,7 @@ pub fn parse_body(body: &[u8]) -> Result<(u8, &[u8])> {
 /// payloads; every other verb rides in a [`TAG_JSON_REQUEST`] escape
 /// frame, so any session can be carried over either codec.
 pub fn encode_request_frame(request: &Request) -> Result<Vec<u8>> {
-    let mut payload = Vec::new();
+    let mut frame = start_frame(SMALL_PAYLOAD);
     let tag = match request {
         Request::Ingest {
             key,
@@ -482,16 +531,21 @@ pub fn encode_request_frame(request: &Request) -> Result<Vec<u8>> {
             counts,
             seed,
         } => {
-            put_opt(&mut payload, key, |out, v| {
+            frame.reserve(
+                SMALL_PAYLOAD
+                    + records.as_ref().map_or(0, |r| 4 * r.len())
+                    + counts.as_ref().map_or(0, |c| 8 * c.len()),
+            );
+            put_opt(&mut frame, key, |out, v| {
                 put_u64(out, *v);
                 Ok(())
             })?;
-            put_opt(&mut payload, name, |out, v| put_str(out, v))?;
-            put_opt(&mut payload, min_privacy, |out, v| {
+            put_opt(&mut frame, name, |out, v| put_str(out, v))?;
+            put_opt(&mut frame, min_privacy, |out, v| {
                 put_f64(out, *v);
                 Ok(())
             })?;
-            put_opt(&mut payload, records, |out, records| {
+            put_opt(&mut frame, records, |out, records| {
                 let count = u32::try_from(records.len()).map_err(|_| {
                     WireError::Unencodable(format!("batch of {} records", records.len()))
                 })?;
@@ -504,7 +558,7 @@ pub fn encode_request_frame(request: &Request) -> Result<Vec<u8>> {
                 }
                 Ok(())
             })?;
-            put_opt(&mut payload, counts, |out, counts| {
+            put_opt(&mut frame, counts, |out, counts| {
                 let count = u32::try_from(counts.len()).map_err(|_| {
                     WireError::Unencodable(format!("count set of {} categories", counts.len()))
                 })?;
@@ -514,7 +568,7 @@ pub fn encode_request_frame(request: &Request) -> Result<Vec<u8>> {
                 }
                 Ok(())
             })?;
-            put_opt(&mut payload, seed, |out, v| {
+            put_opt(&mut frame, seed, |out, v| {
                 put_u64(out, *v);
                 Ok(())
             })?;
@@ -525,28 +579,25 @@ pub fn encode_request_frame(request: &Request) -> Result<Vec<u8>> {
             name,
             min_privacy,
         } => {
-            put_opt(&mut payload, key, |out, v| {
+            put_opt(&mut frame, key, |out, v| {
                 put_u64(out, *v);
                 Ok(())
             })?;
-            put_opt(&mut payload, name, |out, v| put_str(out, v))?;
-            put_f64(&mut payload, *min_privacy);
+            put_opt(&mut frame, name, |out, v| put_str(out, v))?;
+            put_f64(&mut frame, *min_privacy);
             TAG_QUERY
         }
         Request::Estimate { key, name } => {
-            put_opt(&mut payload, key, |out, v| {
+            put_opt(&mut frame, key, |out, v| {
                 put_u64(out, *v);
                 Ok(())
             })?;
-            put_opt(&mut payload, name, |out, v| put_str(out, v))?;
+            put_opt(&mut frame, name, |out, v| put_str(out, v))?;
             TAG_ESTIMATE
         }
-        other => {
-            payload.extend_from_slice(protocol::encode_request(other).as_bytes());
-            TAG_JSON_REQUEST
-        }
+        other => return encode_frame(TAG_JSON_REQUEST, protocol::encode_request(other).as_bytes()),
     };
-    encode_frame(tag, &payload)
+    finish_frame(frame, tag)
 }
 
 /// Decodes one binary frame body (tag + payload, CRC already verified
@@ -635,7 +686,7 @@ fn read_estimate_dto(r: &mut FieldReader<'_>) -> Result<EstimateDto> {
 /// float→decimal→float round trip — and every other response rides in a
 /// [`TAG_JSON_RESPONSE`] escape frame.
 pub fn encode_response_frame(response: &Response) -> Result<Vec<u8>> {
-    let mut payload = Vec::new();
+    let mut frame = start_frame(SMALL_PAYLOAD);
     let tag = match response {
         Response::Ingested {
             key,
@@ -645,12 +696,12 @@ pub fn encode_response_frame(response: &Response) -> Result<Vec<u8>> {
             batches,
             privacy,
         } => {
-            put_u64(&mut payload, *key);
-            put_u64(&mut payload, *accepted);
-            put_u64(&mut payload, *retained);
-            put_u64(&mut payload, *total);
-            put_u64(&mut payload, *batches);
-            put_f64(&mut payload, *privacy);
+            put_u64(&mut frame, *key);
+            put_u64(&mut frame, *accepted);
+            put_u64(&mut frame, *retained);
+            put_u64(&mut frame, *total);
+            put_u64(&mut frame, *batches);
+            put_f64(&mut frame, *privacy);
             TAG_INGESTED
         }
         Response::Matrix {
@@ -680,21 +731,22 @@ pub fn encode_response_frame(response: &Response) -> Result<Vec<u8>> {
                     "matrix columns do not match num_categories".into(),
                 ));
             }
-            put_u64(&mut payload, *key);
-            put_f64(&mut payload, *privacy);
-            put_f64(&mut payload, *mse);
-            put_f64(&mut payload, *max_posterior);
-            put_bool(&mut payload, *degraded);
-            put_u32(&mut payload, n);
+            frame.reserve(SMALL_PAYLOAD + 8 * matrix.num_categories * matrix.num_categories);
+            put_u64(&mut frame, *key);
+            put_f64(&mut frame, *privacy);
+            put_f64(&mut frame, *mse);
+            put_f64(&mut frame, *max_posterior);
+            put_bool(&mut frame, *degraded);
+            put_u32(&mut frame, n);
             for column in &matrix.columns {
                 for &theta in column {
-                    put_f64(&mut payload, theta);
+                    put_f64(&mut frame, theta);
                 }
             }
             TAG_MATRIX
         }
         Response::Estimated { stats } => {
-            put_estimate_dto(&mut payload, stats)?;
+            put_estimate_dto(&mut frame, stats)?;
             TAG_ESTIMATED
         }
         Response::NoMatch {
@@ -702,17 +754,19 @@ pub fn encode_response_frame(response: &Response) -> Result<Vec<u8>> {
             reason,
             degraded,
         } => {
-            put_u64(&mut payload, *key);
-            put_str(&mut payload, reason)?;
-            put_bool(&mut payload, *degraded);
+            put_u64(&mut frame, *key);
+            put_str(&mut frame, reason)?;
+            put_bool(&mut frame, *degraded);
             TAG_NO_MATCH
         }
         other => {
-            payload.extend_from_slice(protocol::encode_response(other).as_bytes());
-            TAG_JSON_RESPONSE
+            return encode_frame(
+                TAG_JSON_RESPONSE,
+                protocol::encode_response(other).as_bytes(),
+            )
         }
     };
-    encode_frame(tag, &payload)
+    finish_frame(frame, tag)
 }
 
 /// Decodes one binary frame body (tag + payload, CRC already verified)
@@ -741,14 +795,9 @@ pub fn decode_response_frame(tag: u8, payload: &[u8]) -> Result<Response> {
                 )));
             }
             let n = n as usize;
-            let mut columns = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut column = Vec::with_capacity(n);
-                for _ in 0..n {
-                    column.push(r.f64()?);
-                }
-                columns.push(column);
-            }
+            // Every cell is present before any column is allocated.
+            let mut cells = r.take(8 * n * n)?.chunks_exact(8).map(f64_le);
+            let columns = (0..n).map(|_| cells.by_ref().take(n).collect()).collect();
             Response::Matrix {
                 key,
                 privacy,
@@ -786,7 +835,7 @@ pub fn decode_response_frame(tag: u8, payload: &[u8]) -> Result<Response> {
 /// and the client read frames off a stream with the session core's frame
 /// reader instead (header first, so a torn prefix is detected at the
 /// exact read that hit it) and call [`parse_header`] and [`parse_body`].
-pub fn decode_frame(frame: &[u8]) -> Result<(u8, Vec<u8>)> {
+pub fn decode_frame(frame: &[u8]) -> Result<(u8, &[u8])> {
     if frame.len() < 4 {
         return Err(WireError::Truncated {
             expected: 4,
@@ -807,8 +856,7 @@ pub fn decode_frame(frame: &[u8]) -> Result<(u8, Vec<u8>)> {
             body.len() - body_len
         )));
     }
-    let (tag, payload) = parse_body(body)?;
-    Ok((tag, payload.to_vec()))
+    parse_body(body)
 }
 
 #[cfg(test)]
@@ -818,16 +866,26 @@ mod tests {
     use proptest::prelude::*;
     use rr::schemes::warner;
 
+    /// The bytewise CRC32 loop over table 0 — the oracle the slicing-by-8
+    /// [`crc32`] must match on every input.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     fn round_trip_request(request: &Request) -> Request {
         let frame = encode_request_frame(request).expect("encodes");
         let (tag, payload) = decode_frame(&frame).expect("frame parses");
-        decode_request_frame(tag, &payload).expect("payload decodes")
+        decode_request_frame(tag, payload).expect("payload decodes")
     }
 
     fn round_trip_response(response: &Response) -> Response {
         let frame = encode_response_frame(response).expect("encodes");
         let (tag, payload) = decode_frame(&frame).expect("frame parses");
-        decode_response_frame(tag, &payload).expect("payload decodes")
+        decode_response_frame(tag, payload).expect("payload decodes")
     }
 
     #[test]
@@ -1144,18 +1202,18 @@ mod tests {
         let frame = encode_frame(0x55, &[1, 2, 3]).unwrap();
         let (tag, payload) = decode_frame(&frame).unwrap();
         assert_eq!(
-            decode_request_frame(tag, &payload),
+            decode_request_frame(tag, payload),
             Err(WireError::UnknownTag(0x55))
         );
         assert_eq!(
-            decode_response_frame(tag, &payload),
+            decode_response_frame(tag, payload),
             Err(WireError::UnknownTag(0x55))
         );
         // An option flag byte outside {0, 1} is malformed, not a panic.
         let frame = encode_frame(TAG_ESTIMATE, &[7]).unwrap();
         let (tag, payload) = decode_frame(&frame).unwrap();
         assert!(matches!(
-            decode_request_frame(tag, &payload),
+            decode_request_frame(tag, payload),
             Err(WireError::Malformed(_))
         ));
     }
@@ -1169,6 +1227,16 @@ mod tests {
 
     proptest! {
         #![proptest_config(proptest::test_runner::Config::with_cases(64))]
+
+        #[test]
+        fn sliced_crc_matches_the_bytewise_oracle(
+            bytes in proptest::collection::vec(0u8..=255, 0..=4096),
+            offset in 0usize..8,
+        ) {
+            // Unaligned starts and every remainder length mod 8.
+            let tail = &bytes[offset.min(bytes.len())..];
+            prop_assert_eq!(crc32(tail), crc32_bytewise(tail));
+        }
 
         #[test]
         fn ingest_payloads_round_trip(
@@ -1190,7 +1258,7 @@ mod tests {
             };
             let frame = encode_request_frame(&request).unwrap();
             let (tag, payload) = decode_frame(&frame).unwrap();
-            prop_assert_eq!(decode_request_frame(tag, &payload).unwrap(), request);
+            prop_assert_eq!(decode_request_frame(tag, payload).unwrap(), request);
         }
 
         #[test]
@@ -1219,7 +1287,7 @@ mod tests {
             };
             let frame = encode_response_frame(&response).unwrap();
             let (tag, payload) = decode_frame(&frame).unwrap();
-            prop_assert_eq!(decode_response_frame(tag, &payload).unwrap(), response);
+            prop_assert_eq!(decode_response_frame(tag, payload).unwrap(), response);
         }
 
         #[test]
@@ -1245,7 +1313,7 @@ mod tests {
             };
             let frame = encode_response_frame(&response).unwrap();
             let (tag, payload) = decode_frame(&frame).unwrap();
-            prop_assert_eq!(decode_response_frame(tag, &payload).unwrap(), response);
+            prop_assert_eq!(decode_response_frame(tag, payload).unwrap(), response);
         }
 
         #[test]

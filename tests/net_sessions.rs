@@ -306,7 +306,7 @@ fn torn_frames_close_one_session_and_leave_the_service_usable() {
 }
 
 #[test]
-fn corrupted_binary_frames_get_a_typed_error_and_the_session_survives() {
+fn corrupted_binary_frames_get_a_typed_error_and_the_service_survives() {
     let server = tcp_server(ServiceConfig::smoke(47), |net| net);
     let addr = server.listen_addr();
     let mut client = NetClient::connect(&addr, Codec::Binary).unwrap();
@@ -331,6 +331,8 @@ fn corrupted_binary_frames_get_a_typed_error_and_the_session_survives() {
         panic!("expected a typed transport error, got {response:?}");
     };
     assert_eq!(code, "transport");
+    let closed = client.recv().expect_err("the corrupted session is closed");
+    assert_eq!(closed.kind(), std::io::ErrorKind::UnexpectedEof);
 
     // The service is fine: a fresh session still serves.
     let mut fresh = NetClient::connect(&addr, Codec::Binary).unwrap();
