@@ -41,8 +41,9 @@
 //! #   OPTRR_SERVE_RETRY_MAX_MS  backoff delay ceiling     (default 1000)
 //! #   OPTRR_SERVE_LISTEN        network listen address    (default none: stdio)
 //! #   OPTRR_SERVE_MAX_CONNS     connection-pool bound     (default 1024)
-//! #   OPTRR_SERVE_CONN_QUEUE    per-conn response queue   (default 64)
 //! #   OPTRR_SERVE_DRAIN_MS      drain grace on shutdown   (default 5000)
+//! # removed, and fatal if set: OPTRR_SERVE_CONN_QUEUE (sessions buffer
+//! #   their own responses, 64 KiB each, with no queue to size)
 //! ```
 
 use serve::net::NetServer;

@@ -27,8 +27,9 @@
 //! | `OPTRR_SERVE_RETRY_MAX_MS` | u64 ≥ 1               | backoff delay ceiling |
 //! | `OPTRR_SERVE_LISTEN`       | `ip:port` or `unix:path` | network listen address ([`crate::net`]); absent = stdio |
 //! | `OPTRR_SERVE_MAX_CONNS`    | integer ≥ 1           | connection-pool bound |
-//! | `OPTRR_SERVE_CONN_QUEUE`   | integer ≥ 1           | per-connection response-queue depth |
 //! | `OPTRR_SERVE_DRAIN_MS`     | u64                   | drain grace before force-closing sessions |
+//!
+//! The removed `OPTRR_SERVE_CONN_QUEUE` is fatal with any value.
 
 use crate::net::{ListenAddr, NetConfig};
 use crate::service::ServiceConfig;
@@ -208,8 +209,12 @@ pub fn parse_listen(text: &str) -> Result<ListenAddr, String> {
 /// Builds the network front door's [`NetConfig`] from the environment.
 /// `Ok(None)` when `OPTRR_SERVE_LISTEN` is unset (the binary serves
 /// stdio); any malformed `OPTRR_SERVE_*` network variable is a startup
-/// error, same as the service knobs.
+/// error, same as the service knobs; a removed one is fatal even on stdio.
 pub fn net_config_from_env() -> Result<Option<NetConfig>, EnvError> {
+    if std::env::var_os("OPTRR_SERVE_CONN_QUEUE").is_some() {
+        let reason = "was removed: sessions buffer their own responses, with no queue to size";
+        return Err(reject("OPTRR_SERVE_CONN_QUEUE", reason.into()));
+    }
     let Some(listen) = env_nonempty("OPTRR_SERVE_LISTEN")? else {
         return Ok(None);
     };
@@ -217,9 +222,6 @@ pub fn net_config_from_env() -> Result<Option<NetConfig>, EnvError> {
     let mut config = NetConfig::new(listen);
     if let Some(max_conns) = env_usize("OPTRR_SERVE_MAX_CONNS", 1)? {
         config.max_conns = max_conns;
-    }
-    if let Some(conn_queue) = env_usize("OPTRR_SERVE_CONN_QUEUE", 1)? {
-        config.conn_queue = conn_queue;
     }
     if let Some(drain_ms) = env_u64("OPTRR_SERVE_DRAIN_MS", 0)? {
         config.drain_ms = drain_ms;
@@ -336,7 +338,6 @@ mod tests {
         assert_eq!(net_config_from_env(), Ok(None), "no listen means stdio");
         std::env::set_var("OPTRR_SERVE_LISTEN", "127.0.0.1:7171");
         std::env::set_var("OPTRR_SERVE_MAX_CONNS", "512");
-        std::env::set_var("OPTRR_SERVE_CONN_QUEUE", "8");
         std::env::set_var("OPTRR_SERVE_DRAIN_MS", "250");
         let net = net_config_from_env()
             .expect("all network values valid")
@@ -346,7 +347,6 @@ mod tests {
             ListenAddr::Tcp("127.0.0.1:7171".parse().unwrap())
         );
         assert_eq!(net.max_conns, 512);
-        assert_eq!(net.conn_queue, 8);
         assert_eq!(net.drain_ms, 250);
         std::env::set_var("OPTRR_SERVE_LISTEN", "unix:/tmp/optrr.sock");
         let net = net_config_from_env().unwrap().unwrap();
@@ -360,7 +360,6 @@ mod tests {
             ("OPTRR_SERVE_LISTEN", "   "),
             ("OPTRR_SERVE_MAX_CONNS", "0"),
             ("OPTRR_SERVE_MAX_CONNS", "plenty"),
-            ("OPTRR_SERVE_CONN_QUEUE", "0"),
             ("OPTRR_SERVE_DRAIN_MS", "-1"),
         ] {
             std::env::set_var(name, bad);
@@ -373,10 +372,24 @@ mod tests {
             }
         }
 
+        // A removed variable is fatal with any value, even on stdio.
+        for listen in [Some("127.0.0.1:7171"), None] {
+            match listen {
+                Some(addr) => std::env::set_var("OPTRR_SERVE_LISTEN", addr),
+                None => std::env::remove_var("OPTRR_SERVE_LISTEN"),
+            }
+            for value in ["64", "1", ""] {
+                std::env::set_var("OPTRR_SERVE_CONN_QUEUE", value);
+                let error = net_config_from_env().expect_err("a removed variable is fatal");
+                assert_eq!(error.name, "OPTRR_SERVE_CONN_QUEUE");
+                assert!(error.reason.contains("removed"), "{error}");
+            }
+            std::env::remove_var("OPTRR_SERVE_CONN_QUEUE");
+        }
+
         for name in [
             "OPTRR_SERVE_LISTEN",
             "OPTRR_SERVE_MAX_CONNS",
-            "OPTRR_SERVE_CONN_QUEUE",
             "OPTRR_SERVE_DRAIN_MS",
             "OPTRR_SERVE_DRIFT",
             "OPTRR_SERVE_WORKERS",

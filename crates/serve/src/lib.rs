@@ -65,11 +65,12 @@
 //!   defaulting).
 //! * [`net`] — the network front door: TCP + Unix-domain socket sessions
 //!   over one shared [`Service`] — a bounded connection pool fed by a
-//!   nonblocking accept loop, per-connection reader/writer threads with a
-//!   bounded response queue (pipelining in request order, backpressure
-//!   against slow readers), codec negotiation by connection preamble, and
-//!   graceful drain on `Shutdown`. A torn frame closes its own session
-//!   with a typed `transport` error and never touches shared state.
+//!   nonblocking accept loop, one thread per connection writing through a
+//!   bounded response buffer that is flushed before each socket read
+//!   (pipelining in request order, backpressure against slow readers),
+//!   codec negotiation by connection preamble, and graceful drain on
+//!   `Shutdown`. A torn frame closes its own session with a typed
+//!   `transport` error and never touches shared state.
 //! * [`wire`] — `OPTRR-WIRE v1`, the length-prefixed binary frame codec
 //!   (u32 length · verb tag · CRC32) for the hot verbs:
 //!   column-major matrices and raw-record ingest batches cross the wire

@@ -4,18 +4,20 @@
 //! [`NetServer::start`] binds a listener ([`ListenAddr::Tcp`] or
 //! [`ListenAddr::Unix`]) and runs an accept loop feeding a bounded
 //! connection pool (`max_conns`; excess connections wait in the OS
-//! backlog). Each accepted connection gets a session thread that runs the
-//! session core (the one request loop stdio runs too: decode one request,
-//! handle, respond in order, with one framing rule for every transport)
-//! plus a writer thread behind a bounded queue (`conn_queue`). This
-//! module keeps only what belongs to sockets:
+//! backlog). Each accepted connection gets one session thread that runs
+//! the session core (the one request loop stdio runs too: decode one
+//! request, handle, respond in order, with one framing rule for every
+//! transport). This module keeps only what belongs to sockets:
 //!
 //! * **Pipelining** — a client may send many requests without reading;
-//!   responses are written strictly in request order per connection
-//!   (one FIFO queue per session).
+//!   responses are written strictly in request order, into one 64 KiB
+//!   buffer per connection that is flushed right before each read of the
+//!   socket. A session reads the socket only once it has answered every
+//!   request it holds, so the replies to requests that arrived together
+//!   leave in one `write`, and no reply waits while the session waits.
 //! * **Backpressure** — a client that stops reading fills the kernel
-//!   buffer, then the bounded write queue, then blocks the session's
-//!   reader: the server never buffers unboundedly for a slow consumer.
+//!   buffers, then the response buffer, then blocks the session in
+//!   `write`: the server never buffers unboundedly for a slow consumer.
 //! * **Codec negotiation** — the connection's first byte selects the
 //!   codec ([`wire::PREAMBLE`] → `OPTRR-WIRE v1` binary frames;
 //!   anything else begins the first framed-JSON line). Both codecs
@@ -28,14 +30,14 @@
 //!   RFC 896, holds back a short segment until the previous one is
 //!   acknowledged; RFC 1122 delays that ACK by up to ~40 ms).
 //! * **Graceful drain** — any session's `Shutdown` request (before its
-//!   `Bye` is queued) puts the whole server into drain: the accept loop
-//!   stops, idle sessions close after flushing their write queues, and
+//!   `Bye` is buffered) puts the whole server into drain: the accept
+//!   loop stops, idle sessions flush their responses and close, and
 //!   [`NetServer::wait`] force-closes stragglers only after
 //!   `drain_ms`.
 //!
 //! A torn frame — truncated length prefix, half-written JSON line,
-//! oversized frame, checksum mismatch, abrupt disconnect — closes *that*
-//! session with a typed
+//! oversized frame, checksum mismatch, abrupt disconnect, failed write —
+//! closes *that* session with a typed
 //! [`ServeError::Transport`](crate::ServeError::Transport) (counted in
 //! `serve_net_conn_errors_total`, answered best-effort with a
 //! `code: "transport"` error response) and leaves the shared service
@@ -49,15 +51,15 @@ use crate::service::Service;
 use crate::session::{self, invalid_data, is_poll_timeout, SessionEnd};
 use crate::telemetry::ServeObs;
 use crate::wire::{self, Codec};
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::Receiver;
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -65,10 +67,13 @@ use std::time::{Duration, Instant};
 /// and the accept loop observe a drain within roughly this interval.
 const POLL_MS: u64 = 25;
 
-/// Stack size for session and writer threads: sessions are I/O loops
-/// with small frames on the stack, so the default 8 MiB per thread
-/// would waste address space across hundreds of connections.
+/// Stack size for session threads: sessions are I/O loops with small
+/// frames on the stack, so the default 8 MiB per thread would waste
+/// address space across hundreds of connections.
 const SESSION_STACK: usize = 512 * 1024;
+
+/// Capacity of a session's response buffer (see the module doc).
+const RESPONSE_BUFFER: usize = 64 * 1024;
 
 /// Where the server listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,8 +95,7 @@ impl std::fmt::Display for ListenAddr {
 }
 
 /// Configuration of the network front door (see `serve::env` for the
-/// `OPTRR_SERVE_LISTEN` / `MAX_CONNS` / `CONN_QUEUE` / `DRAIN_MS`
-/// environment knobs).
+/// `OPTRR_SERVE_LISTEN` / `MAX_CONNS` / `DRAIN_MS` environment knobs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetConfig {
     /// The listen address.
@@ -99,9 +103,6 @@ pub struct NetConfig {
     /// Bound on concurrently served connections; excess connections
     /// wait in the OS accept backlog until a slot frees.
     pub max_conns: usize,
-    /// Bound on each connection's queued-but-unwritten responses (the
-    /// backpressure depth, in responses).
-    pub conn_queue: usize,
     /// How long [`NetServer::wait`] lets in-flight sessions flush after
     /// drain is requested before force-closing their sockets.
     pub drain_ms: u64,
@@ -109,12 +110,11 @@ pub struct NetConfig {
 
 impl NetConfig {
     /// A configuration with the default pool bounds: 1024 connections,
-    /// 64 queued responses per connection, 5-second drain grace.
+    /// 5-second drain grace.
     pub fn new(listen: ListenAddr) -> Self {
         Self {
             listen,
             max_conns: 1024,
-            conn_queue: 64,
             drain_ms: 5_000,
         }
     }
@@ -125,7 +125,7 @@ impl NetConfig {
 /// these operations; the session code is transport-agnostic.
 trait SessionStream: Read + Write + Send + AsFd {
     /// An independently owned handle to the same socket (for the
-    /// writer thread and the force-close registry).
+    /// response buffer and the force-close registry).
     fn try_clone_stream(&self) -> io::Result<Box<dyn SessionStream>>;
     /// Makes reads blocking but bounded by [`POLL_MS`], so sessions can
     /// poll the drain flag (accepted sockets inherit the listener's
@@ -415,53 +415,61 @@ fn spawn_session(shared: &Arc<NetShared>, stream: Box<dyn SessionStream>) {
 }
 
 fn run_session(shared: &Arc<NetShared>, stream: Box<dyn SessionStream>, conn_id: u64) {
-    let mut reader = BufReader::new(stream);
+    let Ok(out) = stream.try_clone_stream() else {
+        return;
+    };
+    let out = RefCell::new(BufWriter::with_capacity(RESPONSE_BUFFER, out));
+    let mut reader = BufReader::new(FlushBeforeRead {
+        inner: stream,
+        out: &out,
+    });
     let Ok(codec) = negotiate_codec(&mut reader, shared) else {
         // The connection failed before its first byte: nobody to answer.
         shared.obs().count_net_conn_error();
         return;
     };
-    let Ok(writer_stream) = reader.get_ref().try_clone_stream() else {
-        return;
-    };
-    let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(shared.config.conn_queue);
-    let writer = thread::Builder::new()
-        .name(format!("optrr-net-write-{conn_id}"))
-        .stack_size(SESSION_STACK)
-        .spawn(move || writer_loop(rx, writer_stream));
-    let Ok(writer) = writer else { return };
-
     let end = session::run_session(
         &shared.service,
         &mut reader,
         codec,
         conn_id,
         &shared.draining,
-        &mut |bytes| {
-            // A failed send means the writer died (the client stopped
-            // reading and went away).
-            tx.send(bytes)
-                .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "the writer closed"))
-        },
+        &mut |bytes| out.borrow_mut().write_all(&bytes),
     );
-    if let SessionEnd::Dropped(_) = end {
-        // The injected disconnect hangs up before anything else is
-        // written.
-        let _ = reader.get_ref().shutdown_stream(Shutdown::Both);
+    drop(reader);
+    let mut out = out.into_inner();
+    if !matches!(end, SessionEnd::Dropped(_)) {
+        let _ = out.flush();
     }
-    drop(tx);
-    let _ = writer.join();
-    // Closing our half unblocks a client still waiting on reads.
-    let _ = reader.get_ref().shutdown_stream(Shutdown::Both);
+    // The injected disconnect hangs up without writing what is still
+    // buffered; closing our half also unblocks a client waiting on reads.
+    let (stream, _unwritten) = out.into_parts();
+    let _ = stream.shutdown_stream(Shutdown::Both);
+}
+
+/// A socket as its session's `BufReader` sees it: each read first
+/// flushes the buffered responses (see the module doc). `BufReader`
+/// reads only once its request bytes are used up. A failed flush fails
+/// the read, which ends the session as a torn transport.
+struct FlushBeforeRead<'a, R, W> {
+    inner: R,
+    out: &'a RefCell<W>,
+}
+
+impl<R: Read, W: Write> Read for FlushBeforeRead<'_, R, W> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.out
+            .borrow_mut()
+            .flush()
+            .map_err(|e| io::Error::new(e.kind(), format!("writing responses: {e}")))?;
+        self.inner.read(buf)
+    }
 }
 
 /// Peeks at the connection's first byte to select the codec. A
 /// connection that closes or drains before sending anything is left to
 /// the session core, whose first read ends it the same way.
-fn negotiate_codec(
-    reader: &mut BufReader<Box<dyn SessionStream>>,
-    shared: &Arc<NetShared>,
-) -> io::Result<Codec> {
+fn negotiate_codec(reader: &mut impl BufRead, shared: &Arc<NetShared>) -> io::Result<Codec> {
     loop {
         match reader.fill_buf() {
             Ok([wire::PREAMBLE, ..]) => {
@@ -473,30 +481,6 @@ fn negotiate_codec(
             Err(e) if !is_poll_timeout(&e) => return Err(e),
             Err(_) if shared.draining() => return Ok(Codec::Json),
             Err(_) => {}
-        }
-    }
-}
-
-fn writer_loop(rx: Receiver<Vec<u8>>, mut stream: Box<dyn SessionStream>) {
-    loop {
-        let Ok(mut pending) = rx.recv() else {
-            // Session over: everything queued was written.
-            let _ = stream.flush();
-            return;
-        };
-        loop {
-            if stream.write_all(&pending).is_err() {
-                // Dropping the receiver makes the session's next send
-                // fail, ending it with a typed transport error.
-                return;
-            }
-            match rx.try_recv() {
-                Ok(next) => pending = next,
-                Err(_) => break,
-            }
-        }
-        if stream.flush().is_err() {
-            return;
         }
     }
 }
@@ -626,7 +610,6 @@ mod tests {
     fn net_config_defaults_are_bounded() {
         let config = NetConfig::new(ListenAddr::Tcp("127.0.0.1:0".parse().unwrap()));
         assert_eq!(config.max_conns, 1024);
-        assert_eq!(config.conn_queue, 64);
         assert_eq!(config.drain_ms, 5_000);
     }
 
@@ -670,6 +653,92 @@ mod tests {
         let accepted = listener.accept().unwrap();
         assert!(nodelay(accepted.as_ref()), "the accepted stream");
         assert!(nodelay(client.writer.as_ref()), "the client's stream");
+    }
+
+    /// A socket's read side that hands out one chunk per read, then EOF.
+    struct Chunks(std::collections::VecDeque<&'static [u8]>);
+
+    impl Read for Chunks {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(chunk) = self.0.pop_front() else {
+                return Ok(0);
+            };
+            buf[..chunk.len()].copy_from_slice(chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    /// A socket's write side that records every `write` it takes, or
+    /// fails each one once `broken`.
+    struct Writes {
+        calls: Vec<Vec<u8>>,
+        broken: bool,
+    }
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.broken {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            self.calls.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Runs the session core over `chunks` the way a socket session does:
+    /// responses buffered, flushed before each read of the socket.
+    fn buffered_session(chunks: &[&'static [u8]], broken: bool) -> (SessionEnd, Writes) {
+        let service = Arc::new(Service::new(ServiceConfig::smoke(13)));
+        let writes = Writes {
+            calls: Vec::new(),
+            broken,
+        };
+        let out = RefCell::new(BufWriter::with_capacity(RESPONSE_BUFFER, writes));
+        let inner = Chunks(chunks.iter().copied().collect());
+        let mut reader = BufReader::new(FlushBeforeRead { inner, out: &out });
+        let draining = AtomicBool::new(false);
+        let end =
+            session::run_session(&service, &mut reader, Codec::Json, 0, &draining, &mut |b| {
+                out.borrow_mut().write_all(&b)
+            });
+        drop(reader);
+        let (writes, unwritten) = out.into_inner().into_parts();
+        assert!(
+            broken || unwritten.unwrap().is_empty(),
+            "EOF flushed it all"
+        );
+        (end, writes)
+    }
+
+    #[test]
+    fn responses_leave_together_right_before_the_socket_is_read() {
+        const STATS: &[u8] = b"{\"Stats\":{}}\n";
+        // Three requests in one read: their replies leave in one write,
+        // made before the read that finds EOF.
+        let (end, writes) = buffered_session(
+            &[b"{\"Stats\":{}}\n{\"Stats\":{}}\n{\"Stats\":{}}\n"],
+            false,
+        );
+        assert!(matches!(end, SessionEnd::Clean), "{end:?}");
+        assert_eq!(writes.calls.len(), 1);
+        assert_eq!(writes.calls[0].iter().filter(|&&b| b == b'\n').count(), 3);
+
+        // One request per read: each reply leaves before the next read.
+        let (end, writes) = buffered_session(&[STATS, STATS, STATS], false);
+        assert!(matches!(end, SessionEnd::Clean), "{end:?}");
+        assert_eq!(writes.calls.len(), 3);
+        assert!(writes.calls.iter().all(|call| call.ends_with(b"}\n")));
+
+        // A failed flush ends the session as a torn transport.
+        let (end, _) = buffered_session(&[STATS, STATS], true);
+        let SessionEnd::Torn(crate::ServeError::Transport(reason)) = end else {
+            panic!("expected a torn session, got {end:?}");
+        };
+        assert!(reason.contains("writing responses"), "{reason}");
     }
 
     #[test]

@@ -959,4 +959,26 @@ mod tests {
         assert!(decode_request("not json").is_err());
         assert!(decode_request(r#"{"Unknown":{}}"#).is_err());
     }
+
+    #[test]
+    fn a_line_with_a_one_mib_name_decodes_in_linear_time() {
+        // A client controls string lengths up to the frame cap; decoding
+        // must stay one pass over the line (a quadratic string parser
+        // spent minutes here).
+        let name = "tenant-ü-".repeat((1 << 20) / 10);
+        let request = Request::Register {
+            name: Some(name),
+            prior: vec![0.4, 0.3, 0.2, 0.1],
+            delta: 0.8,
+            slots: None,
+            lazy: None,
+        };
+        let line = encode_request(&request);
+        assert!(line.len() > 1 << 20);
+        let start = std::time::Instant::now();
+        let back = decode_request(&line).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(back, request);
+        assert!(elapsed.as_secs() < 5, "decoding took {elapsed:?}");
+    }
 }

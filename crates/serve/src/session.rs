@@ -75,7 +75,8 @@ pub(crate) fn run_session<R: BufRead>(
     emit: &mut dyn FnMut(Vec<u8>) -> io::Result<()>,
 ) -> SessionEnd {
     let obs = service.obs();
-    // Response bytes are counted once the transport accepts them.
+    // Response bytes are counted once the transport accepts them: when a
+    // socket session has buffered them, not when they reach the socket.
     let mut emit = |bytes: Vec<u8>| {
         let len = bytes.len() as u64;
         emit(bytes).map(|()| obs.add_net_bytes_out(len))

@@ -189,34 +189,84 @@ fn pipelined_requests_come_back_in_request_order() {
 }
 
 #[test]
-fn a_one_slot_write_queue_still_serves_deep_pipelines() {
-    // conn_queue=1 forces the session's reader to block on the writer for
-    // every response: the backpressure path is exercised on each frame,
-    // and correctness (order, completeness) must be unaffected.
-    let server = tcp_server(ServiceConfig::smoke(44), |mut net| {
-        net.conn_queue = 1;
-        net
-    });
-    let addr = server.listen_addr();
-    let mut client = NetClient::connect(&addr, Codec::Binary).unwrap();
-    assert!(matches!(
-        client.request(&register_request("bp")).unwrap(),
-        Response::Registered { .. }
-    ));
-    let depth = 32;
-    for i in 1..=depth {
-        client
-            .send(&ingest_request("bp", vec![i % PRIOR.len(); i], i as u64))
+fn replies_larger_than_the_socket_buffers_come_back_in_order() {
+    // Binary `BestForPrivacy` requests for a 64-category key: each request
+    // frame is a few dozen bytes, each reply a ~32 KiB matrix. The client
+    // sends the whole pipeline before reading one reply, so the session
+    // blocks in `write` on full socket buffers while requests are still
+    // queued behind it, and no reply may be lost, reordered or deadlocked.
+    // The pipeline goes out in one write: on a Unix socket every write
+    // holds a kernel buffer of its own, so hundreds of tiny writes would
+    // fill the send buffer long before their bytes do.
+    let categories = 64;
+    let weights: Vec<f64> = (1..=categories).map(|i| 1.0 + (i % 7) as f64).collect();
+    let total: f64 = weights.iter().sum();
+    let prior: Vec<f64> = weights.iter().map(|w| w / total).collect();
+    let query = |floor: f64| Request::BestForPrivacy {
+        key: None,
+        name: Some("wide".into()),
+        min_privacy: floor,
+    };
+    let floors = [0.1, 0.5, 0.9];
+    let depth = 384;
+
+    let dir = temp_dir("wide");
+    let unix = NetServer::start(
+        Arc::new(Service::new(ServiceConfig::tiny(44))),
+        NetConfig::new(ListenAddr::Unix(dir.join("wide.sock"))),
+    )
+    .unwrap();
+    for server in [tcp_server(ServiceConfig::tiny(44), |net| net), unix] {
+        let mut client = NetClient::connect(&server.listen_addr(), Codec::Binary).unwrap();
+        let registered = client
+            .request(&Request::Register {
+                name: Some("wide".into()),
+                prior: prior.clone(),
+                delta: DELTA,
+                slots: Some(64),
+                lazy: None,
+            })
             .unwrap();
+        assert!(matches!(registered, Response::Registered { .. }));
+        // Each floor's reply, asked one at a time; neighbours differ, so
+        // a reordered reply cannot pass for the right one.
+        let expected: Vec<Response> = floors
+            .iter()
+            .map(|&f| client.request(&query(f)).unwrap())
+            .collect();
+        for (a, b) in expected.iter().zip(expected.iter().cycle().skip(1)) {
+            assert!(matches!(a, Response::Matrix { .. }), "{a:?}");
+            assert_ne!(a, b, "distinct floors must get distinct matrices");
+        }
+
+        let mut pipeline = Vec::new();
+        let mut replied = 0;
+        for i in 0..depth {
+            let k = i % floors.len();
+            pipeline.extend(serve::wire::encode_request_frame(&query(floors[k])).unwrap());
+            replied += serve::wire::encode_response_frame(&expected[k])
+                .unwrap()
+                .len();
+        }
+        let sent = pipeline.len();
+        assert!(
+            sent < 16 << 10,
+            "{sent} request bytes fit the socket buffers"
+        );
+        assert!(replied > 4 << 20, "{replied} reply bytes overflow them");
+
+        client.send_raw(&pipeline).unwrap();
+        for i in 0..depth {
+            let reply = client.recv().unwrap();
+            assert!(
+                reply == expected[i % floors.len()],
+                "reply {i} is out of order"
+            );
+        }
+        server.request_drain();
+        server.wait();
     }
-    for i in 1..=depth {
-        let Response::Ingested { accepted, .. } = client.recv().unwrap() else {
-            panic!("expected Ingested");
-        };
-        assert_eq!(accepted, i as u64);
-    }
-    server.request_drain();
-    server.wait();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
