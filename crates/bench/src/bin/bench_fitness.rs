@@ -6,20 +6,20 @@
 //! carries over between generations and the rest are fresh offspring. Each
 //! generation is fitness-assigned four ways — from scratch
 //! ([`emoo::assign_fitness`]), and through a persistent
-//! [`emoo::FitnessKernel`] in serial, forced-parallel, and calibrated
-//! (production-default) configurations — with the results asserted bitwise
-//! equal before the timings are trusted. The first generations of every
-//! series are untimed warm-up, and speedups compare medians, not means.
+//! [`emoo::FitnessKernel`] in serial, forced-parallel, and default
+//! ([`FitnessKernel::new`]) configurations — with the results asserted
+//! bitwise equal before the timings are trusted. The first generations of
+//! every series are untimed warm-up, and speedups compare medians, not
+//! means.
 //!
-//! The calibrated series is the one the engines actually run:
-//! [`FitnessKernel::new`] reads the threshold installed by
-//! [`optrr::tuning`] (startup probe, or the `OPTRR_TUNE` override) and
-//! switches between the serial and parallel fill per generation. The run
-//! asserts that this chosen path is never more than 10% slower (p50) than
-//! the better of the two fixed paths at any benched `n` — the guard
-//! against the old regression where the reported "parallel" series forced
-//! the fan-out at sizes it could not pay for. Results land in
-//! `BENCH_fitness.json` at the workspace root.
+//! The default series is the one the engines actually run:
+//! [`FitnessKernel::new`] switches between the serial and parallel fill
+//! per generation at [`emoo::kernel::DEFAULT_PARALLEL_MIN_PAIRS`] fresh
+//! pairs. The run asserts that this chosen path is never more than 10%
+//! slower (p50) than the better of the two fixed paths at any benched `n`
+//! — the guard against the old regression where the reported "parallel"
+//! series forced the fan-out at sizes it could not pay for. Results land
+//! in `BENCH_fitness.json` at the workspace root.
 //!
 //! Usage: `cargo run -p optrr-bench --release --bin bench_fitness
 //!  [-- --generations G --survival-percent P | --smoke]`
@@ -63,8 +63,6 @@ struct FitnessBaseline {
     generations: usize,
     warmup_generations: usize,
     survival: f64,
-    /// The kernel threshold the calibrated series ran with.
-    calibrated_min_pairs: usize,
     entries: Vec<Entry>,
     speedup_incremental: Vec<SpeedupEntry>,
 }
@@ -74,9 +72,9 @@ struct SpeedupEntry {
     n: usize,
     /// Scratch p50 over serial-kernel p50.
     scratch_over_incremental: f64,
-    /// Scratch p50 over the calibrated (production-default) kernel p50 —
+    /// Scratch p50 over the default ([`FitnessKernel::new`]) kernel p50 —
     /// the path the engines actually take.
-    scratch_over_incremental_parallel: f64,
+    scratch_over_incremental_default: f64,
     /// Scratch p50 over the forced-parallel (threshold 0) kernel p50, the
     /// diagnostic that documents why the threshold exists.
     scratch_over_forced_parallel: f64,
@@ -145,14 +143,6 @@ fn main() {
     let density_k = 1usize;
     let sizes = [50usize, 100, 200];
 
-    // Install the startup-calibrated kernel threshold (or the OPTRR_TUNE
-    // override) before any FitnessKernel::new() below reads it.
-    let tuning = optrr::tuning();
-    println!(
-        "tuning: kernel_min_pairs={} batch_min_work={} calibrated={}",
-        tuning.kernel_min_pairs, tuning.batch_min_work, tuning.calibrated
-    );
-
     let mut entries = Vec::new();
     let mut speedups = Vec::new();
     for &n in &sizes {
@@ -175,8 +165,10 @@ fn main() {
 
         // Incremental: one kernel persists across each series. Serial
         // never crosses the parallel threshold, forced always does, and
-        // the calibrated kernel (the engines' configuration) decides per
-        // generation from the installed threshold.
+        // the default kernel (the engines' configuration) decides per
+        // generation. Forced-parallel runs last: right after its fan-outs
+        // a serial series measures slower, which biased the gate below
+        // against whichever series came next.
         let timed_kernel = |mut kernel: FitnessKernel| {
             run_series(
                 n,
@@ -195,8 +187,8 @@ fn main() {
         let serial = summarize_ns(&timed_kernel(FitnessKernel::with_parallel_threshold(
             usize::MAX,
         )));
+        let default = summarize_ns(&timed_kernel(FitnessKernel::new()));
         let forced = summarize_ns(&timed_kernel(FitnessKernel::with_parallel_threshold(0)));
-        let calibrated = summarize_ns(&timed_kernel(FitnessKernel::new()));
         let scratch = summarize_ns(&scratch);
 
         // The production path must track the better fixed path: >10%
@@ -204,26 +196,26 @@ fn main() {
         // this guard exists for.
         let best_fixed = serial.p50_ns.min(forced.p50_ns);
         assert!(
-            calibrated.p50_ns as f64 <= best_fixed as f64 * 1.10,
-            "calibrated kernel path is >10% slower than the best fixed path at n={n}: \
-             calibrated p50 {} ns vs best fixed p50 {} ns (serial {}, forced-parallel {})",
-            calibrated.p50_ns,
+            default.p50_ns as f64 <= best_fixed as f64 * 1.10,
+            "default kernel path is >10% slower than the best fixed path at n={n}: \
+             default p50 {} ns vs best fixed p50 {} ns (serial {}, forced-parallel {})",
+            default.p50_ns,
             best_fixed,
             serial.p50_ns,
             forced.p50_ns,
         );
 
         let speedup = scratch.p50_ns as f64 / serial.p50_ns.max(1) as f64;
-        let speedup_calibrated = scratch.p50_ns as f64 / calibrated.p50_ns.max(1) as f64;
+        let speedup_default = scratch.p50_ns as f64 / default.p50_ns.max(1) as f64;
         let speedup_forced = scratch.p50_ns as f64 / forced.p50_ns.max(1) as f64;
         println!(
-            "n={n:<4} survivors={survivors:<4} scratch {:>9} ns  serial {:>9} ns ({speedup:.2}x)  calibrated {:>9} ns ({speedup_calibrated:.2}x)  forced-parallel {:>9} ns ({speedup_forced:.2}x)",
-            scratch.p50_ns, serial.p50_ns, calibrated.p50_ns, forced.p50_ns
+            "n={n:<4} survivors={survivors:<4} scratch {:>9} ns  serial {:>9} ns ({speedup:.2}x)  default {:>9} ns ({speedup_default:.2}x)  forced-parallel {:>9} ns ({speedup_forced:.2}x)",
+            scratch.p50_ns, serial.p50_ns, default.p50_ns, forced.p50_ns
         );
         speedups.push(SpeedupEntry {
             n,
             scratch_over_incremental: speedup,
-            scratch_over_incremental_parallel: speedup_calibrated,
+            scratch_over_incremental_default: speedup_default,
             scratch_over_forced_parallel: speedup_forced,
         });
         entries.push(Entry::new(format!("fitness_scratch/n{n}"), scratch));
@@ -232,8 +224,8 @@ fn main() {
             serial,
         ));
         entries.push(Entry::new(
-            format!("fitness_incremental_parallel/n{n}"),
-            calibrated,
+            format!("fitness_incremental_default/n{n}"),
+            default,
         ));
         entries.push(Entry::new(
             format!("fitness_incremental_forced_parallel/n{n}"),
@@ -249,7 +241,6 @@ fn main() {
         generations,
         warmup_generations: warmup,
         survival: survival_percent as f64 / 100.0,
-        calibrated_min_pairs: emoo::kernel::default_parallel_min_pairs(),
         entries,
         speedup_incremental: speedups,
     };

@@ -1,6 +1,6 @@
 //! Microbenchmark of the hot-path kernels: alias-table disguise sampling,
 //! blocked matrix multiply, slice-based LU, and the fitness-kernel fill at
-//! the calibrated parallel threshold.
+//! the default parallel threshold.
 //!
 //! Every optimized kernel is timed against the reference implementation it
 //! replaced (`rr::disguise_dataset_reference`, `linalg::reference`), with
@@ -63,20 +63,13 @@ struct KernelFillRow {
     fresh_pairs: usize,
     serial: TimingSummary,
     parallel: TimingSummary,
-    calibrated: TimingSummary,
+    /// [`FitnessKernel::new`]: the threshold the engines run with.
+    default: TimingSummary,
     serial_over_parallel: f64,
 }
 
 #[derive(Serialize)]
-struct TuningRow {
-    kernel_min_pairs: usize,
-    batch_min_work: usize,
-    calibrated: bool,
-}
-
-#[derive(Serialize)]
 struct KernelsBaseline {
-    tuning: TuningRow,
     sampler: Vec<SamplerRow>,
     disguise: Vec<DisguiseRow>,
     matmul: Vec<LinalgRow>,
@@ -221,7 +214,7 @@ fn lu_series(n: usize, warmup: usize, iters: usize) -> LinalgRow {
 }
 
 /// Times one full fresh fitness-kernel fill (every pair fresh) for a
-/// population, in the serial, forced-parallel, and calibrated kernel
+/// population, in the serial, forced-parallel, and default kernel
 /// configurations.
 fn kernel_fill_series(population: usize, warmup: usize, iters: usize) -> KernelFillRow {
     let mut rng = StdRng::seed_from_u64(23);
@@ -246,14 +239,14 @@ fn kernel_fill_series(population: usize, warmup: usize, iters: usize) -> KernelF
     };
     let serial = timed(Some(usize::MAX));
     let parallel = timed(Some(0));
-    let calibrated = timed(None);
+    let default = timed(None);
     KernelFillRow {
         population,
         fresh_pairs: population * (population - 1) / 2,
         serial_over_parallel: ratio(serial.p50_ns, parallel.p50_ns),
         serial,
         parallel,
-        calibrated,
+        default,
     }
 }
 
@@ -327,10 +320,10 @@ fn report() {
     if let Some(fitness) = load("BENCH_fitness.json") {
         for row in rows(&fitness, "speedup_incremental") {
             println!(
-                "perf-delta: fitness n={} scratch-over-incremental {:.2}x, over-calibrated {:.2}x",
+                "perf-delta: fitness n={} scratch-over-incremental {:.2}x, over-default {:.2}x",
                 int(&row, "n"),
                 num(&row, "scratch_over_incremental"),
-                num(&row, "scratch_over_incremental_parallel"),
+                num(&row, "scratch_over_incremental_default"),
             );
         }
     }
@@ -347,14 +340,6 @@ fn main() {
     let linalg_iters = if smoke { 4 } else { 30 };
     let fill_iters = if smoke { 3 } else { 15 };
     let fill_populations: &[usize] = if smoke { &[64] } else { &[128, 512] };
-
-    // Install the calibrated (or OPTRR_TUNE) thresholds before the
-    // calibrated kernel series reads them.
-    let tuning = optrr::tuning();
-    println!(
-        "tuning: kernel_min_pairs={} batch_min_work={} calibrated={}",
-        tuning.kernel_min_pairs, tuning.batch_min_work, tuning.calibrated
-    );
 
     let sampler: Vec<SamplerRow> = [4usize, 16, 64, 256]
         .iter()
@@ -417,8 +402,8 @@ fn main() {
         .map(|&population| {
             let row = kernel_fill_series(population, warmup, fill_iters);
             println!(
-                "fill       p={population:<4} serial {:>8} ns  parallel {:>8} ns  calibrated {:>8} ns (pairs={})",
-                row.serial.p50_ns, row.parallel.p50_ns, row.calibrated.p50_ns, row.fresh_pairs
+                "fill       p={population:<4} serial {:>8} ns  parallel {:>8} ns  default {:>8} ns (pairs={})",
+                row.serial.p50_ns, row.parallel.p50_ns, row.default.p50_ns, row.fresh_pairs
             );
             row
         })
@@ -429,11 +414,6 @@ fn main() {
         return;
     }
     let baseline = KernelsBaseline {
-        tuning: TuningRow {
-            kernel_min_pairs: tuning.kernel_min_pairs,
-            batch_min_work: tuning.batch_min_work,
-            calibrated: tuning.calibrated,
-        },
         sampler,
         disguise,
         matmul,

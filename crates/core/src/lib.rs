@@ -33,8 +33,7 @@
 //! * [`front`] — Pareto fronts in the paper's (privacy, MSE) convention
 //!   and their quantitative comparison.
 //! * [`search_space`] — Fact 1's search-space counting.
-//! * [`tune`] — one-shot startup calibration of the parallel thresholds
-//!   (`OPTRR_TUNE` overrides it for deterministic CI).
+//! * [`tune`] — a readout of the two fixed parallel thresholds.
 //! * [`report`] — experiment report formatting (tables / CSV / JSON).
 //!
 //! ## Quick example

@@ -9,7 +9,7 @@ use crate::config::OptrrConfig;
 use crate::error::{OptrrError, Result};
 use crate::front::{FrontPoint, ParetoFront};
 use crate::omega::OmegaSet;
-use crate::problem::{Evaluation, OptrrProblem};
+use crate::problem::{Evaluation, OptrrProblem, PARALLEL_BATCH_MIN_WORK};
 use datagen::CategoricalDataset;
 use emoo::{run_engine, EngineOutcome};
 use rand::rngs::StdRng;
@@ -121,13 +121,9 @@ impl std::fmt::Debug for Optimizer {
 }
 
 impl Optimizer {
-    /// Creates an optimizer after validating the configuration. The first
-    /// optimizer constructed in a process also runs the one-shot parallel
-    /// threshold calibration (see [`crate::tune::tuning`]), so the engine
-    /// kernels and batch evaluation start with tuned crossovers.
+    /// Creates an optimizer after validating the configuration.
     pub fn new(config: OptrrConfig) -> Result<Self> {
         config.validate()?;
-        let _ = crate::tune::tuning();
         Ok(Self {
             config,
             generation_observer: None,
@@ -335,23 +331,11 @@ impl Optimizer {
     /// input order. The first failing prior aborts the batch with its
     /// error.
     pub fn optimize_many(&self, priors: &[Categorical]) -> Result<Vec<OptrrOutcome>> {
-        // Fan out only when the estimated total evaluation work
-        // (generations × population × n³ per prior) clears the calibrated
-        // batch threshold; tiny multi-prior batches (a handful of fast
+        // Fan out only when the estimated total evaluation work clears
+        // the batch threshold; tiny multi-prior batches (a handful of fast
         // smoke runs) stay serial and skip the thread spawn. Each run is
         // self-contained, so the gate changes wall-clock only.
-        let generations = self.config.engine.generations.max(1);
-        let population = self.config.engine.population_size.max(1);
-        let total_work = priors
-            .iter()
-            .map(|p| {
-                let n = p.num_categories();
-                generations
-                    .saturating_mul(population)
-                    .saturating_mul(n.saturating_mul(n).saturating_mul(n))
-            })
-            .fold(0usize, usize::saturating_add);
-        let fan_out = priors.len() > 1 && total_work >= crate::tune::tuning().batch_min_work;
+        let fan_out = priors.len() > 1 && self.batch_work(priors) >= PARALLEL_BATCH_MIN_WORK;
         let outcomes: Vec<Result<OptrrOutcome>> = if fan_out {
             use rayon::prelude::*;
             priors
@@ -365,6 +349,23 @@ impl Optimizer {
                 .collect()
         };
         outcomes.into_iter().collect()
+    }
+
+    /// Estimated evaluation work of running every prior once:
+    /// generations × population × n³ per prior, the units of
+    /// [`PARALLEL_BATCH_MIN_WORK`].
+    fn batch_work(&self, priors: &[Categorical]) -> usize {
+        let generations = self.config.engine.generations.max(1);
+        let population = self.config.engine.population_size.max(1);
+        priors
+            .iter()
+            .map(|p| {
+                let n = p.num_categories();
+                generations
+                    .saturating_mul(population)
+                    .saturating_mul(n.saturating_mul(n).saturating_mul(n))
+            })
+            .fold(0usize, usize::saturating_add)
     }
 }
 
@@ -523,6 +524,9 @@ mod tests {
                 .unwrap(),
             Categorical::new(vec![0.5, 0.2, 0.15, 0.1, 0.05]).unwrap(),
         ];
+        // 80 × 32 × (8³ + 6³ + 5³) = 2,183,680: the batch takes the
+        // parallel fan-out, not the serial loop.
+        assert!(optimizer.batch_work(&priors) >= PARALLEL_BATCH_MIN_WORK);
         let batch = optimizer.optimize_many(&priors).unwrap();
         assert_eq!(batch.len(), priors.len());
         for (prior, from_batch) in priors.iter().zip(&batch) {

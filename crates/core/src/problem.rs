@@ -63,9 +63,9 @@ const CACHE_BYTE_BUDGET: usize = 64 << 20;
 /// the parallel path's key pre-pass cost more than they save —
 /// `BENCH_optimizer.json` showed parallel n=10×128 batches (work 128k)
 /// *losing* to serial by ~13% while n=20×128 (work 1.02M) broke even — so
-/// small batches stay on the serial path. New problems take the
-/// startup-calibrated value from [`crate::tune::tuning`] instead; this
-/// constant is the `OPTRR_TUNE=off` fallback and the calibration anchor.
+/// small batches stay on the serial path. The same threshold gates
+/// [`Optimizer::optimize_many`](crate::Optimizer::optimize_many)'s
+/// per-prior fan-out.
 pub const PARALLEL_BATCH_MIN_WORK: usize = 400_000;
 
 /// The OptRR problem instance: a prior distribution (from the data set
@@ -80,7 +80,6 @@ pub struct OptrrProblem {
     mutation_step: f64,
     symmetric_only: bool,
     parallel_evaluation: bool,
-    batch_min_work: usize,
     cache_capacity: usize,
     cache: Mutex<HashMap<Vec<u64>, Evaluation>>,
     cache_hits: AtomicU64,
@@ -96,7 +95,6 @@ impl Clone for OptrrProblem {
             mutation_step: self.mutation_step,
             symmetric_only: self.symmetric_only,
             parallel_evaluation: self.parallel_evaluation,
-            batch_min_work: self.batch_min_work,
             cache_capacity: self.cache_capacity,
             // The cache is derived state; a clone starts cold.
             cache: Mutex::new(HashMap::new()),
@@ -128,7 +126,6 @@ impl OptrrProblem {
             mutation_step: DEFAULT_MUTATION_STEP,
             symmetric_only: config.symmetric_only,
             parallel_evaluation: config.parallel_evaluation,
-            batch_min_work: crate::tune::tuning().batch_min_work,
             cache_capacity,
             cache: Mutex::new(HashMap::new()),
             cache_hits: AtomicU64::new(0),
@@ -164,27 +161,10 @@ impl OptrrProblem {
 
     /// Whether a batch of `batch_len` matrices takes the data-parallel
     /// path: parallel evaluation must be configured *and* the batch work
-    /// (`batch_len · n³`) must reach the problem's work threshold — the
-    /// startup-calibrated [`crate::tune::tuning`] value unless overridden
-    /// with [`OptrrProblem::with_batch_min_work`].
+    /// (`batch_len · n³`) must reach [`PARALLEL_BATCH_MIN_WORK`].
     pub fn uses_parallel_for_batch(&self, batch_len: usize) -> bool {
         let n = self.num_categories();
-        self.parallel_evaluation && batch_len.saturating_mul(n * n * n) >= self.batch_min_work
-    }
-
-    /// The batch-work threshold in force (see
-    /// [`OptrrProblem::uses_parallel_for_batch`]).
-    pub fn batch_min_work(&self) -> usize {
-        self.batch_min_work
-    }
-
-    /// Overrides the batch-work threshold — for tests and benchmarks that
-    /// need a machine-independent crossover point. Serial and parallel
-    /// batch evaluation are bit-identical, so this only moves wall-clock.
-    #[must_use]
-    pub fn with_batch_min_work(mut self, min_work: usize) -> Self {
-        self.batch_min_work = min_work;
-        self
+        self.parallel_evaluation && batch_len.saturating_mul(n * n * n) >= PARALLEL_BATCH_MIN_WORK
     }
 
     /// Evaluation-cache statistics: `(hits, misses)` since construction.
@@ -642,23 +622,16 @@ mod tests {
             ..OptrrConfig::fast(0.8, 1)
         };
         let uniform = |n: usize| Categorical::new(vec![1.0 / n as f64; n]).unwrap();
-        // Pin the baked threshold: startup calibration is machine-dependent.
-        let p10 = OptrrProblem::new(uniform(10), &parallel_cfg)
-            .unwrap()
-            .with_batch_min_work(PARALLEL_BATCH_MIN_WORK);
+        let p10 = OptrrProblem::new(uniform(10), &parallel_cfg).unwrap();
         assert!(!p10.uses_parallel_for_batch(128));
         assert!(p10.uses_parallel_for_batch(400)); // 400k ≥ threshold
-        let p20 = OptrrProblem::new(uniform(20), &parallel_cfg)
-            .unwrap()
-            .with_batch_min_work(PARALLEL_BATCH_MIN_WORK);
+        let p20 = OptrrProblem::new(uniform(20), &parallel_cfg).unwrap();
         assert!(p20.uses_parallel_for_batch(128)); // 1.02M ≥ threshold
         assert!(!p20.uses_parallel_for_batch(40)); // 320k < threshold
-        assert_eq!(p20.batch_min_work(), PARALLEL_BATCH_MIN_WORK);
+        assert_eq!(PARALLEL_BATCH_MIN_WORK, 400_000);
         // With parallel evaluation off, the threshold never flips it on.
         let serial_cfg = OptrrConfig::fast(0.8, 1);
-        let serial = OptrrProblem::new(uniform(20), &serial_cfg)
-            .unwrap()
-            .with_batch_min_work(PARALLEL_BATCH_MIN_WORK);
+        let serial = OptrrProblem::new(uniform(20), &serial_cfg).unwrap();
         assert!(!serial.uses_parallel_for_batch(1 << 20));
     }
 
@@ -673,9 +646,7 @@ mod tests {
             parallel_evaluation: true,
             ..OptrrConfig::fast(0.8, 1)
         };
-        let p = OptrrProblem::new(prior(), &parallel_cfg)
-            .unwrap()
-            .with_batch_min_work(PARALLEL_BATCH_MIN_WORK);
+        let p = OptrrProblem::new(prior(), &parallel_cfg).unwrap();
         assert!(p.uses_parallel_for_batch(matrices.len()));
         let batch = p.evaluate_matrices(&matrices);
         let reference = problem(0.8);

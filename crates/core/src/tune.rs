@@ -1,75 +1,30 @@
-//! One-shot startup calibration of the serial/parallel crossover points.
+//! The parallel thresholds in force, as one readout.
 //!
-//! The repo used to hard-code two thresholds measured on one development
-//! machine: `emoo`'s fresh-pair count below which the fitness-kernel fill
-//! stays serial, and [`PARALLEL_BATCH_MIN_WORK`](crate::problem) — the
-//! batch work (`matrices × n³`) below which batch evaluation stays serial.
-//! Both encode the same machine-dependent ratio: *how many units of useful
-//! work does one thread fan-out cost?* On a box with slower thread spawn
-//! or fewer cores the baked numbers under-serialize; on a wide box they
-//! over-serialize.
-//!
-//! [`tuning`] replaces the constants with a process-wide calibration run
-//! exactly once (`OnceLock`), on first use:
-//!
-//! 1. measure the fan-out overhead of one `par_iter` round trip,
-//! 2. measure the serial cost of one kernel pair fill and of one `n³`
-//!    evaluation work unit,
-//! 3. put the crossover where the parallel path first wins
-//!    (`overhead / (unit_cost × (1 − 1/threads))`), clamped to a sane
-//!    band around the baked defaults.
-//!
-//! The result is installed into `emoo`'s settable kernel default
-//! ([`emoo::kernel::set_default_parallel_min_pairs`]) and read by
-//! [`OptrrProblem`](crate::OptrrProblem) for batch gating. Every choice it
-//! makes is bitwise-invisible: serial and parallel paths produce identical
-//! results everywhere in this workspace, so calibration only moves
-//! wall-clock time.
-//!
-//! ## `OPTRR_TUNE`
-//!
-//! CI and benchmarks need deterministic thresholds, so the probe can be
-//! bypassed with an environment variable:
-//!
-//! * `OPTRR_TUNE=off` (or `default`) — use the baked constants, no probe;
-//! * `OPTRR_TUNE=pairs=32768,work=400000` — explicit values (either key
-//!   may appear alone; the other falls back to its baked constant);
-//! * unset or empty — run the calibration probe.
-//!
-//! A malformed value panics with a descriptive message rather than running
-//! with a half-parsed configuration, matching the serve binary's handling
-//! of malformed `OPTRR_SERVE_*` variables.
+//! Two serial/parallel crossovers gate the search's data-parallel work:
+//! [`emoo::kernel::DEFAULT_PARALLEL_MIN_PAIRS`] for the fitness-kernel
+//! fill and [`PARALLEL_BATCH_MIN_WORK`] for batch evaluation and
+//! [`Optimizer::optimize_many`](crate::Optimizer::optimize_many). Both are
+//! fixed constants: every serial and parallel path in this workspace is
+//! bitwise identical, so they only move wall-clock time, and the values
+//! are the ones the benchmarks measure. [`tuning`] reports them for
+//! benchmark headers.
 
 use crate::problem::PARALLEL_BATCH_MIN_WORK;
-use std::sync::OnceLock;
-use std::time::Instant;
 
-/// Calibrated (or overridden) parallel thresholds for this process.
+/// The parallel thresholds this build runs with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tuning {
-    /// Fresh-pair count at which the fitness-kernel fill goes parallel
-    /// (installed as `emoo`'s process default).
+    /// Fresh-pair count at which the fitness-kernel fill goes parallel.
     pub kernel_min_pairs: usize,
     /// Batch work (`matrices × n³`) at which batch evaluation goes
     /// parallel.
     pub batch_min_work: usize,
-    /// True when the values came out of the timing probe; false for the
-    /// baked constants or an `OPTRR_TUNE` override.
+    /// Always false: no threshold is measured at run time.
     pub calibrated: bool,
 }
 
-/// Clamp band for the calibrated kernel threshold: a quarter of the baked
-/// default up to 8× it. The probe corrects for the machine, it does not
-/// get to disable parallelism outright or force it on trivial fills.
-pub const KERNEL_MIN_PAIRS_RANGE: (usize, usize) = (1 << 13, 1 << 18);
-
-/// Clamp band for the calibrated batch-work threshold, an equivalent band
-/// around [`PARALLEL_BATCH_MIN_WORK`].
-pub const BATCH_MIN_WORK_RANGE: (usize, usize) = (100_000, 3_200_000);
-
-/// The pre-calibration constants, used for `OPTRR_TUNE=off` and as the
-/// fallback for keys an override does not mention.
-pub fn baked() -> Tuning {
+/// Returns the two fixed thresholds.
+pub fn tuning() -> Tuning {
     Tuning {
         kernel_min_pairs: emoo::kernel::DEFAULT_PARALLEL_MIN_PAIRS,
         batch_min_work: PARALLEL_BATCH_MIN_WORK,
@@ -77,279 +32,15 @@ pub fn baked() -> Tuning {
     }
 }
 
-/// Returns this process's tuning, probing (or reading `OPTRR_TUNE`) on
-/// the first call and the cached answer afterwards. The first call also
-/// installs `kernel_min_pairs` as `emoo`'s process-wide kernel default.
-pub fn tuning() -> Tuning {
-    static TUNING: OnceLock<Tuning> = OnceLock::new();
-    *TUNING.get_or_init(|| {
-        let chosen = match std::env::var("OPTRR_TUNE") {
-            Ok(spec) => match parse_override(&spec) {
-                Ok(Some(explicit)) => explicit,
-                Ok(None) => calibrate(),
-                Err(reason) => {
-                    panic!("invalid OPTRR_TUNE value {spec:?}: {reason}")
-                }
-            },
-            Err(_) => calibrate(),
-        };
-        emoo::kernel::set_default_parallel_min_pairs(chosen.kernel_min_pairs);
-        chosen
-    })
-}
-
-/// Parses an `OPTRR_TUNE` value. `Ok(Some(t))` is an explicit tuning,
-/// `Ok(None)` means "run the probe" (empty value), `Err` is malformed.
-/// Pure so it can be unit-tested without touching process environment.
-pub fn parse_override(spec: &str) -> Result<Option<Tuning>, String> {
-    let spec = spec.trim();
-    if spec.is_empty() {
-        return Ok(None);
-    }
-    if spec == "off" || spec == "default" {
-        return Ok(Some(baked()));
-    }
-    let mut explicit = baked();
-    for part in spec.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let (key, value) = part
-            .split_once('=')
-            .ok_or_else(|| format!("expected key=value, got {part:?}"))?;
-        let parsed: usize = value
-            .trim()
-            .parse()
-            .map_err(|_| format!("{key:?} needs a non-negative integer, got {value:?}"))?;
-        if parsed == 0 {
-            return Err(format!("{key:?} must be at least 1"));
-        }
-        match key.trim() {
-            "pairs" => explicit.kernel_min_pairs = parsed,
-            "work" => explicit.batch_min_work = parsed,
-            other => {
-                return Err(format!(
-                    "unknown key {other:?} (expected \"pairs\" or \"work\", or \"off\")"
-                ))
-            }
-        }
-    }
-    Ok(Some(explicit))
-}
-
-/// Runs the timing probe. A few milliseconds, once per process.
-pub fn calibrate() -> Tuning {
-    let threads = rayon::current_num_threads().max(1);
-    if threads <= 1 {
-        // Fanning out over one core only adds overhead: pin both
-        // thresholds to their ceilings so everything stays serial.
-        return Tuning {
-            kernel_min_pairs: KERNEL_MIN_PAIRS_RANGE.1,
-            batch_min_work: BATCH_MIN_WORK_RANGE.1,
-            calibrated: true,
-        };
-    }
-    let overhead_ns = parallel_overhead_ns();
-    // A fan-out over `threads` cores saves `(1 − 1/threads)` of the serial
-    // time; it breaks even where that saving equals the fan-out overhead.
-    let saved_fraction = 1.0 - 1.0 / threads as f64;
-    let pair_ns = kernel_pair_cost_ns();
-    let kernel_min_pairs = ((overhead_ns / (pair_ns * saved_fraction)).ceil() as usize)
-        .clamp(KERNEL_MIN_PAIRS_RANGE.0, KERNEL_MIN_PAIRS_RANGE.1);
-    let unit_ns = evaluation_unit_cost_ns();
-    let batch_min_work = ((overhead_ns / (unit_ns * saved_fraction)).ceil() as usize)
-        .clamp(BATCH_MIN_WORK_RANGE.0, BATCH_MIN_WORK_RANGE.1);
-    Tuning {
-        kernel_min_pairs,
-        batch_min_work,
-        calibrated: true,
-    }
-}
-
-/// Cost in nanoseconds of one `par_iter().map().collect()` round trip
-/// beyond the serial map it replaces: thread spawn, scope join, and chunk
-/// reassembly.
-fn parallel_overhead_ns() -> f64 {
-    use rayon::prelude::*;
-    // Enough elements that every worker gets a chunk; trivial per-element
-    // work so the measurement is pure fan-out cost.
-    let input: Vec<u64> = (0..(rayon::current_num_threads() as u64 * 4)).collect();
-    // Warm up lazy thread/allocator state before timing.
-    let warm: Vec<u64> = input.par_iter().map(|&x| x ^ 1).collect();
-    std::hint::black_box(warm);
-    const REPS: u32 = 16;
-    let mut sink = 0u64;
-    let serial_start = Instant::now();
-    for _ in 0..REPS {
-        let out: Vec<u64> = input.iter().map(|&x| x ^ 1).collect();
-        sink ^= out[0];
-    }
-    let serial = serial_start.elapsed();
-    let parallel_start = Instant::now();
-    for _ in 0..REPS {
-        let out: Vec<u64> = input.par_iter().map(|&x| x ^ 1).collect();
-        sink ^= out[0];
-    }
-    let parallel = parallel_start.elapsed();
-    std::hint::black_box(sink);
-    let delta = parallel.as_nanos() as f64 - serial.as_nanos() as f64;
-    // Floor at 1µs: fan-out is never free, and a noisy negative delta must
-    // not drive the crossover to zero.
-    (delta / f64::from(REPS)).max(1_000.0)
-}
-
-/// Serial cost in nanoseconds of one fitness-kernel pair fill: dominance
-/// flags plus squared-distance accumulation over two-dimensional rows,
-/// the same arithmetic `emoo`'s fresh-pair loop performs per pair.
-fn kernel_pair_cost_ns() -> f64 {
-    const ROWS: usize = 384;
-    const DIM: usize = 2;
-    let obj: Vec<f64> = (0..ROWS * DIM)
-        .map(|i| (i as f64 * 0.618).fract())
-        .collect();
-    let start = Instant::now();
-    let mut sink = 0.0f64;
-    let mut pairs = 0u64;
-    for a in 0..ROWS {
-        for b in (a + 1)..ROWS {
-            let ra = &obj[a * DIM..(a + 1) * DIM];
-            let rb = &obj[b * DIM..(b + 1) * DIM];
-            let mut a_better = 0u8;
-            let mut b_better = 0u8;
-            let mut dist = 0.0f64;
-            for (x, y) in ra.iter().zip(rb.iter()) {
-                a_better |= u8::from(x < y);
-                b_better |= u8::from(y < x);
-                dist += (x - y) * (x - y);
-            }
-            sink += dist.sqrt() + f64::from(a_better | b_better);
-            pairs += 1;
-        }
-    }
-    std::hint::black_box(sink);
-    (start.elapsed().as_nanos() as f64 / pairs as f64).max(0.5)
-}
-
-/// Serial cost in nanoseconds of one `n³` evaluation work unit, using the
-/// dominant term of a matrix evaluation — the LU inversion of a
-/// diagonally-dominant column-stochastic matrix.
-fn evaluation_unit_cost_ns() -> f64 {
-    const N: usize = 12;
-    const REPS: u32 = 64;
-    let mut m = linalg::Matrix::zeros(N, N);
-    let off = 0.3 / (N as f64 - 1.0);
-    for i in 0..N {
-        for j in 0..N {
-            m[(i, j)] = if i == j { 0.7 } else { off };
-        }
-    }
-    let start = Instant::now();
-    for _ in 0..REPS {
-        let inv = linalg::invert(&m).expect("diagonally dominant matrix is invertible");
-        std::hint::black_box(inv.as_slice()[0]);
-    }
-    let units = u64::from(REPS) * (N * N * N) as u64;
-    (start.elapsed().as_nanos() as f64 / units as f64).max(0.05)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn off_and_default_mean_the_baked_constants() {
-        for spec in ["off", "default", " off ", "default  "] {
-            let t = parse_override(spec).unwrap().unwrap();
-            assert_eq!(t, baked());
-            assert!(!t.calibrated);
-        }
-        assert_eq!(
-            baked().kernel_min_pairs,
-            emoo::kernel::DEFAULT_PARALLEL_MIN_PAIRS
-        );
-        assert_eq!(baked().batch_min_work, PARALLEL_BATCH_MIN_WORK);
-    }
-
-    #[test]
-    fn empty_override_requests_the_probe() {
-        assert_eq!(parse_override("").unwrap(), None);
-        assert_eq!(parse_override("   ").unwrap(), None);
-    }
-
-    #[test]
-    fn explicit_overrides_parse_in_any_order_and_partially() {
-        let t = parse_override("pairs=9000,work=123456").unwrap().unwrap();
-        assert_eq!((t.kernel_min_pairs, t.batch_min_work), (9000, 123_456));
-        let t = parse_override(" work=123456 , pairs=9000 ")
-            .unwrap()
-            .unwrap();
-        assert_eq!((t.kernel_min_pairs, t.batch_min_work), (9000, 123_456));
-        let t = parse_override("pairs=42").unwrap().unwrap();
-        assert_eq!(t.kernel_min_pairs, 42);
-        assert_eq!(t.batch_min_work, PARALLEL_BATCH_MIN_WORK);
-        let t = parse_override("work=42").unwrap().unwrap();
-        assert_eq!(t.kernel_min_pairs, emoo::kernel::DEFAULT_PARALLEL_MIN_PAIRS);
-        assert_eq!(t.batch_min_work, 42);
+    fn tuning_reports_the_fixed_thresholds() {
+        let t = tuning();
+        assert_eq!(t.kernel_min_pairs, 32_768);
+        assert_eq!(t.batch_min_work, 400_000);
         assert!(!t.calibrated);
-    }
-
-    #[test]
-    fn malformed_overrides_are_rejected_with_a_reason() {
-        for bad in [
-            "bogus",
-            "pairs",
-            "pairs=",
-            "pairs=abc",
-            "pairs=-3",
-            "pairs=0",
-            "work=1.5",
-            "threads=4",
-            "pairs=1=2",
-        ] {
-            let err = parse_override(bad).unwrap_err();
-            assert!(!err.is_empty(), "no reason for {bad:?}");
-        }
-        // `pairs=1=2` splits at the first '='; "1=2" is not an integer.
-        assert!(parse_override("pairs=1=2").is_err());
-    }
-
-    #[test]
-    fn calibration_lands_inside_the_clamp_bands() {
-        let t = calibrate();
-        assert!(t.calibrated);
-        assert!(
-            (KERNEL_MIN_PAIRS_RANGE.0..=KERNEL_MIN_PAIRS_RANGE.1).contains(&t.kernel_min_pairs),
-            "kernel_min_pairs {} outside clamp band",
-            t.kernel_min_pairs
-        );
-        assert!(
-            (BATCH_MIN_WORK_RANGE.0..=BATCH_MIN_WORK_RANGE.1).contains(&t.batch_min_work),
-            "batch_min_work {} outside clamp band",
-            t.batch_min_work
-        );
-    }
-
-    #[test]
-    fn tuning_is_cached_and_installs_the_kernel_default() {
-        let first = tuning();
-        let second = tuning();
-        assert_eq!(first, second);
-        // The emoo process default follows whatever tuning() chose. (Other
-        // tests in this binary also call tuning(); the OnceLock makes them
-        // all see this same value.)
-        assert_eq!(
-            emoo::kernel::default_parallel_min_pairs(),
-            first.kernel_min_pairs
-        );
-        assert!(first.kernel_min_pairs >= 1);
-        assert!(first.batch_min_work >= 1);
-    }
-
-    #[test]
-    fn probe_costs_are_positive_and_bounded() {
-        assert!(kernel_pair_cost_ns() >= 0.5);
-        assert!(evaluation_unit_cost_ns() >= 0.05);
-        assert!(parallel_overhead_ns() >= 1_000.0);
     }
 }

@@ -38,14 +38,14 @@
 //!   distances (dominance entries are still reused).
 //!
 //! Large fills go data-parallel: when the number of fresh pairs reaches
-//! [`FitnessKernel::with_parallel_threshold`]'s bound, the rows of the new
+//! the kernel's threshold ([`DEFAULT_PARALLEL_MIN_PAIRS`] unless set with
+//! [`FitnessKernel::with_parallel_threshold`]), the rows of the new
 //! members are filled across cores. Each pair's value is deterministic, so
 //! the parallel path is bitwise identical to the serial one.
 
 use crate::dominance::{relation_from_flags, strict_better_flags, DominanceRelation};
 use crate::individual::Individual;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// `dom[i·n + j]`: member `i` dominates member `j`.
 const DOMINATES: i8 = 1;
@@ -54,30 +54,12 @@ const DOMINATED_BY: i8 = -1;
 /// `dom[i·n + j]`: neither dominates the other.
 const NO_DOMINANCE: i8 = 0;
 
-/// Baked-in minimum number of *fresh* pairs before a fill goes
-/// rayon-parallel. Below this, spawn overhead exceeds the comparison work
-/// (one pair is a handful of float compares). This is only the fallback:
-/// the process-wide default that [`FitnessKernel::new`] actually reads is
-/// settable via [`set_default_parallel_min_pairs`], which `optrr-core`'s
-/// startup calibration (`core::tune`) installs after probing the machine.
+/// Minimum number of *fresh* pairs before a fill goes rayon-parallel, as
+/// used by [`FitnessKernel::new`]. Below this, spawn overhead exceeds the
+/// comparison work (one pair is a handful of float compares). The
+/// threshold only moves the serial/parallel crossover — both paths are
+/// bitwise identical — so it never changes results, only wall-clock time.
 pub const DEFAULT_PARALLEL_MIN_PAIRS: usize = 1 << 15;
-
-/// Process-wide default for [`FitnessKernel::new`]'s parallel threshold.
-static DEFAULT_MIN_PAIRS: AtomicUsize = AtomicUsize::new(DEFAULT_PARALLEL_MIN_PAIRS);
-
-/// Installs a new process-wide default parallel-fill threshold, returned by
-/// [`default_parallel_min_pairs`] and read by every subsequent
-/// [`FitnessKernel::new`]. The threshold only moves the serial/parallel
-/// crossover — both paths are bitwise identical — so installing a measured
-/// value never changes results, only wall-clock time.
-pub fn set_default_parallel_min_pairs(min_fresh_pairs: usize) {
-    DEFAULT_MIN_PAIRS.store(min_fresh_pairs, Ordering::Relaxed);
-}
-
-/// The current process-wide default parallel-fill threshold.
-pub fn default_parallel_min_pairs() -> usize {
-    DEFAULT_MIN_PAIRS.load(Ordering::Relaxed)
-}
 
 /// Cumulative counters of the kernel's work, exposed through
 /// [`EngineOutcome`](crate::EngineOutcome) and `core::RunStatistics` so
@@ -144,10 +126,10 @@ fn encode(relation: DominanceRelation) -> i8 {
 }
 
 impl FitnessKernel {
-    /// Creates an empty kernel with the process-wide default parallel-fill
-    /// threshold (see [`set_default_parallel_min_pairs`]).
+    /// Creates an empty kernel with the [`DEFAULT_PARALLEL_MIN_PAIRS`]
+    /// parallel-fill threshold.
     pub fn new() -> Self {
-        Self::with_parallel_threshold(default_parallel_min_pairs())
+        Self::with_parallel_threshold(DEFAULT_PARALLEL_MIN_PAIRS)
     }
 
     /// Creates an empty kernel that fills its matrices in parallel once a

@@ -42,8 +42,9 @@
 //! #   OPTRR_SERVE_LISTEN        network listen address    (default none: stdio)
 //! #   OPTRR_SERVE_MAX_CONNS     connection-pool bound     (default 1024)
 //! #   OPTRR_SERVE_DRAIN_MS      drain grace on shutdown   (default 5000)
-//! # removed, and fatal if set: OPTRR_SERVE_CONN_QUEUE (sessions buffer
-//! #   their own responses, 64 KiB each, with no queue to size)
+//! # removed, and fatal if set (see serve::env::REMOVED):
+//! #   OPTRR_SERVE_CONN_QUEUE    sessions buffer their own responses, 64 KiB each
+//! #   OPTRR_TUNE                the parallel thresholds are fixed constants
 //! ```
 
 use serve::net::NetServer;

@@ -29,7 +29,8 @@
 //! | `OPTRR_SERVE_MAX_CONNS`    | integer ≥ 1           | connection-pool bound |
 //! | `OPTRR_SERVE_DRAIN_MS`     | u64                   | drain grace before force-closing sessions |
 //!
-//! The removed `OPTRR_SERVE_CONN_QUEUE` is fatal with any value.
+//! Removed variables ([`REMOVED`]) are fatal with any value, so a
+//! leftover setting cannot silently stop applying.
 
 use crate::net::{ListenAddr, NetConfig};
 use crate::service::ServiceConfig;
@@ -54,6 +55,29 @@ impl std::error::Error for EnvError {}
 
 fn reject(name: &'static str, reason: String) -> EnvError {
     EnvError { name, reason }
+}
+
+/// Variables earlier versions read, each with why it went. Setting any of
+/// them, to any value, is a startup error.
+pub const REMOVED: &[(&str, &str)] = &[
+    (
+        "OPTRR_SERVE_CONN_QUEUE",
+        "sessions buffer their own responses, with no queue to size",
+    ),
+    (
+        "OPTRR_TUNE",
+        "the parallel thresholds are fixed constants, with no probe to override",
+    ),
+];
+
+/// Fails on the first [`REMOVED`] variable that is set.
+fn reject_removed() -> Result<(), EnvError> {
+    for &(name, why) in REMOVED {
+        if std::env::var_os(name).is_some() {
+            return Err(reject(name, format!("was removed: {why}")));
+        }
+    }
+    Ok(())
 }
 
 /// Reads and validates one `u64` variable. `min` rejects values below it.
@@ -126,8 +150,10 @@ pub fn env_nonempty(name: &'static str) -> Result<Option<String>, EnvError> {
 
 /// Builds the `serve` binary's [`ServiceConfig`] from the environment:
 /// the smoke profile by default, the full default budget with
-/// `standard = true`, with every `OPTRR_SERVE_*` override validated.
+/// `standard = true`, with every `OPTRR_SERVE_*` override validated and
+/// every [`REMOVED`] variable fatal.
 pub fn config_from_env(standard: bool) -> Result<ServiceConfig, EnvError> {
+    reject_removed()?;
     let seed = env_u64("OPTRR_SERVE_SEED", 0)?.unwrap_or(2008);
     let mut config = if standard {
         ServiceConfig {
@@ -209,12 +235,8 @@ pub fn parse_listen(text: &str) -> Result<ListenAddr, String> {
 /// Builds the network front door's [`NetConfig`] from the environment.
 /// `Ok(None)` when `OPTRR_SERVE_LISTEN` is unset (the binary serves
 /// stdio); any malformed `OPTRR_SERVE_*` network variable is a startup
-/// error, same as the service knobs; a removed one is fatal even on stdio.
+/// error, same as the service knobs.
 pub fn net_config_from_env() -> Result<Option<NetConfig>, EnvError> {
-    if std::env::var_os("OPTRR_SERVE_CONN_QUEUE").is_some() {
-        let reason = "was removed: sessions buffer their own responses, with no queue to size";
-        return Err(reject("OPTRR_SERVE_CONN_QUEUE", reason.into()));
-    }
     let Some(listen) = env_nonempty("OPTRR_SERVE_LISTEN")? else {
         return Ok(None);
     };
@@ -238,6 +260,9 @@ mod tests {
     // one test function so no other test can race it.
     #[test]
     fn env_overrides_are_validated_not_silently_defaulted() {
+        for (name, _) in REMOVED {
+            std::env::remove_var(name);
+        }
         // Absent variables are simply absent.
         std::env::remove_var("OPTRR_SERVE_DRIFT");
         assert_eq!(env_positive_f64("OPTRR_SERVE_DRIFT"), Ok(None));
@@ -372,19 +397,19 @@ mod tests {
             }
         }
 
-        // A removed variable is fatal with any value, even on stdio.
-        for listen in [Some("127.0.0.1:7171"), None] {
-            match listen {
-                Some(addr) => std::env::set_var("OPTRR_SERVE_LISTEN", addr),
-                None => std::env::remove_var("OPTRR_SERVE_LISTEN"),
-            }
-            for value in ["64", "1", ""] {
-                std::env::set_var("OPTRR_SERVE_CONN_QUEUE", value);
-                let error = net_config_from_env().expect_err("a removed variable is fatal");
-                assert_eq!(error.name, "OPTRR_SERVE_CONN_QUEUE");
+        // A removed variable is fatal with any value, before any other
+        // variable is read, so it aborts stdio and socket startup alike.
+        for name in ["OPTRR_SERVE_CONN_QUEUE", "OPTRR_TUNE"] {
+            for value in ["64", "1", "off", "pairs=32768,work=400000", ""] {
+                std::env::set_var(name, value);
+                let error = config_from_env(false).expect_err("a removed variable is fatal");
+                assert_eq!(
+                    error.name, name,
+                    "wrong variable blamed for {name}={value:?}"
+                );
                 assert!(error.reason.contains("removed"), "{error}");
             }
-            std::env::remove_var("OPTRR_SERVE_CONN_QUEUE");
+            std::env::remove_var(name);
         }
 
         for name in [
