@@ -1,8 +1,9 @@
 //! # optrr-bench (bench_support)
 //!
-//! Shared harness for the experiment binaries and Criterion benches that
-//! regenerate the OptRR paper's evaluation (Figures 4 and 5, Theorem 2,
-//! Fact 1) plus the ablation studies listed in DESIGN.md.
+//! Shared harness for the experiment binaries that regenerate the OptRR
+//! paper's evaluation (Figures 4 and 5, Theorem 2, Fact 1) plus the
+//! `exp_ablation_*` studies. Performance is measured elsewhere, by the
+//! standalone `perfbench` package and its `--trace 1` per-layer ladder.
 //!
 //! Every experiment binary follows the same pattern: build the workload the
 //! paper describes, sweep the Warner baseline, run the OptRR optimizer,
@@ -283,80 +284,6 @@ pub fn optrr_front(report: &ExperimentReport) -> &ParetoFront {
         .expect("figure reports always contain an OptRR front")
 }
 
-/// Reads the `usize` value following a `--name` CLI flag.
-pub fn arg_value(name: &str) -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    let at = args.iter().position(|a| a == name)?;
-    args.get(at + 1)?.parse().ok()
-}
-
-/// Nearest-rank percentile of a sorted sample (0 when empty).
-pub fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[rank]
-}
-
-/// Default untimed warm-up iterations before a timed series: enough to
-/// fault in code pages, warm caches, and let lazy pool/allocator state
-/// settle so the first timed sample is not an outlier.
-pub const DEFAULT_WARMUP_ITERS: usize = 3;
-
-/// Summary statistics of one timed series, in nanoseconds per iteration.
-///
-/// The p50 is reported alongside the mean because microbenchmark samples
-/// are contaminated by rare scheduler/allocator outliers that inflate the
-/// mean by integer factors (the committed `BENCH_fitness.json` once showed
-/// a 3.3 ms max against a 93 µs min in a 40-sample series); the median is
-/// the number speedup comparisons should use.
-#[derive(Debug, Clone, Copy, serde::Serialize)]
-pub struct TimingSummary {
-    /// Arithmetic mean of the samples.
-    pub mean_ns: u64,
-    /// Nearest-rank median of the samples.
-    pub p50_ns: u64,
-    /// Fastest sample.
-    pub min_ns: u64,
-    /// Slowest sample.
-    pub max_ns: u64,
-    /// Number of timed samples (warm-up excluded).
-    pub iterations: u64,
-}
-
-/// Summarizes raw per-iteration nanosecond samples. Panics on an empty
-/// series — a benchmark that measured nothing has no baseline to report.
-pub fn summarize_ns(samples: &[u64]) -> TimingSummary {
-    assert!(!samples.is_empty(), "cannot summarize an empty series");
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    TimingSummary {
-        mean_ns: samples.iter().sum::<u64>() / samples.len() as u64,
-        p50_ns: percentile(&sorted, 0.5),
-        min_ns: sorted[0],
-        max_ns: sorted[sorted.len() - 1],
-        iterations: samples.len() as u64,
-    }
-}
-
-/// Runs `warmup` untimed iterations of `f`, then `iters` timed ones, and
-/// returns the timed per-iteration samples — the shared warm-up discipline
-/// of the bench binaries.
-pub fn time_iterations(warmup: usize, iters: usize, mut f: impl FnMut()) -> Vec<u64> {
-    assert!(iters > 0, "a timed series needs at least one iteration");
-    for _ in 0..warmup {
-        f();
-    }
-    (0..iters)
-        .map(|_| {
-            let started = std::time::Instant::now();
-            f();
-            started.elapsed().as_nanos() as u64
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,24 +381,6 @@ mod tests {
         let (dist, n) = adult_first_attribute();
         assert_eq!(dist.num_categories(), 10);
         assert_eq!(n, 10_000);
-    }
-
-    #[test]
-    fn timing_summary_reports_mean_and_median() {
-        let s = summarize_ns(&[10, 20, 30, 40, 1_000]);
-        assert_eq!(s.mean_ns, 220);
-        assert_eq!(s.p50_ns, 30); // the outlier moves the mean, not the p50
-        assert_eq!(s.min_ns, 10);
-        assert_eq!(s.max_ns, 1_000);
-        assert_eq!(s.iterations, 5);
-    }
-
-    #[test]
-    fn time_iterations_runs_warmup_untimed() {
-        let mut calls = 0usize;
-        let samples = time_iterations(2, 5, || calls += 1);
-        assert_eq!(calls, 7);
-        assert_eq!(samples.len(), 5);
     }
 
     #[test]

@@ -60,10 +60,12 @@ const CACHE_BYTE_BUDGET: usize = 64 << 20;
 /// Baked minimum batch work (matrices × n³, the dominant cost of one
 /// evaluation being the n×n matrix inversion) before a parallel-configured
 /// batch actually fans out across cores. Below this the thread spawn and
-/// the parallel path's key pre-pass cost more than they save —
-/// `BENCH_optimizer.json` showed parallel n=10×128 batches (work 128k)
-/// *losing* to serial by ~13% while n=20×128 (work 1.02M) broke even — so
-/// small batches stay on the serial path. The same threshold gates
+/// the parallel path's key pre-pass cost more than they save — the
+/// retired optimizer micro-benchmark showed parallel n=10×128 batches
+/// (work 128k) *losing* to serial by ~13% while n=20×128 (work 1.02M)
+/// broke even — so small batches stay on the serial path. Only a perfbench
+/// workload (`warmup` is the one that runs engines) can justify moving
+/// it. The same threshold gates
 /// [`Optimizer::optimize_many`](crate::Optimizer::optimize_many)'s
 /// per-prior fan-out.
 pub const PARALLEL_BATCH_MIN_WORK: usize = 400_000;

@@ -645,27 +645,36 @@ mod tests {
             let b = (seed.wrapping_mul(40503) % 1000) as f64 / 100.0;
             ind(a, b)
         };
-        let mut serial = FitnessKernel::with_parallel_threshold(usize::MAX);
-        let mut parallel = FitnessKernel::with_parallel_threshold(0);
-        let mut members: Vec<Individual<u32>> = (0..40).map(point).collect();
-        let mut members_p = members.clone();
-        let mut ids = serial.alloc_ids(members.len());
-        let _ = parallel.alloc_ids(members.len());
+        // (initial members, fresh members per generation). Half the
+        // members survive each generation, so the last three keep their
+        // size at 50, 100 and 200, with survivors and fresh pairs mixed.
+        for (initial, fresh) in [(40u64, 12u64), (50, 25), (100, 50), (200, 100)] {
+            let mut serial = FitnessKernel::with_parallel_threshold(usize::MAX);
+            let mut parallel = FitnessKernel::with_parallel_threshold(0);
+            let mut default = FitnessKernel::new();
+            let mut members: Vec<Individual<u32>> = (0..initial).map(point).collect();
+            let mut ids: Vec<u64> = (0..initial).collect();
 
-        for step in 0..4 {
-            serial.assign_fitness(&mut members, &ids, 2);
-            parallel.assign_fitness(&mut members_p, &ids, 2);
-            assert_eq!(fitness_bits(&members), fitness_bits(&members_p));
-            // Keep the odd positions, add fresh points.
-            let survivors: Vec<usize> = (0..members.len()).filter(|i| i % 2 == 1).collect();
-            members = survivors.iter().map(|&i| members[i].clone()).collect();
-            ids = survivors.iter().map(|&i| ids[i]).collect();
-            for s in 0..12 {
-                members.push(point(1000 + step * 100 + s));
-                ids.push(serial.alloc_id());
-                let _ = parallel.alloc_id();
+            for step in 0..4 {
+                let mut members_p = members.clone();
+                let mut members_d = members.clone();
+                let mut reference = members.clone();
+                serial.assign_fitness(&mut members, &ids, 2);
+                parallel.assign_fitness(&mut members_p, &ids, 2);
+                default.assign_fitness(&mut members_d, &ids, 2);
+                assign_fitness(&mut reference, 2);
+                assert_eq!(fitness_bits(&members), fitness_bits(&members_p));
+                assert_eq!(fitness_bits(&members), fitness_bits(&members_d));
+                assert_eq!(fitness_bits(&members), fitness_bits(&reference));
+                // Keep the odd positions, add fresh points.
+                let survivors: Vec<usize> = (0..members.len()).filter(|i| i % 2 == 1).collect();
+                members = survivors.iter().map(|&i| members[i].clone()).collect();
+                ids = survivors.iter().map(|&i| ids[i]).collect();
+                for s in 0..fresh {
+                    members.push(point(1000 + step * 100 + s));
+                    ids.push(initial + step * fresh + s);
+                }
             }
-            members_p = members.clone();
         }
     }
 

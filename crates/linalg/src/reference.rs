@@ -1,12 +1,11 @@
 //! Naive reference kernels the blocked/slice implementations are gated
 //! against.
 //!
-//! These are the seed's textbook loops, kept verbatim. They are `pub`
-//! rather than `#[cfg(test)]` because `bench_kernels` measures the
-//! blocked-vs-naive deltas that justify the production kernels; nothing
-//! else should call them. The contract — enforced by the proptests in this
-//! crate — is **bitwise** equality: the optimized kernels reorder memory
-//! traffic, never arithmetic.
+//! These are the seed's textbook loops, kept verbatim as the test oracle
+//! for [`Matrix::mul_matrix`] and [`LuDecomposition`](crate::LuDecomposition):
+//! the proptests in this crate compare the optimized kernels against them.
+//! Only tests should call them. The contract is **bitwise** equality: the
+//! optimized kernels reorder memory traffic, never arithmetic.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;

@@ -119,11 +119,11 @@ fn disguise_with_samplers<R: Rng + ?Sized>(
 /// The seed implementation kept as the distributional reference: per-column
 /// cached-CDF samplers with an O(log n) binary search per record.
 ///
-/// Kept `pub` (not `#[cfg(test)]`) so `bench_kernels` can measure the
-/// naive-vs-alias throughput delta; production callers go through
-/// [`disguise_dataset`]. The two paths draw different streams for the same
-/// seed but the same *number* of RNG values, and both match `M·P`
-/// distributionally (see the equivalence tests below).
+/// Kept as the test oracle for the alias-table path: the equivalence tests
+/// below check that [`disguise_dataset`] matches it. Production callers go
+/// through [`disguise_dataset`]. The two paths draw different streams for
+/// the same seed but the same *number* of RNG values, and both match `M·P`
+/// distributionally.
 pub fn disguise_dataset_reference<R: Rng + ?Sized>(
     m: &RrMatrix,
     original: &CategoricalDataset,

@@ -17,7 +17,7 @@
 //! | `OPTRR_SERVE_DRIFT`        | finite float > 0      | drift MSE threshold |
 //! | `OPTRR_SERVE_COVERAGE`     | u64 (0 disables)      | coverage-miss threshold |
 //! | `OPTRR_SERVE_BUDGET_BYTES` | u64 ≥ 1               | resident-memory budget |
-//! | `OPTRR_SERVE_TTL_SECS`     | finite float > 0      | idle-key TTL |
+//! | `OPTRR_SERVE_TTL_SECS`     | float > 0 that fits a `Duration` | idle-key TTL |
 //! | `OPTRR_SERVE_SNAPSHOT`     | non-empty path        | snapshot/autosave path |
 //! | `OPTRR_SERVE_METRICS`      | `0/1/true/false/on/off` | metrics + event trace recording |
 //! | `OPTRR_SERVE_TRACE_CAP`    | u64 (0 disables)      | event-trace ring capacity |
@@ -179,7 +179,13 @@ pub fn config_from_env(standard: bool) -> Result<ServiceConfig, EnvError> {
         config.memory_budget_bytes = Some(budget);
     }
     if let Some(ttl) = env_positive_f64("OPTRR_SERVE_TTL_SECS")? {
-        config.key_ttl = Some(Duration::from_secs_f64(ttl));
+        let ttl = Duration::try_from_secs_f64(ttl).map_err(|_| {
+            reject(
+                "OPTRR_SERVE_TTL_SECS",
+                format!("{ttl:e} seconds is too long for a duration"),
+            )
+        })?;
+        config.key_ttl = Some(ttl);
     }
     if let Some(path) = env_nonempty("OPTRR_SERVE_SNAPSHOT")? {
         config.snapshot_path = Some(path);
@@ -323,6 +329,7 @@ mod tests {
             ("OPTRR_SERVE_BUDGET_BYTES", "1MB"),
             ("OPTRR_SERVE_TTL_SECS", "-5"),
             ("OPTRR_SERVE_TTL_SECS", "soon"),
+            ("OPTRR_SERVE_TTL_SECS", "1e300"),
             ("OPTRR_SERVE_SNAPSHOT", "   "),
             ("OPTRR_SERVE_METRICS", "yes"),
             ("OPTRR_SERVE_METRICS", "2"),
