@@ -2,7 +2,7 @@
 //! baseline on the paper's workloads — the reduced-budget counterpart of
 //! the Figure 4 / Figure 5 experiments.
 
-use suite::{datagen, integration_config, optrr, rr, stats};
+use suite::{datagen, emoo, integration_config, optrr, rr, stats};
 
 use datagen::{synthetic, SourceDistribution, SyntheticConfig};
 use optrr::{baseline_sweep, FrontComparison, Optimizer, OptrrProblem, SchemeKind};
@@ -137,4 +137,49 @@ fn recommended_matrices_satisfy_the_requested_privacy() {
             assert!(other.evaluation.mse >= entry.evaluation.mse - 1e-15);
         }
     }
+}
+
+/// Folds one stored matrix and its evaluation into `words`: every matrix
+/// entry's bits, then the evaluation's three numbers and its flag.
+fn push_entry_bits(words: &mut Vec<u64>, matrix: &rr::RrMatrix, eval: &optrr::Evaluation) {
+    words.extend(matrix.as_matrix().as_slice().iter().map(|x| x.to_bits()));
+    words.push(eval.privacy.to_bits());
+    words.push(eval.mse.to_bits());
+    words.push(eval.max_posterior.to_bits());
+    words.push(eval.feasible as u64);
+}
+
+#[test]
+fn optimizer_bits_are_pinned() {
+    // One digest over Ω and the final archive of twelve fast runs (both
+    // engines, n = 10 and 16, three δ). Any change to the bits the
+    // optimizer produces moves this constant; a change that claims to be
+    // bitwise must leave it alone.
+    let mut words = Vec::new();
+    for kind in [emoo::EngineKind::Spea2, emoo::EngineKind::Nsga2] {
+        for n in [10usize, 16] {
+            let weights: Vec<f64> = (0..n).map(|k| 1.0 / (k as f64 + 2.0)).collect();
+            let total: f64 = weights.iter().sum();
+            let prior = Categorical::new(weights.iter().map(|w| w / total).collect()).unwrap();
+            for delta in [0.7, 0.8, 0.9] {
+                let config = optrr::OptrrConfig {
+                    engine_kind: kind,
+                    ..optrr::OptrrConfig::fast(delta, 21)
+                };
+                let outcome = Optimizer::new(config)
+                    .unwrap()
+                    .optimize_distribution(&prior)
+                    .unwrap();
+                words.push(outcome.omega.len() as u64);
+                for entry in outcome.omega.entries() {
+                    push_entry_bits(&mut words, &entry.matrix, &entry.evaluation);
+                }
+                words.push(outcome.archive.len() as u64);
+                for (matrix, eval) in &outcome.archive {
+                    push_entry_bits(&mut words, matrix, eval);
+                }
+            }
+        }
+    }
+    assert_eq!(optrr::fnv1a_64(words), 0x9891_65db_6fe7_5e8b);
 }
