@@ -19,7 +19,6 @@ use crate::operators::{
 };
 use emoo::{Objectives, Problem};
 use rand::Rng;
-use rr::metrics::bounds::max_posterior;
 use rr::metrics::privacy::analyze;
 use rr::metrics::utility::utility;
 use rr::RrMatrix;
@@ -291,9 +290,13 @@ impl OptrrProblem {
     }
 
     /// Computes an evaluation from scratch (cache miss path).
+    ///
+    /// One posterior pass: `analyze` reports the worst-case posterior
+    /// beside privacy. Its value is bit-equal to `max_posterior`'s, since
+    /// every posterior is non-negative and `max` is exact in any order.
     fn compute_evaluation(&self, m: &RrMatrix) -> Evaluation {
-        let max_post = match max_posterior(m, &self.prior) {
-            Ok(v) => v,
+        let privacy_analysis = match analyze(m, &self.prior) {
+            Ok(a) => a,
             Err(_) => {
                 return Evaluation {
                     privacy: 0.0,
@@ -303,17 +306,7 @@ impl OptrrProblem {
                 }
             }
         };
-        let privacy_analysis = match analyze(m, &self.prior) {
-            Ok(a) => a,
-            Err(_) => {
-                return Evaluation {
-                    privacy: 0.0,
-                    mse: f64::INFINITY,
-                    max_posterior: max_post,
-                    feasible: false,
-                }
-            }
-        };
+        let max_post = privacy_analysis.max_posterior;
         let mse = utility(m, &self.prior, self.num_records);
         match mse {
             Ok(mse) if mse.is_finite() => {

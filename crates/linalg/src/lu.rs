@@ -204,8 +204,50 @@ impl LuDecomposition {
     }
 
     /// Computes `A⁻¹`.
+    ///
+    /// Substitutes all `n` columns of the permuted identity in lockstep,
+    /// one row of `X` at a time, in place in the output. Column `j` sees
+    /// exactly the operations `solve_in_place` would apply to it,
+    /// in the same order: row `i` starts from `P e_j`, subtracts
+    /// `l_ik · x_k` for ascending `k < i`, then `u_ik · x_k` for ascending
+    /// `k > i`, and is divided by `u_ii`. Only the interleaving *across*
+    /// columns changes, and the columns never read each other, so every
+    /// entry is bit-identical to `solve_matrix(&Matrix::identity(n))`
+    /// while the `n` independent dependency chains overlap.
     pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
+        let n = self.dim();
+        let lu = self.lu.as_slice();
+        let mut out = Matrix::zeros(n, n);
+        let x = out.as_mut_slice();
+        for (row, &p) in x.chunks_exact_mut(n).zip(&self.perm) {
+            row[p] = 1.0;
+        }
+        // Forward substitution with unit lower-triangular L.
+        for i in 1..n {
+            let (done, rest) = x.split_at_mut(i * n);
+            let row_i = &mut rest[..n];
+            for (&l, row_k) in lu[i * n..i * n + i].iter().zip(done.chunks_exact(n)) {
+                for (acc, &xk) in row_i.iter_mut().zip(row_k) {
+                    *acc -= l * xk;
+                }
+            }
+        }
+        // Back substitution with U.
+        for i in (0..n).rev() {
+            let (head, done) = x.split_at_mut((i + 1) * n);
+            let row_i = &mut head[i * n..];
+            let u_row = &lu[i * n..(i + 1) * n];
+            for (&u, row_k) in u_row[i + 1..].iter().zip(done.chunks_exact(n)) {
+                for (acc, &xk) in row_i.iter_mut().zip(row_k) {
+                    *acc -= u * xk;
+                }
+            }
+            let pivot = u_row[i];
+            for acc in row_i.iter_mut() {
+                *acc /= pivot;
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -424,5 +466,41 @@ mod tests {
     fn dim_accessor() {
         let lu = LuDecomposition::new(&Matrix::identity(7)).unwrap();
         assert_eq!(lu.dim(), 7);
+    }
+
+    use proptest::prelude::*;
+
+    /// Square matrices of order 2..=24: general ones with entries in
+    /// [-1, 1), and column-stochastic ones shaped like RR matrices.
+    fn square_matrix() -> impl Strategy<Value = Matrix> {
+        (2usize..=24).prop_flat_map(|n| {
+            (proptest::collection::vec(-1.0f64..1.0, n * n), 0u8..2).prop_map(move |(raw, kind)| {
+                let mut m = Matrix::from_row_major(n, n, raw).unwrap();
+                if kind == 1 {
+                    for j in 0..n {
+                        let s: f64 = (0..n).map(|i| m[(i, j)].abs()).sum();
+                        for i in 0..n {
+                            m[(i, j)] = m[(i, j)].abs() / s;
+                        }
+                    }
+                }
+                m
+            })
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn lockstep_inverse_is_bitwise_columnwise_solve(m in square_matrix()) {
+            let Ok(lu) = LuDecomposition::new(&m) else {
+                return Ok(());
+            };
+            let n = m.rows();
+            let oracle = lu.solve_matrix(&Matrix::identity(n)).unwrap();
+            let inv = lu.inverse().unwrap();
+            for (a, b) in inv.as_slice().iter().zip(oracle.as_slice()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
     }
 }

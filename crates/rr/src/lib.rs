@@ -55,7 +55,7 @@ pub use disguise::{
     DisguiseOutcome,
 };
 pub use error::{Result, RrError};
-pub use matrix::{RrMatrix, STOCHASTIC_TOLERANCE};
+pub use matrix::{renormalize_columns, RrMatrix, STOCHASTIC_TOLERANCE};
 pub use metrics::privacy::PrivacyAnalysis;
 pub use metrics::utility::UtilityAnalysis;
 pub use sample::{AliasTable, ColumnSamplers};

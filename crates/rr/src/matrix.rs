@@ -39,28 +39,8 @@ impl RrMatrix {
                 reason: "need at least two categories",
             });
         }
-        if !matrix.is_finite() {
-            return Err(RrError::InvalidMatrix {
-                reason: "entries must be finite",
-            });
-        }
-        if !matrix.is_column_stochastic(STOCHASTIC_TOLERANCE) {
-            return Err(RrError::InvalidMatrix {
-                reason: "columns must be non-negative and sum to one",
-            });
-        }
-        // Renormalize each column exactly so downstream arithmetic is clean.
         let mut inner = matrix;
-        let n = inner.rows();
-        for j in 0..n {
-            let col = inner.column(j).expect("validated square matrix");
-            let clipped: Vec<f64> = col.iter().map(|&x| x.max(0.0)).collect();
-            let s: f64 = clipped.iter().sum();
-            let normalized = Vector::from_vec(clipped.into_iter().map(|x| x / s).collect());
-            inner
-                .set_column(j, &normalized)
-                .expect("validated dimensions");
-        }
+        renormalize_columns(&mut inner)?;
         Ok(Self { inner })
     }
 
@@ -213,6 +193,37 @@ impl RrMatrix {
         }
         Self::from_columns(&columns)
     }
+}
+
+/// Validates the entries of a square matrix the way [`RrMatrix::new`] does
+/// (finite, at least `−`[`STOCHASTIC_TOLERANCE`], every column summing to
+/// one within it), then renormalizes each column exactly in place: entries
+/// are clipped at zero and divided by the clipped column's sum, taken in
+/// row order. On error the matrix is left untouched.
+///
+/// This is the one renormalization kernel: [`RrMatrix::new`] runs it, and
+/// so does any caller that re-validates a reused scratch buffer instead of
+/// building a fresh [`RrMatrix`] (the optimizer's δ-bound repair).
+pub fn renormalize_columns(matrix: &mut Matrix) -> Result<()> {
+    if !matrix.is_finite() {
+        return Err(RrError::InvalidMatrix {
+            reason: "entries must be finite",
+        });
+    }
+    if !matrix.is_column_stochastic(STOCHASTIC_TOLERANCE) {
+        return Err(RrError::InvalidMatrix {
+            reason: "columns must be non-negative and sum to one",
+        });
+    }
+    let n = matrix.rows();
+    let data = matrix.as_mut_slice();
+    for j in 0..n {
+        let s: f64 = data[j..].iter().step_by(n).map(|&x| x.max(0.0)).sum();
+        for x in data[j..].iter_mut().step_by(n) {
+            *x = x.max(0.0) / s;
+        }
+    }
+    Ok(())
 }
 
 impl std::fmt::Display for RrMatrix {
@@ -391,5 +402,58 @@ mod tests {
         let m = warner3(0.8);
         let inner = m.clone().into_matrix();
         assert_eq!(&inner, m.as_matrix());
+    }
+
+    /// The column renormalization `RrMatrix::new` ran before it went in
+    /// place: three `Vec`s per column. Kept as the bitwise oracle.
+    fn renormalize_columns_by_vec(matrix: &Matrix) -> Matrix {
+        let mut inner = matrix.clone();
+        for j in 0..inner.rows() {
+            let col = inner.column(j).unwrap();
+            let clipped: Vec<f64> = col.iter().map(|&x| x.max(0.0)).collect();
+            let s: f64 = clipped.iter().sum();
+            let normalized = Vector::from_vec(clipped.into_iter().map(|x| x / s).collect());
+            inner.set_column(j, &normalized).unwrap();
+        }
+        inner
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn in_place_renormalization_is_bitwise_vec_renormalization(
+            n in 2usize..=16,
+            seed in 0u64..u64::MAX,
+            slack in -2e-7f64..2e-7,
+        ) {
+            // A random stochastic matrix with one slightly negative entry
+            // per column (its mass moved to the diagonal), then every entry
+            // shifted by slack/n: column sums land on both sides of the
+            // tolerance, and the negative entries get clipped.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut raw = RrMatrix::random(n, &mut rng).unwrap().into_matrix();
+            for j in 0..n {
+                let k = (j + 1) % n;
+                let negative = -0.5 * slack.abs();
+                raw[(j, j)] += raw[(k, j)] - negative;
+                raw[(k, j)] = negative;
+            }
+            for x in raw.as_mut_slice() {
+                *x += slack / n as f64;
+            }
+            let mut got = raw.clone();
+            let accepted = renormalize_columns(&mut got).is_ok();
+            prop_assert_eq!(accepted, raw.is_finite() && raw.is_column_stochastic(STOCHASTIC_TOLERANCE));
+            if accepted {
+                let oracle = renormalize_columns_by_vec(&raw);
+                for (a, b) in got.as_slice().iter().zip(oracle.as_slice()) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+                prop_assert_eq!(RrMatrix::new(raw).unwrap().into_matrix(), got);
+            } else {
+                prop_assert_eq!(got, raw);
+            }
+        }
     }
 }

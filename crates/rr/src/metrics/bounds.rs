@@ -17,6 +17,31 @@ use crate::matrix::RrMatrix;
 use linalg::Matrix;
 use stats::Categorical;
 
+/// The posterior row `P(X = · | Y = c_i)` for one row `θ_{i,·}` of an RR
+/// matrix, computed on the fly without allocating. Entry `j` is
+/// `θ_{i,j} P(X = c_j) / P(Y = c_i)`, with the evidence
+/// `P(Y = c_i) = Σ_l θ_{i,l} P(X = c_l)` summed in ascending `l`. A row
+/// whose evidence is not positive (an unreachable disguised value) is all
+/// zeros.
+///
+/// This is the one posterior kernel: [`posterior_matrix`],
+/// [`max_posterior_of`] and the privacy analysis all read their entries
+/// from it.
+pub(crate) fn posterior_row<'a>(
+    theta_row: &'a [f64],
+    prior: &'a [f64],
+) -> impl Iterator<Item = f64> + 'a {
+    let mut p_y = 0.0;
+    for (&t, &p) in theta_row.iter().zip(prior) {
+        p_y += t * p;
+    }
+    let unreachable = p_y <= 0.0;
+    theta_row
+        .iter()
+        .zip(prior)
+        .map(move |(&t, &p)| if unreachable { 0.0 } else { t * p / p_y })
+}
+
 /// Computes the posterior matrix `Q` with `Q[(i, j)] = P(X = c_j | Y = c_i)`.
 ///
 /// Rows correspond to observed (disguised) values, columns to original
@@ -32,17 +57,13 @@ pub fn posterior_matrix(m: &RrMatrix, prior: &Categorical) -> Result<Matrix> {
         });
     }
     let mut q = Matrix::zeros(n, n);
-    for i in 0..n {
-        // P(Y = c_i) = Σ_l θ_{i,l} P(X = c_l)
-        let mut p_y = 0.0;
-        for l in 0..n {
-            p_y += m.theta(i, l) * prior.prob(l);
-        }
-        if p_y <= 0.0 {
-            continue; // unreachable disguised value: leave the row at zero
-        }
-        for j in 0..n {
-            q[(i, j)] = m.theta(i, j) * prior.prob(j) / p_y;
+    let rows = m.as_matrix().as_slice().chunks_exact(n);
+    for (theta_row, q_row) in rows.zip(q.as_mut_slice().chunks_exact_mut(n)) {
+        for (out, v) in q_row
+            .iter_mut()
+            .zip(posterior_row(theta_row, prior.probs()))
+        {
+            *out = v;
         }
     }
     Ok(q)
@@ -52,8 +73,30 @@ pub fn posterior_matrix(m: &RrMatrix, prior: &Categorical) -> Result<Matrix> {
 /// values: `max_{Y, X} P(X | Y)`. This is the quantity the paper bounds by
 /// `δ` (Equation 9).
 pub fn max_posterior(m: &RrMatrix, prior: &Categorical) -> Result<f64> {
-    let q = posterior_matrix(m, prior)?;
-    Ok(q.max_abs())
+    let n = m.num_categories();
+    if prior.num_categories() != n {
+        return Err(RrError::DimensionMismatch {
+            matrix: n,
+            data: prior.num_categories(),
+        });
+    }
+    Ok(max_posterior_of(m.as_matrix(), prior))
+}
+
+/// [`max_posterior`] of a raw column-stochastic square matrix `theta`,
+/// without building `Q`: the fold `max |Q[(i, j)]|` in row-major order.
+/// For callers that hold a validated scratch buffer rather than an
+/// [`RrMatrix`]. The caller guarantees `prior` has one probability per row
+/// of `theta`.
+pub fn max_posterior_of(theta: &Matrix, prior: &Categorical) -> f64 {
+    debug_assert_eq!(theta.rows(), prior.num_categories());
+    let mut max = 0.0_f64;
+    for theta_row in theta.as_slice().chunks_exact(theta.rows()) {
+        for q in posterior_row(theta_row, prior.probs()) {
+            max = max.max(q.abs());
+        }
+    }
+    max
 }
 
 /// Whether the RR matrix satisfies the worst-case bound
@@ -183,6 +226,65 @@ mod tests {
             posterior_matrix(&m, &wrong),
             Err(RrError::DimensionMismatch { .. })
         ));
+    }
+
+    /// The posterior construction `posterior_matrix` ran before the row
+    /// kernel, and `max_posterior` as the `max_abs` of its result. Kept as
+    /// the bitwise oracle.
+    fn posterior_matrix_by_index(m: &RrMatrix, prior: &Categorical) -> Matrix {
+        let n = m.num_categories();
+        let mut q = Matrix::zeros(n, n);
+        for i in 0..n {
+            let mut p_y = 0.0;
+            for l in 0..n {
+                p_y += m.theta(i, l) * prior.prob(l);
+            }
+            if p_y <= 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                q[(i, j)] = m.theta(i, j) * prior.prob(j) / p_y;
+            }
+        }
+        q
+    }
+
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    proptest! {
+        #[test]
+        fn posterior_kernel_is_bitwise_indexed_posterior(
+            raw in (2usize..=16).prop_flat_map(|n| proptest::collection::vec(0.0f64..1.0, n)),
+            seed in 0u64..u64::MAX,
+            zeros in 0usize..4,
+        ) {
+            // Priors with up to three zero entries; random matrices, with
+            // the identity now and then so unreachable rows occur.
+            let n = raw.len();
+            let mut weights = raw;
+            for k in 0..zeros.min(n - 1) {
+                weights[(seed as usize + 3 * k) % n] = 0.0;
+            }
+            prop_assume!(weights.iter().sum::<f64>() > 0.0);
+            let total: f64 = weights.iter().sum();
+            let prior = Categorical::new(weights.iter().map(|w| w / total).collect()).unwrap();
+            let m = if seed % 4 == 0 {
+                RrMatrix::identity(n).unwrap()
+            } else {
+                RrMatrix::random(n, &mut StdRng::seed_from_u64(seed)).unwrap()
+            };
+            let oracle = posterior_matrix_by_index(&m, &prior);
+            let q = posterior_matrix(&m, &prior).unwrap();
+            for (a, b) in q.as_slice().iter().zip(oracle.as_slice()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+            prop_assert_eq!(
+                max_posterior(&m, &prior).unwrap().to_bits(),
+                oracle.max_abs().to_bits()
+            );
+        }
     }
 
     use crate::matrix::RrMatrix;

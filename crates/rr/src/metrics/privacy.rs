@@ -15,7 +15,7 @@
 
 use crate::error::{Result, RrError};
 use crate::matrix::RrMatrix;
-use crate::metrics::bounds::posterior_matrix;
+use crate::metrics::bounds::{posterior_matrix, posterior_row};
 use datagen::CategoricalDataset;
 use serde::{Deserialize, Serialize};
 use stats::Categorical;
@@ -69,18 +69,23 @@ pub fn analyze(m: &RrMatrix, prior: &Categorical) -> Result<PrivacyAnalysis> {
             data: prior.num_categories(),
         });
     }
-    let q = posterior_matrix(m, prior)?;
-
     let mut estimates = Vec::with_capacity(n);
     let mut accuracy = 0.0;
     let mut max_post: f64 = 0.0;
 
-    for i in 0..n {
-        // Posterior row for observed value Y = c_i.
-        let row = q.row(i).map_err(RrError::from)?;
-        let x_hat = row.argmax().unwrap_or(0);
+    for (i, theta_row) in m.as_matrix().as_slice().chunks_exact(n).enumerate() {
+        // MAP estimate for observed value Y = c_i: the first largest entry
+        // of its posterior row, read straight from the row kernel.
+        let mut posteriors = posterior_row(theta_row, prior.probs()).enumerate();
+        let (mut x_hat, mut best) = posteriors.next().expect("n >= 2 categories");
+        for (j, q) in posteriors {
+            if q > best {
+                x_hat = j;
+                best = q;
+            }
+        }
         estimates.push(x_hat);
-        max_post = max_post.max(row[x_hat]);
+        max_post = max_post.max(best);
         // A contribution: P(Y = c_i | X = x_hat) * P(X = x_hat)
         //              = θ_{i, x_hat} * P(x_hat)
         // which equals P(x_hat | Y = c_i) * P(Y = c_i) by Bayes' rule.
@@ -262,6 +267,65 @@ mod tests {
             Err(RrError::EmptyData)
         ));
         assert!(empirical_adversary_accuracy(&m, &prior(), &[(0, 7)]).is_err());
+    }
+
+    /// The loop `analyze` ran before it read the row kernel directly: a
+    /// full posterior matrix, one `Vector` and `argmax` per row. Kept as
+    /// the bitwise oracle.
+    fn analyze_by_rows(m: &RrMatrix, prior: &Categorical) -> PrivacyAnalysis {
+        let q = posterior_matrix(m, prior).unwrap();
+        let mut estimates = Vec::new();
+        let mut accuracy = 0.0;
+        let mut max_post: f64 = 0.0;
+        for i in 0..m.num_categories() {
+            let row = q.row(i).unwrap();
+            let x_hat = row.argmax().unwrap_or(0);
+            estimates.push(x_hat);
+            max_post = max_post.max(row[x_hat]);
+            accuracy += m.theta(i, x_hat) * prior.prob(x_hat);
+        }
+        PrivacyAnalysis {
+            map_estimates: estimates,
+            adversary_accuracy: accuracy,
+            privacy: 1.0 - accuracy,
+            max_posterior: max_post,
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn analyze_is_bitwise_row_analysis_and_max_posterior(
+            raw in (2usize..=16).prop_flat_map(|n| proptest::collection::vec(0.0f64..1.0, n)),
+            seed in 0u64..u64::MAX,
+            zeros in 0usize..4,
+        ) {
+            // Priors with up to three zero entries; random and Warner
+            // matrices, and the identity, whose rows for zero-prior
+            // categories are unreachable.
+            let n = raw.len();
+            let mut weights = raw;
+            for k in 0..zeros.min(n - 1) {
+                weights[(seed as usize + 5 * k) % n] = 0.0;
+            }
+            prop_assume!(weights.iter().sum::<f64>() > 0.0);
+            let total: f64 = weights.iter().sum();
+            let prior = Categorical::new(weights.iter().map(|w| w / total).collect()).unwrap();
+            let m = match seed % 3 {
+                0 => RrMatrix::identity(n).unwrap(),
+                1 => warner(n, (seed >> 8) as f64 / (1u64 << 56) as f64).unwrap(),
+                _ => RrMatrix::random(n, &mut StdRng::seed_from_u64(seed)).unwrap(),
+            };
+            let got = analyze(&m, &prior).unwrap();
+            let oracle = analyze_by_rows(&m, &prior);
+            prop_assert_eq!(&got.map_estimates, &oracle.map_estimates);
+            prop_assert_eq!(got.adversary_accuracy.to_bits(), oracle.adversary_accuracy.to_bits());
+            prop_assert_eq!(got.privacy.to_bits(), oracle.privacy.to_bits());
+            prop_assert_eq!(got.max_posterior.to_bits(), oracle.max_posterior.to_bits());
+            let max_post = crate::metrics::bounds::max_posterior(&m, &prior).unwrap();
+            prop_assert_eq!(got.max_posterior.to_bits(), max_post.to_bits());
+        }
     }
 
     use crate::matrix::RrMatrix;

@@ -13,11 +13,21 @@
 //!
 //! and overall utility is the per-category average (Equation 10). Because
 //! utility is an error, **lower is better** throughout the workspace.
+//!
+//! The closed form runs once per candidate matrix in the optimizer, so it
+//! is written for speed without moving a bit. The covariance table and `βᵀ`
+//! are built once, and the `n` per-category sums advance in lockstep over
+//! `i`. Each sum is its own dependency chain: it still adds exactly the
+//! terms of the textbook triple loop, each associated as
+//! `(β_{k,i}·β_{k,j})·Cov_{i,j}`, in the same order. Only the interleaving
+//! *across* the independent sums changes, and floating-point addition into
+//! one accumulator does not see the others, so every result is
+//! bit-identical to the per-category loop while the `n` chains overlap.
 
 use crate::error::{Result, RrError};
 use crate::matrix::RrMatrix;
 use serde::{Deserialize, Serialize};
-use stats::multinomial::{frequency_covariance, frequency_variance};
+use stats::multinomial::frequency_covariance;
 use stats::Categorical;
 
 /// Per-category and averaged closed-form MSE of the inversion estimator.
@@ -51,21 +61,38 @@ pub fn theoretical_mse_per_category(
     // The disguised distribution P(Y) = M P(X) feeds the multinomial moments.
     let disguised = m.disguised_distribution(original)?;
 
-    let mut per_category = Vec::with_capacity(n);
-    for k in 0..n {
-        let mut mse = 0.0;
-        for i in 0..n {
-            let b_ki = beta[(k, i)];
-            mse += b_ki * b_ki * frequency_variance(&disguised, i, n_records)?;
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                let b_kj = beta[(k, j)];
-                mse += b_ki * b_kj * frequency_covariance(&disguised, i, j, n_records)?;
+    // The n×n table of Cov(N_i/N, N_j/N), with Var(N_i/N) on the
+    // diagonal: n² divisions, once.
+    let mut cov = Vec::with_capacity(n * n);
+    for i in 0..n {
+        for j in 0..n {
+            cov.push(frequency_covariance(&disguised, i, j, n_records)?);
+        }
+    }
+    // Row i of βᵀ is column i of β: β_{k,i} for every k, contiguous.
+    let beta_t = beta.transpose();
+    let beta_cols = || beta_t.as_slice().chunks_exact(n);
+
+    // All n sums accumulate in lockstep over i. Each sum k still adds
+    // (β_{k,i}·β_{k,i})·Var_i and then (β_{k,i}·β_{k,j})·Cov_{i,j} for
+    // ascending j ≠ i, for ascending i: the term order of the per-k loop.
+    let mut per_category = vec![0.0; n];
+    for (i, (b_i, cov_i)) in beta_cols().zip(cov.chunks_exact(n)).enumerate() {
+        let var_i = cov_i[i];
+        for (mse, &b_ki) in per_category.iter_mut().zip(b_i) {
+            *mse += b_ki * b_ki * var_i;
+        }
+        for (j, (b_j, &cov_ij)) in beta_cols().zip(cov_i).enumerate() {
+            if j == i {
+                continue;
+            }
+            for ((mse, &b_ki), &b_kj) in per_category.iter_mut().zip(b_i).zip(b_j) {
+                *mse += b_ki * b_kj * cov_ij;
             }
         }
-        per_category.push(mse.max(0.0));
+    }
+    for mse in &mut per_category {
+        *mse = mse.max(0.0);
     }
     Ok(per_category)
 }
@@ -284,6 +311,64 @@ mod tests {
             assert!(analysis.per_category.iter().all(|&v| v >= 0.0));
             assert!(analysis.mean >= 0.0);
             assert_eq!(analysis.per_category.len(), 5);
+        }
+    }
+
+    /// The per-category triple loop Theorem 6 ran before the lockstep
+    /// form, one `frequency_variance`/`frequency_covariance` call per term.
+    /// Kept as the bitwise oracle.
+    fn theoretical_mse_by_category(
+        m: &RrMatrix,
+        original: &Categorical,
+        n_records: u64,
+    ) -> Vec<f64> {
+        use stats::multinomial::frequency_variance;
+        let n = m.num_categories();
+        let beta = m.inverse().unwrap();
+        let disguised = m.disguised_distribution(original).unwrap();
+        let mut per_category = Vec::with_capacity(n);
+        for k in 0..n {
+            let mut mse = 0.0;
+            for i in 0..n {
+                let b_ki = beta[(k, i)];
+                mse += b_ki * b_ki * frequency_variance(&disguised, i, n_records).unwrap();
+                for j in 0..n {
+                    if j == i {
+                        continue;
+                    }
+                    let b_kj = beta[(k, j)];
+                    mse += b_ki * b_kj * frequency_covariance(&disguised, i, j, n_records).unwrap();
+                }
+            }
+            per_category.push(mse.max(0.0));
+        }
+        per_category
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn lockstep_theorem6_is_bitwise_triple_loop(
+            raw in (2usize..=16).prop_flat_map(|n| proptest::collection::vec(0.01f64..1.0, n)),
+            seed in 0u64..u64::MAX,
+            n_records in 1u64..1_000_000,
+        ) {
+            let n = raw.len();
+            let total: f64 = raw.iter().sum();
+            let prior = Categorical::new(raw.iter().map(|w| w / total).collect()).unwrap();
+            let m = if seed % 2 == 0 {
+                warner(n, 0.05 + 0.95 * (seed >> 8) as f64 / (1u64 << 56) as f64).unwrap()
+            } else {
+                RrMatrix::random(n, &mut StdRng::seed_from_u64(seed)).unwrap()
+            };
+            prop_assume!(m.inverse().is_ok());
+            let got = theoretical_mse_per_category(&m, &prior, n_records).unwrap();
+            let oracle = theoretical_mse_by_category(&m, &prior, n_records);
+            prop_assert_eq!(got.len(), oracle.len());
+            for (a, b) in got.iter().zip(&oracle) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
     }
 

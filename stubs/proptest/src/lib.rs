@@ -22,10 +22,24 @@ pub mod test_runner {
         pub cases: u32,
     }
 
+    /// Cases per property when `PROPTEST_CASES` is unset or unparsable.
+    const DEFAULT_CASES: u32 = 64;
+
     impl Default for Config {
+        /// Runs `PROPTEST_CASES` cases when that variable holds a number,
+        /// as real proptest does, and 64 otherwise. An explicit
+        /// [`Config::with_cases`] ignores the variable.
         fn default() -> Self {
-            Self { cases: 64 }
+            Self {
+                cases: cases_from(std::env::var("PROPTEST_CASES").ok().as_deref()),
+            }
         }
+    }
+
+    /// The case count a `PROPTEST_CASES` value asks for.
+    pub(crate) fn cases_from(var: Option<&str>) -> u32 {
+        var.and_then(|v| v.trim().parse().ok())
+            .unwrap_or(DEFAULT_CASES)
     }
 
     impl Config {
@@ -384,6 +398,16 @@ mod tests {
         fn config_header_is_accepted(x in 0u32..10) {
             prop_assert!(x < 10);
         }
+    }
+
+    #[test]
+    fn proptest_cases_sets_the_default_and_with_cases_wins() {
+        use crate::test_runner::{cases_from, Config};
+        assert_eq!(cases_from(Some("1024")), 1024);
+        assert_eq!(cases_from(Some(" 8 ")), 8);
+        assert_eq!(cases_from(Some("many")), 64);
+        assert_eq!(cases_from(None), 64);
+        assert_eq!(Config::with_cases(7).cases, 7);
     }
 
     #[test]
