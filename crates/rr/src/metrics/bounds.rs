@@ -42,13 +42,9 @@ pub(crate) fn posterior_row<'a>(
         .map(move |(&t, &p)| if unreachable { 0.0 } else { t * p / p_y })
 }
 
-/// Computes the posterior matrix `Q` with `Q[(i, j)] = P(X = c_j | Y = c_i)`.
-///
-/// Rows correspond to observed (disguised) values, columns to original
-/// values; each row sums to one unless the observed value has zero
-/// probability under the prior and matrix (in which case the row is all
-/// zeros).
-pub fn posterior_matrix(m: &RrMatrix, prior: &Categorical) -> Result<Matrix> {
+/// The number of categories `n` of `m`, or a dimension error when `prior`
+/// does not have one probability per category.
+pub(crate) fn checked_order(m: &RrMatrix, prior: &Categorical) -> Result<usize> {
     let n = m.num_categories();
     if prior.num_categories() != n {
         return Err(RrError::DimensionMismatch {
@@ -56,6 +52,17 @@ pub fn posterior_matrix(m: &RrMatrix, prior: &Categorical) -> Result<Matrix> {
             data: prior.num_categories(),
         });
     }
+    Ok(n)
+}
+
+/// Computes the posterior matrix `Q` with `Q[(i, j)] = P(X = c_j | Y = c_i)`.
+///
+/// Rows correspond to observed (disguised) values, columns to original
+/// values; each row sums to one unless the observed value has zero
+/// probability under the prior and matrix (in which case the row is all
+/// zeros).
+pub fn posterior_matrix(m: &RrMatrix, prior: &Categorical) -> Result<Matrix> {
+    let n = checked_order(m, prior)?;
     let mut q = Matrix::zeros(n, n);
     let rows = m.as_matrix().as_slice().chunks_exact(n);
     for (theta_row, q_row) in rows.zip(q.as_mut_slice().chunks_exact_mut(n)) {
@@ -73,13 +80,7 @@ pub fn posterior_matrix(m: &RrMatrix, prior: &Categorical) -> Result<Matrix> {
 /// values: `max_{Y, X} P(X | Y)`. This is the quantity the paper bounds by
 /// `δ` (Equation 9).
 pub fn max_posterior(m: &RrMatrix, prior: &Categorical) -> Result<f64> {
-    let n = m.num_categories();
-    if prior.num_categories() != n {
-        return Err(RrError::DimensionMismatch {
-            matrix: n,
-            data: prior.num_categories(),
-        });
-    }
+    checked_order(m, prior)?;
     Ok(max_posterior_of(m.as_matrix(), prior))
 }
 

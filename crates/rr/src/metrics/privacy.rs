@@ -15,7 +15,7 @@
 
 use crate::error::{Result, RrError};
 use crate::matrix::RrMatrix;
-use crate::metrics::bounds::{posterior_matrix, posterior_row};
+use crate::metrics::bounds::{checked_order, posterior_matrix, posterior_row};
 use datagen::CategoricalDataset;
 use serde::{Deserialize, Serialize};
 use stats::Categorical;
@@ -62,13 +62,7 @@ pub fn privacy(m: &RrMatrix, prior: &Categorical) -> Result<f64> {
 
 /// Computes the full privacy analysis in one pass.
 pub fn analyze(m: &RrMatrix, prior: &Categorical) -> Result<PrivacyAnalysis> {
-    let n = m.num_categories();
-    if prior.num_categories() != n {
-        return Err(RrError::DimensionMismatch {
-            matrix: n,
-            data: prior.num_categories(),
-        });
-    }
+    let n = checked_order(m, prior)?;
     let mut estimates = Vec::with_capacity(n);
     let mut accuracy = 0.0;
     let mut max_post: f64 = 0.0;
