@@ -183,3 +183,93 @@ fn optimizer_bits_are_pinned() {
     }
     assert_eq!(optrr::fnv1a_64(words), 0x9891_65db_6fe7_5e8b);
 }
+
+/// Folds one run's Ω and final archive into `words`, the layout
+/// `optimizer_bits_are_pinned` uses.
+fn push_outcome_bits(words: &mut Vec<u64>, outcome: &optrr::OptrrOutcome) {
+    words.push(outcome.omega.len() as u64);
+    for entry in outcome.omega.entries() {
+        push_entry_bits(words, &entry.matrix, &entry.evaluation);
+    }
+    words.push(outcome.archive.len() as u64);
+    for (matrix, eval) in &outcome.archive {
+        push_entry_bits(words, matrix, eval);
+    }
+}
+
+/// The harmonic-weight prior of the pins, over `n` categories.
+fn harmonic_prior(n: usize) -> Categorical {
+    let weights: Vec<f64> = (0..n).map(|k| 1.0 / (k as f64 + 2.0)).collect();
+    let total: f64 = weights.iter().sum();
+    Categorical::new(weights.iter().map(|w| w / total).collect()).unwrap()
+}
+
+#[test]
+fn optimizer_bits_are_pinned_off_the_fast_path() {
+    // The paths `optimizer_bits_are_pinned` does not take, both engines:
+    // a warm-seeded run, a symmetric-only run, a parallel run whose
+    // batches really fan out, and a run that stops on stagnation.
+    let mut words = Vec::new();
+    for kind in [emoo::EngineKind::Spea2, emoo::EngineKind::Nsga2] {
+        let base = optrr::OptrrConfig {
+            engine_kind: kind,
+            ..optrr::OptrrConfig::fast(0.8, 33)
+        };
+        let prior = harmonic_prior(10);
+
+        let optimizer = Optimizer::new(base.clone()).unwrap();
+        let first = optimizer.optimize_distribution(&prior).unwrap();
+        let warm = optimizer
+            .optimize_distribution_seeded(&prior, first.warm_seeds())
+            .unwrap();
+        push_outcome_bits(&mut words, &warm);
+
+        let symmetric = optrr::OptrrConfig {
+            symmetric_only: true,
+            ..base.clone()
+        };
+        let outcome = Optimizer::new(symmetric)
+            .unwrap()
+            .optimize_distribution(&prior)
+            .unwrap();
+        push_outcome_bits(&mut words, &outcome);
+
+        // 32 · 24³ = 442,368 ≥ PARALLEL_BATCH_MIN_WORK: every batch of
+        // this run takes the parallel path.
+        let parallel = optrr::OptrrConfig {
+            parallel_evaluation: true,
+            engine: emoo::EngineConfig {
+                generations: 12,
+                ..base.engine
+            },
+            ..base.clone()
+        };
+        let wide = harmonic_prior(24);
+        assert!(OptrrProblem::new(wide.clone(), &parallel)
+            .unwrap()
+            .uses_parallel_for_batch(parallel.engine.population_size));
+        let outcome = Optimizer::new(parallel)
+            .unwrap()
+            .optimize_distribution(&wide)
+            .unwrap();
+        push_outcome_bits(&mut words, &outcome);
+
+        let stagnating = optrr::OptrrConfig {
+            stagnation_generations: Some(3),
+            omega_slots: 40,
+            engine: emoo::EngineConfig {
+                generations: 500,
+                ..base.engine
+            },
+            ..base.clone()
+        };
+        let outcome = Optimizer::new(stagnating)
+            .unwrap()
+            .optimize_distribution(&prior)
+            .unwrap();
+        assert!(outcome.statistics.generations_run < 500);
+        words.push(outcome.statistics.generations_run as u64);
+        push_outcome_bits(&mut words, &outcome);
+    }
+    assert_eq!(optrr::fnv1a_64(words), 0x5e8a_179d_ff26_c6e6);
+}
