@@ -73,8 +73,8 @@ pub fn sweep_scheme(problem: &OptrrProblem, kind: SchemeKind, steps: usize) -> V
             matrices.push(matrix);
         }
     }
-    // One batched evaluation over the whole sweep: the same cached (and
-    // optionally parallel) path the engines use.
+    // One batched evaluation over the whole sweep: the same (optionally
+    // parallel) batch path the engines use.
     let evaluations = problem.evaluate_matrices(&matrices);
     parameters
         .into_iter()

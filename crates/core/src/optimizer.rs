@@ -9,7 +9,7 @@ use crate::config::OptrrConfig;
 use crate::error::{OptrrError, Result};
 use crate::front::{FrontPoint, ParetoFront};
 use crate::omega::OmegaSet;
-use crate::problem::{Evaluation, OptrrProblem, PARALLEL_BATCH_MIN_WORK};
+use crate::problem::{Candidate, Evaluation, OptrrProblem, PARALLEL_BATCH_MIN_WORK};
 use datagen::CategoricalDataset;
 use emoo::{run_engine, EngineOutcome};
 use rand::rngs::StdRng;
@@ -57,10 +57,10 @@ pub struct RunStatistics {
     pub omega_improvements: u64,
     /// Number of filled Ω slots at the end.
     pub omega_filled: usize,
-    /// Evaluation-cache hits over the whole run (Ω offers and archive
-    /// reporting resolve from the cache instead of re-evaluating).
+    /// Evaluations read from an individual instead of computed: every
+    /// feasible Ω offer and every reported archive entry.
     pub cache_hits: u64,
-    /// Evaluation-cache misses (i.e. evaluations actually computed).
+    /// Evaluations computed: one per engine evaluation.
     pub cache_misses: u64,
     /// Pairwise dominance/distance entries the engine's incremental
     /// [`emoo::FitnessKernel`] reused across generations (the comparisons
@@ -184,28 +184,32 @@ impl Optimizer {
         let problem = OptrrProblem::new(prior.clone(), &self.config)?;
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut omega = OmegaSet::new(self.config.omega_slots);
-        let mut seeds = warm_seeds;
-        seeds.extend(self.baseline_seeds(&problem));
+        let seeds: Vec<Candidate> = warm_seeds
+            .into_iter()
+            .chain(self.baseline_seeds(&problem))
+            .map(Candidate::new)
+            .collect();
 
         let started = std::time::Instant::now();
         let stagnation_limit = self.config.stagnation_generations;
         let mut generations_without_improvement = 0usize;
+        let mut carried_reads = 0u64;
 
-        let observer = |snapshot: &emoo::GenerationSnapshot<'_, RrMatrix>| {
+        let observer = |snapshot: &emoo::GenerationSnapshot<'_, Candidate>| {
             // Offer every archive and population member to Ω (Section V.H:
             // the archive/population and Ω update each other at the end of
             // each iteration; storing the better-utility matrix per slot).
             // The snapshot individuals carry their engine-computed
-            // objectives, so infeasible candidates are screened without any
-            // lookup and feasible ones resolve from the evaluation cache —
+            // objectives, which screen out infeasible candidates, and the
+            // evaluation the batch stored in their genome, which Ω stores —
             // nothing is re-evaluated here.
             let mut improved = false;
             for ind in snapshot.archive.iter().chain(snapshot.population.iter()) {
                 if !OptrrProblem::objectives_are_feasible(&ind.objectives) {
                     continue;
                 }
-                let eval = problem.evaluate_matrix(&ind.genome);
-                if omega.offer(&ind.genome, &eval) {
+                carried_reads += 1;
+                if omega.offer(ind.genome.matrix(), carried(&ind.genome)) {
                     improved = true;
                 }
             }
@@ -228,7 +232,7 @@ impl Optimizer {
                 None => true,
             }
         };
-        let outcome: EngineOutcome<RrMatrix> = run_engine(
+        let outcome: EngineOutcome<Candidate> = run_engine(
             self.config.engine_kind,
             &problem,
             self.config.engine,
@@ -239,15 +243,16 @@ impl Optimizer {
         .map_err(|reason| OptrrError::Engine { reason })?;
         let wall_clock_seconds = started.elapsed().as_secs_f64();
 
-        // Evaluate the final archive in reporting convention. The genomes
-        // come out through the engine's warm-start accessor, so they double
-        // as the seed set for a later refresh of the same problem.
+        // Report the final archive, in archive order, with the evaluations
+        // its members carry. The matrices double as the seed set for a
+        // later refresh of the same problem.
+        carried_reads += outcome.archive.len() as u64;
         let archive: Vec<(RrMatrix, Evaluation)> = outcome
-            .seed_genomes()
+            .archive
             .into_iter()
-            .map(|genome| {
-                let evaluation = problem.evaluate_matrix(&genome);
-                (genome, evaluation)
+            .map(|ind| {
+                let evaluation = *carried(&ind.genome);
+                (ind.genome.into_matrix(), evaluation)
             })
             .collect();
 
@@ -261,14 +266,13 @@ impl Optimizer {
             .collect();
         let front = ParetoFront::from_points("OptRR", &points);
 
-        let (cache_hits, cache_misses) = problem.cache_stats();
         let statistics = RunStatistics {
             generations_run: outcome.generations_run,
             evaluations: outcome.evaluations,
             omega_improvements: omega.improvements(),
             omega_filled: omega.len(),
-            cache_hits,
-            cache_misses,
+            cache_hits: carried_reads,
+            cache_misses: outcome.evaluations as u64,
             fitness_pairs_reused: outcome.fitness_pairs_reused,
             fitness_pairs_computed: outcome.fitness_pairs_computed,
             wall_clock_seconds,
@@ -367,6 +371,14 @@ impl Optimizer {
             })
             .fold(0usize, usize::saturating_add)
     }
+}
+
+/// The evaluation an engine-reported individual carries: engines evaluate
+/// every individual they report, so it is always there.
+fn carried(candidate: &Candidate) -> &Evaluation {
+    candidate
+        .evaluation()
+        .expect("engines report only evaluated individuals")
 }
 
 #[cfg(test)]
@@ -601,6 +613,63 @@ mod tests {
             optimizer.optimize_refresh(&prior, Some(&wrong), Vec::new()),
             Err(OptrrError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn carried_evaluations_are_bitwise_equal_to_fresh_evaluation() {
+        // Ω and the final archive store the evaluation each individual
+        // carries from its engine batch; it must be exactly what a fresh
+        // evaluation of the stored matrix gives. n = 24 with a population
+        // of 32 (32 · 24³ ≥ PARALLEL_BATCH_MIN_WORK) makes the parallel
+        // runs' batches really fan out.
+        let weights: Vec<f64> = (0..24).map(|k| 1.0 / (k as f64 + 2.0)).collect();
+        let total: f64 = weights.iter().sum();
+        let prior = Categorical::new(weights.iter().map(|w| w / total).collect()).unwrap();
+        let bits = |e: &Evaluation| {
+            [
+                e.privacy.to_bits(),
+                e.mse.to_bits(),
+                e.max_posterior.to_bits(),
+                e.feasible as u64,
+            ]
+        };
+        for kind in [emoo::EngineKind::Spea2, emoo::EngineKind::Nsga2] {
+            for parallel_evaluation in [false, true] {
+                let config = OptrrConfig {
+                    engine_kind: kind,
+                    parallel_evaluation,
+                    engine: emoo::EngineConfig {
+                        generations: 8,
+                        ..OptrrConfig::fast(0.8, 3).engine
+                    },
+                    ..OptrrConfig::fast(0.8, 3)
+                };
+                let problem = OptrrProblem::new(prior.clone(), &config).unwrap();
+                assert_eq!(
+                    problem.uses_parallel_for_batch(config.engine.population_size),
+                    parallel_evaluation
+                );
+                let outcome = Optimizer::new(config)
+                    .unwrap()
+                    .optimize_distribution(&prior)
+                    .unwrap();
+                assert!(!outcome.omega.is_empty() && !outcome.archive.is_empty());
+                for e in outcome.omega.entries() {
+                    assert_eq!(
+                        bits(&e.evaluation),
+                        bits(&problem.evaluate_matrix(&e.matrix))
+                    );
+                }
+                for (m, e) in &outcome.archive {
+                    assert_eq!(bits(e), bits(&problem.evaluate_matrix(m)));
+                }
+                // Every engine evaluation is computed once; every Ω offer
+                // and every archive entry reads a carried one.
+                let stats = &outcome.statistics;
+                assert_eq!(stats.cache_misses, stats.evaluations as u64);
+                assert!(stats.cache_hits >= outcome.archive.len() as u64);
+            }
+        }
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! crossover, mutation, and δ-bound repair plugged into the generic EMOO
 //! engine layer.
 //!
-//! Evaluation — the hottest path of the whole system — is batched, cached,
-//! and optionally parallel: the engines route all evaluation through
+//! Evaluation — the hottest path of the whole system — is batched and
+//! optionally parallel: the engines route all evaluation through
 //! [`emoo::Problem::evaluate_batch`], which this problem implements on top
-//! of [`OptrrProblem::evaluate_matrices`] (data-parallel across cores when
-//! `parallel_evaluation` is configured), and every computed
-//! [`Evaluation`] lands in a genome-keyed cache so later lookups of the
-//! same matrix (Ω offers, archive reporting, baseline sweeps) are O(1)
-//! instead of a fresh matrix inversion.
+//! of the same batch path as [`OptrrProblem::evaluate_matrices`]
+//! (data-parallel across cores when `parallel_evaluation` is configured).
+//! Each genome is a [`Candidate`] that keeps the [`Evaluation`] the batch
+//! computed for it, so Ω offers and archive reporting read it from the
+//! individual instead of evaluating the matrix again.
 
 use crate::config::OptrrConfig;
 use crate::error::{OptrrError, Result};
@@ -23,9 +23,7 @@ use rr::metrics::privacy::analyze;
 use rr::metrics::utility::utility;
 use rr::RrMatrix;
 use stats::Categorical;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 /// Penalty objective value assigned to infeasible genomes (singular
 /// matrices, δ-bound violations that repair could not fix). Large but
@@ -51,29 +49,57 @@ pub struct Evaluation {
     pub feasible: bool,
 }
 
-/// Approximate byte budget of the evaluation cache; the cache is cleared
-/// when the derived entry cap fills, bounding memory for very long
-/// (20,000-generation) runs regardless of category count.
-const CACHE_BYTE_BUDGET: usize = 64 << 20;
+/// The genome of [`OptrrProblem`]: an RR matrix and, once a batch has
+/// evaluated it, its [`Evaluation`]. Crossover, mutation and repair return
+/// fresh candidates without one, so a carried evaluation always belongs to
+/// the matrix beside it. The engine's objective vector cannot stand in
+/// for it: `1 − (1 − privacy)` is not exact.
+#[derive(Debug, Clone)]
+pub struct Candidate {
+    matrix: RrMatrix,
+    evaluation: OnceLock<Evaluation>,
+}
+
+impl Candidate {
+    /// A candidate that has not been evaluated yet.
+    pub fn new(matrix: RrMatrix) -> Self {
+        Self {
+            matrix,
+            evaluation: OnceLock::new(),
+        }
+    }
+
+    /// The RR matrix.
+    pub fn matrix(&self) -> &RrMatrix {
+        &self.matrix
+    }
+
+    /// The evaluation a batch computed for this matrix, if any.
+    pub fn evaluation(&self) -> Option<&Evaluation> {
+        self.evaluation.get()
+    }
+
+    /// Gives the matrix back.
+    pub fn into_matrix(self) -> RrMatrix {
+        self.matrix
+    }
+}
 
 /// Baked minimum batch work (matrices × n³, the dominant cost of one
 /// evaluation being the n×n matrix inversion) before a parallel-configured
-/// batch actually fans out across cores. Below this the thread spawn and
-/// the parallel path's key pre-pass cost more than they save — the
-/// retired optimizer micro-benchmark showed parallel n=10×128 batches
-/// (work 128k) *losing* to serial by ~13% while n=20×128 (work 1.02M)
-/// broke even — so small batches stay on the serial path. Only a perfbench
-/// workload (`warmup` is the one that runs engines) can justify moving
-/// it. The same threshold gates
+/// batch actually fans out across cores. Below this the thread spawn costs
+/// more than it saves — the retired optimizer micro-benchmark showed
+/// parallel n=10×128 batches (work 128k) *losing* to serial by ~13% while
+/// n=20×128 (work 1.02M) broke even — so small batches stay on the serial
+/// path. Only a perfbench workload (`warmup` is the one that runs engines)
+/// can justify moving it. The same threshold gates
 /// [`Optimizer::optimize_many`](crate::Optimizer::optimize_many)'s
 /// per-prior fan-out.
 pub const PARALLEL_BATCH_MIN_WORK: usize = 400_000;
 
 /// The OptRR problem instance: a prior distribution (from the data set
-/// being disguised), the record count, and the δ bound, plus the
-/// genome-keyed evaluation cache shared by the engine loop, Ω maintenance,
-/// and the baseline sweeps.
-#[derive(Debug)]
+/// being disguised), the record count, and the δ bound.
+#[derive(Debug, Clone)]
 pub struct OptrrProblem {
     prior: Categorical,
     num_records: u64,
@@ -81,28 +107,6 @@ pub struct OptrrProblem {
     mutation_step: f64,
     symmetric_only: bool,
     parallel_evaluation: bool,
-    cache_capacity: usize,
-    cache: Mutex<HashMap<Vec<u64>, Evaluation>>,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-}
-
-impl Clone for OptrrProblem {
-    fn clone(&self) -> Self {
-        Self {
-            prior: self.prior.clone(),
-            num_records: self.num_records,
-            delta: self.delta,
-            mutation_step: self.mutation_step,
-            symmetric_only: self.symmetric_only,
-            parallel_evaluation: self.parallel_evaluation,
-            cache_capacity: self.cache_capacity,
-            // The cache is derived state; a clone starts cold.
-            cache: Mutex::new(HashMap::new()),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-        }
-    }
 }
 
 impl OptrrProblem {
@@ -115,11 +119,6 @@ impl OptrrProblem {
                 reason: "the attribute must have at least two categories".into(),
             });
         }
-        // Each cache entry costs roughly n²·8 bytes of key plus map
-        // overhead, so derive the entry cap from the byte budget.
-        let n = prior.num_categories();
-        let entry_bytes = n * n * 8 + 96;
-        let cache_capacity = (CACHE_BYTE_BUDGET / entry_bytes).clamp(1 << 10, 1 << 17);
         Ok(Self {
             prior,
             num_records: config.num_records,
@@ -127,10 +126,6 @@ impl OptrrProblem {
             mutation_step: DEFAULT_MUTATION_STEP,
             symmetric_only: config.symmetric_only,
             parallel_evaluation: config.parallel_evaluation,
-            cache_capacity,
-            cache: Mutex::new(HashMap::new()),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
         })
     }
 
@@ -168,133 +163,12 @@ impl OptrrProblem {
         self.parallel_evaluation && batch_len.saturating_mul(n * n * n) >= PARALLEL_BATCH_MIN_WORK
     }
 
-    /// Evaluation-cache statistics: `(hits, misses)` since construction.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (
-            self.cache_hits.load(Ordering::Relaxed),
-            self.cache_misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// The cache key of a matrix: the exact bit patterns of its entries.
-    fn genome_key(m: &RrMatrix) -> Vec<u64> {
-        m.as_matrix()
-            .as_slice()
-            .iter()
-            .map(|x| x.to_bits())
-            .collect()
-    }
-
-    /// Evaluates a matrix into the paper's reporting convention, consulting
-    /// the genome-keyed cache first. Engine-evaluated individuals are
-    /// therefore never recomputed when they are later offered to Ω or
-    /// reported from the archive.
-    pub fn evaluate_matrix(&self, m: &RrMatrix) -> Evaluation {
-        let key = Self::genome_key(m);
-        if let Some(cached) = self.cache.lock().expect("cache lock").get(&key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return *cached;
-        }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let evaluation = self.compute_evaluation(m);
-        let mut cache = self.cache.lock().expect("cache lock");
-        if cache.len() >= self.cache_capacity {
-            cache.clear();
-        }
-        cache.insert(key, evaluation);
-        evaluation
-    }
-
-    /// Evaluates a whole batch of matrices, in input order — serially, or
-    /// data-parallel across all cores when `parallel_evaluation` is
-    /// configured and the batch is big enough to beat the fan-out
-    /// overhead (see [`OptrrProblem::uses_parallel_for_batch`]).
-    /// Evaluation is pure, so the parallel path returns bit-identical
-    /// results. This is the single evaluation path shared by the engines
-    /// (via [`emoo::Problem::evaluate_batch`]) and the baseline sweeps.
-    pub fn evaluate_matrices(&self, matrices: &[RrMatrix]) -> Vec<Evaluation> {
-        if !self.uses_parallel_for_batch(matrices.len()) {
-            return matrices.iter().map(|m| self.evaluate_matrix(m)).collect();
-        }
-        // Resolve cache hits in one pre-pass and deduplicate repeated
-        // genomes within the batch, so the parallel workers never touch
-        // the lock and never compute the same matrix twice; evaluation is
-        // pure, so the par_iter body is lock-free. Hit/miss accounting
-        // matches the serial path: an in-batch duplicate counts as a hit.
-        let keys: Vec<Vec<u64>> = matrices.iter().map(Self::genome_key).collect();
-        let mut results: Vec<Option<Evaluation>> = {
-            let cache = self.cache.lock().expect("cache lock");
-            keys.iter().map(|key| cache.get(key).copied()).collect()
-        };
-        let mut position_of: HashMap<&[u64], usize> = HashMap::new();
-        let mut unique_misses: Vec<usize> = Vec::new();
-        let mut miss_slots: Vec<(usize, usize)> = Vec::new(); // (result idx, unique pos)
-        for i in 0..matrices.len() {
-            if results[i].is_some() {
-                continue;
-            }
-            let position = *position_of.entry(keys[i].as_slice()).or_insert_with(|| {
-                unique_misses.push(i);
-                unique_misses.len() - 1
-            });
-            miss_slots.push((i, position));
-        }
-        let hits = (matrices.len() - unique_misses.len()) as u64;
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses
-            .fetch_add(unique_misses.len() as u64, Ordering::Relaxed);
-
-        use rayon::prelude::*;
-        let computed: Vec<Evaluation> = unique_misses
-            .par_iter()
-            .map(|&i| self.compute_evaluation(&matrices[i]))
-            .collect();
-
-        {
-            let mut cache = self.cache.lock().expect("cache lock");
-            for (position, &i) in unique_misses.iter().enumerate() {
-                if cache.len() >= self.cache_capacity {
-                    cache.clear();
-                }
-                cache.insert(keys[i].clone(), computed[position]);
-            }
-        }
-        for (i, position) in miss_slots {
-            results[i] = Some(computed[position]);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every index resolved from cache or computation"))
-            .collect()
-    }
-
-    /// Whether an engine-reported objective vector corresponds to a
-    /// feasible evaluation. Objective 0 is the adversary accuracy
-    /// (1 − privacy), which lies in [0, 1] for every feasible evaluation,
-    /// while infeasible genomes carry [`INFEASIBLE_PENALTY`] there — so
-    /// the first objective alone discriminates exactly, no matter how
-    /// large a feasible MSE (objective 1) gets.
-    pub fn objectives_are_feasible(objectives: &Objectives) -> bool {
-        objectives.value(0) < INFEASIBLE_PENALTY
-    }
-
-    /// Converts an evaluation into the engine's minimized objective vector.
-    fn objectives_from(eval: &Evaluation) -> Objectives {
-        if !eval.feasible || !eval.mse.is_finite() {
-            // Infeasible: dominated by every feasible point.
-            return Objectives::pair(INFEASIBLE_PENALTY, INFEASIBLE_PENALTY);
-        }
-        // Objective 1: adversary accuracy (1 − privacy), minimized.
-        // Objective 2: MSE, minimized.
-        Objectives::pair(1.0 - eval.privacy, eval.mse)
-    }
-
-    /// Computes an evaluation from scratch (cache miss path).
+    /// Evaluates a matrix into the paper's reporting convention.
     ///
     /// One posterior pass: `analyze` reports the worst-case posterior
     /// beside privacy. Its value is bit-equal to `max_posterior`'s, since
     /// every posterior is non-negative and `max` is exact in any order.
-    fn compute_evaluation(&self, m: &RrMatrix) -> Evaluation {
+    pub fn evaluate_matrix(&self, m: &RrMatrix) -> Evaluation {
         let privacy_analysis = match analyze(m, &self.prior) {
             Ok(a) => a,
             Err(_) => {
@@ -325,6 +199,69 @@ impl OptrrProblem {
                 feasible: false,
             },
         }
+    }
+
+    /// Evaluates a whole batch of matrices, in input order — serially, or
+    /// data-parallel across all cores when `parallel_evaluation` is
+    /// configured and the batch is big enough to beat the fan-out
+    /// overhead (see [`OptrrProblem::uses_parallel_for_batch`]).
+    /// Evaluation is pure, so the parallel path returns bit-identical
+    /// results. The engines' [`emoo::Problem::evaluate_batch`] and the
+    /// baseline sweeps share this batch path.
+    pub fn evaluate_matrices(&self, matrices: &[RrMatrix]) -> Vec<Evaluation> {
+        self.map_batch(matrices, |m| self.evaluate_matrix(m))
+    }
+
+    /// Maps `f` over a batch of matrices (bare or in candidates), in input
+    /// order, on the path [`OptrrProblem::uses_parallel_for_batch`] picks.
+    fn map_batch<T: Sync, U: Send>(&self, items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+        if self.uses_parallel_for_batch(items.len()) {
+            use rayon::prelude::*;
+            items.par_iter().map(f).collect()
+        } else {
+            items.iter().map(f).collect()
+        }
+    }
+
+    /// Evaluates a candidate's matrix, stores the evaluation in the
+    /// candidate, and returns the engine's objective vector for it.
+    fn evaluate_candidate(&self, candidate: &Candidate) -> Objectives {
+        let evaluation = self.evaluate_matrix(&candidate.matrix);
+        // A candidate that already carries one got it from the same pure
+        // computation, so keeping it changes nothing.
+        let _ = candidate.evaluation.set(evaluation);
+        Self::objectives_from(&evaluation)
+    }
+
+    /// Whether an engine-reported objective vector corresponds to a
+    /// feasible evaluation. Objective 0 is the adversary accuracy
+    /// (1 − privacy), which lies in [0, 1] for every feasible evaluation,
+    /// while infeasible genomes carry [`INFEASIBLE_PENALTY`] there — so
+    /// the first objective alone discriminates exactly, no matter how
+    /// large a feasible MSE (objective 1) gets.
+    pub fn objectives_are_feasible(objectives: &Objectives) -> bool {
+        objectives.value(0) < INFEASIBLE_PENALTY
+    }
+
+    /// Converts an evaluation into the engine's minimized objective vector.
+    fn objectives_from(eval: &Evaluation) -> Objectives {
+        if !eval.feasible || !eval.mse.is_finite() {
+            // Infeasible: dominated by every feasible point.
+            return Objectives::pair(INFEASIBLE_PENALTY, INFEASIBLE_PENALTY);
+        }
+        // Objective 1: adversary accuracy (1 − privacy), minimized.
+        // Objective 2: MSE, minimized.
+        Objectives::pair(1.0 - eval.privacy, eval.mse)
+    }
+
+    /// A new, unevaluated genome from a freshly built matrix, symmetrized
+    /// when `symmetric_only` is set.
+    fn fresh(&self, m: RrMatrix) -> Candidate {
+        Candidate::new(if self.symmetric_only {
+            self.symmetrize(&m)
+        } else {
+            m
+        })
     }
 
     /// Symmetrizes a matrix — used when `symmetric_only` is set (the
@@ -365,63 +302,47 @@ impl OptrrProblem {
 }
 
 impl Problem for OptrrProblem {
-    type Genome = RrMatrix;
+    type Genome = Candidate;
 
     fn num_objectives(&self) -> usize {
         2
     }
 
-    fn random_genome<R: Rng + ?Sized>(&self, rng: &mut R) -> RrMatrix {
+    fn random_genome<R: Rng + ?Sized>(&self, rng: &mut R) -> Candidate {
         let m = RrMatrix::random(self.num_categories(), rng)
             .expect("num_categories >= 2 validated at construction");
-        if self.symmetric_only {
-            self.symmetrize(&m)
-        } else {
-            m
-        }
+        self.fresh(m)
     }
 
-    fn evaluate(&self, genome: &RrMatrix) -> Objectives {
-        Self::objectives_from(&self.evaluate_matrix(genome))
+    fn evaluate(&self, genome: &Candidate) -> Objectives {
+        self.evaluate_candidate(genome)
     }
 
-    fn evaluate_batch(&self, genomes: &[RrMatrix]) -> Vec<Objectives> {
-        self.evaluate_matrices(genomes)
-            .iter()
-            .map(Self::objectives_from)
-            .collect()
+    fn evaluate_batch(&self, genomes: &[Candidate]) -> Vec<Objectives> {
+        self.map_batch(genomes, |g| self.evaluate_candidate(g))
     }
 
     fn crossover<R: Rng + ?Sized>(
         &self,
-        a: &RrMatrix,
-        b: &RrMatrix,
+        a: &Candidate,
+        b: &Candidate,
         rng: &mut R,
-    ) -> (RrMatrix, RrMatrix) {
-        let (c1, c2) = column_swap_crossover(a, b, rng);
-        if self.symmetric_only {
-            (self.symmetrize(&c1), self.symmetrize(&c2))
-        } else {
-            (c1, c2)
-        }
+    ) -> (Candidate, Candidate) {
+        let (c1, c2) = column_swap_crossover(&a.matrix, &b.matrix, rng);
+        (self.fresh(c1), self.fresh(c2))
     }
 
-    fn mutate<R: Rng + ?Sized>(&self, genome: &mut RrMatrix, rng: &mut R) {
-        let mutated = proportional_column_mutation(genome, self.mutation_step, rng);
-        *genome = if self.symmetric_only {
-            self.symmetrize(&mutated)
-        } else {
-            mutated
-        };
+    fn mutate<R: Rng + ?Sized>(&self, genome: &mut Candidate, rng: &mut R) {
+        *genome = self.fresh(proportional_column_mutation(
+            &genome.matrix,
+            self.mutation_step,
+            rng,
+        ));
     }
 
-    fn repair<R: Rng + ?Sized>(&self, genome: &mut RrMatrix, rng: &mut R) {
-        let (repaired, _ok) = repair_to_delta_bound(genome, &self.prior, self.delta, rng);
-        *genome = if self.symmetric_only {
-            self.symmetrize(&repaired)
-        } else {
-            repaired
-        };
+    fn repair<R: Rng + ?Sized>(&self, genome: &mut Candidate, rng: &mut R) {
+        let (repaired, _ok) = repair_to_delta_bound(&genome.matrix, &self.prior, self.delta, rng);
+        *genome = self.fresh(repaired);
     }
 }
 
@@ -474,7 +395,7 @@ mod tests {
         assert!(eval.mse > 0.0);
         assert!(eval.max_posterior <= 0.8 + 1e-9);
         // Objectives follow the convention (accuracy, mse).
-        let obj = Problem::evaluate(&p, &m);
+        let obj = Problem::evaluate(&p, &Candidate::new(m));
         assert!((obj.value(0) - (1.0 - eval.privacy)).abs() < 1e-12);
         assert!((obj.value(1) - eval.mse).abs() < 1e-15);
     }
@@ -486,7 +407,7 @@ mod tests {
         let m = warner(5, 0.98).unwrap();
         let eval = p.evaluate_matrix(&m);
         assert!(!eval.feasible);
-        let obj = Problem::evaluate(&p, &m);
+        let obj = Problem::evaluate(&p, &Candidate::new(m));
         assert_eq!(obj.value(0), INFEASIBLE_PENALTY);
         assert_eq!(obj.value(1), INFEASIBLE_PENALTY);
     }
@@ -498,7 +419,7 @@ mod tests {
         let eval = p.evaluate_matrix(&m);
         assert!(!eval.feasible);
         assert!(!eval.mse.is_finite());
-        let obj = Problem::evaluate(&p, &m);
+        let obj = Problem::evaluate(&p, &Candidate::new(m));
         assert_eq!(obj.value(0), INFEASIBLE_PENALTY);
     }
 
@@ -507,7 +428,7 @@ mod tests {
         let p = problem(0.8);
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..10 {
-            let g = Problem::random_genome(&p, &mut rng);
+            let g = Problem::random_genome(&p, &mut rng).into_matrix();
             assert_eq!(g.num_categories(), 5);
             assert!(g.as_matrix().is_column_stochastic(1e-9));
         }
@@ -517,9 +438,9 @@ mod tests {
     fn repair_brings_genomes_inside_the_bound() {
         let p = problem(0.7);
         let mut rng = StdRng::seed_from_u64(3);
-        let mut g = warner(5, 0.95).unwrap();
+        let mut g = Candidate::new(warner(5, 0.95).unwrap());
         Problem::repair(&p, &mut g, &mut rng);
-        let eval = p.evaluate_matrix(&g);
+        let eval = p.evaluate_matrix(g.matrix());
         assert!(eval.feasible, "max posterior {}", eval.max_posterior);
     }
 
@@ -530,11 +451,11 @@ mod tests {
         let a = Problem::random_genome(&p, &mut rng);
         let b = Problem::random_genome(&p, &mut rng);
         let (c1, c2) = Problem::crossover(&p, &a, &b, &mut rng);
-        assert!(c1.as_matrix().is_column_stochastic(1e-9));
-        assert!(c2.as_matrix().is_column_stochastic(1e-9));
+        assert!(c1.matrix().as_matrix().is_column_stochastic(1e-9));
+        assert!(c2.matrix().as_matrix().is_column_stochastic(1e-9));
         let mut m = c1;
         Problem::mutate(&p, &mut m, &mut rng);
-        assert!(m.as_matrix().is_column_stochastic(1e-9));
+        assert!(m.matrix().as_matrix().is_column_stochastic(1e-9));
     }
 
     #[test]
@@ -546,38 +467,43 @@ mod tests {
         let p = OptrrProblem::new(prior(), &cfg).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let g = Problem::random_genome(&p, &mut rng);
-        assert!(g.is_symmetric());
+        assert!(g.matrix().is_symmetric());
         let h = Problem::random_genome(&p, &mut rng);
         let (c1, c2) = Problem::crossover(&p, &g, &h, &mut rng);
-        assert!(c1.is_symmetric());
-        assert!(c2.is_symmetric());
+        assert!(c1.matrix().is_symmetric());
+        assert!(c2.matrix().is_symmetric());
         let mut m = c1;
         Problem::mutate(&p, &mut m, &mut rng);
-        assert!(m.is_symmetric());
+        assert!(m.matrix().is_symmetric());
         Problem::repair(&p, &mut m, &mut rng);
-        assert!(m.is_symmetric());
-        assert!(m.as_matrix().is_column_stochastic(1e-9));
+        assert!(m.matrix().is_symmetric());
+        assert!(m.matrix().as_matrix().is_column_stochastic(1e-9));
     }
 
     #[test]
-    fn evaluation_cache_hits_on_repeated_matrices() {
+    fn batches_store_evaluations_and_variation_starts_fresh() {
         let p = problem(0.8);
-        let m = warner(5, 0.6).unwrap();
-        let first = p.evaluate_matrix(&m);
-        let (hits0, misses0) = p.cache_stats();
-        assert_eq!((hits0, misses0), (0, 1));
-        let second = p.evaluate_matrix(&m);
-        let (hits1, misses1) = p.cache_stats();
-        assert_eq!((hits1, misses1), (1, 1));
-        assert_eq!(first, second);
-        // A different matrix misses.
-        let other = warner(5, 0.61).unwrap();
-        let _ = p.evaluate_matrix(&other);
-        assert_eq!(p.cache_stats(), (1, 2));
-        // A clone starts cold.
-        let fresh = p.clone();
-        assert_eq!(fresh.cache_stats(), (0, 0));
-        assert_eq!(fresh.evaluate_matrix(&m), first);
+        let mut rng = StdRng::seed_from_u64(6);
+        let genomes: Vec<Candidate> = (0..8)
+            .map(|_| Problem::random_genome(&p, &mut rng))
+            .collect();
+        assert!(genomes.iter().all(|g| g.evaluation().is_none()));
+        let objectives = Problem::evaluate_batch(&p, &genomes);
+        for (g, o) in genomes.iter().zip(&objectives) {
+            let carried = g.evaluation().expect("the batch stored it");
+            assert_eq!(carried, &p.evaluate_matrix(g.matrix()));
+            assert_eq!(o, &OptrrProblem::objectives_from(carried));
+        }
+        // A clone keeps the evaluation; every variation returns a fresh one.
+        assert!(genomes[0].clone().evaluation().is_some());
+        let (c1, c2) = Problem::crossover(&p, &genomes[0], &genomes[1], &mut rng);
+        assert!(c1.evaluation().is_none() && c2.evaluation().is_none());
+        let mut m = genomes[2].clone();
+        Problem::mutate(&p, &mut m, &mut rng);
+        assert!(m.evaluation().is_none());
+        let mut r = genomes[3].clone();
+        Problem::repair(&p, &mut r, &mut rng);
+        assert!(r.evaluation().is_none());
     }
 
     #[test]
@@ -601,9 +527,10 @@ mod tests {
                 assert_eq!(eval.feasible, expected.feasible);
             }
             // The trait-level batch hook agrees with pointwise evaluate.
-            let objectives = Problem::evaluate_batch(&p, &matrices);
+            let candidates: Vec<Candidate> = matrices.iter().cloned().map(Candidate::new).collect();
+            let objectives = Problem::evaluate_batch(&p, &candidates);
             for (m, o) in matrices.iter().zip(&objectives) {
-                assert_eq!(o, &Problem::evaluate(&p, m));
+                assert_eq!(o, &Problem::evaluate(&p, &Candidate::new(m.clone())));
             }
         }
     }
@@ -657,13 +584,14 @@ mod tests {
         let loose = problem(0.8);
         let feasible = warner(5, 0.6).unwrap();
         assert!(OptrrProblem::objectives_are_feasible(&Problem::evaluate(
-            &loose, &feasible
+            &loose,
+            &Candidate::new(feasible)
         )));
         let strict = problem(0.5);
         let infeasible = warner(5, 0.98).unwrap();
         assert!(!OptrrProblem::objectives_are_feasible(&Problem::evaluate(
             &strict,
-            &infeasible
+            &Candidate::new(infeasible)
         )));
     }
 

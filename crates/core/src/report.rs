@@ -101,7 +101,7 @@ impl ExperimentReport {
             let _ = writeln!(out, "omega filled slots  : {}", stats.omega_filled);
             let _ = writeln!(
                 out,
-                "eval cache hit/miss : {}/{}",
+                "evals carried/computed : {}/{}",
                 stats.cache_hits, stats.cache_misses
             );
             let _ = writeln!(
