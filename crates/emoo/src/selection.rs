@@ -93,83 +93,150 @@ pub fn environmental_selection_with<G>(
     selected
 }
 
-/// Iteratively removes the member with the lexicographically smallest
-/// sorted distance vector until `selected` fits `archive_size`.
+/// SPEA2's archive truncation (Zitzler, Laumanns & Thiele, "SPEA2",
+/// TIK-Report 103, ETH Zürich, 2001): iteratively removes the member with
+/// the lexicographically smallest sorted distance vector until `selected`
+/// fits `archive_size`.
 ///
 /// The lexicographic winner's first element is necessarily the globally
-/// smallest nearest-neighbour distance, so each round needs only a min
-/// scan per member (partial selection); full sorted distance vectors are
-/// built — into two reusable buffers — solely for the members tied on that
-/// minimum (typically just the two endpoints of the closest pair). Ties on
-/// the whole vector resolve to the earliest member, exactly like a full
-/// lexicographic argmin.
+/// smallest nearest-neighbour distance. Each member keeps its
+/// nearest-neighbour distance and position across removals; a removal
+/// changes only the minima of the members whose nearest neighbour was the
+/// victim, so only those are rescanned. Members tied on the global minimum
+/// are compared on their second-smallest distance, and full sorted distance
+/// vectors are built — into two reusable buffers — only when that ties
+/// too. Ties on the whole vector resolve to the earliest member, so the
+/// selection is exactly that of a full lexicographic argmin per round.
 fn truncate_most_crowded(
     selected: &mut Vec<usize>,
     archive_size: usize,
     distance: &impl Fn(usize, usize) -> f64,
 ) {
-    let mut mins: Vec<f64> = Vec::new();
+    if selected.len() <= archive_size {
+        return;
+    }
+    // Positions into `selected` of the members still in, in order.
+    let mut live: Vec<usize> = (0..selected.len()).collect();
+    // Per position: (nearest-neighbour distance, that neighbour's position).
+    let mut nearest: Vec<(f64, usize)> = live
+        .iter()
+        .map(|&p| nearest_neighbour(selected, &live, p, distance))
+        .collect();
     let mut best_row: Vec<f64> = Vec::new();
     let mut row: Vec<f64> = Vec::new();
-    while selected.len() > archive_size {
-        let n = selected.len();
-        debug_assert!(n > 1);
-        // Nearest-neighbour distance of every member: a min scan, no sort.
-        mins.clear();
-        for (p, &i) in selected.iter().enumerate() {
-            let mut best = f64::INFINITY;
-            for (q, &j) in selected.iter().enumerate() {
-                if p == q {
-                    continue;
-                }
-                let d = distance(i, j);
-                if d.partial_cmp(&best).expect("finite distances") == std::cmp::Ordering::Less {
-                    best = d;
-                }
-            }
-            mins.push(best);
-        }
-        let global_min = mins
+    while live.len() > archive_size {
+        debug_assert!(live.len() > 1);
+        let global_min = live
             .iter()
-            .copied()
+            .map(|&p| nearest[p].0)
             .reduce(|a, b| if b < a { b } else { a })
             .expect("non-empty selection");
 
-        // Tie-break the candidates (members whose nearest distance equals
-        // the global minimum) on their full sorted distance vectors.
-        let mut victim = usize::MAX;
-        for (p, &m) in mins.iter().enumerate() {
-            if m != global_min {
+        // (rank in `live`, position, second-smallest distance) of the
+        // current victim, and whether `best_row` holds its sorted row.
+        let mut victim: Option<(usize, usize, f64)> = None;
+        let mut best_row_filled = false;
+        for (rank, &p) in live.iter().enumerate() {
+            if nearest[p].0 != global_min {
                 continue;
             }
-            if victim == usize::MAX {
-                victim = p;
-                fill_sorted_row(&mut best_row, selected, p, distance);
+            let second = second_smallest(selected, &live, p, distance);
+            let Some((_, v, best_second)) = victim else {
+                victim = Some((rank, p, second));
                 continue;
-            }
-            fill_sorted_row(&mut row, selected, p, distance);
-            if lexicographically_smaller(&row, &best_row) {
-                victim = p;
-                std::mem::swap(&mut best_row, &mut row);
+            };
+            let smaller = if second != best_second {
+                second < best_second
+            } else {
+                if !best_row_filled {
+                    fill_sorted_row(&mut best_row, selected, &live, v, distance);
+                    best_row_filled = true;
+                }
+                fill_sorted_row(&mut row, selected, &live, p, distance);
+                lexicographically_smaller(&row, &best_row)
+            };
+            if smaller {
+                if second == best_second {
+                    std::mem::swap(&mut best_row, &mut row);
+                } else {
+                    best_row_filled = false;
+                }
+                victim = Some((rank, p, second));
             }
         }
-        selected.remove(victim);
+        let (rank, v, _) = victim.expect("some member attains the global minimum");
+        live.remove(rank);
+        for i in 0..live.len() {
+            let p = live[i];
+            if nearest[p].1 == v {
+                nearest[p] = nearest_neighbour(selected, &live, p, distance);
+            }
+        }
     }
+    *selected = live.iter().map(|&p| selected[p]).collect();
 }
 
-/// Fills `row` with member `p`'s sorted distances to every other selected
+/// The distance from position `p` to its nearest live neighbour and that
+/// neighbour's position (the first one on a tie).
+fn nearest_neighbour(
+    selected: &[usize],
+    live: &[usize],
+    p: usize,
+    distance: &impl Fn(usize, usize) -> f64,
+) -> (f64, usize) {
+    let i = selected[p];
+    let mut best = (f64::INFINITY, usize::MAX);
+    for &q in live {
+        if q == p {
+            continue;
+        }
+        let d = distance(i, selected[q]);
+        if d.partial_cmp(&best.0).expect("finite distances") == std::cmp::Ordering::Less {
+            best = (d, q);
+        }
+    }
+    best
+}
+
+/// The second-smallest distance from position `p` to its live neighbours
+/// (+∞ when it has only one): the second entry of its sorted row.
+fn second_smallest(
+    selected: &[usize],
+    live: &[usize],
+    p: usize,
+    distance: &impl Fn(usize, usize) -> f64,
+) -> f64 {
+    let i = selected[p];
+    let (mut first, mut second) = (f64::INFINITY, f64::INFINITY);
+    for &q in live {
+        if q == p {
+            continue;
+        }
+        let d = distance(i, selected[q]);
+        if d < first {
+            second = first;
+            first = d;
+        } else if d < second {
+            second = d;
+        }
+    }
+    second
+}
+
+/// Fills `row` with position `p`'s sorted distances to every other live
 /// member.
 fn fill_sorted_row(
     row: &mut Vec<f64>,
     selected: &[usize],
+    live: &[usize],
     p: usize,
     distance: &impl Fn(usize, usize) -> f64,
 ) {
     row.clear();
     let i = selected[p];
-    for (q, &j) in selected.iter().enumerate() {
+    for &q in live {
         if q != p {
-            row.push(distance(i, j));
+            row.push(distance(i, selected[q]));
         }
     }
     row.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
@@ -193,8 +260,114 @@ fn lexicographically_smaller(a: &[f64], b: &[f64]) -> bool {
 mod tests {
     use super::*;
     use crate::objectives::Objectives;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The truncation as it was before it kept nearest neighbours across
+    /// removals: every round rescans every member. The oracle of
+    /// [`truncate_most_crowded`].
+    fn truncate_most_crowded_reference(
+        selected: &mut Vec<usize>,
+        archive_size: usize,
+        distance: &impl Fn(usize, usize) -> f64,
+    ) {
+        let mut mins: Vec<f64> = Vec::new();
+        let mut best_row: Vec<f64> = Vec::new();
+        let mut row: Vec<f64> = Vec::new();
+        while selected.len() > archive_size {
+            let n = selected.len();
+            debug_assert!(n > 1);
+            // Nearest-neighbour distance of every member: a min scan, no sort.
+            mins.clear();
+            for (p, &i) in selected.iter().enumerate() {
+                let mut best = f64::INFINITY;
+                for (q, &j) in selected.iter().enumerate() {
+                    if p == q {
+                        continue;
+                    }
+                    let d = distance(i, j);
+                    if d.partial_cmp(&best).expect("finite distances") == std::cmp::Ordering::Less {
+                        best = d;
+                    }
+                }
+                mins.push(best);
+            }
+            let global_min = mins
+                .iter()
+                .copied()
+                .reduce(|a, b| if b < a { b } else { a })
+                .expect("non-empty selection");
+
+            // Tie-break the candidates (members whose nearest distance equals
+            // the global minimum) on their full sorted distance vectors.
+            let mut victim = usize::MAX;
+            for (p, &m) in mins.iter().enumerate() {
+                if m != global_min {
+                    continue;
+                }
+                if victim == usize::MAX {
+                    victim = p;
+                    fill_sorted_row_reference(&mut best_row, selected, p, distance);
+                    continue;
+                }
+                fill_sorted_row_reference(&mut row, selected, p, distance);
+                if lexicographically_smaller(&row, &best_row) {
+                    victim = p;
+                    std::mem::swap(&mut best_row, &mut row);
+                }
+            }
+            selected.remove(victim);
+        }
+    }
+
+    /// Fills `row` with member `p`'s sorted distances to every other
+    /// selected member.
+    fn fill_sorted_row_reference(
+        row: &mut Vec<f64>,
+        selected: &[usize],
+        p: usize,
+        distance: &impl Fn(usize, usize) -> f64,
+    ) {
+        row.clear();
+        let i = selected[p];
+        for (q, &j) in selected.iter().enumerate() {
+            if q != p {
+                row.push(distance(i, j));
+            }
+        }
+        row.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+    }
+
+    proptest! {
+        /// Points on a coarse 6 × 6 grid, so exact duplicates and equal
+        /// distances are frequent, in a shuffled selection order with gaps;
+        /// every archive size from 1 to the selection's size.
+        #[test]
+        fn incremental_truncation_is_bitwise_equal_to_the_rescanning_loop(
+            points in proptest::collection::vec((0u8..6, 0u8..6, 0u16..1000), 1..=64),
+        ) {
+            let objectives: Vec<Objectives> = points
+                .iter()
+                .map(|&(a, b, _)| Objectives::pair(a as f64, b as f64))
+                .collect();
+            let n = objectives.len();
+            let table: Vec<f64> = (0..n * n)
+                .map(|ab| objectives[ab / n].distance(&objectives[ab % n]))
+                .collect();
+            let distance = |a: usize, b: usize| table[a * n + b];
+            let mut order: Vec<usize> =
+                (0..points.len()).filter(|&i| points[i].2 % 5 != 0).collect();
+            order.sort_by_key(|&i| points[i].2);
+            for archive_size in 1..=order.len() {
+                let mut incremental = order.clone();
+                truncate_most_crowded(&mut incremental, archive_size, &distance);
+                let mut reference = order.clone();
+                truncate_most_crowded_reference(&mut reference, archive_size, &distance);
+                prop_assert_eq!(incremental, reference);
+            }
+        }
+    }
 
     fn ind(a: f64, b: f64, fitness: f64) -> Individual<u32> {
         let mut i = Individual::new(0u32, Objectives::pair(a, b));
