@@ -62,7 +62,7 @@ pub struct Candidate {
 
 impl Candidate {
     /// A candidate that has not been evaluated yet.
-    pub fn new(matrix: RrMatrix) -> Self {
+    pub(crate) fn new(matrix: RrMatrix) -> Self {
         Self {
             matrix,
             evaluation: OnceLock::new(),
@@ -70,17 +70,17 @@ impl Candidate {
     }
 
     /// The RR matrix.
-    pub fn matrix(&self) -> &RrMatrix {
+    pub(crate) fn matrix(&self) -> &RrMatrix {
         &self.matrix
     }
 
     /// The evaluation a batch computed for this matrix, if any.
-    pub fn evaluation(&self) -> Option<&Evaluation> {
+    pub(crate) fn evaluation(&self) -> Option<&Evaluation> {
         self.evaluation.get()
     }
 
     /// Gives the matrix back.
-    pub fn into_matrix(self) -> RrMatrix {
+    pub(crate) fn into_matrix(self) -> RrMatrix {
         self.matrix
     }
 }
