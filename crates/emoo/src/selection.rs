@@ -120,7 +120,7 @@ fn truncate_most_crowded(
     // Per position: (nearest-neighbour distance, that neighbour's position).
     let mut nearest: Vec<(f64, usize)> = live
         .iter()
-        .map(|&p| nearest_neighbour(selected, &live, p, distance))
+        .map(|&p| nearest_two(selected, &live, p, distance).0)
         .collect();
     let mut best_row: Vec<f64> = Vec::new();
     let mut row: Vec<f64> = Vec::new();
@@ -140,7 +140,7 @@ fn truncate_most_crowded(
             if nearest[p].0 != global_min {
                 continue;
             }
-            let second = second_smallest(selected, &live, p, distance);
+            let second = nearest_two(selected, &live, p, distance).1;
             let Some((_, v, best_second)) = victim else {
                 victim = Some((rank, p, second));
                 continue;
@@ -166,61 +166,39 @@ fn truncate_most_crowded(
         }
         let (rank, v, _) = victim.expect("some member attains the global minimum");
         live.remove(rank);
-        for i in 0..live.len() {
-            let p = live[i];
+        for &p in &live {
             if nearest[p].1 == v {
-                nearest[p] = nearest_neighbour(selected, &live, p, distance);
+                nearest[p] = nearest_two(selected, &live, p, distance).0;
             }
         }
     }
     *selected = live.iter().map(|&p| selected[p]).collect();
 }
 
-/// The distance from position `p` to its nearest live neighbour and that
-/// neighbour's position (the first one on a tie).
-fn nearest_neighbour(
+/// The first two entries of position `p`'s sorted row: its nearest live
+/// neighbour as (distance, position; the first one on a tie), and its
+/// second-smallest distance (+∞ when it has only one neighbour).
+fn nearest_two(
     selected: &[usize],
     live: &[usize],
     p: usize,
     distance: &impl Fn(usize, usize) -> f64,
-) -> (f64, usize) {
+) -> ((f64, usize), f64) {
     let i = selected[p];
-    let mut best = (f64::INFINITY, usize::MAX);
+    let (mut nearest, mut second) = ((f64::INFINITY, usize::MAX), f64::INFINITY);
     for &q in live {
         if q == p {
             continue;
         }
         let d = distance(i, selected[q]);
-        if d.partial_cmp(&best.0).expect("finite distances") == std::cmp::Ordering::Less {
-            best = (d, q);
-        }
-    }
-    best
-}
-
-/// The second-smallest distance from position `p` to its live neighbours
-/// (+∞ when it has only one): the second entry of its sorted row.
-fn second_smallest(
-    selected: &[usize],
-    live: &[usize],
-    p: usize,
-    distance: &impl Fn(usize, usize) -> f64,
-) -> f64 {
-    let i = selected[p];
-    let (mut first, mut second) = (f64::INFINITY, f64::INFINITY);
-    for &q in live {
-        if q == p {
-            continue;
-        }
-        let d = distance(i, selected[q]);
-        if d < first {
-            second = first;
-            first = d;
+        if d.partial_cmp(&nearest.0).expect("finite distances") == std::cmp::Ordering::Less {
+            second = nearest.0;
+            nearest = (d, q);
         } else if d < second {
             second = d;
         }
     }
-    second
+    (nearest, second)
 }
 
 /// Fills `row` with position `p`'s sorted distances to every other live
