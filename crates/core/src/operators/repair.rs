@@ -342,5 +342,49 @@ mod tests {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }
+
+        #[test]
+        fn repair_edge_cases_are_bitwise_rr_matrix_bisection(
+            raw in (2usize..=16).prop_flat_map(|n| proptest::collection::vec(0.01f64..1.0, n)),
+            kind in 0u8..3,
+            warner_p in 0.0f64..1.0,
+            target in 0u8..3,
+            step in 1u64..5,
+            frac in 0.0f64..1.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            // Every case gets past the fast path and the floor check, so
+            // the search itself runs; δ sits at either end of its bracket
+            // or anywhere between.
+            let n = raw.len();
+            let total: f64 = raw.iter().sum();
+            let p = Categorical::new(raw.iter().map(|w| w / total).collect()).unwrap();
+            let m = match kind {
+                0 => RrMatrix::identity(n).unwrap(),
+                1 => warner(n, warner_p).unwrap(),
+                _ => RrMatrix::random(n, &mut StdRng::seed_from_u64(seed)).unwrap(),
+            };
+            let posterior_at = |alpha: f64| max_posterior(&blend_with_uniform(&m, alpha), &p).unwrap();
+            let start = max_posterior(&m, &p).unwrap();
+            let floor = posterior_at(1.0);
+            // `bound` is δ + BOUND_TOLERANCE, the value the check compares with.
+            let bound = match target {
+                // Barely violated: the blend `step` grid points past α = 0
+                // meets it, so the answer is k = 1 or just above.
+                0 => posterior_at(step as f64 / (1u64 << BISECTION_STEPS) as f64),
+                // Just above the Theorem 5 floor: the answer is near k = 2⁴⁰.
+                1 => floor + 10f64.powf(-16.0 + 10.0 * frac),
+                _ => floor + frac * (start - floor),
+            };
+            let delta = bound - BOUND_TOLERANCE;
+            prop_assume!(0.0 < delta && delta <= 1.0);
+            prop_assume!(start > delta + BOUND_TOLERANCE && floor <= delta + BOUND_TOLERANCE);
+            let (got, ok) = repair_to_delta_bound(&m, &p, delta, &mut StdRng::seed_from_u64(seed));
+            let (oracle, oracle_ok) = repair_by_rr_matrices(&m, &p, delta);
+            prop_assert_eq!(ok, oracle_ok);
+            for (a, b) in got.as_matrix().as_slice().iter().zip(oracle.as_matrix().as_slice()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
     }
 }
