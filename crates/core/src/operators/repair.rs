@@ -12,21 +12,26 @@
 //! other elements in the same column"). We realize it as a *uniform-blend
 //! contraction*: the matrix is mixed with the uniform matrix `U` (every
 //! entry `1/n`), `M(α) = (1 − α) M + α U`, and the smallest mixing weight
-//! `α` that satisfies the bound is found by bisection. Blending toward `U`
-//! decreases exactly the dominant (offending) entries of each column and
-//! increases the small ones, preserves column stochasticity and symmetry by
-//! construction, and converges for every achievable bound because
-//! `max P(X|Y)` approaches `max_X P(X)` (its Theorem 5 floor) as `α → 1`.
+//! `α` that satisfies the bound is found on the grid a 40-step bisection
+//! ends on. Blending toward `U` decreases exactly the dominant (offending)
+//! entries of each column and increases the small ones, preserves column
+//! stochasticity and symmetry by construction, and converges for every
+//! achievable bound because `max P(X|Y)` approaches `max_X P(X)` (its
+//! Theorem 5 floor) as `α → 1`.
 //!
-//! The repair runs on every offspring, so its 40 bisection midpoints share
-//! one reusable `n × n` scratch buffer. Each midpoint is blended into it,
-//! then validated and renormalized by [`rr::renormalize_columns`], the
-//! kernel [`RrMatrix::new`] itself runs. Its max posterior is then read by
-//! [`max_posterior_of`], the allocation-free kernel behind
-//! `max_posterior`. Every value is the same expression over the same
-//! operands, in the same order, as building an `RrMatrix` per midpoint.
-//! Only where the bytes live changes, so every repaired matrix and every
-//! flag is bit-identical; only the returned matrix is allocated.
+//! The repair runs on every offspring, so it bisects only when it cannot
+//! tell where the bisection ends. Each posterior constraint of the blend is
+//! linear in `α`: the largest root of those lines names the grid point, and
+//! two margins on the lines plus two checks confirm it, so a repair checks
+//! three blends (with the floor), not 41. Each checked blend is built in
+//! one reusable `n × n` scratch buffer, validated and renormalized by
+//! [`rr::renormalize_columns`], the kernel [`RrMatrix::new`] itself runs,
+//! and read by [`max_posterior_of`], the kernel behind `max_posterior`.
+//! Every value is the same expression over the same operands, in the same
+//! order, as in the bisection that built an `RrMatrix` per midpoint (the
+//! test oracle `repair_by_rr_matrices`), and the search ends on its grid
+//! point, so every repaired matrix and every flag is bit-identical; only
+//! the returned matrix is allocated.
 //!
 //! Theorem 5 caveat: the bound can never be pushed below `max_X P(X)`, so
 //! for priors whose mode already exceeds `δ` the repair reports failure and
@@ -38,8 +43,8 @@ use rr::metrics::bounds::max_posterior_of;
 use rr::{renormalize_columns, RrMatrix};
 use stats::Categorical;
 
-/// Bisection iterations used to locate the smallest sufficient blend
-/// weight; 40 iterations give ~1e-12 resolution on `α ∈ [0, 1]`.
+/// Bits of the blend-weight grid `α = k / 2⁴⁰` the repair searches: the
+/// points a 40-step bisection of `[0, 1]` ends on, ~1e-12 apart.
 const BISECTION_STEPS: usize = 40;
 
 /// Tolerance used when checking the bound.
@@ -63,6 +68,25 @@ fn blend_with_uniform(m: &RrMatrix, alpha: f64) -> RrMatrix {
     let mut out = Matrix::zeros(n, n);
     write_blend(m, alpha, &mut out);
     RrMatrix::new(out).expect(BLEND_IS_STOCHASTIC)
+}
+
+/// Each constraint `P(X = c_i | Y = c_j) ≤ d` of the exact uniform blend as
+/// the line `(1 − α) a + α b` equal to `(P(X = c_i | Y = c_j) − d) P(Y = c_j)`:
+/// `a = p_i θ_ji − d Σ_k p_k θ_jk` and `b = (p_i − d)/n`.
+fn constraint_lines<'a>(
+    m: &'a RrMatrix,
+    prior: &'a Categorical,
+    d: f64,
+) -> impl Iterator<Item = (f64, f64)> + 'a {
+    let (n, p) = (m.num_categories(), prior.probs());
+    m.as_matrix()
+        .as_slice()
+        .chunks_exact(n)
+        .flat_map(move |row| {
+            let s: f64 = row.iter().zip(p).map(|(&t, &pk)| t * pk).sum();
+            let line = move |(&t, &pi): (&f64, &f64)| (pi * t - d * s, (pi - d) / n as f64);
+            row.iter().zip(p).map(line)
+        })
 }
 
 /// Repairs `m` toward the bound `max P(X | Y) ≤ δ` for the given prior.
@@ -102,25 +126,52 @@ pub fn repair_to_delta_bound<R: Rng + ?Sized>(
 
     // Even the fully uniform matrix cannot do better than the prior mode
     // (Theorem 5); check achievability at α = 1 first.
+    let d = delta + BOUND_TOLERANCE;
     let floor = blend_max_posterior(1.0);
-    if floor > delta + BOUND_TOLERANCE {
+    if floor > d {
         return (blend_with_uniform(m, 1.0), false);
     }
 
-    // Bisect for the smallest α whose blend satisfies the bound. The
-    // feasible set is an up-set in α for all practical matrices; the final
-    // verification below guards the rare non-monotone corner case.
-    let mut lo = 0.0_f64; // known infeasible
-    let mut hi = 1.0_f64; // known feasible
-    for _ in 0..BISECTION_STEPS {
-        let mid = 0.5 * (lo + hi);
-        if blend_max_posterior(mid) <= delta + BOUND_TOLERANCE {
+    // Bisecting `k` with `lo` infeasible and `hi` feasible ends where the
+    // check flips. The exact blend meets the bound from the largest root of
+    // a line violated at α = 0 on, the grid point `guess`. A computed
+    // posterior or line carries under 3n + 10 roundings, so the check is
+    // exact where the lines' maximum, a convex function, is beyond `noise`:
+    // two margins show that for every grid point but `guess − 1` and
+    // `guess`, and two checks settle those. Otherwise the bisection runs.
+    let lines = || constraint_lines(m, prior, d);
+    let margin = |alpha: f64| {
+        lines()
+            .map(|(a, b)| (1.0 - alpha) * a + alpha * b)
+            .fold(f64::MIN, f64::max)
+    };
+    let noise = (4 * n + 16) as f64 * f64::EPSILON;
+    let grid = 1u64 << BISECTION_STEPS;
+    let at = |k: u64| k as f64 / grid as f64;
+    let root = lines()
+        .filter(|&(a, _)| a > 0.0)
+        .map(|(a, b)| a / (a - b))
+        .fold(0.0, f64::max);
+    let guess = ((root * grid as f64).ceil() as u64).clamp(1, grid);
+    let mut feasible = |k: u64| blend_max_posterior(at(k)) <= d;
+    let settled = margin(at(guess.saturating_sub(2))) > noise
+        && margin(at(guess + 1)).max(margin(1.0)) < -noise
+        && feasible(guess)
+        && !feasible(guess - 1);
+    let (mut lo, mut hi) = if settled {
+        (guess - 1, guess)
+    } else {
+        (0, grid)
+    };
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if feasible(mid) {
             hi = mid;
         } else {
             lo = mid;
         }
     }
-    let repaired = blend_with_uniform(m, hi);
+    let repaired = blend_with_uniform(m, at(hi));
     if within(repaired.as_matrix(), 1e-7) {
         (repaired, true)
     } else {
