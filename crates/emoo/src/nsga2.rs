@@ -5,7 +5,7 @@
 //! a second engine behind the same [`Engine`] interface lets the ablation
 //! experiments confirm that the OptRR results are not an artifact of the
 //! particular engine — callers switch backends purely through
-//! [`EngineKind`](crate::EngineKind). NSGA-II ranks individuals by
+//! [`EngineKind`]. NSGA-II ranks individuals by
 //! non-dominated sorting and breaks ties with crowding distance; it has no
 //! separate archive, so the shared `archive_size` bounds only the reported
 //! final front and `density_k` is unused.

@@ -38,7 +38,7 @@ pub type Spea2Outcome<G> = EngineOutcome<G>;
 ///
 /// This is the reference implementation: O(n²) comparisons and distances
 /// every call. The engines run the incremental
-/// [`FitnessKernel`](crate::FitnessKernel) instead, which produces bitwise
+/// [`FitnessKernel`] instead, which produces bitwise
 /// identical fitness values while reusing pairwise state across
 /// generations; the crate's property tests pin the two together.
 pub fn assign_fitness<G>(combined: &mut [Individual<G>], density_k: usize) {
