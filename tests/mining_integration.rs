@@ -141,7 +141,9 @@ fn optrr_matrix_preserves_mining_utility_at_matched_privacy() {
     // Reference point: a *feasible* Warner matrix (one that satisfies the
     // same delta bound the optimizer works under) whose privacy falls in the
     // middle of the range the OptRR run actually covers, so the comparison
-    // happens at a matched, reachable privacy level.
+    // happens at a matched, reachable privacy level. The front can reach
+    // below the least private feasible Warner matrix, so the target is
+    // raised to that matrix's privacy when the middle falls below it.
     let problem = optrr::OptrrProblem::new(prior.clone(), &config).unwrap();
     let sweep = optrr::baseline_sweep(&problem, optrr::SchemeKind::Warner, 401);
     let outcome = Optimizer::new(config)
@@ -149,17 +151,20 @@ fn optrr_matrix_preserves_mining_utility_at_matched_privacy() {
         .optimize_distribution(&prior)
         .unwrap();
     let (front_lo, front_hi) = outcome.front.privacy_range().unwrap();
-    let target_privacy = 0.5 * (front_lo + front_hi);
-    let reference = sweep
-        .points
-        .iter()
-        .filter(|p| p.evaluation.feasible && p.evaluation.privacy <= target_privacy)
+    let feasible_warner = sweep.points.iter().filter(|p| p.evaluation.feasible);
+    let warner_lo = feasible_warner
+        .clone()
+        .map(|p| p.evaluation.privacy)
+        .fold(f64::INFINITY, f64::min);
+    let target_privacy = (0.5 * (front_lo + front_hi)).max(warner_lo);
+    let reference = feasible_warner
+        .filter(|p| p.evaluation.privacy <= target_privacy)
         .min_by(|a, b| {
             (target_privacy - a.evaluation.privacy)
                 .partial_cmp(&(target_privacy - b.evaluation.privacy))
                 .unwrap()
         })
-        .expect("a feasible Warner matrix exists below the middle of the OptRR range");
+        .expect("a feasible Warner matrix exists at or below the target privacy");
     let warner_matrix = warner(10, reference.parameter).unwrap();
     let warner_privacy = reference.evaluation.privacy;
     let warner_mse = reference.evaluation.mse;
