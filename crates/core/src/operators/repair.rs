@@ -421,7 +421,7 @@ mod tests {
             // `bound` is δ + BOUND_TOLERANCE, the value the check compares with.
             let bound = match target {
                 // Barely violated: the blend `step` grid points past α = 0
-                // meets it, so the answer is k = 1 or just above.
+                // meets it, so the answer is near k = step.
                 0 => posterior_at(step as f64 / (1u64 << BISECTION_STEPS) as f64),
                 // Just above the Theorem 5 floor: the answer is near k = 2⁴⁰.
                 1 => floor + 10f64.powf(-16.0 + 10.0 * frac),
