@@ -205,3 +205,45 @@ fn batch_front_door_warms_many_priors_and_matches_solo_registration() {
     let solo_entry = solo.register(None, &priors[1], DELTA, None, true).unwrap();
     assert_eq!(solo_entry.store().merge(), entries[1].store().merge());
 }
+
+#[test]
+fn batch_warm_ups_run_as_traced_pool_jobs() {
+    use serve::{Request, ServeEvent};
+    // The worker-pool gauges are published at each Metrics readout.
+    let jobs_submitted = |service: &Arc<Service>| {
+        service.handle(Request::Metrics);
+        let snapshot = service.obs().metrics_snapshot();
+        let gauge = snapshot
+            .gauges
+            .iter()
+            .find(|(name, _)| name == "serve_worker_jobs_submitted");
+        gauge.map_or(0, |(_, value)| *value)
+    };
+    let service = smoke_service(31);
+    let before = jobs_submitted(&service);
+    let priors = vec![
+        vec![0.3, 0.22, 0.18, 0.14, 0.1, 0.06],
+        vec![0.4, 0.3, 0.2, 0.1],
+        vec![0.6, 0.25, 0.15],
+    ];
+    let (entries, warmed) = service.register_batch(None, &priors, DELTA, None).unwrap();
+    assert_eq!(warmed, priors.len());
+    assert_eq!(jobs_submitted(&service) - before, priors.len() as u64);
+
+    // Each warm-up went through the traced engine run of a solo warm-up:
+    // its generations and its landed run 0 are in the trace.
+    let (trace, dropped) = service.obs().trace_snapshot(None);
+    assert_eq!(dropped, 0);
+    for entry in &entries {
+        assert!(entry.is_warm());
+        let key = entry.key();
+        assert!(trace.iter().any(|t| matches!(
+            t.event,
+            ServeEvent::RefreshRun { key: k, run_index: 0, landed: true, .. } if k == key
+        )));
+        assert!(trace.iter().any(|t| matches!(
+            t.event,
+            ServeEvent::Generation { key: k, .. } if k == key
+        )));
+    }
+}
