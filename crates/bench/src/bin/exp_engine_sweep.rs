@@ -9,7 +9,7 @@
 //! Warner baseline reference, fraction better at matched privacy levels)
 //! and cost (generations, evaluations, wall-clock).
 //!
-//! Usage: `cargo run -p optrr-bench --release --bin exp_engine_sweep [--fast|--paper] [--parallel]`
+//! Usage: `cargo run -p optrr-bench --release --bin exp_engine_sweep [--fast|--paper]`
 
 use bench_support::{adult_first_attribute, paper_workload, Fidelity};
 use datagen::SourceDistribution;
@@ -41,7 +41,6 @@ fn sweep_workload(
         let mut config = fidelity.optimizer_config(delta, 2008);
         config.num_records = num_records;
         config.engine_kind = kind;
-        config.parallel_evaluation = bench_support::parallel_evaluation_from_env_and_args();
 
         let problem = OptrrProblem::new(prior.clone(), &config).expect("valid problem");
         let warner = baseline_sweep(&problem, SchemeKind::Warner, fidelity.sweep_steps());

@@ -38,9 +38,14 @@ pub enum Fidelity {
 impl Fidelity {
     /// Reads the fidelity from the command line (`--fast` / `--paper`) and
     /// the `OPTRR_FIDELITY` environment variable (see [`parse_fidelity`]),
-    /// defaulting to [`Fidelity::Standard`]. An unrecognised value exits 2.
+    /// defaulting to [`Fidelity::Standard`]. An unrecognised value exits 2,
+    /// and so does a removed switch (see [`removed_switch`]).
     pub fn from_env_and_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
+        if let Some(reason) = removed_switch(&args, std::env::var_os("OPTRR_PARALLEL").is_some()) {
+            eprintln!("{reason}");
+            std::process::exit(2)
+        }
         if args.iter().any(|a| a == "--fast") {
             return Fidelity::Fast;
         }
@@ -114,15 +119,22 @@ pub fn parse_engine_kind(value: Option<&str>) -> Result<EngineKind, String> {
     }
 }
 
-/// Parses an `OPTRR_PARALLEL` value: `1`/`true`/`yes` or `0`/`false`/`no`,
-/// case-insensitive. Unset or empty gives serial evaluation.
-pub fn parse_parallel(value: Option<&str>) -> Result<bool, String> {
-    let raw = value.unwrap_or_default();
-    match raw.to_lowercase().as_str() {
-        "1" | "true" | "yes" => Ok(true),
-        "" | "0" | "false" | "no" => Ok(false),
-        _ => Err(format!("{raw:?} is not one of 1/0, true/false, yes/no")),
-    }
+/// The removal message when `args` hold the retired `--parallel` flag or
+/// the retired `OPTRR_PARALLEL` variable is set (to any value). A run is
+/// serial inside, so accepting either would report a configuration other
+/// than the one asked for.
+pub fn removed_switch(args: &[String], parallel_var_set: bool) -> Option<String> {
+    let name = if args.iter().any(|a| a == "--parallel") {
+        "--parallel"
+    } else if parallel_var_set {
+        "OPTRR_PARALLEL"
+    } else {
+        return None;
+    };
+    Some(format!(
+        "{name} was removed: evaluation inside a run is always serial \
+         (runs go parallel only with each other, on the serve worker pool)"
+    ))
 }
 
 /// Reads one selection variable through its parser. An unrecognised value
@@ -151,24 +163,11 @@ pub fn engine_kind_from_env_and_args() -> EngineKind {
     env_selection("OPTRR_ENGINE", parse_engine_kind)
 }
 
-/// Reads the parallel-evaluation switch from the command line
-/// (`--parallel`) and the `OPTRR_PARALLEL` environment variable (see
-/// [`parse_parallel`]). Parallel evaluation is bit-identical to serial; it
-/// only changes wall-clock time.
-pub fn parallel_evaluation_from_env_and_args() -> bool {
-    if std::env::args().any(|a| a == "--parallel") {
-        return true;
-    }
-    env_selection("OPTRR_PARALLEL", parse_parallel)
-}
-
-/// Applies the run-wide engine selection (backend kind and parallel
-/// evaluation) to a configuration. Every experiment binary calls this so
-/// the backend is chosen purely by flags/environment, through one code
-/// path.
+/// Applies the run-wide engine selection (the backend kind) to a
+/// configuration. Every experiment binary calls this so the backend is
+/// chosen purely by flags/environment, through one code path.
 pub fn apply_engine_selection(config: &mut OptrrConfig) {
     config.engine_kind = engine_kind_from_env_and_args();
-    config.parallel_evaluation = parallel_evaluation_from_env_and_args();
 }
 
 /// The standard paper workload: 10 categories, 10,000 records.
@@ -348,19 +347,20 @@ mod tests {
                 "{value:?}"
             );
         }
-        let parallel = [
-            (None, Ok(false)),
-            (Some(""), Ok(false)),
-            (Some("0"), Ok(false)),
-            (Some("False"), Ok(false)),
-            (Some("no"), Ok(false)),
-            (Some("1"), Ok(true)),
-            (Some("TRUE"), Ok(true)),
-            (Some("yes"), Ok(true)),
-            (Some("on"), Err(())),
-        ];
-        for (value, expected) in parallel {
-            assert_eq!(parse_parallel(value).map_err(drop), expected, "{value:?}");
+        // The retired parallel switch, as a flag or a variable of any
+        // value, is refused with a message naming the removal.
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(removed_switch(&args(&["exp", "--fast"]), false), None);
+        for (list, var_set, named) in [
+            (&["exp", "--fast", "--parallel"][..], false, "--parallel"),
+            (&["exp", "--parallel"][..], true, "--parallel"),
+            (&["exp", "--fast"][..], true, "OPTRR_PARALLEL"),
+        ] {
+            let reason = removed_switch(&args(list), var_set).expect("refused");
+            assert!(
+                reason.starts_with(named) && reason.contains("was removed"),
+                "{reason}"
+            );
         }
         let reason = parse_engine_kind(Some("nsga_ii")).unwrap_err();
         assert!(

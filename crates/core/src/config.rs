@@ -26,10 +26,6 @@ pub struct OptrrConfig {
     /// Which EMOO backend runs the search. The paper uses SPEA2; NSGA-II is
     /// the cross-check engine, selectable purely through configuration.
     pub engine_kind: EngineKind,
-    /// Evaluate each generation's candidate matrices in parallel across all
-    /// cores. Evaluation is pure, so results are bit-identical to the
-    /// serial path; this only changes wall-clock time.
-    pub parallel_evaluation: bool,
     /// When `Some(g)`, stop early if Ω has not improved for `g` consecutive
     /// generations (the paper's second termination criterion, §V.I).
     pub stagnation_generations: Option<usize>,
@@ -63,7 +59,6 @@ impl Default for OptrrConfig {
                 density_k: 1,
             },
             engine_kind: EngineKind::Spea2,
-            parallel_evaluation: false,
             stagnation_generations: None,
             symmetric_only: false,
             seed_with_baselines: true,

@@ -33,7 +33,8 @@
 //! * [`front`] — Pareto fronts in the paper's (privacy, MSE) convention
 //!   and their quantitative comparison.
 //! * [`search_space`] — Fact 1's search-space counting.
-//! * [`tune`] — a readout of the two fixed parallel thresholds.
+//! * [`tune`] — the benchmark-header readout of the retired parallel
+//!   thresholds (both `usize::MAX`: nothing inside a run goes parallel).
 //! * [`report`] — experiment report formatting (tables / CSV / JSON).
 //!
 //! ## Quick example

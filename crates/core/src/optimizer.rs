@@ -9,7 +9,7 @@ use crate::config::OptrrConfig;
 use crate::error::{OptrrError, Result};
 use crate::front::{FrontPoint, ParetoFront};
 use crate::omega::OmegaSet;
-use crate::problem::{Candidate, Evaluation, OptrrProblem, PARALLEL_BATCH_MIN_WORK};
+use crate::problem::{Candidate, Evaluation, OptrrProblem};
 use datagen::CategoricalDataset;
 use emoo::{run_engine, EngineOutcome};
 use rand::rngs::StdRng;
@@ -324,53 +324,6 @@ impl Optimizer {
         let prior = dataset.empirical_distribution().map_err(OptrrError::from)?;
         self.optimize_distribution(&prior)
     }
-
-    /// Runs the search against many priors at once, fanning the independent
-    /// runs across all cores — the multi-prior batch front door.
-    ///
-    /// Each prior gets its own self-contained [`OptrrProblem`] and RNG
-    /// seeded from the shared configuration, so the per-prior results are
-    /// bit-identical to running [`Optimizer::optimize_distribution`] one
-    /// prior at a time; only wall-clock time changes. Results come back in
-    /// input order. The first failing prior aborts the batch with its
-    /// error.
-    pub fn optimize_many(&self, priors: &[Categorical]) -> Result<Vec<OptrrOutcome>> {
-        // Fan out only when the estimated total evaluation work clears
-        // the batch threshold; tiny multi-prior batches (a handful of fast
-        // smoke runs) stay serial and skip the thread spawn. Each run is
-        // self-contained, so the gate changes wall-clock only.
-        let fan_out = priors.len() > 1 && self.batch_work(priors) >= PARALLEL_BATCH_MIN_WORK;
-        let outcomes: Vec<Result<OptrrOutcome>> = if fan_out {
-            use rayon::prelude::*;
-            priors
-                .par_iter()
-                .map(|prior| self.optimize_distribution(prior))
-                .collect()
-        } else {
-            priors
-                .iter()
-                .map(|prior| self.optimize_distribution(prior))
-                .collect()
-        };
-        outcomes.into_iter().collect()
-    }
-
-    /// Estimated evaluation work of running every prior once:
-    /// generations × population × n³ per prior, the units of
-    /// [`PARALLEL_BATCH_MIN_WORK`].
-    fn batch_work(&self, priors: &[Categorical]) -> usize {
-        let generations = self.config.engine.generations.max(1);
-        let population = self.config.engine.population_size.max(1);
-        priors
-            .iter()
-            .map(|p| {
-                let n = p.num_categories();
-                generations
-                    .saturating_mul(population)
-                    .saturating_mul(n.saturating_mul(n).saturating_mul(n))
-            })
-            .fold(0usize, usize::saturating_add)
-    }
 }
 
 /// The evaluation an engine-reported individual carries: engines evaluate
@@ -524,51 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn optimize_many_matches_solo_runs_bitwise() {
-        // The multi-prior batch front door must be a pure fan-out: each
-        // prior's outcome is bit-identical to a solo run with the same
-        // configuration and seed, and results come back in input order.
-        let optimizer = Optimizer::new(fast_config(0.8)).unwrap();
-        let priors = vec![
-            normal_prior(),
-            SourceDistribution::paper_gamma()
-                .category_distribution(6)
-                .unwrap(),
-            Categorical::new(vec![0.5, 0.2, 0.15, 0.1, 0.05]).unwrap(),
-        ];
-        // 80 × 32 × (8³ + 6³ + 5³) = 2,183,680: the batch takes the
-        // parallel fan-out, not the serial loop.
-        assert!(optimizer.batch_work(&priors) >= PARALLEL_BATCH_MIN_WORK);
-        let batch = optimizer.optimize_many(&priors).unwrap();
-        assert_eq!(batch.len(), priors.len());
-        for (prior, from_batch) in priors.iter().zip(&batch) {
-            let solo = optimizer.optimize_distribution(prior).unwrap();
-            assert_eq!(
-                from_batch.front.points.len(),
-                solo.front.points.len(),
-                "front sizes differ for a batch member"
-            );
-            for (a, b) in from_batch.front.points.iter().zip(&solo.front.points) {
-                assert_eq!(a.privacy.to_bits(), b.privacy.to_bits());
-                assert_eq!(a.mse.to_bits(), b.mse.to_bits());
-            }
-            assert_eq!(from_batch.omega, solo.omega);
-            assert_eq!(
-                from_batch.statistics.generations_run,
-                solo.statistics.generations_run
-            );
-        }
-    }
-
-    #[test]
-    fn optimize_many_propagates_per_prior_errors() {
-        let optimizer = Optimizer::new(fast_config(0.8)).unwrap();
-        let bad = Categorical::new(vec![1.0]).unwrap();
-        assert!(optimizer.optimize_many(&[normal_prior(), bad]).is_err());
-        assert!(optimizer.optimize_many(&[]).unwrap().is_empty());
-    }
-
-    #[test]
     fn warm_seeded_run_accepts_previous_archive() {
         let optimizer = Optimizer::new(fast_config(0.8)).unwrap();
         let prior = normal_prior();
@@ -619,9 +527,7 @@ mod tests {
     fn carried_evaluations_are_bitwise_equal_to_fresh_evaluation() {
         // Ω and the final archive store the evaluation each individual
         // carries from its engine batch; it must be exactly what a fresh
-        // evaluation of the stored matrix gives. n = 24 with a population
-        // of 32 (32 · 24³ ≥ PARALLEL_BATCH_MIN_WORK) makes the parallel
-        // runs' batches really fan out.
+        // evaluation of the stored matrix gives, at n = 24.
         let weights: Vec<f64> = (0..24).map(|k| 1.0 / (k as f64 + 2.0)).collect();
         let total: f64 = weights.iter().sum();
         let prior = Categorical::new(weights.iter().map(|w| w / total).collect()).unwrap();
@@ -634,41 +540,34 @@ mod tests {
             ]
         };
         for kind in [emoo::EngineKind::Spea2, emoo::EngineKind::Nsga2] {
-            for parallel_evaluation in [false, true] {
-                let config = OptrrConfig {
-                    engine_kind: kind,
-                    parallel_evaluation,
-                    engine: emoo::EngineConfig {
-                        generations: 8,
-                        ..OptrrConfig::fast(0.8, 3).engine
-                    },
-                    ..OptrrConfig::fast(0.8, 3)
-                };
-                let problem = OptrrProblem::new(prior.clone(), &config).unwrap();
+            let config = OptrrConfig {
+                engine_kind: kind,
+                engine: emoo::EngineConfig {
+                    generations: 8,
+                    ..OptrrConfig::fast(0.8, 3).engine
+                },
+                ..OptrrConfig::fast(0.8, 3)
+            };
+            let problem = OptrrProblem::new(prior.clone(), &config).unwrap();
+            let outcome = Optimizer::new(config)
+                .unwrap()
+                .optimize_distribution(&prior)
+                .unwrap();
+            assert!(!outcome.omega.is_empty() && !outcome.archive.is_empty());
+            for e in outcome.omega.entries() {
                 assert_eq!(
-                    problem.uses_parallel_for_batch(config.engine.population_size),
-                    parallel_evaluation
+                    bits(&e.evaluation),
+                    bits(&problem.evaluate_matrix(&e.matrix))
                 );
-                let outcome = Optimizer::new(config)
-                    .unwrap()
-                    .optimize_distribution(&prior)
-                    .unwrap();
-                assert!(!outcome.omega.is_empty() && !outcome.archive.is_empty());
-                for e in outcome.omega.entries() {
-                    assert_eq!(
-                        bits(&e.evaluation),
-                        bits(&problem.evaluate_matrix(&e.matrix))
-                    );
-                }
-                for (m, e) in &outcome.archive {
-                    assert_eq!(bits(e), bits(&problem.evaluate_matrix(m)));
-                }
-                // Every engine evaluation is computed once; every Ω offer
-                // and every archive entry reads a carried one.
-                let stats = &outcome.statistics;
-                assert_eq!(stats.cache_misses, stats.evaluations as u64);
-                assert!(stats.cache_hits >= outcome.archive.len() as u64);
             }
+            for (m, e) in &outcome.archive {
+                assert_eq!(bits(e), bits(&problem.evaluate_matrix(m)));
+            }
+            // Every engine evaluation is computed once; every Ω offer and
+            // every archive entry reads a carried one.
+            let stats = &outcome.statistics;
+            assert_eq!(stats.cache_misses, stats.evaluations as u64);
+            assert!(stats.cache_hits >= outcome.archive.len() as u64);
         }
     }
 

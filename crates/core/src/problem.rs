@@ -3,12 +3,10 @@
 //! crossover, mutation, and δ-bound repair plugged into the generic EMOO
 //! engine layer.
 //!
-//! Evaluation — the hottest path of the whole system — is batched and
-//! optionally parallel: the engines route all evaluation through
-//! [`emoo::Problem::evaluate_batch`], which this problem implements on top
-//! of the same batch path as [`OptrrProblem::evaluate_matrices`]
-//! (data-parallel across cores when `parallel_evaluation` is configured).
-//! Each genome is a [`Candidate`] that keeps the [`Evaluation`] the batch
+//! Evaluation — the hottest path of the whole system — is batched: the
+//! engines route all evaluation through [`emoo::Problem::evaluate_batch`],
+//! which this problem implements as one serial pass over the batch, like
+//! [`OptrrProblem::evaluate_matrices`]. Each genome is a [`Candidate`] that keeps the [`Evaluation`] the batch
 //! computed for it, so Ω offers and archive reporting read it from the
 //! individual instead of evaluating the matrix again.
 
@@ -85,18 +83,6 @@ impl Candidate {
     }
 }
 
-/// Baked minimum batch work (matrices × n³, the dominant cost of one
-/// evaluation being the n×n matrix inversion) before a parallel-configured
-/// batch actually fans out across cores. Below this the thread spawn costs
-/// more than it saves — the retired optimizer micro-benchmark showed
-/// parallel n=10×128 batches (work 128k) *losing* to serial by ~13% while
-/// n=20×128 (work 1.02M) broke even — so small batches stay on the serial
-/// path. Only a perfbench workload (`warmup` is the one that runs engines)
-/// can justify moving it. The same threshold gates
-/// [`Optimizer::optimize_many`](crate::Optimizer::optimize_many)'s
-/// per-prior fan-out.
-pub const PARALLEL_BATCH_MIN_WORK: usize = 400_000;
-
 /// The OptRR problem instance: a prior distribution (from the data set
 /// being disguised), the record count, and the δ bound.
 #[derive(Debug, Clone)]
@@ -106,7 +92,6 @@ pub struct OptrrProblem {
     delta: f64,
     mutation_step: f64,
     symmetric_only: bool,
-    parallel_evaluation: bool,
 }
 
 impl OptrrProblem {
@@ -125,7 +110,6 @@ impl OptrrProblem {
             delta: config.delta,
             mutation_step: DEFAULT_MUTATION_STEP,
             symmetric_only: config.symmetric_only,
-            parallel_evaluation: config.parallel_evaluation,
         })
     }
 
@@ -148,19 +132,6 @@ impl OptrrProblem {
     /// Number of records entering the closed-form MSE.
     pub fn num_records(&self) -> u64 {
         self.num_records
-    }
-
-    /// Whether batch evaluation runs in parallel across cores.
-    pub fn parallel_evaluation(&self) -> bool {
-        self.parallel_evaluation
-    }
-
-    /// Whether a batch of `batch_len` matrices takes the data-parallel
-    /// path: parallel evaluation must be configured *and* the batch work
-    /// (`batch_len · n³`) must reach [`PARALLEL_BATCH_MIN_WORK`].
-    pub fn uses_parallel_for_batch(&self, batch_len: usize) -> bool {
-        let n = self.num_categories();
-        self.parallel_evaluation && batch_len.saturating_mul(n * n * n) >= PARALLEL_BATCH_MIN_WORK
     }
 
     /// Evaluates a matrix into the paper's reporting convention.
@@ -201,26 +172,10 @@ impl OptrrProblem {
         }
     }
 
-    /// Evaluates a whole batch of matrices, in input order — serially, or
-    /// data-parallel across all cores when `parallel_evaluation` is
-    /// configured and the batch is big enough to beat the fan-out
-    /// overhead (see [`OptrrProblem::uses_parallel_for_batch`]).
-    /// Evaluation is pure, so the parallel path returns bit-identical
-    /// results. The engines' [`emoo::Problem::evaluate_batch`] and the
-    /// baseline sweeps share this batch path.
+    /// Evaluates a whole batch of matrices, in input order. The baseline
+    /// sweeps use it.
     pub fn evaluate_matrices(&self, matrices: &[RrMatrix]) -> Vec<Evaluation> {
-        self.map_batch(matrices, |m| self.evaluate_matrix(m))
-    }
-
-    /// Maps `f` over a batch of matrices (bare or in candidates), in input
-    /// order, on the path [`OptrrProblem::uses_parallel_for_batch`] picks.
-    fn map_batch<T: Sync, U: Send>(&self, items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-        if self.uses_parallel_for_batch(items.len()) {
-            use rayon::prelude::*;
-            items.par_iter().map(f).collect()
-        } else {
-            items.iter().map(f).collect()
-        }
+        matrices.iter().map(|m| self.evaluate_matrix(m)).collect()
     }
 
     /// Evaluates a candidate's matrix, stores the evaluation in the
@@ -319,7 +274,7 @@ impl Problem for OptrrProblem {
     }
 
     fn evaluate_batch(&self, genomes: &[Candidate]) -> Vec<Objectives> {
-        self.map_batch(genomes, |g| self.evaluate_candidate(g))
+        genomes.iter().map(|g| self.evaluate_candidate(g)).collect()
     }
 
     fn crossover<R: Rng + ?Sized>(
@@ -507,75 +462,23 @@ mod tests {
     }
 
     #[test]
-    fn batch_evaluation_matches_pointwise_serial_and_parallel() {
+    fn batch_evaluation_matches_pointwise() {
         let matrices: Vec<RrMatrix> = (0..40)
             .map(|k| warner(5, 0.45 + 0.01 * k as f64).unwrap())
             .collect();
-        for parallel in [false, true] {
-            let cfg = OptrrConfig {
-                parallel_evaluation: parallel,
-                ..OptrrConfig::fast(0.8, 1)
-            };
-            let p = OptrrProblem::new(prior(), &cfg).unwrap();
-            assert_eq!(p.parallel_evaluation(), parallel);
-            let batch = p.evaluate_matrices(&matrices);
-            let reference = problem(0.8);
-            for (m, eval) in matrices.iter().zip(&batch) {
-                let expected = reference.evaluate_matrix(m);
-                assert_eq!(eval.privacy.to_bits(), expected.privacy.to_bits());
-                assert_eq!(eval.mse.to_bits(), expected.mse.to_bits());
-                assert_eq!(eval.feasible, expected.feasible);
-            }
-            // The trait-level batch hook agrees with pointwise evaluate.
-            let candidates: Vec<Candidate> = matrices.iter().cloned().map(Candidate::new).collect();
-            let objectives = Problem::evaluate_batch(&p, &candidates);
-            for (m, o) in matrices.iter().zip(&objectives) {
-                assert_eq!(o, &Problem::evaluate(&p, &Candidate::new(m.clone())));
-            }
-        }
-    }
-
-    #[test]
-    fn small_batches_stay_serial_under_the_work_threshold() {
-        // n=10 × 128 matrices is the benchmarked regression case (parallel
-        // lost to serial): work 128·10³ = 128k < 400k must stay serial.
-        let parallel_cfg = OptrrConfig {
-            parallel_evaluation: true,
-            ..OptrrConfig::fast(0.8, 1)
-        };
-        let uniform = |n: usize| Categorical::new(vec![1.0 / n as f64; n]).unwrap();
-        let p10 = OptrrProblem::new(uniform(10), &parallel_cfg).unwrap();
-        assert!(!p10.uses_parallel_for_batch(128));
-        assert!(p10.uses_parallel_for_batch(400)); // 400k ≥ threshold
-        let p20 = OptrrProblem::new(uniform(20), &parallel_cfg).unwrap();
-        assert!(p20.uses_parallel_for_batch(128)); // 1.02M ≥ threshold
-        assert!(!p20.uses_parallel_for_batch(40)); // 320k < threshold
-        assert_eq!(PARALLEL_BATCH_MIN_WORK, 400_000);
-        // With parallel evaluation off, the threshold never flips it on.
-        let serial_cfg = OptrrConfig::fast(0.8, 1);
-        let serial = OptrrProblem::new(uniform(20), &serial_cfg).unwrap();
-        assert!(!serial.uses_parallel_for_batch(1 << 20));
-    }
-
-    #[test]
-    fn above_threshold_parallel_batches_match_serial_bitwise() {
-        // A batch big enough to actually take the parallel path at n=5
-        // (3200·125 = 400k), checked against the serial reference.
-        let matrices: Vec<RrMatrix> = (0..3200)
-            .map(|k| warner(5, 0.21 + 0.000_2 * k as f64).unwrap())
-            .collect();
-        let parallel_cfg = OptrrConfig {
-            parallel_evaluation: true,
-            ..OptrrConfig::fast(0.8, 1)
-        };
-        let p = OptrrProblem::new(prior(), &parallel_cfg).unwrap();
-        assert!(p.uses_parallel_for_batch(matrices.len()));
+        let p = problem(0.8);
         let batch = p.evaluate_matrices(&matrices);
-        let reference = problem(0.8);
         for (m, eval) in matrices.iter().zip(&batch) {
-            let expected = reference.evaluate_matrix(m);
+            let expected = p.evaluate_matrix(m);
             assert_eq!(eval.privacy.to_bits(), expected.privacy.to_bits());
             assert_eq!(eval.mse.to_bits(), expected.mse.to_bits());
+            assert_eq!(eval.feasible, expected.feasible);
+        }
+        // The trait-level batch hook agrees with pointwise evaluate.
+        let candidates: Vec<Candidate> = matrices.iter().cloned().map(Candidate::new).collect();
+        let objectives = Problem::evaluate_batch(&p, &candidates);
+        for (m, o) in matrices.iter().zip(&objectives) {
+            assert_eq!(o, &Problem::evaluate(&p, &Candidate::new(m.clone())));
         }
     }
 

@@ -1,33 +1,30 @@
-//! The parallel thresholds in force, as one readout.
+//! The benchmark-header readout of the parallel thresholds.
 //!
-//! Two serial/parallel crossovers gate the search's data-parallel work:
-//! [`emoo::kernel::DEFAULT_PARALLEL_MIN_PAIRS`] for the fitness-kernel
-//! fill and [`PARALLEL_BATCH_MIN_WORK`] for batch evaluation and
-//! [`Optimizer::optimize_many`](crate::Optimizer::optimize_many). Both are
-//! fixed constants: every serial and parallel path in this workspace is
-//! bitwise identical, so they only move wall-clock time, and the values
-//! are the ones the benchmarks measure. [`tuning`] reports them for
-//! benchmark headers.
-
-use crate::problem::PARALLEL_BATCH_MIN_WORK;
+//! A run is serial inside: the fitness-kernel fill and batch evaluation
+//! each have one path, and runs go parallel only with each other, on the
+//! serving layer's worker pool. The thresholds that once picked a
+//! parallel path inside a run are gone; [`tuning`] still reports them,
+//! as `usize::MAX` ("never"), because benchmark headers print its fields.
 
 /// The parallel thresholds this build runs with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tuning {
-    /// Fresh-pair count at which the fitness-kernel fill goes parallel.
+    /// Fresh-pair count at which the fitness-kernel fill goes parallel:
+    /// `usize::MAX`, never.
     pub kernel_min_pairs: usize,
     /// Batch work (`matrices × n³`) at which batch evaluation goes
-    /// parallel.
+    /// parallel: `usize::MAX`, never.
     pub batch_min_work: usize,
     /// Always false: no threshold is measured at run time.
     pub calibrated: bool,
 }
 
-/// Returns the two fixed thresholds.
+/// Returns the thresholds: never, for both, since nothing inside a run
+/// goes parallel.
 pub fn tuning() -> Tuning {
     Tuning {
-        kernel_min_pairs: emoo::kernel::DEFAULT_PARALLEL_MIN_PAIRS,
-        batch_min_work: PARALLEL_BATCH_MIN_WORK,
+        kernel_min_pairs: usize::MAX,
+        batch_min_work: usize::MAX,
         calibrated: false,
     }
 }
@@ -39,8 +36,8 @@ mod tests {
     #[test]
     fn tuning_reports_the_fixed_thresholds() {
         let t = tuning();
-        assert_eq!(t.kernel_min_pairs, 32_768);
-        assert_eq!(t.batch_min_work, 400_000);
+        assert_eq!(t.kernel_min_pairs, usize::MAX);
+        assert_eq!(t.batch_min_work, usize::MAX);
         assert!(!t.calibrated);
     }
 }

@@ -114,9 +114,8 @@ pub trait Problem {
     /// Evaluates a whole batch of genomes.
     ///
     /// Engines route *all* evaluation through this hook, so overriding it
-    /// is the single place to add caching or parallelism — see
-    /// [`parallel_evaluate`] for a ready-made data-parallel body. The
-    /// default delegates to [`Problem::evaluate`] serially. Implementations
+    /// is the single place to add batching or caching. The default
+    /// delegates to [`Problem::evaluate`] serially. Implementations
     /// must be order-preserving and produce exactly the values `evaluate`
     /// would, or engine runs stop being reproducible.
     fn evaluate_batch(&self, genomes: &[Self::Genome]) -> Vec<Objectives> {
@@ -137,41 +136,6 @@ pub trait Problem {
     /// Repairs a genome so it satisfies the problem's constraints
     /// (the OptRR "meeting the bound" step). The default is a no-op.
     fn repair<R: Rng + ?Sized>(&self, _genome: &mut Self::Genome, _rng: &mut R) {}
-}
-
-/// Evaluates a batch of genomes in parallel across all cores, preserving
-/// input order.
-///
-/// Because objective evaluation is pure (no RNG involvement), the result is
-/// bit-identical to the serial default of [`Problem::evaluate_batch`]; the
-/// integration tests assert this. Intended as the body of an
-/// `evaluate_batch` override for `Sync` problems:
-///
-/// ```
-/// use emoo::{parallel_evaluate, Objectives, Problem};
-/// # struct P;
-/// # impl Problem for P {
-/// #     type Genome = f64;
-/// #     fn num_objectives(&self) -> usize { 1 }
-/// #     fn random_genome<R: rand::Rng + ?Sized>(&self, _r: &mut R) -> f64 { 0.0 }
-/// #     fn evaluate(&self, g: &f64) -> Objectives { Objectives::new(vec![*g]) }
-/// fn evaluate_batch(&self, genomes: &[f64]) -> Vec<Objectives> {
-///     parallel_evaluate(self, genomes)
-/// }
-/// #     fn crossover<R: rand::Rng + ?Sized>(&self, a: &f64, _b: &f64, _r: &mut R) -> (f64, f64) { (*a, *a) }
-/// #     fn mutate<R: rand::Rng + ?Sized>(&self, _g: &mut f64, _r: &mut R) {}
-/// # }
-/// ```
-pub fn parallel_evaluate<P>(problem: &P, genomes: &[P::Genome]) -> Vec<Objectives>
-where
-    P: Problem + Sync,
-    P::Genome: Sync,
-{
-    use rayon::prelude::*;
-    genomes
-        .par_iter()
-        .map(|genome| problem.evaluate(genome))
-        .collect()
 }
 
 /// A snapshot of the state at the end of a generation, passed to the
@@ -445,18 +409,6 @@ mod tests {
         let batch = Sphere.evaluate_batch(&genomes);
         for (g, o) in genomes.iter().zip(&batch) {
             assert_eq!(o, &Sphere.evaluate(g));
-        }
-    }
-
-    #[test]
-    fn parallel_evaluation_is_bit_identical_to_serial() {
-        let genomes: Vec<f64> = (0..997).map(|i| i as f64 * 0.37 - 150.0).collect();
-        let serial = Sphere.evaluate_batch(&genomes);
-        let parallel = parallel_evaluate(&Sphere, &genomes);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            let bits = |o: &Objectives| o.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(a), bits(b));
         }
     }
 

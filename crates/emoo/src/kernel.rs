@@ -37,11 +37,8 @@
 //!   matrix; the next [`FitnessKernel::assign_fitness`] recomputes all
 //!   distances (dominance entries are still reused).
 //!
-//! Large fills go data-parallel: when the number of fresh pairs reaches
-//! the kernel's threshold ([`DEFAULT_PARALLEL_MIN_PAIRS`] unless set with
-//! [`FitnessKernel::with_parallel_threshold`]), the rows of the new
-//! members are filled across cores. Each pair's value is deterministic, so
-//! the parallel path is bitwise identical to the serial one.
+//! Fills are serial: a run is one thread, and runs go parallel with each
+//! other (the serving layer's worker pool), never inside.
 
 use crate::dominance::{relation_from_flags, strict_better_flags, DominanceRelation};
 use crate::individual::Individual;
@@ -53,13 +50,6 @@ const DOMINATES: i8 = 1;
 const DOMINATED_BY: i8 = -1;
 /// `dom[i·n + j]`: neither dominates the other.
 const NO_DOMINANCE: i8 = 0;
-
-/// Minimum number of *fresh* pairs before a fill goes rayon-parallel, as
-/// used by [`FitnessKernel::new`]. Below this, spawn overhead exceeds the
-/// comparison work (one pair is a handful of float compares). The
-/// threshold only moves the serial/parallel crossover — both paths are
-/// bitwise identical — so it never changes results, only wall-clock time.
-pub const DEFAULT_PARALLEL_MIN_PAIRS: usize = 1 << 15;
 
 /// Cumulative counters of the kernel's work, exposed through
 /// [`EngineOutcome`](crate::EngineOutcome) and `core::RunStatistics` so
@@ -105,7 +95,6 @@ pub struct FitnessKernel {
     /// memory instead of chasing one heap `Vec` per individual.
     obj_flat: Vec<f64>,
     obj_dim: usize,
-    parallel_min_pairs: usize,
     stats: KernelStats,
 }
 
@@ -126,16 +115,8 @@ fn encode(relation: DominanceRelation) -> i8 {
 }
 
 impl FitnessKernel {
-    /// Creates an empty kernel with the [`DEFAULT_PARALLEL_MIN_PAIRS`]
-    /// parallel-fill threshold.
+    /// Creates an empty kernel.
     pub fn new() -> Self {
-        Self::with_parallel_threshold(DEFAULT_PARALLEL_MIN_PAIRS)
-    }
-
-    /// Creates an empty kernel that fills its matrices in parallel once a
-    /// single update has at least `min_fresh_pairs` pairs to compute.
-    /// `0` forces the parallel path; `usize::MAX` forces the serial one.
-    pub fn with_parallel_threshold(min_fresh_pairs: usize) -> Self {
         Self {
             next_id: 0,
             ids: Vec::new(),
@@ -150,7 +131,6 @@ impl FitnessKernel {
             scratch: Vec::new(),
             obj_flat: Vec::new(),
             obj_dim: 0,
-            parallel_min_pairs: min_fresh_pairs,
             stats: KernelStats::default(),
         }
     }
@@ -336,8 +316,7 @@ impl FitnessKernel {
     }
 
     /// Replaces the tracked membership: the surviving block is copied
-    /// row-wise from the previous matrices, fresh pairs are computed (in
-    /// parallel when their count crosses the threshold).
+    /// row-wise from the previous matrices, fresh pairs are computed.
     fn update_pairs<G>(&mut self, members: &[Individual<G>], ids: &[u64], need_dist: bool) {
         let n = members.len();
         assert_eq!(ids.len(), n, "one id per member");
@@ -432,57 +411,22 @@ impl FitnessKernel {
         // 2. Fresh pairs: every pair touching a fresh member, computed
         // once (fresh-vs-survivor unconditionally, fresh-vs-fresh for the
         // lower current index) and written to both orientations.
-        if fresh_pairs as usize >= self.parallel_min_pairs && !fresh_members.is_empty() {
-            // Row-parallel: each fresh member computes its pair list; the
-            // results are spliced in serially. Every value is
-            // deterministic, so this is bitwise equal to the serial path.
-            use rayon::prelude::*;
-            let computed: Vec<Vec<(usize, i8, f64)>> = fresh_members
-                .par_iter()
-                .map(|&b| {
-                    let mut row = Vec::with_capacity(s + fresh_members.len());
-                    for &(a, _) in &survivors {
-                        row.push(pair_entry(obj, dim, a, b, need_dist));
-                    }
-                    for &a in &fresh_members {
-                        if a < b {
-                            row.push(pair_entry(obj, dim, a, b, need_dist));
-                        }
-                    }
-                    row
-                })
-                .collect();
-            for (&b, row) in fresh_members.iter().zip(&computed) {
-                for &(a, rel, d) in row {
-                    dom[a * n + b] = rel;
-                    dom[b * n + a] = -rel;
-                    if need_dist {
-                        dist[a * n + b] = d;
-                        dist[b * n + a] = d;
-                    }
-                }
+        let mut write = |a: usize, b: usize| {
+            let (rel, d) = pair_entry(obj, dim, a, b, need_dist);
+            dom[a * n + b] = rel;
+            dom[b * n + a] = -rel;
+            if need_dist {
+                dist[a * n + b] = d;
+                dist[b * n + a] = d;
             }
-        } else {
-            for &b in &fresh_members {
-                for &(a, _) in &survivors {
-                    let (a, rel, d) = pair_entry(obj, dim, a, b, need_dist);
-                    dom[a * n + b] = rel;
-                    dom[b * n + a] = -rel;
-                    if need_dist {
-                        dist[a * n + b] = d;
-                        dist[b * n + a] = d;
-                    }
-                }
-                for &a in &fresh_members {
-                    if a < b {
-                        let (a, rel, d) = pair_entry(obj, dim, a, b, need_dist);
-                        dom[a * n + b] = rel;
-                        dom[b * n + a] = -rel;
-                        if need_dist {
-                            dist[a * n + b] = d;
-                            dist[b * n + a] = d;
-                        }
-                    }
+        };
+        for &b in &fresh_members {
+            for &(a, _) in &survivors {
+                write(a, b);
+            }
+            for &a in &fresh_members {
+                if a < b {
+                    write(a, b);
                 }
             }
         }
@@ -521,7 +465,7 @@ fn euclidean(obj: &[f64], dim: usize, a: usize, b: usize) -> f64 {
 /// dominance relation seen from `a` (via the branch-free flag accumulation
 /// in [`crate::dominance`]) and the distance when requested.
 #[inline]
-fn pair_entry(obj: &[f64], dim: usize, a: usize, b: usize, need_dist: bool) -> (usize, i8, f64) {
+fn pair_entry(obj: &[f64], dim: usize, a: usize, b: usize, need_dist: bool) -> (i8, f64) {
     let ra = &obj[a * dim..(a + 1) * dim];
     let rb = &obj[b * dim..(b + 1) * dim];
     let rel = encode(relation_from_flags(strict_better_flags(ra, rb)));
@@ -530,7 +474,7 @@ fn pair_entry(obj: &[f64], dim: usize, a: usize, b: usize, need_dist: bool) -> (
     } else {
         0.0
     };
-    (a, rel, d)
+    (rel, d)
 }
 
 #[cfg(test)]
@@ -639,7 +583,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fill_is_bitwise_equal_to_serial() {
+    fn fill_is_bitwise_equal_to_scratch_with_survivors() {
         let point = |seed: u64| {
             let a = (seed.wrapping_mul(2654435761) % 1000) as f64 / 100.0;
             let b = (seed.wrapping_mul(40503) % 1000) as f64 / 100.0;
@@ -649,22 +593,14 @@ mod tests {
         // members survive each generation, so the last three keep their
         // size at 50, 100 and 200, with survivors and fresh pairs mixed.
         for (initial, fresh) in [(40u64, 12u64), (50, 25), (100, 50), (200, 100)] {
-            let mut serial = FitnessKernel::with_parallel_threshold(usize::MAX);
-            let mut parallel = FitnessKernel::with_parallel_threshold(0);
-            let mut default = FitnessKernel::new();
+            let mut kernel = FitnessKernel::new();
             let mut members: Vec<Individual<u32>> = (0..initial).map(point).collect();
             let mut ids: Vec<u64> = (0..initial).collect();
 
             for step in 0..4 {
-                let mut members_p = members.clone();
-                let mut members_d = members.clone();
                 let mut reference = members.clone();
-                serial.assign_fitness(&mut members, &ids, 2);
-                parallel.assign_fitness(&mut members_p, &ids, 2);
-                default.assign_fitness(&mut members_d, &ids, 2);
+                kernel.assign_fitness(&mut members, &ids, 2);
                 assign_fitness(&mut reference, 2);
-                assert_eq!(fitness_bits(&members), fitness_bits(&members_p));
-                assert_eq!(fitness_bits(&members), fitness_bits(&members_d));
                 assert_eq!(fitness_bits(&members), fitness_bits(&reference));
                 // Keep the odd positions, add fresh points.
                 let survivors: Vec<usize> = (0..members.len()).filter(|i| i % 2 == 1).collect();

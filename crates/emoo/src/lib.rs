@@ -22,9 +22,8 @@
 //!   per-generation [`GenerationSnapshot`]s that carry the already-computed
 //!   objective evaluations, an [`EngineOutcome`], and the [`EngineKind`]
 //!   selector with the [`run_engine`] dispatcher. The [`Problem`] trait's
-//!   [`Problem::evaluate_batch`] hook lets problems batch, cache, or
-//!   parallelize evaluation ([`parallel_evaluate`] provides the
-//!   data-parallel body);
+//!   [`Problem::evaluate_batch`] hook lets problems batch or cache
+//!   evaluation;
 //! * [`Spea2`] — the paper's engine, implementing [`Engine`];
 //! * [`nsga2`] — an independent NSGA-II [`Engine`] used to cross-check
 //!   results;
@@ -50,8 +49,7 @@ pub mod spea2;
 
 pub use dominance::{compare, dominates, non_dominated_indices, pareto_front, DominanceRelation};
 pub use engine::{
-    parallel_evaluate, run_engine, Engine, EngineConfig, EngineKind, EngineOutcome,
-    GenerationSnapshot, Problem,
+    run_engine, Engine, EngineConfig, EngineKind, EngineOutcome, GenerationSnapshot, Problem,
 };
 pub use individual::Individual;
 pub use kernel::{FitnessKernel, KernelStats};
@@ -150,9 +148,8 @@ mod proptests {
         /// of the previous members (removals) and adding fresh points
         /// (insertions) — the kernel's fitness assignment is **bitwise**
         /// equal to the from-scratch SPEA2 path, its ranks equal NSGA-II's
-        /// from-scratch non-dominated sort, and the forced-parallel fill
-        /// matches the serial one. This pins both engines' kernel paths to
-        /// their reference implementations.
+        /// from-scratch non-dominated sort. This pins both engines' kernel
+        /// paths to their reference implementations.
         #[test]
         fn kernel_is_bitwise_equal_to_scratch_across_generations(
             initial in arb_points(20),
@@ -163,7 +160,6 @@ mod proptests {
             k in 1usize..4,
         ) {
             let mut kernel = FitnessKernel::new();
-            let mut forced_parallel = kernel::FitnessKernel::with_parallel_threshold(0);
             let mut next_id = 0u64;
             let mut members: Vec<Individual<u64>> = Vec::new();
             let mut ids: Vec<u64> = Vec::new();
@@ -191,16 +187,13 @@ mod proptests {
 
                 let mut scratch = members.clone();
                 assign_fitness(&mut scratch, k);
-                let mut parallel_members = members.clone();
                 kernel.assign_fitness(&mut members, &ids, k);
-                forced_parallel.assign_fitness(&mut parallel_members, &ids, k);
                 let bits = |m: &[Individual<u64>]| {
                     m.iter()
                         .map(|i| i.fitness.expect("assigned").to_bits())
                         .collect::<Vec<_>>()
                 };
                 prop_assert_eq!(bits(&members), bits(&scratch));
-                prop_assert_eq!(bits(&members), bits(&parallel_members));
 
                 // The NSGA-II rank path over the same membership.
                 let points: Vec<Objectives> =

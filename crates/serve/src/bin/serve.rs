@@ -44,7 +44,7 @@
 //! #   OPTRR_SERVE_DRAIN_MS      drain grace on shutdown   (default 5000)
 //! # removed, and fatal if set (see serve::env::REMOVED):
 //! #   OPTRR_SERVE_CONN_QUEUE    sessions buffer their own responses, 64 KiB each
-//! #   OPTRR_TUNE                the parallel thresholds are fixed constants
+//! #   OPTRR_TUNE                nothing inside an engine run goes parallel
 //! ```
 
 use serve::net::NetServer;

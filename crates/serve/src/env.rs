@@ -66,7 +66,7 @@ pub const REMOVED: &[(&str, &str)] = &[
     ),
     (
         "OPTRR_TUNE",
-        "the parallel thresholds are fixed constants, with no probe to override",
+        "nothing inside an engine run goes parallel, so there is no threshold to tune",
     ),
 ];
 

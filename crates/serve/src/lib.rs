@@ -29,9 +29,9 @@
 //!   ([`Service::run_loop`]) and every socket session run, and the frame
 //!   readers it shares with [`NetClient`]: one framing rule everywhere.
 //! * [`service`] — [`Service`]: the front door tying the pieces together:
-//!   configuration, one admission path for every registration (including
-//!   the multi-prior batch that fans problems across cores via
-//!   `Optimizer::optimize_many`), and the query methods. The rest of
+//!   configuration, one admission path for every registration (the
+//!   multi-prior batch included: each cold key's warm-up is one job on
+//!   the worker pool, like a solo warm-up), and the query methods. The rest of
 //!   `impl Service` sits in three crate-private modules: `refresh` (the
 //!   one per-key job — run claim, evicted-key restore, engine run, the
 //!   one landing path, retry/backoff/degrade, and the memory budget that

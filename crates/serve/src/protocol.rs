@@ -62,10 +62,11 @@ pub enum Request {
         /// Schedule the warm-up instead of waiting for it.
         lazy: Option<bool>,
     },
-    /// Register many priors under one δ and warm them all in one parallel
-    /// batch (the multi-prior batch front door).
+    /// Register many priors under one δ and wait until all are warm (the
+    /// multi-prior batch front door); each cold key's warm-up is one
+    /// worker-pool job.
     RegisterBatch {
-        /// Optional aliases, positionally matched to `priors`.
+        /// Optional aliases, one per prior, positionally matched.
         names: Option<Vec<String>>,
         /// One weight vector per prior.
         priors: Vec<Vec<f64>>,

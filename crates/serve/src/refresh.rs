@@ -6,13 +6,13 @@
 //! runs the engine unless it is a pure re-warm. It then lands the outcome
 //! or accounts the failure (retry with exponential backoff, degrade once
 //! the fail budget is spent), enforces the memory budget, and resolves
-//! the claim by dropping it. Batch warm-ups and re-warm replays land
-//! their outcomes through the same [`Service::land`], and every engine
-//! run of one key is the same [`Service::engine_run`] call.
+//! the claim by dropping it. Batch warm-ups are jobs like any other, and
+//! re-warm replays land their outcomes through the same [`Service::land`];
+//! every engine run of one key is the same [`Service::engine_run`] call.
 
 use crate::lifecycle::{KeyState, RunClaim, StaleReason};
 use crate::registry::KeyEntry;
-use crate::service::{Result, Service, REFRESH_TARGET_BLEND};
+use crate::service::{Service, REFRESH_TARGET_BLEND};
 use crate::telemetry::ServeEvent;
 use optrr::{Optimizer, OptrrConfig, OptrrError, OptrrOutcome, RunStatistics};
 use stats::Categorical;
@@ -171,10 +171,9 @@ impl Service {
     }
 
     /// Lands one engine outcome in a key's warm store: the one landing
-    /// path of solo warm-ups, refreshes, batch warm-ups and re-warm
-    /// replays. The run is traced, its Ω joins the store, its archive
-    /// becomes the next run's seed set, and the key's failure episode
-    /// ends (the streak starts over).
+    /// path of warm-ups, refreshes and re-warm replays. The run is traced,
+    /// its Ω joins the store, its archive becomes the next run's seed
+    /// set, and the key's failure episode ends (the streak starts over).
     fn land(&self, entry: &KeyEntry, run_index: u64, outcome: OptrrOutcome) {
         self.trace_run(entry, run_index, Some(&outcome.statistics));
         entry.land_run(outcome);
@@ -298,46 +297,6 @@ impl Service {
                     entry.put_warm_seeds(Vec::new());
                     return;
                 }
-            }
-        }
-    }
-
-    /// Warms a batch registration's cold keys in one `optimize_many` call
-    /// across cores. Every run uses run index 0, like a solo warm-up, and
-    /// lands or fails like one under its own claim, so batch and solo
-    /// registration are bit-identical.
-    pub(crate) fn warm_batch(
-        self: &Arc<Self>,
-        cold: &[(Arc<KeyEntry>, Categorical)],
-    ) -> Result<()> {
-        let Some((first, _)) = cold.first() else {
-            return Ok(());
-        };
-        let claims: Vec<_> = cold
-            .iter()
-            .map(|(entry, _)| {
-                (
-                    entry,
-                    entry.lifecycle().begin_run(),
-                    entry.claim_run_index(),
-                )
-            })
-            .collect();
-        let priors: Vec<Categorical> = cold.iter().map(|(_, prior)| prior.clone()).collect();
-        let ran = Optimizer::new(self.run_config(first, 0)).and_then(|o| o.optimize_many(&priors));
-        match ran {
-            Ok(outcomes) => {
-                for ((entry, mut claim, run_index), outcome) in claims.into_iter().zip(outcomes) {
-                    self.resolve_run(entry, &mut claim, run_index, Ok(outcome));
-                }
-                self.enforce_memory(u64::MAX);
-                Ok(())
-            }
-            Err(error) => {
-                for (entry, mut claim, run_index) in claims {
-                    self.resolve_run(entry, &mut claim, run_index, Err(error.to_string()));
-                }
-                Err(error.into())
             }
         }
     }

@@ -123,8 +123,7 @@ pub type Result<T> = std::result::Result<T, ServeError>;
 pub struct ServiceConfig {
     /// The engine-budget template for every key's runs. Per-key `delta`,
     /// `omega_slots`, and the per-run seed offset are overlaid on it; the
-    /// rest (population, generations, engine kind, parallel evaluation)
-    /// applies as-is.
+    /// rest (population, generations, engine kind) applies as-is.
     pub base: OptrrConfig,
     /// Ω resolution used when a registration does not specify one.
     pub default_slots: usize,
@@ -444,12 +443,14 @@ impl Service {
         Ok(entry)
     }
 
-    /// Registers many priors under one δ and warms the cold ones in one
-    /// parallel batch via `Optimizer::optimize_many` — the multi-prior
-    /// batch front door. Every prior is checked before any key is
-    /// created, so an invalid prior registers nothing. Returns the
-    /// entries in input order plus the number of engine runs the batch
-    /// actually needed (already-warm keys are reused, not re-run).
+    /// Registers many priors under one δ — the multi-prior batch front
+    /// door. Every prior, and the length of `names` when given, is
+    /// checked before any key is created, so an invalid batch registers
+    /// nothing. Each key is then admitted like [`Service::register`]
+    /// admits it: a cold key's warm-up goes to the worker pool, and the
+    /// call returns once every key can answer queries. Returns the
+    /// entries in input order plus the number of warm-ups the batch
+    /// scheduled (already-warm keys are reused, not re-run).
     pub fn register_batch(
         self: &Arc<Self>,
         names: Option<&[String]>,
@@ -457,24 +458,34 @@ impl Service {
         delta: f64,
         slots: Option<usize>,
     ) -> Result<(Vec<Arc<KeyEntry>>, usize)> {
+        if let Some(names) = names.filter(|names| names.len() != priors.len()) {
+            return Err(ServeError::InvalidRequest(format!(
+                "{} names for {} priors",
+                names.len(),
+                priors.len()
+            )));
+        }
         let checked = priors
             .iter()
             .map(|weights| self.check_registration(weights, delta, slots))
             .collect::<Result<Vec<_>>>()?;
         let now = self.now_ms();
         let mut entries = Vec::with_capacity(checked.len());
-        let mut cold = Vec::new();
+        let mut warmed = 0;
         for (index, (prior, slots)) in checked.into_iter().enumerate() {
-            let name = names.and_then(|n| n.get(index)).map(String::as_str);
+            let name = names.map(|names| names[index].as_str());
             let (entry, _) = self.admit(&prior, delta, slots, name);
             if entry.lifecycle().claim_warmup() {
-                cold.push((Arc::clone(&entry), prior));
+                self.submit(&entry, Job::Run);
+                warmed += 1;
             }
             entry.touch(now);
             entries.push(entry);
         }
-        self.warm_batch(&cold)?;
-        Ok((entries, cold.len()))
+        for entry in &entries {
+            self.ensure_live(entry);
+        }
+        Ok((entries, warmed))
     }
 
     /// Resolves a key/name pair to a registered entry.
@@ -747,6 +758,25 @@ mod tests {
             service.register_batch(None, &batch, 0.8, None),
             Err(ServeError::InvalidRequest(_))
         ));
+        // So does a names list that does not pair one name with each
+        // prior, through the library call and the protocol alike.
+        let valid = [PRIOR.to_vec(), vec![0.5, 0.3, 0.2]];
+        for count in [1, 3] {
+            let names: Vec<String> = (0..count).map(|i| format!("n{i}")).collect();
+            assert!(matches!(
+                service.register_batch(Some(&names), &valid, 0.8, None),
+                Err(ServeError::InvalidRequest(_))
+            ));
+            let line = format!(
+                r#"{{"RegisterBatch":{{"names":{names:?},"priors":[[0.35,0.25,0.2,0.12,0.08],[0.5,0.3,0.2]],"delta":0.8}}}}"#
+            );
+            let request = crate::protocol::decode_request(&line).unwrap();
+            let response = service.handle(request);
+            assert!(
+                matches!(&response, Response::Error { code, .. } if code == "invalid_request"),
+                "{response:?}"
+            );
+        }
         assert!(service.registry().is_empty());
         let entry = service.register(None, &PRIOR, 0.8, None, true).unwrap();
         assert_eq!(entry.state(), KeyState::Warm);

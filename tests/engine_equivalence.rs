@@ -2,8 +2,7 @@
 //! EMOO engine is interchangeable, and the `Engine` abstraction makes that
 //! testable — SPEA2 and NSGA-II run through the identical `core::Optimizer`
 //! code path, selected purely by configuration, and must produce fronts of
-//! comparable quality. Also proves the parallel evaluation path is
-//! bit-identical to the serial one for a fixed seed.
+//! comparable quality.
 
 use suite::{datagen, integration_config_for, optrr, stats};
 
@@ -22,11 +21,10 @@ fn workload_prior(seed: u64) -> (Categorical, u64) {
     (prior, workload.dataset.len() as u64)
 }
 
-fn run_with(kind: EngineKind, delta: f64, seed: u64, parallel: bool) -> OptrrOutcome {
+fn run_with(kind: EngineKind, delta: f64, seed: u64) -> OptrrOutcome {
     let (prior, num_records) = workload_prior(seed);
     let mut config = integration_config_for(kind, delta, seed);
     config.num_records = num_records;
-    config.parallel_evaluation = parallel;
     Optimizer::new(config)
         .unwrap()
         .optimize_distribution(&prior)
@@ -37,8 +35,8 @@ fn run_with(kind: EngineKind, delta: f64, seed: u64, parallel: bool) -> OptrrOut
 fn spea2_and_nsga2_produce_comparable_feasible_fronts() {
     let delta = 0.8;
     let seed = 41;
-    let spea2 = run_with(EngineKind::Spea2, delta, seed, false);
-    let nsga2 = run_with(EngineKind::Nsga2, delta, seed, false);
+    let spea2 = run_with(EngineKind::Spea2, delta, seed);
+    let nsga2 = run_with(EngineKind::Nsga2, delta, seed);
 
     for (label, outcome) in [("SPEA2", &spea2), ("NSGA-II", &nsga2)] {
         assert!(!outcome.front.is_empty(), "{label} front must not be empty");
@@ -75,8 +73,8 @@ fn spea2_and_nsga2_produce_comparable_feasible_fronts() {
 fn engine_kind_is_selected_purely_by_config() {
     // Same config except for the backend selector: both must run end to
     // end, and the selector must actually change the search trajectory.
-    let a = run_with(EngineKind::Spea2, 0.75, 42, false);
-    let b = run_with(EngineKind::Nsga2, 0.75, 42, false);
+    let a = run_with(EngineKind::Spea2, 0.75, 42);
+    let b = run_with(EngineKind::Nsga2, 0.75, 42);
     assert!(!a.front.is_empty() && !b.front.is_empty());
     let identical = a.front.points.len() == b.front.points.len()
         && a.front
@@ -91,57 +89,13 @@ fn engine_kind_is_selected_purely_by_config() {
 }
 
 #[test]
-fn parallel_evaluation_is_bit_identical_to_serial() {
-    for kind in [EngineKind::Spea2, EngineKind::Nsga2] {
-        let serial = run_with(kind, 0.8, 43, false);
-        let parallel = run_with(kind, 0.8, 43, true);
-
-        assert_eq!(
-            serial.front.points.len(),
-            parallel.front.points.len(),
-            "{}: front sizes differ between serial and parallel evaluation",
-            kind.label()
-        );
-        for (s, p) in serial.front.points.iter().zip(&parallel.front.points) {
-            assert_eq!(
-                s.privacy.to_bits(),
-                p.privacy.to_bits(),
-                "{}: privacy differs bitwise",
-                kind.label()
-            );
-            assert_eq!(
-                s.mse.to_bits(),
-                p.mse.to_bits(),
-                "{}: MSE differs bitwise",
-                kind.label()
-            );
-        }
-        // The full archives agree as well, matrix by matrix.
-        assert_eq!(serial.archive.len(), parallel.archive.len());
-        for ((m_s, e_s), (m_p, e_p)) in serial.archive.iter().zip(&parallel.archive) {
-            assert!(
-                m_s.approx_eq(m_p, 0.0),
-                "{}: archive matrices differ",
-                kind.label()
-            );
-            assert_eq!(e_s.privacy.to_bits(), e_p.privacy.to_bits());
-            assert_eq!(e_s.mse.to_bits(), e_p.mse.to_bits());
-        }
-        assert_eq!(
-            serial.statistics.evaluations,
-            parallel.statistics.evaluations
-        );
-    }
-}
-
-#[test]
 fn omega_offers_resolve_from_the_evaluation_cache() {
     // The acceptance criterion of the engine refactor: per-generation Ω
     // offers must not recompute evaluations. Every feasible individual the
     // observer sees was just evaluated by the engine, so cache hits must
     // dominate and misses must stay close to the engine's own evaluation
     // count (reporting the final archive adds only cache hits).
-    let outcome = run_with(EngineKind::Spea2, 0.8, 44, false);
+    let outcome = run_with(EngineKind::Spea2, 0.8, 44);
     let stats = &outcome.statistics;
     assert!(
         stats.cache_hits > 0,

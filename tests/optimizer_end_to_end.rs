@@ -207,8 +207,8 @@ fn harmonic_prior(n: usize) -> Categorical {
 #[test]
 fn optimizer_bits_are_pinned_off_the_fast_path() {
     // The paths `optimizer_bits_are_pinned` does not take, both engines:
-    // a warm-seeded run, a symmetric-only run, a parallel run whose
-    // batches really fan out, and a run that stops on stagnation.
+    // a warm-seeded run, a symmetric-only run, a run over a wide n = 24
+    // domain, and a run that stops on stagnation.
     let mut words = Vec::new();
     for kind in [emoo::EngineKind::Spea2, emoo::EngineKind::Nsga2] {
         let base = optrr::OptrrConfig {
@@ -234,10 +234,7 @@ fn optimizer_bits_are_pinned_off_the_fast_path() {
             .unwrap();
         push_outcome_bits(&mut words, &outcome);
 
-        // 32 · 24³ = 442,368 ≥ PARALLEL_BATCH_MIN_WORK: every batch of
-        // this run takes the parallel path.
-        let parallel = optrr::OptrrConfig {
-            parallel_evaluation: true,
+        let wide_run = optrr::OptrrConfig {
             engine: emoo::EngineConfig {
                 generations: 12,
                 ..base.engine
@@ -245,10 +242,7 @@ fn optimizer_bits_are_pinned_off_the_fast_path() {
             ..base.clone()
         };
         let wide = harmonic_prior(24);
-        assert!(OptrrProblem::new(wide.clone(), &parallel)
-            .unwrap()
-            .uses_parallel_for_batch(parallel.engine.population_size));
-        let outcome = Optimizer::new(parallel)
+        let outcome = Optimizer::new(wide_run)
             .unwrap()
             .optimize_distribution(&wide)
             .unwrap();
