@@ -31,12 +31,12 @@
 //! * [`service`] — [`Service`]: the front door tying the pieces together:
 //!   configuration, one admission path for every registration (the
 //!   multi-prior batch included: each cold key's warm-up is one job on
-//!   the worker pool, like a solo warm-up), and the query methods. The rest of
-//!   `impl Service` sits in three crate-private modules: `refresh` (the
-//!   one per-key job — run claim, evicted-key restore, engine run, the
-//!   one landing path, retry/backoff/degrade, and the memory budget that
-//!   evicts least-recently-touched keys, which re-warm transparently on
-//!   their next query), `persist` (crash-safe snapshot files,
+//!   the worker pool, like a solo warm-up), and the query methods. The
+//!   rest of `impl Service` sits in three crate-private modules:
+//!   `refresh` (the one per-key job — run claim, evicted-key restore,
+//!   engine run, the one landing path, retry/backoff/degrade, and the
+//!   memory budget that evicts least-recently-touched keys, which
+//!   re-warm transparently on their next query), `persist` (crash-safe snapshot files,
 //!   all-or-nothing `Save`/`Load` covering ingest accumulators and
 //!   posteriors, eviction sidecars, and the one installer of a persisted
 //!   key), and `dispatch` ([`Service::handle`]).

@@ -417,6 +417,28 @@ impl Service {
         }
     }
 
+    /// Admits one checked registration (see [`Service::admit`]) and
+    /// touches its key. Returns the entry and whether this call scheduled
+    /// its warm-up on the worker pool.
+    fn admit_and_warm(
+        self: &Arc<Self>,
+        prior: &Categorical,
+        delta: f64,
+        slots: usize,
+        name: Option<&str>,
+    ) -> (Arc<KeyEntry>, bool) {
+        let (entry, _) = self.admit(prior, delta, slots, name);
+        // The warm-up claim is the exactly-once gate: whichever concurrent
+        // registration wins the Cold → Warming compare-exchange schedules
+        // the single warm-up run.
+        let scheduled = entry.lifecycle().claim_warmup();
+        if scheduled {
+            self.submit(&entry, Job::Run);
+        }
+        entry.touch(self.now_ms());
+        (entry, scheduled)
+    }
+
     /// Registers one prior under a privacy bound, returning its entry.
     /// Newly created keys get a warm-up run scheduled on the worker pool;
     /// with `block_until_warm` the call waits for warm data.
@@ -429,14 +451,7 @@ impl Service {
         block_until_warm: bool,
     ) -> Result<Arc<KeyEntry>> {
         let (prior, slots) = self.check_registration(weights, delta, slots)?;
-        let (entry, _) = self.admit(&prior, delta, slots, name);
-        // The warm-up claim is the exactly-once gate: whichever concurrent
-        // registration wins the Cold → Warming compare-exchange schedules
-        // the single warm-up run.
-        if entry.lifecycle().claim_warmup() {
-            self.submit(&entry, Job::Run);
-        }
-        entry.touch(self.now_ms());
+        let (entry, _) = self.admit_and_warm(&prior, delta, slots, name);
         if block_until_warm {
             self.ensure_live(&entry);
         }
@@ -446,11 +461,11 @@ impl Service {
     /// Registers many priors under one δ — the multi-prior batch front
     /// door. Every prior, and the length of `names` when given, is
     /// checked before any key is created, so an invalid batch registers
-    /// nothing. Each key is then admitted like [`Service::register`]
-    /// admits it: a cold key's warm-up goes to the worker pool, and the
-    /// call returns once every key can answer queries. Returns the
-    /// entries in input order plus the number of warm-ups the batch
-    /// scheduled (already-warm keys are reused, not re-run).
+    /// nothing. Each key is then admitted as [`Service::register`] admits
+    /// it: a cold key's warm-up is one worker-pool job. The call returns
+    /// once every key can answer queries, with the entries in input order
+    /// plus the number of warm-ups the batch scheduled (already-warm keys
+    /// are reused, not re-run).
     pub fn register_batch(
         self: &Arc<Self>,
         names: Option<&[String]>,
@@ -469,17 +484,12 @@ impl Service {
             .iter()
             .map(|weights| self.check_registration(weights, delta, slots))
             .collect::<Result<Vec<_>>>()?;
-        let now = self.now_ms();
         let mut entries = Vec::with_capacity(checked.len());
         let mut warmed = 0;
         for (index, (prior, slots)) in checked.into_iter().enumerate() {
             let name = names.map(|names| names[index].as_str());
-            let (entry, _) = self.admit(&prior, delta, slots, name);
-            if entry.lifecycle().claim_warmup() {
-                self.submit(&entry, Job::Run);
-                warmed += 1;
-            }
-            entry.touch(now);
+            let (entry, scheduled) = self.admit_and_warm(&prior, delta, slots, name);
+            warmed += usize::from(scheduled);
             entries.push(entry);
         }
         for entry in &entries {
