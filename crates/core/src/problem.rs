@@ -6,9 +6,10 @@
 //! Evaluation — the hottest path of the whole system — is batched: the
 //! engines route all evaluation through [`emoo::Problem::evaluate_batch`],
 //! which this problem implements as one serial pass over the batch, like
-//! [`OptrrProblem::evaluate_matrices`]. Each genome is a [`Candidate`] that keeps the [`Evaluation`] the batch
-//! computed for it, so Ω offers and archive reporting read it from the
-//! individual instead of evaluating the matrix again.
+//! [`OptrrProblem::evaluate_matrices`]. Each genome is a [`Candidate`]
+//! that keeps the [`Evaluation`] the batch computed for it, so Ω offers
+//! and archive reporting read it from the individual instead of
+//! evaluating the matrix again.
 
 use crate::config::OptrrConfig;
 use crate::error::{OptrrError, Result};
