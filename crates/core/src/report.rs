@@ -125,11 +125,6 @@ impl ExperimentReport {
         }
         out
     }
-
-    /// Serializes the report to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report is serializable")
-    }
 }
 
 #[cfg(test)]
@@ -212,31 +207,6 @@ mod tests {
         assert_eq!(lines.len(), 1 + 4);
         assert!(lines.iter().any(|l| l.starts_with("Warner,")));
         assert!(lines.iter().any(|l| l.starts_with("OptRR,")));
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let r = report();
-        let json = r.to_json();
-        let parsed: ExperimentReport = serde_json::from_str(&json).unwrap();
-        // Structural equality (floating-point fields can differ in the last
-        // ulp after the decimal round trip).
-        assert_eq!(parsed.experiment_id, r.experiment_id);
-        assert_eq!(parsed.delta, r.delta);
-        assert_eq!(parsed.fronts.len(), r.fronts.len());
-        for (a, b) in parsed.fronts.iter().zip(r.fronts.iter()) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.len(), b.len());
-        }
-        assert!(parsed.comparison.is_some());
-        assert_eq!(
-            parsed
-                .optimizer_statistics
-                .as_ref()
-                .unwrap()
-                .generations_run,
-            r.optimizer_statistics.as_ref().unwrap().generations_run
-        );
     }
 
     #[test]

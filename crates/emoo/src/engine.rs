@@ -176,18 +176,6 @@ pub struct EngineOutcome<G> {
     pub fitness_pairs_computed: u64,
 }
 
-impl<G: Clone> EngineOutcome<G> {
-    /// The archive genomes, cloned in archive order — the natural seed set
-    /// for a warm-started follow-up run via [`Engine::run_seeded`].
-    ///
-    /// A long-lived serving layer keeps these between refreshes of the same
-    /// problem so each re-run resumes from the previous elite set instead
-    /// of rediscovering it from random matrices.
-    pub fn seed_genomes(&self) -> Vec<G> {
-        self.archive.iter().map(|ind| ind.genome.clone()).collect()
-    }
-}
-
 /// An evolutionary multi-objective engine over a [`Problem`].
 pub trait Engine<P: Problem> {
     /// Which backend this engine is.
@@ -409,34 +397,6 @@ mod tests {
         let batch = Sphere.evaluate_batch(&genomes);
         for (g, o) in genomes.iter().zip(&batch) {
             assert_eq!(o, &Sphere.evaluate(g));
-        }
-    }
-
-    #[test]
-    fn seed_genomes_clone_the_archive_in_order() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let config = EngineConfig {
-            population_size: 16,
-            archive_size: 8,
-            generations: 5,
-            mutation_rate: 0.4,
-            density_k: 1,
-        };
-        let mut rng = StdRng::seed_from_u64(11);
-        let outcome = run_engine(
-            EngineKind::Spea2,
-            &Sphere,
-            config,
-            &mut rng,
-            Vec::new(),
-            |_| true,
-        )
-        .unwrap();
-        let seeds = outcome.seed_genomes();
-        assert_eq!(seeds.len(), outcome.archive.len());
-        for (seed, ind) in seeds.iter().zip(&outcome.archive) {
-            assert_eq!(seed.to_bits(), ind.genome.to_bits());
         }
     }
 

@@ -36,15 +36,6 @@ impl<G> Individual<G> {
     pub fn is_nondominated(&self) -> bool {
         self.fitness.map(|f| f < 1.0).unwrap_or(false)
     }
-
-    /// Maps the genome type while keeping objectives and fitness.
-    pub fn map_genome<H>(self, f: impl FnOnce(G) -> H) -> Individual<H> {
-        Individual {
-            genome: f(self.genome),
-            objectives: self.objectives,
-            fitness: self.fitness,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -68,15 +59,5 @@ mod tests {
         assert_eq!(ind.fitness_or_worst(), 0.4);
         ind.fitness = Some(1.7);
         assert!(!ind.is_nondominated());
-    }
-
-    #[test]
-    fn map_genome_preserves_metadata() {
-        let mut ind = Individual::new(5u32, Objectives::pair(0.1, 0.2));
-        ind.fitness = Some(0.9);
-        let mapped = ind.map_genome(|g| g.to_string());
-        assert_eq!(mapped.genome, "5");
-        assert_eq!(mapped.fitness, Some(0.9));
-        assert_eq!(mapped.objectives.value(1), 0.2);
     }
 }

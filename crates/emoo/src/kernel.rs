@@ -162,15 +162,6 @@ impl FitnessKernel {
         self.ids.is_empty()
     }
 
-    /// Forgets all cached pairwise state (id allocation continues). The
-    /// next update computes everything fresh.
-    pub fn invalidate(&mut self) {
-        self.ids.clear();
-        self.dom.clear();
-        self.dist.clear();
-        self.dist_valid = false;
-    }
-
     /// Distance between members `i` and `j` of the *current* membership
     /// (positions in the slice passed to the last
     /// [`FitnessKernel::assign_fitness`] call). Only valid while the
@@ -612,22 +603,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn invalidate_forgets_cached_state() {
-        let mut kernel = FitnessKernel::new();
-        let mut members = vec![ind(1.0, 2.0), ind(2.0, 1.0)];
-        let ids = kernel.alloc_ids(2);
-        kernel.assign_fitness(&mut members, &ids, 1);
-        assert_eq!(kernel.len(), 2);
-        kernel.invalidate();
-        assert!(kernel.is_empty());
-        let before = kernel.stats();
-        kernel.assign_fitness(&mut members, &ids, 1);
-        let after = kernel.stats();
-        assert_eq!(after.pairs_reused - before.pairs_reused, 0);
-        assert_eq!(after.pairs_computed - before.pairs_computed, 1);
     }
 
     #[test]

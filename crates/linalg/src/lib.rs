@@ -46,7 +46,8 @@
 pub mod error;
 pub mod lu;
 pub mod matrix;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod vector;
 
 pub use error::{LinalgError, Result};

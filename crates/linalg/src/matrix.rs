@@ -120,16 +120,6 @@ impl Matrix {
         Ok(m)
     }
 
-    /// Creates a diagonal matrix from the supplied diagonal entries.
-    pub fn from_diagonal(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Self::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -350,7 +340,7 @@ impl Matrix {
     /// output element still accumulates its `k` terms in strictly ascending
     /// order (ascending `k`-blocks, ascending `k` within a block) with the
     /// same zero-skip, the result is bitwise equal to the naive reference
-    /// loop kept in [`crate::reference::mul_matrix_naive`].
+    /// loop the crate's tests keep (`reference::mul_matrix_naive`).
     pub fn mul_matrix(&self, b: &Matrix) -> Result<Matrix> {
         if self.cols != b.rows {
             return Err(LinalgError::DimensionMismatch {
@@ -650,11 +640,6 @@ mod tests {
 
         let f = Matrix::filled(2, 2, 0.5);
         assert!(f.is_column_stochastic(1e-12));
-
-        let d = Matrix::from_diagonal(&[1.0, 2.0, 3.0]);
-        assert_eq!(d.trace().unwrap(), 6.0);
-        assert_eq!(d[(1, 1)], 2.0);
-        assert_eq!(d[(0, 1)], 0.0);
     }
 
     #[test]

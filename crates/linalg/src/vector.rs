@@ -168,11 +168,6 @@ impl Vector {
         Some(best)
     }
 
-    /// Euclidean (L2) norm.
-    pub fn norm2(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// L1 norm (sum of absolute values).
     pub fn norm1(&self) -> f64 {
         self.data.iter().map(|x| x.abs()).sum()
@@ -451,7 +446,6 @@ mod tests {
     #[test]
     fn norms() {
         let v = Vector::from_vec(vec![3.0, -4.0]);
-        assert!((v.norm2() - 5.0).abs() < 1e-12);
         assert!((v.norm1() - 7.0).abs() < 1e-12);
         assert!((v.norm_inf() - 4.0).abs() < 1e-12);
     }

@@ -63,19 +63,6 @@ impl Reconstructor {
             }
         }
     }
-
-    /// Reconstructs the *count* of each original category (distribution
-    /// scaled by the number of records), the quantity itemset-support and
-    /// information-gain computations need.
-    pub fn reconstruct_counts(
-        &self,
-        matrix: &RrMatrix,
-        disguised: &CategoricalDataset,
-    ) -> Result<Vec<f64>> {
-        let dist = self.reconstruct(matrix, disguised)?;
-        let n = disguised.len() as f64;
-        Ok(dist.probs().iter().map(|p| p * n).collect())
-    }
 }
 
 #[cfg(test)]
@@ -125,20 +112,5 @@ mod tests {
         assert!(Reconstructor::iterative_default()
             .reconstruct(&m, &disguised)
             .is_ok());
-    }
-
-    #[test]
-    fn reconstructed_counts_scale_with_records() {
-        let (p, data) = workload();
-        let m = warner(4, 0.8).unwrap();
-        let mut rng = StdRng::seed_from_u64(4);
-        let disguised = disguise_dataset(&m, &data, &mut rng).unwrap().disguised;
-        let counts = Reconstructor::Inversion
-            .reconstruct_counts(&m, &disguised)
-            .unwrap();
-        assert_eq!(counts.len(), 4);
-        let total: f64 = counts.iter().sum();
-        assert!((total - data.len() as f64).abs() < 1.0);
-        assert!((counts[0] / data.len() as f64 - p.prob(0)).abs() < 0.03);
     }
 }

@@ -63,8 +63,8 @@ fn collect_outcome(
 ///
 /// The per-column [`crate::sample::AliasTable`]s are built once (O(n²) for
 /// the whole matrix), then each record costs O(1): one uniform draw per
-/// record, exactly the draw budget of the inverse-CDF reference path in
-/// [`disguise_dataset_reference`].
+/// record, exactly the draw budget of the inverse-CDF reference path its
+/// tests keep (`disguise_dataset_reference`).
 pub fn disguise_dataset<R: Rng + ?Sized>(
     m: &RrMatrix,
     original: &CategoricalDataset,
@@ -124,7 +124,8 @@ fn disguise_with_samplers<R: Rng + ?Sized>(
 /// through [`disguise_dataset`]. The two paths draw different streams for
 /// the same seed but the same *number* of RNG values, and both match `M·P`
 /// distributionally.
-pub fn disguise_dataset_reference<R: Rng + ?Sized>(
+#[cfg(test)]
+fn disguise_dataset_reference<R: Rng + ?Sized>(
     m: &RrMatrix,
     original: &CategoricalDataset,
     rng: &mut R,

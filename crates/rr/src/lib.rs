@@ -50,10 +50,7 @@ pub mod metrics;
 pub mod sample;
 pub mod schemes;
 
-pub use disguise::{
-    disguise_dataset, disguise_dataset_reference, disguise_dataset_with, disguise_paired,
-    DisguiseOutcome,
-};
+pub use disguise::{disguise_dataset, disguise_dataset_with, disguise_paired, DisguiseOutcome};
 pub use error::{Result, RrError};
 pub use matrix::{renormalize_columns, RrMatrix, STOCHASTIC_TOLERANCE};
 pub use metrics::privacy::PrivacyAnalysis;

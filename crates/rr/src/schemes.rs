@@ -125,12 +125,6 @@ pub mod theorem2 {
         (p * n as f64 - 1.0) / (n as f64 - 1.0)
     }
 
-    /// The Warner parameter `p` whose matrix equals the UP matrix with
-    /// parameter `q`: `p = q + (1 − q)/n`.
-    pub fn up_to_warner(n: usize, q: f64) -> f64 {
-        q + (1.0 - q) / n as f64
-    }
-
     /// The FRAPP parameter `λ` whose matrix equals the Warner matrix with
     /// parameter `p`: `λ = p (n−1) / (1 − p)` (infinite at `p = 1`).
     pub fn warner_to_frapp(n: usize, p: f64) -> f64 {
@@ -268,8 +262,6 @@ mod tests {
             let w = warner(n, p).unwrap();
             let u = uniform_perturbation(n, q).unwrap();
             assert!(w.approx_eq(&u, 1e-12), "p={p}, q={q}");
-            // Round trip.
-            assert!((theorem2::up_to_warner(n, q) - p).abs() < 1e-12);
         }
     }
 

@@ -134,11 +134,6 @@ impl Zipf {
         Ok(Self { n, s, cdf })
     }
 
-    /// Number of ranks.
-    pub fn num_ranks(&self) -> usize {
-        self.n
-    }
-
     /// Exponent.
     pub fn exponent(&self) -> f64 {
         self.s
@@ -256,7 +251,6 @@ mod tests {
         assert!(Zipf::new(5, -1.0).is_err());
         assert!(Zipf::new(5, f64::NAN).is_err());
         let z = Zipf::new(5, 1.0).unwrap();
-        assert_eq!(z.num_ranks(), 5);
         assert_eq!(z.exponent(), 1.0);
     }
 
