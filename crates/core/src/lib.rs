@@ -75,7 +75,7 @@ pub use baselines::{baseline_sweep, BaselinePoint, BaselineSweep, PAPER_SWEEP_ST
 pub use config::OptrrConfig;
 pub use error::{OptrrError, Result};
 pub use front::{FrontComparison, FrontPoint, ParetoFront};
-pub use omega::{fnv1a_64, omega_fingerprint, slot_index, OmegaEntry, OmegaSet};
+pub use omega::{fnv1a_64, omega_fingerprint, OmegaEntry, OmegaSet};
 pub use optimizer::{
     GenerationObservation, GenerationObserver, Optimizer, OptrrOutcome, RunStatistics,
 };

@@ -15,13 +15,9 @@ use rr::RrMatrix;
 use serde::{Deserialize, Serialize};
 use stats::Categorical;
 
-/// The slot index a privacy value maps to in an Ω with `num_slots` slots.
-///
-/// This is the single definition of the privacy → slot mapping; it is shared
-/// by [`OmegaSet::slot_of`] and by the sharded Ω store in `optrr-serve`,
-/// which uses it as the shard key. Keeping one definition is what makes a
-/// sharded refresh bitwise-equal to a single-writer run.
-pub fn slot_index(privacy: f64, num_slots: usize) -> usize {
+/// The slot index a privacy value maps to in an Ω with `num_slots` slots:
+/// the privacy → slot mapping behind [`OmegaSet::slot_of`].
+fn slot_index(privacy: f64, num_slots: usize) -> usize {
     assert!(num_slots > 0, "omega needs at least one slot");
     let clamped = privacy.clamp(0.0, 1.0);
     let idx = (clamped * num_slots as f64).floor() as usize;
@@ -171,36 +167,6 @@ impl OmegaSet {
             self.improvements += 1;
         }
         improved
-    }
-
-    /// Merges another Ω of the same resolution into this one, slot by slot.
-    ///
-    /// Each slot keeps the entry with the strictly lower MSE; on a tie the
-    /// current occupant survives, matching [`OmegaSet::offer`]'s
-    /// strict-improvement rule. The improvement counters are summed: every
-    /// improvement witnessed by either side has been witnessed by the merged
-    /// set. When the two sides were fed slot-disjoint offer streams — the
-    /// sharded-refresh case, where [`slot_index`] is the shard key — the
-    /// merged set is exactly (entries and counter alike) the Ω a single
-    /// writer would have produced from the combined stream; the property
-    /// tests in `optrr-serve` assert this.
-    pub fn merge(&mut self, other: &OmegaSet) {
-        assert_eq!(
-            self.slots.len(),
-            other.slots.len(),
-            "cannot merge omega sets with different slot counts"
-        );
-        for (slot, entry) in other.slots.iter().enumerate() {
-            let Some(entry) = entry else { continue };
-            let take = match &self.slots[slot] {
-                None => true,
-                Some(existing) => entry.evaluation.mse < existing.evaluation.mse,
-            };
-            if take {
-                self.slots[slot] = Some(entry.clone());
-            }
-        }
-        self.improvements += other.improvements;
     }
 
     /// Borrow the entry stored for a given privacy slot.
@@ -454,83 +420,6 @@ mod tests {
             assert_eq!(slot_index(p, 777), omega.slot_of(p));
         }
         assert!(std::panic::catch_unwind(|| slot_index(0.5, 0)).is_err());
-    }
-
-    #[test]
-    fn merge_keeps_the_better_entry_per_slot_and_sums_improvements() {
-        let m = matrix();
-        let mut a = OmegaSet::new(100);
-        a.offer(&m, &eval(0.30, 1e-4));
-        a.offer(&m, &eval(0.50, 5e-5));
-        let mut b = OmegaSet::new(100);
-        b.offer(&m, &eval(0.305, 2e-4)); // same slot as a's 0.30, worse mse
-        b.offer(&m, &eval(0.505, 1e-5)); // same slot as a's 0.50, better mse
-        b.offer(&m, &eval(0.70, 3e-4)); // new slot
-        let (a_improvements, b_improvements) = (a.improvements(), b.improvements());
-
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.improvements(), a_improvements + b_improvements);
-        // Slot of 0.30 keeps a's entry; slot of 0.50 takes b's.
-        let kept = a.entry(a.slot_of(0.30)).unwrap();
-        assert_eq!(kept.evaluation.mse.to_bits(), 1e-4f64.to_bits());
-        let replaced = a.entry(a.slot_of(0.50)).unwrap();
-        assert_eq!(replaced.evaluation.mse.to_bits(), 1e-5f64.to_bits());
-        assert!(a.entry(a.slot_of(0.70)).is_some());
-    }
-
-    #[test]
-    fn merge_tie_keeps_current_occupant_and_empty_merge_is_identity() {
-        let m = matrix();
-        let mut a = OmegaSet::new(50);
-        a.offer(&m, &eval(0.4, 2e-4));
-        let mut b = OmegaSet::new(50);
-        b.offer(&m, &eval(0.41, 2e-4)); // same slot, equal mse
-        a.merge(&b);
-        // Tie: the incumbent (privacy 0.4) survives, mirroring offer().
-        assert_eq!(
-            a.entry(a.slot_of(0.4))
-                .unwrap()
-                .evaluation
-                .privacy
-                .to_bits(),
-            0.4f64.to_bits()
-        );
-        let snapshot = a.clone();
-        a.merge(&OmegaSet::new(50));
-        assert_eq!(a, snapshot);
-    }
-
-    #[test]
-    #[should_panic(expected = "different slot counts")]
-    fn merge_rejects_mismatched_slot_counts() {
-        let mut a = OmegaSet::new(10);
-        a.merge(&OmegaSet::new(20));
-    }
-
-    #[test]
-    fn merge_into_empty_equals_single_writer_for_disjoint_streams() {
-        // The sharded-refresh contract at its smallest: two slot-disjoint
-        // offer streams merged into an empty set equal the single writer.
-        let m = matrix();
-        let offers_low = [(0.10, 3e-4), (0.12, 1e-4), (0.11, 2e-4)];
-        let offers_high = [(0.80, 9e-5), (0.82, 4e-5)];
-        let mut single = OmegaSet::new(10);
-        let mut low = OmegaSet::new(10);
-        let mut high = OmegaSet::new(10);
-        for &(p, u) in offers_low.iter().chain(offers_high.iter()) {
-            single.offer(&m, &eval(p, u));
-        }
-        for &(p, u) in &offers_low {
-            low.offer(&m, &eval(p, u));
-        }
-        for &(p, u) in &offers_high {
-            high.offer(&m, &eval(p, u));
-        }
-        let mut merged = OmegaSet::new(10);
-        merged.merge(&low);
-        merged.merge(&high);
-        assert_eq!(merged, single);
     }
 
     #[test]

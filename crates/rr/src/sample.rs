@@ -11,8 +11,8 @@
 //! exactly one `f64` from the RNG per record, so switching sampler changes
 //! the disguised stream for a given seed but not the RNG draw budget. The
 //! disguise pipeline's determinism contract is *per seed, per sampler*:
-//! same seed → same stream, and sharded ingest equals single-stream ingest
-//! bitwise because both sides run this same sampler (see
+//! same seed → same stream, and concurrent ingest equals single-stream
+//! ingest bitwise because both sides run this same sampler (see
 //! `serve::pipeline::payload_seed`).
 
 use crate::error::{Result, RrError};

@@ -27,7 +27,6 @@
 //! # environment overrides (invalid values abort startup, see serve::env):
 //! #   OPTRR_SERVE_SEED          base RNG seed             (default 2008)
 //! #   OPTRR_SERVE_WORKERS       refresh worker threads    (default 2/smoke, cores/standard)
-//! #   OPTRR_SERVE_SHARDS        shards per warm store     (default 4/smoke, 8/standard)
 //! #   OPTRR_SERVE_DRIFT         drift MSE threshold       (default 1e-3)
 //! #   OPTRR_SERVE_COVERAGE      coverage-miss threshold   (default 8, 0 disables)
 //! #   OPTRR_SERVE_BUDGET_BYTES  resident-memory budget    (default unbounded)
@@ -42,9 +41,8 @@
 //! #   OPTRR_SERVE_LISTEN        network listen address    (default none: stdio)
 //! #   OPTRR_SERVE_MAX_CONNS     connection-pool bound     (default 1024)
 //! #   OPTRR_SERVE_DRAIN_MS      drain grace on shutdown   (default 5000)
-//! # removed, and fatal if set (see serve::env::REMOVED):
-//! #   OPTRR_SERVE_CONN_QUEUE    sessions buffer their own responses, 64 KiB each
-//! #   OPTRR_TUNE                nothing inside an engine run goes parallel
+//! # a removed variable is fatal if set, whatever its value;
+//! # serve::env::REMOVED lists each one with the reason it went
 //! ```
 
 use serve::net::NetServer;

@@ -1,200 +1,129 @@
-//! The sharded response accumulator behind streaming ingest.
+//! The response accumulator behind streaming ingest: each key's counts
+//! behind one lock.
 //!
-//! N concurrent client streams ingest disguised-response batches for the
-//! same key. A single mutex-guarded accumulator would serialize them, so —
-//! mirroring the sharded warm-Ω store — the accumulator is split into
-//! `num_shards` independent [`CountSet`]s, each behind its own lock. Every
-//! batch lands wholly in one shard, chosen by a round-robin cursor, so
-//! concurrent streams take different locks almost always and *never* have
-//! to queue behind a long-running merge.
-//!
-//! Because count accumulation is commutative and associative (`u64`
-//! addition), collapsing the shards through [`CountSet::merge`] produces a
-//! state **bitwise-identical** to a single accumulator fed the same
-//! batches in any order — regardless of shard count, cursor position, or
-//! thread interleaving. The property test below pins this down; it is what
-//! makes sharded concurrent ingest indistinguishable from a single-stream
-//! run to the estimators downstream.
+//! Every batch of a key's stream lands in one [`CountSet`] behind one
+//! `Mutex`. An ingest reply reads its running total and batch count from
+//! the same lock hold that added its batch, so the two numbers always
+//! describe one state. Count accumulation commutes (`u64` addition), so
+//! concurrent streams end bitwise-identical to one stream fed the same
+//! batches in any order.
 
 use stats::{CountSet, Result as StatsResult};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// A sharded accumulator of categorical response counts.
+/// A key's accumulator of categorical response counts.
 #[derive(Debug)]
-pub struct ShardedCounts {
-    num_categories: usize,
-    shards: Vec<Mutex<CountSet>>,
-    cursor: AtomicUsize,
+pub struct IngestCounts {
+    counts: Mutex<CountSet>,
 }
 
-impl ShardedCounts {
-    /// Creates an empty sharded accumulator over `num_categories`
-    /// categories with `num_shards` independent locks (at least one).
-    pub fn new(num_categories: usize, num_shards: usize) -> Self {
-        assert!(num_categories > 0, "need at least one category");
-        let shards = num_shards.max(1);
+impl IngestCounts {
+    /// Creates an empty accumulator over `num_categories` categories.
+    pub fn new(num_categories: usize) -> Self {
         Self {
-            num_categories,
-            shards: (0..shards)
-                .map(|_| Mutex::new(CountSet::new(num_categories).expect("validated above")))
-                .collect(),
-            cursor: AtomicUsize::new(0),
+            counts: Mutex::new(CountSet::new(num_categories).expect("at least one category")),
         }
     }
 
-    /// Number of categories.
-    pub fn num_categories(&self) -> usize {
-        self.num_categories
+    fn lock(&self) -> MutexGuard<'_, CountSet> {
+        self.counts.lock().expect("ingest counts lock")
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
+    /// Accumulates one batch of raw category indices, all-or-nothing like
+    /// [`CountSet::add_records`]. Returns the running `(total, batches)`
+    /// read under the lock that added the batch.
+    pub fn ingest_records(&self, records: &[usize]) -> StatsResult<(u64, u64)> {
+        let mut counts = self.lock();
+        counts.add_records(records)?;
+        Ok((counts.total(), counts.batches()))
     }
 
-    /// The shard the next batch lands in: a round-robin cursor, so
-    /// concurrent streams spread across the locks evenly.
-    fn next_shard(&self) -> &Mutex<CountSet> {
-        let at = self.cursor.fetch_add(1, Ordering::Relaxed);
-        &self.shards[at % self.shards.len()]
+    /// Accumulates one pre-counted batch. Returns the running `(total,
+    /// batches)` like [`IngestCounts::ingest_records`].
+    pub fn ingest_counts(&self, batch: &[u64]) -> StatsResult<(u64, u64)> {
+        let mut counts = self.lock();
+        counts.add_counts(batch)?;
+        Ok((counts.total(), counts.batches()))
     }
 
-    /// Accumulates one batch of raw category indices into some shard.
-    /// The batch is all-or-nothing, exactly like [`CountSet::add_records`].
-    pub fn ingest_records(&self, records: &[usize]) -> StatsResult<()> {
-        self.next_shard()
-            .lock()
-            .expect("count shard lock")
-            .add_records(records)
-    }
-
-    /// Accumulates one pre-counted batch into some shard.
-    pub fn ingest_counts(&self, counts: &[u64]) -> StatsResult<()> {
-        self.next_shard()
-            .lock()
-            .expect("count shard lock")
-            .add_counts(counts)
-    }
-
-    /// Absorbs a whole pre-merged [`CountSet`] into one shard — the
-    /// snapshot-restore path. Count accumulation commutes, so the merged
-    /// view afterwards is bitwise-identical to having ingested the
-    /// original batch stream directly.
+    /// Adds a whole persisted [`CountSet`]: the snapshot-restore path.
+    /// Accumulation commutes, so the state afterwards is bitwise-identical
+    /// to having ingested the original batch stream directly.
     pub fn absorb(&self, counts: &CountSet) -> StatsResult<()> {
-        self.shards[0]
-            .lock()
-            .expect("count shard lock")
-            .merge(counts)
+        self.lock().merge(counts)
     }
 
-    /// Approximate resident heap bytes: every shard's count vector plus a
-    /// fixed per-shard allowance for the counters and lock.
-    pub fn approx_bytes(&self) -> u64 {
-        self.shards.len() as u64 * (self.num_categories as u64 * 8 + 64)
-    }
-
-    /// Collapses the shards into one [`CountSet`] via [`CountSet::merge`].
+    /// A copy of the accumulated counts.
     pub fn merge(&self) -> CountSet {
-        let mut merged = CountSet::new(self.num_categories).expect("validated at construction");
-        for shard in &self.shards {
-            merged
-                .merge(&shard.lock().expect("count shard lock"))
-                .expect("shards share one domain");
-        }
-        merged
+        self.lock().clone()
     }
 
-    /// Total responses accumulated across all shards.
+    /// Total responses accumulated.
     pub fn total(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("count shard lock").total())
-            .sum()
-    }
-
-    /// Total batches accumulated across all shards.
-    pub fn batches(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("count shard lock").batches())
-            .sum()
+        self.lock().total()
     }
 
     /// Whether no response has been accumulated.
     pub fn is_empty(&self) -> bool {
-        self.total() == 0
+        self.lock().is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn construction_and_shard_bounds() {
-        let store = ShardedCounts::new(5, 8);
-        assert_eq!(store.num_categories(), 5);
-        assert_eq!(store.num_shards(), 8);
-        assert!(store.is_empty());
-        // Zero shards clamps to one.
-        assert_eq!(ShardedCounts::new(5, 0).num_shards(), 1);
-    }
 
     #[test]
     #[should_panic(expected = "at least one category")]
     fn zero_categories_panics() {
-        let _ = ShardedCounts::new(0, 2);
+        let _ = IngestCounts::new(0);
     }
 
     #[test]
-    fn batches_rotate_across_shards_and_merge_back() {
-        let store = ShardedCounts::new(3, 2);
-        store.ingest_records(&[0, 0, 1]).unwrap();
-        store.ingest_records(&[2]).unwrap();
-        store.ingest_counts(&[0, 5, 0]).unwrap();
-        assert_eq!(store.total(), 9);
-        assert_eq!(store.batches(), 3);
+    fn batches_accumulate_and_report_their_running_totals() {
+        let store = IngestCounts::new(3);
+        assert!(store.is_empty());
+        assert_eq!(store.ingest_records(&[0, 0, 1]), Ok((3, 1)));
+        assert_eq!(store.ingest_records(&[2]), Ok((4, 2)));
+        assert_eq!(store.ingest_counts(&[0, 5, 0]), Ok((9, 3)));
         let merged = store.merge();
         assert_eq!(merged.counts(), &[2, 6, 1]);
         assert_eq!(merged.batches(), 3);
-        // Invalid batches change nothing, whichever shard they hit.
+        // Invalid batches change nothing.
         assert!(store.ingest_records(&[9]).is_err());
         assert!(store.ingest_counts(&[1, 2]).is_err());
-        assert_eq!(store.merge().total(), 9);
+        assert_eq!(store.merge(), merged);
+        assert_eq!(store.total(), 9);
     }
 
     #[test]
     fn absorb_restores_a_merged_set_bitwise() {
-        let original = ShardedCounts::new(3, 4);
+        let original = IngestCounts::new(3);
         original.ingest_records(&[0, 0, 1]).unwrap();
         original.ingest_counts(&[0, 2, 5]).unwrap();
         let merged = original.merge();
 
-        let restored = ShardedCounts::new(3, 2);
+        let restored = IngestCounts::new(3);
         restored.absorb(&merged).unwrap();
         assert_eq!(restored.merge(), merged);
-        assert_eq!(restored.total(), original.total());
-        assert_eq!(restored.batches(), original.batches());
         // Later batches keep accumulating on top of the restored state.
-        restored.ingest_records(&[2]).unwrap();
-        assert_eq!(restored.total(), original.total() + 1);
+        assert_eq!(
+            restored.ingest_records(&[2]),
+            Ok((original.total() + 1, merged.batches() + 1))
+        );
         // A wrong-domain absorb is rejected.
         assert!(restored.absorb(&CountSet::new(5).unwrap()).is_err());
-        assert!(ShardedCounts::new(3, 2).approx_bytes() > 0);
     }
 
     #[test]
     fn concurrent_streams_equal_a_single_stream() {
-        let store = Arc::new(ShardedCounts::new(4, 4));
+        let store = IngestCounts::new(4);
         let batches: Vec<Vec<usize>> = (0..64)
             .map(|b| (0..(b % 7 + 1)).map(|r| (b + r) % 4).collect())
             .collect();
         std::thread::scope(|scope| {
             for worker in 0..8usize {
-                let store = Arc::clone(&store);
+                let store = &store;
                 let batches = &batches;
                 scope.spawn(move || {
                     // Worker w ingests every 8th batch, offset by w.
@@ -209,32 +138,5 @@ mod tests {
             single.add_records(batch).unwrap();
         }
         assert_eq!(store.merge(), single);
-    }
-
-    proptest! {
-        #![proptest_config(proptest::test_runner::Config::with_cases(32))]
-
-        /// The ingest property: a sharded accumulator fed an arbitrary
-        /// batch stream and then merged equals a single accumulator fed
-        /// the same stream — counts, totals, and batch counters alike —
-        /// for any shard count.
-        #[test]
-        fn sharded_ingest_equals_single_stream(
-            batches in proptest::collection::vec(
-                proptest::collection::vec(0usize..5, 1..20),
-                1..40,
-            ),
-            num_shards in 1usize..12,
-        ) {
-            let store = ShardedCounts::new(5, num_shards);
-            let mut single = CountSet::new(5).unwrap();
-            for batch in &batches {
-                store.ingest_records(batch).unwrap();
-                single.add_records(batch).unwrap();
-            }
-            prop_assert_eq!(store.merge(), single);
-            prop_assert_eq!(store.total(), single.total());
-            prop_assert_eq!(store.batches(), single.batches());
-        }
     }
 }

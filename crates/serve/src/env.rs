@@ -13,7 +13,6 @@
 //! |----------------------------|-----------------------|------------|
 //! | `OPTRR_SERVE_SEED`         | u64                   | base RNG seed |
 //! | `OPTRR_SERVE_WORKERS`      | integer ≥ 1           | refresh worker threads |
-//! | `OPTRR_SERVE_SHARDS`       | integer ≥ 1           | shards per warm store |
 //! | `OPTRR_SERVE_DRIFT`        | finite float > 0      | drift MSE threshold |
 //! | `OPTRR_SERVE_COVERAGE`     | u64 (0 disables)      | coverage-miss threshold |
 //! | `OPTRR_SERVE_BUDGET_BYTES` | u64 ≥ 1               | resident-memory budget |
@@ -67,6 +66,10 @@ pub const REMOVED: &[(&str, &str)] = &[
     (
         "OPTRR_TUNE",
         "nothing inside an engine run goes parallel, so there is no threshold to tune",
+    ),
+    (
+        "OPTRR_SERVE_SHARDS",
+        "each key's warm store and ingest accumulator is one lock; there are no shards to size",
     ),
 ];
 
@@ -165,9 +168,6 @@ pub fn config_from_env(standard: bool) -> Result<ServiceConfig, EnvError> {
     };
     if let Some(workers) = env_usize("OPTRR_SERVE_WORKERS", 1)? {
         config.workers = workers;
-    }
-    if let Some(shards) = env_usize("OPTRR_SERVE_SHARDS", 1)? {
-        config.num_shards = shards;
     }
     if let Some(drift) = env_positive_f64("OPTRR_SERVE_DRIFT")? {
         config.drift_mse_threshold = drift;
@@ -276,7 +276,6 @@ mod tests {
         // Valid values land in the config.
         std::env::set_var("OPTRR_SERVE_DRIFT", "5e-2");
         std::env::set_var("OPTRR_SERVE_WORKERS", "3");
-        std::env::set_var("OPTRR_SERVE_SHARDS", " 6 ");
         std::env::set_var("OPTRR_SERVE_SEED", "42");
         std::env::set_var("OPTRR_SERVE_COVERAGE", "0");
         std::env::set_var("OPTRR_SERVE_BUDGET_BYTES", "1048576");
@@ -291,7 +290,6 @@ mod tests {
         let config = config_from_env(false).expect("all values valid");
         assert_eq!(config.drift_mse_threshold, 5e-2);
         assert_eq!(config.workers, 3);
-        assert_eq!(config.num_shards, 6);
         assert_eq!(config.base.seed, 42);
         assert_eq!(config.coverage_miss_threshold, 0);
         assert_eq!(config.memory_budget_bytes, Some(1_048_576));
@@ -322,7 +320,6 @@ mod tests {
             ("OPTRR_SERVE_WORKERS", "0"),
             ("OPTRR_SERVE_WORKERS", "-2"),
             ("OPTRR_SERVE_WORKERS", "many"),
-            ("OPTRR_SERVE_SHARDS", "0"),
             ("OPTRR_SERVE_SEED", "1.5"),
             ("OPTRR_SERVE_COVERAGE", "-1"),
             ("OPTRR_SERVE_BUDGET_BYTES", "0"),
@@ -406,7 +403,7 @@ mod tests {
 
         // A removed variable is fatal with any value, before any other
         // variable is read, so it aborts stdio and socket startup alike.
-        for name in ["OPTRR_SERVE_CONN_QUEUE", "OPTRR_TUNE"] {
+        for name in ["OPTRR_SERVE_CONN_QUEUE", "OPTRR_TUNE", "OPTRR_SERVE_SHARDS"] {
             for value in ["64", "1", "off", "pairs=32768,work=400000", ""] {
                 std::env::set_var(name, value);
                 let error = config_from_env(false).expect_err("a removed variable is fatal");
@@ -425,7 +422,6 @@ mod tests {
             "OPTRR_SERVE_DRAIN_MS",
             "OPTRR_SERVE_DRIFT",
             "OPTRR_SERVE_WORKERS",
-            "OPTRR_SERVE_SHARDS",
             "OPTRR_SERVE_SEED",
             "OPTRR_SERVE_COVERAGE",
             "OPTRR_SERVE_BUDGET_BYTES",

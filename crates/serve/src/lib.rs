@@ -16,11 +16,9 @@
 //! * [`registry`] — the fingerprint-keyed map over those lifecycles
 //!   ([`optrr::omega_fingerprint`] is the key), plus the LRU scan the
 //!   memory budget evicts by.
-//! * [`shard`] — [`ShardedOmega`]: the privacy-slot range split into
-//!   disjoint contiguous shards ([`optrr::slot_index`] is the shard key),
-//!   each behind its own lock, so concurrent engine runs land their offers
-//!   without contention; shards collapse back into one queryable Ω via
-//!   `OmegaSet::merge`.
+//! * [`shard`] — [`WarmStore`]: a key's warm Ω, one [`optrr::OmegaSet`]
+//!   behind one read-write lock. Queries read it; a landed run or a
+//!   snapshot install absorbs into it; eviction clears it.
 //! * [`worker`] — the fixed worker pool that executes engine runs for cold
 //!   or stale keys in the background.
 //! * [`protocol`] — the framed JSON request/response protocol (one frame
@@ -40,9 +38,8 @@
 //!   all-or-nothing `Save`/`Load` covering ingest accumulators and
 //!   posteriors, eviction sidecars, and the one installer of a persisted
 //!   key), and `dispatch` ([`Service::handle`]).
-//! * [`counts`] — [`ShardedCounts`]: per-key sharded accumulators of
-//!   disguised response batches (round-robin disjoint locks, collapsed via
-//!   `CountSet::merge`).
+//! * [`counts`] — [`IngestCounts`]: a key's accumulator of disguised
+//!   response batches, one `stats::CountSet` behind one lock.
 //! * [`pipeline`] — the streaming disguise + estimation pipeline
 //!   (`optrr-pipeline`): `Ingest` disguises raw responses server-side
 //!   through the matrix pinned per key, `Estimate` reconstructs the
@@ -91,7 +88,7 @@
 //!   refresh lands and restores it to `Warm`.
 //!
 //! Point queries never run the optimizer: after a key's warm-up they are
-//! answered from the warm store in O(slots) under per-shard locks, and the
+//! answered from the warm store in O(slots) under its read lock, and the
 //! end-to-end tests assert the engine-run counters stay put. Warm-up and
 //! refresh runs are deterministic — run `i` of a key uses `base seed + i`
 //! and warm-starts from the previous run's archive — so a served front is
@@ -134,7 +131,7 @@ pub mod telemetry;
 pub mod wire;
 pub mod worker;
 
-pub use counts::ShardedCounts;
+pub use counts::IngestCounts;
 pub use faults::{FaultInjector, FaultPlan};
 pub use lifecycle::{KeyLifecycle, KeyState, StaleReason, StateCell};
 pub use net::{ListenAddr, NetClient, NetConfig, NetServer};
@@ -147,7 +144,7 @@ pub use service::{
     KeySnapshot, ServeError, Service, ServiceConfig, ServiceSnapshot, ServiceTotals,
     MAX_OMEGA_SLOTS, MAX_REFRESH_RUNS, REFRESH_TARGET_BLEND,
 };
-pub use shard::ShardedOmega;
+pub use shard::WarmStore;
 pub use telemetry::{ServeEvent, ServeObs, DEFAULT_TRACE_CAP};
 pub use wire::{Codec, WireError};
 pub use worker::WorkerPool;

@@ -32,9 +32,9 @@
 //! what replaced the old one-way latch: eviction can close the gate again,
 //! and a re-warm reopens it.
 //!
-//! The struct also owns everything the state guards: the sharded warm-Ω
-//! store, the pinned streaming pipeline (disguise channel, ingest
-//! accumulators, posterior), the warm-start seed set, the deterministic
+//! The struct also owns everything the state guards: the warm-Ω store,
+//! the pinned streaming pipeline (disguise channel, ingest accumulator,
+//! posterior), the warm-start seed set, the deterministic
 //! run counter, and the per-key counters — plus the byte accounting and
 //! LRU touch stamp the memory-budgeted registry evicts by. Those counters
 //! are the only store of their facts: every service-wide total
@@ -42,7 +42,7 @@
 //! is a sum over the registry computed when it is read.
 
 use crate::pipeline::KeyPipeline;
-use crate::shard::ShardedOmega;
+use crate::shard::WarmStore;
 use optrr::{OptrrOutcome, RunStatistics};
 use rr::RrMatrix;
 use stats::Categorical;
@@ -531,7 +531,7 @@ pub struct KeyLifecycle {
     delta: f64,
     num_slots: usize,
     state: StateCell,
-    store: ShardedOmega,
+    store: WarmStore,
     engine_runs: AtomicU64,
     queries: AtomicU64,
     /// Queries that found warm data resident on arrival (no wait for a
@@ -575,7 +575,6 @@ impl KeyLifecycle {
         prior: Categorical,
         delta: f64,
         num_slots: usize,
-        num_shards: usize,
         sink: Option<TransitionSink>,
     ) -> Self {
         Self {
@@ -584,7 +583,7 @@ impl KeyLifecycle {
             delta,
             num_slots,
             state: StateCell::with_sink(sink),
-            store: ShardedOmega::new(num_slots, num_shards),
+            store: WarmStore::new(num_slots),
             engine_runs: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             warm_hits: AtomicU64::new(0),
@@ -622,8 +621,8 @@ impl KeyLifecycle {
         self.num_slots
     }
 
-    /// The sharded warm store.
-    pub fn store(&self) -> &ShardedOmega {
+    /// The warm store.
+    pub fn store(&self) -> &WarmStore {
         &self.store
     }
 
@@ -872,8 +871,8 @@ impl KeyLifecycle {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Approximate resident heap bytes of this key: the sharded Ω, the
-    /// warm-start seed set, and the pinned pipeline's accumulators. This
+    /// Approximate resident heap bytes of this key: the warm Ω, the
+    /// warm-start seed set, and the pinned pipeline. This
     /// is the quantity the service's memory budget bounds.
     pub fn resident_bytes(&self) -> u64 {
         let n = self.prior.num_categories() as u64;
@@ -891,7 +890,7 @@ impl KeyLifecycle {
     }
 
     /// Drops every resident structure after a successful
-    /// [`StateCell::try_evict`]: clears the Ω shards, the seed set, and
+    /// [`StateCell::try_evict`]: clears the warm Ω, the seed set, and
     /// the pinned pipeline, and counts the eviction. Returns the bytes
     /// freed. The run counter is deliberately kept — re-warm replays it.
     pub fn drop_resident_state(&self) -> u64 {
@@ -1280,7 +1279,7 @@ mod tests {
     #[test]
     fn failure_counters_track_streaks_and_run_indices_roll_back() {
         let prior = Categorical::new(vec![0.4, 0.3, 0.2, 0.1]).unwrap();
-        let entry = KeyLifecycle::with_sink(9, prior, 0.8, 100, 4, None);
+        let entry = KeyLifecycle::with_sink(9, prior, 0.8, 100, None);
         assert_eq!(entry.refresh_failures(), 0);
         assert_eq!(entry.retries(), 0);
         assert_eq!(entry.count_refresh_failure(), 1);
@@ -1329,7 +1328,7 @@ mod tests {
     #[test]
     fn lifecycle_owns_counters_and_drops_resident_state_on_eviction() {
         let prior = Categorical::new(vec![0.4, 0.3, 0.2, 0.1]).unwrap();
-        let entry = KeyLifecycle::with_sink(7, prior, 0.8, 100, 4, None);
+        let entry = KeyLifecycle::with_sink(7, prior, 0.8, 100, None);
         assert_eq!(entry.key(), 7);
         assert_eq!(entry.state(), KeyState::Cold);
         assert_eq!(entry.resident_bytes(), entry.store().approx_bytes());
@@ -1338,7 +1337,8 @@ mod tests {
         entry.lifecycle().claim_warmup();
         let mut claim = entry.lifecycle().begin_run();
         let m = rr::schemes::warner(4, 0.7).unwrap();
-        entry.store().offer(
+        let mut omega = optrr::OmegaSet::new(100);
+        omega.offer(
             &m,
             &optrr::Evaluation {
                 privacy: 0.4,
@@ -1347,13 +1347,14 @@ mod tests {
                 feasible: true,
             },
         );
+        entry.store().absorb(&omega);
         entry.put_warm_seeds(vec![m]);
         assert_eq!(entry.claim_run_index(), 0);
         claim.land();
         drop(claim);
 
         let resident = entry.resident_bytes();
-        assert!(resident > entry.store().num_slots() as u64);
+        assert!(resident > entry.num_slots() as u64);
         entry.touch(42);
         assert_eq!(entry.last_touch_ms(), 42);
         assert_eq!(entry.count_coverage_miss(), 1);

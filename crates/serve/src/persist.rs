@@ -34,14 +34,14 @@ pub struct KeySnapshot {
     pub drift_events: Option<u64>,
     /// Aliases bound to the key, sorted.
     pub names: Vec<String>,
-    /// The merged warm Ω.
+    /// The warm Ω.
     pub omega: OmegaSet,
     /// The warm-start seed set (the last run's archive), so a refresh
     /// after restore warm-starts exactly like a refresh on the live
     /// service would have. Optional so snapshots written before this
     /// field existed still decode.
     pub warm_seeds: Option<Vec<rr::RrMatrix>>,
-    /// The streaming pipeline (pinned channel, merged accumulators,
+    /// The streaming pipeline (pinned channel, accumulated counts,
     /// posterior), when one was pinned. Absent in snapshots written
     /// before pipeline persistence phase 2.
     pub pipeline: Option<PipelineSnapshot>,
@@ -60,7 +60,6 @@ impl KeySnapshot {
         &self,
         prior: &Categorical,
         slots: usize,
-        num_shards: usize,
     ) -> std::result::Result<Option<KeyPipeline>, String> {
         if self.omega.num_slots() != slots {
             return Err(format!(
@@ -88,7 +87,7 @@ impl KeySnapshot {
                 pipeline.matrix.num_categories()
             ));
         }
-        KeyPipeline::restore(pipeline, num_shards).map(Some)
+        KeyPipeline::restore(pipeline).map(Some)
     }
 }
 
@@ -287,7 +286,7 @@ impl Service {
             Ok(snapshot) => snapshot,
             Err(e) => return failed(format!("did not decode: {e}")),
         };
-        match snapshot.check_shape(entry.prior(), entry.num_slots(), self.config.num_shards) {
+        match snapshot.check_shape(entry.prior(), entry.num_slots()) {
             Ok(pipeline) => {
                 self.install(entry, &snapshot, pipeline);
                 true
@@ -313,7 +312,7 @@ impl Service {
     }
 
     /// Serializable snapshot of the whole registry: every key's
-    /// registration metadata, run counter, aliases, merged warm Ω, and
+    /// registration metadata, run counter, aliases, warm Ω, and
     /// pinned pipeline, in ascending key order. Scheduled engine runs are
     /// drained first so the snapshot is consistent.
     pub fn snapshot(&self) -> ServiceSnapshot {
@@ -391,7 +390,7 @@ impl Service {
         for (index, key) in snapshot.keys.iter().enumerate() {
             let (prior, slots) = self.check_registration(&key.prior, key.delta, Some(key.slots))?;
             let pipeline = key
-                .check_shape(&prior, slots, self.config.num_shards)
+                .check_shape(&prior, slots)
                 .map_err(|reason| corrupt(format!("{path:?} key {index}: {reason}")))?;
             built.push((key, prior, slots, pipeline));
         }

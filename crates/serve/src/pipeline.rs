@@ -5,10 +5,9 @@
 //! categorical responses for a registered key: raw responses are disguised
 //! server-side through the warm matrix selected for the stream's privacy
 //! bound, pre-counted batches (already disguised client-side) land
-//! directly. Batches accumulate in a per-key [`ShardedCounts`] — the same
-//! disjoint-lock pattern as the sharded Ω store, so N concurrent streams
-//! never contend — and `Estimate` reconstructs the original distribution
-//! from the merged counts: matrix inversion (Theorem 1) when the pinned
+//! directly. Batches accumulate in the key's [`IngestCounts`], one count
+//! set behind one lock, and `Estimate` reconstructs the original
+//! distribution from the accumulated counts: matrix inversion (Theorem 1) when the pinned
 //! matrix is invertible, with automatic fallback to the iterative Bayesian
 //! estimator (Equation 3) otherwise. Re-estimates warm-start the iterative
 //! estimator from the previous posterior, so streaming re-estimation after
@@ -24,11 +23,11 @@
 //! Determinism contract: the matrix pinned at the first ingest comes from
 //! the deterministic warm store; a batch's disguise RNG seed defaults to a
 //! fingerprint of the batch payload (so it does not depend on stream
-//! interleaving); and count accumulation commutes. Together these make a
-//! sharded concurrent ingest bitwise-equal to a single-stream run over the
-//! same batches — the end-to-end tests assert it.
+//! interleaving); and count accumulation commutes. Together these make
+//! concurrent ingest bitwise-equal to a single-stream run over the same
+//! batches — the end-to-end tests assert it.
 
-use crate::counts::ShardedCounts;
+use crate::counts::IngestCounts;
 use crate::lifecycle::StaleReason;
 use crate::registry::KeyEntry;
 use crate::service::{Result, ServeError, Service};
@@ -47,8 +46,8 @@ use stats::{Categorical, CountSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The per-key streaming state: the pinned disguise matrix, the sharded
-/// response accumulator, and the warm-start posterior carried between
+/// The per-key streaming state: the pinned disguise matrix, the response
+/// accumulator, and the warm-start posterior carried between
 /// estimates.
 #[derive(Debug)]
 pub struct KeyPipeline {
@@ -63,7 +62,7 @@ pub struct KeyPipeline {
     samplers: ColumnSamplers,
     evaluation: Evaluation,
     min_privacy: f64,
-    counts: ShardedCounts,
+    counts: IngestCounts,
     raw_records: AtomicU64,
     estimates: AtomicU64,
     posterior: Mutex<Option<Categorical>>,
@@ -74,7 +73,6 @@ impl KeyPipeline {
         matrix: RrMatrix,
         evaluation: Evaluation,
         min_privacy: f64,
-        num_shards: usize,
     ) -> std::result::Result<Self, String> {
         let num_categories = matrix.num_categories();
         let samplers = ColumnSamplers::new(&matrix)
@@ -84,7 +82,7 @@ impl KeyPipeline {
             samplers,
             evaluation,
             min_privacy,
-            counts: ShardedCounts::new(num_categories, num_shards),
+            counts: IngestCounts::new(num_categories),
             raw_records: AtomicU64::new(0),
             estimates: AtomicU64::new(0),
             posterior: Mutex::new(None),
@@ -114,8 +112,8 @@ impl KeyPipeline {
         self.min_privacy
     }
 
-    /// The sharded response accumulator.
-    pub fn counts(&self) -> &ShardedCounts {
+    /// The response accumulator.
+    pub fn counts(&self) -> &IngestCounts {
         &self.counts
     }
 
@@ -144,14 +142,15 @@ impl KeyPipeline {
             .clone()
     }
 
-    /// Approximate resident heap bytes: the pinned matrix, the sharded
-    /// accumulator, and the stored posterior.
+    /// Approximate resident heap bytes: the pinned matrix, the
+    /// accumulator's count vector plus a fixed allowance for its counters
+    /// and lock, and the stored posterior.
     pub fn approx_bytes(&self) -> u64 {
         let n = self.matrix.num_categories() as u64;
-        n * n * 8 + self.counts.approx_bytes() + n * 8 + 64
+        n * n * 8 + (n * 8 + 64) + n * 8 + 64
     }
 
-    /// The pipeline's persisted form: pinned channel, merged accumulator,
+    /// The pipeline's persisted form: pinned channel, accumulated counts,
     /// counters, and posterior — everything a restart needs to resume the
     /// estimation stream bitwise.
     pub fn snapshot(&self) -> PipelineSnapshot {
@@ -169,10 +168,7 @@ impl KeyPipeline {
     /// Rebuilds a pipeline from its persisted form. Accumulation
     /// commutes, so later batches land on top of the restored counts
     /// exactly as they would have on the live accumulator.
-    pub fn restore(
-        snapshot: &PipelineSnapshot,
-        num_shards: usize,
-    ) -> std::result::Result<Self, String> {
+    pub fn restore(snapshot: &PipelineSnapshot) -> std::result::Result<Self, String> {
         let n = snapshot.matrix.num_categories();
         if snapshot.counts.num_categories() != n {
             return Err(format!(
@@ -185,7 +181,6 @@ impl KeyPipeline {
             snapshot.matrix.clone(),
             snapshot.evaluation,
             snapshot.min_privacy,
-            num_shards,
         )?;
         if !snapshot.counts.is_empty() {
             pipeline
@@ -220,7 +215,7 @@ impl KeyPipeline {
 
 /// The persisted form of a [`KeyPipeline`] (pipeline persistence phase 2):
 /// enough for a restarted server to resume the in-flight estimation
-/// stream — the pinned channel, the merged accumulator, and the posterior
+/// stream — the pinned channel, the accumulated counts, and the posterior
 /// the next estimate warm-starts from. The key's drift history lives in
 /// [`crate::KeySnapshot::drift_events`]; older snapshots that also carry
 /// a pipeline `drift_events` field still decode (unknown fields are
@@ -233,7 +228,7 @@ pub struct PipelineSnapshot {
     pub evaluation: Evaluation,
     /// The privacy bound that selected the pinned matrix.
     pub min_privacy: f64,
-    /// The merged response accumulator (counts, total, batch counter).
+    /// The accumulated responses (counts, total, batch counter).
     pub counts: CountSet,
     /// Raw records disguised server-side before the snapshot.
     pub raw_records: u64,
@@ -348,13 +343,8 @@ impl Service {
                 "no stored matrix with privacy >= {min_privacy} to pin for ingest"
             ))
         })?;
-        let pipeline = KeyPipeline::new(
-            found.matrix,
-            found.evaluation,
-            min_privacy,
-            self.config().num_shards,
-        )
-        .map_err(ServeError::InvalidRequest)?;
+        let pipeline = KeyPipeline::new(found.matrix, found.evaluation, min_privacy)
+            .map_err(ServeError::InvalidRequest)?;
         self.obs()
             .emit(ServeEvent::SamplerRebuild { key: entry.key() });
         // A concurrent first ingest may have won the race; install returns
@@ -424,8 +414,8 @@ impl Service {
     /// Ingests one batch of responses for a key. Exactly one of `records`
     /// (raw, disguised server-side through the pinned matrix) or `counts`
     /// (pre-counted responses already disguised client-side) must be
-    /// given. The batch lands wholly in one shard of the key's sharded
-    /// accumulator, so concurrent streams never contend.
+    /// given. The reply's running total and batch count come from the
+    /// lock hold that added the batch.
     pub fn ingest(
         self: &Arc<Self>,
         entry: &Arc<KeyEntry>,
@@ -461,7 +451,7 @@ impl Service {
             }
         };
         let pipeline = self.pipeline_for(entry, min_privacy.unwrap_or(0.0))?;
-        let (accepted, retained) = match batch {
+        let (accepted, retained, (total, batches)) = match batch {
             Batch::Raw(records) => {
                 // The cached alias tables make a small raw batch cost
                 // O(batch), not O(n²) + O(batch).
@@ -472,25 +462,24 @@ impl Service {
                     records,
                     seed,
                 )?;
-                pipeline
+                let running = pipeline
                     .counts()
                     .ingest_records(&disguised)
                     .map_err(|e| ServeError::InvalidRequest(format!("invalid batch: {e}")))?;
                 pipeline
                     .raw_records
                     .fetch_add(records.len() as u64, Ordering::SeqCst);
-                (records.len() as u64, retained)
+                (records.len() as u64, retained, running)
             }
-            Batch::Counted(counts, total) => {
-                pipeline
+            Batch::Counted(counts, accepted) => {
+                let running = pipeline
                     .counts()
                     .ingest_counts(counts)
                     .map_err(|e| ServeError::InvalidRequest(format!("invalid batch: {e}")))?;
-                (total, 0)
+                (accepted, 0, running)
             }
         };
         entry.touch(self.now_ms());
-        let total = pipeline.counts().total();
         self.obs().emit(ServeEvent::Ingest {
             key: entry.key(),
             accepted,
@@ -501,7 +490,7 @@ impl Service {
             accepted,
             retained,
             total,
-            batches: pipeline.counts().batches(),
+            batches,
             privacy: pipeline.evaluation().privacy,
         })
     }
@@ -775,9 +764,7 @@ mod tests {
             RrMatrix::from_columns(&[shared.clone(), shared, distinct.clone(), distinct]).unwrap();
         assert!(!singular.is_invertible());
         let evaluation = service.best_for_privacy(&entry, 0.0).unwrap().evaluation;
-        entry.install_pipeline(
-            KeyPipeline::new(singular, evaluation, 0.0, service.config().num_shards).unwrap(),
-        );
+        entry.install_pipeline(KeyPipeline::new(singular, evaluation, 0.0).unwrap());
 
         // Counts proportional to M·q for q = (0.4, 0.3, 0.2, 0.1): an
         // exactly explainable disguised distribution, so the EM fixed

@@ -3,8 +3,8 @@
 //!
 //! Since the lifecycle refactor the per-key state lives in
 //! [`KeyLifecycle`] (re-exported here as [`KeyEntry`] — the name the rest
-//! of the workspace grew up with): the state machine, the sharded warm
-//! store, the pinned pipeline, the run counter, and the memory-accounting
+//! of the workspace grew up with): the state machine, the warm store,
+//! the pinned pipeline, the run counter, and the memory-accounting
 //! telemetry all travel together. The registry itself is the
 //! fingerprint-keyed map over those entries: a read-mostly `RwLock` where
 //! queries take the read lock for the time it takes to clone one `Arc`.
@@ -56,17 +56,16 @@ impl Registry {
     }
 
     /// Returns the entry for the canonical fingerprint of
-    /// `(prior, delta, num_slots)`, creating a cold one (with
-    /// `num_shards` store shards) when absent. The boolean is `true` when
-    /// the entry was just created and needs a warm-up run.
+    /// `(prior, delta, num_slots)`, creating a cold one when absent. The
+    /// boolean is `true` when the entry was just created and needs a
+    /// warm-up run.
     pub fn insert_or_get(
         &self,
         prior: &Categorical,
         delta: f64,
         num_slots: usize,
-        num_shards: usize,
     ) -> (Arc<KeyEntry>, bool) {
-        self.insert_or_get_observed(prior, delta, num_slots, num_shards, |_| None)
+        self.insert_or_get_observed(prior, delta, num_slots, |_| None)
     }
 
     /// [`insert_or_get`], attaching a lifecycle [`TransitionSink`] when
@@ -82,7 +81,6 @@ impl Registry {
         prior: &Categorical,
         delta: f64,
         num_slots: usize,
-        num_shards: usize,
         sink_for: impl FnOnce(u64) -> Option<TransitionSink>,
     ) -> (Arc<KeyEntry>, bool) {
         let key = omega_fingerprint(prior, delta, num_slots);
@@ -100,7 +98,6 @@ impl Registry {
             prior.clone(),
             delta,
             num_slots,
-            num_shards,
             sink_for(key),
         ));
         entries.insert(key, Arc::clone(&entry));
@@ -166,7 +163,8 @@ impl Registry {
 
     /// Total approximate resident bytes across every entry with warm
     /// data — the quantity a memory budget bounds. Cold and evicted keys
-    /// count only their (empty) shard skeletons.
+    /// count zero: an empty slot vector is bounded by
+    /// [`crate::MAX_OMEGA_SLOTS`], not by the budget.
     pub fn resident_bytes(&self) -> u64 {
         self.entries().iter().map(|e| e.resident_bytes()).sum()
     }
@@ -205,15 +203,15 @@ mod tests {
     #[test]
     fn insert_or_get_dedupes_by_fingerprint() {
         let registry = Registry::new();
-        let (a, created_a) = registry.insert_or_get(&prior(), 0.8, 100, 4);
-        let (b, created_b) = registry.insert_or_get(&prior(), 0.8, 100, 4);
+        let (a, created_a) = registry.insert_or_get(&prior(), 0.8, 100);
+        let (b, created_b) = registry.insert_or_get(&prior(), 0.8, 100);
         assert!(created_a);
         assert!(!created_b);
         assert_eq!(a.key(), b.key());
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(registry.len(), 1);
         // A different delta is a different key.
-        let (c, created_c) = registry.insert_or_get(&prior(), 0.75, 100, 4);
+        let (c, created_c) = registry.insert_or_get(&prior(), 0.75, 100);
         assert!(created_c);
         assert_ne!(a.key(), c.key());
         assert_eq!(registry.len(), 2);
@@ -223,7 +221,7 @@ mod tests {
     #[test]
     fn resolve_by_key_and_by_name() {
         let registry = Registry::new();
-        let (entry, _) = registry.insert_or_get(&prior(), 0.8, 100, 4);
+        let (entry, _) = registry.insert_or_get(&prior(), 0.8, 100);
         registry.bind_name("demo", entry.key());
         assert!(registry.resolve(Some(entry.key()), None).is_some());
         assert!(registry.resolve(None, Some("demo")).is_some());
@@ -240,7 +238,7 @@ mod tests {
     #[test]
     fn names_of_inverts_bind_name_sorted() {
         let registry = Registry::new();
-        let (entry, _) = registry.insert_or_get(&prior(), 0.8, 100, 4);
+        let (entry, _) = registry.insert_or_get(&prior(), 0.8, 100);
         assert!(registry.names_of(entry.key()).is_empty());
         registry.bind_name("zeta", entry.key());
         registry.bind_name("alpha", entry.key());
@@ -251,7 +249,7 @@ mod tests {
     #[test]
     fn entry_bookkeeping_counters() {
         let registry = Registry::new();
-        let (entry, _) = registry.insert_or_get(&prior(), 0.8, 100, 4);
+        let (entry, _) = registry.insert_or_get(&prior(), 0.8, 100);
         assert!(!entry.is_warm());
         assert!(!entry.is_stale());
         assert_eq!(entry.state(), KeyState::Cold);
@@ -274,9 +272,9 @@ mod tests {
     #[test]
     fn lru_scan_orders_by_touch_and_skips_non_evictable_entries() {
         let registry = Registry::new();
-        let (a, _) = registry.insert_or_get(&prior(), 0.8, 100, 4);
-        let (b, _) = registry.insert_or_get(&prior(), 0.7, 100, 4);
-        let (c, _) = registry.insert_or_get(&prior(), 0.6, 100, 4);
+        let (a, _) = registry.insert_or_get(&prior(), 0.8, 100);
+        let (b, _) = registry.insert_or_get(&prior(), 0.7, 100);
+        let (c, _) = registry.insert_or_get(&prior(), 0.6, 100);
         // Nothing resident yet: nothing to evict.
         assert!(registry.lru_evictable(0).is_none());
         for entry in [&a, &b, &c] {

@@ -5,7 +5,7 @@
 //! This file holds the configuration, the one admission path of
 //! `Register`, `RegisterBatch` and `Load`, and the query methods, which
 //! wait for the key's lifecycle ([`crate::lifecycle`]) to report warm
-//! data and answer from the sharded store in O(slots). The service holds
+//! data and answer from the warm store in O(slots). The service holds
 //! no counters of its own: [`Service::totals`] sums the per-key ones.
 //! The rest of `impl Service` lives in three crate-private modules:
 //!
@@ -44,10 +44,11 @@ use std::time::{Duration, Instant};
 pub const MAX_REFRESH_RUNS: usize = 16;
 
 /// Upper bound on a registration's Ω resolution. Each key's warm store
-/// allocates `num_shards` full-width slot vectors (so `OmegaSet::merge`
-/// applies shard-for-shard), so an uncapped client-supplied `slots` value
-/// could request an unbounded allocation and take the whole service down;
-/// 20× the paper's 1000-slot Ω is plenty of resolution.
+/// allocates one slot vector of this length when the key is created, and
+/// resident-byte accounting does not count it, so an uncapped
+/// client-supplied `slots` value could request an unbounded allocation
+/// and take the whole service down; 20× the paper's 1000-slot Ω is plenty
+/// of resolution.
 pub const MAX_OMEGA_SLOTS: usize = 20_000;
 
 /// Uniform blend applied to an estimated posterior before it becomes a
@@ -127,8 +128,6 @@ pub struct ServiceConfig {
     pub base: OptrrConfig,
     /// Ω resolution used when a registration does not specify one.
     pub default_slots: usize,
-    /// Shards per warm store (and per ingest accumulator).
-    pub num_shards: usize,
     /// Worker threads executing engine runs.
     pub workers: usize,
     /// Budget of the iterative fallback estimator.
@@ -199,7 +198,6 @@ impl Default for ServiceConfig {
         Self {
             base: OptrrConfig::fast(0.75, 2008),
             default_slots: 500,
-            num_shards: 8,
             workers,
             iterative: IterativeConfig::default(),
             drift_mse_threshold: 1e-3,
@@ -222,18 +220,18 @@ impl ServiceConfig {
     /// A small-budget configuration for tests and CI smoke sessions:
     /// sub-second warm-ups that still fill a meaningful Ω.
     pub fn smoke(seed: u64) -> Self {
-        Self::small(seed, [16, 8, 30], 200, 4)
+        Self::small(seed, [16, 8, 30], 200)
     }
 
     /// An even smaller budget for multi-tenant tests: dozens of keys warm
     /// up in well under a second.
     pub fn tiny(seed: u64) -> Self {
-        Self::small(seed, [8, 4, 8], 64, 2)
+        Self::small(seed, [8, 4, 8], 64)
     }
 
     /// Two workers and an engine budget of `[population, archive,
-    /// generations]`, with `slots` Ω resolution over `num_shards` shards.
-    fn small(seed: u64, budget: [usize; 3], slots: usize, num_shards: usize) -> Self {
+    /// generations]`, with `slots` Ω resolution.
+    fn small(seed: u64, budget: [usize; 3], slots: usize) -> Self {
         let [population_size, archive_size, generations] = budget;
         Self {
             base: OptrrConfig {
@@ -248,7 +246,6 @@ impl ServiceConfig {
                 ..OptrrConfig::fast(0.75, seed)
             },
             default_slots: slots,
-            num_shards,
             workers: 2,
             ..Self::default()
         }
@@ -384,13 +381,9 @@ impl Service {
         slots: usize,
         names: impl IntoIterator<Item = &'a str>,
     ) -> (Arc<KeyEntry>, bool) {
-        let (entry, created) = self.registry.insert_or_get_observed(
-            prior,
-            delta,
-            slots,
-            self.config.num_shards,
-            |key| self.obs.transition_sink(key),
-        );
+        let (entry, created) = self
+            .registry
+            .insert_or_get_observed(prior, delta, slots, |key| self.obs.transition_sink(key));
         for name in names {
             self.registry.bind_name(name, entry.key());
         }

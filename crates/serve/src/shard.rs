@@ -1,223 +1,105 @@
-//! The sharded warm-Ω store.
+//! The warm-Ω store: each key's Ω behind one lock.
 //!
-//! A long-lived service keeps one warm Ω per registered `(prior, δ)` pair
-//! and refreshes it by running the optimizer again. Refresh runs and
-//! queries overlap, and several refresh runs for the same key can execute
-//! concurrently, so the store splits the privacy-slot range into disjoint
-//! contiguous shards — [`optrr::slot_index`] is the shard key — each behind
-//! its own lock. Offers for different privacy sub-ranges land on different
-//! shards and never contend; collapsing the shards back into one queryable
-//! [`OmegaSet`] goes through [`OmegaSet::merge`], which preserves the
-//! per-slot improvement invariant.
-//!
-//! Because every shard runs the exact same per-slot acceptance logic as a
-//! single [`OmegaSet`], feeding one offer stream through the sharded store
-//! and merging produces an Ω **equal** (entries and improvement counter
-//! alike) to a single writer fed the same stream — the property test below
-//! pins this down, and it is what makes a sharded refresh bitwise-equal to
-//! an unsharded run.
+//! The paper's Ω (§V.H) is one privacy-indexed set: each slot keeps the
+//! best-MSE matrix seen for its privacy sub-interval. A key keeps one
+//! [`OmegaSet`] behind one `RwLock`. Queries take the read lock. The only
+//! writers are [`WarmStore::absorb`], once per landed run or snapshot
+//! install, and [`WarmStore::clear`], on eviction. (perfbench times this
+//! layer under its `shard.*` rungs.)
 
-use optrr::{slot_index, Evaluation, OmegaEntry, OmegaSet};
-use rr::RrMatrix;
-use std::sync::Mutex;
+use optrr::{OmegaEntry, OmegaSet};
+use std::sync::{RwLock, RwLockReadGuard};
 
-/// A privacy-sharded Ω: `num_shards` locks over disjoint slot ranges.
-///
-/// Each shard holds a full-width [`OmegaSet`] of which only its own slot
-/// range is ever filled — that is what lets `merge`/`absorb` apply
-/// [`OmegaSet::merge`]'s acceptance logic shard-for-shard and keeps the
-/// sharded store bitwise-faithful to a single writer. The cost is
-/// `num_shards` empty slot vectors per store, which is why the service
-/// caps registrations at `MAX_OMEGA_SLOTS`.
+/// A key's warm Ω behind one read-write lock.
 #[derive(Debug)]
-pub struct ShardedOmega {
-    num_slots: usize,
-    shards: Vec<Mutex<OmegaSet>>,
+pub struct WarmStore {
+    omega: RwLock<OmegaSet>,
 }
 
-impl ShardedOmega {
-    /// Creates an empty sharded store with the given Ω resolution and shard
-    /// count. The shard count is capped at the slot count (a shard must own
-    /// at least one slot).
-    pub fn new(num_slots: usize, num_shards: usize) -> Self {
-        assert!(num_slots > 0, "omega needs at least one slot");
-        assert!(num_shards > 0, "need at least one shard");
-        let shards = num_shards.min(num_slots);
+impl WarmStore {
+    /// Creates an empty store with the given Ω resolution.
+    pub fn new(num_slots: usize) -> Self {
         Self {
-            num_slots,
-            shards: (0..shards)
-                .map(|_| Mutex::new(OmegaSet::new(num_slots)))
-                .collect(),
+            omega: RwLock::new(OmegaSet::new(num_slots)),
         }
     }
 
-    /// Number of privacy slots.
-    pub fn num_slots(&self) -> usize {
-        self.num_slots
+    fn read(&self) -> RwLockReadGuard<'_, OmegaSet> {
+        self.omega.read().expect("warm store lock")
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard owning a slot: contiguous ranges, so neighbouring privacy
-    /// values share a shard and a refresh run sweeping one privacy
-    /// sub-interval touches one lock.
-    fn shard_of_slot(&self, slot: usize) -> usize {
-        slot * self.shards.len() / self.num_slots
-    }
-
-    /// Offers a matrix to the store. Exactly the acceptance rule of
-    /// [`OmegaSet::offer`], applied under the owning shard's lock only.
-    /// Returns `true` when the store improved.
-    pub fn offer(&self, matrix: &RrMatrix, evaluation: &Evaluation) -> bool {
-        if !evaluation.feasible || !evaluation.mse.is_finite() {
-            return false;
-        }
-        let slot = slot_index(evaluation.privacy, self.num_slots);
-        let shard = &self.shards[self.shard_of_slot(slot)];
-        shard.lock().expect("shard lock").offer(matrix, evaluation)
-    }
-
-    /// Offers every entry of a finished run's Ω to the store, shard by
-    /// shard. This is how a refresh run's result lands in the warm store:
-    /// the run's entries are grouped by owning shard so each shard lock is
-    /// taken once, and concurrent refreshes of the same key only contend
-    /// when they improved the same privacy sub-range.
+    /// Offers every entry of a finished run's Ω to the store, in slot
+    /// order, under one write lock. The store ends exactly as if the
+    /// entries had been offered one by one to a single [`OmegaSet`],
+    /// improvement counter included.
     pub fn absorb(&self, omega: &OmegaSet) {
         assert_eq!(
             omega.num_slots(),
-            self.num_slots,
+            self.read().num_slots(),
             "cannot absorb an omega with a different slot count"
         );
-        let mut grouped: Vec<Vec<&OmegaEntry>> = vec![Vec::new(); self.shards.len()];
+        let mut store = self.omega.write().expect("warm store lock");
         for entry in omega.entries() {
-            let slot = slot_index(entry.evaluation.privacy, self.num_slots);
-            grouped[self.shard_of_slot(slot)].push(entry);
-        }
-        for (shard, entries) in self.shards.iter().zip(grouped) {
-            if entries.is_empty() {
-                continue;
-            }
-            let mut guard = shard.lock().expect("shard lock");
-            for entry in entries {
-                guard.offer(&entry.matrix, &entry.evaluation);
-            }
+            store.offer(&entry.matrix, &entry.evaluation);
         }
     }
 
-    /// Collapses the shards into one queryable [`OmegaSet`] via
-    /// [`OmegaSet::merge`], in ascending shard (= slot) order.
+    /// A copy of the store's Ω.
     pub fn merge(&self) -> OmegaSet {
-        let mut merged = OmegaSet::new(self.num_slots);
-        for shard in &self.shards {
-            merged.merge(&shard.lock().expect("shard lock"));
-        }
-        merged
+        self.read().clone()
     }
 
-    /// Empties every shard (keeping resolution and shard count) — the
-    /// eviction primitive mirroring [`OmegaSet::clear`].
+    /// Empties every slot and resets the improvement counter, keeping the
+    /// resolution: the eviction primitive ([`OmegaSet::clear`]).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("shard lock").clear();
-        }
+        self.omega.write().expect("warm store lock").clear();
     }
 
-    /// Approximate resident heap bytes across all shards (each shard holds
-    /// a full-width slot vector of which only its own range fills).
+    /// Approximate resident heap bytes of the stored matrices
+    /// ([`OmegaSet::approx_bytes`]).
     pub fn approx_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock").approx_bytes())
-            .sum()
+        self.read().approx_bytes()
     }
 
-    /// Total improvements across all shards.
+    /// Total improvements since the store was created or last cleared.
     pub fn improvements(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock").improvements())
-            .sum()
+        self.read().improvements()
     }
 
-    /// Number of filled slots across all shards.
+    /// Number of filled slots.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock").len())
-            .sum()
+        self.read().len()
     }
 
     /// Whether no slot is filled.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.read().is_empty()
     }
 
-    /// The best entry with privacy ≥ `min_privacy`, by MSE — the service's
-    /// point-query hot path. Each shard answers from its own slot range
-    /// under its own lock; the shard winners are combined with the same
-    /// tie-breaking as [`OmegaSet::best_for_privacy_at_least`] (first
-    /// minimum in ascending slot order wins).
+    /// The best entry with privacy ≥ `min_privacy`, by MSE: the service's
+    /// point-query hot path ([`OmegaSet::best_for_privacy_at_least`]).
     pub fn best_for_privacy_at_least(&self, min_privacy: f64) -> Option<OmegaEntry> {
-        let mut best: Option<OmegaEntry> = None;
-        for shard in &self.shards {
-            let guard = shard.lock().expect("shard lock");
-            if let Some(candidate) = guard.best_for_privacy_at_least(min_privacy) {
-                let better = match &best {
-                    None => true,
-                    Some(current) => candidate.evaluation.mse < current.evaluation.mse,
-                };
-                if better {
-                    best = Some(candidate.clone());
-                }
-            }
-        }
-        best
+        self.read().best_for_privacy_at_least(min_privacy).cloned()
     }
 
-    /// The best entry with MSE ≤ `max_mse`, by privacy, with the same
-    /// tie-breaking as [`OmegaSet::best_for_mse_at_most`] (last maximum in
-    /// ascending slot order wins).
+    /// The best entry with MSE ≤ `max_mse`, by privacy
+    /// ([`OmegaSet::best_for_mse_at_most`]).
     pub fn best_for_mse_at_most(&self, max_mse: f64) -> Option<OmegaEntry> {
-        let mut best: Option<OmegaEntry> = None;
-        for shard in &self.shards {
-            let guard = shard.lock().expect("shard lock");
-            if let Some(candidate) = guard.best_for_mse_at_most(max_mse) {
-                let better = match &best {
-                    None => true,
-                    Some(current) => candidate.evaluation.privacy >= current.evaluation.privacy,
-                };
-                if better {
-                    best = Some(candidate.clone());
-                }
-            }
-        }
-        best
+        self.read().best_for_mse_at_most(max_mse).cloned()
     }
 
     /// The privacy range `(min, max)` currently covered.
     pub fn privacy_range(&self) -> Option<(f64, f64)> {
-        let mut range: Option<(f64, f64)> = None;
-        for shard in &self.shards {
-            if let Some((lo, hi)) = shard.lock().expect("shard lock").privacy_range() {
-                range = Some(match range {
-                    None => (lo, hi),
-                    Some((a, b)) => (a.min(lo), b.max(hi)),
-                });
-            }
-        }
-        range
+        self.read().privacy_range()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use optrr::Evaluation;
     use rr::schemes::warner;
-    use std::sync::Arc;
+    use rr::RrMatrix;
 
     fn eval(privacy: f64, mse: f64) -> Evaluation {
         Evaluation {
@@ -232,34 +114,22 @@ mod tests {
         warner(4, 0.7).unwrap()
     }
 
-    #[test]
-    fn construction_and_shard_mapping() {
-        let store = ShardedOmega::new(500, 8);
-        assert_eq!(store.num_slots(), 500);
-        assert_eq!(store.num_shards(), 8);
-        assert!(store.is_empty());
-        // Shard count never exceeds the slot count.
-        let tiny = ShardedOmega::new(3, 16);
-        assert_eq!(tiny.num_shards(), 3);
-        // Contiguous ranges: first and last slot land on first and last shard.
-        assert_eq!(store.shard_of_slot(0), 0);
-        assert_eq!(store.shard_of_slot(499), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_panics() {
-        let _ = ShardedOmega::new(10, 0);
+    fn omega(num_slots: usize, offers: &[(f64, f64)]) -> OmegaSet {
+        let mut omega = OmegaSet::new(num_slots);
+        for &(p, u) in offers {
+            omega.offer(&matrix(), &eval(p, u));
+        }
+        omega
     }
 
     #[test]
     fn offer_routes_and_queries_answer() {
-        let store = ShardedOmega::new(100, 4);
-        let m = matrix();
-        assert!(store.offer(&m, &eval(0.3, 1e-5)));
-        assert!(store.offer(&m, &eval(0.5, 8e-5)));
-        assert!(store.offer(&m, &eval(0.7, 4e-4)));
-        assert!(!store.offer(&m, &eval(0.305, 2e-4))); // slot 30 again, worse mse
+        let store = WarmStore::new(100);
+        // Slot 30 is offered twice; the worse MSE is not kept.
+        store.absorb(&omega(
+            100,
+            &[(0.3, 1e-5), (0.5, 8e-5), (0.7, 4e-4), (0.305, 2e-4)],
+        ));
         assert_eq!(store.len(), 3);
         assert_eq!(store.improvements(), 3);
 
@@ -269,83 +139,57 @@ mod tests {
         assert!((pick.evaluation.privacy - 0.5).abs() < 1e-12);
         assert!(store.best_for_privacy_at_least(0.9).is_none());
         assert!(store.best_for_mse_at_most(1e-9).is_none());
-        let (lo, hi) = store.privacy_range().unwrap();
-        assert!(lo <= 0.3 && hi >= 0.7);
+        assert_eq!(store.privacy_range(), Some((0.3, 0.7)));
     }
 
     #[test]
-    fn infeasible_offers_are_rejected_without_locking_a_shard() {
-        let store = ShardedOmega::new(10, 2);
-        let m = matrix();
-        assert!(!store.offer(
-            &m,
-            &Evaluation {
-                privacy: 0.4,
-                mse: 1e-4,
-                max_posterior: 0.95,
-                feasible: false,
-            }
-        ));
-        assert!(!store.offer(
-            &m,
-            &Evaluation {
-                privacy: 0.4,
-                mse: f64::INFINITY,
-                max_posterior: 0.7,
-                feasible: true,
-            }
-        ));
-        assert!(store.is_empty());
+    #[should_panic(expected = "different slot count")]
+    fn absorb_rejects_a_different_resolution() {
+        WarmStore::new(10).absorb(&OmegaSet::new(20));
     }
 
     #[test]
-    fn clear_empties_every_shard_and_bytes_track_it() {
-        let store = ShardedOmega::new(100, 4);
-        let empty_bytes = store.approx_bytes();
-        let m = matrix();
-        store.offer(&m, &eval(0.2, 1e-4));
-        store.offer(&m, &eval(0.8, 2e-4));
-        assert!(store.approx_bytes() > empty_bytes);
+    fn clear_empties_the_store_and_bytes_track_it() {
+        let store = WarmStore::new(100);
+        assert_eq!(store.approx_bytes(), 0);
+        store.absorb(&omega(100, &[(0.2, 1e-4), (0.8, 2e-4)]));
+        assert_eq!(store.approx_bytes(), 2 * (16 * 8 + 64));
         store.clear();
         assert!(store.is_empty());
         assert_eq!(store.improvements(), 0);
-        assert_eq!(store.approx_bytes(), empty_bytes);
-        // A cleared store accepts offers again.
-        assert!(store.offer(&m, &eval(0.5, 1e-4)));
+        assert_eq!(store.approx_bytes(), 0);
+        // A cleared store accepts entries again.
+        store.absorb(&omega(100, &[(0.5, 1e-4)]));
+        assert_eq!(store.len(), 1);
     }
 
     #[test]
     fn queries_match_merged_omega_semantics() {
-        // The sharded point queries must answer exactly like the merged
-        // OmegaSet's queries, including tie-breaking.
-        let store = ShardedOmega::new(64, 5);
-        let m = matrix();
-        let offers = [
-            (0.10, 3e-4),
-            (0.35, 8e-5),
-            (0.36, 8e-5), // mse tie with 0.35 in a different slot
-            (0.60, 8e-5),
-            (0.81, 2e-4),
-        ];
-        for &(p, u) in &offers {
-            store.offer(&m, &eval(p, u));
-        }
+        // The store's point queries answer exactly like a copy of its Ω,
+        // tie-breaking included.
+        let store = WarmStore::new(64);
+        store.absorb(&omega(
+            64,
+            &[
+                (0.10, 3e-4),
+                (0.35, 8e-5),
+                (0.36, 8e-5), // mse tie with 0.35 in a different slot
+                (0.60, 8e-5),
+                (0.81, 2e-4),
+            ],
+        ));
         let merged = store.merge();
         for threshold in [0.0, 0.1, 0.2, 0.355, 0.5, 0.75, 0.9] {
-            let from_shards = store.best_for_privacy_at_least(threshold);
-            let from_merged = merged.best_for_privacy_at_least(threshold);
             assert_eq!(
-                from_shards.as_ref().map(|e| e.evaluation.privacy.to_bits()),
-                from_merged.map(|e| e.evaluation.privacy.to_bits()),
+                store.best_for_privacy_at_least(threshold).as_ref(),
+                merged.best_for_privacy_at_least(threshold),
                 "privacy query mismatch at threshold {threshold}"
             );
         }
         for budget in [1e-5, 8e-5, 1e-4, 5e-4] {
-            let from_shards = store.best_for_mse_at_most(budget);
-            let from_merged = merged.best_for_mse_at_most(budget);
             assert_eq!(
-                from_shards.as_ref().map(|e| e.evaluation.privacy.to_bits()),
-                from_merged.map(|e| e.evaluation.privacy.to_bits()),
+                store.best_for_mse_at_most(budget).as_ref(),
+                merged.best_for_mse_at_most(budget),
                 "mse query mismatch at budget {budget}"
             );
         }
@@ -353,86 +197,49 @@ mod tests {
 
     #[test]
     fn absorb_equals_offer_stream() {
-        let m = matrix();
-        let offers = [(0.2, 1e-4), (0.4, 5e-5), (0.41, 9e-5), (0.9, 2e-4)];
-        let mut omega = OmegaSet::new(40);
-        for &(p, u) in &offers {
-            omega.offer(&m, &eval(p, u));
+        // Two runs land in turn; the store equals one Ω offered both runs'
+        // entries in the same order, improvement counter included.
+        let first = omega(40, &[(0.2, 1e-4), (0.4, 5e-5), (0.9, 2e-4)]);
+        let second = omega(40, &[(0.205, 2e-4), (0.41, 1e-5), (0.6, 3e-4)]);
+        let store = WarmStore::new(40);
+        store.absorb(&first);
+        store.absorb(&second);
+        let mut single = OmegaSet::new(40);
+        for entry in first.entries().chain(second.entries()) {
+            single.offer(&entry.matrix, &entry.evaluation);
         }
-        let absorbed = ShardedOmega::new(40, 4);
-        absorbed.absorb(&omega);
-        let offered = ShardedOmega::new(40, 4);
-        for &(p, u) in &offers {
-            offered.offer(&m, &eval(p, u));
-        }
-        // Entries agree slot for slot (improvement counters may differ:
-        // absorb only sees each slot's winner).
-        let a = absorbed.merge();
-        let b = offered.merge();
-        for slot in 0..40 {
-            assert_eq!(
-                a.entry(slot).map(|e| e.evaluation.mse.to_bits()),
-                b.entry(slot).map(|e| e.evaluation.mse.to_bits())
-            );
-        }
+        assert_eq!(store.merge(), single);
+        assert_eq!(store.improvements(), 5);
     }
 
     #[test]
     fn concurrent_offers_from_disjoint_ranges_do_not_interfere() {
-        let store = Arc::new(ShardedOmega::new(1000, 8));
-        let m = matrix();
+        // Up to `MAX_REFRESH_RUNS` runs of one key can land at once. Here
+        // eight runs, run w over privacy range [w/8, (w+1)/8), absorb into
+        // the one store from eight threads.
+        let runs: Vec<OmegaSet> = (0..8usize)
+            .map(|run| {
+                let offers: Vec<(f64, f64)> = (0..200)
+                    .map(|step| {
+                        let p = (run as f64 + step as f64 / 200.0) / 8.0;
+                        (p, 1e-4 / (1.0 + step as f64))
+                    })
+                    .collect();
+                omega(1000, &offers)
+            })
+            .collect();
+        let store = WarmStore::new(1000);
         std::thread::scope(|scope| {
-            for worker in 0..8usize {
-                let store = Arc::clone(&store);
-                let m = m.clone();
-                scope.spawn(move || {
-                    // Worker w offers into privacy range [w/8, (w+1)/8).
-                    for step in 0..200 {
-                        let p = (worker as f64 + step as f64 / 200.0) / 8.0;
-                        let mse = 1e-4 / (1.0 + step as f64);
-                        store.offer(&m, &eval(p, mse));
-                    }
-                });
+            for run in &runs {
+                let store = &store;
+                scope.spawn(move || store.absorb(run));
             }
         });
-        // Every offer either filled an empty slot or strictly improved one;
-        // the final state is exactly what a single writer would hold.
-        let merged = store.merge();
+        // The final state is exactly what a single writer would hold.
         let mut single = OmegaSet::new(1000);
-        for worker in 0..8usize {
-            for step in 0..200 {
-                let p = (worker as f64 + step as f64 / 200.0) / 8.0;
-                let mse = 1e-4 / (1.0 + step as f64);
-                single.offer(&m, &eval(p, mse));
-            }
+        for entry in runs.iter().flat_map(OmegaSet::entries) {
+            single.offer(&entry.matrix, &entry.evaluation);
         }
-        assert_eq!(merged, single);
-    }
-
-    proptest! {
-        #![proptest_config(proptest::test_runner::Config::with_cases(32))]
-
-        /// The satellite property: a sharded store fed an arbitrary offer
-        /// stream and then merged equals a single-writer Ω fed the same
-        /// stream — entries and improvement counter alike — for any shard
-        /// count.
-        #[test]
-        fn sharded_merge_equals_single_writer(
-            privacies in proptest::collection::vec(0.0f64..1.0, 1..60),
-            mses in proptest::collection::vec(1e-6f64..1e-2, 1..60),
-            num_shards in 1usize..12,
-            num_slots in 1usize..80,
-        ) {
-            let m = warner(4, 0.7).unwrap();
-            let store = ShardedOmega::new(num_slots, num_shards);
-            let mut single = OmegaSet::new(num_slots);
-            for (p, u) in privacies.iter().zip(mses.iter()) {
-                let e = eval(*p, *u);
-                let sharded_improved = store.offer(&m, &e);
-                let single_improved = single.offer(&m, &e);
-                prop_assert_eq!(sharded_improved, single_improved);
-            }
-            prop_assert_eq!(store.merge(), single);
-        }
+        assert_eq!(store.merge(), single);
     }
 }

@@ -8,9 +8,8 @@
 //! any partition of a batch stream across several `CountSet`s, merged back
 //! through [`CountSet::merge`], is bitwise-identical to a single
 //! accumulator fed the same batches in any order. That property is what
-//! lets the serving layer shard ingest across disjoint locks (mirroring
-//! the sharded Ω store) without ever changing the estimate computed from
-//! the merged counts.
+//! lets concurrent ingest streams, and a snapshot restored beneath later
+//! batches, end on the counts (and so the estimate) of one stream.
 
 use crate::categorical::Categorical;
 use crate::error::{Result, StatsError};

@@ -1,8 +1,8 @@
 //! End-to-end sessions against the streaming disguise + estimation
 //! pipeline (`optrr-pipeline`).
 //!
-//! These are the acceptance tests of the pipeline subsystem: sharded
-//! concurrent ingest is bitwise-equal to a single-stream run over the same
+//! These are the acceptance tests of the pipeline subsystem: concurrent
+//! ingest is bitwise-equal to a single-stream run over the same
 //! batches; `Estimate` on 10k disguised samples recovers the source
 //! distribution within the paper's MSE bound without re-running the
 //! engine; estimation drift marks the key stale and triggers the first
@@ -23,7 +23,7 @@ const PRIOR: [f64; 5] = [0.35, 0.25, 0.2, 0.12, 0.08];
 const DELTA: f64 = 0.8;
 
 #[test]
-fn sharded_concurrent_ingest_is_bitwise_equal_to_the_single_stream_run() {
+fn concurrent_ingest_is_bitwise_equal_to_the_single_stream_run() {
     let seed = 777;
     // 64 batches sampled once, ingested twice: concurrently by 8 streams
     // on one service, sequentially on another with the same service seed.
@@ -67,7 +67,7 @@ fn sharded_concurrent_ingest_is_bitwise_equal_to_the_single_stream_run() {
             .unwrap();
     }
 
-    // The merged accumulators are identical: same counts, totals, batches.
+    // The accumulators are identical: same counts, totals, batches.
     let concurrent_counts = entry.pipeline().unwrap().counts().merge();
     let single_counts = solo_entry.pipeline().unwrap().counts().merge();
     assert_eq!(concurrent_counts, single_counts);

@@ -2,8 +2,8 @@
 //!
 //! These are the acceptance tests of the serving layer: a registered prior
 //! is warmed exactly once and then answers any number of point queries
-//! without re-running the engine; the sharded warm store produces a front
-//! bitwise-equal to a plain (unsharded) optimizer run with the same seed;
+//! without re-running the engine; the warm store produces a front
+//! bitwise-equal to a plain optimizer run with the same seed;
 //! and a full framed-JSON session round-trips through the protocol loop.
 
 use serve::{Service, ServiceConfig};
@@ -46,13 +46,12 @@ fn warm_key_serves_ten_privacy_queries_without_rerunning_the_engine() {
 }
 
 #[test]
-fn sharded_warm_store_front_is_bitwise_equal_to_the_unsharded_run() {
+fn warm_store_front_is_bitwise_equal_to_the_direct_run() {
     let seed = 424_242;
     let service = smoke_service(seed);
     let entry = service.register(None, &PRIOR, DELTA, None, true).unwrap();
-    assert!(entry.store().num_shards() > 1, "the store must be sharded");
 
-    // The unsharded reference: a plain optimizer run with the exact
+    // The reference: a plain optimizer run with the exact
     // configuration the service derives for this key's warm-up run.
     let config = optrr::OptrrConfig {
         delta: entry.delta(),
@@ -71,14 +70,14 @@ fn sharded_warm_store_front_is_bitwise_equal_to_the_unsharded_run() {
     assert_eq!(
         served.len(),
         direct.front.points.len(),
-        "front sizes differ between sharded service and direct run"
+        "front sizes differ between service and direct run"
     );
     for (a, b) in served.iter().zip(&direct.front.points) {
         assert_eq!(a.privacy.to_bits(), b.privacy.to_bits());
         assert_eq!(a.mse.to_bits(), b.mse.to_bits());
     }
 
-    // Slot-for-slot, the merged sharded store equals the direct run's Ω.
+    // Slot-for-slot, the warm store equals the direct run's Ω.
     let merged = entry.store().merge();
     for slot in 0..merged.num_slots() {
         let a = merged.entry(slot).map(|e| e.evaluation.mse.to_bits());
