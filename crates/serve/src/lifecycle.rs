@@ -34,8 +34,8 @@
 //!
 //! The struct also owns everything the state guards: the warm-Ω store,
 //! the pinned streaming pipeline (disguise channel, ingest accumulator,
-//! posterior), the warm-start seed set, the deterministic
-//! run counter, and the per-key counters — plus the byte accounting and
+//! posterior), the warm-start seed set, the deterministic run counter,
+//! and the per-key counters — plus the byte accounting and
 //! LRU touch stamp the memory-budgeted registry evicts by. Those counters
 //! are the only store of their facts: every service-wide total
 //! (`Service::totals`, the `Stats {}` verb, the `Metrics` view counters)
@@ -872,8 +872,8 @@ impl KeyLifecycle {
     }
 
     /// Approximate resident heap bytes of this key: the warm Ω, the
-    /// warm-start seed set, and the pinned pipeline. This
-    /// is the quantity the service's memory budget bounds.
+    /// warm-start seed set, and the pinned pipeline. This is the quantity
+    /// the service's memory budget bounds.
     pub fn resident_bytes(&self) -> u64 {
         let n = self.prior.num_categories() as u64;
         let seeds = self

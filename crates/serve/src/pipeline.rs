@@ -7,9 +7,9 @@
 //! bound, pre-counted batches (already disguised client-side) land
 //! directly. Batches accumulate in the key's [`IngestCounts`], one count
 //! set behind one lock, and `Estimate` reconstructs the original
-//! distribution from the accumulated counts: matrix inversion (Theorem 1) when the pinned
-//! matrix is invertible, with automatic fallback to the iterative Bayesian
-//! estimator (Equation 3) otherwise. Re-estimates warm-start the iterative
+//! distribution from the accumulated counts: matrix inversion (Theorem 1)
+//! when the pinned matrix is invertible, with automatic fallback to the
+//! iterative Bayesian estimator (Equation 3) otherwise. Re-estimates warm-start the iterative
 //! estimator from the previous posterior, so streaming re-estimation after
 //! new batches costs a handful of iterations, not a cold converge.
 //!
@@ -47,8 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The per-key streaming state: the pinned disguise matrix, the response
-/// accumulator, and the warm-start posterior carried between
-/// estimates.
+/// accumulator, and the warm-start posterior carried between estimates.
 #[derive(Debug)]
 pub struct KeyPipeline {
     matrix: RrMatrix,

@@ -44,8 +44,8 @@ use std::time::{Duration, Instant};
 pub const MAX_REFRESH_RUNS: usize = 16;
 
 /// Upper bound on a registration's Ω resolution. Each key's warm store
-/// allocates one slot vector of this length when the key is created, and
-/// resident-byte accounting does not count it, so an uncapped
+/// allocates one slot vector of `slots` entries when the key is created,
+/// and resident-byte accounting does not count it, so an uncapped
 /// client-supplied `slots` value could request an unbounded allocation
 /// and take the whole service down; 20× the paper's 1000-slot Ω is plenty
 /// of resolution.
@@ -822,7 +822,7 @@ mod tests {
             .register(Some("r"), &PRIOR, 0.8, None, true)
             .unwrap();
         let filled_before = entry.store().len();
-        let improvements_before = entry.store().improvements();
+        let improvements_before = entry.store().merge().improvements();
         let scheduled = service.refresh(&entry, 2);
         assert_eq!(scheduled, 2);
         service.wait_idle();
@@ -831,7 +831,7 @@ mod tests {
         assert_eq!(entry.state(), KeyState::Warm);
         // Ω only ever improves: no filled slot is lost, improvements grow.
         assert!(entry.store().len() >= filled_before);
-        assert!(entry.store().improvements() >= improvements_before);
+        assert!(entry.store().merge().improvements() >= improvements_before);
         // Clamping.
         assert_eq!(service.refresh(&entry, 0), 1);
         assert_eq!(service.refresh(&entry, 999), MAX_REFRESH_RUNS);

@@ -61,11 +61,6 @@ impl WarmStore {
         self.read().approx_bytes()
     }
 
-    /// Total improvements since the store was created or last cleared.
-    pub fn improvements(&self) -> u64 {
-        self.read().improvements()
-    }
-
     /// Number of filled slots.
     pub fn len(&self) -> usize {
         self.read().len()
@@ -131,7 +126,7 @@ mod tests {
             &[(0.3, 1e-5), (0.5, 8e-5), (0.7, 4e-4), (0.305, 2e-4)],
         ));
         assert_eq!(store.len(), 3);
-        assert_eq!(store.improvements(), 3);
+        assert_eq!(store.merge().improvements(), 3);
 
         let pick = store.best_for_privacy_at_least(0.45).unwrap();
         assert!((pick.evaluation.privacy - 0.5).abs() < 1e-12);
@@ -156,7 +151,7 @@ mod tests {
         assert_eq!(store.approx_bytes(), 2 * (16 * 8 + 64));
         store.clear();
         assert!(store.is_empty());
-        assert_eq!(store.improvements(), 0);
+        assert_eq!(store.merge().improvements(), 0);
         assert_eq!(store.approx_bytes(), 0);
         // A cleared store accepts entries again.
         store.absorb(&omega(100, &[(0.5, 1e-4)]));
@@ -209,7 +204,7 @@ mod tests {
             single.offer(&entry.matrix, &entry.evaluation);
         }
         assert_eq!(store.merge(), single);
-        assert_eq!(store.improvements(), 5);
+        assert_eq!(store.merge().improvements(), 5);
     }
 
     #[test]
