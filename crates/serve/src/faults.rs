@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] is parsed from the `OPTRR_SERVE_FAULTS` environment
 //! variable (see the grammar below) and compiled into a [`FaultInjector`]
-//! the service consults at its failure points: snapshot/sidecar reads and
+//! the service consults at its failure points: snapshot reads and
 //! writes, torn (truncated) writes, refresh-run panics, and worker
 //! stalls. Every decision is a pure hash of `(plan seed, fault site,
 //! caller context, sequence number)` — no wall clock, no OS RNG — so a
@@ -22,8 +22,8 @@
 //!
 //!   seed=N           base seed for every deterministic draw   (default 0)
 //!   snapshot_io=p    shorthand: read and write error rate     (default 0)
-//!   snapshot_read=p  snapshot/sidecar read-error rate         (default 0)
-//!   snapshot_write=p snapshot/sidecar write-error rate        (default 0)
+//!   snapshot_read=p  snapshot read-error rate                 (default 0)
+//!   snapshot_write=p snapshot write-error rate                (default 0)
 //!   torn_write=p     rate of writes torn (truncated) mid-file (default 0)
 //!   refresh_panic=p  rate of refresh runs that panic          (default 0)
 //!   stall=p          rate of refresh runs that stall first    (default 0)
@@ -47,11 +47,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct FaultPlan {
     /// Base seed folded into every deterministic draw.
     pub seed: u64,
-    /// Probability a snapshot/sidecar read fails with an I/O error.
+    /// Probability a snapshot read fails with an I/O error.
     pub snapshot_read: f64,
-    /// Probability a snapshot/sidecar write fails before writing.
+    /// Probability a snapshot write fails before writing.
     pub snapshot_write: f64,
-    /// Probability a snapshot/sidecar write is torn: a truncated prefix
+    /// Probability a snapshot write is torn: a truncated prefix
     /// reaches the temporary file and the rename never happens.
     pub torn_write: f64,
     /// Probability a refresh engine run panics mid-run.
@@ -279,7 +279,7 @@ impl FaultInjector {
         self.decide(Site::ConnDrop, conn_id, request_index, self.plan.conn_drop)
     }
 
-    /// Should this snapshot/sidecar read of `path` fail?
+    /// Should this snapshot read of `path` fail?
     pub fn snapshot_read_error(&self, path: &str) -> bool {
         self.decide(
             Site::SnapshotRead,
@@ -289,7 +289,7 @@ impl FaultInjector {
         )
     }
 
-    /// Should this snapshot/sidecar write of `path` fail outright
+    /// Should this snapshot write of `path` fail outright
     /// (before writing a byte)?
     pub fn snapshot_write_error(&self, path: &str) -> bool {
         self.decide(

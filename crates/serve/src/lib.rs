@@ -11,8 +11,8 @@
 //!   plus `Degraded` for keys whose refreshes exhaust the fail budget):
 //!   every transition is a compare-exchange, so exactly-once warm-ups,
 //!   refresh claims, and re-warms are properties of the type. It owns all
-//!   per-key state — warm store, pinned pipeline, run counter, byte
-//!   accounting, drift/coverage telemetry.
+//!   per-key state — warm store, pinned pipeline, run counter, run log,
+//!   job queue, byte accounting, drift/coverage telemetry.
 //! * [`registry`] — the fingerprint-keyed map over those lifecycles
 //!   ([`optrr::omega_fingerprint`] is the key), plus the LRU scan the
 //!   memory budget evicts by.
@@ -31,13 +31,14 @@
 //!   multi-prior batch included: each cold key's warm-up is one job on
 //!   the worker pool, like a solo warm-up), and the query methods. The
 //!   rest of `impl Service` sits in three crate-private modules:
-//!   `refresh` (the one per-key job — run claim, evicted-key restore,
-//!   engine run, the one landing path, retry/backoff/degrade, and the
-//!   memory budget that evicts least-recently-touched keys, which
-//!   re-warm transparently on their next query), `persist` (crash-safe snapshot files,
-//!   all-or-nothing `Save`/`Load` covering ingest accumulators and
-//!   posteriors, eviction sidecars, and the one installer of a persisted
-//!   key), and `dispatch` ([`Service::handle`]).
+//!   `refresh` (the per-key job queue and the one job — run claim,
+//!   replay of an evicted key's logged runs, engine run, the one landing
+//!   path, retry/backoff/degrade, and the memory budget that evicts
+//!   least-recently-touched keys, which re-warm transparently on their
+//!   next query), `persist` (crash-safe snapshot files, all-or-nothing
+//!   `Save`/`Load` covering ingest accumulators, posteriors and run
+//!   logs, and the one installer of a persisted key), and `dispatch`
+//!   ([`Service::handle`]).
 //! * [`counts`] — [`IngestCounts`]: a key's accumulator of disguised
 //!   response batches, one `stats::CountSet` behind one lock.
 //! * [`pipeline`] — the streaming disguise + estimation pipeline
@@ -91,8 +92,9 @@
 //! answered from the warm store in O(slots) under its read lock, and the
 //! end-to-end tests assert the engine-run counters stay put. Warm-up and
 //! refresh runs are deterministic — run `i` of a key uses `base seed + i`
-//! and warm-starts from the previous run's archive — so a served front is
-//! bitwise-reproducible against a plain optimizer call.
+//! and warm-starts from run `i − 1`'s archive once it resolved — so a
+//! served front is bitwise-reproducible against a plain optimizer call,
+//! and an evicted key's replay against its live runs.
 //!
 //! ## Example
 //!

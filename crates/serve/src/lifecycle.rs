@@ -35,19 +35,24 @@
 //! The struct also owns everything the state guards: the warm-Ω store,
 //! the pinned streaming pipeline (disguise channel, ingest accumulator,
 //! posterior), the warm-start seed set, the deterministic run counter,
-//! and the per-key counters — plus the byte accounting and
+//! the run log (each landed run's optimization target), the key's job
+//! queue, and the per-key counters — plus the byte accounting and
 //! LRU touch stamp the memory-budgeted registry evicts by. Those counters
 //! are the only store of their facts: every service-wide total
 //! (`Service::totals`, the `Stats {}` verb, the `Metrics` view counters)
 //! is a sum over the registry computed when it is read.
+//! Eviction drops only what a replay of the logged runs rebuilds bit for
+//! bit: the warm Ω and the seed set.
 
 use crate::pipeline::KeyPipeline;
+use crate::refresh::Job;
 use crate::shard::WarmStore;
 use optrr::{OptrrOutcome, RunStatistics};
 use rr::RrMatrix;
 use stats::Categorical;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Why a key went stale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,11 +112,11 @@ pub enum KeyState {
     /// flight for the given reason. Queries still answer.
     Refreshing(StaleReason),
     /// An eviction is in progress: the evictor won the claim and is
-    /// snapshotting/dropping the resident state. Queries and queued runs
-    /// wait for the (brief, bounded) transition to `Evicted` — this is
-    /// what makes "snapshot, then drop" atomic to every observer.
+    /// dropping the key's Ω and seed set. Queries and queued runs wait
+    /// for the (brief, bounded) transition to `Evicted` — this is what
+    /// makes the drop atomic to every observer.
     Evicting,
-    /// The key's resident state was evicted. The next query claims a
+    /// The key's Ω and seed set were evicted. The next query claims a
     /// re-warm and waits for it.
     Evicted,
     /// The refresh fail budget was exhausted: the key's last refresh
@@ -219,9 +224,9 @@ pub type TransitionSink = Arc<dyn Fn(KeyState, KeyState) + Send + Sync>;
 /// simply fails the compare-exchange and returns `false`.
 pub struct StateCell {
     bits: AtomicU8,
-    /// Engine runs currently executing for this key (a refresh request may
-    /// schedule several). The state leaves `Refreshing`/`Warming` only
-    /// when this drops to zero.
+    /// Run claims currently held on this key: the job running from its
+    /// queue, plus a `Load` installing into it. The state leaves
+    /// `Refreshing`/`Warming` only when this drops to zero.
     inflight: AtomicU64,
     gate: Mutex<()>,
     changed: Condvar,
@@ -341,12 +346,12 @@ impl StateCell {
 
     /// A worker starts one engine run, held by the returned [`RunClaim`]
     /// until it resolves. Transitions `Warm`/`Stale` into `Refreshing`
-    /// (keeping the reason), keeps `Warming`/`Refreshing` (a second
-    /// concurrent run) and `Degraded` (until a run actually lands), and
-    /// re-opens `Cold`/`Evicted` as `Warming` (a queued job that raced an
-    /// eviction re-warms the key). A run arriving mid-eviction first waits
-    /// out `Evicting`, so it never interleaves with the evictor's
-    /// snapshot-and-drop.
+    /// (keeping the reason), keeps `Warming`/`Refreshing` (a claim already
+    /// held: a `Load` installing while a job runs) and `Degraded` (until
+    /// a run actually lands), and re-opens `Cold`/`Evicted` as `Warming`
+    /// (a queued job that raced an eviction re-warms the key). A run
+    /// arriving mid-eviction first waits out `Evicting`, so it never
+    /// interleaves with the evictor's drop.
     pub fn begin_run(&self) -> RunClaim<'_> {
         self.inflight.fetch_add(1, Ordering::SeqCst);
         loop {
@@ -373,8 +378,8 @@ impl StateCell {
     }
 
     /// Blocks while an eviction is in progress. The evictor always
-    /// resolves `Evicting` to `Evicted` in bounded time (a sidecar write
-    /// plus a store clear), so this cannot wedge.
+    /// resolves `Evicting` to `Evicted` in bounded time (a store clear),
+    /// so this cannot wedge.
     fn wait_while_evicting(&self) {
         let mut guard = self.gate_lock();
         while self.state() == KeyState::Evicting {
@@ -416,11 +421,11 @@ impl StateCell {
     }
 
     /// Claims the eviction of an idle key: `Warm | Stale | Degraded →
-    /// Evicting`, only when no run is in flight. The winner snapshots and
-    /// drops the resident state, then resolves the claim with
+    /// Evicting`, only when no run is in flight. The winner drops the
+    /// key's Ω and seed set, then resolves the claim with
     /// [`finish_evict`]; queries, re-warm claims, and queued runs all
-    /// wait out the `Evicting` window, so "snapshot, then drop" is
-    /// atomic to every observer. `Warming`/`Refreshing` keys are never
+    /// wait out the `Evicting` window, so the drop is atomic to every
+    /// observer. `Warming`/`Refreshing` keys are never
     /// evicted (their runs are about to land bytes anyway), and
     /// `Cold`/`Evicted` keys have nothing to evict. Degraded keys *are*
     /// evictable: the deterministic re-warm replay is fault-free, so an
@@ -454,9 +459,9 @@ impl StateCell {
     }
 
     /// Restores a freshly created key directly into `Evicted` — the
-    /// snapshot-load path for keys whose resident state was evicted
-    /// before the snapshot was written (their next query re-warms them
-    /// from the sidecar or by engine replay). `Cold → Evicted` only.
+    /// snapshot-load path for keys whose Ω was evicted before the
+    /// snapshot was written (their next query re-warms them by engine
+    /// replay). `Cold → Evicted` only.
     pub fn restore_evicted(&self) -> bool {
         self.cas(KeyState::Cold, KeyState::Evicted)
     }
@@ -538,6 +543,9 @@ pub struct KeyLifecycle {
     /// warm-up or re-warm).
     warm_hits: AtomicU64,
     warm_seeds: Mutex<Vec<RrMatrix>>,
+    run_log: Mutex<Vec<Option<Categorical>>>,
+    needs_replay: AtomicBool,
+    jobs: Mutex<VecDeque<Job>>,
     last_statistics: Mutex<Option<RunStatistics>>,
     pipeline: Mutex<Option<Arc<KeyPipeline>>>,
     /// Milliseconds (on the owning service's clock) of the last query,
@@ -588,6 +596,9 @@ impl KeyLifecycle {
             queries: AtomicU64::new(0),
             warm_hits: AtomicU64::new(0),
             warm_seeds: Mutex::new(Vec::new()),
+            run_log: Mutex::new(Vec::new()),
+            needs_replay: AtomicBool::new(false),
+            jobs: Mutex::new(VecDeque::new()),
             last_statistics: Mutex::new(None),
             pipeline: Mutex::new(None),
             last_touch_ms: AtomicU64::new(0),
@@ -672,10 +683,8 @@ impl KeyLifecycle {
     /// re-runs the *same* deterministic seed instead of burning it —
     /// this is what keeps a faulted-then-recovered key's warm store
     /// bitwise-equal to a never-faulted run. The roll-back is a
-    /// compare-exchange: if a concurrent run already claimed a later
-    /// index the burned index stays claimed (nothing landed under it, so
-    /// determinism degrades to "replay also lands it on re-warm", which
-    /// is still a superset of the reference front).
+    /// compare-exchange, so it never undoes a later index; the service
+    /// runs one job per key at a time, so it always finds its own.
     pub fn unclaim_run_index(&self, index: u64) -> bool {
         self.engine_runs
             .compare_exchange(index + 1, index, Ordering::SeqCst, Ordering::SeqCst)
@@ -701,74 +710,78 @@ impl KeyLifecycle {
         }
     }
 
-    // The seed/stats/pipeline locks below recover from poisoning
-    // (`unwrap_or_else(PoisonError::into_inner)`) instead of panicking:
-    // every write under them is a whole-value replacement (`*guard = …`
-    // or `guard.clear()`), never an in-place partial mutation, so a
-    // thread that panicked mid-critical-section cannot have left a
-    // half-updated value behind — the data is consistent and one
-    // panicked refresh must not cascade panics into every later query.
-
     /// The warm-start seed set: the previous run's archive matrices.
     pub fn take_warm_seeds(&self) -> Vec<RrMatrix> {
-        self.warm_seeds
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        lock(&self.warm_seeds).clone()
     }
 
     /// Replaces the warm-start seed set with a finished run's archive.
     pub fn put_warm_seeds(&self, seeds: Vec<RrMatrix>) {
-        *self
-            .warm_seeds
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = seeds;
+        *lock(&self.warm_seeds) = seeds;
     }
 
     /// The statistics of the most recent finished run, when any.
     pub fn last_statistics(&self) -> Option<RunStatistics> {
-        self.last_statistics
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        lock(&self.last_statistics).clone()
     }
 
-    /// Lands a finished engine run: its Ω joins the warm store, its
-    /// archive becomes the next run's warm-start seed set, and its
-    /// statistics become the latest.
-    pub fn land_run(&self, outcome: OptrrOutcome) {
+    /// Lands finished engine run `run_index`, which optimized for
+    /// `target` (`None`: the registered prior): its Ω joins the warm
+    /// store, its archive becomes the next run's warm-start seed set, its
+    /// statistics become the latest, and the run log records its target.
+    pub fn land_run(&self, run_index: u64, target: Option<Categorical>, outcome: OptrrOutcome) {
         self.store.absorb(&outcome.omega);
         self.put_warm_seeds(outcome.warm_seeds());
-        *self
-            .last_statistics
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(outcome.statistics);
+        *lock(&self.last_statistics) = Some(outcome.statistics);
+        let mut log = self.run_log();
+        let index = run_index as usize;
+        if log.len() <= index {
+            log.resize(index + 1, None);
+        }
+        log[index] = target;
+    }
+
+    /// The run log: the target each landed run index optimized for
+    /// (`None`: the registered prior, also for an index no run landed).
+    pub(crate) fn run_log(&self) -> MutexGuard<'_, Vec<Option<Categorical>>> {
+        lock(&self.run_log)
+    }
+
+    /// Whether an eviction dropped the Ω and seed set and no replay has
+    /// rebuilt them yet.
+    pub(crate) fn needs_replay(&self) -> bool {
+        self.needs_replay.load(Ordering::SeqCst)
+    }
+
+    /// Clears [`KeyLifecycle::needs_replay`], returning its value: the
+    /// job holding the run claim that will replay takes it.
+    pub(crate) fn take_replay(&self) -> bool {
+        self.needs_replay.swap(false, Ordering::SeqCst)
+    }
+
+    /// Restores a freshly created key evicted: its next job replays its
+    /// runs (see [`StateCell::restore_evicted`]).
+    pub(crate) fn restore_evicted(&self) {
+        self.needs_replay.store(true, Ordering::SeqCst);
+        self.state.restore_evicted();
+    }
+
+    /// The key's job queue; its head is the one job of the key running
+    /// (see `Service::submit`).
+    pub(crate) fn jobs(&self) -> MutexGuard<'_, VecDeque<Job>> {
+        lock(&self.jobs)
     }
 
     /// The streaming pipeline pinned to this key, when any batch has been
     /// ingested (or a first ingest is in flight).
     pub fn pipeline(&self) -> Option<Arc<KeyPipeline>> {
-        self.pipeline
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        lock(&self.pipeline).clone()
     }
 
     /// Installs a freshly built pipeline unless a concurrent first ingest
     /// already pinned one; returns whichever pipeline ended up pinned.
     pub fn install_pipeline(&self, pipeline: KeyPipeline) -> Arc<KeyPipeline> {
-        let mut slot = self
-            .pipeline
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match slot.as_ref() {
-            Some(existing) => Arc::clone(existing),
-            None => {
-                let installed = Arc::new(pipeline);
-                *slot = Some(Arc::clone(&installed));
-                installed
-            }
-        }
+        Arc::clone(lock(&self.pipeline).get_or_insert_with(|| Arc::new(pipeline)))
     }
 
     /// Stamps the LRU clock.
@@ -872,41 +885,51 @@ impl KeyLifecycle {
     }
 
     /// Approximate resident heap bytes of this key: the warm Ω, the
-    /// warm-start seed set, and the pinned pipeline. This is the quantity
-    /// the service's memory budget bounds.
+    /// warm-start seed set, the pinned pipeline, and the run log (one
+    /// `Option<Categorical>` per run, plus the probability and CDF
+    /// vectors of each posterior target). This is the quantity the
+    /// service's memory budget bounds.
     pub fn resident_bytes(&self) -> u64 {
         let n = self.prior.num_categories() as u64;
-        let seeds = self
-            .warm_seeds
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len() as u64
-            * (n * n * 8 + 64);
-        let pipeline = self
-            .pipeline()
-            .map(|p| p.approx_bytes())
-            .unwrap_or_default();
-        self.store.approx_bytes() + seeds + pipeline
+        let pipeline = self.pipeline().map_or(0, |p| p.approx_bytes());
+        let log = self.run_log();
+        let targets = log.iter().flatten().count() as u64;
+        let entry = std::mem::size_of::<Option<Categorical>>() as u64;
+        self.replayable_bytes() + pipeline + log.len() as u64 * entry + targets * 2 * n * 8
     }
 
-    /// Drops every resident structure after a successful
-    /// [`StateCell::try_evict`]: clears the warm Ω, the seed set, and
-    /// the pinned pipeline, and counts the eviction. Returns the bytes
-    /// freed. The run counter is deliberately kept — re-warm replays it.
+    /// Bytes of what an eviction drops and a replay rebuilds: the warm Ω
+    /// and the seed set.
+    fn replayable_bytes(&self) -> u64 {
+        let n = self.prior.num_categories() as u64;
+        let seeds = lock(&self.warm_seeds).len() as u64 * (n * n * 8 + 64);
+        self.store.approx_bytes() + seeds
+    }
+
+    /// Drops what a replay rebuilds after a successful
+    /// [`StateCell::try_evict`]: clears the warm Ω and the seed set,
+    /// marks the key for replay, and counts the eviction. Returns the
+    /// bytes freed. The pinned pipeline (the stream's channel, counts
+    /// and posterior), the run counter and the run log stay.
     pub fn drop_resident_state(&self) -> u64 {
-        let freed = self.resident_bytes();
+        let freed = self.replayable_bytes();
         self.store.clear();
-        self.warm_seeds
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
-        *self
-            .pipeline
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+        lock(&self.warm_seeds).clear();
+        self.needs_replay.store(true, Ordering::SeqCst);
         self.evictions.fetch_add(1, Ordering::Relaxed);
         freed
     }
+}
+
+/// Locks one of a key's mutexes, recovering from poisoning instead of
+/// panicking: every write under them is a whole-value replacement, a
+/// clear, a push or a pop, so a thread that panicked mid-critical-section
+/// cannot have left a half-updated value behind — and one panicked
+/// refresh must not cascade panics into every later query.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -1348,13 +1371,15 @@ mod tests {
             },
         );
         entry.store().absorb(&omega);
-        entry.put_warm_seeds(vec![m]);
+        entry.put_warm_seeds(vec![m.clone()]);
         assert_eq!(entry.claim_run_index(), 0);
         claim.land();
         drop(claim);
+        let evaluation = omega.entries().next().unwrap().evaluation;
+        let pipeline = entry.install_pipeline(KeyPipeline::new(m, evaluation, 0.0).unwrap());
 
         let resident = entry.resident_bytes();
-        assert!(resident > entry.num_slots() as u64);
+        assert!(resident > entry.num_slots() as u64 + pipeline.approx_bytes());
         entry.touch(42);
         assert_eq!(entry.last_touch_ms(), 42);
         assert_eq!(entry.count_coverage_miss(), 1);
@@ -1362,15 +1387,19 @@ mod tests {
         assert_eq!(entry.coverage_misses(), 1);
         assert_eq!(entry.drift_events(), 1);
 
+        assert!(!entry.needs_replay());
         assert!(entry.lifecycle().try_evict());
         let freed = entry.drop_resident_state();
         entry.lifecycle().finish_evict();
-        assert_eq!(freed, resident);
+        // Only the Ω and the seeds go; the pinned pipeline stays.
+        assert_eq!(freed, resident - pipeline.approx_bytes());
+        assert_eq!(entry.resident_bytes(), pipeline.approx_bytes());
         assert!(entry.store().is_empty());
         assert!(entry.take_warm_seeds().is_empty());
-        assert!(entry.pipeline().is_none());
+        assert!(Arc::ptr_eq(&entry.pipeline().unwrap(), &pipeline));
         assert_eq!(entry.evictions(), 1);
         // The deterministic run counter survives for the re-warm replay.
         assert_eq!(entry.engine_runs(), 1);
+        assert!(entry.needs_replay());
     }
 }

@@ -1,9 +1,10 @@
 //! Persistence: the crash-safe snapshot file, whole-service `Save`/`Load`,
-//! per-key eviction sidecars, and the one installer of a persisted key.
+//! and the one installer of a persisted key.
 //!
 //! Files are written atomically (tmp → fsync → rename) under a version +
 //! checksum header and read back verified. `Load` checks every key before
-//! it installs any, through the same [`Service::install`] as a sidecar.
+//! it installs any. Eviction writes no file: an evicted key comes back by
+//! replaying its logged runs (`refresh`).
 
 use crate::pipeline::{KeyPipeline, PipelineSnapshot};
 use crate::registry::KeyEntry;
@@ -45,17 +46,23 @@ pub struct KeySnapshot {
     /// posterior), when one was pinned. Absent in snapshots written
     /// before pipeline persistence phase 2.
     pub pipeline: Option<PipelineSnapshot>,
+    /// The run log: the target each landed run index optimized for
+    /// (`None`: the registered prior), which a replay of the key's runs
+    /// reads. Absent in older snapshots, meaning every run targeted the
+    /// prior.
+    pub run_log: Option<Vec<Option<Categorical>>>,
 }
 
 impl KeySnapshot {
     /// Checks that this persisted state fits the registration it lands
-    /// on — the Ω resolution, and the category count of every stored
-    /// matrix and of the pinned pipeline's matrix — and rebuilds the
+    /// on — the Ω resolution, the category count of every stored matrix,
+    /// of every logged run target and of the pinned pipeline's matrix,
+    /// and a run log no longer than the run counter — and rebuilds the
     /// pinned pipeline, whose [`KeyPipeline::restore`] checks its counts
-    /// and posterior against that matrix. `Load` and the sidecar re-warm
-    /// both run it before installing anything, so state of the wrong
-    /// shape is never served (a wrong-sized pinned channel would
-    /// otherwise fail estimation on a dimension mismatch).
+    /// and posterior against that matrix. `Load` runs it on every key
+    /// before installing anything, so state of the wrong shape is never
+    /// served (a wrong-sized pinned channel would otherwise fail
+    /// estimation on a dimension mismatch).
     fn check_shape(
         &self,
         prior: &Categorical,
@@ -76,6 +83,18 @@ impl KeySnapshot {
             return Err(format!(
                 "key omega holds a {}-category matrix for a {categories}-category prior",
                 entry.matrix.num_categories()
+            ));
+        }
+        let log = self.run_log.as_deref().unwrap_or_default();
+        let foreign = log
+            .iter()
+            .flatten()
+            .any(|t| t.num_categories() != categories);
+        if foreign || log.len() as u64 > self.engine_runs {
+            return Err(format!(
+                "key run log of {} runs does not fit {} runs of a {categories}-category prior",
+                log.len(),
+                self.engine_runs
             ));
         }
         let Some(pipeline) = &self.pipeline else {
@@ -134,26 +153,8 @@ fn verify_snapshot_header(header: &str, payload: &str) -> std::result::Result<()
     }
 }
 
-/// Outcome of reading one snapshot/sidecar file.
-enum SnapshotRead {
-    /// No file at the path — the normal "nothing persisted yet" case.
-    Missing,
-    /// The read itself failed (OS error or injected fault).
-    Io(String),
-    /// The file exists but is torn, fails its checksum, or has a mangled
-    /// header — its contents must not be served.
-    Corrupt(String),
-    /// The verified payload.
-    Ok(String),
-}
-
 impl Service {
-    /// The per-key eviction sidecar next to the configured snapshot path.
-    pub(crate) fn sidecar_path(base: &str, key: u64) -> String {
-        format!("{base}.key-{key:016x}.json")
-    }
-
-    /// Writes one snapshot/sidecar payload crash-safely: a version +
+    /// Writes one snapshot payload crash-safely: a version +
     /// checksum header is prepended, the whole file goes to `<path>.tmp`,
     /// is fsynced, and only then renamed over `path` — so a crash (or an
     /// injected torn write) at any point leaves either the previous
@@ -193,41 +194,45 @@ impl Service {
         write().map_err(|e| ServeError::Snapshot(format!("write {path:?} failed: {e}")))
     }
 
-    /// Reads one snapshot/sidecar file back, verifying the crash-safety
-    /// header when present. Files written before the header existed
-    /// (no `OPTRR-SNAP` magic) are accepted as-is, so old snapshots keep
-    /// loading.
-    fn read_snapshot_file(&self, path: &str) -> SnapshotRead {
-        if let Some(injector) = &self.faults {
-            if injector.snapshot_read_error(path) {
-                return SnapshotRead::Io(format!("injected read fault for {path:?}"));
-            }
+    /// Reads one snapshot file back, verifying the crash-safety header
+    /// when present: a torn, mangled or checksum-failing file is a
+    /// [`ServeError::SnapshotCorrupt`], whose contents must not be served.
+    /// Files written before the header existed (no `OPTRR-SNAP` magic)
+    /// are accepted as-is, so old snapshots keep loading.
+    fn read_snapshot_file(&self, path: &str) -> Result<String> {
+        if self
+            .faults
+            .as_ref()
+            .is_some_and(|i| i.snapshot_read_error(path))
+        {
+            return Err(ServeError::Snapshot(format!(
+                "injected read fault for {path:?}"
+            )));
         }
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return SnapshotRead::Missing,
-            Err(e) => return SnapshotRead::Io(format!("read {path:?} failed: {e}")),
-        };
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| ServeError::Snapshot(format!("read {path:?} failed: {e}")))?;
         if !text.starts_with(SNAPSHOT_MAGIC) {
             // Legacy headerless file: nothing to verify.
-            return SnapshotRead::Ok(text.trim().to_string());
+            return Ok(text.trim().to_string());
         }
         let Some((header, rest)) = text.split_once('\n') else {
-            return SnapshotRead::Corrupt(format!("{path:?} is truncated inside its header"));
+            return Err(ServeError::SnapshotCorrupt(format!(
+                "{path:?} is truncated inside its header"
+            )));
         };
         let payload = rest.strip_suffix('\n').unwrap_or(rest);
-        match verify_snapshot_header(header, payload) {
-            Ok(()) => SnapshotRead::Ok(payload.to_string()),
-            Err(reason) => SnapshotRead::Corrupt(format!("{path:?} {reason}")),
-        }
+        verify_snapshot_header(header, payload)
+            .map(|()| payload.to_string())
+            .map_err(|reason| ServeError::SnapshotCorrupt(format!("{path:?} {reason}")))
     }
 
     /// Installs a persisted key's state into its entry: the one installer
-    /// `Load` and the eviction-sidecar re-warm share. Ω is absorbed (it
-    /// only ever improves the store), seeds restore only where none are
-    /// held (a live service's own, newer archive wins), and the pipeline
-    /// — built by [`KeySnapshot::check_shape`] — is pinned only where none is.
-    /// The caller holds the key's run claim.
+    /// of `Load`. Ω is absorbed (it only ever improves the store), seeds
+    /// restore only where none are held (a live service's own, newer
+    /// archive wins), and the pipeline — built by
+    /// [`KeySnapshot::check_shape`] — is pinned only where none is. The
+    /// caller holds the key's run claim, or has the key to itself (a
+    /// created key restored evicted).
     fn install(&self, entry: &KeyEntry, snapshot: &KeySnapshot, pipeline: Option<KeyPipeline>) {
         entry.store().absorb(&snapshot.omega);
         if let Some(seeds) = &snapshot.warm_seeds {
@@ -239,59 +244,6 @@ impl Service {
             self.obs
                 .emit(ServeEvent::SamplerRebuild { key: entry.key() });
             entry.install_pipeline(pipeline);
-        }
-    }
-
-    /// Writes an evicting key's sidecar when persistence is configured.
-    /// A failed write degrades the eviction to replay-on-rewarm, it never
-    /// blocks it: the key's state is still recoverable deterministically.
-    pub(crate) fn write_sidecar(&self, entry: &KeyEntry) {
-        let Some(base) = &self.config.snapshot_path else {
-            return;
-        };
-        let snapshot = self.key_snapshot(entry, self.registry.names_of(entry.key()));
-        let path = Self::sidecar_path(base, entry.key());
-        let encoded = serde_json::to_string(&snapshot).expect("snapshots serialize");
-        if let Err(error) = self.write_snapshot_file(&path, &encoded) {
-            eprintln!("optrr-serve: eviction sidecar {path:?} failed: {error}");
-        }
-    }
-
-    /// Restores an evicted key from its eviction sidecar, when persistence
-    /// is configured and the sidecar decodes and fits the key. Returns
-    /// whether it did; any failure other than "no sidecar exists" emits a
-    /// typed [`ServeEvent::SnapshotLoadFailed`] (bumping
-    /// `serve_snapshot_load_failures_total`) and leaves the caller to the
-    /// deterministic engine replay — a torn, unreadable or mis-shaped
-    /// sidecar is never served and never silently ignored.
-    pub(crate) fn restore_from_sidecar(&self, entry: &KeyEntry) -> bool {
-        let Some(base) = &self.config.snapshot_path else {
-            return false;
-        };
-        let path = Self::sidecar_path(base, entry.key());
-        let failed = |reason: String| {
-            eprintln!("optrr-serve: eviction sidecar {path:?} unusable ({reason}); replaying runs");
-            self.obs.emit(ServeEvent::SnapshotLoadFailed {
-                path: path.clone(),
-                reason,
-            });
-            false
-        };
-        let text = match self.read_snapshot_file(&path) {
-            SnapshotRead::Missing => return false,
-            SnapshotRead::Io(reason) | SnapshotRead::Corrupt(reason) => return failed(reason),
-            SnapshotRead::Ok(text) => text,
-        };
-        let snapshot = match serde_json::from_str::<KeySnapshot>(text.trim()) {
-            Ok(snapshot) => snapshot,
-            Err(e) => return failed(format!("did not decode: {e}")),
-        };
-        match snapshot.check_shape(entry.prior(), entry.num_slots()) {
-            Ok(pipeline) => {
-                self.install(entry, &snapshot, pipeline);
-                true
-            }
-            Err(reason) => failed(reason),
         }
     }
 
@@ -308,12 +260,13 @@ impl Service {
             omega: entry.store().merge(),
             warm_seeds: Some(entry.take_warm_seeds()),
             pipeline: entry.pipeline().map(|p| p.snapshot()),
+            run_log: Some(entry.run_log().clone()),
         }
     }
 
     /// Serializable snapshot of the whole registry: every key's
-    /// registration metadata, run counter, aliases, warm Ω, and
-    /// pinned pipeline, in ascending key order. Scheduled engine runs are
+    /// registration metadata, run counter and run log, aliases, warm Ω,
+    /// and pinned pipeline, in ascending key order. Scheduled engine runs are
     /// drained first so the snapshot is consistent.
     pub fn snapshot(&self) -> ServiceSnapshot {
         self.wait_idle();
@@ -374,16 +327,10 @@ impl Service {
             });
             ServeError::SnapshotCorrupt(reason)
         };
-        let text = match self.read_snapshot_file(path) {
-            SnapshotRead::Missing => {
-                return Err(ServeError::Snapshot(format!(
-                    "read {path:?} failed: not found"
-                )))
-            }
-            SnapshotRead::Io(reason) => return Err(ServeError::Snapshot(reason)),
-            SnapshotRead::Corrupt(reason) => return Err(corrupt(reason)),
-            SnapshotRead::Ok(text) => text,
-        };
+        let text = self.read_snapshot_file(path).map_err(|error| match error {
+            ServeError::SnapshotCorrupt(reason) => corrupt(reason),
+            other => other,
+        })?;
         let snapshot: ServiceSnapshot = serde_json::from_str(text.trim())
             .map_err(|e| corrupt(format!("decode {path:?} failed: {e}")))?;
         let mut built = Vec::with_capacity(snapshot.keys.len());
@@ -404,32 +351,33 @@ impl Service {
             // A key persisted with engine runs behind it but an *empty* Ω
             // was evicted before the snapshot was written; restoring it
             // "warm" would pin it empty forever (warm keys never re-warm).
-            // Restore it evicted instead: the next query re-warms it from
-            // its eviction sidecar or by engine replay.
-            if key.omega.is_empty() && key.engine_runs > 0 {
-                if created {
-                    entry.restore_engine_runs(key.engine_runs);
-                    entry.restore_drift_events(key.drift_events.unwrap_or(0));
-                    entry.lifecycle().restore_evicted();
-                }
+            // A created one is restored evicted instead, with its stream
+            // and run log: the next query replays its runs. An existing
+            // key keeps its own state.
+            let evicted = key.omega.is_empty() && key.engine_runs > 0;
+            if evicted && !created {
                 continue;
             }
-            // Hold a run claim while the snapshot lands: a concurrent
-            // budget/TTL eviction cannot interleave with the install
-            // (try_evict refuses keys with runs in flight), and the claim
-            // itself waits out any eviction already mid-drop — then
-            // resolves the key Warm with the loaded data.
-            let mut claim = entry.lifecycle().begin_run();
+            // A warm key lands under a run claim: a concurrent budget/TTL
+            // eviction cannot interleave with the install (try_evict
+            // refuses keys with runs in flight), and the claim itself
+            // waits out any eviction already mid-drop — then resolves the
+            // key Warm with the loaded data.
+            let claim = (!evicted).then(|| entry.lifecycle().begin_run());
             self.install(&entry, key, pipeline);
             if created {
                 entry.restore_engine_runs(key.engine_runs);
+                *entry.run_log() = key.run_log.clone().unwrap_or_default();
             }
             if let Some(drift_events) = key.drift_events {
                 if drift_events > entry.drift_events() {
                     entry.restore_drift_events(drift_events);
                 }
             }
-            claim.land();
+            match claim {
+                Some(mut claim) => claim.land(),
+                None => entry.restore_evicted(),
+            }
         }
         self.enforce_memory(u64::MAX);
         let merged_count = snapshot.keys.len() - created_count;

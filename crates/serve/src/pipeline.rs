@@ -28,7 +28,7 @@
 //! batches — the end-to-end tests assert it.
 
 use crate::counts::IngestCounts;
-use crate::lifecycle::StaleReason;
+use crate::lifecycle::{lock, StaleReason};
 use crate::registry::KeyEntry;
 use crate::service::{Result, ServeError, Service};
 use crate::telemetry::ServeEvent;
@@ -135,18 +135,17 @@ impl KeyPipeline {
     /// have left a torn posterior behind — the lock recovers from
     /// poisoning instead of cascading the panic into later estimates.
     pub fn posterior(&self) -> Option<Categorical> {
-        self.posterior
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        lock(&self.posterior).clone()
     }
 
-    /// Approximate resident heap bytes: the pinned matrix, the
-    /// accumulator's count vector plus a fixed allowance for its counters
-    /// and lock, and the stored posterior.
+    /// Approximate resident heap bytes: the pinned matrix, its cached
+    /// alias tables (one per column: n `f64` thresholds and n `usize`
+    /// aliases), the accumulator's count vector plus a fixed allowance
+    /// for its counters and lock, and the stored posterior.
     pub fn approx_bytes(&self) -> u64 {
         let n = self.matrix.num_categories() as u64;
-        n * n * 8 + (n * 8 + 64) + n * 8 + 64
+        let samplers = n * n * (8 + std::mem::size_of::<usize>() as u64);
+        n * n * 8 + samplers + (n * 8 + 64) + n * 8 + 64
     }
 
     /// The pipeline's persisted form: pinned channel, accumulated counts,
@@ -203,10 +202,7 @@ impl KeyPipeline {
             // The serialized Categorical restores its exact bit pattern,
             // so warm-started re-estimates resume identically. (Whole-value
             // replacement: poison recovery is safe, see `posterior`.)
-            *pipeline
-                .posterior
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(posterior.clone());
+            *lock(&pipeline.posterior) = Some(posterior.clone());
         }
         Ok(pipeline)
     }
@@ -298,8 +294,8 @@ pub struct EstimateOutcome {
     /// Whether the estimate exceeded the drift threshold (the key was
     /// marked stale and, if configured, a refresh run was scheduled).
     pub drifted: bool,
-    /// Whether the key was stale when the estimate returned (a drift
-    /// refresh that already landed clears it again).
+    /// Whether the key was stale once this estimate's drift check was
+    /// done, before the refresh it scheduled (if any) could run.
     pub stale: bool,
 }
 
@@ -501,9 +497,9 @@ impl Service {
     /// threshold marks the key stale and (if configured) schedules one
     /// refresh engine run — the telemetry-driven refresh trigger.
     pub fn estimate(self: &Arc<Self>, entry: &Arc<KeyEntry>) -> Result<EstimateOutcome> {
-        // An evicted key re-warms first (restoring its persisted pipeline
-        // when a sidecar exists), so estimation is as eviction-transparent
-        // as the point queries.
+        // An evicted key re-warms first, like a point query, so a drift
+        // trip finds it warm and schedules its refresh exactly as on a
+        // never-evicted key. The pipeline itself survives eviction.
         self.ensure_live(entry);
         let pipeline = entry.pipeline().ok_or_else(|| {
             ServeError::InvalidRequest("no responses ingested for this key yet".into())
@@ -538,10 +534,7 @@ impl Service {
                 }
             };
         // Whole-value replacement: poison recovery is safe, see `posterior`.
-        *pipeline
-            .posterior
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(distribution.clone());
+        *lock(&pipeline.posterior) = Some(distribution.clone());
         pipeline.estimates.fetch_add(1, Ordering::SeqCst);
         let mse_vs_prior = mean_squared_error(&distribution, entry.prior())
             .expect("estimate and prior share one domain");
@@ -552,16 +545,20 @@ impl Service {
                 key: entry.key(),
                 mse: mse_vs_prior,
             });
-            // The population no longer follows the registered prior. The
-            // lifecycle's compare-exchange makes concurrent drift
-            // observations schedule exactly one refresh between them —
-            // and records *why* the key is stale, so the scheduled run
-            // re-optimizes against this posterior instead of the prior.
-            if entry.lifecycle().try_mark_stale(StaleReason::Drift)
-                && self.config().refresh_on_drift
-            {
-                self.submit(entry, crate::refresh::Job::Run);
-            }
+        }
+        // On drift the population no longer follows the registered prior.
+        // The lifecycle's compare-exchange makes concurrent drift
+        // observations schedule exactly one refresh between them — and
+        // records *why* the key is stale, so the scheduled run
+        // re-optimizes against this posterior instead of the prior.
+        let scheduled = drifted
+            && entry.lifecycle().try_mark_stale(StaleReason::Drift)
+            && self.config().refresh_on_drift;
+        // Read before the scheduled refresh exists, so the reply does not
+        // depend on whether that run lands before it is built.
+        let stale = entry.is_stale();
+        if scheduled {
+            self.submit(entry, crate::refresh::Job::Run);
         }
         entry.touch(self.now_ms());
         Ok(EstimateOutcome {
@@ -574,7 +571,7 @@ impl Service {
             total_responses: merged.total(),
             batches: merged.batches(),
             drifted,
-            stale: entry.is_stale(),
+            stale,
         })
     }
 
@@ -641,6 +638,20 @@ mod tests {
         // An impossible bound on a fresh key has nothing to pin.
         let other = service.register(None, &PRIOR, 0.75, None, true).unwrap();
         assert!(service.pipeline_for(&other, 0.999).is_err());
+
+        // The byte count covers the alias tables: n tables of n `f64`
+        // and n `usize` beside the n² matrix, the counts and posterior.
+        let wide: Vec<f64> = (1..=10).map(f64::from).collect();
+        let wide = service.register(None, &wide, 0.8, None, true).unwrap();
+        let wide = service.pipeline_for(&wide, 0.0).unwrap();
+        for (pipeline, n) in [(&a, 4u64), (&wide, 10)] {
+            assert_eq!(pipeline.samplers().num_categories() as u64, n);
+            assert_eq!(
+                pipeline.approx_bytes(),
+                24 * n * n + 16 * n + 128,
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

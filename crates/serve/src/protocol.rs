@@ -157,11 +157,11 @@ pub enum Request {
         /// Path of the snapshot file to read.
         path: String,
     },
-    /// Evict a key's resident state (Ω matrices, warm-start seeds, pinned
-    /// pipeline) if it is idle. The key stays registered and re-warms
-    /// transparently on its next query — from its eviction sidecar when
-    /// persistence is configured, by deterministic engine replay
-    /// otherwise.
+    /// Evict a key's Ω matrices and warm-start seeds if it is idle. The
+    /// key stays registered and keeps its pinned pipeline (channel,
+    /// counts, posterior) and run log, so `Estimate` goes on from the
+    /// stream; its next query re-warms it transparently by replaying its
+    /// logged engine runs, which lands the same Ω bit for bit.
     Evict {
         /// Canonical fingerprint from `Registered`.
         key: Option<u64>,
@@ -342,7 +342,8 @@ pub struct EstimateDto {
     pub batches: u64,
     /// Whether the estimate exceeded the drift threshold.
     pub drifted: bool,
-    /// Whether the key is marked stale after this estimate.
+    /// Whether the key is marked stale after this estimate's drift check,
+    /// before the refresh it scheduled (if any) could run.
     pub stale: bool,
     /// Whether the key was serving degraded (last-good) data when this
     /// estimate was computed.

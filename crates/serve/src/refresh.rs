@@ -1,13 +1,18 @@
-//! The one job that runs on a key, and the memory budget it enforces.
+//! The one job that runs on a key, the per-key job queue that orders
+//! them, and the memory budget they enforce.
 //!
-//! Every engine run the service executes goes through here. A job holds
-//! the key's run claim ([`crate::lifecycle::StateCell::begin_run`]),
-//! restores the key's resident state when it finds the key evicted, and
-//! runs the engine unless it is a pure re-warm. It then lands the outcome
-//! or accounts the failure (retry with exponential backoff, degrade once
-//! the fail budget is spent), enforces the memory budget, and resolves
-//! the claim by dropping it. Batch warm-ups are jobs like any other, and
-//! re-warm replays land their outcomes through the same [`Service::land`];
+//! Every engine run the service executes goes through here. A key's jobs
+//! (warm-ups, refreshes, backoff retries, re-warms) wait in the key's
+//! queue and run one at a time, in submission order, each as one
+//! worker-pool job: two runs of one key never overlap, so each run's
+//! target and warm-start seeds follow from the key's job order alone. A
+//! job holds the key's run claim
+//! ([`crate::lifecycle::StateCell::begin_run`]), replays the key's runs
+//! when an eviction dropped its Ω, and runs the engine unless it is a
+//! pure re-warm. It then lands the outcome or accounts the failure (retry
+//! with exponential backoff, degrade once the fail budget is spent),
+//! enforces the memory budget, and resolves the claim by dropping it.
+//! Replays land their outcomes through the same [`Service::land`], and
 //! every engine run of one key is the same [`Service::engine_run`] call.
 
 use crate::lifecycle::{KeyState, RunClaim, StaleReason};
@@ -22,10 +27,13 @@ use std::time::Duration;
 /// What a job on a key does once it holds the run claim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Job {
-    /// One fresh engine run: a warm-up, a refresh, or a retry.
+    /// One fresh engine run: a warm-up or a refresh.
     Run,
-    /// Restore an evicted key's resident state, with no new run (the
-    /// query path's transparent re-warm).
+    /// A failed run's retry: waits out its backoff delay on the worker,
+    /// then runs like [`Job::Run`].
+    Retry(Duration),
+    /// Rebuild an evicted key's Ω, with no new run (the query path's
+    /// transparent re-warm).
     Rewarm,
 }
 
@@ -38,28 +46,63 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 impl Service {
-    /// Queues one job for a key on the worker pool.
+    /// Queues one job on a key. The key's jobs run one at a time in
+    /// submission order: the job that becomes the queue's head starts at
+    /// once, and each finishing job starts the next before its own pool
+    /// job ends, so [`Service::wait_idle`] stays a barrier over the queue.
     pub(crate) fn submit(self: &Arc<Self>, entry: &Arc<KeyEntry>, job: Job) {
-        let service = Arc::clone(self);
-        let entry = Arc::clone(entry);
-        self.pool.submit(move || service.run_job(&entry, job));
+        let mut jobs = entry.jobs();
+        jobs.push_back(job);
+        if jobs.len() == 1 {
+            drop(jobs);
+            self.start_head(entry, job);
+        }
+    }
+
+    /// Runs a key's head job as one worker-pool job.
+    fn start_head(self: &Arc<Self>, entry: &Arc<KeyEntry>, job: Job) {
+        /// Retires the head job and starts the next one when dropped, so
+        /// a job that panics (the pool contains it) cannot strand the
+        /// jobs queued behind it.
+        struct Handover(Arc<Service>, Arc<KeyEntry>);
+        impl Drop for Handover {
+            fn drop(&mut self) {
+                let mut jobs = self.1.jobs();
+                jobs.pop_front();
+                if let Some(&next) = jobs.front() {
+                    drop(jobs);
+                    self.0.start_head(&self.1, next);
+                }
+            }
+        }
+        let handover = Handover(Arc::clone(self), Arc::clone(entry));
+        self.pool
+            .submit(move || handover.0.run_job(&handover.1, job));
     }
 
     /// Runs one job on a key, on a pool worker.
     fn run_job(self: &Arc<Self>, entry: &Arc<KeyEntry>, job: Job) {
+        if let Job::Retry(delay) = job {
+            std::thread::sleep(delay);
+        }
+        if job == Job::Rewarm {
+            entry.touch(self.now_ms());
+            // An earlier job of this key already replayed what the
+            // eviction dropped: nothing is left to restore.
+            if !entry.needs_replay() {
+                return;
+            }
+        }
         let mut claim = entry.lifecycle().begin_run();
-        // A re-warm claimed the key out of `Evicted` itself. A run that
-        // finds it evicted (an explicit Refresh after an Evict, or a
-        // budget eviction racing a queued drift refresh) restores first
-        // too, so it improves on the pre-eviction Ω and warm-starts from
-        // the restored seed chain instead of cold-running into a wiped
-        // store.
-        if job == Job::Rewarm || claim.started_from() == KeyState::Evicted {
+        // Whatever state the claim started from, a job that finds the Ω
+        // dropped replays it first, so a run improves on the pre-eviction
+        // Ω and warm-starts from the replayed seed chain instead of
+        // cold-running into a wiped store.
+        if entry.take_replay() {
             self.restore_resident(entry);
         }
-        match job {
-            Job::Run => self.run_fresh(entry, &mut claim),
-            Job::Rewarm => entry.touch(self.now_ms()),
+        if job != Job::Rewarm {
+            self.run_fresh(entry, &mut claim);
         }
         // Enforce the budget before the claim resolves, so a waiter woken
         // by this job never observes the accounting above budget.
@@ -97,12 +140,20 @@ impl Service {
             // store bitwise-equal to a never-faulted one.
             let target = self.refresh_target(entry, from);
             self.engine_run(entry, run_index, target.as_ref(), entry.take_warm_seeds())
+                .map(|outcome| (target, outcome))
         }));
-        let result = match result {
-            Ok(ran) => ran.map_err(|error| error.to_string()),
-            Err(payload) => Err(panic_message(payload)),
-        };
-        self.resolve_run(entry, claim, run_index, result);
+        // A landed run marks the claim landed; a failed one goes through
+        // the retry and degrade accounting.
+        match result {
+            Ok(Ok((target, outcome))) => {
+                self.land(entry, run_index, target, outcome);
+                claim.land();
+            }
+            Ok(Err(error)) => self.note_refresh_failure(entry, claim, run_index, error.to_string()),
+            Err(payload) => {
+                self.note_refresh_failure(entry, claim, run_index, panic_message(payload))
+            }
+        }
     }
 
     /// The engine configuration for one run of one key: the shared budget
@@ -137,10 +188,10 @@ impl Service {
         optimizer.optimize_refresh(entry.prior(), target, seeds)
     }
 
-    /// The optimization target of one refresh run. Drift- and
-    /// coverage-stale keys re-optimize against the estimated posterior
-    /// (when one exists); warm-ups, manual refreshes, and re-warms target
-    /// the registered prior.
+    /// The optimization target of one fresh run, chosen when it starts.
+    /// Drift- and coverage-stale keys re-optimize against the estimated
+    /// posterior (when one exists); warm-ups and manual refreshes target
+    /// the registered prior. Replays read the run log instead.
     fn refresh_target(&self, entry: &KeyEntry, from: KeyState) -> Option<Categorical> {
         match from.stale_reason() {
             Some(StaleReason::Drift) | Some(StaleReason::Coverage) => entry
@@ -151,32 +202,20 @@ impl Service {
         }
     }
 
-    /// Resolves one fresh run's outcome under its claim: a landed run
-    /// marks the claim landed, a failed one goes through the retry and
-    /// degrade accounting.
-    fn resolve_run(
-        self: &Arc<Self>,
-        entry: &Arc<KeyEntry>,
-        claim: &mut RunClaim<'_>,
-        run_index: u64,
-        result: std::result::Result<OptrrOutcome, String>,
-    ) {
-        match result {
-            Ok(outcome) => {
-                self.land(entry, run_index, outcome);
-                claim.land();
-            }
-            Err(reason) => self.note_refresh_failure(entry, claim, run_index, reason),
-        }
-    }
-
     /// Lands one engine outcome in a key's warm store: the one landing
     /// path of warm-ups, refreshes and re-warm replays. The run is traced,
     /// its Ω joins the store, its archive becomes the next run's seed
-    /// set, and the key's failure episode ends (the streak starts over).
-    fn land(&self, entry: &KeyEntry, run_index: u64, outcome: OptrrOutcome) {
+    /// set, the run log records its target, and the key's failure
+    /// episode ends (the streak starts over).
+    fn land(
+        &self,
+        entry: &KeyEntry,
+        run_index: u64,
+        target: Option<Categorical>,
+        outcome: OptrrOutcome,
+    ) {
         self.trace_run(entry, run_index, Some(&outcome.statistics));
-        entry.land_run(outcome);
+        entry.land_run(run_index, target, outcome);
         entry.reset_failure_streak();
     }
 
@@ -244,16 +283,11 @@ impl Service {
             attempt: streak,
             delay_ms: delay.as_millis() as u64,
         });
-        let service = Arc::clone(self);
-        let job = Arc::clone(entry);
         // The backoff sleeps *inside* the retry job, on a pool worker:
-        // the job is already pending when this run resolves, so
+        // the retry is queued behind this job before it resolves, so
         // `wait_idle` (and the protocol's `Sync`) remain true barriers
         // over the whole retry chain.
-        self.pool.submit(move || {
-            std::thread::sleep(delay);
-            service.run_job(&job, Job::Run);
-        });
+        self.submit(entry, Job::Retry(delay));
     }
 
     /// Deterministic exponential backoff: attempt `n` (1-based) waits
@@ -269,36 +303,29 @@ impl Service {
         Duration::from_millis(ms)
     }
 
-    /// Restores an evicted key's resident state under the caller's run
-    /// claim: from its eviction sidecar (bitwise), else by replaying its
-    /// runs (bitwise for prior-targeted histories — a replay cannot
-    /// recover a dropped pipeline's posterior). The one place a re-warm
-    /// is counted and traced.
-    fn restore_resident(self: &Arc<Self>, entry: &Arc<KeyEntry>) {
-        if !self.restore_from_sidecar(entry) {
-            self.replay_runs(entry);
-        }
-        entry.count_rewarm();
-        self.obs.emit(ServeEvent::Rewarmed { key: entry.key() });
-    }
-
-    /// Replays a key's engine runs `0..n` in order, each warm-started from
-    /// the previous one's archive, without claiming new run indices. A
-    /// failed run stops the replay and leaves the seed set empty.
-    fn replay_runs(&self, entry: &KeyEntry) {
+    /// Rebuilds an evicted key's Ω and seed set under the caller's run
+    /// claim: replays its runs `0..n` in order, each against its logged
+    /// target and warm-started from the previous one's archive, without
+    /// claiming new run indices — bit for bit the runs that landed. A
+    /// failed run stops the replay and leaves the seed set empty. The one
+    /// place a re-warm is counted and traced.
+    fn restore_resident(&self, entry: &KeyEntry) {
         for run_index in 0..entry.engine_runs().max(1) {
-            match self.engine_run(entry, run_index, None, entry.take_warm_seeds()) {
-                Ok(outcome) => self.land(entry, run_index, outcome),
+            let target = entry.run_log().get(run_index as usize).cloned().flatten();
+            match self.engine_run(entry, run_index, target.as_ref(), entry.take_warm_seeds()) {
+                Ok(outcome) => self.land(entry, run_index, target, outcome),
                 Err(error) => {
                     eprintln!(
                         "optrr-serve: re-warm of key {:x} failed at run {run_index}: {error}",
                         entry.key()
                     );
                     entry.put_warm_seeds(Vec::new());
-                    return;
+                    break;
                 }
             }
         }
+        entry.count_rewarm();
+        self.obs.emit(ServeEvent::Rewarmed { key: entry.key() });
     }
 
     /// Evicts expired keys (TTL) and then least-recently-touched keys

@@ -131,18 +131,11 @@ impl Registry {
         self.len() == 0
     }
 
-    /// All aliases bound to a key, sorted — the inverse of [`bind_name`].
+    /// The whole alias map inverted in one pass — key → sorted aliases,
+    /// the inverse of [`bind_name`] — so a `Save` over many keys stays
+    /// linear in the alias count.
     ///
     /// [`bind_name`]: Registry::bind_name
-    pub fn names_of(&self, key: u64) -> Vec<String> {
-        self.names_by_key().remove(&key).unwrap_or_default()
-    }
-
-    /// The whole alias map inverted in one pass: key → sorted aliases.
-    /// Snapshotting uses this instead of a per-key [`names_of`] scan so a
-    /// `Save` over many keys stays linear in the alias count.
-    ///
-    /// [`names_of`]: Registry::names_of
     pub fn names_by_key(&self) -> HashMap<u64, Vec<String>> {
         let names = self.names_read();
         let mut inverse: HashMap<u64, Vec<String>> = HashMap::new();
@@ -161,9 +154,9 @@ impl Registry {
         self.entries_read().values().map(Arc::clone).collect()
     }
 
-    /// Total approximate resident bytes across every entry with warm
-    /// data — the quantity a memory budget bounds. Cold and evicted keys
-    /// count zero: an empty slot vector is bounded by
+    /// Total approximate resident bytes across every entry — the quantity
+    /// a memory budget bounds. An evicted key still counts its pinned
+    /// pipeline and run log; an empty slot vector counts zero, bounded by
     /// [`crate::MAX_OMEGA_SLOTS`], not by the budget.
     pub fn resident_bytes(&self) -> u64 {
         self.entries().iter().map(|e| e.resident_bytes()).sum()
@@ -236,14 +229,15 @@ mod tests {
     }
 
     #[test]
-    fn names_of_inverts_bind_name_sorted() {
+    fn names_by_key_inverts_bind_name_sorted() {
         let registry = Registry::new();
         let (entry, _) = registry.insert_or_get(&prior(), 0.8, 100);
-        assert!(registry.names_of(entry.key()).is_empty());
+        assert!(registry.names_by_key().is_empty());
         registry.bind_name("zeta", entry.key());
         registry.bind_name("alpha", entry.key());
-        assert_eq!(registry.names_of(entry.key()), vec!["alpha", "zeta"]);
-        assert!(registry.names_of(12345).is_empty());
+        let names = registry.names_by_key();
+        assert_eq!(names[&entry.key()], vec!["alpha", "zeta"]);
+        assert_eq!(names.len(), 1);
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //! no counters of its own: [`Service::totals`] sums the per-key ones.
 //! The rest of `impl Service` lives in three crate-private modules:
 //!
-//! * `refresh` — the one job that runs on a key: it claims the run,
-//!   restores an evicted key (sidecar or deterministic replay), runs the
-//!   engine unless the job is a pure re-warm, lands the outcome through
-//!   the one landing path or retries, backs off and degrades, and
-//!   enforces the memory budget and TTL before the claim resolves.
+//! * `refresh` — the per-key job queue and the one job that runs on a
+//!   key: it claims the run, replays an evicted key's logged runs, runs
+//!   the engine unless the job is a pure re-warm, lands the outcome
+//!   through the one landing path or retries, backs off and degrades,
+//!   and enforces the memory budget and TTL before the claim resolves.
 //! * `persist` — the crash-safe snapshot file, all-or-nothing
-//!   `Save`/`Load`, eviction sidecars, and the one installer of a
-//!   persisted [`KeySnapshot`].
+//!   `Save`/`Load`, and the one installer of a persisted
+//!   [`KeySnapshot`].
 //! * `dispatch` — [`Service::handle`]: protocol requests onto this API,
 //!   errors onto the [`ServeError::code`] taxonomy.
 //!
@@ -148,17 +148,19 @@ pub struct ServiceConfig {
     /// query-shape trigger.
     pub coverage_miss_threshold: u64,
     /// Global bound on resident bytes (Ω matrices + warm-start seeds +
-    /// ingest accumulators) across all keys. When exceeded, idle keys are
-    /// evicted in least-recently-touched order. `None` disables eviction.
+    /// pinned pipelines + run logs) across all keys. When exceeded, idle
+    /// keys are evicted in least-recently-touched order; an eviction
+    /// frees a key's Ω and seeds, not its pipeline or run log. `None`
+    /// disables eviction.
     pub memory_budget_bytes: Option<u64>,
     /// Idle time after which a key's resident state is evicted (checked on
     /// `Sync` and whenever the budget is enforced). `None` disables TTL.
     pub key_ttl: Option<Duration>,
-    /// Base path for persistence. When set: `Sync` and `Shutdown` write a
-    /// full [`ServiceSnapshot`] here, and every eviction writes the
-    /// victim's [`KeySnapshot`] to a per-key sidecar
-    /// (`<path>.key-<fingerprint>.json`) from which the next query
-    /// re-warms it bitwise-identically.
+    /// Path of the automatic snapshot: when set, `Sync` and `Shutdown`
+    /// write a full [`ServiceSnapshot`] here. Evictions write nothing: an
+    /// evicted key comes back by replaying its logged runs. The per-key
+    /// files (`<path>.key-<fingerprint>.json`) that older builds wrote at
+    /// eviction are ignored.
     pub snapshot_path: Option<String>,
     /// Whether the service records observability at all (counters,
     /// per-verb latency histograms, the event trace). Recording is
@@ -571,8 +573,9 @@ impl Service {
             .collect()
     }
 
-    /// Marks a key manually stale and schedules `runs` refresh engine runs
-    /// on the worker pool. Returns the number scheduled.
+    /// Marks a key manually stale and queues `runs` refresh engine runs
+    /// on the key's job queue, where they run one after another. Returns
+    /// the number scheduled.
     pub fn refresh(self: &Arc<Self>, entry: &Arc<KeyEntry>, runs: usize) -> usize {
         let runs = runs.clamp(1, MAX_REFRESH_RUNS);
         // A drift- or coverage-stale key keeps its recorded reason (the
@@ -582,21 +585,21 @@ impl Service {
         runs
     }
 
-    /// Evicts a key's resident state (Ω matrices, warm-start seeds, pinned
-    /// pipeline) if it is idle, writing its eviction sidecar first when
-    /// persistence is configured. Returns the bytes freed, or `None` when
+    /// Evicts what a replay rebuilds — a key's Ω matrices and warm-start
+    /// seeds — if the key is idle. The pinned pipeline and the run log
+    /// stay, so the stream's estimates go on and the next job replays the
+    /// key's runs bit for bit. Returns the bytes freed, or `None` when
     /// the key was not evictable (cold, warming, already evicted, or a run
     /// in flight).
     pub fn evict_key(&self, entry: &Arc<KeyEntry>) -> Option<u64> {
         // The claim parks the key in `Evicting`: queries, re-warm claims,
-        // and queued runs wait until `finish_evict`, so the sidecar write
-        // and the drop below are atomic to every observer — a concurrent
-        // re-warm can neither read a half-dropped store nor land a fresh
-        // one for this eviction to wipe.
+        // and queued runs wait until `finish_evict`, so the drop below is
+        // atomic to every observer — a concurrent re-warm can neither read
+        // a half-dropped store nor land a fresh one for this eviction to
+        // wipe.
         if !entry.lifecycle().try_evict() {
             return None;
         }
-        self.write_sidecar(entry);
         let freed = entry.drop_resident_state();
         self.obs.emit(ServeEvent::Evicted {
             key: entry.key(),
@@ -910,30 +913,41 @@ mod tests {
         service
             .ingest(&three, Some(0.0), None, Some(&[50, 30, 20]), None)
             .unwrap();
-        let mut snapshot = service.snapshot();
-        snapshot.keys.retain(|key| key.prior.len() == 4);
-        assert_eq!(snapshot.keys.len(), 3);
+        let mut saved = service.snapshot();
+        saved.keys.retain(|key| key.prior.len() == 4);
+        assert_eq!(saved.keys.len(), 3);
 
-        // The second key's 4×4 channel gets 3-category counts.
-        let foreign_counts = three.pipeline().unwrap().snapshot().counts;
-        snapshot.keys[1].pipeline.as_mut().unwrap().counts = foreign_counts;
-        std::fs::write(path, serde_json::to_string(&snapshot).unwrap()).unwrap();
-
+        // The second key gets, in turn, the 3-category key's 3×3 channel,
+        // its own 4×4 channel over 3-category counts, and a 3-category
+        // run target; the file is headerless, as older snapshots are.
+        let foreign = three.pipeline().unwrap().snapshot();
+        let foreign_target = Categorical::new(vec![0.5, 0.3, 0.2]).unwrap();
         let restarted = smoke_service();
         restarted
             .register(Some("resident"), &PRIOR, 0.8, None, true)
             .unwrap();
-        let response = restarted.handle(Request::Load {
-            path: path.to_string(),
-        });
-        assert!(
-            matches!(&response, Response::Error { code, .. } if code == "snapshot_corrupt"),
-            "got {response:?}"
-        );
-        // The registry is exactly as before the failed Load.
-        assert_eq!(restarted.registry().len(), 1);
-        assert!(restarted.resolve(None, Some("k0")).is_err());
-        assert_eq!(counter(&restarted, "serve_snapshot_load_failures_total"), 1);
+        for round in 0..3 {
+            let mut snapshot = saved.clone();
+            let key = &mut snapshot.keys[1];
+            match round {
+                0 => key.pipeline = Some(foreign.clone()),
+                1 => key.pipeline.as_mut().unwrap().counts = foreign.counts.clone(),
+                _ => key.run_log = Some(vec![Some(foreign_target.clone())]),
+            }
+            std::fs::write(path, serde_json::to_string(&snapshot).unwrap()).unwrap();
+            let response = restarted.handle(Request::Load {
+                path: path.to_string(),
+            });
+            assert!(
+                matches!(&response, Response::Error { code, .. } if code == "snapshot_corrupt"),
+                "round {round}: got {response:?}"
+            );
+            // The registry is exactly as before the failed Load.
+            assert_eq!(restarted.registry().len(), 1);
+            assert!(restarted.resolve(None, Some("k0")).is_err());
+            let failures = counter(&restarted, "serve_snapshot_load_failures_total");
+            assert_eq!(failures, round + 1);
+        }
         let _ = std::fs::remove_file(path);
     }
 
@@ -1031,8 +1045,10 @@ mod tests {
         let warm_merge = entry.store().merge();
         let resident_before = entry.resident_bytes();
 
+        // The eviction frees the Ω and the seed set; the run log stays.
         let freed = service.evict_key(&entry).expect("idle key evicts");
-        assert_eq!(freed, resident_before);
+        assert_eq!(freed, resident_before - entry.resident_bytes());
+        assert!(freed > 0);
         assert_eq!(entry.state(), KeyState::Evicted);
         assert!(!entry.is_warm());
         assert!(entry.store().is_empty());
@@ -1189,6 +1205,7 @@ mod tests {
     #[test]
     fn evict_verb_and_stats_fields_round_trip_through_the_protocol() {
         let dir = std::env::temp_dir().join("optrr_serve_autosave_test");
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("autosave.json");
         let path_str = path.to_str().unwrap().to_string();
@@ -1221,18 +1238,19 @@ mod tests {
             lines[3]
         );
         assert!(lines[4].contains(r#""evictions":1"#), "got {}", lines[4]);
-        // Sync auto-saved the configured snapshot; the eviction wrote a
-        // per-key sidecar next to it.
-        assert!(path.exists(), "autosave file missing");
+        // Sync auto-saved the configured snapshot, the only file written:
+        // the eviction wrote none.
+        let written: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|f| f.unwrap().file_name())
+            .collect();
+        assert_eq!(written, ["autosave.json"]);
+        // The replay re-warms the evicted key without claiming a run.
         let entry = service.resolve(None, Some("demo")).unwrap();
-        let sidecar = Service::sidecar_path(&path_str, entry.key());
-        assert!(std::path::Path::new(&sidecar).exists(), "sidecar missing");
-        // The sidecar re-warms the evicted key bitwise (no engine run).
         let before_runs = entry.engine_runs();
         assert!(service.best_for_privacy(&entry, 0.0).is_some());
         assert_eq!(entry.engine_runs(), before_runs);
         assert_eq!(entry.rewarms(), 1);
-        let _ = std::fs::remove_file(&sidecar);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1416,103 +1434,5 @@ mod tests {
         assert_eq!(created, 1);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(format!("{path_str}.tmp"));
-    }
-
-    #[test]
-    fn unreadable_sidecar_falls_back_to_deterministic_replay() {
-        let dir = std::env::temp_dir().join("optrr_serve_sidecar_fault_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("auto.json");
-        let path_str = path.to_str().unwrap().to_string();
-        let mut config = ServiceConfig::smoke(77);
-        config.snapshot_path = Some(path_str.clone());
-        let service = Arc::new(Service::new(config));
-        let entry = service
-            .register(Some("s"), &PRIOR, 0.8, None, true)
-            .unwrap();
-        let warm_merge = entry.store().merge();
-        service.evict_key(&entry).expect("idle key evicts");
-        let sidecar = Service::sidecar_path(&path_str, entry.key());
-        // Corrupt the sidecar on disk: the re-warm must detect it (typed
-        // event, counter), fall back to the engine replay, and still
-        // converge to the identical store — never serve the bad bytes and
-        // never fail the query.
-        std::fs::write(&sidecar, "OPTRR-SNAP v1 crc=0000000000000000 len=3\nxyz\n").unwrap();
-        assert!(service.best_for_privacy(&entry, 0.0).is_some());
-        assert_eq!(entry.state(), KeyState::Warm);
-        assert_eq!(entry.store().merge(), warm_merge);
-        assert_eq!(entry.engine_runs(), 1, "replayed, not loaded");
-        let metrics = service.obs().render_prometheus();
-        assert!(
-            metrics.contains("serve_snapshot_load_failures_total 1"),
-            "{metrics}"
-        );
-        let _ = std::fs::remove_file(&sidecar);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn mis_shaped_legacy_sidecar_is_refused_and_replayed() {
-        let dir = std::env::temp_dir().join("optrr_serve_sidecar_shape_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("auto.json");
-        let path_str = path.to_str().unwrap().to_string();
-        let mut config = ServiceConfig::smoke(77);
-        config.snapshot_path = Some(path_str.clone());
-        let service = Arc::new(Service::new(config));
-        let entry = service
-            .register(Some("four"), &[0.4, 0.3, 0.2, 0.1], 0.8, None, true)
-            .unwrap();
-        let warm_merge = entry.store().merge();
-        service
-            .ingest(&entry, Some(0.0), None, Some(&[40, 30, 20, 10]), None)
-            .unwrap();
-        let own_pipeline = entry.pipeline().unwrap().snapshot();
-        let three = service
-            .register(Some("three"), &[0.5, 0.3, 0.2], 0.8, None, true)
-            .unwrap();
-        service
-            .ingest(&three, Some(0.0), None, Some(&[50, 30, 20]), None)
-            .unwrap();
-        let foreign_pipeline = three.pipeline().unwrap().snapshot();
-        // Two pipelines that do not fit a 4-category key: a pinned 3×3
-        // channel from another key, and the key's own 4×4 channel over
-        // 3-category counts.
-        let mut foreign_counts = own_pipeline;
-        foreign_counts.counts = foreign_pipeline.counts.clone();
-
-        let sidecar = Service::sidecar_path(&path_str, entry.key());
-        for (round, pipeline) in [foreign_pipeline, foreign_counts].into_iter().enumerate() {
-            // Rewrite the key's sidecar as a legacy headerless file with
-            // the mis-shaped pipeline: slot count and Ω still match, so
-            // only the shape check can refuse it.
-            service.evict_key(&entry).expect("idle key evicts");
-            let text = std::fs::read_to_string(&sidecar).unwrap();
-            let (_, payload) = text.split_once('\n').expect("headered sidecar");
-            let mut snapshot: KeySnapshot = serde_json::from_str(payload.trim()).unwrap();
-            snapshot.pipeline = Some(pipeline);
-            std::fs::write(&sidecar, serde_json::to_string(&snapshot).unwrap()).unwrap();
-
-            // The re-warm refuses the sidecar (typed event, counter) and
-            // replays: the Ω comes back bitwise and no channel is pinned,
-            // so Estimate answers an error instead of panicking on the
-            // dimension mismatch.
-            let response = service.handle(Request::Estimate {
-                key: Some(entry.key()),
-                name: None,
-            });
-            assert!(
-                matches!(response, Response::Error { .. }),
-                "got {response:?}"
-            );
-            assert_eq!(entry.state(), KeyState::Warm);
-            assert_eq!(entry.store().merge(), warm_merge);
-            assert!(entry.pipeline().is_none());
-            let metrics = metrics_text(&service);
-            let failures = format!("serve_snapshot_load_failures_total {}", round + 1);
-            assert!(metrics.contains(&failures), "{metrics}");
-        }
-        let _ = std::fs::remove_file(&sidecar);
-        let _ = std::fs::remove_file(&path);
     }
 }

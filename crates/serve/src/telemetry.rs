@@ -164,10 +164,11 @@ pub enum ServeEvent {
         /// Consecutive failures that exhausted the budget.
         failures: u64,
     },
-    /// A snapshot or sidecar file failed to load: I/O error, corrupt or
-    /// torn content (checksum/length mismatch), or a shape mismatch. The
-    /// caller falls back to deterministic replay — this event is what
-    /// makes that fallback visible.
+    /// A snapshot file failed to load: corrupt or torn content
+    /// (checksum/length mismatch), a payload that does not decode, or a
+    /// key whose shape does not fit its registration. `Load` installs
+    /// nothing and answers `snapshot_corrupt`; this event is what makes
+    /// the refusal visible in the metrics.
     SnapshotLoadFailed {
         /// Path of the file that failed to load.
         path: String,

@@ -8,7 +8,8 @@
 //! job has finished, which is what the protocol's `Sync` request and the
 //! deterministic tests use as a barrier. Which run a job performs — and
 //! whether exactly one was scheduled — is decided by the per-key state
-//! machine in [`crate::lifecycle`]; the pool itself is oblivious.
+//! machine in [`crate::lifecycle`], and each key hands the pool one job
+//! at a time from its own queue; the pool itself is oblivious.
 
 use obs::Counter;
 use std::collections::VecDeque;

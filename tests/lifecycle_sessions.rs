@@ -8,14 +8,15 @@
 //! under the configured byte budget, and still answers bitwise-identical
 //! queries after transparent re-warms; snapshots now carry ingest
 //! accumulators and posteriors, so a restart resumes in-flight estimation
-//! streams bitwise; and a property test drives arbitrary interleavings of
+//! streams bitwise; an evicted key keeps its stream and replays its logged
+//! runs, drift-targeted ones included, bit for bit, also through a
+//! snapshot; and a property test drives arbitrary interleavings of
 //! ingest/estimate/query/evict events against a never-evicted reference.
 
 use proptest::{prop_assert_eq, proptest};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serve::{KeyState, Service, ServiceConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const PRIOR: [f64; 5] = [0.35, 0.25, 0.2, 0.12, 0.08];
@@ -288,6 +289,63 @@ fn memory_budgeted_session_evicts_lru_and_answers_bitwise_after_rewarm() {
     );
 }
 
+#[test]
+fn drift_history_replays_bitwise_after_eviction_and_through_a_snapshot() {
+    let dir = std::env::temp_dir().join("optrr_lifecycle_run_log_snapshot");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (warm_path, evicted_path) = (dir.join("warm.json"), dir.join("evicted.json"));
+    let (warm_path, evicted_path) = (warm_path.to_str().unwrap(), evicted_path.to_str().unwrap());
+
+    // Run 1 of this key targets the estimated posterior, not the prior.
+    let seed = 2008;
+    let service = smoke_service(seed);
+    let entry = service
+        .register(Some("drifting"), &PRIOR, DELTA, None, true)
+        .unwrap();
+    service
+        .ingest(&entry, Some(0.0), None, Some(&DRIFTED_COUNTS), None)
+        .unwrap();
+    let estimate = service.estimate(&entry).unwrap();
+    assert!(estimate.drifted);
+    service.wait_idle();
+    assert_eq!(entry.engine_runs(), 2);
+    let warm = entry.store().merge();
+    service.save_snapshot(warm_path).unwrap();
+
+    // Eviction keeps the stream, and the replay of both logged runs
+    // lands the same Ω.
+    let pipeline = entry.pipeline().unwrap();
+    service.evict_key(&entry).expect("idle key evicts");
+    assert!(Arc::ptr_eq(&entry.pipeline().unwrap(), &pipeline));
+    assert!(service.best_for_privacy(&entry, 0.0).is_some());
+    assert!(same_omega_slots(&entry.store().merge(), &warm));
+    assert_eq!((entry.engine_runs(), entry.rewarms()), (2, 1));
+
+    // A snapshot written while the key is evicted carries its stream and
+    // run log, and so does one written while it is warm: a restarted
+    // service evicted either way replays the same Ω, and estimates from
+    // the same counts.
+    service.evict_key(&entry).expect("idle key evicts");
+    service.save_snapshot(evicted_path).unwrap();
+    for path in [warm_path, evicted_path] {
+        let restarted = smoke_service(seed);
+        restarted.load_snapshot(path).unwrap();
+        let restored = restarted.resolve(None, Some("drifting")).unwrap();
+        restarted.evict_key(&restored);
+        assert_eq!(restored.state(), KeyState::Evicted, "{path}");
+        assert!(restarted.best_for_privacy(&restored, 0.0).is_some());
+        assert!(
+            same_omega_slots(&restored.store().merge(), &warm),
+            "{path}: the replay must land the drift run's Ω"
+        );
+        assert_eq!(restored.engine_runs(), 2, "{path}");
+        let resumed = restarted.estimate(&restored).unwrap();
+        assert_eq!(resumed.total_responses, estimate.total_responses, "{path}");
+        restarted.wait_idle();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The events the lifecycle property test interleaves.
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -372,29 +430,20 @@ fn apply_event(
 }
 
 proptest! {
-    #![proptest_config(proptest::test_runner::Config::with_cases(12))]
-
     /// The lifecycle property: any interleaving of
     /// ingest/estimate/query/evict events yields results bitwise-equal to
-    /// a never-evicted single-threaded run over the same events.
+    /// a never-evicted single-threaded run over the same events. Drifted
+    /// estimates schedule posterior-targeted runs, which the subject's
+    /// re-warms replay. Runs `PROPTEST_CASES` cases (64 by default).
     #[test]
     fn any_event_interleaving_matches_a_never_evicted_run(
         bytes in proptest::collection::vec(0u8..=255u8, 1..16),
     ) {
-        static CASE: AtomicUsize = AtomicUsize::new(0);
-        let case = CASE.fetch_add(1, Ordering::SeqCst);
-        let dir = std::env::temp_dir()
-            .join(format!("optrr_lifecycle_property_{}_{case}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("evictions.json");
-        let base = base.to_str().unwrap().to_string();
-
         let seed = 4242;
-        // The subject evicts (persisting sidecars); the reference never
-        // does. Everything else is identical.
-        let mut subject_config = ServiceConfig::tiny(seed);
-        subject_config.snapshot_path = Some(base);
-        let subject = Arc::new(Service::new(subject_config));
+        // The subject evicts, with no snapshot path: every re-warm is a
+        // replay of the logged runs. The reference never evicts.
+        // Everything else is identical.
+        let subject = Arc::new(Service::new(ServiceConfig::tiny(seed)));
         let reference = Arc::new(Service::new(ServiceConfig::tiny(seed)));
 
         let subject_key = subject
@@ -435,6 +484,5 @@ proptest! {
             reference_key.engine_runs(),
             "eviction must not burn run indices"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -108,6 +108,28 @@ fn refresh_runs_land_through_the_worker_pool_and_only_improve() {
         }
     }
     assert!(after.len() >= before.len());
+
+    // A key's runs go one at a time: three runs from one request end
+    // bitwise where three one-run requests, each drained, end.
+    let twin = smoke_service(7);
+    let twin_entry = twin
+        .register(Some("refresh"), &PRIOR, DELTA, None, true)
+        .unwrap();
+    for _ in 0..3 {
+        twin.refresh(&twin_entry, 1);
+        twin.wait_idle();
+    }
+    let sequential = twin_entry.store().merge();
+    assert_eq!(twin_entry.engine_runs(), 4);
+    for slot in 0..after.num_slots() {
+        let bits = |omega: &optrr::OmegaSet| {
+            omega.entry(slot).map(|e| {
+                let (privacy, mse) = (e.evaluation.privacy, e.evaluation.mse);
+                (privacy.to_bits(), mse.to_bits(), e.matrix.clone())
+            })
+        };
+        assert_eq!(bits(&after), bits(&sequential), "slot {slot} differs");
+    }
 }
 
 #[test]
