@@ -180,23 +180,34 @@ impl OmegaSet {
     }
 
     /// Returns the non-dominated subset of Ω (some slots can be dominated
-    /// by neighbours that achieve both better privacy and better MSE).
+    /// by neighbours that achieve both better privacy and better MSE), in
+    /// increasing privacy order.
+    ///
+    /// One right-to-left sweep: [`OmegaSet::offer`] routes each privacy
+    /// through a monotone floor, so filled slots hold strictly increasing
+    /// privacy, and an entry is dominated exactly when a later slot has an
+    /// MSE at or below its own. A NaN privacy (routed to slot 0) compares
+    /// false both ways, so its entry is kept and dominates nothing.
     pub fn pareto_entries(&self) -> Vec<&OmegaEntry> {
-        let all: Vec<&OmegaEntry> = self.entries().collect();
-        all.iter()
-            .filter(|a| {
-                !all.iter().any(|b| {
-                    // b dominates a: privacy >= (higher better), mse <= (lower
-                    // better), with at least one strict.
-                    let better_privacy = b.evaluation.privacy >= a.evaluation.privacy;
-                    let better_mse = b.evaluation.mse <= a.evaluation.mse;
-                    let strictly = b.evaluation.privacy > a.evaluation.privacy
-                        || b.evaluation.mse < a.evaluation.mse;
-                    better_privacy && better_mse && strictly
-                })
+        let mut best_mse = f64::INFINITY;
+        let mut front: Vec<&OmegaEntry> = self
+            .slots
+            .iter()
+            .rev()
+            .flatten()
+            .filter(|e| {
+                if e.evaluation.privacy.is_nan() {
+                    return true;
+                }
+                let kept = e.evaluation.mse < best_mse;
+                if kept {
+                    best_mse = e.evaluation.mse;
+                }
+                kept
             })
-            .copied()
-            .collect()
+            .collect();
+        front.reverse();
+        front
     }
 
     /// The best entry whose privacy is at least `min_privacy`, by MSE.
@@ -257,6 +268,26 @@ mod tests {
 
     fn matrix() -> RrMatrix {
         warner(4, 0.7).unwrap()
+    }
+
+    /// The pairwise O(k²) dominance filter — the oracle the sweep in
+    /// [`OmegaSet::pareto_entries`] must match entry for entry.
+    fn pareto_entries_pairwise(omega: &OmegaSet) -> Vec<&OmegaEntry> {
+        let all: Vec<&OmegaEntry> = omega.entries().collect();
+        all.iter()
+            .filter(|a| {
+                !all.iter().any(|b| {
+                    // b dominates a: privacy >= (higher better), mse <= (lower
+                    // better), with at least one strict.
+                    let better_privacy = b.evaluation.privacy >= a.evaluation.privacy;
+                    let better_mse = b.evaluation.mse <= a.evaluation.mse;
+                    let strictly = b.evaluation.privacy > a.evaluation.privacy
+                        || b.evaluation.mse < a.evaluation.mse;
+                    better_privacy && better_mse && strictly
+                })
+            })
+            .copied()
+            .collect()
     }
 
     #[test]
@@ -342,9 +373,46 @@ mod tests {
         omega.offer(&m, &eval(0.30, 1e-4));
         omega.offer(&m, &eval(0.50, 5e-5)); // dominates the first (better both ways)
         omega.offer(&m, &eval(0.70, 2e-4)); // non-dominated (best privacy)
+        omega.offer(&m, &eval(0.60, 2e-4)); // the same MSE as 0.70: dominated
+
+        // A NaN privacy lands in slot 0 and compares false both ways, so
+        // it is kept and dominates nothing.
+        omega.offer(&m, &eval(f64::NAN, 1e-3));
         let pareto = omega.pareto_entries();
-        let privacies: Vec<f64> = pareto.iter().map(|e| e.evaluation.privacy).collect();
-        assert_eq!(privacies, vec![0.50, 0.70]);
+        let privacies: Vec<u64> = pareto
+            .iter()
+            .map(|e| e.evaluation.privacy.to_bits())
+            .collect();
+        let expected: Vec<u64> = [f64::NAN, 0.50, 0.70].iter().map(|p| p.to_bits()).collect();
+        assert_eq!(privacies, expected);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn pareto_sweep_matches_the_pairwise_filter_bitwise(
+            num_slots in 1usize..=48,
+            offers in proptest::collection::vec((0u32..1000, 0usize..6), 0..80),
+        ) {
+            // Privacy spans [-0.5, 1.5) with NaN and the infinities mixed
+            // in; MSE comes from six values, so equal MSEs are common.
+            const MSES: [f64; 6] = [1e-5, 2e-5, 2e-5, 5e-5, 1e-4, 3e-4];
+            let m = matrix();
+            let mut omega = OmegaSet::new(num_slots);
+            for &(code, mse) in &offers {
+                let privacy = match code {
+                    0..=9 => f64::NAN,
+                    10..=14 => f64::NEG_INFINITY,
+                    15..=19 => f64::INFINITY,
+                    _ => f64::from(code) / 500.0 - 0.5,
+                };
+                omega.offer(&m, &eval(privacy, MSES[mse]));
+            }
+            // The same entries, by address, in the same order.
+            let address = |e: &OmegaEntry| e as *const OmegaEntry;
+            let swept: Vec<_> = omega.pareto_entries().into_iter().map(address).collect();
+            let oracle: Vec<_> = pareto_entries_pairwise(&omega).into_iter().map(address).collect();
+            proptest::prop_assert_eq!(swept, oracle);
+        }
     }
 
     #[test]

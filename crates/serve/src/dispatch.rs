@@ -1,6 +1,13 @@
 //! Protocol dispatch: [`Service::handle`] maps one [`Request`] onto the
 //! library API and its outcome onto one [`Response`], with library errors
 //! carrying the stable [`crate::ServeError::code`] taxonomy.
+//!
+//! Inside the crate the outcome is a [`Reply`]: a point query's hit
+//! keeps the stored Ω entry, so a binary session writes its `Matrix`
+//! frame straight from the stored matrix
+//! ([`crate::wire::encode_matrix_reply`]) and never builds the
+//! [`MatrixDto`]. [`Service::handle`] and JSON sessions convert it with
+//! [`Reply::into_response`].
 
 use crate::protocol::{
     EstimateDto, HistogramDto, MatrixDto, MetricValueDto, Request, Response, TraceEventDto,
@@ -8,6 +15,43 @@ use crate::protocol::{
 use crate::registry::KeyEntry;
 use crate::service::{Result, Service};
 use std::sync::Arc;
+
+/// One request's outcome before it meets a codec.
+pub(crate) enum Reply {
+    /// Any response but a point query's hit.
+    Response(Response),
+    /// A point query's hit: the stored entry, cloned under the store's
+    /// read lock.
+    Matrix {
+        /// The key queried.
+        key: u64,
+        /// The stored matrix and its evaluation.
+        found: optrr::OmegaEntry,
+        /// Whether the key is degraded.
+        degraded: bool,
+    },
+}
+
+impl Reply {
+    /// The protocol form: a hit's matrix becomes a [`MatrixDto`].
+    pub(crate) fn into_response(self) -> Response {
+        match self {
+            Reply::Response(response) => response,
+            Reply::Matrix {
+                key,
+                found,
+                degraded,
+            } => Response::Matrix {
+                key,
+                privacy: found.evaluation.privacy,
+                mse: found.evaluation.mse,
+                max_posterior: found.evaluation.max_posterior,
+                matrix: MatrixDto::from_matrix(&found.matrix),
+                degraded,
+            },
+        }
+    }
+}
 
 impl Service {
     /// Converts an estimate outcome into its transport form.
@@ -30,17 +74,21 @@ impl Service {
     /// Handles one protocol request, mapping library errors to
     /// [`Response::Error`] with the stable error-code taxonomy.
     pub fn handle(self: &Arc<Self>, request: Request) -> Response {
-        match self.try_handle(request) {
-            Ok(response) => response,
-            Err(error) => Response::Error {
-                reason: error.to_string(),
-                code: error.code().to_string(),
-            },
-        }
+        self.reply(request).into_response()
     }
 
-    fn try_handle(self: &Arc<Self>, request: Request) -> Result<Response> {
-        Ok(match request {
+    /// [`Service::handle`] before the codec: the sessions' entry point.
+    pub(crate) fn reply(self: &Arc<Self>, request: Request) -> Reply {
+        self.try_handle(request).unwrap_or_else(|error| {
+            Reply::Response(Response::Error {
+                reason: error.to_string(),
+                code: error.code().to_string(),
+            })
+        })
+    }
+
+    fn try_handle(self: &Arc<Self>, request: Request) -> Result<Reply> {
+        let response = match request {
             Request::Register {
                 name,
                 prior,
@@ -77,7 +125,7 @@ impl Service {
             } => {
                 let entry = self.resolve(key, name.as_deref())?;
                 match self.best_for_privacy(&entry, min_privacy) {
-                    Some(found) => self.matrix_response(&entry, &found),
+                    Some(found) => return Ok(Self::matrix_reply(&entry, found)),
                     None => Response::NoMatch {
                         key: entry.key(),
                         reason: format!("no stored matrix with privacy >= {min_privacy}"),
@@ -88,7 +136,7 @@ impl Service {
             Request::BestForMse { key, name, max_mse } => {
                 let entry = self.resolve(key, name.as_deref())?;
                 match self.best_for_mse(&entry, max_mse) {
-                    Some(found) => self.matrix_response(&entry, &found),
+                    Some(found) => return Ok(Self::matrix_reply(&entry, found)),
                     None => Response::NoMatch {
                         key: entry.key(),
                         reason: format!("no stored matrix with mse <= {max_mse}"),
@@ -256,17 +304,15 @@ impl Service {
                 self.autosave();
                 Response::Bye
             }
-        })
+        };
+        Ok(Reply::Response(response))
     }
 
     /// A point query's answer: the stored matrix with its evaluation.
-    fn matrix_response(&self, entry: &KeyEntry, found: &optrr::OmegaEntry) -> Response {
-        Response::Matrix {
+    fn matrix_reply(entry: &KeyEntry, found: optrr::OmegaEntry) -> Reply {
+        Reply::Matrix {
             key: entry.key(),
-            privacy: found.evaluation.privacy,
-            mse: found.evaluation.mse,
-            max_posterior: found.evaluation.max_posterior,
-            matrix: MatrixDto::from_matrix(&found.matrix),
+            found,
             degraded: entry.state().is_degraded(),
         }
     }

@@ -565,12 +565,7 @@ impl Service {
     /// Front query: the warm store's non-dominated (privacy, MSE) points.
     pub fn front(self: &Arc<Self>, entry: &Arc<KeyEntry>) -> Vec<optrr::FrontPoint> {
         self.count_query(entry);
-        let merged = entry.store().merge();
-        merged
-            .pareto_entries()
-            .iter()
-            .map(|e| optrr::FrontPoint::from_evaluation(&e.evaluation))
-            .collect()
+        entry.store().front()
     }
 
     /// Marks a key manually stale and queues `runs` refresh engine runs

@@ -1,10 +1,16 @@
 //! The session core: the one request loop every transport runs (read a
-//! frame, decode it, consult the `conn_drop` fault site, time
-//! [`Service::handle`], record the verb, encode and emit the response)
-//! and the two frame readers it shares with [`crate::net::NetClient`].
-//! Stdio ([`Service::run_loop`]) runs it as connection 0 with the JSON
-//! codec; `serve::net` runs it per accepted socket with the negotiated
-//! codec.
+//! frame, decode it, consult the `conn_drop` fault site, time the
+//! dispatch, record the verb, encode and emit the reply) and the two
+//! frame readers it shares with [`crate::net::NetClient`]. Stdio
+//! ([`Service::run_loop`]) runs it as connection 0 with the JSON codec;
+//! `serve::net` runs it per accepted socket with the negotiated codec.
+//!
+//! The loop dispatches through [`Service::reply`], the crate-private
+//! form of [`Service::handle`]. A point query's hit stays the stored Ω
+//! entry until it is encoded: a binary session writes its `Matrix` frame
+//! straight from the stored matrix ([`wire::encode_matrix_reply`]), and a
+//! JSON session converts it to the same [`Response`] `handle` returns.
+//! Either way the bytes equal those of encoding `handle`'s response.
 //!
 //! One framing rule holds for every transport. A JSON line ends at `\n`;
 //! a line that EOF cuts off is served if it decodes as a complete
@@ -16,6 +22,7 @@
 //! [`ServeError::Transport`], counted in `serve_net_conn_errors_total`
 //! and answered best-effort.
 
+use crate::dispatch::Reply;
 use crate::protocol::{self, Response};
 use crate::service::{ServeError, Service};
 use crate::wire::{self, Codec, MAX_FRAME_LEN};
@@ -92,7 +99,7 @@ pub(crate) fn run_session<R: BufRead>(
                 reason: error.to_string(),
                 code: error.code().to_string(),
             };
-            let _ = emit(encode_response(&response, codec));
+            let _ = emit(encode_reply(Reply::Response(response), codec));
         }
         SessionEnd::Dropped(_) => obs.count_net_conn_error(),
         SessionEnd::Clean => {}
@@ -151,31 +158,31 @@ fn request_loop<R: BufRead>(
             }
         }
         request_index += 1;
-        let response = match request {
-            // The timing wraps `handle` only when recording is on, so a
-            // metrics-off session takes zero clock reads per request.
+        let reply = match request {
+            // The timing wraps the dispatch only when recording is on, so
+            // a metrics-off session takes zero clock reads per request.
             Ok(request) if obs.enabled() => {
                 let verb = request.verb();
                 let start_ns = obs.now_ns();
-                let response = service.handle(request);
+                let reply = service.reply(request);
                 let elapsed = obs.now_ns().saturating_sub(start_ns);
                 obs.record_verb(verb, elapsed);
                 obs.record_net_verb(verb, codec.label(), elapsed);
-                response
+                reply
             }
-            Ok(request) => service.handle(request),
-            Err(reason) => Response::Error {
+            Ok(request) => service.reply(request),
+            Err(reason) => Reply::Response(Response::Error {
                 reason,
                 code: "invalid_request".to_string(),
-            },
+            }),
         };
-        let bye = matches!(response, Response::Bye);
+        let bye = matches!(reply, Reply::Response(Response::Bye));
         if bye {
             // `Shutdown` drains the whole front door, before the client
             // can see its `Bye`.
             draining.store(true, Ordering::SeqCst);
         }
-        if let Err(e) = emit(encode_response(&response, codec)) {
+        if let Err(e) = emit(encode_reply(reply, codec)) {
             return torn(format!("writing a response: {e}"));
         }
         if bye {
@@ -188,19 +195,29 @@ fn torn(reason: impl std::fmt::Display) -> SessionEnd {
     SessionEnd::Torn(ServeError::Transport(reason.to_string()))
 }
 
-fn encode_response(response: &Response, codec: Codec) -> Vec<u8> {
-    match codec {
-        Codec::Json => (protocol::encode_response(response) + "\n").into_bytes(),
-        Codec::Binary => wire::encode_response_frame(response).unwrap_or_else(|e| {
-            // Unencodable responses are bounded-size errors by
-            // construction, so this fallback frame always encodes.
-            wire::encode_response_frame(&Response::Error {
-                reason: format!("response unencodable: {e}"),
-                code: "transport".to_string(),
-            })
-            .expect("a small error frame always encodes")
-        }),
+/// A reply's bytes in `codec`: a JSON line, or a binary frame (a hit's
+/// `Matrix` frame written from the stored matrix).
+fn encode_reply(reply: Reply, codec: Codec) -> Vec<u8> {
+    if codec == Codec::Json {
+        return (protocol::encode_response(&reply.into_response()) + "\n").into_bytes();
     }
+    let frame = match reply {
+        Reply::Matrix {
+            key,
+            found,
+            degraded,
+        } => wire::encode_matrix_reply(key, &found, degraded),
+        Reply::Response(response) => wire::encode_response_frame(&response),
+    };
+    frame.unwrap_or_else(|e| {
+        // Unencodable responses are bounded-size errors by construction,
+        // so this fallback frame always encodes.
+        wire::encode_response_frame(&Response::Error {
+            reason: format!("response unencodable: {e}"),
+            code: "transport".to_string(),
+        })
+        .expect("a small error frame always encodes")
+    })
 }
 
 /// Whether a read error is a read timeout (or an interruption), after
@@ -386,6 +403,119 @@ mod tests {
         );
         assert!(transport_error(&emitted[0], Codec::Binary).contains("exceeds"));
         assert_eq!(conn_errors(&service), 2);
+    }
+
+    #[test]
+    fn point_query_replies_equal_the_encoded_handle_responses_bitwise() {
+        // The session writes a hit's frame from the stored matrix; a twin
+        // service's `handle` response, encoded, must give the same bytes
+        // for hits, misses and unknown keys, in both codecs.
+        let (served, twin) = (service(), service());
+        let register = Request::Register {
+            name: Some("demo".into()),
+            prior: vec![0.4, 0.3, 0.2, 0.1],
+            delta: 0.8,
+            slots: None,
+            lazy: None,
+        };
+        let key = match (served.handle(register.clone()), twin.handle(register)) {
+            (Response::Registered { key, .. }, Response::Registered { key: twin_key, .. }) => {
+                assert_eq!(key, twin_key);
+                key
+            }
+            other => panic!("registration failed: {other:?}"),
+        };
+        let privacy = |key, min_privacy| Request::BestForPrivacy {
+            key: Some(key),
+            name: None,
+            min_privacy,
+        };
+        let mse = |key, max_mse| Request::BestForMse {
+            key: Some(key),
+            name: None,
+            max_mse,
+        };
+        let requests = [
+            privacy(key, 0.05),
+            mse(key, 1.0),
+            Request::BestForPrivacy {
+                key: None,
+                name: Some("demo".into()),
+                min_privacy: 0.3,
+            },
+            privacy(key, 2.0),
+            mse(key, -1.0),
+            privacy(key ^ 1, 0.05),
+            mse(key ^ 1, 1.0),
+        ];
+        for codec in [Codec::Binary, Codec::Json] {
+            let input: Vec<u8> = requests
+                .iter()
+                .flat_map(|request| match codec {
+                    Codec::Binary => wire::encode_request_frame(request).unwrap(),
+                    Codec::Json => (protocol::encode_request(request) + "\n").into_bytes(),
+                })
+                .collect();
+            let (end, emitted) = session(&served, &input[..], codec);
+            assert!(matches!(end, SessionEnd::Clean), "{end:?}");
+            assert_eq!(emitted.len(), requests.len());
+            for (request, bytes) in requests.iter().zip(&emitted) {
+                let response = twin.handle(request.clone());
+                let expected = match codec {
+                    Codec::Binary => wire::encode_response_frame(&response).unwrap(),
+                    Codec::Json => (protocol::encode_response(&response) + "\n").into_bytes(),
+                };
+                assert_eq!(bytes, &expected, "{codec:?} {request:?}");
+            }
+            if codec == Codec::Binary {
+                let tags: Vec<u8> = emitted.iter().map(|frame| frame[4]).collect();
+                let (hit, miss, error) = (
+                    wire::TAG_MATRIX,
+                    wire::TAG_NO_MATCH,
+                    wire::TAG_JSON_RESPONSE,
+                );
+                assert_eq!(tags, [hit, hit, hit, miss, miss, error, error]);
+            }
+        }
+    }
+
+    #[test]
+    fn an_oversized_stored_matrix_answers_the_transport_error_frame() {
+        let n = wire::MAX_WIRE_CATEGORIES as usize + 1;
+        let found = optrr::OmegaEntry {
+            matrix: rr::RrMatrix::uniform(n).unwrap(),
+            evaluation: optrr::Evaluation {
+                privacy: 1.0,
+                mse: 1.0,
+                max_posterior: 0.5,
+                feasible: true,
+            },
+        };
+        let expected = wire::encode_response_frame(&Response::Error {
+            reason: format!("response unencodable: unencodable value: matrix of {n} categories"),
+            code: "transport".to_string(),
+        })
+        .unwrap();
+        let stored = Reply::Matrix {
+            key: 1,
+            found,
+            degraded: false,
+        };
+        assert_eq!(encode_reply(stored, Codec::Binary), expected);
+        // The `MatrixDto` path refuses on the category count before it
+        // reads a cell, so an empty DTO of that count answers the same.
+        let dto = Response::Matrix {
+            key: 1,
+            privacy: 1.0,
+            mse: 1.0,
+            max_posterior: 0.5,
+            matrix: protocol::MatrixDto {
+                num_categories: n,
+                columns: vec![],
+            },
+            degraded: false,
+        };
+        assert_eq!(encode_reply(Reply::Response(dto), Codec::Binary), expected);
     }
 
     #[test]

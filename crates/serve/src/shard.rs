@@ -7,7 +7,7 @@
 //! install, and [`WarmStore::clear`], on eviction. (perfbench times this
 //! layer under its `shard.*` rungs.)
 
-use optrr::{OmegaEntry, OmegaSet};
+use optrr::{FrontPoint, OmegaEntry, OmegaSet};
 use std::sync::{RwLock, RwLockReadGuard};
 
 /// A key's warm Ω behind one read-write lock.
@@ -44,7 +44,7 @@ impl WarmStore {
         }
     }
 
-    /// A copy of the store's Ω.
+    /// A copy of the store's Ω, for snapshots.
     pub fn merge(&self) -> OmegaSet {
         self.read().clone()
     }
@@ -81,6 +81,16 @@ impl WarmStore {
     /// ([`OmegaSet::best_for_mse_at_most`]).
     pub fn best_for_mse_at_most(&self, max_mse: f64) -> Option<OmegaEntry> {
         self.read().best_for_mse_at_most(max_mse).cloned()
+    }
+
+    /// The non-dominated (privacy, MSE) points, in increasing privacy
+    /// order, read under the read lock ([`OmegaSet::pareto_entries`]).
+    pub fn front(&self) -> Vec<FrontPoint> {
+        self.read()
+            .pareto_entries()
+            .iter()
+            .map(|e| FrontPoint::from_evaluation(&e.evaluation))
+            .collect()
     }
 
     /// The privacy range `(min, max)` currently covered.
@@ -135,6 +145,8 @@ mod tests {
         assert!(store.best_for_privacy_at_least(0.9).is_none());
         assert!(store.best_for_mse_at_most(1e-9).is_none());
         assert_eq!(store.privacy_range(), Some((0.3, 0.7)));
+        let front: Vec<(f64, f64)> = store.front().iter().map(|p| (p.privacy, p.mse)).collect();
+        assert_eq!(front, [(0.3, 1e-5), (0.5, 8e-5), (0.7, 4e-4)]);
     }
 
     #[test]
