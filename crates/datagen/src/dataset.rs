@@ -59,6 +59,11 @@ impl CategoricalDataset {
         &self.records
     }
 
+    /// The records, moved out of the data set.
+    pub fn into_records(self) -> Vec<usize> {
+        self.records
+    }
+
     /// Record at position `i`.
     pub fn record(&self, i: usize) -> Option<usize> {
         self.records.get(i).copied()
@@ -114,6 +119,7 @@ mod tests {
         assert!(!d.is_empty());
         assert_eq!(d.record(2), Some(2));
         assert_eq!(d.record(9), None);
+        assert_eq!(d.into_records(), vec![0, 1, 2, 2]);
     }
 
     #[test]

