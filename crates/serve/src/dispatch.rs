@@ -3,11 +3,11 @@
 //! carrying the stable [`crate::ServeError::code`] taxonomy.
 //!
 //! Inside the crate the outcome is a [`Reply`]: a point query's hit
-//! keeps the stored Ω entry, so a binary session writes its `Matrix`
-//! frame straight from the stored matrix
-//! ([`crate::wire::encode_matrix_reply`]) and never builds the
-//! [`MatrixDto`]. [`Service::handle`] and JSON sessions convert it with
-//! [`Reply::into_response`].
+//! keeps the stored Ω entry, so a session writes its `Matrix` frame
+//! ([`crate::wire::encode_matrix_reply`]) or JSON line
+//! ([`crate::protocol::encode_matrix_hit`]) straight from the stored
+//! matrix and never builds the [`MatrixDto`]. [`Service::handle`]
+//! converts it with [`Reply::into_response`].
 
 use crate::protocol::{
     EstimateDto, HistogramDto, MatrixDto, MetricValueDto, Request, Response, TraceEventDto,

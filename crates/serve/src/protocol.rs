@@ -15,6 +15,19 @@
 //! "Shutdown"
 //! ```
 //!
+//! Lines are RFC 8259 JSON, written from and read straight into these
+//! types by the vendored `serde` stand-in, with no value tree. A
+//! struct's fields come in any order; the first occurrence of a key
+//! wins, and duplicates and unknown keys are skipped (their syntax still
+//! checked). A missing `Option` field is `None`, and any other missing
+//! field is ``missing field `…` ``: a request without its `delta` or
+//! `min_privacy` is `invalid_request`, while an explicit `null` float
+//! reads as NaN (responses write non-finite floats as `null`). A line
+//! nested deeper than [`serde::MAX_DEPTH`] arrays and objects is
+//! rejected before it can exhaust a session thread's stack. An escaped
+//! UTF-16 surrogate pair reads as the one character it encodes; a lone
+//! surrogate reads as U+FFFD.
+//!
 //! `Metrics` reads out every counter, gauge, and per-verb latency
 //! histogram (p50/p90/p99 in nanoseconds) plus a Prometheus-style text
 //! rendering; `Trace` returns the newest entries of the bounded
@@ -40,7 +53,7 @@
 //! `f64` bits, so either codec delivers bitwise-identical requests to
 //! the service.
 
-use optrr::FrontPoint;
+use optrr::{FrontPoint, OmegaEntry};
 use rr::RrMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -233,7 +246,7 @@ impl Request {
 /// A disguise matrix in transport form: column-major, one randomization
 /// distribution per original category, matching the paper's
 /// column-stochastic convention.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct MatrixDto {
     /// Number of categories `n`.
     pub num_categories: usize,
@@ -244,13 +257,9 @@ pub struct MatrixDto {
 impl MatrixDto {
     /// Encodes a validated RR matrix.
     pub fn from_matrix(matrix: &RrMatrix) -> Self {
-        let n = matrix.num_categories();
-        let columns = (0..n)
-            .map(|input| (0..n).map(|output| matrix.theta(output, input)).collect())
-            .collect();
         Self {
-            num_categories: n,
-            columns,
+            num_categories: matrix.num_categories(),
+            columns: matrix_columns(matrix).map(Iterator::collect).collect(),
         }
     }
 
@@ -263,6 +272,90 @@ impl MatrixDto {
             .collect();
         RrMatrix::from_columns(&columns)
     }
+}
+
+impl Serialize for MatrixDto {
+    fn write_json(&self, out: &mut String) {
+        let columns = self.columns.iter().map(|column| column.iter().copied());
+        write_matrix(out, self.num_categories, columns);
+    }
+}
+
+/// The columns of a stored matrix (`columns[i][j] = P[c_j | c_i]`), read
+/// in place from its row-major cells: the one column order of
+/// [`MatrixDto::from_matrix`] and of the JSON line and binary frame of a
+/// point query's hit.
+pub(crate) fn matrix_columns(
+    matrix: &RrMatrix,
+) -> impl Iterator<Item = impl Iterator<Item = f64> + '_> + '_ {
+    let n = matrix.num_categories();
+    let cells = matrix.as_matrix().as_slice();
+    (0..n).map(move |input| cells[input..].iter().step_by(n).copied())
+}
+
+/// Writes `{"num_categories":n,"columns":[[…],…]}`: the one JSON writer
+/// of a matrix, behind a [`MatrixDto`] and a stored matrix alike.
+fn write_matrix(
+    out: &mut String,
+    n: usize,
+    columns: impl Iterator<Item = impl Iterator<Item = f64>>,
+) {
+    out.push_str("{\"num_categories\":");
+    n.write_json(out);
+    out.push_str(",\"columns\":[");
+    for (i, column) in columns.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        for (j, theta) in column.enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            theta.write_json(out);
+        }
+        out.push(']');
+    }
+    out.push_str("]}");
+}
+
+/// A stored matrix, written as its [`MatrixDto`] would be.
+struct StoredMatrix<'a>(&'a RrMatrix);
+
+impl Serialize for StoredMatrix<'_> {
+    fn write_json(&self, out: &mut String) {
+        write_matrix(out, self.0.num_categories(), matrix_columns(self.0));
+    }
+}
+
+/// [`Response::Matrix`] over any form of its matrix: the same tag and
+/// fields, so the same line.
+#[derive(Serialize)]
+enum MatrixResponse<M> {
+    Matrix {
+        key: u64,
+        privacy: f64,
+        mse: f64,
+        max_posterior: f64,
+        matrix: M,
+        degraded: bool,
+    },
+}
+
+/// Encodes a point query's hit straight from the stored entry: the line
+/// [`encode_response`] writes for the [`Response::Matrix`] built from it,
+/// without building the [`MatrixDto`].
+pub(crate) fn encode_matrix_hit(key: u64, found: &OmegaEntry, degraded: bool) -> String {
+    let evaluation = &found.evaluation;
+    serde_json::to_string(&MatrixResponse::Matrix {
+        key,
+        privacy: evaluation.privacy,
+        mse: evaluation.mse,
+        max_posterior: evaluation.max_posterior,
+        matrix: StoredMatrix(&found.matrix),
+        degraded,
+    })
+    .expect("responses serialize")
 }
 
 /// Per-key statistics reported by `Stats`.

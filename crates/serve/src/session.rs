@@ -195,11 +195,21 @@ fn torn(reason: impl std::fmt::Display) -> SessionEnd {
     SessionEnd::Torn(ServeError::Transport(reason.to_string()))
 }
 
-/// A reply's bytes in `codec`: a JSON line, or a binary frame (a hit's
-/// `Matrix` frame written from the stored matrix).
+/// A reply's bytes in `codec`: a JSON line with its `\n`, or a binary
+/// frame. Either way a hit's `Matrix` reply is written from the stored
+/// matrix.
 fn encode_reply(reply: Reply, codec: Codec) -> Vec<u8> {
     if codec == Codec::Json {
-        return (protocol::encode_response(&reply.into_response()) + "\n").into_bytes();
+        let mut line = match reply {
+            Reply::Matrix {
+                key,
+                found,
+                degraded,
+            } => protocol::encode_matrix_hit(key, &found, degraded),
+            Reply::Response(response) => protocol::encode_response(&response),
+        };
+        line.push('\n');
+        return line.into_bytes();
     }
     let frame = match reply {
         Reply::Matrix {

@@ -745,14 +745,11 @@ pub(crate) fn encode_matrix_reply(
     found: &optrr::OmegaEntry,
     degraded: bool,
 ) -> Result<Vec<u8>> {
-    let n = found.matrix.num_categories();
-    let wire_n = wire_categories(n)?;
-    // Row-major storage: column `input` is every n-th cell from `input`.
-    let cells = found.matrix.as_matrix().as_slice();
-    let columns = (0..n).map(|input| cells[input..].iter().step_by(n).copied());
+    let wire_n = wire_categories(found.matrix.num_categories())?;
     let evaluation = &found.evaluation;
     let head = [evaluation.privacy, evaluation.mse, evaluation.max_posterior];
     let mut frame = start_frame(0);
+    let columns = protocol::matrix_columns(&found.matrix);
     put_matrix(&mut frame, key, head, degraded, wire_n, columns);
     finish_frame(frame, TAG_MATRIX)
 }

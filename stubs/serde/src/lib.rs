@@ -1,103 +1,43 @@
 //! Offline stand-in for `serde`.
 //!
 //! The build environment has no access to crates.io, so this workspace
-//! vendors a minimal serde look-alike: [`Serialize`] / [`Deserialize`]
-//! traits routed through an owned [`Value`] tree, plus derive macros (from
-//! the sibling `serde_derive` stub) for structs with named fields and for
-//! enums with unit or struct variants — the only shapes this workspace
-//! uses. `serde_json` (also vendored) renders and parses the [`Value`]
-//! tree. The external-tagging conventions match real serde, so swapping in
-//! the real crates later only requires changing `Cargo.toml`.
+//! vendors a minimal serde look-alike whose only format is JSON:
+//! [`Serialize`] writes compact JSON text straight into a `String`, and
+//! [`Deserialize`] reads straight from a [`Reader`], a byte cursor over
+//! the text, with no intermediate value tree. Derive macros (from the
+//! sibling `serde_derive` stub) implement both for structs with named
+//! fields and for enums with unit or struct variants — the only shapes
+//! this workspace uses. `serde_json` (also vendored) wraps them as
+//! `to_string`/`from_str`. The external-tagging conventions match real
+//! serde, so the derived types and their JSON text stay the same with the
+//! real crates; a hand-written `write_json` impl would need porting to
+//! real serde's `Serializer`.
+//!
+//! Reading follows RFC 8259 with these rules:
+//!
+//! * A struct reads its fields by name in any order. The first
+//!   occurrence of a key wins; later duplicates and unknown keys are
+//!   skipped, their syntax still checked.
+//! * A missing `Option` field is `None`; any other missing field is
+//!   ``missing field `…` ``.
+//! * Numbers coerce across representations: `3.0` or `-0` read as an
+//!   integer, an integer reads as a float, and `null` reads as NaN into
+//!   an `f64` (non-finite floats are written as `null`).
+//! * Nesting deeper than [`MAX_DEPTH`] arrays and objects is rejected, so
+//!   a hostile line cannot exhaust the reading thread's stack.
+//! * An escaped UTF-16 surrogate pair (`\ud83d` then `\ude00`) reads as
+//!   the one character it encodes (U+1F600); a lone surrogate reads as
+//!   U+FFFD.
 
 #![forbid(unsafe_code)]
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
+
 pub use serde_derive::{Deserialize, Serialize};
 
-/// An owned JSON-like value tree.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// JSON `null`.
-    Null,
-    /// JSON boolean.
-    Bool(bool),
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Floating-point number.
-    F64(f64),
-    /// String.
-    Str(String),
-    /// Array.
-    Array(Vec<Value>),
-    /// Object, insertion-ordered.
-    Object(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Borrow as an object field list.
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Object(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    /// Borrow as an array.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Borrow as a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Numeric coercion to `f64` (accepts all number representations).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::F64(x) => Some(*x),
-            Value::U64(x) => Some(*x as f64),
-            Value::I64(x) => Some(*x as f64),
-            // JSON cannot represent non-finite floats; serialization writes
-            // them as null, so deserialize null back to NaN.
-            Value::Null => Some(f64::NAN),
-            _ => None,
-        }
-    }
-
-    /// Numeric coercion to `u64`.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::U64(x) => Some(*x),
-            Value::I64(x) if *x >= 0 => Some(*x as u64),
-            Value::F64(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
-            _ => None,
-        }
-    }
-
-    /// Numeric coercion to `i64`.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::I64(x) => Some(*x),
-            Value::U64(x) if *x <= i64::MAX as u64 => Some(*x as i64),
-            Value::F64(x) if x.fract() == 0.0 => Some(*x as i64),
-            _ => None,
-        }
-    }
-
-    /// Look up a field of an object.
-    pub fn get(&self, name: &str) -> Option<&Value> {
-        self.as_object()
-            .and_then(|fields| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v))
-    }
-}
+/// The deepest nesting of arrays and objects a [`Reader`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 /// Serialization / deserialization error.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,43 +58,450 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types convertible into a [`Value`] tree.
+/// Types that write themselves as JSON text.
 pub trait Serialize {
-    /// Converts `self` into a value tree.
-    fn to_value(&self) -> Value;
+    /// Appends `self` to `out` as compact JSON.
+    fn write_json(&self, out: &mut String);
 }
 
-/// Types reconstructible from a [`Value`] tree.
+/// Types that read themselves from JSON text.
 pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from a value tree.
-    fn from_value(value: &Value) -> Result<Self, Error>;
-}
+    /// Reads one value at the reader's position.
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error>;
 
-// Value round-trips through itself, as in real serde_json — this is what
-// lets callers parse arbitrary JSON with `from_str::<Value>` and walk it
-// with the accessor methods.
-impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    /// The value of a struct field the object leaves out: an error for
+    /// every type but `Option`, which reads as `None`.
+    fn missing_field(name: &str) -> Result<Self, Error> {
+        Err(Error::custom(format!("missing field `{name}`")))
     }
 }
 
-impl Deserialize for Value {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        Ok(value.clone())
+// ---- reader ----------------------------------------------------------------
+
+/// A JSON number as written: unsigned, negative, or with a fraction or
+/// exponent.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Number {
+    /// A non-negative integer that fits `u64`.
+    U64(u64),
+    /// A negative integer that fits `i64`.
+    I64(i64),
+    /// Any other number.
+    F64(f64),
+}
+
+impl Number {
+    /// Coercion to `u64`: integers and non-negative whole floats.
+    pub fn as_u64(self) -> Option<u64> {
+        match self {
+            Number::U64(x) => Some(x),
+            Number::I64(x) if x >= 0 => Some(x as u64),
+            Number::F64(x) if x >= 0.0 && x.fract() == 0.0 => Some(x as u64),
+            _ => None,
+        }
+    }
+
+    /// Coercion to `i64`: integers in range and whole floats.
+    pub fn as_i64(self) -> Option<i64> {
+        match self {
+            Number::I64(x) => Some(x),
+            Number::U64(x) if x <= i64::MAX as u64 => Some(x as i64),
+            Number::F64(x) if x.fract() == 0.0 => Some(x as i64),
+            _ => None,
+        }
+    }
+
+    /// Coercion to `f64`: every number.
+    pub fn as_f64(self) -> f64 {
+        match self {
+            Number::U64(x) => x as f64,
+            Number::I64(x) => x as f64,
+            Number::F64(x) => x,
+        }
+    }
+}
+
+/// The leading token of a tagged enum value.
+pub enum Tag<'a> {
+    /// A bare string: a unit variant's name.
+    Unit(Cow<'a, str>),
+    /// The key of a `{"Name":…}` object; the reader stands at its value,
+    /// and [`Reader::end_tag`] closes the object.
+    Struct(Cow<'a, str>),
+    /// Anything else, which names no variant.
+    Other,
+}
+
+/// A cursor over one JSON text, read by [`Deserialize::read_json`].
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    depth: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    /// Checks that only whitespace follows the value read.
+    pub fn finish(&mut self) -> Result<(), Error> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(Error::custom("trailing characters after JSON value")),
+        }
+    }
+
+    /// The next byte after whitespace, not consumed.
+    pub fn peek(&mut self) -> Option<u8> {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes().get(self.pos) {
+            self.pos += 1;
+        }
+        self.bytes().get(self.pos).copied()
+    }
+
+    /// Consumes `byte` after whitespace, if it is next.
+    fn eat(&mut self, byte: u8) -> bool {
+        let next = self.peek() == Some(byte);
+        self.pos += usize::from(next);
+        next
+    }
+
+    fn expect(&mut self, byte: u8) -> Result<(), Error> {
+        if self.eat(byte) {
+            Ok(())
+        } else {
+            Err(Error::custom(format!(
+                "expected `{}` at byte {}",
+                byte as char, self.pos
+            )))
+        }
+    }
+
+    /// Opens an array or object: one level deeper.
+    fn enter(&mut self) -> Result<(), Error> {
+        self.pos += 1;
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Consumes the literal starting with the next byte, which must be
+    /// exactly `literal`.
+    fn literal(&mut self, literal: &str) -> Result<(), Error> {
+        if self.bytes()[self.pos..].starts_with(literal.as_bytes()) {
+            self.pos += literal.len();
+            Ok(())
+        } else {
+            Err(Error::custom("invalid literal"))
+        }
+    }
+
+    /// Consumes a `null`, if one is next.
+    pub fn eat_null(&mut self) -> Result<bool, Error> {
+        if self.peek() != Some(b'n') {
+            return Ok(false);
+        }
+        self.literal("null").map(|()| true)
+    }
+
+    /// Reads a `true` or `false`, or `None` if neither is next.
+    pub fn read_bool(&mut self) -> Result<Option<bool>, Error> {
+        match self.peek() {
+            Some(b't') => self.literal("true").map(|()| Some(true)),
+            Some(b'f') => self.literal("false").map(|()| Some(false)),
+            _ => Ok(None),
+        }
+    }
+
+    /// Reads a number, or `None` if no number is next.
+    pub fn read_number(&mut self) -> Result<Option<Number>, Error> {
+        match self.peek() {
+            Some(b'0'..=b'9') => {}
+            Some(b'-') => return self.read_number_text().map(Some),
+            _ => return Ok(None),
+        }
+        // Plain digits, the common case; up to 19 cannot overflow `u64`.
+        let bytes = self.bytes();
+        let start = self.pos;
+        let mut end = start;
+        let mut value: u64 = 0;
+        while let Some(&digit @ b'0'..=b'9') = bytes.get(end) {
+            value = value.wrapping_mul(10).wrapping_add(u64::from(digit - b'0'));
+            end += 1;
+        }
+        if end - start > 19 || matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+            return self.read_number_text().map(Some);
+        }
+        self.pos = end;
+        Ok(Some(Number::U64(value)))
+    }
+
+    /// Reads a number token through its last digit, sign, point or
+    /// exponent character and parses it: as `u64`, then `i64` when it
+    /// has no fraction or exponent, else as `f64`.
+    fn read_number_text(&mut self) -> Result<Number, Error> {
+        let start = self.pos;
+        let sign = usize::from(self.bytes()[start] == b'-');
+        let token = self.bytes()[start + sign..]
+            .iter()
+            .position(|&b| !matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+            .map_or(self.text.len(), |n| start + sign + n);
+        self.pos = token;
+        let text = &self.text[start..token];
+        if !text[sign..].contains(['.', 'e', 'E', '+', '-']) {
+            if let Ok(u) = text.parse::<u64>() {
+                return Ok(Number::U64(u));
+            }
+            if let Ok(i) = text.parse::<i64>() {
+                return Ok(Number::I64(i));
+            }
+        }
+        text.parse::<f64>()
+            .map(Number::F64)
+            .map_err(|_| Error::custom(format!("invalid number `{text}`")))
+    }
+
+    /// Reads a string, borrowed from the text unless it holds escapes.
+    pub fn read_str(&mut self) -> Result<Cow<'a, str>, Error> {
+        if self.peek() != Some(b'"') {
+            return Err(Error::custom("expected string"));
+        }
+        self.pos += 1;
+        let bytes = self.bytes();
+        let run = |from: usize| {
+            bytes[from..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(bytes.len(), |n| from + n)
+        };
+        // Both stops are ASCII, so every run ends on a char boundary.
+        let mut stop = run(self.pos);
+        if bytes.get(stop) == Some(&b'"') {
+            let text = &self.text[self.pos..stop];
+            self.pos = stop + 1;
+            return Ok(Cow::Borrowed(text));
+        }
+        let mut out = String::new();
+        loop {
+            out.push_str(&self.text[self.pos..stop]);
+            self.pos = stop + 1;
+            match bytes.get(stop) {
+                Some(b'"') => return Ok(Cow::Owned(out)),
+                Some(_) => self.read_escape(&mut out)?,
+                None => return Err(Error::custom("unterminated string")),
+            }
+            stop = run(self.pos);
+        }
+    }
+
+    /// Reads one escape after its backslash.
+    fn read_escape(&mut self, out: &mut String) -> Result<(), Error> {
+        let Some(&escape) = self.bytes().get(self.pos) else {
+            return Err(Error::custom("unterminated escape"));
+        };
+        self.pos += 1;
+        let c = match escape {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'u' => {
+                let code = self.read_hex4()?;
+                if (0xD800..0xDC00).contains(&code) && self.text[self.pos..].starts_with("\\u") {
+                    // A high surrogate: combined with a low one that
+                    // follows (RFC 8259 §7), else left alone.
+                    let after_high = self.pos;
+                    self.pos += 2;
+                    let low = self.read_hex4()?;
+                    if (0xDC00..0xE000).contains(&low) {
+                        let code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        return Ok(());
+                    }
+                    self.pos = after_high;
+                }
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            }
+            other => {
+                return Err(Error::custom(format!(
+                    "invalid escape `\\{}`",
+                    other as char
+                )))
+            }
+        };
+        out.push(c);
+        Ok(())
+    }
+
+    /// Reads the four hex digits of a `\u` escape.
+    fn read_hex4(&mut self) -> Result<u32, Error> {
+        let hex = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| Error::custom("invalid \\u escape"))?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| Error::custom("invalid \\u escape"))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// Reads an array, handing the reader to `item` at each element.
+    /// `expected` is the error when no array is next.
+    pub fn read_array(
+        &mut self,
+        expected: &str,
+        mut item: impl FnMut(&mut Self) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        if self.peek() != Some(b'[') {
+            return Err(Error::custom(expected));
+        }
+        self.enter()?;
+        if !self.eat(b']') {
+            loop {
+                item(self)?;
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(Error::custom("expected `,` or `]` in array")),
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Reads an object, handing the reader to `member` at each key's
+    /// value. `expected` is the error when no object is next.
+    pub fn read_object(
+        &mut self,
+        expected: &str,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        if self.peek() != Some(b'{') {
+            return Err(Error::custom(expected));
+        }
+        self.enter()?;
+        if !self.eat(b'}') {
+            loop {
+                let key = self.read_key()?;
+                member(self, &key)?;
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(Error::custom("expected `,` or `}` in object")),
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Reads an object key and its `:`.
+    fn read_key(&mut self) -> Result<Cow<'a, str>, Error> {
+        if self.peek() != Some(b'"') {
+            return Err(Error::custom(format!("expected `\"` at byte {}", self.pos)));
+        }
+        let key = self.read_str()?;
+        self.expect(b':')?;
+        Ok(key)
+    }
+
+    /// Reads the tag of an externally tagged enum value.
+    pub fn read_tag(&mut self) -> Result<Tag<'a>, Error> {
+        match self.peek() {
+            Some(b'"') => self.read_str().map(Tag::Unit),
+            Some(b'{') => {
+                self.enter()?;
+                if self.peek() == Some(b'}') {
+                    return Ok(Tag::Other);
+                }
+                self.read_key().map(Tag::Struct)
+            }
+            _ => Ok(Tag::Other),
+        }
+    }
+
+    /// Closes the object a [`Tag::Struct`] opened; `false` if it holds
+    /// more than the one key.
+    pub fn end_tag(&mut self) -> bool {
+        let closed = self.eat(b'}');
+        self.depth -= usize::from(closed);
+        closed
+    }
+
+    /// Reads and discards one value, checking its syntax.
+    pub fn skip_value(&mut self) -> Result<(), Error> {
+        match self.peek() {
+            Some(b'"') => self.read_str().map(drop),
+            Some(b'[') => self.read_array("", Self::skip_value),
+            Some(b'{') => self.read_object("", |reader, _| reader.skip_value()),
+            Some(b'n') => self.literal("null"),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'-' | b'0'..=b'9') => self.read_number().map(drop),
+            _ => Err(Error::custom(format!("unexpected byte at {}", self.pos))),
+        }
     }
 }
 
 // ---- primitive impls -------------------------------------------------------
 
+/// Appends the decimal digits of `x`.
+fn write_u64(out: &mut String, mut x: u64) {
+    if x < 10 {
+        out.push(char::from(b'0' + x as u8));
+        return;
+    }
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    for &digit in &digits[start..] {
+        out.push(char::from(digit));
+    }
+}
+
 macro_rules! impl_serde_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::U64(*self as u64) }
+            fn write_json(&self, out: &mut String) {
+                write_u64(out, *self as u64);
+            }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                value.as_u64()
+            fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
+                reader.read_number()?
+                    .and_then(Number::as_u64)
                     .and_then(|x| <$t>::try_from(x).ok())
                     .ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))
             }
@@ -167,11 +514,17 @@ impl_serde_unsigned!(u8, u16, u32, u64, usize);
 macro_rules! impl_serde_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::I64(*self as i64) }
+            fn write_json(&self, out: &mut String) {
+                if *self < 0 {
+                    out.push('-');
+                }
+                write_u64(out, (*self as i64).unsigned_abs());
+            }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                value.as_i64()
+            fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
+                reader.read_number()?
+                    .and_then(Number::as_i64)
                     .and_then(|x| <$t>::try_from(x).ok())
                     .ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))
             }
@@ -182,168 +535,230 @@ macro_rules! impl_serde_signed {
 impl_serde_signed!(i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         if self.is_finite() {
-            Value::F64(*self)
+            // `{:?}` keeps a decimal point or exponent so the value
+            // re-reads as a float, and round-trips f64 exactly.
+            let _ = write!(out, "{self:?}");
         } else {
             // JSON has no representation for non-finite floats; real
             // serde_json writes null.
-            Value::Null
+            out.push_str("null");
         }
     }
 }
 
 impl Deserialize for f64 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_f64()
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        // `null` reads back the non-finite floats the writer nulls.
+        if reader.eat_null()? {
+            return Ok(f64::NAN);
+        }
+        reader
+            .read_number()?
+            .map(Number::as_f64)
             .ok_or_else(|| Error::custom("expected number"))
     }
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        (*self as f64).to_value()
+    fn write_json(&self, out: &mut String) {
+        f64::from(*self).write_json(out);
     }
 }
 
 impl Deserialize for f32 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        f64::from_value(value).map(|x| x as f32)
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        f64::read_json(reader).map(|x| x as f32)
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(Error::custom("expected bool")),
-        }
-    }
-}
-
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| Error::custom("expected string"))
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        reader
+            .read_bool()?
+            .ok_or_else(|| Error::custom("expected bool"))
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        let mut run = 0;
+        for (i, byte) in self.bytes().enumerate() {
+            let escape = match byte {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            // Every escaped byte is ASCII, so runs end on char boundaries.
+            out.push_str(&self[run..i]);
+            run = i + 1;
+            if escape.is_empty() {
+                let _ = write!(out, "\\u{byte:04x}");
+            } else {
+                out.push_str(escape);
+            }
+        }
+        out.push_str(&self[run..]);
+        out.push('"');
+    }
+}
+
+impl Serialize for String {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+impl Deserialize for String {
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        reader.read_str().map(Cow::into_owned)
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: Serialize> Serialize for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_array()
-            .ok_or_else(|| Error::custom("expected array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        let mut items = Vec::new();
+        reader.read_array("expected array", |reader| {
+            items.push(T::read_json(reader)?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Some(inner) => inner.to_value(),
-            None => Value::Null,
+            Some(inner) => inner.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        if reader.eat_null()? {
+            Ok(None)
+        } else {
+            T::read_json(reader).map(Some)
         }
+    }
+
+    fn missing_field(_name: &str) -> Result<Self, Error> {
+        Ok(None)
+    }
+}
+
+/// Reads a tuple's array: `slot` reads element `i` into its place.
+/// `what` names the tuple in errors.
+fn read_tuple(
+    reader: &mut Reader<'_>,
+    len: usize,
+    what: &str,
+    mut slot: impl FnMut(&mut Reader<'_>, usize) -> Result<(), Error>,
+) -> Result<(), Error> {
+    let mut count = 0;
+    reader.read_array(&format!("expected {what}"), |reader| {
+        if count < len {
+            slot(reader, count)?;
+        } else {
+            reader.skip_value()?;
+        }
+        count += 1;
+        Ok(())
+    })?;
+    if count == len {
+        Ok(())
+    } else {
+        Err(Error::custom(format!("expected {len}-element array")))
     }
 }
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![self.0.to_value(), self.1.to_value()])
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(']');
     }
 }
 
 impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let items = value
-            .as_array()
-            .ok_or_else(|| Error::custom("expected pair"))?;
-        if items.len() != 2 {
-            return Err(Error::custom("expected two-element array"));
-        }
-        Ok((A::from_value(&items[0])?, B::from_value(&items[1])?))
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        let (mut a, mut b) = (None, None);
+        read_tuple(reader, 2, "pair", |reader, i| {
+            match i {
+                0 => a = Some(A::read_json(reader)?),
+                _ => b = Some(B::read_json(reader)?),
+            }
+            Ok(())
+        })?;
+        Ok((a.expect("read"), b.expect("read")))
     }
 }
 
 impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![
-            self.0.to_value(),
-            self.1.to_value(),
-            self.2.to_value(),
-        ])
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(',');
+        self.2.write_json(out);
+        out.push(']');
     }
 }
 
 impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let items = value
-            .as_array()
-            .ok_or_else(|| Error::custom("expected triple"))?;
-        if items.len() != 3 {
-            return Err(Error::custom("expected three-element array"));
-        }
-        Ok((
-            A::from_value(&items[0])?,
-            B::from_value(&items[1])?,
-            C::from_value(&items[2])?,
-        ))
-    }
-}
-
-/// Helper used by generated `Deserialize` impls: extracts and decodes one
-/// named field of an object.
-pub fn field<T: Deserialize>(fields: &[(String, Value)], name: &str) -> Result<T, Error> {
-    match fields.iter().find(|(k, _)| k == name) {
-        Some((_, v)) => T::from_value(v),
-        // Tolerate a missing Option-typed field the way real serde treats
-        // explicitly-null fields: Deserialize impls that accept Null will
-        // succeed, everything else errors.
-        None => T::from_value(&Value::Null)
-            .map_err(|_| Error::custom(format!("missing field `{name}`"))),
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        let (mut a, mut b, mut c) = (None, None, None);
+        read_tuple(reader, 3, "triple", |reader, i| {
+            match i {
+                0 => a = Some(A::read_json(reader)?),
+                1 => b = Some(B::read_json(reader)?),
+                _ => c = Some(C::read_json(reader)?),
+            }
+            Ok(())
+        })?;
+        Ok((a.expect("read"), b.expect("read"), c.expect("read")))
     }
 }
 
@@ -351,38 +766,52 @@ pub fn field<T: Deserialize>(fields: &[(String, Value)], name: &str) -> Result<T
 mod tests {
     use super::*;
 
+    fn write<T: Serialize + ?Sized>(value: &T) -> String {
+        let mut out = String::new();
+        value.write_json(&mut out);
+        out
+    }
+
+    fn read<T: Deserialize>(text: &str) -> Result<T, Error> {
+        let mut reader = Reader::new(text);
+        let value = T::read_json(&mut reader)?;
+        reader.finish().map(|()| value)
+    }
+
     #[test]
     fn primitives_round_trip() {
-        assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(i64::from_value(&(-7i64).to_value()).unwrap(), -7);
-        assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
-        assert!(bool::from_value(&true.to_value()).unwrap());
-        assert_eq!(
-            String::from_value(&"hi".to_string().to_value()).unwrap(),
-            "hi"
-        );
-        let v: Vec<u32> = Deserialize::from_value(&vec![1u32, 2, 3].to_value()).unwrap();
+        assert_eq!(read::<u64>(&write(&42u64)).unwrap(), 42);
+        assert_eq!(read::<i64>(&write(&-7i64)).unwrap(), -7);
+        assert_eq!(read::<f64>(&write(&1.5f64)).unwrap(), 1.5);
+        assert!(read::<bool>(&write(&true)).unwrap());
+        assert_eq!(read::<String>(&write("hi")).unwrap(), "hi");
+        let v: Vec<u32> = read(&write(&vec![1u32, 2, 3])).unwrap();
         assert_eq!(v, vec![1, 2, 3]);
-        let o: Option<f64> = Deserialize::from_value(&Value::Null).unwrap();
+        let o: Option<f64> = read("null").unwrap();
         assert!(o.is_none());
-        let pair: (f64, f64) = Deserialize::from_value(&(0.25f64, 4.0f64).to_value()).unwrap();
+        let pair: (f64, f64) = read(&write(&(0.25f64, 4.0f64))).unwrap();
         assert_eq!(pair, (0.25, 4.0));
+        assert!(read::<(f64, f64)>("[1,2,3]").is_err());
+        let triple: (u8, i8, bool) = read(" [ 1 , -2 , false ] ").unwrap();
+        assert_eq!(triple, (1, -2, false));
     }
 
     #[test]
     fn non_finite_floats_become_null() {
-        assert_eq!(f64::INFINITY.to_value(), Value::Null);
-        assert!(f64::from_value(&Value::Null).unwrap().is_nan());
+        assert_eq!(write(&f64::INFINITY), "null");
+        assert_eq!(write(&f32::NEG_INFINITY), "null");
+        assert!(read::<f64>("null").unwrap().is_nan());
+        assert_eq!(read::<Option<f64>>("null").unwrap(), None);
     }
 
     #[test]
-    fn object_field_lookup() {
-        let v = Value::Object(vec![("a".into(), Value::U64(1))]);
-        assert_eq!(v.get("a"), Some(&Value::U64(1)));
-        assert!(v.get("b").is_none());
-        let missing: Result<Option<u64>, _> = field(v.as_object().unwrap(), "b");
-        assert_eq!(missing.unwrap(), None);
-        let missing: Result<u64, _> = field(v.as_object().unwrap(), "b");
-        assert!(missing.is_err());
+    fn strings_escape_quotes_backslashes_and_control_characters() {
+        let text = "q\"b\\n\nr\rt\tc\u{1}\u{1f}d\u{7f}ü😀";
+        let written = write(text);
+        assert_eq!(
+            written,
+            "\"q\\\"b\\\\n\\nr\\rt\\tc\\u0001\\u001fd\u{7f}ü😀\""
+        );
+        assert_eq!(read::<String>(&written).unwrap(), text);
     }
 }

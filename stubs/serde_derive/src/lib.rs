@@ -4,9 +4,13 @@
 //! type shapes this workspace uses — structs with named fields and enums
 //! with unit or struct variants, with optional plain type parameters — by
 //! parsing the item's token stream directly (no `syn`/`quote`, which are
-//! unavailable offline) and emitting impls of the value-tree traits defined
-//! in the sibling `serde` stub. External tagging matches real serde: unit
-//! variants serialize as strings, struct variants as single-key objects.
+//! unavailable offline) and emitting impls of the sibling `serde` stub's
+//! traits: `write_json` appends the value's JSON text field by field, and
+//! `read_json` reads it back from a `serde::Reader` with no value tree in
+//! between. External tagging matches real serde: unit variants serialize
+//! as strings, struct variants as single-key objects. A struct's fields
+//! read by name in any order (the first duplicate wins, unknown keys are
+//! skipped), and a missing field takes `Deserialize::missing_field`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -33,13 +37,13 @@ struct Item {
     variants: Vec<Variant>,
 }
 
-/// Derives the value-tree `Serialize` impl.
+/// Derives `Serialize`: `write_json` appends the value's JSON text.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, true)
 }
 
-/// Derives the value-tree `Deserialize` impl.
+/// Derives `Deserialize`: `read_json` reads the value's JSON text.
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, false)
@@ -246,22 +250,31 @@ fn impl_header(item: &Item, trait_path: &str) -> String {
     }
 }
 
+/// Statements writing the object `{"f":…,…}` of `fields`, each read from
+/// the expression `access(f)`, after the literal text `prefix`.
+fn write_object(prefix: &str, fields: &[String], access: impl Fn(&str) -> String) -> String {
+    let mut code = String::new();
+    let mut text = format!("{prefix}{{");
+    for (i, f) in fields.iter().enumerate() {
+        if i > 0 {
+            text.push(',');
+        }
+        text.push_str(&format!("\"{f}\":"));
+        code.push_str(&format!(
+            "__out.push_str({text:?}); ::serde::Serialize::write_json({}, __out);",
+            access(f)
+        ));
+        text.clear();
+    }
+    text.push('}');
+    code.push_str(&format!("__out.push_str({text:?});"));
+    code
+}
+
 fn gen_serialize(item: &Item) -> String {
     let header = impl_header(item, "::serde::Serialize");
     let body = match item.kind {
-        ItemKind::Struct => {
-            let fields: Vec<String> = item
-                .fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from({f:?}), \
-                         ::serde::Serialize::to_value(&self.{f}))"
-                    )
-                })
-                .collect();
-            format!("::serde::Value::Object(::std::vec![{}])", fields.join(", "))
-        }
+        ItemKind::Struct => write_object("", &item.fields, |f| format!("&self.{f}")),
         ItemKind::Enum => {
             let arms: Vec<String> = item
                 .variants
@@ -270,111 +283,114 @@ fn gen_serialize(item: &Item) -> String {
                     let vname = &v.name;
                     match &v.fields {
                         None => format!(
-                            "Self::{vname} => \
-                             ::serde::Value::Str(::std::string::String::from({vname:?}))"
+                            "Self::{vname} => __out.push_str({:?}),",
+                            format!("\"{vname}\"")
                         ),
-                        Some(fields) => {
-                            let binds = fields.join(", ");
-                            let entries: Vec<String> = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "(::std::string::String::from({f:?}), \
-                                         ::serde::Serialize::to_value({f}))"
-                                    )
-                                })
-                                .collect();
-                            format!(
-                                "Self::{vname} {{ {binds} }} => ::serde::Value::Object(\
-                                 ::std::vec![(::std::string::String::from({vname:?}), \
-                                 ::serde::Value::Object(::std::vec![{}]))])",
-                                entries.join(", ")
-                            )
-                        }
+                        Some(fields) => format!(
+                            "Self::{vname} {{ {} }} => {{ {} __out.push('}}'); }}",
+                            fields.join(", "),
+                            write_object(&format!("{{\"{vname}\":"), fields, str::to_string)
+                        ),
                     }
                 })
                 .collect();
-            format!("match self {{ {} }}", arms.join(", "))
+            format!("match self {{ {} }}", arms.join(" "))
         }
     };
-    format!("{header} {{ fn to_value(&self) -> ::serde::Value {{ {body} }} }}")
+    format!("{header} {{ fn write_json(&self, __out: &mut ::std::string::String) {{ {body} }} }}")
+}
+
+/// An expression reading the object of `fields` into `ctor { … }`, or
+/// failing with `expected` when no object is next.
+fn read_object(ctor: &str, fields: &[String], expected: &str) -> String {
+    let slots: String = fields
+        .iter()
+        .map(|f| format!("let mut __f_{f} = ::std::option::Option::None;"))
+        .collect();
+    let arms: String = fields
+        .iter()
+        .map(|f| {
+            format!(
+                "{f:?} if __f_{f}.is_none() => \
+                 __f_{f} = ::std::option::Option::Some(::serde::Deserialize::read_json(__r)?),"
+            )
+        })
+        .collect();
+    let inits: Vec<String> = fields
+        .iter()
+        .map(|f| {
+            format!(
+                "{f}: match __f_{f} {{ ::std::option::Option::Some(__v) => __v, \
+                 ::std::option::Option::None => ::serde::Deserialize::missing_field({f:?})? }}"
+            )
+        })
+        .collect();
+    format!(
+        "{{ {slots} __r.read_object({expected:?}, |__r, __key| {{ \
+         match __key {{ {arms} _ => __r.skip_value()?, }} \
+         ::std::result::Result::Ok(()) }})?; \
+         {ctor} {{ {} }} }}",
+        inits.join(", ")
+    )
 }
 
 fn gen_deserialize(item: &Item) -> String {
     let header = impl_header(item, "::serde::Deserialize");
     let name = &item.name;
     let body = match item.kind {
-        ItemKind::Struct => {
-            let fields: Vec<String> = item
-                .fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::field(fields, {f:?})?"))
-                .collect();
-            format!(
-                "let fields = value.as_object().ok_or_else(|| \
-                 ::serde::Error::custom(\"expected object for {name}\"))?;\n\
-                 ::std::result::Result::Ok(Self {{ {} }})",
-                fields.join(", ")
-            )
-        }
+        ItemKind::Struct => format!(
+            "::std::result::Result::Ok({})",
+            read_object("Self", &item.fields, &format!("expected object for {name}"))
+        ),
         ItemKind::Enum => {
-            let unit_arms: Vec<String> = item
+            let unit_arms: String = item
                 .variants
                 .iter()
                 .filter(|v| v.fields.is_none())
                 .map(|v| {
                     format!(
-                        "{:?} => return ::std::result::Result::Ok(Self::{}),",
+                        "{:?} => ::std::result::Result::Ok(Self::{}),",
                         v.name, v.name
                     )
                 })
                 .collect();
-            let struct_arms: Vec<String> = item
+            let struct_arms: String = item
                 .variants
                 .iter()
                 .filter_map(|v| v.fields.as_ref().map(|fields| (v, fields)))
                 .map(|(v, fields)| {
                     let vname = &v.name;
-                    let field_exprs: Vec<String> = fields
-                        .iter()
-                        .map(|f| format!("{f}: ::serde::field(inner_fields, {f:?})?"))
-                        .collect();
-                    format!(
-                        "{vname:?} => {{\n\
-                         let inner_fields = inner.as_object().ok_or_else(|| \
-                         ::serde::Error::custom(\"expected object for variant {vname}\"))?;\n\
-                         return ::std::result::Result::Ok(Self::{vname} {{ {} }});\n\
-                         }}",
-                        field_exprs.join(", ")
-                    )
+                    let read = read_object(
+                        &format!("Self::{vname}"),
+                        fields,
+                        &format!("expected object for variant {vname}"),
+                    );
+                    format!("{vname:?} => {read},")
                 })
                 .collect();
-            let mut code = String::new();
-            if !unit_arms.is_empty() {
-                code.push_str(&format!(
-                    "if let ::std::option::Option::Some(tag) = value.as_str() {{\n\
-                     match tag {{ {} _ => {{}} }}\n}}\n",
-                    unit_arms.join(" ")
-                ));
-            }
-            if !struct_arms.is_empty() {
-                code.push_str(&format!(
-                    "if let ::std::option::Option::Some(fields) = value.as_object() {{\n\
-                     if fields.len() == 1 {{\n\
-                     let (tag, inner) = &fields[0];\n\
-                     match tag.as_str() {{ {} _ => {{}} }}\n}}\n}}\n",
-                    struct_arms.join(" ")
-                ));
-            }
-            code.push_str(&format!(
-                "::std::result::Result::Err(::serde::Error::custom(\
-                 \"unknown variant for {name}\"))"
-            ));
-            code
+            let struct_arm = if struct_arms.is_empty() {
+                "::serde::Tag::Struct(_) => ::std::result::Result::Err(__unknown()),".to_string()
+            } else {
+                format!(
+                    "::serde::Tag::Struct(__tag) => {{ \
+                     let __value = match &*__tag {{ {struct_arms} _ => \
+                     return ::std::result::Result::Err(__unknown()) }}; \
+                     if __r.end_tag() {{ ::std::result::Result::Ok(__value) }} \
+                     else {{ ::std::result::Result::Err(__unknown()) }} }}"
+                )
+            };
+            format!(
+                "let __unknown = || ::serde::Error::custom(\"unknown variant for {name}\"); \
+                 match __r.read_tag()? {{ \
+                 ::serde::Tag::Unit(__tag) => match &*__tag {{ {unit_arms} _ => \
+                 ::std::result::Result::Err(__unknown()) }}, \
+                 {struct_arm} \
+                 ::serde::Tag::Other => ::std::result::Result::Err(__unknown()), }}"
+            )
         }
     };
     format!(
-        "{header} {{ fn from_value(value: &::serde::Value) -> \
+        "{header} {{ fn read_json(__r: &mut ::serde::Reader<'_>) -> \
          ::std::result::Result<Self, ::serde::Error> {{ {body} }} }}"
     )
 }

@@ -1,402 +1,187 @@
-//! Offline stand-in for `serde_json`: renders and parses JSON text against
-//! the value tree of the vendored `serde` stub.
+//! Offline stand-in for `serde_json`: thin wrappers over the JSON writer
+//! and reader the vendored `serde` stub's traits carry.
 
 #![forbid(unsafe_code)]
 
 pub use serde::Error;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Reader, Serialize};
 
 /// Serializes a value to compact JSON.
-pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
+    value.write_json(&mut out);
     Ok(out)
 }
 
-/// Serializes a value to pretty-printed JSON (two-space indent).
-pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
-    Ok(out)
-}
-
-/// Parses JSON text into a deserializable type.
+/// Parses JSON text into a deserializable type; only whitespace may
+/// follow the value.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let mut parser = Parser {
-        text,
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_whitespace();
-    let value = parser.parse_value()?;
-    parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
-        return Err(Error::custom("trailing characters after JSON value"));
-    }
-    T::from_value(&value)
-}
-
-// ---- writer ----------------------------------------------------------------
-
-fn write_value(value: &Value, out: &mut String, indent: Option<usize>, level: usize) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::U64(x) => out.push_str(&x.to_string()),
-        Value::I64(x) => out.push_str(&x.to_string()),
-        Value::F64(x) => {
-            if x.is_finite() {
-                // `{:?}` keeps a decimal point or exponent so the value
-                // re-parses as a float, and round-trips f64 exactly.
-                out.push_str(&format!("{x:?}"));
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_value(item, out, indent, level + 1);
-            }
-            newline_indent(out, indent, level);
-            out.push(']');
-        }
-        Value::Object(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_string(key, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(item, out, indent, level + 1);
-            }
-            newline_indent(out, indent, level);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(width * level));
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---- parser ----------------------------------------------------------------
-
-struct Parser<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_whitespace(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), Error> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::custom(format!(
-                "expected `{}` at byte {}",
-                byte as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_literal(&mut self, literal: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
-            self.pos += literal.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        self.skip_whitespace();
-        match self.peek() {
-            Some(b'n') => {
-                if self.eat_literal("null") {
-                    Ok(Value::Null)
-                } else {
-                    Err(Error::custom("invalid literal"))
-                }
-            }
-            Some(b't') => {
-                if self.eat_literal("true") {
-                    Ok(Value::Bool(true))
-                } else {
-                    Err(Error::custom("invalid literal"))
-                }
-            }
-            Some(b'f') => {
-                if self.eat_literal("false") {
-                    Ok(Value::Bool(false))
-                } else {
-                    Err(Error::custom("invalid literal"))
-                }
-            }
-            Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            _ => Err(Error::custom(format!("unexpected byte at {}", self.pos))),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&byte) = rest.first() else {
-                return Err(Error::custom("unterminated string"));
-            };
-            match byte {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let Some(&escape) = self.bytes.get(self.pos) else {
-                        return Err(Error::custom("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::custom("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::custom("invalid \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::custom("invalid \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(Error::custom(format!(
-                                "invalid escape `\\{}`",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                _ => {
-                    // Copy the run up to the next quote or backslash in one
-                    // slice. Both are ASCII, so the run ends on a char
-                    // boundary of the (already valid UTF-8) input.
-                    let run = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    out.push_str(&self.text[self.pos..self.pos + run]);
-                    self.pos += run;
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
-        if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::U64(u));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::I64(i));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| Error::custom(format!("invalid number `{text}`")))
-    }
-
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error::custom("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.parse_string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(Error::custom("expected `,` or `}` in object")),
-            }
-        }
-    }
+    let mut reader = Reader::new(text);
+    let value = T::read_json(&mut reader)?;
+    reader.finish()?;
+    Ok(value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Inner {
+        ratio: f64,
+        label: Option<String>,
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    enum Message {
+        Ping,
+        Data {
+            name: String,
+            count: u64,
+            offset: i64,
+            items: Vec<u32>,
+            pairs: Vec<(f64, f64)>,
+            inner: Inner,
+            flag: bool,
+        },
+    }
+
+    fn data() -> Message {
+        Message::Data {
+            name: "hello \"world\"\n\u{1}/ü😀".into(),
+            count: 42,
+            offset: -3,
+            items: vec![1, 2, 3],
+            pairs: vec![(0.25, 4.0)],
+            inner: Inner {
+                ratio: 1e-7,
+                label: None,
+            },
+            flag: true,
+        }
+    }
+
     #[test]
     fn values_round_trip_through_text() {
-        let value = Value::Object(vec![
-            ("name".into(), Value::Str("hello \"world\"\n".into())),
-            ("count".into(), Value::U64(42)),
-            ("offset".into(), Value::I64(-3)),
-            ("ratio".into(), Value::F64(0.125)),
-            ("big".into(), Value::F64(1.0e-7)),
-            ("flag".into(), Value::Bool(true)),
-            ("nothing".into(), Value::Null),
-            (
-                "items".into(),
-                Value::Array(vec![Value::U64(1), Value::F64(2.5), Value::Str("x".into())]),
-            ),
-            ("empty_arr".into(), Value::Array(vec![])),
-            ("empty_obj".into(), Value::Object(vec![])),
-        ]);
-
-        struct Wrap(Value);
-        impl serde::Serialize for Wrap {
-            fn to_value(&self) -> Value {
-                self.0.clone()
-            }
-        }
-        impl serde::Deserialize for Wrap {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                Ok(Wrap(v.clone()))
-            }
-        }
-
-        for text in [
-            to_string(&Wrap(value.clone())).unwrap(),
-            to_string_pretty(&Wrap(value.clone())).unwrap(),
-        ] {
-            let parsed: Wrap = from_str(&text).unwrap();
-            assert_eq!(parsed.0, value);
-        }
+        let text = to_string(&data()).unwrap();
+        assert_eq!(
+            text,
+            "{\"Data\":{\"name\":\"hello \\\"world\\\"\\n\\u0001/ü😀\",\"count\":42,\
+             \"offset\":-3,\"items\":[1,2,3],\"pairs\":[[0.25,4.0]],\
+             \"inner\":{\"ratio\":1e-7,\"label\":null},\"flag\":true}}"
+        );
+        assert_eq!(from_str::<Message>(&text).unwrap(), data());
+        assert_eq!(to_string(&Message::Ping).unwrap(), "\"Ping\"");
+        assert_eq!(from_str::<Message>(" \"Ping\"\r\n").unwrap(), Message::Ping);
+        assert_eq!(to_string(&Vec::<u8>::new()).unwrap(), "[]");
+        assert_eq!(to_string(&i64::MIN).unwrap(), "-9223372036854775808");
+        assert_eq!(to_string(&u64::MAX).unwrap(), "18446744073709551615");
     }
 
     #[test]
     fn floats_round_trip_exactly() {
         for x in [1.0_f64, 0.1, 1e300, 5e-324, -2.5e-9, 123_456_789.123_456_79] {
-            struct W(f64);
-            impl serde::Serialize for W {
-                fn to_value(&self) -> Value {
-                    Value::F64(self.0)
-                }
-            }
-            let text = to_string(&W(x)).unwrap();
+            let text = to_string(&x).unwrap();
             let back: f64 = from_str(&text).unwrap();
             assert_eq!(back, x, "text {text}");
         }
+        assert_eq!(to_string(&f64::INFINITY).unwrap(), "null");
+        assert!(from_str::<f64>("null").unwrap().is_nan());
+    }
+
+    #[test]
+    fn numbers_coerce_across_representations() {
+        assert_eq!(from_str::<usize>("3.0").unwrap(), 3);
+        assert_eq!(from_str::<usize>("-0").unwrap(), 0);
+        assert_eq!(from_str::<u64>("01").unwrap(), 1);
+        assert_eq!(from_str::<i32>("-2e1").unwrap(), -20);
+        assert_eq!(from_str::<f64>("7").unwrap(), 7.0);
+        assert_eq!(from_str::<u64>("18446744073709551615").unwrap(), u64::MAX);
+        assert!(from_str::<u8>("256").is_err());
+        assert!(from_str::<usize>("3.5").is_err());
+        assert!(from_str::<usize>("null").is_err());
+    }
+
+    #[test]
+    fn fields_read_in_any_order_first_key_wins_unknown_keys_skip() {
+        let inner: Inner =
+            from_str(r#"{"zz":[1,{"a":"é"}],"label":"a","ratio":2,"ratio":"x"}"#).unwrap();
+        assert_eq!(
+            inner,
+            Inner {
+                ratio: 2.0,
+                label: Some("a".into())
+            }
+        );
+        // A skipped value still has to be well-formed.
+        assert!(from_str::<Inner>(r#"{"ratio":1,"zz":[1,]}"#).is_err());
+        assert!(from_str::<Inner>(r#"{"ratio":1,"ratio":01.2.3}"#).is_err());
+    }
+
+    #[test]
+    fn object_field_lookup() {
+        let inner: Inner = from_str(r#"{"ratio":0.5}"#).unwrap();
+        assert_eq!(inner.label, None);
+        let error = from_str::<Inner>(r#"{"label":"a"}"#).unwrap_err();
+        assert!(
+            error.to_string().contains("missing field `ratio`"),
+            "{error}"
+        );
+        // An explicit null still reads as NaN.
+        assert!(from_str::<Inner>(r#"{"ratio":null}"#)
+            .unwrap()
+            .ratio
+            .is_nan());
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_surrogates_become_replacement_chars() {
+        let grin = concat!(r#""\ud83d"#, r#"\ude00""#);
+        let beam = concat!(r#""\ud83d"#, r#"\ude01x""#);
+        assert_eq!(from_str::<String>(grin).unwrap(), "\u{1f600}");
+        assert_eq!(from_str::<String>(beam).unwrap(), "\u{1f601}x");
+        assert_eq!(from_str::<String>(r#""\ud83d""#).unwrap(), "\u{fffd}");
+        assert_eq!(
+            from_str::<String>(r#""\ude00\ud83d""#).unwrap(),
+            "\u{fffd}\u{fffd}"
+        );
+        assert_eq!(from_str::<String>(r#""\ud83dAA""#).unwrap(), "\u{fffd}AA");
+        assert_eq!(from_str::<String>(r#""\ud83dA""#).unwrap(), "\u{fffd}A");
+        assert!(from_str::<String>(r#""\ud83d\uzzzz""#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let within = format!(r#"{{"ratio":1,"zz":{}}}"#, nested(serde::MAX_DEPTH - 1));
+        assert!(from_str::<Inner>(&within).is_ok());
+        let beyond = format!(r#"{{"ratio":1,"zz":{}}}"#, nested(serde::MAX_DEPTH));
+        let error = from_str::<Inner>(&beyond).unwrap_err();
+        assert!(
+            error.to_string().contains("nesting deeper than 128"),
+            "{error}"
+        );
+    }
+
+    #[test]
+    fn a_hundred_thousand_brackets_fail_on_a_small_stack() {
+        // Session threads run on 512 KiB stacks; a reader that recursed
+        // once per level overflowed them and aborted the process.
+        let deep = "[".repeat(100_000);
+        let skipped = format!(r#"{{"ratio":1,"zz":{deep}"#);
+        let results = std::thread::Builder::new()
+            .stack_size(512 * 1024)
+            .spawn(move || {
+                (
+                    from_str::<Vec<Vec<u8>>>(&deep).is_err(),
+                    from_str::<Inner>(&skipped).is_err(),
+                    from_str::<Message>(&deep).is_err(),
+                )
+            })
+            .unwrap()
+            .join()
+            .expect("the reader returns instead of overflowing its stack");
+        assert_eq!(results, (true, true, true));
     }
 
     #[test]
@@ -406,13 +191,7 @@ mod tests {
         // minutes; one pass takes milliseconds.
         let piece = "plain ascii, ünïcödé ✓, \"quoted\" \\ and \n newline; ";
         let long: String = piece.repeat((1 << 20) / piece.len() + 1);
-        struct W(String);
-        impl serde::Serialize for W {
-            fn to_value(&self) -> Value {
-                Value::Str(self.0.clone())
-            }
-        }
-        let text = to_string(&W(long.clone())).unwrap();
+        let text = to_string(&long).unwrap();
         let start = std::time::Instant::now();
         let back: String = from_str(&text).unwrap();
         let elapsed = start.elapsed();
@@ -423,8 +202,15 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert!(from_str::<f64>("1.2.3").is_err());
-        assert!(from_str::<f64>("[1").is_err());
+        assert!(from_str::<Vec<f64>>("[1").is_err());
         assert!(from_str::<f64>("1 2").is_err());
         assert!(from_str::<String>("\"abc").is_err());
+        assert!(from_str::<String>("\"a\\qb\"").is_err());
+        assert!(from_str::<bool>("tru").is_err());
+        assert!(from_str::<Message>(r#"{"Ping":{}}"#).is_err());
+        assert!(from_str::<Message>(r#""Data""#).is_err());
+        assert!(from_str::<Message>(r#"{"Data":{"name":"x"},"Ping":1}"#).is_err());
+        assert!(from_str::<Message>("{}").is_err());
+        assert!(from_str::<Inner>(r#"{"ratio":1,}"#).is_err());
     }
 }

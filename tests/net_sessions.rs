@@ -356,6 +356,56 @@ fn torn_frames_close_one_session_and_leave_the_service_usable() {
 }
 
 #[test]
+fn deeply_nested_and_incomplete_json_lines_get_invalid_request_and_the_session_goes_on() {
+    // A 100,000-deep line is 100 KB, far under the frame cap; a reader
+    // that recursed once per level overflowed the 512 KiB session stack
+    // and aborted the whole process.
+    let dir = temp_dir("deep");
+    let tcp = tcp_server(ServiceConfig::smoke(50), |net| net);
+    let service = Arc::new(Service::new(ServiceConfig::smoke(51)));
+    let unix = NetServer::start(
+        service,
+        NetConfig::new(ListenAddr::Unix(dir.join("deep.sock"))),
+    )
+    .unwrap();
+    let deep = "[".repeat(100_000);
+    let bad_lines = [
+        (deep.clone(), "unknown variant"),
+        (
+            format!(r#"{{"Stats":{{"skipped":{deep}"#),
+            "nesting deeper than 128",
+        ),
+        // A required float left out is an error, not NaN.
+        (
+            r#"{"BestForPrivacy":{"name":"x"}}"#.to_string(),
+            "missing field `min_privacy`",
+        ),
+    ];
+    for server in [tcp, unix] {
+        let mut client = NetClient::connect(&server.listen_addr(), Codec::Json).unwrap();
+        for (line, reason_part) in &bad_lines {
+            client.send_raw(format!("{line}\n").as_bytes()).unwrap();
+            let response = client.recv().unwrap();
+            let Response::Error { reason, code } = response else {
+                panic!("expected an error, got {response:?}");
+            };
+            assert_eq!(code, "invalid_request");
+            assert!(reason.contains(reason_part), "{reason}");
+            let response = client
+                .request(&Request::Stats {
+                    key: None,
+                    name: None,
+                })
+                .unwrap();
+            assert!(matches!(response, Response::ServiceStats { .. }));
+        }
+        assert_eq!(client.request(&Request::Shutdown).unwrap(), Response::Bye);
+        server.wait();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn corrupted_binary_frames_get_a_typed_error_and_the_service_survives() {
     let server = tcp_server(ServiceConfig::smoke(47), |net| net);
     let addr = server.listen_addr();
