@@ -206,8 +206,9 @@ pub enum Request {
     Metrics,
     /// The newest entries of the structured event trace (lifecycle
     /// transitions, refresh runs, drift and coverage trips, evictions,
-    /// ingest batches, snapshot I/O). Example lines: `"Trace"` reads the
-    /// whole ring, `{"Trace":{"limit":50}}` the newest 50 events.
+    /// ingest batches, snapshot I/O). Example lines: `{"Trace":{}}` reads
+    /// the whole ring, `{"Trace":{"limit":50}}` the newest 50 events (a
+    /// struct variant, so the bare string `"Trace"` is no request).
     Trace {
         /// Cap on returned events (whole ring when omitted).
         limit: Option<usize>,

@@ -81,10 +81,10 @@ pub trait Deserialize: Sized {
 /// A JSON number as written: unsigned, negative, or with a fraction or
 /// exponent.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Number {
+enum Number {
     /// A non-negative integer that fits `u64`.
     U64(u64),
-    /// A negative integer that fits `i64`.
+    /// An integer with a minus sign (`-0` included) that fits `i64`.
     I64(i64),
     /// Any other number.
     F64(f64),
@@ -92,7 +92,7 @@ pub enum Number {
 
 impl Number {
     /// Coercion to `u64`: integers and non-negative whole floats.
-    pub fn as_u64(self) -> Option<u64> {
+    fn as_u64(self) -> Option<u64> {
         match self {
             Number::U64(x) => Some(x),
             Number::I64(x) if x >= 0 => Some(x as u64),
@@ -101,18 +101,8 @@ impl Number {
         }
     }
 
-    /// Coercion to `i64`: integers in range and whole floats.
-    pub fn as_i64(self) -> Option<i64> {
-        match self {
-            Number::I64(x) => Some(x),
-            Number::U64(x) if x <= i64::MAX as u64 => Some(x as i64),
-            Number::F64(x) if x.fract() == 0.0 => Some(x as i64),
-            _ => None,
-        }
-    }
-
     /// Coercion to `f64`: every number.
-    pub fn as_f64(self) -> f64 {
+    fn as_f64(self) -> f64 {
         match self {
             Number::U64(x) => x as f64,
             Number::I64(x) => x as f64,
@@ -163,7 +153,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next byte after whitespace, not consumed.
-    pub fn peek(&mut self) -> Option<u8> {
+    fn peek(&mut self) -> Option<u8> {
         while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes().get(self.pos) {
             self.pos += 1;
         }
@@ -212,7 +202,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes a `null`, if one is next.
-    pub fn eat_null(&mut self) -> Result<bool, Error> {
+    fn eat_null(&mut self) -> Result<bool, Error> {
         if self.peek() != Some(b'n') {
             return Ok(false);
         }
@@ -220,7 +210,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a `true` or `false`, or `None` if neither is next.
-    pub fn read_bool(&mut self) -> Result<Option<bool>, Error> {
+    fn read_bool(&mut self) -> Result<Option<bool>, Error> {
         match self.peek() {
             Some(b't') => self.literal("true").map(|()| Some(true)),
             Some(b'f') => self.literal("false").map(|()| Some(false)),
@@ -229,7 +219,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a number, or `None` if no number is next.
-    pub fn read_number(&mut self) -> Result<Option<Number>, Error> {
+    fn read_number(&mut self) -> Result<Option<Number>, Error> {
         match self.peek() {
             Some(b'0'..=b'9') => {}
             Some(b'-') => return self.read_number_text().map(Some),
@@ -277,7 +267,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a string, borrowed from the text unless it holds escapes.
-    pub fn read_str(&mut self) -> Result<Cow<'a, str>, Error> {
+    fn read_str(&mut self) -> Result<Cow<'a, str>, Error> {
         if self.peek() != Some(b'"') {
             return Err(Error::custom("expected string"));
         }
@@ -354,11 +344,12 @@ impl<'a> Reader<'a> {
 
     /// Reads the four hex digits of a `\u` escape.
     fn read_hex4(&mut self) -> Result<u32, Error> {
-        let hex = self
-            .text
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| Error::custom("invalid \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| Error::custom("invalid \\u escape"))?;
+        if self.pos + 4 > self.text.len() {
+            return Err(Error::custom("truncated \\u escape"));
+        }
+        let invalid = || Error::custom("invalid \\u escape");
+        let hex = self.text.get(self.pos..self.pos + 4).ok_or_else(invalid)?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| invalid())?;
         self.pos += 4;
         Ok(code)
     }
@@ -509,30 +500,7 @@ macro_rules! impl_serde_unsigned {
     )*};
 }
 
-impl_serde_unsigned!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_serde_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn write_json(&self, out: &mut String) {
-                if *self < 0 {
-                    out.push('-');
-                }
-                write_u64(out, (*self as i64).unsigned_abs());
-            }
-        }
-        impl Deserialize for $t {
-            fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
-                reader.read_number()?
-                    .and_then(Number::as_i64)
-                    .and_then(|x| <$t>::try_from(x).ok())
-                    .ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))
-            }
-        }
-    )*};
-}
-
-impl_serde_signed!(i8, i16, i32, i64, isize);
+impl_serde_unsigned!(u64, usize);
 
 impl Serialize for f64 {
     fn write_json(&self, out: &mut String) {
@@ -558,18 +526,6 @@ impl Deserialize for f64 {
             .read_number()?
             .map(Number::as_f64)
             .ok_or_else(|| Error::custom("expected number"))
-    }
-}
-
-impl Serialize for f32 {
-    fn write_json(&self, out: &mut String) {
-        f64::from(*self).write_json(out);
-    }
-}
-
-impl Deserialize for f32 {
-    fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
-        f64::read_json(reader).map(|x| x as f32)
     }
 }
 
@@ -627,12 +583,6 @@ impl Deserialize for String {
     }
 }
 
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn write_json(&self, out: &mut String) {
-        (**self).write_json(out);
-    }
-}
-
 impl<T: Serialize> Serialize for [T] {
     fn write_json(&self, out: &mut String) {
         out.push('[');
@@ -686,31 +636,6 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
-/// Reads a tuple's array: `slot` reads element `i` into its place.
-/// `what` names the tuple in errors.
-fn read_tuple(
-    reader: &mut Reader<'_>,
-    len: usize,
-    what: &str,
-    mut slot: impl FnMut(&mut Reader<'_>, usize) -> Result<(), Error>,
-) -> Result<(), Error> {
-    let mut count = 0;
-    reader.read_array(&format!("expected {what}"), |reader| {
-        if count < len {
-            slot(reader, count)?;
-        } else {
-            reader.skip_value()?;
-        }
-        count += 1;
-        Ok(())
-    })?;
-    if count == len {
-        Ok(())
-    } else {
-        Err(Error::custom(format!("expected {len}-element array")))
-    }
-}
-
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn write_json(&self, out: &mut String) {
         out.push('[');
@@ -723,42 +648,20 @@ impl<A: Serialize, B: Serialize> Serialize for (A, B) {
 
 impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
     fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
-        let (mut a, mut b) = (None, None);
-        read_tuple(reader, 2, "pair", |reader, i| {
-            match i {
-                0 => a = Some(A::read_json(reader)?),
-                _ => b = Some(B::read_json(reader)?),
-            }
-            Ok(())
-        })?;
-        Ok((a.expect("read"), b.expect("read")))
-    }
-}
-
-impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn write_json(&self, out: &mut String) {
-        out.push('[');
-        self.0.write_json(out);
-        out.push(',');
-        self.1.write_json(out);
-        out.push(',');
-        self.2.write_json(out);
-        out.push(']');
-    }
-}
-
-impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
-    fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
-        let (mut a, mut b, mut c) = (None, None, None);
-        read_tuple(reader, 3, "triple", |reader, i| {
-            match i {
+        let (mut a, mut b, mut count) = (None, None, 0);
+        reader.read_array("expected pair", |reader| {
+            match count {
                 0 => a = Some(A::read_json(reader)?),
                 1 => b = Some(B::read_json(reader)?),
-                _ => c = Some(C::read_json(reader)?),
+                _ => reader.skip_value()?,
             }
+            count += 1;
             Ok(())
         })?;
-        Ok((a.expect("read"), b.expect("read"), c.expect("read")))
+        match (a, b, count) {
+            (Some(a), Some(b), 2) => Ok((a, b)),
+            _ => Err(Error::custom("expected two-element array")),
+        }
     }
 }
 
@@ -781,25 +684,24 @@ mod tests {
     #[test]
     fn primitives_round_trip() {
         assert_eq!(read::<u64>(&write(&42u64)).unwrap(), 42);
-        assert_eq!(read::<i64>(&write(&-7i64)).unwrap(), -7);
         assert_eq!(read::<f64>(&write(&1.5f64)).unwrap(), 1.5);
         assert!(read::<bool>(&write(&true)).unwrap());
         assert_eq!(read::<String>(&write("hi")).unwrap(), "hi");
-        let v: Vec<u32> = read(&write(&vec![1u32, 2, 3])).unwrap();
+        let v: Vec<usize> = read(&write(&vec![1usize, 2, 3])).unwrap();
         assert_eq!(v, vec![1, 2, 3]);
         let o: Option<f64> = read("null").unwrap();
         assert!(o.is_none());
         let pair: (f64, f64) = read(&write(&(0.25f64, 4.0f64))).unwrap();
         assert_eq!(pair, (0.25, 4.0));
         assert!(read::<(f64, f64)>("[1,2,3]").is_err());
-        let triple: (u8, i8, bool) = read(" [ 1 , -2 , false ] ").unwrap();
-        assert_eq!(triple, (1, -2, false));
+        assert!(read::<(f64, f64)>("[1]").is_err());
+        let pair: (u64, f64) = read(" [ 1 , -2 ] ").unwrap();
+        assert_eq!(pair, (1, -2.0));
     }
 
     #[test]
     fn non_finite_floats_become_null() {
         assert_eq!(write(&f64::INFINITY), "null");
-        assert_eq!(write(&f32::NEG_INFINITY), "null");
         assert!(read::<f64>("null").unwrap().is_nan());
         assert_eq!(read::<Option<f64>>("null").unwrap(), None);
     }
