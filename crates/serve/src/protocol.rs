@@ -15,8 +15,10 @@
 //! "Shutdown"
 //! ```
 //!
-//! Lines are RFC 8259 JSON, written from and read straight into these
-//! types by the vendored `serde` stand-in, with no value tree. A
+//! Lines are JSON (RFC 8259), written from and read straight into these
+//! types by the vendored `serde` stand-in, with no value tree. The
+//! reader also takes a few things the RFC does not: leading zeros, `1.`,
+//! raw control characters in strings. A
 //! struct's fields come in any order; the first occurrence of a key
 //! wins, and duplicates and unknown keys are skipped (their syntax still
 //! checked). A missing `Option` field is `None`, and any other missing

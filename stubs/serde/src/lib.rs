@@ -13,7 +13,9 @@
 //! real crates; a hand-written `write_json` impl would need porting to
 //! real serde's `Serializer`.
 //!
-//! Reading follows RFC 8259 with these rules:
+//! Reading follows RFC 8259, a little more leniently (leading zeros,
+//! `1.`, raw control characters in strings and a `+` in a `\u` escape
+//! are accepted), with these rules:
 //!
 //! * A struct reads its fields by name in any order. The first
 //!   occurrence of a key wins; later duplicates and unknown keys are
