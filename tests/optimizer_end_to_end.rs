@@ -267,3 +267,25 @@ fn optimizer_bits_are_pinned_off_the_fast_path() {
     }
     assert_eq!(optrr::fnv1a_64(words), 0x5e8a_179d_ff26_c6e6);
 }
+
+#[test]
+fn optimizer_bits_are_pinned_at_lane_remainders() {
+    // SPEA2 runs at orders that leave a partial lane block in the
+    // evaluation kernel (n = 3, 9, 17 against a lane width of 8), so the
+    // padded lanes and the remainder block are pinned as well as the full
+    // blocks `optimizer_bits_are_pinned` covers. The constant was computed
+    // with the unblocked lockstep kernels.
+    let mut words = Vec::new();
+    for n in [3usize, 9, 17] {
+        let prior = harmonic_prior(n);
+        for delta in [0.7, 0.9] {
+            let config = optrr::OptrrConfig::fast(delta, 45);
+            let outcome = Optimizer::new(config)
+                .unwrap()
+                .optimize_distribution(&prior)
+                .unwrap();
+            push_outcome_bits(&mut words, &outcome);
+        }
+    }
+    assert_eq!(optrr::fnv1a_64(words), 0xd59e_08f0_f048_c4eb);
+}
