@@ -10,6 +10,16 @@
 //! that keeps the [`Evaluation`] the batch computed for it, so Ω offers
 //! and archive reporting read it from the individual instead of
 //! evaluating the matrix again.
+//!
+//! A batch owns one [`rr::Theorem6`] workspace, so an evaluation
+//! allocates nothing after the batch's first genome: privacy comes from
+//! [`rr::metrics::privacy::score`] (the MAP pass without the per-value
+//! estimates), and the closed-form MSE from the workspace's LU factors,
+//! lane-blocked inverse and lane-blocked sums. None of it can move a bit:
+//! every kernel keeps each output's operation order (see the `lu` and
+//! `utility` module docs), and `evaluate_matrix`, the one-off path, runs
+//! the same code through a fresh workspace. `optimizer_bits_are_pinned`,
+//! `…_off_the_fast_path` and `…_at_lane_remainders` pin the result.
 
 use crate::config::OptrrConfig;
 use crate::error::{OptrrError, Result};
@@ -18,9 +28,8 @@ use crate::operators::{
 };
 use emoo::{Objectives, Problem};
 use rand::Rng;
-use rr::metrics::privacy::analyze;
-use rr::metrics::utility::utility;
-use rr::RrMatrix;
+use rr::metrics::privacy::score;
+use rr::{RrMatrix, Theorem6};
 use stats::Categorical;
 use std::sync::OnceLock;
 
@@ -135,14 +144,21 @@ impl OptrrProblem {
         self.num_records
     }
 
-    /// Evaluates a matrix into the paper's reporting convention.
-    ///
-    /// One posterior pass: `analyze` reports the worst-case posterior
-    /// beside privacy. Its value is bit-equal to `max_posterior`'s, since
-    /// every posterior is non-negative and `max` is exact in any order.
+    /// Evaluates a matrix into the paper's reporting convention, through a
+    /// fresh [`Theorem6`] workspace.
     pub fn evaluate_matrix(&self, m: &RrMatrix) -> Evaluation {
-        let privacy_analysis = match analyze(m, &self.prior) {
-            Ok(a) => a,
+        self.evaluate_with(m, &mut Theorem6::new())
+    }
+
+    /// Evaluates a matrix, reusing `workspace`'s buffers for Theorem 6.
+    ///
+    /// One posterior pass: [`score`] reports the worst-case posterior
+    /// beside privacy, with no per-value MAP estimates allocated. Its value
+    /// is bit-equal to `max_posterior`'s, since every posterior is
+    /// non-negative and `max` is exact in any order.
+    fn evaluate_with(&self, m: &RrMatrix, workspace: &mut Theorem6) -> Evaluation {
+        let privacy_score = match score(m, &self.prior) {
+            Ok(s) => s,
             Err(_) => {
                 return Evaluation {
                     privacy: 0.0,
@@ -152,20 +168,20 @@ impl OptrrProblem {
                 }
             }
         };
-        let max_post = privacy_analysis.max_posterior;
-        let mse = utility(m, &self.prior, self.num_records);
+        let max_post = privacy_score.max_posterior;
+        let mse = workspace.mean(m, &self.prior, self.num_records);
         match mse {
             Ok(mse) if mse.is_finite() => {
                 let within_bound = max_post <= self.delta + 1e-9;
                 Evaluation {
-                    privacy: privacy_analysis.privacy,
+                    privacy: privacy_score.privacy,
                     mse,
                     max_posterior: max_post,
                     feasible: within_bound,
                 }
             }
             _ => Evaluation {
-                privacy: privacy_analysis.privacy,
+                privacy: privacy_score.privacy,
                 mse: f64::INFINITY,
                 max_posterior: max_post,
                 feasible: false,
@@ -173,16 +189,20 @@ impl OptrrProblem {
         }
     }
 
-    /// Evaluates a whole batch of matrices, in input order. The baseline
-    /// sweeps use it.
+    /// Evaluates a whole batch of matrices, in input order, through one
+    /// workspace. The baseline sweeps use it.
     pub fn evaluate_matrices(&self, matrices: &[RrMatrix]) -> Vec<Evaluation> {
-        matrices.iter().map(|m| self.evaluate_matrix(m)).collect()
+        let mut workspace = Theorem6::new();
+        matrices
+            .iter()
+            .map(|m| self.evaluate_with(m, &mut workspace))
+            .collect()
     }
 
     /// Evaluates a candidate's matrix, stores the evaluation in the
     /// candidate, and returns the engine's objective vector for it.
-    fn evaluate_candidate(&self, candidate: &Candidate) -> Objectives {
-        let evaluation = self.evaluate_matrix(&candidate.matrix);
+    fn evaluate_candidate(&self, candidate: &Candidate, workspace: &mut Theorem6) -> Objectives {
+        let evaluation = self.evaluate_with(&candidate.matrix, workspace);
         // A candidate that already carries one got it from the same pure
         // computation, so keeping it changes nothing.
         let _ = candidate.evaluation.set(evaluation);
@@ -271,11 +291,17 @@ impl Problem for OptrrProblem {
     }
 
     fn evaluate(&self, genome: &Candidate) -> Objectives {
-        self.evaluate_candidate(genome)
+        self.evaluate_candidate(genome, &mut Theorem6::new())
     }
 
+    /// One [`Theorem6`] workspace per batch: after the first genome, an
+    /// evaluation allocates nothing.
     fn evaluate_batch(&self, genomes: &[Candidate]) -> Vec<Objectives> {
-        genomes.iter().map(|g| self.evaluate_candidate(g)).collect()
+        let mut workspace = Theorem6::new();
+        genomes
+            .iter()
+            .map(|g| self.evaluate_candidate(g, &mut workspace))
+            .collect()
     }
 
     fn crossover<R: Rng + ?Sized>(

@@ -16,7 +16,8 @@
 //!   diagonal dominance).
 //! * [`LuDecomposition`] — LU factorization with partial pivoting, plus
 //!   [`invert`], [`solve`], [`determinant`] and [`condition_number_1`]
-//!   convenience wrappers.
+//!   convenience wrappers. Factor and inverse can also write into
+//!   caller-owned buffers, the inverse lane-blocked ([`LANES`]).
 //!
 //! The crate is `#![forbid(unsafe_code)]` and has no dependencies beyond
 //! `serde` (for experiment serialization).
@@ -52,10 +53,11 @@ pub mod vector;
 
 pub use error::{LinalgError, Result};
 pub use lu::{
-    condition_number_1, determinant, invert, solve, LuDecomposition, SINGULARITY_TOLERANCE,
+    condition_number_1, determinant, invert, lane_block, padded_width, solve, LuDecomposition,
+    LANES, SINGULARITY_TOLERANCE,
 };
 pub use matrix::{Matrix, MUL_BLOCK};
-pub use vector::Vector;
+pub use vector::{project_to_simplex_in_place, Vector};
 
 #[cfg(test)]
 mod proptests {

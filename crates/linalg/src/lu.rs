@@ -6,6 +6,18 @@
 //! `M⁻¹`. RR matrices are small (n ≤ a few dozen), so an `O(n³)` dense LU
 //! with partial pivoting is more than sufficient and numerically robust for
 //! the column-stochastic matrices the evolutionary search produces.
+//!
+//! The optimizer factors and inverts one matrix per evaluation, so both
+//! steps can write into caller-owned buffers: [`LuDecomposition::factor`]
+//! refactors in place, and [`LuDecomposition::inverse_into`] substitutes
+//! into a buffer whose rows are padded to whole blocks of [`LANES`]
+//! columns ([`padded_width`]). Each block of a row accumulates in a
+//! `[f64; LANES]` array the compiler keeps in registers, instead of going
+//! through memory on every subtracted term. Every column still sees
+//! exactly the operations, in the order, of a column-by-column forward
+//! and back substitution, so the bits cannot move: only the interleaving
+//! across independent columns changes. The allocating [`invert`] and
+//! [`LuDecomposition::inverse`] are thin wrappers over the same kernel.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
@@ -14,11 +26,29 @@ use crate::vector::Vector;
 /// Pivot magnitude below which a matrix is treated as singular.
 pub const SINGULARITY_TOLERANCE: f64 = 1e-12;
 
+/// Lane width of the blocked kernels: how many independent columns (or,
+/// in Theorem 6, categories) one register-held accumulator array carries.
+pub const LANES: usize = 8;
+
+/// `n` rounded up to a whole number of [`LANES`]-wide blocks: the row
+/// stride of a lane-padded buffer.
+pub fn padded_width(n: usize) -> usize {
+    n.div_ceil(LANES) * LANES
+}
+
+/// The `LANES`-wide block of `buf` that starts at `at`.
+pub fn lane_block(buf: &[f64], at: usize) -> &[f64; LANES] {
+    buf[at..at + LANES].try_into().expect("LANES-long slice")
+}
+
 /// An LU decomposition `P A = L U` of a square matrix `A`, with partial
 /// (row) pivoting.
 ///
 /// `L` is unit lower triangular and `U` upper triangular; both are packed
 /// into a single matrix (`L` strictly below the diagonal, `U` on and above).
+///
+/// The default value is the factorization of the empty matrix, a buffer
+/// for [`factor`](Self::factor) to fill.
 #[derive(Debug, Clone)]
 pub struct LuDecomposition {
     /// Packed LU factors.
@@ -29,6 +59,16 @@ pub struct LuDecomposition {
     perm_sign: f64,
 }
 
+impl Default for LuDecomposition {
+    fn default() -> Self {
+        Self {
+            lu: Matrix::zeros(0, 0),
+            perm: Vec::new(),
+            perm_sign: 1.0,
+        }
+    }
+}
+
 impl LuDecomposition {
     /// Factorizes `a` with partial pivoting.
     ///
@@ -37,6 +77,15 @@ impl LuDecomposition {
     /// encountered, and [`LinalgError::NotSquare`] / [`LinalgError::Empty`] /
     /// [`LinalgError::NonFinite`] for malformed input.
     pub fn new(a: &Matrix) -> Result<Self> {
+        let mut lu = Self::default();
+        lu.factor(a)?;
+        Ok(lu)
+    }
+
+    /// Factorizes `a` into this decomposition's buffers, reusing their
+    /// allocations, with the checks and errors of [`new`](Self::new). After
+    /// an error the factors are unspecified until the next successful call.
+    pub fn factor(&mut self, a: &Matrix) -> Result<()> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
@@ -51,11 +100,13 @@ impl LuDecomposition {
             return Err(LinalgError::NonFinite);
         }
 
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0_f64;
+        self.lu.copy_from(a);
+        self.perm.clear();
+        self.perm.extend(0..n);
+        self.perm_sign = 1.0;
+        let perm = &mut self.perm;
         // Scale-aware singularity threshold.
-        let scale = lu.max_abs().max(1.0);
+        let scale = self.lu.max_abs().max(1.0);
         let tol = SINGULARITY_TOLERANCE * scale;
 
         // The elimination runs on the raw row-major buffer: `k` stays the
@@ -64,27 +115,27 @@ impl LuDecomposition {
         // are bitwise equal), but each trailing-row update is a contiguous
         // slice AXPY `row_i[k+1..] -= factor * row_k[k+1..]` the compiler
         // can vectorize, instead of per-element checked indexing.
-        let data = lu.as_mut_slice();
+        let data = self.lu.as_mut_slice();
         for k in 0..n {
             // Find the pivot row: the largest |entry| in column k at or below row k.
             let mut pivot_row = k;
             let mut pivot_val = data[k * n + k].abs();
+            // Selects rather than branches: which row wins is data-dependent
+            // and mispredicts often. Ties keep the first row.
             for i in (k + 1)..n {
                 let v = data[i * n + k].abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = i;
-                }
+                let better = v > pivot_val;
+                pivot_val = if better { v } else { pivot_val };
+                pivot_row = if better { i } else { pivot_row };
             }
             if pivot_val < tol {
                 return Err(LinalgError::Singular { pivot: k });
             }
             if pivot_row != k {
-                for j in 0..n {
-                    data.swap(k * n + j, pivot_row * n + j);
-                }
+                let (upper, lower) = data.split_at_mut(pivot_row * n);
+                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
                 perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
+                self.perm_sign = -self.perm_sign;
             }
             // Split the buffer at the end of row k: `head` ends with the
             // pivot row, `tail` holds the rows to eliminate.
@@ -99,11 +150,7 @@ impl LuDecomposition {
                 }
             }
         }
-        Ok(Self {
-            lu,
-            perm,
-            perm_sign,
-        })
+        Ok(())
     }
 
     /// Borrow the packed factors (`L` strictly below the diagonal, `U` on
@@ -203,51 +250,71 @@ impl LuDecomposition {
         Ok(out)
     }
 
-    /// Computes `A⁻¹`.
-    ///
-    /// Substitutes all `n` columns of the permuted identity in lockstep,
-    /// one row of `X` at a time, in place in the output. Column `j` sees
-    /// exactly the operations `solve_in_place` would apply to it,
-    /// in the same order: row `i` starts from `P e_j`, subtracts
-    /// `l_ik · x_k` for ascending `k < i`, then `u_ik · x_k` for ascending
-    /// `k > i`, and is divided by `u_ii`. Only the interleaving *across*
-    /// columns changes, and the columns never read each other, so every
-    /// entry is bit-identical to `solve_matrix(&Matrix::identity(n))`
-    /// while the `n` independent dependency chains overlap.
+    /// Computes `A⁻¹`, through [`inverse_into`](Self::inverse_into).
     pub fn inverse(&self) -> Result<Matrix> {
         let n = self.dim();
-        let lu = self.lu.as_slice();
+        let stride = padded_width(n);
+        let mut padded = vec![0.0; n * stride];
+        self.inverse_into(&mut padded);
         let mut out = Matrix::zeros(n, n);
-        let x = out.as_mut_slice();
-        for (row, &p) in x.chunks_exact_mut(n).zip(&self.perm) {
-            row[p] = 1.0;
-        }
-        // Forward substitution with unit lower-triangular L.
-        for i in 1..n {
-            let (done, rest) = x.split_at_mut(i * n);
-            let row_i = &mut rest[..n];
-            for (&l, row_k) in lu[i * n..i * n + i].iter().zip(done.chunks_exact(n)) {
-                for (acc, &xk) in row_i.iter_mut().zip(row_k) {
-                    *acc -= l * xk;
-                }
-            }
-        }
-        // Back substitution with U.
-        for i in (0..n).rev() {
-            let (head, done) = x.split_at_mut((i + 1) * n);
-            let row_i = &mut head[i * n..];
-            let u_row = &lu[i * n..(i + 1) * n];
-            for (&u, row_k) in u_row[i + 1..].iter().zip(done.chunks_exact(n)) {
-                for (acc, &xk) in row_i.iter_mut().zip(row_k) {
-                    *acc -= u * xk;
-                }
-            }
-            let pivot = u_row[i];
-            for acc in row_i.iter_mut() {
-                *acc /= pivot;
-            }
+        for (row, padded_row) in out
+            .as_mut_slice()
+            .chunks_exact_mut(n)
+            .zip(padded.chunks_exact(stride))
+        {
+            row.copy_from_slice(&padded_row[..n]);
         }
         Ok(out)
+    }
+
+    /// Writes `A⁻¹` into `out`: `n` rows of [`padded_width`]`(n)` entries,
+    /// the columns past `n` left zero. Panics when `out` has another length.
+    ///
+    /// The permuted identity is substituted one [`LANES`]-wide block of
+    /// columns at a time. Row `i` of a block accumulates in a register
+    /// array: it starts from `P e_j`, subtracts `l_ik · x_k` for ascending
+    /// `k < i`, and is stored; then, from the last row up, it subtracts
+    /// `u_ik · x_k` for ascending `k > i` and is divided by `u_ii`. Those
+    /// are exactly the operations `solve_in_place` applies to column `j`,
+    /// in the same order, and columns never read each other, so every
+    /// entry is bit-identical to `solve_matrix(&Matrix::identity(n))`.
+    pub fn inverse_into(&self, out: &mut [f64]) {
+        let n = self.dim();
+        let stride = padded_width(n);
+        assert_eq!(out.len(), n * stride, "inverse_into: buffer length");
+        let lu = self.lu.as_slice();
+        for block in (0..stride).step_by(LANES) {
+            // Forward substitution with unit lower-triangular L.
+            for (i, &p) in self.perm.iter().enumerate() {
+                let mut acc = [0.0; LANES];
+                if (block..block + LANES).contains(&p) {
+                    acc[p - block] = 1.0;
+                }
+                for (k, &l) in lu[i * n..i * n + i].iter().enumerate() {
+                    let x_k = lane_block(out, k * stride + block);
+                    for (a, &x) in acc.iter_mut().zip(x_k) {
+                        *a -= l * x;
+                    }
+                }
+                out[i * stride + block..][..LANES].copy_from_slice(&acc);
+            }
+            // Back substitution with U.
+            for i in (0..n).rev() {
+                let mut acc = *lane_block(out, i * stride + block);
+                let u_row = &lu[i * n..(i + 1) * n];
+                for (k, &u) in u_row.iter().enumerate().skip(i + 1) {
+                    let x_k = lane_block(out, k * stride + block);
+                    for (a, &x) in acc.iter_mut().zip(x_k) {
+                        *a -= u * x;
+                    }
+                }
+                let pivot = u_row[i];
+                for a in &mut acc {
+                    *a /= pivot;
+                }
+                out[i * stride + block..][..LANES].copy_from_slice(&acc);
+            }
+        }
     }
 }
 
@@ -470,11 +537,12 @@ mod tests {
 
     use proptest::prelude::*;
 
-    /// Square matrices of order 2..=24: general ones with entries in
-    /// [-1, 1), and column-stochastic ones shaped like RR matrices.
+    /// Square matrices of order 2..=33 (every lane remainder, up to four
+    /// blocks): general ones with entries in [-1, 1), column-stochastic
+    /// ones shaped like RR matrices, and singular ones (a repeated row).
     fn square_matrix() -> impl Strategy<Value = Matrix> {
-        (2usize..=24).prop_flat_map(|n| {
-            (proptest::collection::vec(-1.0f64..1.0, n * n), 0u8..2).prop_map(move |(raw, kind)| {
+        (2usize..=33).prop_flat_map(|n| {
+            (proptest::collection::vec(-1.0f64..1.0, n * n), 0u8..3).prop_map(move |(raw, kind)| {
                 let mut m = Matrix::from_row_major(n, n, raw).unwrap();
                 if kind == 1 {
                     for j in 0..n {
@@ -484,22 +552,69 @@ mod tests {
                         }
                     }
                 }
+                if kind == 2 {
+                    for j in 0..n {
+                        m[(n - 1, j)] = m[(0, j)];
+                    }
+                }
                 m
             })
         })
     }
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
     proptest! {
         #[test]
-        fn lockstep_inverse_is_bitwise_columnwise_solve(m in square_matrix()) {
+        fn blocked_inverse_is_bitwise_columnwise_solve(m in square_matrix()) {
             let Ok(lu) = LuDecomposition::new(&m) else {
                 return Ok(());
             };
             let n = m.rows();
             let oracle = lu.solve_matrix(&Matrix::identity(n)).unwrap();
             let inv = lu.inverse().unwrap();
-            for (a, b) in inv.as_slice().iter().zip(oracle.as_slice()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
+            prop_assert_eq!(bits(inv.as_slice()), bits(oracle.as_slice()));
+            // The padded buffer holds the same rows and zero padding.
+            let stride = padded_width(n);
+            let mut padded = vec![f64::NAN; n * stride];
+            lu.inverse_into(&mut padded);
+            for (row, oracle_row) in padded.chunks_exact(stride).zip(oracle.as_slice().chunks_exact(n)) {
+                prop_assert_eq!(bits(&row[..n]), bits(oracle_row));
+                prop_assert!(row[n..].iter().all(|&x| x == 0.0));
+            }
+        }
+
+        #[test]
+        fn reused_decomposition_is_bitwise_a_fresh_one(
+            matrices in proptest::collection::vec(square_matrix(), 1..6),
+        ) {
+            let mut reused = LuDecomposition::default();
+            let mut out = Vec::new();
+            for m in &matrices {
+                let fresh = LuDecomposition::new(m);
+                let refactored = reused.factor(m);
+                let fresh = match (fresh, refactored) {
+                    (Ok(fresh), Ok(())) => fresh,
+                    (Err(a), Err(b)) => {
+                        prop_assert_eq!(a, b);
+                        continue;
+                    }
+                    (fresh, refactored) => {
+                        return Err(format!("{fresh:?} vs {refactored:?}"));
+                    }
+                };
+                prop_assert_eq!(bits(reused.packed().as_slice()), bits(fresh.packed().as_slice()));
+                prop_assert_eq!(reused.permutation(), fresh.permutation());
+                prop_assert_eq!(reused.determinant().to_bits(), fresh.determinant().to_bits());
+                let n = m.rows();
+                out.clear();
+                out.resize(n * padded_width(n), 0.0);
+                reused.inverse_into(&mut out);
+                let mut expected = vec![0.0; n * padded_width(n)];
+                fresh.inverse_into(&mut expected);
+                prop_assert_eq!(bits(&out), bits(&expected));
             }
         }
     }

@@ -151,6 +151,13 @@ impl Matrix {
         &mut self.data
     }
 
+    /// Makes `self` a copy of `other`, reusing `self`'s allocation.
+    pub(crate) fn copy_from(&mut self, other: &Matrix) {
+        self.rows = other.rows;
+        self.cols = other.cols;
+        self.data.clone_from(&other.data);
+    }
+
     /// Checked element access.
     pub fn get(&self, i: usize, j: usize) -> Result<f64> {
         if i >= self.rows {
@@ -311,25 +318,33 @@ impl Matrix {
         t
     }
 
-    /// Matrix-vector product `A x`.
+    /// Matrix-vector product `A x`, through
+    /// [`mul_vector_into`](Self::mul_vector_into).
     pub fn mul_vector(&self, x: &Vector) -> Result<Vector> {
-        if self.cols != x.len() {
+        let mut out = Vector::zeros(self.rows);
+        self.mul_vector_into(x.as_slice(), out.as_mut_slice())?;
+        Ok(out)
+    }
+
+    /// Writes `A x` into `out` without allocating: entry `i` is row `i`'s
+    /// dot product with `x`, summed in ascending column order.
+    pub fn mul_vector_into(&self, x: &[f64], out: &mut [f64]) -> Result<()> {
+        if self.cols != x.len() || self.rows != out.len() {
             return Err(LinalgError::DimensionMismatch {
                 op: "mul_vector",
                 lhs: (self.rows, self.cols),
                 rhs: (x.len(), 1),
             });
         }
-        let mut out = Vector::zeros(self.rows);
-        for i in 0..self.rows {
+        for (i, o) in out.iter_mut().enumerate() {
+            let row = &self.data[i * self.cols..(i + 1) * self.cols];
             let mut acc = 0.0;
-            let base = i * self.cols;
-            for j in 0..self.cols {
-                acc += self.data[base + j] * x[j];
+            for (&a, &xj) in row.iter().zip(x) {
+                acc += a * xj;
             }
-            out[i] = acc;
+            *o = acc;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Matrix-matrix product `A B`.

@@ -224,16 +224,11 @@ impl Vector {
     /// Projects the vector onto the probability simplex: clamps negative
     /// entries to zero and renormalizes. This is the repair used when an
     /// estimated distribution (`M⁻¹ P̂*`) leaves the simplex because of
-    /// sampling noise.
+    /// sampling noise. A copy run through [`project_to_simplex_in_place`].
     pub fn project_to_simplex(&self) -> Vector {
-        let clipped: Vec<f64> = self.data.iter().map(|&x| x.max(0.0)).collect();
-        let s: f64 = clipped.iter().sum();
-        if s <= 0.0 {
-            // Degenerate input: fall back to the uniform distribution.
-            let n = self.data.len().max(1);
-            return Vector::filled(self.data.len(), 1.0 / n as f64);
-        }
-        Vector::from_vec(clipped.into_iter().map(|x| x / s).collect())
+        let mut projected = self.clone();
+        project_to_simplex_in_place(&mut projected.data);
+        projected
     }
 
     /// Total-variation distance between two probability vectors:
@@ -391,6 +386,25 @@ impl SubAssign<&Vector> for Vector {
         for (a, b) in self.data.iter_mut().zip(rhs.data.iter()) {
             *a -= b;
         }
+    }
+}
+
+/// [`Vector::project_to_simplex`] in place: every entry is clamped at
+/// zero, then divided by the clamped entries' sum taken in order. A
+/// slice whose clamped sum is not positive becomes uniform.
+pub fn project_to_simplex_in_place(x: &mut [f64]) {
+    for v in x.iter_mut() {
+        *v = v.max(0.0);
+    }
+    let s: f64 = x.iter().sum();
+    if s <= 0.0 {
+        // Degenerate input: fall back to the uniform distribution.
+        let uniform = 1.0 / x.len().max(1) as f64;
+        x.fill(uniform);
+        return;
+    }
+    for v in x.iter_mut() {
+        *v /= s;
     }
 }
 

@@ -54,7 +54,7 @@ pub use disguise::{disguise_dataset, disguise_dataset_with, disguise_paired, Dis
 pub use error::{Result, RrError};
 pub use matrix::{renormalize_columns, RrMatrix, STOCHASTIC_TOLERANCE};
 pub use metrics::privacy::PrivacyAnalysis;
-pub use metrics::utility::UtilityAnalysis;
+pub use metrics::utility::{Theorem6, UtilityAnalysis};
 pub use sample::{AliasTable, ColumnSamplers};
 
 #[cfg(test)]

@@ -7,10 +7,10 @@
 //! distribution satisfies `P* = M · P` (Equation 1).
 
 use crate::error::{Result, RrError};
-use linalg::{invert, Matrix, Vector};
+use linalg::{invert, project_to_simplex_in_place, Matrix, Vector};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use stats::Categorical;
+use stats::{normalize_probabilities, Categorical};
 
 /// Tolerance used when validating column stochasticity.
 pub const STOCHASTIC_TOLERANCE: f64 = 1e-7;
@@ -112,15 +112,37 @@ impl RrMatrix {
     /// Applies the matrix to an original distribution: `P* = M P`
     /// (Equation 1).
     pub fn disguised_distribution(&self, original: &Categorical) -> Result<Categorical> {
-        if original.num_categories() != self.num_categories() {
+        let mut p_star = Vec::new();
+        self.project_disguised_into(original, &mut p_star)?;
+        Categorical::new(p_star).map_err(RrError::from)
+    }
+
+    /// The probabilities of [`disguised_distribution`](Self::disguised_distribution),
+    /// written into `out` without allocating when it has room: the same
+    /// product and projection, then the validation and normalization
+    /// `Categorical::new` runs ([`stats::normalize_probabilities`]), so
+    /// every bit and every error is the same.
+    pub fn disguised_probs_into(&self, original: &Categorical, out: &mut Vec<f64>) -> Result<()> {
+        self.project_disguised_into(original, out)?;
+        normalize_probabilities(out).map_err(RrError::from)
+    }
+
+    /// `M P` projected onto the simplex, into `out`.
+    fn project_disguised_into(&self, original: &Categorical, out: &mut Vec<f64>) -> Result<()> {
+        let n = self.num_categories();
+        if original.num_categories() != n {
             return Err(RrError::DimensionMismatch {
-                matrix: self.num_categories(),
+                matrix: n,
                 data: original.num_categories(),
             });
         }
-        let p = Vector::from_vec(original.probs().to_vec());
-        let p_star = self.inner.mul_vector(&p).map_err(RrError::from)?;
-        Categorical::new(p_star.project_to_simplex().into_vec()).map_err(RrError::from)
+        out.clear();
+        out.resize(n, 0.0);
+        self.inner
+            .mul_vector_into(original.probs(), out)
+            .map_err(RrError::from)?;
+        project_to_simplex_in_place(out);
+        Ok(())
     }
 
     /// Disguises one record: draws the reported category for an original

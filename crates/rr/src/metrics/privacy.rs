@@ -50,20 +50,55 @@ pub fn map_estimates(m: &RrMatrix, prior: &Categorical) -> Result<Vec<usize>> {
 /// Computes the expected adversary accuracy
 /// `A = Σ_Y P(Y | X̂_Y) · P(X̂_Y)` (the simplified form derived in §IV.A).
 pub fn adversary_accuracy(m: &RrMatrix, prior: &Categorical) -> Result<f64> {
-    let analysis = analyze(m, prior)?;
-    Ok(analysis.adversary_accuracy)
+    Ok(map_pass(m, prior, |_| {})?.0)
 }
 
 /// Computes privacy `= 1 − A`.
 pub fn privacy(m: &RrMatrix, prior: &Categorical) -> Result<f64> {
-    let analysis = analyze(m, prior)?;
-    Ok(analysis.privacy)
+    Ok(score(m, prior)?.privacy)
 }
 
 /// Computes the full privacy analysis in one pass.
 pub fn analyze(m: &RrMatrix, prior: &Categorical) -> Result<PrivacyAnalysis> {
+    let mut estimates = Vec::with_capacity(m.num_categories());
+    let (accuracy, max_posterior) = map_pass(m, prior, |x_hat| estimates.push(x_hat))?;
+    Ok(PrivacyAnalysis {
+        map_estimates: estimates,
+        adversary_accuracy: accuracy,
+        privacy: 1.0 - accuracy,
+        max_posterior,
+    })
+}
+
+/// Privacy and the worst-case posterior, the two numbers of
+/// [`analyze`] the optimizer's evaluation reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PrivacyScore {
+    /// Privacy `= 1 − A`, as in [`PrivacyAnalysis::privacy`].
+    pub privacy: f64,
+    /// `max_Y P(X̂_Y | Y)`, as in [`PrivacyAnalysis::max_posterior`].
+    pub max_posterior: f64,
+}
+
+/// [`analyze`] without the per-value MAP estimates, so it allocates
+/// nothing: the same pass, the same bits and the same errors.
+pub fn score(m: &RrMatrix, prior: &Categorical) -> Result<PrivacyScore> {
+    let (accuracy, max_posterior) = map_pass(m, prior, |_| {})?;
+    Ok(PrivacyScore {
+        privacy: 1.0 - accuracy,
+        max_posterior,
+    })
+}
+
+/// The one MAP pass: hands each observed value's estimate `X̂_Y` to
+/// `on_estimate`, in observed-value order, and returns the adversary
+/// accuracy `A` and the worst-case posterior.
+fn map_pass(
+    m: &RrMatrix,
+    prior: &Categorical,
+    mut on_estimate: impl FnMut(usize),
+) -> Result<(f64, f64)> {
     let n = checked_order(m, prior)?;
-    let mut estimates = Vec::with_capacity(n);
     let mut accuracy = 0.0;
     let mut max_post: f64 = 0.0;
 
@@ -78,20 +113,14 @@ pub fn analyze(m: &RrMatrix, prior: &Categorical) -> Result<PrivacyAnalysis> {
                 best = q;
             }
         }
-        estimates.push(x_hat);
+        on_estimate(x_hat);
         max_post = max_post.max(best);
         // A contribution: P(Y = c_i | X = x_hat) * P(X = x_hat)
         //              = θ_{i, x_hat} * P(x_hat)
         // which equals P(x_hat | Y = c_i) * P(Y = c_i) by Bayes' rule.
         accuracy += m.theta(i, x_hat) * prior.prob(x_hat);
     }
-
-    Ok(PrivacyAnalysis {
-        map_estimates: estimates,
-        adversary_accuracy: accuracy,
-        privacy: 1.0 - accuracy,
-        max_posterior: max_post,
-    })
+    Ok((accuracy, max_post))
 }
 
 /// Simulates the MAP adversary on actual paired (original, disguised)
@@ -319,6 +348,9 @@ mod tests {
             prop_assert_eq!(got.max_posterior.to_bits(), oracle.max_posterior.to_bits());
             let max_post = crate::metrics::bounds::max_posterior(&m, &prior).unwrap();
             prop_assert_eq!(got.max_posterior.to_bits(), max_post.to_bits());
+            let score = score(&m, &prior).unwrap();
+            prop_assert_eq!(score.privacy.to_bits(), oracle.privacy.to_bits());
+            prop_assert_eq!(score.max_posterior.to_bits(), oracle.max_posterior.to_bits());
         }
     }
 

@@ -15,19 +15,31 @@
 //! utility is an error, **lower is better** throughout the workspace.
 //!
 //! The closed form runs once per candidate matrix in the optimizer, so it
-//! is written for speed without moving a bit. The covariance table and `βᵀ`
-//! are built once, and the `n` per-category sums advance in lockstep over
-//! `i`. Each sum is its own dependency chain: it still adds exactly the
-//! terms of the textbook triple loop, each associated as
-//! `(β_{k,i}·β_{k,j})·Cov_{i,j}`, in the same order. Only the interleaving
-//! *across* the independent sums changes, and floating-point addition into
-//! one accumulator does not see the others, so every result is
-//! bit-identical to the per-category loop while the `n` chains overlap.
+//! is written for speed without moving a bit. [`Theorem6`] is a reusable
+//! workspace: the LU factors, `β = M⁻¹`, `βᵀ`, `q = M p`, the covariance
+//! table and the sums live in buffers it keeps, so an evaluation
+//! allocates nothing once the workspace has seen the matrix order. `β`
+//! and `βᵀ` rows are padded to whole blocks of [`linalg::LANES`]
+//! categories, and the sums run one block of categories at a time, each
+//! block's `LANES` sums held in a register array over the whole `(i, j)`
+//! sweep instead of going through memory on every term.
+//!
+//! Why the bits cannot move: each category's sum still adds exactly the
+//! terms of the textbook triple loop, `(β_{k,i}·β_{k,i})·Var_i` then
+//! `(β_{k,i}·β_{k,j})·Cov_{i,j}` for ascending `j ≠ i`, for ascending `i`,
+//! into its own accumulator. Lanes never read each other, so only the
+//! interleaving across independent sums changes. `β` comes from the same
+//! factorization and substitution order as [`RrMatrix::inverse`], and `q`
+//! from the same product, projection and normalization as
+//! [`RrMatrix::disguised_distribution`]. The allocating [`utility`],
+//! [`theoretical_mse`] and [`theoretical_mse_per_category`] are thin
+//! wrappers over a fresh workspace.
 
 use crate::error::{Result, RrError};
 use crate::matrix::RrMatrix;
+use linalg::{lane_block, padded_width, LuDecomposition, LANES};
 use serde::{Deserialize, Serialize};
-use stats::multinomial::frequency_covariance;
+use stats::multinomial::frequency_covariance_into;
 use stats::Categorical;
 
 /// Per-category and averaged closed-form MSE of the inversion estimator.
@@ -39,62 +51,132 @@ pub struct UtilityAnalysis {
     pub mean: f64,
 }
 
+/// A reusable, allocation-free evaluator of Theorem 6: every buffer the
+/// closed form needs, kept between calls. One workspace serves matrices
+/// of any order; it grows its buffers to the largest order it has seen.
+#[derive(Debug, Clone, Default)]
+pub struct Theorem6 {
+    /// The LU factors of `M`.
+    lu: LuDecomposition,
+    /// `β = M⁻¹`, `n` rows padded to [`padded_width`]`(n)`.
+    beta: Vec<f64>,
+    /// `βᵀ`: row `i` holds `β_{k,i}` for every category `k`, padded alike.
+    beta_t: Vec<f64>,
+    /// The disguised distribution `q = M p`.
+    disguised: Vec<f64>,
+    /// `Cov(N_i/N, N_j/N)`, `n × n`, variances on the diagonal.
+    cov: Vec<f64>,
+    /// `MSE(X = c_k)`, padded alike.
+    per_category: Vec<f64>,
+}
+
+impl Theorem6 {
+    /// An empty workspace.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Computes the closed-form per-category MSE of Theorem 6 for a data
+    /// set of `n_records` records whose original distribution is
+    /// `original`, and borrows it from the workspace.
+    ///
+    /// Fails like the allocating functions do: a dimension mismatch, zero
+    /// records, a singular or non-finite `M`, or a disguised distribution
+    /// `Categorical::new` would reject, checked in that order.
+    pub fn per_category(
+        &mut self,
+        m: &RrMatrix,
+        original: &Categorical,
+        n_records: u64,
+    ) -> Result<&[f64]> {
+        let n = m.num_categories();
+        if original.num_categories() != n {
+            return Err(RrError::DimensionMismatch {
+                matrix: n,
+                data: original.num_categories(),
+            });
+        }
+        if n_records == 0 {
+            return Err(RrError::EmptyData);
+        }
+        // β = M⁻¹ (fails for singular matrices, as the paper requires).
+        self.lu.factor(m.as_matrix())?;
+        let stride = padded_width(n);
+        self.beta.resize(n * stride, 0.0);
+        self.lu.inverse_into(&mut self.beta);
+        // The disguised distribution P(Y) = M P(X) feeds the multinomial
+        // moments: the n×n table of Cov(N_i/N, N_j/N), n² divisions, once.
+        m.disguised_probs_into(original, &mut self.disguised)?;
+        frequency_covariance_into(&self.disguised, n_records, &mut self.cov)?;
+        // Row i of βᵀ is column i of β: β_{k,i} for every k, contiguous,
+        // the padding lanes zero.
+        self.beta_t.clear();
+        self.beta_t.resize(n * stride, 0.0);
+        for (i, row) in self.beta_t.chunks_exact_mut(stride).enumerate() {
+            for (b, beta_row) in row.iter_mut().zip(self.beta.chunks_exact(stride)) {
+                *b = beta_row[i];
+            }
+        }
+
+        // One block of LANES categories at a time, over every (i, j):
+        // sum k adds (β_{k,i}·β_{k,i})·Var_i and then
+        // (β_{k,i}·β_{k,j})·Cov_{i,j} for ascending j ≠ i, for ascending i,
+        // the term order of the per-k loop.
+        self.per_category.resize(stride, 0.0);
+        let (beta_t, cov) = (&self.beta_t, &self.cov);
+        for block in (0..stride).step_by(LANES) {
+            let mut acc = [0.0; LANES];
+            for (i, cov_i) in cov.chunks_exact(n).enumerate() {
+                let b = |j: usize| lane_block(beta_t, j * stride + block);
+                let b_i = b(i);
+                add_lanes(&mut acc, b_i, b_i, cov_i[i]);
+                for (j, &cov_ij) in cov_i[..i].iter().enumerate() {
+                    add_lanes(&mut acc, b_i, b(j), cov_ij);
+                }
+                for (j, &cov_ij) in cov_i.iter().enumerate().skip(i + 1) {
+                    add_lanes(&mut acc, b_i, b(j), cov_ij);
+                }
+            }
+            self.per_category[block..block + LANES].copy_from_slice(&acc);
+        }
+        let per_category = &mut self.per_category[..n];
+        for mse in per_category.iter_mut() {
+            *mse = mse.max(0.0);
+        }
+        Ok(per_category)
+    }
+
+    /// The average of [`per_category`](Self::per_category) (Equation 10):
+    /// the utility value the optimizer minimizes.
+    pub fn mean(&mut self, m: &RrMatrix, original: &Categorical, n_records: u64) -> Result<f64> {
+        Ok(mean_of(self.per_category(m, original, n_records)?))
+    }
+}
+
+/// One Theorem 6 term per lane: `acc_k += (β_{k,i}·β_{k,j})·c`.
+#[inline(always)]
+fn add_lanes(acc: &mut [f64; LANES], b_i: &[f64; LANES], b_j: &[f64; LANES], c: f64) {
+    for ((a, &b_ki), &b_kj) in acc.iter_mut().zip(b_i).zip(b_j) {
+        *a += b_ki * b_kj * c;
+    }
+}
+
+/// The average of Equation 10, summed in category order.
+fn mean_of(per_category: &[f64]) -> f64 {
+    per_category.iter().sum::<f64>() / per_category.len() as f64
+}
+
 /// Computes the closed-form per-category MSE of Theorem 6 for a data set of
-/// `n_records` records whose original distribution is `original`.
+/// `n_records` records whose original distribution is `original`, through
+/// a fresh [`Theorem6`] workspace.
 pub fn theoretical_mse_per_category(
     m: &RrMatrix,
     original: &Categorical,
     n_records: u64,
 ) -> Result<Vec<f64>> {
-    let n = m.num_categories();
-    if original.num_categories() != n {
-        return Err(RrError::DimensionMismatch {
-            matrix: n,
-            data: original.num_categories(),
-        });
-    }
-    if n_records == 0 {
-        return Err(RrError::EmptyData);
-    }
-    // β = M⁻¹ (fails for singular matrices, as the paper requires).
-    let beta = m.inverse()?;
-    // The disguised distribution P(Y) = M P(X) feeds the multinomial moments.
-    let disguised = m.disguised_distribution(original)?;
-
-    // The n×n table of Cov(N_i/N, N_j/N), with Var(N_i/N) on the
-    // diagonal: n² divisions, once.
-    let mut cov = Vec::with_capacity(n * n);
-    for i in 0..n {
-        for j in 0..n {
-            cov.push(frequency_covariance(&disguised, i, j, n_records)?);
-        }
-    }
-    // Row i of βᵀ is column i of β: β_{k,i} for every k, contiguous.
-    let beta_t = beta.transpose();
-    let beta_cols = || beta_t.as_slice().chunks_exact(n);
-
-    // All n sums accumulate in lockstep over i. Each sum k still adds
-    // (β_{k,i}·β_{k,i})·Var_i and then (β_{k,i}·β_{k,j})·Cov_{i,j} for
-    // ascending j ≠ i, for ascending i: the term order of the per-k loop.
-    let mut per_category = vec![0.0; n];
-    for (i, (b_i, cov_i)) in beta_cols().zip(cov.chunks_exact(n)).enumerate() {
-        let var_i = cov_i[i];
-        for (mse, &b_ki) in per_category.iter_mut().zip(b_i) {
-            *mse += b_ki * b_ki * var_i;
-        }
-        for (j, (b_j, &cov_ij)) in beta_cols().zip(cov_i).enumerate() {
-            if j == i {
-                continue;
-            }
-            for ((mse, &b_ki), &b_kj) in per_category.iter_mut().zip(b_i).zip(b_j) {
-                *mse += b_ki * b_kj * cov_ij;
-            }
-        }
-    }
-    for mse in &mut per_category {
-        *mse = mse.max(0.0);
-    }
-    Ok(per_category)
+    Ok(Theorem6::new()
+        .per_category(m, original, n_records)?
+        .to_vec())
 }
 
 /// Computes the full utility analysis (per-category MSE plus the average of
@@ -105,14 +187,15 @@ pub fn theoretical_mse(
     n_records: u64,
 ) -> Result<UtilityAnalysis> {
     let per_category = theoretical_mse_per_category(m, original, n_records)?;
-    let mean = per_category.iter().sum::<f64>() / per_category.len() as f64;
+    let mean = mean_of(&per_category);
     Ok(UtilityAnalysis { per_category, mean })
 }
 
 /// The utility value used by the optimizer: the average closed-form MSE
-/// (lower is better).
+/// (lower is better), through a fresh [`Theorem6`] workspace. Callers that
+/// evaluate many matrices keep one workspace instead.
 pub fn utility(m: &RrMatrix, original: &Categorical, n_records: u64) -> Result<f64> {
-    Ok(theoretical_mse(m, original, n_records)?.mean)
+    Theorem6::new().mean(m, original, n_records)
 }
 
 /// Empirically measures the average MSE of an arbitrary estimator by Monte
@@ -314,7 +397,7 @@ mod tests {
         }
     }
 
-    /// The per-category triple loop Theorem 6 ran before the lockstep
+    /// The per-category triple loop Theorem 6 ran before the blocked
     /// form, one `frequency_variance`/`frequency_covariance` call per term.
     /// Kept as the bitwise oracle.
     fn theoretical_mse_by_category(
@@ -322,7 +405,7 @@ mod tests {
         original: &Categorical,
         n_records: u64,
     ) -> Vec<f64> {
-        use stats::multinomial::frequency_variance;
+        use stats::multinomial::{frequency_covariance, frequency_variance};
         let n = m.num_categories();
         let beta = m.inverse().unwrap();
         let disguised = m.disguised_distribution(original).unwrap();
@@ -345,18 +428,85 @@ mod tests {
         per_category
     }
 
+    /// The error the allocating steps Theorem 6 used to chain return, in
+    /// their order: the dimension and record checks, then `M⁻¹`, then the
+    /// disguised distribution. `None` when they all succeed.
+    fn oracle_error(m: &RrMatrix, original: &Categorical, n_records: u64) -> Option<RrError> {
+        if original.num_categories() != m.num_categories() {
+            return Some(RrError::DimensionMismatch {
+                matrix: m.num_categories(),
+                data: original.num_categories(),
+            });
+        }
+        if n_records == 0 {
+            return Some(RrError::EmptyData);
+        }
+        m.inverse()
+            .err()
+            .or_else(|| m.disguised_distribution(original).err())
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
     use proptest::prelude::*;
+
+    /// A prior over `n` categories from raw positive weights.
+    fn prior_of(raw: &[f64]) -> Categorical {
+        let total: f64 = raw.iter().sum();
+        Categorical::new(raw.iter().map(|w| w / total).collect()).unwrap()
+    }
+
+    /// An RR matrix of order `n` drawn from `seed`: Warner, random, or
+    /// (one time in eight) a singular one with two equal columns.
+    fn matrix_of(n: usize, seed: u64) -> RrMatrix {
+        match seed % 8 {
+            0 => {
+                let mut m = RrMatrix::random(n, &mut StdRng::seed_from_u64(seed))
+                    .unwrap()
+                    .into_matrix();
+                for i in 0..n {
+                    m[(i, n - 1)] = m[(i, 0)];
+                }
+                RrMatrix::new(m).unwrap()
+            }
+            1 | 3 | 5 => warner(n, 0.05 + 0.95 * (seed >> 8) as f64 / (1u64 << 56) as f64).unwrap(),
+            _ => RrMatrix::random(n, &mut StdRng::seed_from_u64(seed)).unwrap(),
+        }
+    }
+
+    /// One problem: a matrix, a prior (of another order one time in
+    /// eight), and a record count (zero one time in sixteen).
+    fn problem() -> impl Strategy<Value = (RrMatrix, Categorical, u64)> {
+        (2usize..=33).prop_flat_map(|n| {
+            (
+                proptest::collection::vec(0.01f64..1.0, n + 1),
+                0u64..u64::MAX,
+                1u64..1_000_000,
+            )
+                .prop_map(move |(raw, seed, n_records)| {
+                    let m = matrix_of(n, seed);
+                    let prior = if (seed >> 3) % 8 == 0 {
+                        prior_of(&raw)
+                    } else {
+                        prior_of(&raw[..n])
+                    };
+                    let n_records = if (seed >> 6) % 16 == 0 { 0 } else { n_records };
+                    (m, prior, n_records)
+                })
+        })
+    }
 
     proptest! {
         #[test]
-        fn lockstep_theorem6_is_bitwise_triple_loop(
-            raw in (2usize..=16).prop_flat_map(|n| proptest::collection::vec(0.01f64..1.0, n)),
+        fn blocked_theorem6_is_bitwise_triple_loop(
+            raw in (2usize..=33).prop_flat_map(|n| proptest::collection::vec(0.01f64..1.0, n)),
             seed in 0u64..u64::MAX,
             n_records in 1u64..1_000_000,
         ) {
             let n = raw.len();
-            let total: f64 = raw.iter().sum();
-            let prior = Categorical::new(raw.iter().map(|w| w / total).collect()).unwrap();
+            let prior = prior_of(&raw);
             let m = if seed % 2 == 0 {
                 warner(n, 0.05 + 0.95 * (seed >> 8) as f64 / (1u64 << 56) as f64).unwrap()
             } else {
@@ -365,9 +515,41 @@ mod tests {
             prop_assume!(m.inverse().is_ok());
             let got = theoretical_mse_per_category(&m, &prior, n_records).unwrap();
             let oracle = theoretical_mse_by_category(&m, &prior, n_records);
-            prop_assert_eq!(got.len(), oracle.len());
-            for (a, b) in got.iter().zip(&oracle) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
+            prop_assert_eq!(bits(&got), bits(&oracle));
+            let mean = oracle.iter().sum::<f64>() / n as f64;
+            prop_assert_eq!(utility(&m, &prior, n_records).unwrap().to_bits(), mean.to_bits());
+        }
+
+        #[test]
+        fn reused_theorem6_workspace_is_bitwise_a_fresh_one(
+            problems in proptest::collection::vec(problem(), 1..8),
+        ) {
+            let mut reused = Theorem6::new();
+            for (m, prior, n_records) in &problems {
+                let fresh = Theorem6::new()
+                    .per_category(m, prior, *n_records)
+                    .map(<[f64]>::to_vec);
+                let again = reused.per_category(m, prior, *n_records).map(<[f64]>::to_vec);
+                match (&fresh, &again) {
+                    (Ok(a), Ok(b)) => prop_assert_eq!(bits(a), bits(b)),
+                    _ => prop_assert_eq!(&fresh, &again),
+                }
+            }
+        }
+
+        #[test]
+        fn theorem6_errors_are_bitwise_the_allocating_steps_errors(
+            (m, prior, n_records) in problem(),
+        ) {
+            let expected = oracle_error(&m, &prior, n_records);
+            let got = Theorem6::new().per_category(&m, &prior, n_records).err();
+            prop_assert_eq!(&got, &expected);
+            prop_assert_eq!(&theoretical_mse(&m, &prior, n_records).err(), &expected);
+            prop_assert_eq!(&utility(&m, &prior, n_records).err(), &expected);
+            if expected.is_none() {
+                let oracle = theoretical_mse_by_category(&m, &prior, n_records);
+                let got = theoretical_mse_per_category(&m, &prior, n_records).unwrap();
+                prop_assert_eq!(bits(&got), bits(&oracle));
             }
         }
     }

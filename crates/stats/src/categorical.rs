@@ -25,32 +25,8 @@ impl Categorical {
     ///
     /// The probabilities must be non-negative, non-empty, and sum to one
     /// within [`PROBABILITY_TOLERANCE`].
-    pub fn new(probs: Vec<f64>) -> Result<Self> {
-        if probs.is_empty() {
-            return Err(StatsError::InvalidDistribution {
-                reason: "no categories",
-            });
-        }
-        if probs.iter().any(|p| !p.is_finite()) {
-            return Err(StatsError::InvalidDistribution {
-                reason: "non-finite probability",
-            });
-        }
-        if probs.iter().any(|&p| p < -PROBABILITY_TOLERANCE) {
-            return Err(StatsError::InvalidDistribution {
-                reason: "negative probability",
-            });
-        }
-        let sum: f64 = probs.iter().sum();
-        if (sum - 1.0).abs() > 1e-6 {
-            return Err(StatsError::InvalidDistribution {
-                reason: "probabilities do not sum to 1",
-            });
-        }
-        // Clamp tiny negatives and renormalize exactly so the cached CDF ends at 1.
-        let clipped: Vec<f64> = probs.iter().map(|&p| p.max(0.0)).collect();
-        let s: f64 = clipped.iter().sum();
-        let probs: Vec<f64> = clipped.into_iter().map(|p| p / s).collect();
+    pub fn new(mut probs: Vec<f64>) -> Result<Self> {
+        normalize_probabilities(&mut probs)?;
         let mut cdf = Vec::with_capacity(probs.len());
         let mut acc = 0.0;
         for &p in &probs {
@@ -218,6 +194,45 @@ impl Categorical {
                 .zip(other.probs.iter())
                 .all(|(a, b)| (a - b).abs() <= tol)
     }
+}
+
+/// The validation and exact renormalization of [`Categorical::new`], in
+/// place, for callers that need the probabilities but not the sampler:
+/// the probabilities must be non-empty, finite, no lower than
+/// `−`[`PROBABILITY_TOLERANCE`] and sum to one within `1e-6`; then every
+/// entry is clamped at zero and divided by the clamped sum, taken in
+/// order. On error the slice is untouched.
+pub fn normalize_probabilities(probs: &mut [f64]) -> Result<()> {
+    if probs.is_empty() {
+        return Err(StatsError::InvalidDistribution {
+            reason: "no categories",
+        });
+    }
+    if probs.iter().any(|p| !p.is_finite()) {
+        return Err(StatsError::InvalidDistribution {
+            reason: "non-finite probability",
+        });
+    }
+    if probs.iter().any(|&p| p < -PROBABILITY_TOLERANCE) {
+        return Err(StatsError::InvalidDistribution {
+            reason: "negative probability",
+        });
+    }
+    let sum: f64 = probs.iter().sum();
+    if (sum - 1.0).abs() > 1e-6 {
+        return Err(StatsError::InvalidDistribution {
+            reason: "probabilities do not sum to 1",
+        });
+    }
+    // Clamp tiny negatives and renormalize exactly so the cached CDF ends at 1.
+    for p in probs.iter_mut() {
+        *p = p.max(0.0);
+    }
+    let s: f64 = probs.iter().sum();
+    for p in probs.iter_mut() {
+        *p /= s;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ pub mod multinomial;
 pub mod sampler;
 pub mod summary;
 
-pub use categorical::{Categorical, PROBABILITY_TOLERANCE};
+pub use categorical::{normalize_probabilities, Categorical, PROBABILITY_TOLERANCE};
 pub use continuous::{ContinuousDistribution, Exponential, Gamma, Normal, Uniform};
 pub use counts::CountSet;
 pub use discretize::{

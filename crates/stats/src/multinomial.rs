@@ -22,8 +22,7 @@ pub fn frequency_variance(dist: &Categorical, i: usize, n_records: u64) -> Resul
     if n_records == 0 {
         return Err(StatsError::EmptyData);
     }
-    let p = dist.prob(i);
-    Ok(p * (1.0 - p) / n_records as f64)
+    Ok(variance_term(dist.prob(i), n_records))
 }
 
 /// Covariance of the relative frequencies of two *distinct* categories.
@@ -35,7 +34,43 @@ pub fn frequency_covariance(dist: &Categorical, i: usize, j: usize, n_records: u
     if i == j {
         return frequency_variance(dist, i, n_records);
     }
-    Ok(-dist.prob(i) * dist.prob(j) / n_records as f64)
+    Ok(covariance_term(dist.prob(i), dist.prob(j), n_records))
+}
+
+/// The row-major `n × n` table of `Cov(N_i/N, N_j/N)`, variances on the
+/// diagonal, for the category probabilities `probs`: entry by entry the
+/// numbers [`frequency_covariance`] gives, written into `out` without
+/// allocating when it has room.
+///
+/// The table is symmetric bit for bit: `−p_i·p_j` and `−p_j·p_i` round to
+/// the same number (negation is exact and multiplication commutes), so
+/// each off-diagonal pair is computed, and divided by `N`, once.
+pub fn frequency_covariance_into(probs: &[f64], n_records: u64, out: &mut Vec<f64>) -> Result<()> {
+    if n_records == 0 {
+        return Err(StatsError::EmptyData);
+    }
+    let n = probs.len();
+    out.clear();
+    out.resize(n * n, 0.0);
+    for (i, &p_i) in probs.iter().enumerate() {
+        out[i * n + i] = variance_term(p_i, n_records);
+        for (j, &p_j) in probs.iter().enumerate().skip(i + 1) {
+            let cov = covariance_term(p_i, p_j, n_records);
+            out[i * n + j] = cov;
+            out[j * n + i] = cov;
+        }
+    }
+    Ok(())
+}
+
+/// `Var(N_i/N) = p_i (1 − p_i) / N`.
+fn variance_term(p: f64, n_records: u64) -> f64 {
+    p * (1.0 - p) / n_records as f64
+}
+
+/// `Cov(N_i/N, N_j/N) = −p_i p_j / N` for `i ≠ j`.
+fn covariance_term(p_i: f64, p_j: f64, n_records: u64) -> f64 {
+    -p_i * p_j / n_records as f64
 }
 
 /// Full covariance matrix (row-major, `n x n`) of the frequency vector.
@@ -142,6 +177,38 @@ mod tests {
             (var - expected).abs() < expected * 0.15,
             "empirical {var} vs formula {expected}"
         );
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn covariance_table_is_bitwise_pairwise_covariance(
+            raw in (1usize..=33).prop_flat_map(|n| proptest::collection::vec(0.0f64..1.0, n)),
+            zero in 0usize..40,
+            n_records in 1u64..1_000_000,
+        ) {
+            let mut weights = raw;
+            let n = weights.len();
+            if zero < n {
+                weights[zero] = 0.0;
+            }
+            prop_assume!(weights.iter().sum::<f64>() > 0.0);
+            let d = Categorical::from_weights(&weights).unwrap();
+            let mut table = vec![f64::NAN; 3];
+            frequency_covariance_into(d.probs(), n_records, &mut table).unwrap();
+            prop_assert_eq!(table.len(), n * n);
+            for i in 0..n {
+                for j in 0..n {
+                    let pairwise = frequency_covariance(&d, i, j, n_records).unwrap();
+                    prop_assert_eq!(table[i * n + j].to_bits(), pairwise.to_bits());
+                }
+            }
+            prop_assert_eq!(
+                frequency_covariance_into(d.probs(), 0, &mut table),
+                Err(StatsError::EmptyData)
+            );
+        }
     }
 
     #[test]
