@@ -851,6 +851,63 @@ mod tests {
         assert!(!entry.is_stale());
     }
 
+    /// Counts panics whose message says a thread failed to join, through
+    /// a panic hook that passes every panic on to the previous hook.
+    fn count_join_failures<T>(body: impl FnOnce() -> T) -> (T, usize) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static JOIN_FAILURES: AtomicUsize = AtomicUsize::new(0);
+        let previous = Arc::new(std::panic::take_hook());
+        let forward = Arc::clone(&previous);
+        std::panic::set_hook(Box::new(move |info| {
+            if info.to_string().contains("failed to join thread") {
+                JOIN_FAILURES.fetch_add(1, Ordering::SeqCst);
+            }
+            forward(info);
+        }));
+        let before = JOIN_FAILURES.load(Ordering::SeqCst);
+        let out = body();
+        let failures = JOIN_FAILURES.load(Ordering::SeqCst) - before;
+        drop(std::panic::take_hook());
+        std::panic::set_hook(Box::new(move |info| previous(info)));
+        (out, failures)
+    }
+
+    #[test]
+    fn a_service_dropped_while_its_drift_refresh_runs_is_freed_on_the_worker() {
+        let service = smoke_service();
+        let entry = service.register(None, &PRIOR, 0.8, None, true).unwrap();
+        // Hold both workers, so the drift refresh waits in the pool's
+        // queue holding its own `Arc<Service>`.
+        let workers = service.config().workers;
+        let barrier = Arc::new(std::sync::Barrier::new(workers + 1));
+        for _ in 0..workers {
+            let barrier = Arc::clone(&barrier);
+            service.pool.submit(move || {
+                barrier.wait();
+            });
+        }
+        service
+            .ingest(&entry, Some(0.0), None, Some(&[10_000, 0, 0, 0]), None)
+            .unwrap();
+        assert!(service.estimate(&entry).unwrap().drifted);
+        drop(entry);
+        let obs = Arc::clone(service.obs());
+        let ((), join_failures) = count_join_failures(|| {
+            // The queued refresh now holds the last service handle: the
+            // service, and its pool, are dropped on a worker.
+            drop(service);
+            barrier.wait();
+            // The service drops its pool before its `obs` handle, so `obs`
+            // is ours alone only once the pool's drop has returned.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+            while Arc::strong_count(&obs) > 1 {
+                assert!(std::time::Instant::now() < deadline, "service not freed");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        });
+        assert_eq!(join_failures, 0, "the pool joined its own thread");
+    }
+
     #[test]
     fn singular_pinned_matrix_falls_back_to_the_warm_started_iterative_estimator() {
         let service = smoke_service();

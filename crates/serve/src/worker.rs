@@ -55,7 +55,8 @@ impl PoolShared {
 
 /// A fixed pool of worker threads executing submitted jobs.
 ///
-/// Dropping the pool waits for all pending jobs, then joins the workers.
+/// Dropping the pool waits for all pending jobs, then joins the workers
+/// (all but the dropping thread, when a job drops the pool).
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
@@ -156,8 +157,16 @@ impl Drop for WorkerPool {
             state.shutdown = true;
         }
         self.shared.work.notify_all();
+        // A job can hold the last handle to the pool's owner (a refresh
+        // holding the last `Arc<Service>`), and then the pool is dropped
+        // on one of its own workers. A thread cannot join itself, so that
+        // worker is skipped: it finishes the job, drains the queue like
+        // the others, and exits on its own.
+        let current = std::thread::current().id();
         for handle in self.handles.drain(..) {
-            let _ = handle.join();
+            if handle.thread().id() != current {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -217,6 +226,36 @@ mod tests {
         assert_eq!(pool.jobs_submitted(), 64);
         assert_eq!(pool.jobs_executed(), 64);
         assert_eq!(pool.jobs_panicked(), 0);
+    }
+
+    #[test]
+    fn a_pool_dropped_by_its_own_job_joins_every_other_worker() {
+        let pool = Arc::new(WorkerPool::new(3));
+        let shared = Arc::clone(&pool.shared);
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let last = Arc::clone(&pool);
+        pool.submit(move || {
+            gate.recv().unwrap();
+            drop(last);
+        });
+        drop(pool);
+        release.send(()).unwrap();
+        // Every worker holds `shared` until it exits; the pool's own
+        // reference goes when the job's drop returns.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while Arc::strong_count(&shared) > 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "workers still running"
+            );
+            std::thread::yield_now();
+        }
+        assert_eq!(shared.jobs_executed.get(), 1);
+        assert_eq!(
+            shared.jobs_panicked.get(),
+            0,
+            "the pool joined its own thread"
+        );
     }
 
     #[test]
