@@ -17,8 +17,9 @@
 //!
 //! Lines are JSON (RFC 8259), written from and read straight into these
 //! types by the vendored `serde` stand-in, with no value tree. The
-//! reader also takes a few things the RFC does not: leading zeros, `1.`,
-//! raw control characters in strings. A
+//! reader holds to the RFC's grammar: a leading zero (`01`), a bare
+//! point (`1.`), a raw control character in a string or a `\u` escape
+//! that is not four hex digits makes a line `invalid_request`. A
 //! struct's fields come in any order; the first occurrence of a key
 //! wins, and duplicates and unknown keys are skipped (their syntax still
 //! checked). A missing `Option` field is `None`, and any other missing

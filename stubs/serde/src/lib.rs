@@ -13,9 +13,10 @@
 //! real crates; a hand-written `write_json` impl would need porting to
 //! real serde's `Serializer`.
 //!
-//! Reading follows RFC 8259, a little more leniently (leading zeros,
-//! `1.`, raw control characters in strings and a `+` in a `\u` escape
-//! are accepted), with these rules:
+//! Reading follows RFC 8259 strictly: a number has no leading zeros
+//! (`01`) and no bare point (`1.`, `.5`), a string holds no raw control
+//! character (U+0000–U+001F must be escaped), and a `\u` escape is four
+//! hex digits. On top of the grammar, these rules:
 //!
 //! * A struct reads its fields by name in any order. The first
 //!   occurrence of a key wins; later duplicates and unknown keys are
@@ -236,7 +237,11 @@ impl<'a> Reader<'a> {
             value = value.wrapping_mul(10).wrapping_add(u64::from(digit - b'0'));
             end += 1;
         }
-        if end - start > 19 || matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+        let leading_zero = bytes[start] == b'0' && end - start > 1;
+        if end - start > 19
+            || leading_zero
+            || matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
             return self.read_number_text().map(Some);
         }
         self.pos = end;
@@ -244,8 +249,9 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a number token through its last digit, sign, point or
-    /// exponent character and parses it: as `u64`, then `i64` when it
-    /// has no fraction or exponent, else as `f64`.
+    /// exponent character, checks it against the RFC 8259 grammar and
+    /// parses it: as `u64`, then `i64` when it has no fraction or
+    /// exponent, else as `f64`.
     fn read_number_text(&mut self) -> Result<Number, Error> {
         let start = self.pos;
         let sign = usize::from(self.bytes()[start] == b'-');
@@ -255,6 +261,10 @@ impl<'a> Reader<'a> {
             .map_or(self.text.len(), |n| start + sign + n);
         self.pos = token;
         let text = &self.text[start..token];
+        let invalid = || Error::custom(format!("invalid number `{text}`"));
+        if !is_json_number(text.as_bytes()) {
+            return Err(invalid());
+        }
         if !text[sign..].contains(['.', 'e', 'E', '+', '-']) {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Number::U64(u));
@@ -263,9 +273,7 @@ impl<'a> Reader<'a> {
                 return Ok(Number::I64(i));
             }
         }
-        text.parse::<f64>()
-            .map(Number::F64)
-            .map_err(|_| Error::custom(format!("invalid number `{text}`")))
+        text.parse::<f64>().map(Number::F64).map_err(|_| invalid())
     }
 
     /// Reads a string, borrowed from the text unless it holds escapes.
@@ -278,10 +286,10 @@ impl<'a> Reader<'a> {
         let run = |from: usize| {
             bytes[from..]
                 .iter()
-                .position(|&b| b == b'"' || b == b'\\')
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .map_or(bytes.len(), |n| from + n)
         };
-        // Both stops are ASCII, so every run ends on a char boundary.
+        // Every stop is ASCII, so every run ends on a char boundary.
         let mut stop = run(self.pos);
         if bytes.get(stop) == Some(&b'"') {
             let text = &self.text[self.pos..stop];
@@ -294,7 +302,8 @@ impl<'a> Reader<'a> {
             self.pos = stop + 1;
             match bytes.get(stop) {
                 Some(b'"') => return Ok(Cow::Owned(out)),
-                Some(_) => self.read_escape(&mut out)?,
+                Some(b'\\') => self.read_escape(&mut out)?,
+                Some(_) => return Err(Error::custom("unescaped control character in string")),
                 None => return Err(Error::custom("unterminated string")),
             }
             stop = run(self.pos);
@@ -350,7 +359,11 @@ impl<'a> Reader<'a> {
             return Err(Error::custom("truncated \\u escape"));
         }
         let invalid = || Error::custom("invalid \\u escape");
-        let hex = self.text.get(self.pos..self.pos + 4).ok_or_else(invalid)?;
+        // `from_str_radix` alone would take a sign: `\u+041`.
+        let hex = self.text.get(self.pos..self.pos + 4);
+        let hex = hex
+            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(invalid)?;
         let code = u32::from_str_radix(hex, 16).map_err(|_| invalid())?;
         self.pos += 4;
         Ok(code)
@@ -459,6 +472,40 @@ impl<'a> Reader<'a> {
             _ => Err(Error::custom(format!("unexpected byte at {}", self.pos))),
         }
     }
+}
+
+/// Whether `token` is a number as RFC 8259 §6 writes it: an optional
+/// minus, an integer part with no leading zero, then an optional fraction
+/// and an optional exponent, each with at least one digit.
+fn is_json_number(token: &[u8]) -> bool {
+    let digits = |from: usize| {
+        token.get(from..).map_or(0, |rest| {
+            rest.iter().take_while(|b| b.is_ascii_digit()).count()
+        })
+    };
+    let mut at = usize::from(token.first() == Some(&b'-'));
+    let integer = digits(at);
+    if integer == 0 || (integer > 1 && token[at] == b'0') {
+        return false;
+    }
+    at += integer;
+    if token.get(at) == Some(&b'.') {
+        let fraction = digits(at + 1);
+        if fraction == 0 {
+            return false;
+        }
+        at += 1 + fraction;
+    }
+    if matches!(token.get(at), Some(b'e' | b'E')) {
+        at += 1;
+        at += usize::from(matches!(token.get(at), Some(b'+' | b'-')));
+        let exponent = digits(at);
+        if exponent == 0 {
+            return false;
+        }
+        at += exponent;
+    }
+    at == token.len()
 }
 
 // ---- primitive impls -------------------------------------------------------

@@ -90,7 +90,6 @@ mod tests {
     fn numbers_coerce_across_representations() {
         assert_eq!(from_str::<usize>("3.0").unwrap(), 3);
         assert_eq!(from_str::<usize>("-0").unwrap(), 0);
-        assert_eq!(from_str::<u64>("01").unwrap(), 1);
         assert_eq!(from_str::<u64>("2e1").unwrap(), 20);
         assert_eq!(from_str::<f64>("7").unwrap(), 7.0);
         assert_eq!(from_str::<u64>("18446744073709551615").unwrap(), u64::MAX);
@@ -210,5 +209,46 @@ mod tests {
         assert!(from_str::<Message>(r#"{"Data":{"name":"x"},"Ping":1}"#).is_err());
         assert!(from_str::<Message>("{}").is_err());
         assert!(from_str::<Inner>(r#"{"ratio":1,}"#).is_err());
+    }
+
+    #[test]
+    fn rejects_what_rfc_8259_forbids_in_values_and_skipped_members() {
+        let numbers = [
+            "01", "-01", "00", "1.", "1.e1", "-.5", ".5", "1e", "1e+", "-",
+        ];
+        for number in numbers {
+            assert!(from_str::<f64>(number).is_err(), "{number}");
+            assert!(from_str::<u64>(number).is_err(), "{number}");
+            let skipped = format!(r#"{{"zz":{number},"ratio":1}}"#);
+            assert!(from_str::<Inner>(&skipped).is_err(), "{skipped}");
+        }
+        for string in [
+            "\"a\u{1}b\"",
+            "\"tab\there\"",
+            "\"\n\"",
+            "\"\\u+041\"",
+            "\"\\u00g1\"",
+        ] {
+            assert!(from_str::<String>(string).is_err(), "{string:?}");
+            let skipped = format!(r#"{{"zz":{string},"ratio":1}}"#);
+            assert!(from_str::<Inner>(&skipped).is_err(), "{skipped:?}");
+        }
+        // The grammar's edges that stay accepted.
+        for (number, value) in [
+            ("0", 0.0),
+            ("-0.0", -0.0),
+            ("0.5", 0.5),
+            ("1E+5", 1e5),
+            ("1.5e-3", 1.5e-3),
+        ] {
+            assert_eq!(
+                from_str::<f64>(number).unwrap().to_bits(),
+                f64::to_bits(value)
+            );
+        }
+        assert_eq!(
+            from_str::<String>("\"\\u0041\\u0001\u{7f}\"").unwrap(),
+            "A\u{1}\u{7f}"
+        );
     }
 }

@@ -19,7 +19,9 @@
 //! that routed every value through an owned value tree, so it is the
 //! oracle for the typed codec that replaced it. [`FIXED`] lists the only
 //! entries whose verdict changed on purpose, each with the fix that
-//! changed it.
+//! changed it: three from the typed codec itself, and two from the strict
+//! reader that followed it (numbers and control characters; no corpus
+//! line holds a malformed `\u` escape).
 
 use optrr::FrontPoint;
 use rand::rngs::StdRng;
@@ -58,11 +60,17 @@ enum Fix {
     /// Nesting deeper than the reader's cap was accepted (and could
     /// overflow a session thread's stack); it is now rejected.
     Depth,
+    /// A number RFC 8259 §6 forbids, a leading zero (`01`) or a bare
+    /// point (`-2.e-9`), was accepted; it is now rejected.
+    Number,
+    /// A raw control character inside a string (RFC 8259 §7 requires
+    /// U+0000–U+001F escaped) was accepted; it is now rejected.
+    ControlCharacter,
 }
 
 /// The entries whose verdict changed on purpose, by fix (indices into
 /// the corpus).
-const FIXED: [(Fix, &[usize]); 3] = [
+const FIXED: [(Fix, &[usize]); 5] = [
     (
         Fix::MissingField,
         &[
@@ -85,6 +93,11 @@ const FIXED: [(Fix, &[usize]); 3] = [
             2317,
         ],
     ),
+    (
+        Fix::Number,
+        &[214, 250, 257, 431, 575, 959, 1654, 1800, 1806, 1909, 2170],
+    ),
+    (Fix::ControlCharacter, &[439, 1145]),
 ];
 
 fn fix_of(index: usize) -> Option<Fix> {
@@ -863,6 +876,15 @@ fn the_codec_writes_and_judges_every_corpus_line_as_committed() {
             Fix::Depth => {
                 let error = error.unwrap_or_default();
                 assert!(error.contains("nesting"), "entry {index}: {error}");
+            }
+            Fix::Number | Fix::ControlCharacter => {
+                let error = error.unwrap_or_default();
+                let reason = match fix {
+                    Fix::Number => "invalid number",
+                    _ => "unescaped control character",
+                };
+                assert!(error.contains(reason), "entry {index}: {error}");
+                assert!(then.decoded.is_some(), "entry {index}");
             }
             Fix::SurrogatePair => {
                 let (now, then) = (now.decoded.as_deref(), then.decoded.as_deref());
