@@ -104,7 +104,6 @@ impl LuDecomposition {
         self.perm.clear();
         self.perm.extend(0..n);
         self.perm_sign = 1.0;
-        let perm = &mut self.perm;
         // Scale-aware singularity threshold.
         let scale = self.lu.max_abs().max(1.0);
         let tol = SINGULARITY_TOLERANCE * scale;
@@ -134,7 +133,7 @@ impl LuDecomposition {
             if pivot_row != k {
                 let (upper, lower) = data.split_at_mut(pivot_row * n);
                 upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
-                perm.swap(k, pivot_row);
+                self.perm.swap(k, pivot_row);
                 self.perm_sign = -self.perm_sign;
             }
             // Split the buffer at the end of row k: `head` ends with the
@@ -539,10 +538,11 @@ mod tests {
 
     /// Square matrices of order 2..=33 (every lane remainder, up to four
     /// blocks): general ones with entries in [-1, 1), column-stochastic
-    /// ones shaped like RR matrices, and singular ones (a repeated row).
+    /// ones shaped like RR matrices, singular ones (a repeated row) and
+    /// non-finite ones.
     fn square_matrix() -> impl Strategy<Value = Matrix> {
         (2usize..=33).prop_flat_map(|n| {
-            (proptest::collection::vec(-1.0f64..1.0, n * n), 0u8..3).prop_map(move |(raw, kind)| {
+            (proptest::collection::vec(-1.0f64..1.0, n * n), 0u8..4).prop_map(move |(raw, kind)| {
                 let mut m = Matrix::from_row_major(n, n, raw).unwrap();
                 if kind == 1 {
                     for j in 0..n {
@@ -556,6 +556,9 @@ mod tests {
                     for j in 0..n {
                         m[(n - 1, j)] = m[(0, j)];
                     }
+                }
+                if kind == 3 {
+                    m[(n / 2, n - 1)] = f64::NAN;
                 }
                 m
             })

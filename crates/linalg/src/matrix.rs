@@ -327,9 +327,11 @@ impl Matrix {
     }
 
     /// Writes `A x` into `out` without allocating: entry `i` is row `i`'s
-    /// dot product with `x`, summed in ascending column order.
+    /// dot product with `x`, summed in ascending column order. Panics
+    /// when `out` does not have one entry per row.
     pub fn mul_vector_into(&self, x: &[f64], out: &mut [f64]) -> Result<()> {
-        if self.cols != x.len() || self.rows != out.len() {
+        assert_eq!(out.len(), self.rows, "mul_vector_into: output length");
+        if self.cols != x.len() {
             return Err(LinalgError::DimensionMismatch {
                 op: "mul_vector",
                 lhs: (self.rows, self.cols),

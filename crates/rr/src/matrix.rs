@@ -122,7 +122,11 @@ impl RrMatrix {
     /// product and projection, then the validation and normalization
     /// `Categorical::new` runs ([`stats::normalize_probabilities`]), so
     /// every bit and every error is the same.
-    pub fn disguised_probs_into(&self, original: &Categorical, out: &mut Vec<f64>) -> Result<()> {
+    pub(crate) fn disguised_probs_into(
+        &self,
+        original: &Categorical,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
         self.project_disguised_into(original, out)?;
         normalize_probabilities(out).map_err(RrError::from)
     }
