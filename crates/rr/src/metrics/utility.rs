@@ -105,7 +105,7 @@ impl Theorem6 {
         self.beta.resize(n * stride, 0.0);
         self.lu.inverse_into(&mut self.beta);
         // The disguised distribution P(Y) = M P(X) feeds the multinomial
-        // moments: the n×n table of Cov(N_i/N, N_j/N), n² divisions, once.
+        // moments: the n×n table of Cov(N_i/N, N_j/N), built once.
         m.disguised_probs_into(original, &mut self.disguised)?;
         frequency_covariance_into(&self.disguised, n_records, &mut self.cov)?;
         // Row i of βᵀ is column i of β: β_{k,i} for every k, contiguous,
