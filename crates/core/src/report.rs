@@ -106,8 +106,8 @@ impl ExperimentReport {
             );
             let _ = writeln!(
                 out,
-                "fitness pairs reused/computed : {}/{}",
-                stats.fitness_pairs_reused, stats.fitness_pairs_computed
+                "fitness pairs computed : {}",
+                stats.fitness_pairs_computed
             );
             let _ = writeln!(out, "wall clock (s)      : {:.2}", stats.wall_clock_seconds);
         }
@@ -177,7 +177,7 @@ mod tests {
                 omega_filled: 55,
                 cache_hits: 9800,
                 cache_misses: 5000,
-                fitness_pairs_reused: 250_000,
+                fitness_pairs_reused: 0,
                 fitness_pairs_computed: 120_000,
                 wall_clock_seconds: 1.25,
             }),
@@ -194,7 +194,7 @@ mod tests {
         assert!(t.contains("front: OptRR"));
         assert!(t.contains("comparison: OptRR vs Warner"));
         assert!(t.contains("optimizer statistics"));
-        assert!(t.contains("fitness pairs reused/computed : 250000/120000"));
+        assert!(t.contains("fitness pairs computed : 120000"));
         assert!(t.contains("challenger dominates"));
     }
 

@@ -24,7 +24,8 @@ pub enum DominanceRelation {
 ///
 /// The loop ORs the comparison masks instead of branching per dimension —
 /// there is no early exit, so the compiler can unroll and vectorize it,
-/// and the O(m·n) kernel fills that funnel through here stay branch-free.
+/// and the fitness kernel's pair pass, which funnels through here, stays
+/// branch-free.
 /// NaN compares false on both sides, which leaves both flags unset — the
 /// same "incomparable" outcome the branchy seed loop produced.
 #[inline]

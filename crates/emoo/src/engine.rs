@@ -45,8 +45,9 @@ impl EngineKind {
 /// Run parameters shared by every EMOO backend.
 ///
 /// SPEA2 reads every field; NSGA-II has no separate archive, so it uses
-/// `archive_size` only to bound the reported final front and ignores
-/// `density_k` (crowding distance plays the density role).
+/// `archive_size` only to bound the reported final front and `density_k`
+/// only for that front's fitness (crowding distance plays the density role
+/// during the run).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Population size `N_Q`.
@@ -168,19 +169,13 @@ pub struct EngineOutcome<G> {
     pub generations_run: usize,
     /// Total number of objective evaluations performed.
     pub evaluations: usize,
-    /// Pairwise dominance/distance entries the
-    /// [`FitnessKernel`](crate::FitnessKernel) reused from previous
-    /// generations instead of recomputing.
-    pub fitness_pairs_reused: u64,
-    /// Pairwise entries the kernel computed fresh over the whole run.
+    /// Unordered pairs the [`FitnessKernel`](crate::FitnessKernel)
+    /// compared over the whole run.
     pub fitness_pairs_computed: u64,
 }
 
 /// An evolutionary multi-objective engine over a [`Problem`].
 pub trait Engine<P: Problem> {
-    /// Which backend this engine is.
-    fn kind(&self) -> EngineKind;
-
     /// Borrow the configuration.
     fn config(&self) -> &EngineConfig;
 
@@ -201,20 +196,6 @@ pub trait Engine<P: Problem> {
     where
         R: Rng + ?Sized,
         F: FnMut(&GenerationSnapshot<'_, P::Genome>) -> bool;
-
-    /// Runs the algorithm with an observer but no seeds.
-    fn run_with_observer<R, F>(&self, rng: &mut R, observer: F) -> EngineOutcome<P::Genome>
-    where
-        R: Rng + ?Sized,
-        F: FnMut(&GenerationSnapshot<'_, P::Genome>) -> bool,
-    {
-        self.run_seeded(rng, Vec::new(), observer)
-    }
-
-    /// Runs the algorithm without seeds or an observer.
-    fn run<R: Rng + ?Sized>(&self, rng: &mut R) -> EngineOutcome<P::Genome> {
-        self.run_with_observer(rng, |_| true)
-    }
 }
 
 /// Constructs and runs the configured backend in one call — the single

@@ -13,11 +13,11 @@
 //!   breaks raw-fitness ties;
 //! * [`selection`] — binary-tournament mating selection and the
 //!   environmental selection with nearest-neighbour truncation;
-//! * [`kernel`] — the incremental [`FitnessKernel`]: generation-persistent
-//!   flat triangular dominance/distance matrices keyed by stable
-//!   individual ids, so per-generation fitness assignment costs O(m·n)
-//!   for m new offspring instead of O(n²), bitwise-equal to the
-//!   from-scratch path;
+//! * [`kernel`] — the [`FitnessKernel`]: flat dominance/distance tables
+//!   filled in one pass over the unordered pairs, from which SPEA2 fitness
+//!   is assigned and the archive truncation reads its distances,
+//!   bitwise-equal to the from-scratch path. It keeps nothing between
+//!   calls but its buffers;
 //! * [`engine`] — the shared [`Engine`] abstraction: one [`EngineConfig`],
 //!   per-generation [`GenerationSnapshot`]s that carry the already-computed
 //!   objective evaluations, an [`EngineOutcome`], and the [`EngineKind`]
@@ -52,10 +52,10 @@ pub use engine::{
     run_engine, Engine, EngineConfig, EngineKind, EngineOutcome, GenerationSnapshot, Problem,
 };
 pub use individual::Individual;
-pub use kernel::{FitnessKernel, KernelStats};
+pub use kernel::FitnessKernel;
 pub use nsga2::Nsga2;
 pub use objectives::Objectives;
-pub use spea2::{assign_fitness, Spea2, Spea2Config, Spea2Outcome};
+pub use spea2::{assign_fitness, Spea2};
 
 #[cfg(test)]
 mod proptests {
@@ -143,64 +143,52 @@ mod proptests {
             prop_assert!(selected.iter().all(|&i| i < combined.len()));
         }
 
-        /// The tentpole guarantee of the incremental kernel: across a
-        /// random sequence of generations — each keeping a random subset
-        /// of the previous members (removals) and adding fresh points
-        /// (insertions) — the kernel's fitness assignment is **bitwise**
-        /// equal to the from-scratch SPEA2 path, its ranks equal NSGA-II's
-        /// from-scratch non-dominated sort. This pins both engines' kernel
-        /// paths to their reference implementations.
+        /// The kernel's guarantee: one kernel reused over a random sequence
+        /// of memberships of varying size — each keeping a random subset
+        /// of the previous members and adding fresh points — assigns
+        /// fitness **bitwise** equal to the from-scratch SPEA2 path, and
+        /// environmental selection reading the kernel's distances picks
+        /// exactly what the from-scratch selection picks. This pins the
+        /// SPEA2 engine's fitness and truncation to their reference
+        /// implementations.
         #[test]
         fn kernel_is_bitwise_equal_to_scratch_across_generations(
             initial in arb_points(20),
             steps in proptest::collection::vec(
-                (arb_points(10), proptest::collection::vec(0u8..2, 30..31)),
+                (arb_points(10), proptest::collection::vec(0u8..2, 30..31), 1usize..12),
                 1..5,
             ),
             k in 1usize..4,
         ) {
-            let mut kernel = FitnessKernel::new();
-            let mut next_id = 0u64;
-            let mut members: Vec<Individual<u64>> = Vec::new();
-            let mut ids: Vec<u64> = Vec::new();
-            let mut push = |points: &[Objectives],
-                            members: &mut Vec<Individual<u64>>,
-                            ids: &mut Vec<u64>| {
-                for p in points {
-                    members.push(Individual::new(next_id, p.clone()));
-                    ids.push(next_id);
-                    next_id += 1;
-                }
-            };
-            push(&initial, &mut members, &mut ids);
+            let mut kernel = FitnessKernel::default();
+            let individual = |p: &Objectives| Individual::new(0u32, p.clone());
+            let mut members: Vec<Individual<u32>> = initial.iter().map(individual).collect();
 
-            for (new_points, keep_mask) in &steps {
-                // Removals: drop members whose mask bit is false (the mask
-                // repeats if shorter than the membership).
-                let survivors: Vec<usize> = (0..members.len())
-                    .filter(|&i| keep_mask[i % keep_mask.len()] == 1)
+            for (new_points, keep_mask, archive_size) in &steps {
+                // Removals: drop members whose mask bit is 0 (the mask
+                // repeats if shorter than the membership), then insertions.
+                members = members
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(i, _)| keep_mask[i % keep_mask.len()] == 1)
+                    .map(|(_, m)| m)
                     .collect();
-                members = survivors.iter().map(|&i| members[i].clone()).collect();
-                ids = survivors.iter().map(|&i| ids[i]).collect();
-                // Insertions.
-                push(new_points, &mut members, &mut ids);
+                members.extend(new_points.iter().map(individual));
 
                 let mut scratch = members.clone();
                 assign_fitness(&mut scratch, k);
-                kernel.assign_fitness(&mut members, &ids, k);
-                let bits = |m: &[Individual<u64>]| {
+                kernel.assign_fitness(&mut members, k);
+                let bits = |m: &[Individual<u32>]| {
                     m.iter()
                         .map(|i| i.fitness.expect("assigned").to_bits())
                         .collect::<Vec<_>>()
                 };
                 prop_assert_eq!(bits(&members), bits(&scratch));
-
-                // The NSGA-II rank path over the same membership.
-                let points: Vec<Objectives> =
-                    members.iter().map(|m| m.objectives.clone()).collect();
                 prop_assert_eq!(
-                    kernel.ranks(&members, &ids),
-                    nsga2::non_dominated_sort(&points)
+                    selection::environmental_selection_with(&members, *archive_size, |a, b| {
+                        kernel.distance(a, b)
+                    }),
+                    selection::environmental_selection(&scratch, *archive_size)
                 );
             }
         }

@@ -5,14 +5,15 @@
 //! a second engine behind the same [`Engine`] interface lets the ablation
 //! experiments confirm that the OptRR results are not an artifact of the
 //! particular engine — callers switch backends purely through
-//! [`EngineKind`]. NSGA-II ranks individuals by
+//! [`EngineKind`](crate::EngineKind). NSGA-II ranks individuals by
 //! non-dominated sorting and breaks ties with crowding distance; it has no
 //! separate archive, so the shared `archive_size` bounds only the reported
-//! final front and `density_k` is unused.
+//! final front, and `density_k` sets only the density term of that front's
+//! fitness.
 
-use crate::dominance::dominates;
+use crate::dominance::for_each_dominating_pair;
 use crate::engine::{evaluate_into_individuals, push_offspring_pair, seeded_initial_population};
-use crate::engine::{Engine, EngineConfig, EngineKind, EngineOutcome, GenerationSnapshot, Problem};
+use crate::engine::{Engine, EngineConfig, EngineOutcome, GenerationSnapshot, Problem};
 use crate::individual::Individual;
 use crate::kernel::FitnessKernel;
 use crate::objectives::Objectives;
@@ -24,18 +25,10 @@ pub fn non_dominated_sort(points: &[Objectives]) -> Vec<usize> {
     let n = points.len();
     let mut dominated_by: Vec<Vec<usize>> = vec![Vec::new(); n]; // who i dominates
     let mut domination_count = vec![0usize; n];
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            if dominates(&points[i], &points[j]) {
-                dominated_by[i].push(j);
-            } else if dominates(&points[j], &points[i]) {
-                domination_count[i] += 1;
-            }
-        }
-    }
+    for_each_dominating_pair(points, |winner, loser| {
+        dominated_by[winner].push(loser);
+        domination_count[loser] += 1;
+    });
     let mut rank = vec![0usize; n];
     let mut current: Vec<usize> = (0..n).filter(|&i| domination_count[i] == 0).collect();
     let mut front_index = 0usize;
@@ -111,10 +104,6 @@ impl<'a, P: Problem> Nsga2<'a, P> {
 }
 
 impl<'a, P: Problem> Engine<P> for Nsga2<'a, P> {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Nsga2
-    }
-
     fn config(&self) -> &EngineConfig {
         &self.config
     }
@@ -132,26 +121,19 @@ impl<'a, P: Problem> Engine<P> for Nsga2<'a, P> {
         let pop_size = self.config.population_size;
         let mut evaluations = 0usize;
 
-        // The incremental fitness kernel caches pairwise dominance across
-        // generations; the survivors of each environmental selection keep
-        // their ids, so both rank computations below mostly reuse pairs.
-        let mut kernel = FitnessKernel::new();
-
         // Initial population: seeds first, then random genomes, all
         // repaired and evaluated as one batch (shared with SPEA2).
         let mut population =
             seeded_initial_population(self.problem, pop_size, seeds, rng, &mut evaluations);
-        let mut population_ids = kernel.alloc_ids(population.len());
 
         let mut generations_run = 0usize;
         let mut front_len = 0usize;
         for generation in 0..self.config.generations {
             generations_run = generation + 1;
 
-            // Rank the current population for mating selection; every pair
-            // was already compared in the previous generation's union.
+            // Rank the current population for mating selection.
             let points: Vec<Objectives> = population.iter().map(|i| i.objectives.clone()).collect();
-            let ranks = kernel.ranks(&population, &population_ids);
+            let ranks = non_dominated_sort(&points);
             let crowd = crowding_distances(&points, &ranks);
 
             // Binary-tournament selection on (rank, -crowding).
@@ -185,17 +167,13 @@ impl<'a, P: Problem> Engine<P> for Nsga2<'a, P> {
             }
             let mut offspring =
                 evaluate_into_individuals(self.problem, child_genomes, &mut evaluations);
-            let mut offspring_ids = kernel.alloc_ids(offspring.len());
 
             // Environmental selection over the union, by (rank, crowding).
-            // Only offspring-involving pairs are fresh comparisons.
             let mut union = population;
             union.append(&mut offspring);
-            let mut union_ids = population_ids;
-            union_ids.append(&mut offspring_ids);
             let union_points: Vec<Objectives> =
                 union.iter().map(|i| i.objectives.clone()).collect();
-            let union_ranks = kernel.ranks(&union, &union_ids);
+            let union_ranks = non_dominated_sort(&union_points);
             let union_crowd = crowding_distances(&union_points, &union_ranks);
             let mut order: Vec<usize> = (0..union.len()).collect();
             order.sort_by(|&a, &b| {
@@ -216,7 +194,6 @@ impl<'a, P: Problem> Engine<P> for Nsga2<'a, P> {
                 .iter()
                 .map(|&i| slots[i].take().expect("selection indices are unique"))
                 .collect();
-            population_ids = order.iter().map(|&i| union_ids[i]).collect();
 
             // The snapshot slices are disjoint (elite prefix vs the
             // rest), so observers chaining them visit each individual
@@ -235,19 +212,15 @@ impl<'a, P: Problem> Engine<P> for Nsga2<'a, P> {
         // The final first front (already a prefix of the sorted
         // population), bounded by the shared archive size and
         // fitness-assigned like the SPEA2 archive so downstream reporting
-        // is uniform. The kernel reuses the dominance pairs; distances are
-        // computed here for the first time (rank passes skip them), for
-        // the bounded front only.
+        // is uniform.
         population.truncate(front_len.min(self.config.archive_size).max(1));
-        population_ids.truncate(population.len());
-        kernel.assign_fitness(&mut population, &population_ids, self.config.density_k);
-        let kernel_stats = kernel.stats();
+        let mut kernel = FitnessKernel::default();
+        kernel.assign_fitness(&mut population, self.config.density_k);
         EngineOutcome {
             archive: population,
             generations_run,
             evaluations,
-            fitness_pairs_reused: kernel_stats.pairs_reused,
-            fitness_pairs_computed: kernel_stats.pairs_computed,
+            fitness_pairs_computed: kernel.pairs_computed(),
         }
     }
 }
@@ -331,9 +304,8 @@ mod tests {
             density_k: 1,
         };
         let engine = Nsga2::new(&Schaffer, config).unwrap();
-        assert_eq!(engine.kind(), EngineKind::Nsga2);
         let mut rng = StdRng::seed_from_u64(5);
-        let outcome = engine.run(&mut rng);
+        let outcome = engine.run_seeded(&mut rng, Vec::new(), |_| true);
         assert_eq!(outcome.generations_run, 60);
         assert!(!outcome.archive.is_empty());
         assert!(outcome.archive.len() <= 30);
@@ -354,7 +326,7 @@ mod tests {
         let engine = Nsga2::new(&Schaffer, config).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         let mut seen = 0usize;
-        let outcome = engine.run_with_observer(&mut rng, |snap| {
+        let outcome = engine.run_seeded(&mut rng, Vec::new(), |snap| {
             seen += 1;
             assert!(!snap.archive.is_empty());
             // Elite and remainder are disjoint and partition the

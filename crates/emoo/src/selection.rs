@@ -33,10 +33,10 @@ pub fn fill_mating_pool<G, R: Rng + ?Sized>(
 
 /// SPEA2 environmental selection over an already fitness-assigned combined
 /// population, computing objective distances on the fly. Engines that have
-/// a [`FitnessKernel`](crate::FitnessKernel) holding the distance triangle
+/// a [`FitnessKernel`](crate::FitnessKernel) holding the distance table
 /// for `combined` should call [`environmental_selection_with`] with
 /// [`FitnessKernel::distance`](crate::FitnessKernel::distance) instead, so
-/// truncation reuses the cached distances.
+/// truncation reads the distances the fitness pass already computed.
 pub fn environmental_selection<G>(combined: &[Individual<G>], archive_size: usize) -> Vec<usize> {
     environmental_selection_with(combined, archive_size, |a, b| {
         combined[a].objectives.distance(&combined[b].objectives)

@@ -14,7 +14,7 @@
 use crate::density::densities;
 use crate::dominance::raw_fitness;
 use crate::engine::{
-    evaluate_into_individuals, push_offspring_pair, seeded_initial_population, Engine, EngineKind,
+    evaluate_into_individuals, push_offspring_pair, seeded_initial_population, Engine,
     EngineOutcome,
 };
 use crate::individual::Individual;
@@ -25,22 +25,15 @@ use rand::Rng;
 
 pub use crate::engine::{EngineConfig, GenerationSnapshot, Problem};
 
-/// SPEA2 run parameters — an alias of the shared [`EngineConfig`] kept for
-/// source compatibility with pre-`Engine` call sites.
-pub type Spea2Config = EngineConfig;
-
-/// The result of a SPEA2 run — an alias of the shared [`EngineOutcome`]
-/// kept for source compatibility with pre-`Engine` call sites.
-pub type Spea2Outcome<G> = EngineOutcome<G>;
-
 /// Assigns SPEA2 fitness (raw fitness + density) to every member of the
 /// combined population, in place, from scratch.
 ///
-/// This is the reference implementation: O(n²) comparisons and distances
-/// every call. The engines run the incremental
-/// [`FitnessKernel`] instead, which produces bitwise
-/// identical fitness values while reusing pairwise state across
-/// generations; the crate's property tests pin the two together.
+/// This is the reference implementation, built from [`raw_fitness`] and
+/// [`densities`] over cloned [`Objectives`]: it allocates on every call
+/// and computes each distance once per orientation. The engines run the
+/// [`FitnessKernel`] instead, which fills each pair once into flat tables
+/// and produces bitwise identical fitness values; the crate's property
+/// tests pin the two together.
 pub fn assign_fitness<G>(combined: &mut [Individual<G>], density_k: usize) {
     let points: Vec<Objectives> = combined.iter().map(|i| i.objectives.clone()).collect();
     let raw = raw_fitness(&points);
@@ -65,10 +58,6 @@ impl<'a, P: Problem> Spea2<'a, P> {
 }
 
 impl<'a, P: Problem> Engine<P> for Spea2<'a, P> {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Spea2
-    }
-
     fn config(&self) -> &EngineConfig {
         &self.config
     }
@@ -85,10 +74,9 @@ impl<'a, P: Problem> Engine<P> for Spea2<'a, P> {
     {
         let mut evaluations = 0usize;
 
-        // The incremental fitness kernel: pairwise dominance and distance
-        // state persists across generations, so each fitness assignment
-        // only computes the pairs involving this generation's offspring.
-        let mut kernel = FitnessKernel::new();
+        // One fitness kernel per run: its tables stay allocated across
+        // generations, and environmental selection reads its distances.
+        let mut kernel = FitnessKernel::default();
 
         // Initial population Q_0: seeds first, then random genomes, all
         // repaired and evaluated as one batch.
@@ -99,48 +87,36 @@ impl<'a, P: Problem> Engine<P> for Spea2<'a, P> {
             rng,
             &mut evaluations,
         );
-        let mut population_ids = kernel.alloc_ids(population.len());
         let mut archive: Vec<Individual<P::Genome>> = Vec::new();
-        let mut archive_ids: Vec<u64> = Vec::new();
         let mut generations_run = 0usize;
 
         for generation in 0..self.config.generations {
             generations_run = generation + 1;
 
             // 1. Fitness assignment over the union of population and
-            // archive. Archive-vs-archive pairs are reused from the
-            // previous generation through the kernel.
+            // archive.
             let mut combined: Vec<Individual<P::Genome>> =
                 Vec::with_capacity(population.len() + archive.len());
             combined.append(&mut population);
             combined.append(&mut archive);
-            let mut combined_ids: Vec<u64> =
-                Vec::with_capacity(population_ids.len() + archive_ids.len());
-            combined_ids.append(&mut population_ids);
-            combined_ids.append(&mut archive_ids);
-            kernel.assign_fitness(&mut combined, &combined_ids, self.config.density_k);
+            kernel.assign_fitness(&mut combined, self.config.density_k);
 
             // 2. Environmental selection into the next archive; truncation
-            // reads distances straight from the kernel's triangle.
+            // reads distances straight from the kernel's table.
             let selected =
                 environmental_selection_with(&combined, self.config.archive_size, |a, b| {
                     kernel.distance(a, b)
                 });
-            let mut next_archive: Vec<Individual<P::Genome>> = Vec::with_capacity(selected.len());
-            let mut next_archive_ids: Vec<u64> = Vec::with_capacity(selected.len());
             // Extract in index order without cloning genomes more than once.
             let mut keep = vec![false; combined.len()];
             for &i in &selected {
                 keep[i] = true;
             }
-            for (i, ind) in combined.into_iter().enumerate() {
-                if keep[i] {
-                    next_archive.push(ind);
-                    next_archive_ids.push(combined_ids[i]);
-                }
-            }
-            archive = next_archive;
-            archive_ids = next_archive_ids;
+            archive = combined
+                .into_iter()
+                .zip(keep)
+                .filter_map(|(ind, kept)| kept.then_some(ind))
+                .collect();
 
             // 3. Mating selection from the archive.
             let mating_pool = fill_mating_pool(&archive, self.config.population_size, rng);
@@ -175,7 +151,6 @@ impl<'a, P: Problem> Engine<P> for Spea2<'a, P> {
                 );
             }
             population = evaluate_into_individuals(self.problem, child_genomes, &mut evaluations);
-            population_ids = kernel.alloc_ids(population.len());
 
             // 6. Observer hook (Ω update, logging, convergence checks).
             let snapshot = GenerationSnapshot {
@@ -189,17 +164,13 @@ impl<'a, P: Problem> Engine<P> for Spea2<'a, P> {
             }
         }
 
-        // Final fitness assignment so the returned archive is ranked. The
-        // archive is a subset of the last combined set, so every pair is a
-        // kernel cache hit.
-        kernel.assign_fitness(&mut archive, &archive_ids, self.config.density_k);
-        let kernel_stats = kernel.stats();
+        // Final fitness assignment so the returned archive is ranked.
+        kernel.assign_fitness(&mut archive, self.config.density_k);
         EngineOutcome {
             archive,
             generations_run,
             evaluations,
-            fitness_pairs_reused: kernel_stats.pairs_reused,
-            fitness_pairs_computed: kernel_stats.pairs_computed,
+            fitness_pairs_computed: kernel.pairs_computed(),
         }
     }
 }
@@ -247,32 +218,32 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(Spea2Config::default().validate().is_ok());
-        assert!(Spea2Config {
+        assert!(EngineConfig::default().validate().is_ok());
+        assert!(EngineConfig {
             population_size: 0,
             ..Default::default()
         }
         .validate()
         .is_err());
-        assert!(Spea2Config {
+        assert!(EngineConfig {
             archive_size: 0,
             ..Default::default()
         }
         .validate()
         .is_err());
-        assert!(Spea2Config {
+        assert!(EngineConfig {
             generations: 0,
             ..Default::default()
         }
         .validate()
         .is_err());
-        assert!(Spea2Config {
+        assert!(EngineConfig {
             mutation_rate: 1.5,
             ..Default::default()
         }
         .validate()
         .is_err());
-        assert!(Spea2Config {
+        assert!(EngineConfig {
             density_k: 0,
             ..Default::default()
         }
@@ -280,7 +251,7 @@ mod tests {
         .is_err());
         assert!(Spea2::new(
             &Schaffer,
-            Spea2Config {
+            EngineConfig {
                 generations: 0,
                 ..Default::default()
             }
@@ -305,7 +276,7 @@ mod tests {
     #[test]
     fn schaffer_front_is_found() {
         let problem = Schaffer;
-        let config = Spea2Config {
+        let config = EngineConfig {
             population_size: 60,
             archive_size: 30,
             generations: 60,
@@ -313,9 +284,8 @@ mod tests {
             density_k: 1,
         };
         let engine = Spea2::new(&problem, config).unwrap();
-        assert_eq!(engine.kind(), EngineKind::Spea2);
         let mut rng = StdRng::seed_from_u64(7);
-        let outcome = engine.run(&mut rng);
+        let outcome = engine.run_seeded(&mut rng, Vec::new(), |_| true);
 
         assert_eq!(outcome.generations_run, 60);
         assert!(outcome.evaluations >= 60 * 60);
@@ -364,7 +334,7 @@ mod tests {
         let problem = Schaffer;
         let engine = Spea2::new(
             &problem,
-            Spea2Config {
+            EngineConfig {
                 generations: 50,
                 ..Default::default()
             },
@@ -373,7 +343,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let mut seen = Vec::new();
         let mut last_evaluations = 0usize;
-        let outcome = engine.run_with_observer(&mut rng, |snap| {
+        let outcome = engine.run_seeded(&mut rng, Vec::new(), |snap| {
             seen.push(snap.generation);
             assert!(!snap.archive.is_empty());
             assert_eq!(snap.population.len(), engine.config().population_size);
@@ -389,17 +359,17 @@ mod tests {
     #[test]
     fn runs_are_deterministic_for_a_seed() {
         let problem = Schaffer;
-        let config = Spea2Config {
+        let config = EngineConfig {
             generations: 10,
             ..Default::default()
         };
         let engine = Spea2::new(&problem, config).unwrap();
-        let a = engine.run(&mut StdRng::seed_from_u64(33));
-        let b = engine.run(&mut StdRng::seed_from_u64(33));
+        let a = engine.run_seeded(&mut StdRng::seed_from_u64(33), Vec::new(), |_| true);
+        let b = engine.run_seeded(&mut StdRng::seed_from_u64(33), Vec::new(), |_| true);
         let genomes =
-            |o: &Spea2Outcome<f64>| o.archive.iter().map(|i| i.genome).collect::<Vec<_>>();
+            |o: &EngineOutcome<f64>| o.archive.iter().map(|i| i.genome).collect::<Vec<_>>();
         assert_eq!(genomes(&a), genomes(&b));
-        let c = engine.run(&mut StdRng::seed_from_u64(34));
+        let c = engine.run_seeded(&mut StdRng::seed_from_u64(34), Vec::new(), |_| true);
         assert_ne!(genomes(&a), genomes(&c));
     }
 }

@@ -400,12 +400,12 @@ pub struct KeyStatsDto {
     pub privacy_lo: Option<f64>,
     /// Highest privacy currently covered, when any slot is filled.
     pub privacy_hi: Option<f64>,
-    /// Pairwise fitness-kernel entries the most recent refresh run reused
-    /// across generations (comparisons saved), 0 before the first run
-    /// completes in this process.
+    /// Always 0: the engine's fitness kernel keeps no pairs from one
+    /// generation to the next, so none are reused. The field stays so the
+    /// wire format, which clients and the codec corpus read, is unchanged.
     pub fitness_pairs_reused: u64,
-    /// Pairwise fitness-kernel entries the most recent refresh run
-    /// computed fresh.
+    /// Unordered pairs the fitness kernel compared in the most recent
+    /// refresh run, 0 before the first run completes in this process.
     pub fitness_pairs_computed: u64,
     /// Failed (errored or panicked) refresh runs over this key's
     /// lifetime.

@@ -226,7 +226,6 @@ impl Service {
             run_index,
             generations: stats.map_or(0, |s| s.generations_run as u64),
             evaluations: stats.map_or(0, |s| s.evaluations as u64),
-            pairs_reused: stats.map_or(0, |s| s.fitness_pairs_reused),
             pairs_computed: stats.map_or(0, |s| s.fitness_pairs_computed),
             landed: stats.is_some(),
         });

@@ -612,12 +612,10 @@ impl Service {
     /// Per-key statistics snapshot.
     pub fn key_stats(&self, entry: &KeyEntry) -> KeyStatsDto {
         let range = entry.store().privacy_range();
-        // Refresh telemetry from the most recent engine run: how much
-        // pairwise fitness state the incremental kernel reused.
-        let (fitness_pairs_reused, fitness_pairs_computed) = entry
+        // Refresh telemetry from the most recent engine run.
+        let fitness_pairs_computed = entry
             .last_statistics()
-            .map(|s| (s.fitness_pairs_reused, s.fitness_pairs_computed))
-            .unwrap_or((0, 0));
+            .map_or(0, |s| s.fitness_pairs_computed);
         KeyStatsDto {
             key: entry.key(),
             warm: entry.is_warm(),
@@ -635,7 +633,7 @@ impl Service {
             rewarms: entry.rewarms(),
             privacy_lo: range.map(|(lo, _)| lo),
             privacy_hi: range.map(|(_, hi)| hi),
-            fitness_pairs_reused,
+            fitness_pairs_reused: 0,
             fitness_pairs_computed,
             refresh_failures: entry.refresh_failures(),
             retries: entry.retries(),

@@ -56,9 +56,7 @@ pub enum ServeEvent {
         generations: u64,
         /// Objective evaluations performed.
         evaluations: u64,
-        /// Pairwise fitness entries reused from the incremental kernel.
-        pairs_reused: u64,
-        /// Pairwise fitness entries computed fresh.
+        /// Unordered pairs the engine's fitness kernel compared.
         pairs_computed: u64,
         /// Whether the run's Ω landed (`false` when the run failed).
         landed: bool,
@@ -229,13 +227,12 @@ impl ServeEvent {
                 run_index,
                 generations,
                 evaluations,
-                pairs_reused,
                 pairs_computed,
                 landed,
                 ..
             } => format!(
                 "run {run_index}: {generations} generations, {evaluations} evaluations, \
-                 {pairs_reused} pairs reused / {pairs_computed} computed, {}",
+                 {pairs_computed} pairs computed, {}",
                 if *landed { "landed" } else { "failed" }
             ),
             ServeEvent::Generation {
@@ -722,7 +719,6 @@ mod tests {
                 run_index: 2,
                 generations: 30,
                 evaluations: 900,
-                pairs_reused: 100,
                 pairs_computed: 400,
                 landed: true,
             },

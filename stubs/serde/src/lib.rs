@@ -81,15 +81,13 @@ pub trait Deserialize: Sized {
 
 // ---- reader ----------------------------------------------------------------
 
-/// A JSON number as written: unsigned, negative, or with a fraction or
-/// exponent.
+/// A JSON number as written: an unsigned integer, or any other number.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Number {
     /// A non-negative integer that fits `u64`.
     U64(u64),
-    /// An integer with a minus sign (`-0` included) that fits `i64`.
-    I64(i64),
-    /// Any other number.
+    /// Any other number. A negative integer parses to the same `f64` its
+    /// `i64` value would convert to, and `-0` keeps its sign.
     F64(f64),
 }
 
@@ -98,7 +96,6 @@ impl Number {
     fn as_u64(self) -> Option<u64> {
         match self {
             Number::U64(x) => Some(x),
-            Number::I64(x) if x >= 0 => Some(x as u64),
             Number::F64(x) if x >= 0.0 && x.fract() == 0.0 => Some(x as u64),
             _ => None,
         }
@@ -108,7 +105,6 @@ impl Number {
     fn as_f64(self) -> f64 {
         match self {
             Number::U64(x) => x as f64,
-            Number::I64(x) => x as f64,
             Number::F64(x) => x,
         }
     }
@@ -250,8 +246,8 @@ impl<'a> Reader<'a> {
 
     /// Reads a number token through its last digit, sign, point or
     /// exponent character, checks it against the RFC 8259 grammar and
-    /// parses it: as `u64`, then `i64` when it has no fraction or
-    /// exponent, else as `f64`.
+    /// parses it: as `u64` when it has no sign, fraction or exponent, else
+    /// as `f64`.
     fn read_number_text(&mut self) -> Result<Number, Error> {
         let start = self.pos;
         let sign = usize::from(self.bytes()[start] == b'-');
@@ -268,9 +264,6 @@ impl<'a> Reader<'a> {
         if !text[sign..].contains(['.', 'e', 'E', '+', '-']) {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Number::U64(u));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Number::I64(i));
             }
         }
         text.parse::<f64>().map(Number::F64).map_err(|_| invalid())

@@ -90,6 +90,10 @@ mod tests {
     fn numbers_coerce_across_representations() {
         assert_eq!(from_str::<usize>("3.0").unwrap(), 3);
         assert_eq!(from_str::<usize>("-0").unwrap(), 0);
+        assert_eq!(
+            from_str::<f64>("-0").unwrap().to_bits(),
+            (-0.0f64).to_bits()
+        );
         assert_eq!(from_str::<u64>("2e1").unwrap(), 20);
         assert_eq!(from_str::<f64>("7").unwrap(), 7.0);
         assert_eq!(from_str::<u64>("18446744073709551615").unwrap(), u64::MAX);
