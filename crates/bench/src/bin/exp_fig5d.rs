@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use rr::estimate::iterative::{iterative_estimate_from_frequencies, IterativeConfig};
 use rr::metrics::utility::empirical_mse;
 use rr::RrMatrix;
-use stats::{Categorical, Histogram};
+use stats::{Categorical, StatsError};
 
 /// Empirical MSE of the *iterative* estimator for one matrix, by Monte
 /// Carlo over fresh disguised samples.
@@ -33,8 +33,10 @@ fn iterative_mse(
     // measured (~1e-4) but loose enough that strongly disguising matrices
     // (slow EM contraction) still converge within the iteration budget.
     empirical_mse(m, prior, num_records, trials, &mut rng, |matrix, counts| {
-        let hist = Histogram::from_counts(counts.to_vec())?;
-        let p_star = hist.empirical_distribution()?;
+        if counts.iter().sum::<u64>() == 0 {
+            return Err(StatsError::EmptyData.into());
+        }
+        let p_star = Categorical::from_counts(counts)?;
         let est = iterative_estimate_from_frequencies(
             matrix,
             &p_star,

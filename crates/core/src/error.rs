@@ -44,12 +44,6 @@ impl std::error::Error for OptrrError {
     }
 }
 
-impl From<rr::RrError> for OptrrError {
-    fn from(e: rr::RrError) -> Self {
-        OptrrError::Rr(e)
-    }
-}
-
 impl From<stats::StatsError> for OptrrError {
     fn from(e: stats::StatsError) -> Self {
         OptrrError::Stats(e)
@@ -72,7 +66,7 @@ mod tests {
         assert!(c.to_string().contains("delta"));
         assert!(c.source().is_none());
 
-        let r: OptrrError = rr::RrError::SingularMatrix.into();
+        let r = OptrrError::Rr(rr::RrError::SingularMatrix);
         assert!(r.to_string().contains("singular"));
         assert!(r.source().is_some());
 

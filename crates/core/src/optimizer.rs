@@ -111,15 +111,6 @@ pub struct Optimizer {
     generation_observer: Option<GenerationObserver>,
 }
 
-impl std::fmt::Debug for Optimizer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Optimizer")
-            .field("config", &self.config)
-            .field("generation_observer", &self.generation_observer.is_some())
-            .finish()
-    }
-}
-
 impl Optimizer {
     /// Creates an optimizer after validating the configuration.
     pub fn new(config: OptrrConfig) -> Result<Self> {
@@ -138,11 +129,6 @@ impl Optimizer {
     pub fn with_generation_observer(mut self, observer: GenerationObserver) -> Self {
         self.generation_observer = Some(observer);
         self
-    }
-
-    /// Borrow the configuration.
-    pub fn config(&self) -> &OptrrConfig {
-        &self.config
     }
 
     /// Builds the initial-population seeds from the Warner baseline sweep

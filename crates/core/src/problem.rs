@@ -123,25 +123,9 @@ impl OptrrProblem {
         })
     }
 
-    /// The prior (original-data) distribution the metrics are computed
-    /// against.
-    pub fn prior(&self) -> &Categorical {
-        &self.prior
-    }
-
-    /// The δ bound in force.
-    pub fn delta(&self) -> f64 {
-        self.delta
-    }
-
     /// Number of categories of the attribute domain.
     pub fn num_categories(&self) -> usize {
         self.prior.num_categories()
-    }
-
-    /// Number of records entering the closed-form MSE.
-    pub fn num_records(&self) -> u64 {
-        self.num_records
     }
 
     /// Evaluates a matrix into the paper's reporting convention, through a
@@ -361,9 +345,6 @@ mod tests {
     fn accessors() {
         let p = problem(0.8);
         assert_eq!(p.num_categories(), 5);
-        assert_eq!(p.num_records(), 10_000);
-        assert_eq!(p.delta(), 0.8);
-        assert_eq!(p.prior().num_categories(), 5);
         assert_eq!(Problem::num_objectives(&p), 2);
     }
 

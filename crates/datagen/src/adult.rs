@@ -27,15 +27,6 @@ pub const ADULT_AGE_MIN: f64 = 17.0;
 /// Upper end of the Adult age range.
 pub const ADULT_AGE_MAX: f64 = 90.0;
 
-/// Names of the surrogate attributes, mirroring the first few Adult columns.
-pub const ADULT_ATTRIBUTES: [&str; 5] = [
-    "age",
-    "workclass",
-    "education",
-    "marital-status",
-    "occupation",
-];
-
 /// Configuration for generating the Adult surrogate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdultConfig {
@@ -86,17 +77,6 @@ impl AdultSurrogate {
     /// The attribute the paper's Figure 5(c) uses.
     pub fn first_attribute(&self) -> &CategoricalDataset {
         &self.age
-    }
-
-    /// All categorical columns as (name, dataset) pairs.
-    pub fn columns(&self) -> Vec<(&'static str, &CategoricalDataset)> {
-        vec![
-            ("age", &self.age),
-            ("workclass", &self.workclass),
-            ("education", &self.education),
-            ("marital-status", &self.marital_status),
-            ("occupation", &self.occupation),
-        ]
     }
 }
 
@@ -209,7 +189,6 @@ mod tests {
         assert_eq!(s.education.num_categories(), 16);
         assert_eq!(s.marital_status.num_categories(), 7);
         assert_eq!(s.occupation.num_categories(), 14);
-        assert_eq!(s.columns().len(), 5);
         assert_eq!(s.first_attribute().num_categories(), 10);
     }
 

@@ -7,7 +7,7 @@
 //! code never has to guess `n` from the observed values.
 
 use serde::{Deserialize, Serialize};
-use stats::{Categorical, Histogram, Result as StatsResult, StatsError};
+use stats::{Categorical, CountSet, Result as StatsResult, StatsError};
 
 /// A single-attribute categorical data set over the domain `0..num_categories`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -69,39 +69,11 @@ impl CategoricalDataset {
         self.records.get(i).copied()
     }
 
-    /// Histogram of category counts.
-    pub fn histogram(&self) -> Histogram {
-        Histogram::from_observations(self.num_categories, &self.records)
-            .expect("records validated at construction")
-    }
-
     /// Empirical distribution (relative frequencies). Errs on an empty set.
     pub fn empirical_distribution(&self) -> StatsResult<Categorical> {
-        self.histogram().empirical_distribution()
-    }
-
-    /// Splits the data set into two halves (useful for holdout evaluation in
-    /// the mining examples): the first `k` records and the rest.
-    pub fn split_at(&self, k: usize) -> (CategoricalDataset, CategoricalDataset) {
-        let k = k.min(self.records.len());
-        let (a, b) = self.records.split_at(k);
-        (
-            CategoricalDataset {
-                num_categories: self.num_categories,
-                records: a.to_vec(),
-            },
-            CategoricalDataset {
-                num_categories: self.num_categories,
-                records: b.to_vec(),
-            },
-        )
-    }
-
-    /// Maps records through `f` (e.g. the per-record randomized response
-    /// disguise), producing a new data set over the same domain.
-    pub fn map_records(&self, mut f: impl FnMut(usize) -> usize) -> StatsResult<Self> {
-        let mapped: Vec<usize> = self.records.iter().map(|&r| f(r)).collect();
-        Self::new(self.num_categories, mapped)
+        let mut counts = CountSet::new(self.num_categories)?;
+        counts.add_records(&self.records)?;
+        counts.empirical_distribution()
     }
 }
 
@@ -132,31 +104,9 @@ mod tests {
     #[test]
     fn histogram_and_distribution() {
         let d = CategoricalDataset::new(4, vec![0, 1, 1, 3, 3, 3]).unwrap();
-        let h = d.histogram();
-        assert_eq!(h.counts(), &[1, 2, 0, 3]);
         let p = d.empirical_distribution().unwrap();
+        assert!((p.prob(1) - 1.0 / 3.0).abs() < 1e-12);
         assert!((p.prob(3) - 0.5).abs() < 1e-12);
         assert_eq!(p.prob(2), 0.0);
-    }
-
-    #[test]
-    fn split_at_partitions_records() {
-        let d = CategoricalDataset::new(2, vec![0, 1, 0, 1, 1]).unwrap();
-        let (a, b) = d.split_at(2);
-        assert_eq!(a.records(), &[0, 1]);
-        assert_eq!(b.records(), &[0, 1, 1]);
-        // Splitting beyond the length yields an empty right half.
-        let (c, e) = d.split_at(100);
-        assert_eq!(c.len(), 5);
-        assert!(e.is_empty());
-    }
-
-    #[test]
-    fn map_records_validates_output_domain() {
-        let d = CategoricalDataset::new(3, vec![0, 1, 2]).unwrap();
-        let shifted = d.map_records(|r| (r + 1) % 3).unwrap();
-        assert_eq!(shifted.records(), &[1, 2, 0]);
-        // Mapping outside the domain is rejected.
-        assert!(d.map_records(|_| 7).is_err());
     }
 }

@@ -64,11 +64,6 @@ impl LabeledDataset {
         self.attributes.get(i)
     }
 
-    /// Borrow all attribute columns.
-    pub fn attributes(&self) -> &[CategoricalDataset] {
-        &self.attributes
-    }
-
     /// Borrow the label column.
     pub fn labels(&self) -> &CategoricalDataset {
         &self.labels
@@ -238,7 +233,6 @@ mod tests {
         assert!(d.row(2).is_none());
         assert!(d.attribute(0).is_some());
         assert!(d.attribute(5).is_none());
-        assert_eq!(d.attributes().len(), 2);
         assert_eq!(d.labels().len(), 2);
     }
 

@@ -27,10 +27,10 @@ pub mod labeled;
 pub mod synthetic;
 pub mod transactions;
 
-pub use adult::{AdultConfig, AdultSurrogate};
+pub use adult::AdultConfig;
 pub use dataset::CategoricalDataset;
 pub use labeled::{LabeledConfig, LabeledDataset};
-pub use synthetic::{SourceDistribution, SyntheticConfig, SyntheticWorkload};
+pub use synthetic::{SourceDistribution, SyntheticConfig};
 pub use transactions::{TransactionConfig, TransactionDataset};
 
 #[cfg(test)]

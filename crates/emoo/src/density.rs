@@ -16,10 +16,6 @@
 use crate::objectives::Objectives;
 use std::cmp::Ordering;
 
-/// Default neighbour index used by the density estimator (the paper's
-/// practical choice).
-pub const DEFAULT_K: usize = 1;
-
 /// The k-th smallest value of `values` (1-based `k`, clamped to the slice
 /// length), found by partial selection instead of a full sort: `k = 1` is a
 /// single min scan, larger `k` uses `select_nth_unstable`. The slice is
@@ -120,7 +116,7 @@ mod tests {
             o(0.1, 0.0), // crowded pair
             o(5.0, 5.0), // isolated
         ];
-        let d = densities(&pts, DEFAULT_K);
+        let d = densities(&pts, 1);
         assert!(d.iter().all(|&x| x < 1.0));
         assert!(d.iter().all(|&x| x > 0.0));
         assert!(d[0] > d[2], "crowded point should have higher density");

@@ -63,8 +63,8 @@ pub fn dominates(a: &Objectives, b: &Objectives) -> bool {
 /// Visits every dominating ordered pair of `points` exactly once, as
 /// `visit(winner, loser)`.
 ///
-/// This is the single pairwise call site behind [`non_dominated_indices`],
-/// [`strength_values`], and [`raw_fitness`]: one branch-free [`compare`]
+/// This is the single pairwise call site behind [`non_dominated_indices`]
+/// and [`raw_fitness`]: one branch-free [`compare`]
 /// per unordered pair (half the compares of the textbook `i != j` double
 /// loops it replaced), dispatching both orientations through the callback.
 pub fn for_each_dominating_pair(points: &[Objectives], mut visit: impl FnMut(usize, usize)) {
@@ -97,14 +97,6 @@ pub fn pareto_front(points: &[Objectives]) -> Vec<Objectives> {
         .into_iter()
         .map(|i| points[i].clone())
         .collect()
-}
-
-/// Counts, for each point, how many other points it dominates — the SPEA2
-/// "strength" value `S(i)`.
-pub fn strength_values(points: &[Objectives]) -> Vec<usize> {
-    let mut strength = vec![0usize; points.len()];
-    for_each_dominating_pair(points, |winner, _| strength[winner] += 1);
-    strength
 }
 
 /// SPEA2 raw fitness `R(i)`: the sum of the strengths of every point that
@@ -233,7 +225,6 @@ mod tests {
         assert!(non_dominated_indices(&[]).is_empty());
         let single = vec![o(1.0, 1.0)];
         assert_eq!(non_dominated_indices(&single), vec![0]);
-        assert_eq!(strength_values(&[]).len(), 0);
         assert_eq!(raw_fitness(&[]).len(), 0);
     }
 
@@ -247,8 +238,7 @@ mod tests {
             o(2.0, 2.0), // c (dominated by a and b)
             o(3.0, 3.0), // d (dominated by a, b, c)
         ];
-        let s = strength_values(&pts);
-        assert_eq!(s, vec![2, 2, 1, 0]);
+        // Strengths: a 2, b 2, c 1, d 0.
         let r = raw_fitness(&pts);
         assert_eq!(r[0], 0.0);
         assert_eq!(r[1], 0.0);

@@ -62,18 +62,6 @@ pub struct EngineConfig {
     pub density_k: usize,
 }
 
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            population_size: 80,
-            archive_size: 40,
-            generations: 100,
-            mutation_rate: 0.3,
-            density_k: crate::density::DEFAULT_K,
-        }
-    }
-}
-
 impl EngineConfig {
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), String> {
@@ -309,6 +297,19 @@ mod tests {
         assert_eq!(EngineKind::default(), EngineKind::Spea2);
         assert_eq!(EngineKind::Spea2.label(), "SPEA2");
         assert_eq!(EngineKind::Nsga2.label(), "NSGA-II");
+    }
+
+    /// The base configuration the unit tests vary one field of.
+    impl Default for EngineConfig {
+        fn default() -> Self {
+            Self {
+                population_size: 80,
+                archive_size: 40,
+                generations: 100,
+                mutation_rate: 0.3,
+                density_k: 1,
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod objectives;
 pub mod selection;
 pub mod spea2;
 
-pub use dominance::{compare, dominates, non_dominated_indices, pareto_front, DominanceRelation};
+pub use dominance::{dominates, non_dominated_indices, pareto_front};
 pub use engine::{
     run_engine, Engine, EngineConfig, EngineKind, EngineOutcome, GenerationSnapshot, Problem,
 };

@@ -7,7 +7,6 @@
 //! complement them before constructing an [`Objectives`] value.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// A point in objective space. All objectives are minimized.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -64,43 +63,6 @@ impl Objectives {
             .sum::<f64>()
             .sqrt()
     }
-
-    /// Euclidean distance after per-dimension normalization by the supplied
-    /// ranges (used so that objectives with very different scales — e.g.
-    /// privacy in `[0,1]` vs MSE around `1e-4` — contribute comparably).
-    pub fn normalized_distance(&self, other: &Objectives, ranges: &[f64]) -> f64 {
-        debug_assert_eq!(self.len(), other.len());
-        debug_assert_eq!(self.len(), ranges.len());
-        self.values
-            .iter()
-            .zip(other.values.iter())
-            .zip(ranges.iter())
-            .map(|((a, b), r)| {
-                let scale = if *r > 0.0 { *r } else { 1.0 };
-                let d = (a - b) / scale;
-                d * d
-            })
-            .sum::<f64>()
-            .sqrt()
-    }
-
-    /// True when every objective is finite.
-    pub fn is_finite(&self) -> bool {
-        self.values.iter().all(|v| v.is_finite())
-    }
-}
-
-impl fmt::Display for Objectives {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(")?;
-        for (i, v) in self.values.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{v:.6e}")?;
-        }
-        write!(f, ")")
-    }
 }
 
 #[cfg(test)]
@@ -114,9 +76,6 @@ mod tests {
         assert!(!o.is_empty());
         assert_eq!(o.value(0), 0.3);
         assert_eq!(o.values(), &[0.3, 1e-4]);
-        assert!(o.is_finite());
-        let inf = Objectives::pair(f64::INFINITY, 0.0);
-        assert!(!inf.is_finite());
     }
 
     #[test]
@@ -125,20 +84,6 @@ mod tests {
         let b = Objectives::pair(3.0, 4.0);
         assert!((a.distance(&b) - 5.0).abs() < 1e-12);
         assert_eq!(a.distance(&a), 0.0);
-        // Normalized distance divides each dimension by its range.
-        let d = a.normalized_distance(&b, &[3.0, 4.0]);
-        assert!((d - std::f64::consts::SQRT_2).abs() < 1e-12);
-        // Zero ranges fall back to unnormalized contributions.
-        let d2 = a.normalized_distance(&b, &[0.0, 0.0]);
-        assert!((d2 - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn display_is_readable() {
-        let o = Objectives::pair(0.25, 0.0001);
-        let s = format!("{o}");
-        assert!(s.starts_with('('));
-        assert!(s.contains("2.5"));
     }
 
     #[test]

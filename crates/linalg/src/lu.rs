@@ -323,34 +323,6 @@ pub fn invert(a: &Matrix) -> Result<Matrix> {
     LuDecomposition::new(a)?.inverse()
 }
 
-/// Convenience function: solves `A x = b`.
-pub fn solve(a: &Matrix, b: &Vector) -> Result<Vector> {
-    LuDecomposition::new(a)?.solve(b)
-}
-
-/// Convenience function: determinant of a square matrix. Singular matrices
-/// report a determinant of zero rather than an error.
-pub fn determinant(a: &Matrix) -> Result<f64> {
-    match LuDecomposition::new(a) {
-        Ok(lu) => Ok(lu.determinant()),
-        Err(LinalgError::Singular { .. }) => Ok(0.0),
-        Err(e) => Err(e),
-    }
-}
-
-/// Estimates the 1-norm condition number `κ₁(A) = ‖A‖₁ ‖A⁻¹‖₁`.
-///
-/// The OptRR fitness evaluation uses this to reject candidate RR matrices so
-/// ill-conditioned that the reconstruction of Theorem 1 would be numerically
-/// meaningless. Returns `f64::INFINITY` for singular matrices.
-pub fn condition_number_1(a: &Matrix) -> Result<f64> {
-    match invert(a) {
-        Ok(inv) => Ok(a.norm1() * inv.norm1()),
-        Err(LinalgError::Singular { .. }) => Ok(f64::INFINITY),
-        Err(e) => Err(e),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,12 +336,20 @@ mod tests {
         m
     }
 
+    fn det(m: &Matrix) -> f64 {
+        LuDecomposition::new(m).unwrap().determinant()
+    }
+
+    fn close(a: &Vector, b: &Vector, tol: f64) -> bool {
+        a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| (x - y).abs() <= tol)
+    }
+
     #[test]
     fn identity_inverse_is_identity() {
         let id = Matrix::identity(5);
         let inv = invert(&id).unwrap();
         assert!(inv.approx_eq(&id, 1e-12));
-        assert!((determinant(&id).unwrap() - 1.0).abs() < 1e-12);
+        assert!((det(&id) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -378,7 +358,7 @@ mod tests {
         let inv = invert(&m).unwrap();
         let expected = Matrix::from_rows(&[vec![0.6, -0.7], vec![-0.2, 0.4]]).unwrap();
         assert!(inv.approx_eq(&expected, 1e-12));
-        assert!((determinant(&m).unwrap() - 10.0).abs() < 1e-12);
+        assert!((det(&m) - 10.0).abs() < 1e-12);
     }
 
     #[test]
@@ -400,9 +380,9 @@ mod tests {
         ])
         .unwrap();
         let b = Vector::from_vec(vec![8.0, -11.0, -3.0]);
-        let x = solve(&m, &b).unwrap();
+        let x = LuDecomposition::new(&m).unwrap().solve(&b).unwrap();
         let expected = Vector::from_vec(vec![2.0, 3.0, -1.0]);
-        assert!(x.approx_eq(&expected, 1e-10));
+        assert!(close(&x, &expected, 1e-10));
     }
 
     #[test]
@@ -419,7 +399,7 @@ mod tests {
         let x = lu.solve_matrix(&b).unwrap();
         for j in 0..2 {
             let col = lu.solve(&b.column(j).unwrap()).unwrap();
-            assert!(x.column(j).unwrap().approx_eq(&col, 1e-12));
+            assert!(close(&x.column(j).unwrap(), &col, 1e-12));
         }
         assert!(lu.solve_matrix(&Matrix::zeros(3, 2)).is_err());
     }
@@ -432,8 +412,6 @@ mod tests {
             Err(LinalgError::Singular { .. })
         ));
         assert!(invert(&m).is_err());
-        assert_eq!(determinant(&m).unwrap(), 0.0);
-        assert_eq!(condition_number_1(&m).unwrap(), f64::INFINITY);
     }
 
     #[test]
@@ -468,7 +446,7 @@ mod tests {
         let m = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
         let inv = invert(&m).unwrap();
         assert!(inv.approx_eq(&m, 1e-12));
-        assert!((determinant(&m).unwrap() + 1.0).abs() < 1e-12);
+        assert!((det(&m) + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -480,7 +458,7 @@ mod tests {
         ])
         .unwrap();
         // Even permutation: determinant +1.
-        assert!((determinant(&m).unwrap() - 1.0).abs() < 1e-12);
+        assert!((det(&m) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -488,20 +466,6 @@ mod tests {
         let m = Matrix::identity(3);
         let lu = LuDecomposition::new(&m).unwrap();
         assert!(lu.solve(&Vector::zeros(2)).is_err());
-    }
-
-    #[test]
-    fn condition_number_of_identity_is_one() {
-        assert!((condition_number_1(&Matrix::identity(4)).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn condition_number_grows_near_uniform_matrix() {
-        // As the Warner scheme approaches p = 1/n the matrix approaches the
-        // singular uniform matrix and the condition number must blow up.
-        let good = condition_number_1(&warner(5, 0.9)).unwrap();
-        let bad = condition_number_1(&warner(5, 0.21)).unwrap();
-        assert!(bad > good * 10.0, "bad={bad}, good={good}");
     }
 
     #[test]
@@ -543,7 +507,8 @@ mod tests {
     fn square_matrix() -> impl Strategy<Value = Matrix> {
         (2usize..=33).prop_flat_map(|n| {
             (proptest::collection::vec(-1.0f64..1.0, n * n), 0u8..4).prop_map(move |(raw, kind)| {
-                let mut m = Matrix::from_row_major(n, n, raw).unwrap();
+                let mut m = Matrix::zeros(n, n);
+                m.as_mut_slice().copy_from_slice(&raw);
                 if kind == 1 {
                     for j in 0..n {
                         let s: f64 = (0..n).map(|i| m[(i, j)].abs()).sum();

@@ -11,7 +11,7 @@ use crate::error::{LinalgError, Result};
 use crate::vector::Vector;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Sub};
+use std::ops::{Index, IndexMut};
 
 /// Panel edge (in elements) of the blocked [`Matrix::mul_matrix`] kernel:
 /// a 32×32 `f64` panel is 8 KiB, so the three active panels (A, B, out)
@@ -53,18 +53,6 @@ impl Matrix {
             m.data[i * n + i] = 1.0;
         }
         m
-    }
-
-    /// Creates a matrix from a row-major flat buffer.
-    pub fn from_row_major(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::DimensionMismatch {
-                op: "from_row_major",
-                lhs: (rows, cols),
-                rhs: (data.len(), 1),
-            });
-        }
-        Ok(Self { rows, cols, data })
     }
 
     /// Creates a matrix from nested rows. All rows must share one length.
@@ -158,41 +146,6 @@ impl Matrix {
         self.data.clone_from(&other.data);
     }
 
-    /// Checked element access.
-    pub fn get(&self, i: usize, j: usize) -> Result<f64> {
-        if i >= self.rows {
-            return Err(LinalgError::IndexOutOfBounds {
-                index: i,
-                extent: self.rows,
-            });
-        }
-        if j >= self.cols {
-            return Err(LinalgError::IndexOutOfBounds {
-                index: j,
-                extent: self.cols,
-            });
-        }
-        Ok(self.data[i * self.cols + j])
-    }
-
-    /// Checked element mutation.
-    pub fn set(&mut self, i: usize, j: usize, value: f64) -> Result<()> {
-        if i >= self.rows {
-            return Err(LinalgError::IndexOutOfBounds {
-                index: i,
-                extent: self.rows,
-            });
-        }
-        if j >= self.cols {
-            return Err(LinalgError::IndexOutOfBounds {
-                index: j,
-                extent: self.cols,
-            });
-        }
-        self.data[i * self.cols + j] = value;
-        Ok(())
-    }
-
     /// Returns row `i` as a `Vector`.
     pub fn row(&self, i: usize) -> Result<Vector> {
         if i >= self.rows {
@@ -238,71 +191,6 @@ impl Matrix {
         }
         for i in 0..self.rows {
             self.data[i * self.cols + j] = col[i];
-        }
-        Ok(())
-    }
-
-    /// Overwrites row `i` with the supplied vector.
-    pub fn set_row(&mut self, i: usize, row: &Vector) -> Result<()> {
-        if i >= self.rows {
-            return Err(LinalgError::IndexOutOfBounds {
-                index: i,
-                extent: self.rows,
-            });
-        }
-        if row.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                op: "set_row",
-                lhs: (self.rows, self.cols),
-                rhs: (1, row.len()),
-            });
-        }
-        self.data[i * self.cols..(i + 1) * self.cols].copy_from_slice(row.as_slice());
-        Ok(())
-    }
-
-    /// Swaps two columns in place.
-    pub fn swap_columns(&mut self, a: usize, b: usize) -> Result<()> {
-        if a >= self.cols {
-            return Err(LinalgError::IndexOutOfBounds {
-                index: a,
-                extent: self.cols,
-            });
-        }
-        if b >= self.cols {
-            return Err(LinalgError::IndexOutOfBounds {
-                index: b,
-                extent: self.cols,
-            });
-        }
-        if a == b {
-            return Ok(());
-        }
-        for i in 0..self.rows {
-            self.data.swap(i * self.cols + a, i * self.cols + b);
-        }
-        Ok(())
-    }
-
-    /// Swaps two rows in place.
-    pub fn swap_rows(&mut self, a: usize, b: usize) -> Result<()> {
-        if a >= self.rows {
-            return Err(LinalgError::IndexOutOfBounds {
-                index: a,
-                extent: self.rows,
-            });
-        }
-        if b >= self.rows {
-            return Err(LinalgError::IndexOutOfBounds {
-                index: b,
-                extent: self.rows,
-            });
-        }
-        if a == b {
-            return Ok(());
-        }
-        for j in 0..self.cols {
-            self.data.swap(a * self.cols + j, b * self.cols + j);
         }
         Ok(())
     }
@@ -449,34 +337,6 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Induced 1-norm (maximum absolute column sum).
-    pub fn norm1(&self) -> f64 {
-        (0..self.cols)
-            .map(|j| {
-                (0..self.rows)
-                    .map(|i| self.data[i * self.cols + j].abs())
-                    .sum::<f64>()
-            })
-            .fold(0.0_f64, f64::max)
-    }
-
-    /// Induced infinity-norm (maximum absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| {
-                self.data[i * self.cols..(i + 1) * self.cols]
-                    .iter()
-                    .map(|x| x.abs())
-                    .sum::<f64>()
-            })
-            .fold(0.0_f64, f64::max)
-    }
-
     /// Maximum absolute element.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
@@ -546,32 +406,6 @@ impl Matrix {
         }
         true
     }
-
-    /// Trace of a square matrix.
-    pub fn trace(&self) -> Result<f64> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        Ok((0..self.rows).map(|i| self.data[i * self.cols + i]).sum())
-    }
-
-    /// Returns the diagonal as a `Vector`.
-    pub fn diagonal(&self) -> Result<Vector> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        Ok(Vector::from_vec(
-            (0..self.rows)
-                .map(|i| self.data[i * self.cols + i])
-                .collect(),
-        ))
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -584,38 +418,6 @@ impl Index<(usize, usize)> for Matrix {
 impl IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
         &mut self.data[i * self.cols + j]
-    }
-}
-
-impl Add for &Matrix {
-    type Output = Matrix;
-    fn add(self, rhs: &Matrix) -> Matrix {
-        self.add_matrix(rhs)
-            .expect("matrix addition dimension mismatch")
-    }
-}
-
-impl Sub for &Matrix {
-    type Output = Matrix;
-    fn sub(self, rhs: &Matrix) -> Matrix {
-        self.sub_matrix(rhs)
-            .expect("matrix subtraction dimension mismatch")
-    }
-}
-
-impl Mul for &Matrix {
-    type Output = Matrix;
-    fn mul(self, rhs: &Matrix) -> Matrix {
-        self.mul_matrix(rhs)
-            .expect("matrix multiplication dimension mismatch")
-    }
-}
-
-impl Mul<&Vector> for &Matrix {
-    type Output = Vector;
-    fn mul(self, rhs: &Vector) -> Vector {
-        self.mul_vector(rhs)
-            .expect("matrix-vector dimension mismatch")
     }
 }
 
@@ -653,16 +455,9 @@ mod tests {
         assert!(id.is_square());
         assert_eq!(id[(0, 0)], 1.0);
         assert_eq!(id[(0, 1)], 0.0);
-        assert_eq!(id.trace().unwrap(), 3.0);
 
         let f = Matrix::filled(2, 2, 0.5);
         assert!(f.is_column_stochastic(1e-12));
-    }
-
-    #[test]
-    fn from_row_major_validates_length() {
-        assert!(Matrix::from_row_major(2, 2, vec![1.0; 4]).is_ok());
-        assert!(Matrix::from_row_major(2, 2, vec![1.0; 3]).is_err());
     }
 
     #[test]
@@ -687,18 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn get_set_and_bounds() {
-        let mut m = sample();
-        assert_eq!(m.get(1, 0).unwrap(), 3.0);
-        assert!(m.get(2, 0).is_err());
-        assert!(m.get(0, 2).is_err());
-        m.set(0, 1, 9.0).unwrap();
-        assert_eq!(m[(0, 1)], 9.0);
-        assert!(m.set(5, 0, 1.0).is_err());
-        assert!(m.set(0, 5, 1.0).is_err());
-    }
-
-    #[test]
     fn rows_and_columns() {
         let m = sample();
         assert_eq!(m.row(0).unwrap().as_slice(), &[1.0, 2.0]);
@@ -708,32 +491,12 @@ mod tests {
     }
 
     #[test]
-    fn set_row_and_column() {
+    fn set_column() {
         let mut m = sample();
         m.set_column(0, &Vector::from_vec(vec![7.0, 8.0])).unwrap();
         assert_eq!(m.column(0).unwrap().as_slice(), &[7.0, 8.0]);
-        m.set_row(1, &Vector::from_vec(vec![5.0, 6.0])).unwrap();
-        assert_eq!(m.row(1).unwrap().as_slice(), &[5.0, 6.0]);
         assert!(m.set_column(5, &Vector::zeros(2)).is_err());
         assert!(m.set_column(0, &Vector::zeros(3)).is_err());
-        assert!(m.set_row(5, &Vector::zeros(2)).is_err());
-        assert!(m.set_row(0, &Vector::zeros(3)).is_err());
-    }
-
-    #[test]
-    fn swaps() {
-        let mut m = sample();
-        m.swap_columns(0, 1).unwrap();
-        assert_eq!(m.row(0).unwrap().as_slice(), &[2.0, 1.0]);
-        m.swap_rows(0, 1).unwrap();
-        assert_eq!(m.row(0).unwrap().as_slice(), &[4.0, 3.0]);
-        // Swapping an index with itself is a no-op.
-        let before = m.clone();
-        m.swap_columns(1, 1).unwrap();
-        m.swap_rows(0, 0).unwrap();
-        assert_eq!(m, before);
-        assert!(m.swap_columns(0, 9).is_err());
-        assert!(m.swap_rows(9, 0).is_err());
     }
 
     #[test]
@@ -764,19 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn operator_sugar() {
-        let m = sample();
-        let id = Matrix::identity(2);
-        assert_eq!(&m * &id, m);
-        let v = Vector::from_vec(vec![1.0, 0.0]);
-        assert_eq!((&m * &v).as_slice(), &[1.0, 3.0]);
-        let s = &m + &m;
-        assert_eq!(s[(1, 1)], 8.0);
-        let d = &s - &m;
-        assert!(d.approx_eq(&m, 1e-12));
-    }
-
-    #[test]
     fn add_sub_validation() {
         let m = sample();
         assert!(m.add_matrix(&Matrix::zeros(3, 3)).is_err());
@@ -786,9 +536,6 @@ mod tests {
     #[test]
     fn norms_and_scaling() {
         let m = sample();
-        assert!((m.frobenius_norm() - (30.0_f64).sqrt()).abs() < 1e-12);
-        assert_eq!(m.norm1(), 6.0); // max column sum: |2|+|4|
-        assert_eq!(m.norm_inf(), 7.0); // max row sum: |3|+|4|
         assert_eq!(m.max_abs(), 4.0);
         let s = m.scaled(2.0);
         assert_eq!(s[(1, 1)], 8.0);
@@ -823,15 +570,6 @@ mod tests {
 
         let off_dominant = Matrix::from_rows(&[vec![0.2, 0.5], vec![0.8, 0.5]]).unwrap();
         assert!(!off_dominant.is_column_diagonally_dominant());
-    }
-
-    #[test]
-    fn trace_and_diagonal_require_square() {
-        let m = Matrix::zeros(2, 3);
-        assert!(m.trace().is_err());
-        assert!(m.diagonal().is_err());
-        let id = Matrix::identity(4);
-        assert_eq!(id.diagonal().unwrap().as_slice(), &[1.0; 4]);
     }
 
     #[test]

@@ -73,7 +73,11 @@ pub fn lu_factor_naive(a: &Matrix) -> Result<(Matrix, Vec<usize>, f64)> {
             return Err(LinalgError::Singular { pivot: k });
         }
         if pivot_row != k {
-            lu.swap_rows(k, pivot_row)?;
+            for j in 0..n {
+                let upper = lu[(k, j)];
+                lu[(k, j)] = lu[(pivot_row, j)];
+                lu[(pivot_row, j)] = upper;
+            }
             perm.swap(k, pivot_row);
             perm_sign = -perm_sign;
         }

@@ -87,16 +87,6 @@ pub struct AprioriConfig {
     pub max_itemset_size: usize,
 }
 
-impl Default for AprioriConfig {
-    fn default() -> Self {
-        Self {
-            min_support: 0.1,
-            min_confidence: 0.6,
-            max_itemset_size: 4,
-        }
-    }
-}
-
 impl AprioriConfig {
     fn validate(&self) -> Result<()> {
         if !(0.0..=1.0).contains(&self.min_support) {
@@ -263,6 +253,17 @@ mod tests {
             seed: 11,
         })
         .unwrap()
+    }
+
+    /// The base configuration the unit tests vary one field of.
+    impl Default for AprioriConfig {
+        fn default() -> Self {
+            Self {
+                min_support: 0.1,
+                min_confidence: 0.6,
+                max_itemset_size: 4,
+            }
+        }
     }
 
     #[test]

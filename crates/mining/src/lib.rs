@@ -29,10 +29,8 @@ pub mod reconstruct;
 pub mod transactions;
 
 pub use apriori::{
-    association_rules, frequent_itemsets, mine, AprioriConfig, AssociationRule, FrequentItemset,
-    SupportOracle,
+    frequent_itemsets, mine, AprioriConfig, AssociationRule, FrequentItemset, SupportOracle,
 };
-pub use decision_tree::{accuracy, build_tree, AttributeView, TreeConfig, TreeNode};
 pub use error::{MiningError, Result};
 pub use reconstruct::Reconstructor;
 pub use transactions::{disguise_transactions, estimate_support};

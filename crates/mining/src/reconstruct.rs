@@ -34,15 +34,6 @@ pub enum Reconstructor {
 }
 
 impl Reconstructor {
-    /// The iterative estimator with its default settings.
-    pub fn iterative_default() -> Self {
-        let cfg = IterativeConfig::default();
-        Reconstructor::Iterative {
-            max_iterations: cfg.max_iterations,
-            tolerance: cfg.tolerance,
-        }
-    }
-
     /// Reconstructs the original-data distribution of a disguised data set.
     pub fn reconstruct(
         &self,
@@ -81,6 +72,15 @@ mod tests {
         (p, data)
     }
 
+    /// The iterative estimator with its default settings.
+    fn iterative() -> Reconstructor {
+        let cfg = IterativeConfig::default();
+        Reconstructor::Iterative {
+            max_iterations: cfg.max_iterations,
+            tolerance: cfg.tolerance,
+        }
+    }
+
     #[test]
     fn both_reconstructors_recover_the_distribution() {
         let (p, data) = workload();
@@ -88,7 +88,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let disguised = disguise_dataset(&m, &data, &mut rng).unwrap().disguised;
 
-        for reconstructor in [Reconstructor::Inversion, Reconstructor::iterative_default()] {
+        for reconstructor in [Reconstructor::Inversion, iterative()] {
             let est = reconstructor.reconstruct(&m, &disguised).unwrap();
             let err = total_variation(&est, &p).unwrap();
             assert!(err < 0.03, "{reconstructor:?} error {err}");
@@ -109,8 +109,6 @@ mod tests {
         assert!(Reconstructor::Inversion
             .reconstruct(&m, &disguised)
             .is_err());
-        assert!(Reconstructor::iterative_default()
-            .reconstruct(&m, &disguised)
-            .is_ok());
+        assert!(iterative().reconstruct(&m, &disguised).is_ok());
     }
 }

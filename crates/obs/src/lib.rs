@@ -141,14 +141,20 @@ impl Counter {
 pub struct Gauge(AtomicU64);
 
 impl Gauge {
-    /// A gauge starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Overwrites the value.
     pub fn set(&self, value: u64) {
         self.0.store(value, Ordering::Relaxed);
+    }
+
+    /// Adds one. Paired with [`Gauge::dec`], a gauge that counts live
+    /// things stays exact whatever order concurrent opens and closes land.
+    pub fn inc(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Subtracts one (a [`Gauge::inc`] whose thing went away).
+    pub fn dec(&self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// The current value.
@@ -301,6 +307,32 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<HistogramSnapshot>,
 }
 
+impl MetricsSnapshot {
+    /// Prometheus-style text exposition of this snapshot: one `# TYPE`
+    /// line per metric, `_count`/`_sum`/`_max` plus `quantile`-labelled
+    /// lines per histogram.
+    pub fn render_prometheus(&self) -> String {
+        let mut out = String::new();
+        for (name, value) in &self.counters {
+            out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
+        }
+        for (name, value) in &self.gauges {
+            out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
+        }
+        for h in &self.histograms {
+            let name = &h.name;
+            out.push_str(&format!("# TYPE {name} summary\n"));
+            out.push_str(&format!("{name}_count {}\n", h.count));
+            out.push_str(&format!("{name}_sum {}\n", h.sum));
+            out.push_str(&format!("{name}_max {}\n", h.max));
+            for (label, value) in [("0.5", h.p50), ("0.9", h.p90), ("0.99", h.p99)] {
+                out.push_str(&format!("{name}{{quantile=\"{label}\"}} {value}\n"));
+            }
+        }
+        out
+    }
+}
+
 /// The name → handle table. Handles are `Arc`s: resolve once at startup,
 /// record lock-free forever after. Names are sorted on readout so
 /// renderings are stable.
@@ -374,31 +406,6 @@ impl MetricsRegistry {
             gauges,
             histograms,
         }
-    }
-
-    /// Prometheus-style text exposition: one `# TYPE` line per metric,
-    /// `_count`/`_sum`/`_max` plus `quantile`-labelled lines per
-    /// histogram.
-    pub fn render_prometheus(&self) -> String {
-        let snapshot = self.snapshot();
-        let mut out = String::new();
-        for (name, value) in &snapshot.counters {
-            out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
-        }
-        for (name, value) in &snapshot.gauges {
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
-        }
-        for h in &snapshot.histograms {
-            let name = &h.name;
-            out.push_str(&format!("# TYPE {name} summary\n"));
-            out.push_str(&format!("{name}_count {}\n", h.count));
-            out.push_str(&format!("{name}_sum {}\n", h.sum));
-            out.push_str(&format!("{name}_max {}\n", h.max));
-            for (label, value) in [("0.5", h.p50), ("0.9", h.p90), ("0.99", h.p99)] {
-                out.push_str(&format!("{name}{{quantile=\"{label}\"}} {value}\n"));
-            }
-        }
-        out
     }
 }
 
@@ -479,11 +486,6 @@ impl<E: Clone> TraceRing<E> {
             state.entries.iter().skip(skip).cloned().collect(),
             state.dropped,
         )
-    }
-
-    /// Total events ever pushed (including those since discarded).
-    pub fn total_pushed(&self) -> u64 {
-        self.state.lock().expect("trace ring poisoned").next_seq
     }
 }
 
@@ -581,7 +583,7 @@ mod tests {
         registry.counter("a_counter").inc();
         registry.gauge("g").set(9);
         registry.histogram("h").record(3);
-        let text = registry.render_prometheus();
+        let text = registry.snapshot().render_prometheus();
         // Name-sorted, typed, with quantile lines.
         let a = text.find("a_counter 1").expect("a_counter rendered");
         let b = text.find("b_counter 2").expect("b_counter rendered");
@@ -601,7 +603,6 @@ mod tests {
         }
         let (entries, dropped) = ring.snapshot(None);
         assert_eq!(dropped, 6);
-        assert_eq!(ring.total_pushed(), 10);
         let events: Vec<u32> = entries.iter().map(|e| e.event).collect();
         assert_eq!(events, vec![6, 7, 8, 9]);
         let seqs: Vec<u64> = entries.iter().map(|e| e.seq).collect();
@@ -625,7 +626,6 @@ mod tests {
         let (entries, dropped) = ring.snapshot(None);
         assert!(entries.is_empty());
         assert_eq!(dropped, 0);
-        assert_eq!(ring.total_pushed(), 0);
     }
 
     #[test]

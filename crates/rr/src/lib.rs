@@ -50,12 +50,11 @@ pub mod metrics;
 pub mod sample;
 pub mod schemes;
 
-pub use disguise::{disguise_dataset, disguise_dataset_with, disguise_paired, DisguiseOutcome};
+pub use disguise::{disguise_dataset, disguise_dataset_with, DisguiseOutcome};
 pub use error::{Result, RrError};
-pub use matrix::{renormalize_columns, RrMatrix, STOCHASTIC_TOLERANCE};
-pub use metrics::privacy::PrivacyAnalysis;
-pub use metrics::utility::{Theorem6, UtilityAnalysis};
-pub use sample::{AliasTable, ColumnSamplers};
+pub use matrix::{renormalize_columns, RrMatrix};
+pub use metrics::utility::Theorem6;
+pub use sample::ColumnSamplers;
 
 #[cfg(test)]
 mod proptests {

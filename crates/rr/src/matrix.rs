@@ -90,11 +90,6 @@ impl RrMatrix {
         &self.inner
     }
 
-    /// Consume and return the underlying matrix.
-    pub fn into_matrix(self) -> Matrix {
-        self.inner
-    }
-
     /// The randomization distribution of original category `i`
     /// (column `i` of the matrix).
     pub fn randomization_distribution(&self, input: usize) -> Result<Categorical> {
@@ -147,12 +142,6 @@ impl RrMatrix {
             .map_err(RrError::from)?;
         project_to_simplex_in_place(out);
         Ok(())
-    }
-
-    /// Disguises one record: draws the reported category for an original
-    /// value `input`.
-    pub fn disguise_record<R: Rng + ?Sized>(&self, input: usize, rng: &mut R) -> Result<usize> {
-        Ok(self.randomization_distribution(input)?.sample(rng))
     }
 
     /// The inverse matrix `M⁻¹` needed by Theorem 1 and Theorem 6, or
@@ -252,12 +241,6 @@ pub fn renormalize_columns(matrix: &mut Matrix) -> Result<()> {
     Ok(())
 }
 
-impl std::fmt::Display for RrMatrix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,22 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn disguise_record_samples_from_the_column() {
-        let m = warner3(0.9);
-        let mut rng = StdRng::seed_from_u64(3);
-        let n = 50_000;
-        let mut retained = 0usize;
-        for _ in 0..n {
-            if m.disguise_record(2, &mut rng).unwrap() == 2 {
-                retained += 1;
-            }
-        }
-        let rate = retained as f64 / n as f64;
-        assert!((rate - 0.9).abs() < 0.01, "retention rate {rate}");
-        assert!(m.disguise_record(9, &mut rng).is_err());
-    }
-
-    #[test]
     fn inverse_round_trip() {
         let m = warner3(0.75);
         let inv = m.inverse().unwrap();
@@ -415,21 +382,6 @@ mod tests {
         assert!(RrMatrix::random(1, &mut rng).is_err());
     }
 
-    #[test]
-    fn display_renders_entries() {
-        let m = warner3(0.8);
-        let s = format!("{m}");
-        assert!(s.contains("0.800000"));
-        assert!(s.contains("0.100000"));
-    }
-
-    #[test]
-    fn into_matrix_returns_inner() {
-        let m = warner3(0.8);
-        let inner = m.clone().into_matrix();
-        assert_eq!(&inner, m.as_matrix());
-    }
-
     /// The column renormalization `RrMatrix::new` ran before it went in
     /// place: three `Vec`s per column. Kept as the bitwise oracle.
     fn renormalize_columns_by_vec(matrix: &Matrix) -> Matrix {
@@ -458,7 +410,8 @@ mod tests {
             // shifted by slack/n: column sums land on both sides of the
             // tolerance, and the negative entries get clipped.
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut raw = RrMatrix::random(n, &mut rng).unwrap().into_matrix();
+            let mut raw = RrMatrix::random(n, &mut rng).unwrap().as_matrix().clone();
+
             for j in 0..n {
                 let k = (j + 1) % n;
                 let negative = -0.5 * slack.abs();
@@ -476,7 +429,8 @@ mod tests {
                 for (a, b) in got.as_slice().iter().zip(oracle.as_slice()) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
                 }
-                prop_assert_eq!(RrMatrix::new(raw).unwrap().into_matrix(), got);
+                let renormalized = RrMatrix::new(raw).unwrap();
+                prop_assert_eq!(renormalized.as_matrix(), &got);
             } else {
                 prop_assert_eq!(got, raw);
             }

@@ -15,10 +15,5 @@ pub mod bounds;
 pub mod privacy;
 pub mod utility;
 
-pub use bounds::{max_posterior, posterior_matrix, satisfies_delta_bound};
-pub use privacy::{
-    adversary_accuracy, map_estimates, privacy, score, PrivacyAnalysis, PrivacyScore,
-};
-pub use utility::{
-    empirical_mse, theoretical_mse, theoretical_mse_per_category, utility, Theorem6,
-};
+pub use privacy::{privacy, score, PrivacyAnalysis, PrivacyScore};
+pub use utility::{empirical_mse, utility, Theorem6};

@@ -16,7 +16,6 @@
 use crate::error::{Result, RrError};
 use crate::matrix::RrMatrix;
 use crate::metrics::bounds::{checked_order, posterior_matrix, posterior_row};
-use datagen::CategoricalDataset;
 use serde::{Deserialize, Serialize};
 use stats::Categorical;
 
@@ -45,12 +44,6 @@ pub fn map_estimates(m: &RrMatrix, prior: &Categorical) -> Result<Vec<usize>> {
         estimates.push(row.argmax().unwrap_or(0));
     }
     Ok(estimates)
-}
-
-/// Computes the expected adversary accuracy
-/// `A = Σ_Y P(Y | X̂_Y) · P(X̂_Y)` (the simplified form derived in §IV.A).
-pub fn adversary_accuracy(m: &RrMatrix, prior: &Categorical) -> Result<f64> {
-    Ok(map_pass(m, prior, |_| {})?.0)
 }
 
 /// Computes privacy `= 1 − A`.
@@ -151,20 +144,12 @@ pub fn empirical_adversary_accuracy(
     Ok(correct as f64 / pairs.len() as f64)
 }
 
-/// Convenience wrapper: analyzes privacy using the *empirical* distribution
-/// of an original data set as the prior (the setting of the paper's
-/// experiments, where the data owner evaluates a candidate matrix against
-/// the data set being disguised).
-pub fn analyze_for_dataset(m: &RrMatrix, original: &CategoricalDataset) -> Result<PrivacyAnalysis> {
-    let prior = original.empirical_distribution()?;
-    analyze(m, &prior)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::disguise::disguise_paired;
     use crate::schemes::{uniform_perturbation, warner};
+    use datagen::CategoricalDataset;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -260,22 +245,11 @@ mod tests {
         let originals = CategoricalDataset::new(4, p.sample_many(&mut rng, 100_000)).unwrap();
         let pairs = disguise_paired(&m, &originals, &mut rng).unwrap();
         let empirical = empirical_adversary_accuracy(&m, &p, &pairs).unwrap();
-        let closed = adversary_accuracy(&m, &p).unwrap();
+        let closed = analyze(&m, &p).unwrap().adversary_accuracy;
         assert!(
             (empirical - closed).abs() < 0.01,
             "empirical {empirical} vs closed-form {closed}"
         );
-    }
-
-    #[test]
-    fn analyze_for_dataset_uses_empirical_prior() {
-        let data = CategoricalDataset::new(3, vec![0, 0, 0, 1, 1, 2]).unwrap();
-        let m = warner(3, 0.8).unwrap();
-        let via_dataset = analyze_for_dataset(&m, &data).unwrap();
-        let via_prior = analyze(&m, &data.empirical_distribution().unwrap()).unwrap();
-        assert_eq!(via_dataset, via_prior);
-        let empty = CategoricalDataset::new(3, vec![]).unwrap();
-        assert!(analyze_for_dataset(&m, &empty).is_err());
     }
 
     #[test]

@@ -31,25 +31,14 @@
 //! interleaving across independent sums changes. `β` comes from the same
 //! factorization and substitution order as [`RrMatrix::inverse`], and `q`
 //! from the same product, projection and normalization as
-//! [`RrMatrix::disguised_distribution`]. The allocating [`utility`],
-//! [`theoretical_mse`] and [`theoretical_mse_per_category`] are thin
-//! wrappers over a fresh workspace.
+//! [`RrMatrix::disguised_distribution`]. The allocating [`utility`] is a
+//! thin wrapper over a fresh workspace.
 
 use crate::error::{Result, RrError};
 use crate::matrix::RrMatrix;
 use linalg::{lane_block, padded_width, LuDecomposition, LANES};
-use serde::{Deserialize, Serialize};
 use stats::multinomial::frequency_covariance_into;
 use stats::Categorical;
-
-/// Per-category and averaged closed-form MSE of the inversion estimator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct UtilityAnalysis {
-    /// `MSE(X = c_k)` for every category `k` (Theorem 6).
-    pub per_category: Vec<f64>,
-    /// The average MSE over categories (Equation 10); lower is better.
-    pub mean: f64,
-}
 
 /// A reusable, allocation-free evaluator of Theorem 6: every buffer the
 /// closed form needs, kept between calls. One workspace serves matrices
@@ -166,31 +155,6 @@ fn mean_of(per_category: &[f64]) -> f64 {
     per_category.iter().sum::<f64>() / per_category.len() as f64
 }
 
-/// Computes the closed-form per-category MSE of Theorem 6 for a data set of
-/// `n_records` records whose original distribution is `original`, through
-/// a fresh [`Theorem6`] workspace.
-pub fn theoretical_mse_per_category(
-    m: &RrMatrix,
-    original: &Categorical,
-    n_records: u64,
-) -> Result<Vec<f64>> {
-    Ok(Theorem6::new()
-        .per_category(m, original, n_records)?
-        .to_vec())
-}
-
-/// Computes the full utility analysis (per-category MSE plus the average of
-/// Equation 10).
-pub fn theoretical_mse(
-    m: &RrMatrix,
-    original: &Categorical,
-    n_records: u64,
-) -> Result<UtilityAnalysis> {
-    let per_category = theoretical_mse_per_category(m, original, n_records)?;
-    let mean = mean_of(&per_category);
-    Ok(UtilityAnalysis { per_category, mean })
-}
-
 /// The utility value used by the optimizer: the average closed-form MSE
 /// (lower is better), through a fresh [`Theorem6`] workspace. Callers that
 /// evaluate many matrices keep one workspace instead.
@@ -283,19 +247,19 @@ mod tests {
         let m = RrMatrix::identity(4).unwrap();
         let p = original();
         let n_records = 1_000u64;
-        let analysis = theoretical_mse(&m, &p, n_records).unwrap();
+        let per_category = Theorem6::new()
+            .per_category(&m, &p, n_records)
+            .unwrap()
+            .to_vec();
         for k in 0..4 {
             let expected = p.prob(k) * (1.0 - p.prob(k)) / n_records as f64;
-            assert!(
-                (analysis.per_category[k] - expected).abs() < 1e-15,
-                "category {k}"
-            );
+            assert!((per_category[k] - expected).abs() < 1e-15, "category {k}");
         }
         let expected_mean: f64 = (0..4)
             .map(|k| p.prob(k) * (1.0 - p.prob(k)) / n_records as f64)
             .sum::<f64>()
             / 4.0;
-        assert!((analysis.mean - expected_mean).abs() < 1e-15);
+        assert!((utility(&m, &p, n_records).unwrap() - expected_mean).abs() < 1e-15);
     }
 
     #[test]
@@ -390,10 +354,13 @@ mod tests {
         let p = Categorical::new(vec![0.55, 0.25, 0.1, 0.06, 0.04]).unwrap();
         for &param in &[0.3, 0.5, 0.75, 0.95] {
             let m = warner(5, param).unwrap();
-            let analysis = theoretical_mse(&m, &p, 5_000).unwrap();
-            assert!(analysis.per_category.iter().all(|&v| v >= 0.0));
-            assert!(analysis.mean >= 0.0);
-            assert_eq!(analysis.per_category.len(), 5);
+            let per_category = Theorem6::new()
+                .per_category(&m, &p, 5_000)
+                .unwrap()
+                .to_vec();
+            assert!(per_category.iter().all(|&v| v >= 0.0));
+            assert!(utility(&m, &p, 5_000).unwrap() >= 0.0);
+            assert_eq!(per_category.len(), 5);
         }
     }
 
@@ -465,7 +432,8 @@ mod tests {
             0 => {
                 let mut m = RrMatrix::random(n, &mut StdRng::seed_from_u64(seed))
                     .unwrap()
-                    .into_matrix();
+                    .as_matrix()
+                    .clone();
                 for i in 0..n {
                     m[(i, n - 1)] = m[(i, 0)];
                 }
@@ -513,7 +481,7 @@ mod tests {
                 RrMatrix::random(n, &mut StdRng::seed_from_u64(seed)).unwrap()
             };
             prop_assume!(m.inverse().is_ok());
-            let got = theoretical_mse_per_category(&m, &prior, n_records).unwrap();
+            let got = Theorem6::new().per_category(&m, &prior, n_records).unwrap().to_vec();
             let oracle = theoretical_mse_by_category(&m, &prior, n_records);
             prop_assert_eq!(bits(&got), bits(&oracle));
             let mean = oracle.iter().sum::<f64>() / n as f64;
@@ -544,11 +512,10 @@ mod tests {
             let expected = oracle_error(&m, &prior, n_records);
             let got = Theorem6::new().per_category(&m, &prior, n_records).err();
             prop_assert_eq!(&got, &expected);
-            prop_assert_eq!(&theoretical_mse(&m, &prior, n_records).err(), &expected);
             prop_assert_eq!(&utility(&m, &prior, n_records).err(), &expected);
             if expected.is_none() {
                 let oracle = theoretical_mse_by_category(&m, &prior, n_records);
-                let got = theoretical_mse_per_category(&m, &prior, n_records).unwrap();
+                let got = Theorem6::new().per_category(&m, &prior, n_records).unwrap().to_vec();
                 prop_assert_eq!(bits(&got), bits(&oracle));
             }
         }

@@ -52,17 +52,6 @@ pub struct AliasTable {
 }
 
 impl AliasTable {
-    /// Builds an alias table from a probability vector.
-    ///
-    /// The probabilities must be finite, non-negative, and sum to one
-    /// within the same tolerance [`stats::Categorical::new`] accepts —
-    /// construction goes through `Categorical` so both samplers agree on
-    /// what a valid distribution is.
-    pub fn new(probs: Vec<f64>) -> Result<Self> {
-        let dist = Categorical::new(probs)?;
-        Ok(Self::from_distribution(&dist))
-    }
-
     /// Builds an alias table from an already-validated distribution.
     pub fn from_distribution(dist: &Categorical) -> Self {
         let probs = dist.probs();
@@ -99,11 +88,6 @@ impl AliasTable {
         Self { prob, alias }
     }
 
-    /// Number of categories.
-    pub fn num_categories(&self) -> usize {
-        self.prob.len()
-    }
-
     /// Draws one category index, consuming exactly one `f64` from the RNG.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
@@ -118,11 +102,6 @@ impl AliasTable {
         } else {
             self.alias[idx]
         }
-    }
-
-    /// Draws `count` category indices.
-    pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<usize> {
-        (0..count).map(|_| self.sample(rng)).collect()
     }
 }
 
@@ -161,11 +140,6 @@ impl ColumnSamplers {
                 data: x + 1,
             }),
         }
-    }
-
-    /// Borrow the alias table of column `x`.
-    pub fn column(&self, x: usize) -> Option<&AliasTable> {
-        self.columns.get(x)
     }
 
     /// Disguises a batch of true values and counts the draws: returns the
@@ -219,36 +193,35 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn construction_validates_through_categorical() {
-        assert!(AliasTable::new(vec![]).is_err());
-        assert!(AliasTable::new(vec![0.5, 0.6]).is_err());
-        assert!(AliasTable::new(vec![f64::NAN, 1.0]).is_err());
-        let t = AliasTable::new(vec![0.25; 4]).unwrap();
-        assert_eq!(t.num_categories(), 4);
+    fn table(probs: Vec<f64>) -> AliasTable {
+        AliasTable::from_distribution(&Categorical::new(probs).unwrap())
+    }
+
+    fn draws(t: &AliasTable, rng: &mut StdRng, count: usize) -> Vec<usize> {
+        (0..count).map(|_| t.sample(rng)).collect()
     }
 
     #[test]
     fn point_mass_always_returns_its_category() {
         let t = AliasTable::from_distribution(&Categorical::point_mass(5, 3).unwrap());
         let mut rng = StdRng::seed_from_u64(9);
-        assert!(t.sample_many(&mut rng, 200).iter().all(|&s| s == 3));
+        assert!(draws(&t, &mut rng, 200).iter().all(|&s| s == 3));
     }
 
     #[test]
     fn zero_probability_categories_are_never_drawn() {
-        let t = AliasTable::new(vec![0.0, 1.0, 0.0]).unwrap();
+        let t = table(vec![0.0, 1.0, 0.0]);
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(t.sample_many(&mut rng, 500).iter().all(|&s| s == 1));
+        assert!(draws(&t, &mut rng, 500).iter().all(|&s| s == 1));
     }
 
     #[test]
     fn sampling_is_deterministic_per_seed() {
-        let t = AliasTable::new(vec![0.1, 0.2, 0.3, 0.4]).unwrap();
-        let a = t.sample_many(&mut StdRng::seed_from_u64(5), 1000);
-        let b = t.sample_many(&mut StdRng::seed_from_u64(5), 1000);
+        let t = table(vec![0.1, 0.2, 0.3, 0.4]);
+        let a = draws(&t, &mut StdRng::seed_from_u64(5), 1000);
+        let b = draws(&t, &mut StdRng::seed_from_u64(5), 1000);
         assert_eq!(a, b);
-        let c = t.sample_many(&mut StdRng::seed_from_u64(6), 1000);
+        let c = draws(&t, &mut StdRng::seed_from_u64(6), 1000);
         assert_ne!(a, c);
     }
 
@@ -257,8 +230,6 @@ mod tests {
         let m = warner(4, 0.8).unwrap();
         let s = ColumnSamplers::new(&m).unwrap();
         assert_eq!(s.num_categories(), 4);
-        assert!(s.column(3).is_some());
-        assert!(s.column(4).is_none());
         let mut rng = StdRng::seed_from_u64(2);
         assert!(s.disguise_record(0, &mut rng).unwrap() < 4);
         assert!(matches!(

@@ -134,57 +134,6 @@ pub mod theorem2 {
             p * (n as f64 - 1.0) / (1.0 - p)
         }
     }
-
-    /// The Warner parameter `p` whose matrix equals the FRAPP matrix with
-    /// parameter `λ`: `p = λ / (λ + n − 1)`.
-    pub fn frapp_to_warner(n: usize, lambda: f64) -> f64 {
-        if lambda.is_infinite() {
-            1.0
-        } else {
-            lambda / (lambda + n as f64 - 1.0)
-        }
-    }
-}
-
-/// A named, parametrized scheme instance (used by the experiment harness to
-/// sweep baselines).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SchemeInstance {
-    /// Which family the matrix comes from.
-    pub kind: SchemeKind,
-    /// The family parameter (`p`, `q`, or `λ`).
-    pub parameter: f64,
-}
-
-impl SchemeInstance {
-    /// Materializes the RR matrix for `n` categories.
-    pub fn build(&self, n: usize) -> Result<RrMatrix> {
-        match self.kind {
-            SchemeKind::Warner => warner(n, self.parameter),
-            SchemeKind::UniformPerturbation => uniform_perturbation(n, self.parameter),
-            SchemeKind::Frapp => frapp(n, self.parameter),
-        }
-    }
-}
-
-/// Sweeps the Warner scheme parameter `p` from 0 to 1 inclusive in `steps`
-/// equal increments (the paper's methodology, §VI.B, uses a step of 0.001,
-/// i.e. 1001 matrices). Matrices that are singular (p = 1/n exactly) are
-/// still returned; the caller decides whether to keep them.
-pub fn warner_sweep(n: usize, steps: usize) -> Result<Vec<(f64, RrMatrix)>> {
-    if steps < 2 {
-        return Err(RrError::InvalidParameter {
-            name: "steps",
-            value: steps as f64,
-            constraint: "must be at least 2",
-        });
-    }
-    let mut out = Vec::with_capacity(steps);
-    for k in 0..steps {
-        let p = k as f64 / (steps - 1) as f64;
-        out.push((p, warner(n, p)?));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -273,48 +222,8 @@ mod tests {
             let w = warner(n, p).unwrap();
             let f = frapp(n, lambda).unwrap();
             assert!(w.approx_eq(&f, 1e-12), "p={p}, lambda={lambda}");
-            assert!((theorem2::frapp_to_warner(n, lambda) - p).abs() < 1e-12);
         }
-        // p = 1 maps to infinite lambda, which maps back to p = 1.
+        // p = 1 maps to infinite lambda.
         assert!(theorem2::warner_to_frapp(n, 1.0).is_infinite());
-        assert!((theorem2::frapp_to_warner(n, f64::INFINITY) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scheme_instance_builds_correct_family() {
-        let w = SchemeInstance {
-            kind: SchemeKind::Warner,
-            parameter: 0.8,
-        }
-        .build(4)
-        .unwrap();
-        assert!((w.theta(0, 0) - 0.8).abs() < 1e-12);
-        let u = SchemeInstance {
-            kind: SchemeKind::UniformPerturbation,
-            parameter: 0.8,
-        }
-        .build(4)
-        .unwrap();
-        assert!((u.theta(0, 0) - 0.85).abs() < 1e-12);
-        let f = SchemeInstance {
-            kind: SchemeKind::Frapp,
-            parameter: 3.0,
-        }
-        .build(4)
-        .unwrap();
-        assert!((f.theta(0, 0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn warner_sweep_covers_the_range() {
-        let sweep = warner_sweep(5, 11).unwrap();
-        assert_eq!(sweep.len(), 11);
-        assert_eq!(sweep[0].0, 0.0);
-        assert_eq!(sweep[10].0, 1.0);
-        assert!((sweep[5].0 - 0.5).abs() < 1e-12);
-        assert!(sweep[10]
-            .1
-            .approx_eq(&RrMatrix::identity(5).unwrap(), 1e-12));
-        assert!(warner_sweep(5, 1).is_err());
     }
 }

@@ -34,10 +34,7 @@ fn zero_count_categories_estimate_cleanly() {
     assert!((inverted.distribution.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
     assert!(inverted.distribution.probs().iter().all(|&p| p >= 0.0));
 
-    let p_star = stats::Histogram::from_counts(counts.to_vec())
-        .unwrap()
-        .empirical_distribution()
-        .unwrap();
+    let p_star = stats::Categorical::from_counts(&counts).unwrap();
     let iterated =
         iterative_estimate_from_frequencies(&m, &p_star, &IterativeConfig::default()).unwrap();
     assert!((iterated.distribution.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);

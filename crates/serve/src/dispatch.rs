@@ -329,7 +329,10 @@ impl Service {
             .set_gauge("serve_worker_jobs_executed", self.pool.jobs_executed());
         self.obs
             .set_gauge("serve_worker_jobs_panicked", self.pool.jobs_panicked());
+        // One snapshot feeds both halves of the reply, so the DTO lists
+        // and the Prometheus text agree even while other threads record.
         let snapshot = self.obs.metrics_snapshot();
+        let prometheus = snapshot.render_prometheus();
         let value_dto = |(name, value): (String, u64)| MetricValueDto { name, value };
         Response::Metrics {
             enabled: self.obs.enabled(),
@@ -348,7 +351,7 @@ impl Service {
                     p99: h.p99,
                 })
                 .collect(),
-            prometheus: self.obs.render_prometheus(),
+            prometheus,
         }
     }
 }

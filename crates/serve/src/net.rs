@@ -377,11 +377,11 @@ fn spawn_session(shared: &Arc<NetShared>, stream: Box<dyn SessionStream>) {
     let conn_id = shared.conn_seq.fetch_add(1, Ordering::SeqCst);
     let obs = shared.obs();
     obs.count_net_conn();
-    let now_active = shared.active.fetch_add(1, Ordering::SeqCst) + 1;
-    obs.set_connections_active(now_active);
+    shared.active.fetch_add(1, Ordering::SeqCst);
+    obs.connection_opened();
     let retire = |shared: &Arc<NetShared>| {
-        let now = shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
-        shared.obs().set_connections_active(now);
+        shared.active.fetch_sub(1, Ordering::SeqCst);
+        shared.obs().connection_closed();
     };
     let registered = stream.poll_reads().and_then(|_| stream.try_clone_stream());
     let handle = match registered {

@@ -155,12 +155,16 @@ impl KeyPipeline {
     /// counters, and posterior — everything a restart needs to resume the
     /// estimation stream bitwise.
     pub fn snapshot(&self) -> PipelineSnapshot {
+        // A raw batch bumps `raw_records` after its responses land in the
+        // counts, so reading the counter first keeps a snapshot taken
+        // beside a running ingest within what `restore` accepts.
+        let raw_records = self.raw_records();
         PipelineSnapshot {
             matrix: self.matrix.clone(),
             evaluation: self.evaluation,
             min_privacy: self.min_privacy,
             counts: self.counts.merge(),
-            raw_records: self.raw_records(),
+            raw_records,
             estimates: self.estimates(),
             posterior: self.posterior(),
         }
@@ -169,13 +173,43 @@ impl KeyPipeline {
     /// Rebuilds a pipeline from its persisted form. Accumulation
     /// commutes, so later batches land on top of the restored counts
     /// exactly as they would have on the live accumulator.
+    ///
+    /// The persisted count set must be one a stream could have built: its
+    /// total the (non-overflowing) sum of its counts, at least one batch
+    /// when it holds responses and no more batches than responses, and no
+    /// more raw records than responses.
     pub fn restore(snapshot: &PipelineSnapshot) -> std::result::Result<Self, String> {
         let n = snapshot.matrix.num_categories();
-        if snapshot.counts.num_categories() != n {
+        let counts = &snapshot.counts;
+        if counts.num_categories() != n {
             return Err(format!(
                 "pipeline snapshot counts cover {} categories, the pinned matrix {}",
-                snapshot.counts.num_categories(),
+                counts.num_categories(),
                 n
+            ));
+        }
+        let sum = counts
+            .counts()
+            .iter()
+            .try_fold(0u64, |sum, &count| sum.checked_add(count));
+        if sum != Some(counts.total()) {
+            return Err(format!(
+                "pipeline snapshot counts total {} is not the sum of its counts",
+                counts.total()
+            ));
+        }
+        if counts.batches() > counts.total() || (counts.batches() == 0 && counts.total() > 0) {
+            return Err(format!(
+                "pipeline snapshot counts hold {} responses in {} batches",
+                counts.total(),
+                counts.batches()
+            ));
+        }
+        if snapshot.raw_records > counts.total() {
+            return Err(format!(
+                "pipeline snapshot counts {} raw records of {} responses",
+                snapshot.raw_records,
+                counts.total()
             ));
         }
         let pipeline = Self::new(
@@ -183,10 +217,10 @@ impl KeyPipeline {
             snapshot.evaluation,
             snapshot.min_privacy,
         )?;
-        if !snapshot.counts.is_empty() {
+        if !counts.is_empty() {
             pipeline
                 .counts
-                .absorb(&snapshot.counts)
+                .absorb(counts)
                 .map_err(|e| format!("pipeline snapshot counts rejected: {e}"))?;
         }
         pipeline

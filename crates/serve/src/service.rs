@@ -676,6 +676,7 @@ mod tests {
     use super::*;
     use crate::persist::SNAPSHOT_MAGIC;
     use crate::protocol::{Request, Response};
+    use stats::CountSet;
 
     fn smoke_service() -> Arc<Service> {
         Arc::new(Service::new(ServiceConfig::smoke(77)))
@@ -919,13 +920,42 @@ mod tests {
         restarted
             .register(Some("resident"), &PRIOR, 0.8, None, true)
             .unwrap();
-        for round in 0..3 {
+        // Then count sets no stream builds, edited in the saved JSON of
+        // the second key's `[40, 30, 20, 10]` ingest: a total that is not
+        // the sum of the counts (one that a wrapping sum would match too),
+        // no batch for its responses, more batches than responses, and
+        // more raw records than responses.
+        let counts = saved.keys[1].pipeline.as_ref().unwrap().counts.clone();
+        let counts_json = serde_json::to_string(&counts).unwrap();
+        let edited = |from: &str, to: &str| -> CountSet {
+            assert!(counts_json.contains(from), "{counts_json}");
+            serde_json::from_str(&counts_json.replace(from, to)).unwrap()
+        };
+        for round in 0..8 {
             let mut snapshot = saved.clone();
             let key = &mut snapshot.keys[1];
+            if round == 0 {
+                key.pipeline = Some(foreign.clone());
+            } else if round == 2 {
+                key.run_log = Some(vec![Some(foreign_target.clone())]);
+            }
+            let pipeline = key.pipeline.as_mut().unwrap();
             match round {
-                0 => key.pipeline = Some(foreign.clone()),
-                1 => key.pipeline.as_mut().unwrap().counts = foreign.counts.clone(),
-                _ => key.run_log = Some(vec![Some(foreign_target.clone())]),
+                1 => pipeline.counts = foreign.counts.clone(),
+                3 => {
+                    pipeline.counts =
+                        edited(r#""total":100,"batches":1"#, r#""total":7,"batches":0"#)
+                }
+                4 => {
+                    pipeline.counts = edited(
+                        r#""counts":[40,30,20,10],"total":100"#,
+                        r#""counts":[18446744073709551615,1,0,0],"total":0"#,
+                    )
+                }
+                5 => pipeline.counts = edited(r#""batches":1"#, r#""batches":0"#),
+                6 => pipeline.counts = edited(r#""batches":1"#, r#""batches":101"#),
+                7 => pipeline.raw_records = 101,
+                _ => {}
             }
             std::fs::write(path, serde_json::to_string(&snapshot).unwrap()).unwrap();
             let response = restarted.handle(Request::Load {

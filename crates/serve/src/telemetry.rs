@@ -491,14 +491,24 @@ impl ServeObs {
         self.net.bytes_out.add(bytes);
     }
 
-    /// Overwrites the `serve_connections_active` gauge. The net server
-    /// tracks the live count in its own atomic (the gauge type is
-    /// set-only) and mirrors it here on every open and close.
-    pub fn set_connections_active(&self, count: u64) {
+    /// Counts one socket session opened on the
+    /// `serve_connections_active` gauge. Opens add and closes subtract,
+    /// so the gauge is exact however concurrent sessions interleave; it
+    /// exists from the first socket session on.
+    pub fn connection_opened(&self) {
         if !self.enabled {
             return;
         }
-        self.registry.gauge("serve_connections_active").set(count);
+        self.registry.gauge("serve_connections_active").inc();
+    }
+
+    /// Counts one socket session closed (see
+    /// [`ServeObs::connection_opened`]).
+    pub fn connection_closed(&self) {
+        if !self.enabled {
+            return;
+        }
+        self.registry.gauge("serve_connections_active").dec();
     }
 
     /// Records one handled verb into its per-codec latency histogram
@@ -585,11 +595,6 @@ impl ServeObs {
     /// A point-in-time copy of every counter, gauge, and histogram.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.registry.snapshot()
-    }
-
-    /// Prometheus-style text exposition of the same snapshot.
-    pub fn render_prometheus(&self) -> String {
-        self.registry.render_prometheus()
     }
 
     /// The newest `limit` trace entries (all when `None`) plus how many
@@ -785,7 +790,10 @@ mod tests {
         hub.count_net_conn_error();
         hub.add_net_bytes_in(128);
         hub.add_net_bytes_out(512);
-        hub.set_connections_active(2);
+        hub.connection_opened();
+        hub.connection_opened();
+        hub.connection_opened();
+        hub.connection_closed();
         hub.record_net_verb("ingest", "binary", 1_000);
         hub.record_net_verb("ingest", "json", 3_000);
         hub.record_net_verb("best_for_privacy", "binary", 500);
@@ -816,7 +824,7 @@ mod tests {
         let quiet = hub_disabled();
         quiet.count_net_conn();
         quiet.add_net_bytes_in(1);
-        quiet.set_connections_active(9);
+        quiet.connection_opened();
         quiet.record_net_verb("ingest", "binary", 1);
         let snap = quiet.metrics_snapshot();
         assert!(snap.counters.iter().all(|(_, v)| *v == 0));

@@ -130,15 +130,6 @@ impl Categorical {
         best
     }
 
-    /// Shannon entropy in nats. `0 log 0` is taken as 0.
-    pub fn entropy(&self) -> f64 {
-        self.probs
-            .iter()
-            .filter(|&&p| p > 0.0)
-            .map(|&p| -p * p.ln())
-            .sum()
-    }
-
     /// Draws one category index.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
@@ -155,34 +146,6 @@ impl Categorical {
     /// Draws `count` category indices.
     pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<usize> {
         (0..count).map(|_| self.sample(rng)).collect()
-    }
-
-    /// Expected value of an arbitrary per-category score.
-    pub fn expectation(&self, score: impl Fn(usize) -> f64) -> f64 {
-        self.probs
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| p * score(i))
-            .sum()
-    }
-
-    /// Returns a new distribution proportional to `self[i] * other[i]`
-    /// (pointwise product, renormalized) — the Bayes-rule update used when
-    /// computing posterior distributions `P(X | Y)`.
-    pub fn pointwise_product(&self, other: &Categorical) -> Result<Categorical> {
-        if self.num_categories() != other.num_categories() {
-            return Err(StatsError::SupportMismatch {
-                left: self.num_categories(),
-                right: other.num_categories(),
-            });
-        }
-        let weights: Vec<f64> = self
-            .probs
-            .iter()
-            .zip(other.probs.iter())
-            .map(|(a, b)| a * b)
-            .collect();
-        Categorical::from_weights(&weights)
     }
 
     /// True when the two distributions agree within `tol` on every category.
@@ -268,13 +231,11 @@ mod tests {
         let u = Categorical::uniform(4).unwrap();
         assert_eq!(u.num_categories(), 4);
         assert!((u.prob(0) - 0.25).abs() < 1e-12);
-        assert!((u.entropy() - (4.0f64).ln()).abs() < 1e-12);
         assert!(Categorical::uniform(0).is_err());
 
         let p = Categorical::point_mass(3, 1).unwrap();
         assert_eq!(p.mode(), 1);
         assert_eq!(p.max_prob(), 1.0);
-        assert_eq!(p.entropy(), 0.0);
         assert!(Categorical::point_mass(3, 3).is_err());
         assert!(Categorical::point_mass(0, 0).is_err());
     }
@@ -293,13 +254,6 @@ mod tests {
         // Tie goes to the smallest index.
         let t = Categorical::new(vec![0.4, 0.4, 0.2]).unwrap();
         assert_eq!(t.mode(), 0);
-    }
-
-    #[test]
-    fn entropy_is_maximal_for_uniform() {
-        let u = Categorical::uniform(8).unwrap();
-        let skew = Categorical::new(vec![0.9, 0.05, 0.01, 0.01, 0.01, 0.01, 0.005, 0.005]).unwrap();
-        assert!(u.entropy() > skew.entropy());
     }
 
     #[test]
@@ -334,24 +288,6 @@ mod tests {
         let d = Categorical::new(vec![0.0, 1.0, 0.0]).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         assert!(d.sample_many(&mut rng, 100).iter().all(|&s| s == 1));
-    }
-
-    #[test]
-    fn expectation_weights_scores() {
-        let d = Categorical::new(vec![0.25, 0.75]).unwrap();
-        let e = d.expectation(|i| if i == 1 { 4.0 } else { 0.0 });
-        assert!((e - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pointwise_product_is_bayes_update() {
-        let prior = Categorical::new(vec![0.5, 0.5]).unwrap();
-        let likelihood = Categorical::new(vec![0.9, 0.1]).unwrap();
-        let post = prior.pointwise_product(&likelihood).unwrap();
-        assert!((post.prob(0) - 0.9).abs() < 1e-12);
-        assert!(prior
-            .pointwise_product(&Categorical::uniform(3).unwrap())
-            .is_err());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Continuous probability distributions (density, CDF, moments) used as
 //! *sources* for the synthetic categorical workloads of the paper's
-//! evaluation (Section VI): normal, gamma, exponential, and continuous
-//! uniform.
+//! evaluation (Section VI): normal and gamma.
 //!
 //! Samplers live in [`crate::sampler`]; this module holds the analytic side
 //! (pdf / cdf / quantile helpers) so that discretization can be done either
@@ -243,112 +242,6 @@ impl ContinuousDistribution for Gamma {
     }
 }
 
-/// Exponential distribution with rate `lambda` (a Gamma with `alpha = 1`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Exponential {
-    /// Rate parameter (must be positive).
-    pub lambda: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution, validating `lambda > 0`.
-    pub fn new(lambda: f64) -> Result<Self> {
-        if !(lambda > 0.0) || !lambda.is_finite() {
-            return Err(StatsError::InvalidParameter {
-                name: "lambda",
-                value: lambda,
-                constraint: "must be finite and positive",
-            });
-        }
-        Ok(Self { lambda })
-    }
-}
-
-impl ContinuousDistribution for Exponential {
-    fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            0.0
-        } else {
-            self.lambda * (-self.lambda * x).exp()
-        }
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            1.0 - (-self.lambda * x).exp()
-        }
-    }
-
-    fn mean(&self) -> f64 {
-        1.0 / self.lambda
-    }
-
-    fn variance(&self) -> f64 {
-        1.0 / (self.lambda * self.lambda)
-    }
-
-    fn support_window(&self) -> (f64, f64) {
-        (0.0, 8.0 / self.lambda)
-    }
-}
-
-/// Continuous uniform distribution on `[a, b]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Uniform {
-    /// Lower bound.
-    pub a: f64,
-    /// Upper bound (must exceed the lower bound).
-    pub b: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution on `[a, b]`, validating `a < b`.
-    pub fn new(a: f64, b: f64) -> Result<Self> {
-        if !(a < b) || !a.is_finite() || !b.is_finite() {
-            return Err(StatsError::InvalidParameter {
-                name: "b",
-                value: b,
-                constraint: "bounds must be finite with a < b",
-            });
-        }
-        Ok(Self { a, b })
-    }
-}
-
-impl ContinuousDistribution for Uniform {
-    fn pdf(&self, x: f64) -> f64 {
-        if x < self.a || x > self.b {
-            0.0
-        } else {
-            1.0 / (self.b - self.a)
-        }
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= self.a {
-            0.0
-        } else if x >= self.b {
-            1.0
-        } else {
-            (x - self.a) / (self.b - self.a)
-        }
-    }
-
-    fn mean(&self) -> f64 {
-        0.5 * (self.a + self.b)
-    }
-
-    fn variance(&self) -> f64 {
-        (self.b - self.a) * (self.b - self.a) / 12.0
-    }
-
-    fn support_window(&self) -> (f64, f64) {
-        (self.a, self.b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,10 +302,9 @@ mod tests {
     fn gamma_alpha_one_matches_exponential() {
         // Gamma(alpha=1, beta) is Exponential(rate = 1/beta).
         let g = Gamma::new(1.0, 2.0).unwrap();
-        let e = Exponential::new(0.5).unwrap();
-        for &x in &[0.1, 0.5, 1.0, 2.0, 5.0] {
-            assert_close(g.pdf(x), e.pdf(x), 1e-9);
-            assert_close(g.cdf(x), e.cdf(x), 1e-9);
+        for &x in &[0.1f64, 0.5, 1.0, 2.0, 5.0] {
+            assert_close(g.pdf(x), 0.5 * (-0.5 * x).exp(), 1e-9);
+            assert_close(g.cdf(x), 1.0 - (-0.5 * x).exp(), 1e-9);
         }
         assert_close(g.pdf(0.0), 0.5, 1e-12);
     }
@@ -451,36 +343,6 @@ mod tests {
         // Essentially all mass inside the support window.
         let (_, hi) = g.support_window();
         assert!(g.cdf(hi) > 0.995);
-    }
-
-    #[test]
-    fn exponential_validation_and_shape() {
-        assert!(Exponential::new(0.0).is_err());
-        assert!(Exponential::new(-2.0).is_err());
-        let e = Exponential::new(2.0).unwrap();
-        assert_close(e.mean(), 0.5, 1e-12);
-        assert_close(e.variance(), 0.25, 1e-12);
-        assert_close(e.cdf(e.mean()), 1.0 - (-1.0f64).exp(), 1e-12);
-        assert_eq!(e.pdf(-1.0), 0.0);
-        assert_eq!(e.cdf(-1.0), 0.0);
-        let (lo, hi) = e.support_window();
-        assert_eq!(lo, 0.0);
-        assert!(e.cdf(hi) > 0.999);
-    }
-
-    #[test]
-    fn uniform_validation_and_shape() {
-        assert!(Uniform::new(1.0, 1.0).is_err());
-        assert!(Uniform::new(2.0, 1.0).is_err());
-        let u = Uniform::new(-1.0, 3.0).unwrap();
-        assert_close(u.mean(), 1.0, 1e-12);
-        assert_close(u.variance(), 16.0 / 12.0, 1e-12);
-        assert_eq!(u.pdf(-2.0), 0.0);
-        assert_close(u.pdf(0.0), 0.25, 1e-12);
-        assert_eq!(u.cdf(-2.0), 0.0);
-        assert_eq!(u.cdf(5.0), 1.0);
-        assert_close(u.cdf(1.0), 0.5, 1e-12);
-        assert_eq!(u.support_window(), (-1.0, 3.0));
     }
 
     #[test]

@@ -13,7 +13,6 @@
 
 use crate::categorical::Categorical;
 use crate::error::{Result, StatsError};
-use crate::histogram::Histogram;
 use serde::{Deserialize, Serialize};
 
 /// Per-category response counts plus a batch counter.
@@ -49,11 +48,6 @@ impl CountSet {
     /// Borrow the per-category counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// Count of category `i` (0 when out of range).
-    pub fn count(&self, i: usize) -> u64 {
-        self.counts.get(i).copied().unwrap_or(0)
     }
 
     /// Total responses accumulated.
@@ -200,11 +194,6 @@ impl CountSet {
         Ok(())
     }
 
-    /// The accumulated counts as a [`Histogram`].
-    pub fn histogram(&self) -> Histogram {
-        Histogram::from_counts(self.counts.clone()).expect("counts validated at construction")
-    }
-
     /// The empirical distribution of the accumulated responses (the MLE
     /// `N_i / N` of Theorem 1). Errs when the set is empty.
     pub fn empirical_distribution(&self) -> Result<Categorical> {
@@ -243,8 +232,6 @@ mod tests {
         assert_eq!(c.batches(), 1);
         // Empty batches carry no information.
         assert!(c.add_records(&[]).is_err());
-        assert_eq!(c.count(1), 2);
-        assert_eq!(c.count(9), 0);
     }
 
     #[test]
@@ -317,7 +304,7 @@ mod tests {
     fn histogram_and_distribution_match_counts() {
         let mut c = CountSet::new(4).unwrap();
         c.add_records(&[0, 0, 1, 3, 3, 3]).unwrap();
-        assert_eq!(c.histogram().counts(), &[2, 1, 0, 3]);
+        assert_eq!(c.counts(), &[2, 1, 0, 3]);
         let d = c.empirical_distribution().unwrap();
         assert!((d.prob(3) - 0.5).abs() < 1e-12);
         assert_eq!(d.prob(2), 0.0);

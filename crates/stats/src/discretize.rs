@@ -45,11 +45,6 @@ impl EqualWidthBins {
         Ok(Self { lo, hi, n })
     }
 
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.n
-    }
-
     /// Lower bound of the binned interval.
     pub fn lo(&self) -> f64 {
         self.lo
@@ -76,12 +71,6 @@ impl EqualWidthBins {
         }
         let w = self.width();
         Ok((self.lo + i as f64 * w, self.lo + (i + 1) as f64 * w))
-    }
-
-    /// Midpoint of bin `i`.
-    pub fn midpoint(&self, i: usize) -> Result<f64> {
-        let (a, b) = self.edges(i)?;
-        Ok(0.5 * (a + b))
     }
 
     /// Maps a value to its bin index; values outside the interval clamp to
@@ -140,34 +129,6 @@ pub fn discretize_distribution_over<D: ContinuousDistribution>(
     Categorical::new(probs.into_iter().map(|p| p / total).collect())
 }
 
-/// Histograms continuous samples into `n` equal-width bins spanning the
-/// sample range, returning the resulting empirical categorical distribution
-/// together with the binning used.
-pub fn discretize_samples(samples: &[f64], n: usize) -> Result<(Categorical, EqualWidthBins)> {
-    if samples.is_empty() {
-        return Err(StatsError::EmptyData);
-    }
-    if samples.iter().any(|x| !x.is_finite()) {
-        return Err(StatsError::InvalidDistribution {
-            reason: "non-finite sample",
-        });
-    }
-    let lo = samples.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    // Degenerate case: all samples identical — widen the interval slightly.
-    let (lo, hi) = if lo == hi {
-        (lo - 0.5, hi + 0.5)
-    } else {
-        (lo, hi)
-    };
-    let bins = EqualWidthBins::new(lo, hi, n)?;
-    let mut counts = vec![0u64; n];
-    for &x in samples {
-        counts[bins.bin_of(x)] += 1;
-    }
-    Ok((Categorical::from_counts(&counts)?, bins))
-}
-
 /// Maps each continuous sample to its category index under the supplied
 /// binning — the per-record discretization used to turn a continuous
 /// attribute (e.g. Adult's `age`) into categorical data before applying RR.
@@ -178,7 +139,7 @@ pub fn assign_bins(samples: &[f64], bins: &EqualWidthBins) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::continuous::{Gamma, Normal, Uniform};
+    use crate::continuous::{Gamma, Normal};
 
     #[test]
     fn bins_validation() {
@@ -192,14 +153,12 @@ mod tests {
     #[test]
     fn bins_geometry() {
         let b = EqualWidthBins::new(0.0, 10.0, 5).unwrap();
-        assert_eq!(b.num_bins(), 5);
         assert_eq!(b.lo(), 0.0);
         assert_eq!(b.hi(), 10.0);
         assert_eq!(b.width(), 2.0);
         assert_eq!(b.edges(0).unwrap(), (0.0, 2.0));
         assert_eq!(b.edges(4).unwrap(), (8.0, 10.0));
         assert!(b.edges(5).is_err());
-        assert_eq!(b.midpoint(1).unwrap(), 3.0);
     }
 
     #[test]
@@ -232,14 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn discretized_uniform_is_flat() {
-        let d = discretize_distribution(&Uniform::new(0.0, 1.0).unwrap(), 10).unwrap();
-        for i in 0..10 {
-            assert!((d.prob(i) - 0.1).abs() < 1e-9, "bin {i} = {}", d.prob(i));
-        }
-    }
-
-    #[test]
     fn discretized_gamma_is_right_skewed() {
         // The paper's gamma(1, 2) workload: mass concentrated in the low bins.
         let d = discretize_distribution(&Gamma::new(1.0, 2.0).unwrap(), 10).unwrap();
@@ -262,27 +213,15 @@ mod tests {
     }
 
     #[test]
-    fn discretize_samples_roundtrip() {
-        let samples: Vec<f64> = (0..1000).map(|i| (i % 10) as f64).collect();
-        let (d, bins) = discretize_samples(&samples, 10).unwrap();
-        assert_eq!(bins.num_bins(), 10);
-        for i in 0..10 {
-            assert!((d.prob(i) - 0.1).abs() < 1e-9);
-        }
+    fn assign_bins_maps_each_sample_to_its_bin() {
+        let samples: Vec<f64> = (0..1000).map(|i| (i % 10) as f64 + 0.5).collect();
+        let bins = EqualWidthBins::new(0.0, 10.0, 10).unwrap();
         let assigned = assign_bins(&samples, &bins);
         assert_eq!(assigned.len(), samples.len());
-        assert!(assigned.iter().all(|&b| b < 10));
-    }
-
-    #[test]
-    fn discretize_samples_validation() {
-        assert!(discretize_samples(&[], 5).is_err());
-        assert!(discretize_samples(&[1.0, f64::NAN], 5).is_err());
-        // Constant samples still work (interval widened around the value).
-        let (d, bins) = discretize_samples(&[2.0; 50], 4).unwrap();
-        assert_eq!(d.num_categories(), 4);
-        assert!((d.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(bins.lo() < 2.0 && bins.hi() > 2.0);
+        assert!(assigned
+            .iter()
+            .zip(&samples)
+            .all(|(&b, &x)| b == x as usize));
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Divergences and distances between categorical distributions.
+//! Distances between categorical distributions.
 //!
 //! Utility in the paper is measured by the mean squared error between the
-//! reconstructed and the true distribution; the additional divergences here
-//! (total variation, KL, chi-square, Hellinger) are used by the extended
-//! experiments and the mining integration tests to characterize
-//! reconstruction quality from several angles.
+//! reconstructed and the true distribution; total variation is used by the
+//! extended experiments and the mining integration tests to characterize
+//! reconstruction quality.
 
 use crate::categorical::Categorical;
 use crate::error::{Result, StatsError};
@@ -43,59 +42,6 @@ pub fn total_variation(p: &Categorical, q: &Categorical) -> Result<f64> {
             .sum::<f64>())
 }
 
-/// Kullback–Leibler divergence `Σ_i p_i ln(p_i / q_i)` in nats.
-///
-/// Categories where `p_i = 0` contribute 0. Returns infinity when `p` puts
-/// mass where `q` has none (absolute-continuity violation).
-pub fn kl_divergence(p: &Categorical, q: &Categorical) -> Result<f64> {
-    check_support(p, q)?;
-    let mut acc = 0.0;
-    for (a, b) in p.probs().iter().zip(q.probs().iter()) {
-        if *a == 0.0 {
-            continue;
-        }
-        if *b == 0.0 {
-            return Ok(f64::INFINITY);
-        }
-        acc += a * (a / b).ln();
-    }
-    Ok(acc.max(0.0))
-}
-
-/// Pearson chi-square divergence `Σ_i (p_i - q_i)² / q_i`.
-///
-/// Categories where `q_i = 0` and `p_i > 0` yield infinity; where both are
-/// zero they contribute 0.
-pub fn chi_square(p: &Categorical, q: &Categorical) -> Result<f64> {
-    check_support(p, q)?;
-    let mut acc = 0.0;
-    for (a, b) in p.probs().iter().zip(q.probs().iter()) {
-        if *b == 0.0 {
-            if *a > 0.0 {
-                return Ok(f64::INFINITY);
-            }
-            continue;
-        }
-        acc += (a - b) * (a - b) / b;
-    }
-    Ok(acc)
-}
-
-/// Hellinger distance `sqrt(0.5 Σ_i (sqrt(p_i) - sqrt(q_i))²)` in `[0, 1]`.
-pub fn hellinger(p: &Categorical, q: &Categorical) -> Result<f64> {
-    check_support(p, q)?;
-    let s: f64 = p
-        .probs()
-        .iter()
-        .zip(q.probs().iter())
-        .map(|(a, b)| {
-            let d = a.sqrt() - b.sqrt();
-            d * d
-        })
-        .sum();
-    Ok((0.5 * s).sqrt().min(1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,9 +55,6 @@ mod tests {
         let p = dist(&[0.2, 0.3, 0.5]);
         assert_eq!(mean_squared_error(&p, &p).unwrap(), 0.0);
         assert_eq!(total_variation(&p, &p).unwrap(), 0.0);
-        assert!(kl_divergence(&p, &p).unwrap().abs() < 1e-15);
-        assert_eq!(chi_square(&p, &p).unwrap(), 0.0);
-        assert_eq!(hellinger(&p, &p).unwrap(), 0.0);
     }
 
     #[test]
@@ -120,9 +63,6 @@ mod tests {
         let q = dist(&[0.2, 0.3, 0.5]);
         assert!(mean_squared_error(&p, &q).is_err());
         assert!(total_variation(&p, &q).is_err());
-        assert!(kl_divergence(&p, &q).is_err());
-        assert!(chi_square(&p, &q).is_err());
-        assert!(hellinger(&p, &q).is_err());
     }
 
     #[test]
@@ -143,48 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn kl_known_value_and_asymmetry() {
-        let p = dist(&[0.75, 0.25]);
-        let q = dist(&[0.5, 0.5]);
-        let expected = 0.75 * (0.75f64 / 0.5).ln() + 0.25 * (0.25f64 / 0.5).ln();
-        assert!((kl_divergence(&p, &q).unwrap() - expected).abs() < 1e-12);
-        assert!((kl_divergence(&p, &q).unwrap() - kl_divergence(&q, &p).unwrap()).abs() > 1e-3);
-    }
-
-    #[test]
-    fn kl_handles_zeros() {
-        let p = dist(&[1.0, 0.0]);
-        let q = dist(&[0.5, 0.5]);
-        assert!(kl_divergence(&p, &q).unwrap().is_finite());
-        // p puts mass where q has none -> infinite divergence.
-        let q0 = dist(&[0.0, 1.0]);
-        assert!(kl_divergence(&p, &q0).unwrap().is_infinite());
-    }
-
-    #[test]
-    fn chi_square_known_value_and_zero_handling() {
-        let p = dist(&[0.6, 0.4]);
-        let q = dist(&[0.5, 0.5]);
-        let expected = (0.1f64 * 0.1) / 0.5 + (0.1f64 * 0.1) / 0.5;
-        assert!((chi_square(&p, &q).unwrap() - expected).abs() < 1e-12);
-
-        let q0 = dist(&[1.0, 0.0]);
-        assert!(chi_square(&p, &q0).unwrap().is_infinite());
-        let p0 = dist(&[1.0, 0.0]);
-        assert_eq!(chi_square(&p0, &q0).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn hellinger_is_bounded_and_maximal_for_disjoint_support() {
-        let p = dist(&[1.0, 0.0]);
-        let q = dist(&[0.0, 1.0]);
-        assert!((hellinger(&p, &q).unwrap() - 1.0).abs() < 1e-12);
-        let r = dist(&[0.5, 0.5]);
-        let h = hellinger(&p, &r).unwrap();
-        assert!(h > 0.0 && h < 1.0);
-    }
-
-    #[test]
     fn divergences_increase_with_separation() {
         let base = dist(&[0.25, 0.25, 0.25, 0.25]);
         let near = dist(&[0.3, 0.25, 0.25, 0.2]);
@@ -193,8 +91,5 @@ mod tests {
             mean_squared_error(&base, &far).unwrap() > mean_squared_error(&base, &near).unwrap()
         );
         assert!(total_variation(&base, &far).unwrap() > total_variation(&base, &near).unwrap());
-        assert!(kl_divergence(&base, &far).unwrap() > kl_divergence(&base, &near).unwrap());
-        assert!(chi_square(&base, &far).unwrap() > chi_square(&base, &near).unwrap());
-        assert!(hellinger(&base, &far).unwrap() > hellinger(&base, &near).unwrap());
     }
 }

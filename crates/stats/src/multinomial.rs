@@ -73,21 +73,6 @@ fn covariance_term(p_i: f64, p_j: f64, n_records: u64) -> f64 {
     -p_i * p_j / n_records as f64
 }
 
-/// Full covariance matrix (row-major, `n x n`) of the frequency vector.
-pub fn frequency_covariance_matrix(dist: &Categorical, n_records: u64) -> Result<Vec<Vec<f64>>> {
-    if n_records == 0 {
-        return Err(StatsError::EmptyData);
-    }
-    let n = dist.num_categories();
-    let mut cov = vec![vec![0.0; n]; n];
-    for (i, row) in cov.iter_mut().enumerate() {
-        for (j, cell) in row.iter_mut().enumerate() {
-            *cell = frequency_covariance(dist, i, j, n_records)?;
-        }
-    }
-    Ok(cov)
-}
-
 /// Draws one multinomial count vector: `n_records` records distributed over
 /// the categories of `dist`.
 pub fn sample_counts<R: Rng + ?Sized>(dist: &Categorical, n_records: u64, rng: &mut R) -> Vec<u64> {
@@ -129,34 +114,6 @@ mod tests {
             frequency_variance(&d, 1, 1000).unwrap()
         );
         assert!(frequency_covariance(&d, 0, 1, 0).is_err());
-    }
-
-    #[test]
-    fn covariance_matrix_rows_sum_to_zero() {
-        // Because the frequencies sum to exactly one, each row of the
-        // covariance matrix sums to zero.
-        let d = dist();
-        let cov = frequency_covariance_matrix(&d, 500).unwrap();
-        for row in &cov {
-            let s: f64 = row.iter().sum();
-            assert!(s.abs() < 1e-15, "row sum {s}");
-        }
-        assert!(frequency_covariance_matrix(&d, 0).is_err());
-    }
-
-    #[test]
-    fn covariance_matrix_is_symmetric_with_negative_off_diagonals() {
-        let d = dist();
-        let cov = frequency_covariance_matrix(&d, 100).unwrap();
-        for i in 0..3 {
-            assert!(cov[i][i] > 0.0);
-            for j in 0..3 {
-                assert!((cov[i][j] - cov[j][i]).abs() < 1e-18);
-                if i != j {
-                    assert!(cov[i][j] < 0.0);
-                }
-            }
-        }
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //!
 //! The offline dependency set does not include `rand_distr`, so the
 //! non-uniform samplers the workload generators need (normal via Box–Muller,
-//! gamma via Marsaglia–Tsang, exponential via inversion, Zipf via inverse
-//! CDF table) are implemented here and validated against their analytic
-//! moments in the tests.
+//! gamma via Marsaglia–Tsang) are implemented here and validated against
+//! their analytic moments in the tests, beside the Zipf law's rank
+//! probabilities.
 
-use crate::continuous::{Exponential, Gamma, Normal, Uniform};
+use crate::continuous::{Gamma, Normal};
 use crate::error::{Result, StatsError};
 use rand::Rng;
 
@@ -38,25 +38,6 @@ impl Sampler for Normal {
             let z = r * theta.cos();
             return self.mu + self.sigma * z;
         }
-    }
-}
-
-impl Sampler for Exponential {
-    /// Inversion: `-ln(1 - U) / lambda`.
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        loop {
-            let u: f64 = rng.gen();
-            if u < 1.0 {
-                return -(1.0 - u).ln() / self.lambda;
-            }
-        }
-    }
-}
-
-impl Sampler for Uniform {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen();
-        self.a + u * (self.b - self.a)
     }
 }
 
@@ -99,7 +80,6 @@ impl Sampler for Gamma {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Zipf {
     n: usize,
-    s: f64,
     cdf: Vec<f64>,
 }
 
@@ -131,12 +111,7 @@ impl Zipf {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Ok(Self { n, s, cdf })
-    }
-
-    /// Exponent.
-    pub fn exponent(&self) -> f64 {
-        self.s
+        Ok(Self { n, cdf })
     }
 
     /// Probability of rank `k`.
@@ -146,23 +121,6 @@ impl Zipf {
         }
         let lo = if k == 0 { 0.0 } else { self.cdf[k - 1] };
         self.cdf[k] - lo
-    }
-
-    /// Draws one rank.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        match self
-            .cdf
-            .binary_search_by(|probe| probe.partial_cmp(&u).expect("finite cdf"))
-        {
-            Ok(idx) => (idx + 1).min(self.n - 1),
-            Err(idx) => idx.min(self.n - 1),
-        }
-    }
-
-    /// Draws `count` ranks.
-    pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<usize> {
-        (0..count).map(|_| self.sample(rng)).collect()
     }
 }
 
@@ -188,28 +146,6 @@ mod tests {
         let (mean, var) = moments(&samples);
         assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
         assert!((var - 4.0).abs() < 0.15, "var {var}");
-    }
-
-    #[test]
-    fn exponential_sampler_matches_moments() {
-        let d = Exponential::new(0.5).unwrap();
-        let mut rng = StdRng::seed_from_u64(12);
-        let samples = d.sample_many(&mut rng, 100_000);
-        let (mean, var) = moments(&samples);
-        assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.25, "var {var}");
-        assert!(samples.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
-    fn uniform_sampler_stays_in_bounds_and_matches_moments() {
-        let d = Uniform::new(-2.0, 6.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(13);
-        let samples = d.sample_many(&mut rng, 100_000);
-        assert!(samples.iter().all(|&x| (-2.0..=6.0).contains(&x)));
-        let (mean, var) = moments(&samples);
-        assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 64.0 / 12.0).abs() < 0.15, "var {var}");
     }
 
     #[test]
@@ -250,8 +186,7 @@ mod tests {
         assert!(Zipf::new(0, 1.0).is_err());
         assert!(Zipf::new(5, -1.0).is_err());
         assert!(Zipf::new(5, f64::NAN).is_err());
-        let z = Zipf::new(5, 1.0).unwrap();
-        assert_eq!(z.exponent(), 1.0);
+        assert!(Zipf::new(5, 1.0).is_ok());
     }
 
     #[test]
@@ -270,25 +205,6 @@ mod tests {
         let z = Zipf::new(4, 0.0).unwrap();
         for k in 0..4 {
             assert!((z.prob(k) - 0.25).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn zipf_sampling_matches_probabilities() {
-        let z = Zipf::new(6, 1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(17);
-        let n = 200_000;
-        let mut counts = [0usize; 6];
-        for s in z.sample_many(&mut rng, n) {
-            counts[s] += 1;
-        }
-        for k in 0..6 {
-            let freq = counts[k] as f64 / n as f64;
-            assert!(
-                (freq - z.prob(k)).abs() < 0.01,
-                "rank {k}: freq {freq} vs prob {}",
-                z.prob(k)
-            );
         }
     }
 

@@ -1,62 +1,6 @@
-//! Descriptive statistics over samples of `f64`.
-//!
-//! Used by the experiment harness to summarize Pareto-front series (privacy
-//! ranges covered, MSE quantiles at matched privacy levels) and by the
-//! bench reports in EXPERIMENTS.md.
+//! Sample quantiles over `f64`.
 
 use crate::error::{Result, StatsError};
-use serde::{Deserialize, Serialize};
-
-/// A one-pass summary of a sample: count, mean, variance, extremes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Sample mean.
-    pub mean: f64,
-    /// Population variance (divides by `count`).
-    pub variance: f64,
-    /// Minimum observation.
-    pub min: f64,
-    /// Maximum observation.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Computes the summary of a non-empty sample.
-    pub fn of(samples: &[f64]) -> Result<Self> {
-        if samples.is_empty() {
-            return Err(StatsError::EmptyData);
-        }
-        if samples.iter().any(|x| !x.is_finite()) {
-            return Err(StatsError::InvalidDistribution {
-                reason: "non-finite sample",
-            });
-        }
-        let count = samples.len();
-        let mean = samples.iter().sum::<f64>() / count as f64;
-        let variance = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / count as f64;
-        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Ok(Self {
-            count,
-            mean,
-            variance,
-            min,
-            max,
-        })
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance.sqrt()
-    }
-
-    /// Range (max - min).
-    pub fn range(&self) -> f64 {
-        self.max - self.min
-    }
-}
 
 /// Returns the `q`-quantile (0 ≤ q ≤ 1) of the sample using linear
 /// interpolation between order statistics.
@@ -89,55 +33,9 @@ pub fn median(samples: &[f64]) -> Result<f64> {
     quantile(samples, 0.5)
 }
 
-/// Pearson correlation coefficient between two equal-length samples.
-pub fn correlation(xs: &[f64], ys: &[f64]) -> Result<f64> {
-    if xs.is_empty() || ys.is_empty() {
-        return Err(StatsError::EmptyData);
-    }
-    if xs.len() != ys.len() {
-        return Err(StatsError::SupportMismatch {
-            left: xs.len(),
-            right: ys.len(),
-        });
-    }
-    let sx = Summary::of(xs)?;
-    let sy = Summary::of(ys)?;
-    if sx.variance == 0.0 || sy.variance == 0.0 {
-        return Err(StatsError::InvalidDistribution {
-            reason: "zero variance",
-        });
-    }
-    let cov = xs
-        .iter()
-        .zip(ys.iter())
-        .map(|(x, y)| (x - sx.mean) * (y - sy.mean))
-        .sum::<f64>()
-        / xs.len() as f64;
-    Ok(cov / (sx.std_dev() * sy.std_dev()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_of_known_sample() {
-        let s = Summary::of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
-        assert_eq!(s.count, 8);
-        assert!((s.mean - 5.0).abs() < 1e-12);
-        assert!((s.variance - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.max, 9.0);
-        assert_eq!(s.range(), 7.0);
-    }
-
-    #[test]
-    fn summary_rejects_bad_input() {
-        assert!(Summary::of(&[]).is_err());
-        assert!(Summary::of(&[1.0, f64::NAN]).is_err());
-        assert!(Summary::of(&[1.0, f64::INFINITY]).is_err());
-    }
 
     #[test]
     fn quantiles() {
@@ -155,17 +53,5 @@ mod tests {
     #[test]
     fn quantile_handles_unsorted_input() {
         assert_eq!(median(&[5.0, 1.0, 3.0]).unwrap(), 3.0);
-    }
-
-    #[test]
-    fn correlation_known_values() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 6.0, 8.0];
-        assert!((correlation(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-        let neg = [8.0, 6.0, 4.0, 2.0];
-        assert!((correlation(&xs, &neg).unwrap() + 1.0).abs() < 1e-12);
-        assert!(correlation(&xs, &[1.0, 1.0, 1.0, 1.0]).is_err());
-        assert!(correlation(&xs, &ys[..2]).is_err());
-        assert!(correlation(&[], &[]).is_err());
     }
 }

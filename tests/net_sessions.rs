@@ -628,3 +628,44 @@ fn concurrent_sessions_share_one_service_without_interference() {
     server.request_drain();
     server.wait();
 }
+
+/// `serve_connections_active` adds on every open and subtracts on every
+/// close, so many sessions opening and closing at once leave it at zero
+/// once the server has drained.
+#[test]
+fn connections_active_gauge_reads_zero_after_concurrent_hang_ups() {
+    let service = Arc::new(Service::new(ServiceConfig {
+        metrics: true,
+        ..ServiceConfig::smoke(47)
+    }));
+    let base = NetConfig::new(ListenAddr::Tcp("127.0.0.1:0".parse().unwrap()));
+    let server = NetServer::start(Arc::clone(&service), base).unwrap();
+    let addr = server.listen_addr();
+    std::thread::scope(|scope| {
+        for _ in 0..8 {
+            scope.spawn(|| {
+                for round in 0..8 {
+                    let mut client = NetClient::connect(&addr, Codec::Json).unwrap();
+                    if round % 2 == 0 {
+                        let stats = client.request(&Request::Stats {
+                            key: None,
+                            name: None,
+                        });
+                        assert!(matches!(stats, Ok(Response::ServiceStats { .. })));
+                    }
+                    client.hang_up();
+                }
+            });
+        }
+    });
+    server.request_drain();
+    server.wait();
+    let Response::Metrics { gauges, .. } = service.handle(Request::Metrics) else {
+        panic!("expected Metrics");
+    };
+    let active = gauges
+        .iter()
+        .find(|g| g.name == "serve_connections_active")
+        .map(|g| g.value);
+    assert_eq!(active, Some(0));
+}

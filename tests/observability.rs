@@ -12,7 +12,8 @@
 
 use serve::net::{ListenAddr, NetClient, NetConfig, NetServer};
 use serve::protocol::{decode_response, encode_response};
-use serve::{Codec, Response, Service, ServiceConfig};
+use serve::{Codec, Request, Response, ServeEvent, Service, ServiceConfig};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const PRIOR: &str = "[0.3,0.22,0.18,0.14,0.1,0.06]";
@@ -62,6 +63,45 @@ fn counter(metrics: &[serve::protocol::MetricValueDto], name: &str) -> u64 {
         .find(|m| m.name == name)
         .unwrap_or_else(|| panic!("missing metric {name}"))
         .value
+}
+
+/// One `Metrics` reply reads one registry snapshot: while another thread
+/// keeps counting events, every counter in a reply's DTO list equals its
+/// line in the same reply's Prometheus text.
+#[test]
+fn one_metrics_reply_reads_one_snapshot() {
+    let service = smoke_service(5, true);
+    let stop = AtomicBool::new(false);
+    let mismatch = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                service.obs().emit(ServeEvent::Generation {
+                    key: 1,
+                    generation: 0,
+                    archive: 0,
+                    evaluations: 0,
+                    improved: false,
+                });
+            }
+        });
+        // The recorder stops before any assertion runs, so a failing
+        // reply fails the test instead of hanging it.
+        let mismatch = (0..300).find_map(|reply| match service.handle(Request::Metrics) {
+            Response::Metrics {
+                counters,
+                prometheus,
+                ..
+            } => counters.iter().find_map(|c| {
+                let line = format!("# TYPE {0} counter\n{0} {1}\n", c.name, c.value);
+                (!prometheus.contains(&line))
+                    .then(|| format!("reply {reply}: {} = {} has no such line", c.name, c.value))
+            }),
+            other => Some(format!("reply {reply}: {other:?}")),
+        });
+        stop.store(true, Ordering::Relaxed);
+        mismatch
+    });
+    assert_eq!(mismatch, None);
 }
 
 #[test]
