@@ -378,3 +378,260 @@ fn stdio_and_socket_sessions_answer_byte_identically() {
         );
     }
 }
+
+/// The one `Metrics` reply in a session's output.
+fn metrics_reply(output: &str) -> Response {
+    output
+        .lines()
+        .map(|line| decode_response(line).expect("valid response line"))
+        .find(|response| matches!(response, Response::Metrics { .. }))
+        .expect("the session read its metrics out")
+}
+
+/// A `Metrics` reply's name lists: counters, gauges, histograms.
+fn catalogue(reply: &Response) -> [Vec<String>; 3] {
+    let Response::Metrics {
+        counters,
+        gauges,
+        histograms,
+        ..
+    } = reply
+    else {
+        panic!("expected Metrics, got {reply:?}");
+    };
+    let names = |metrics: &[serve::protocol::MetricValueDto]| {
+        metrics.iter().map(|m| m.name.clone()).collect::<Vec<_>>()
+    };
+    [
+        names(counters),
+        names(gauges),
+        histograms.iter().map(|h| h.name.clone()).collect(),
+    ]
+}
+
+/// The metric names of a Prometheus rendering's `# TYPE` lines, in
+/// order, each with its type.
+fn prometheus_types(reply: &Response) -> Vec<String> {
+    let Response::Metrics { prometheus, .. } = reply else {
+        panic!("expected Metrics, got {reply:?}");
+    };
+    prometheus
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .map(str::to_string)
+        .collect()
+}
+
+fn strings(names: &[&str]) -> Vec<String> {
+    names.iter().map(|name| name.to_string()).collect()
+}
+
+const CATALOGUE_COUNTERS: [&str; 23] = [
+    "serve_coverage_misses_total",
+    "serve_coverage_trips_total",
+    "serve_degraded_total",
+    "serve_drift_trips_total",
+    "serve_engine_generations_total",
+    "serve_evictions_total",
+    "serve_ingest_batches_total",
+    "serve_ingest_records_total",
+    "serve_net_bytes_in_total",
+    "serve_net_bytes_out_total",
+    "serve_net_conn_errors_total",
+    "serve_net_conns_total",
+    "serve_queries_total",
+    "serve_refresh_failures_total",
+    "serve_refresh_retries_total",
+    "serve_refresh_runs_total",
+    "serve_rewarms_total",
+    "serve_sampler_rebuilds_total",
+    "serve_snapshot_load_failures_total",
+    "serve_snapshot_loads_total",
+    "serve_snapshot_saves_total",
+    "serve_transitions_total",
+    "serve_warm_hits_total",
+];
+
+const CATALOGUE_GAUGES: [&str; 6] = [
+    "serve_connections_active",
+    "serve_registered_keys",
+    "serve_resident_bytes",
+    "serve_worker_jobs_executed",
+    "serve_worker_jobs_panicked",
+    "serve_worker_jobs_submitted",
+];
+
+/// The verbs the stdio part of the catalogue session serves before its
+/// `Metrics` readout, in name order.
+const CATALOGUE_STDIO_VERBS: [&str; 10] = [
+    "best_for_privacy",
+    "disguise",
+    "estimate",
+    "evict",
+    "front",
+    "ingest",
+    "refresh",
+    "register",
+    "stats",
+    "sync",
+];
+
+/// The `Metrics` catalogue, pinned by name and order. A scripted stdio
+/// session reads out every counter, every gauge the readout publishes,
+/// and two latency histograms per verb it served: the per-verb one and
+/// the per-verb JSON one. A binary socket session on the same service
+/// then adds its own codec's rows, and each per-verb histogram reads
+/// the sum of that verb's codec rows. The Prometheus `# TYPE` lines list
+/// the same metrics in the same order. With metrics off the readout
+/// lists every counter at 0 and no gauge or histogram.
+#[test]
+fn metrics_catalogue_is_pinned() {
+    let session: String = lifecycle_session()
+        .lines()
+        .filter(|line| *line != r#""Shutdown""#)
+        .chain([r#""Metrics""#])
+        .map(|line| format!("{line}\n"))
+        .collect();
+    let service = smoke_service(13, true);
+    let stdio = metrics_reply(&run_session(&service, &session));
+
+    let json_rows = CATALOGUE_STDIO_VERBS
+        .iter()
+        .map(|verb| format!("serve_net_verb_{verb}_json_latency_ns"));
+    let verb_rows = CATALOGUE_STDIO_VERBS
+        .iter()
+        .map(|verb| format!("serve_verb_{verb}_latency_ns"));
+    let stdio_histograms: Vec<String> = json_rows.chain(verb_rows).collect();
+    let [counters, gauges, histograms] = catalogue(&stdio);
+    assert_eq!(counters, strings(&CATALOGUE_COUNTERS));
+    // The connections gauge may be listed, at 0, before the first socket
+    // session.
+    let Response::Metrics {
+        gauges: gauge_values,
+        ..
+    } = &stdio
+    else {
+        unreachable!()
+    };
+    let listed_before_sockets: Vec<String> = gauge_values
+        .iter()
+        .filter(|g| !(g.name == "serve_connections_active" && g.value == 0))
+        .map(|g| g.name.clone())
+        .collect();
+    assert_eq!(listed_before_sockets, strings(&CATALOGUE_GAUGES[1..]));
+    assert!(gauges.len() <= CATALOGUE_GAUGES.len());
+    assert_eq!(histograms, stdio_histograms);
+    let typed = |[counters, gauges, histograms]: [Vec<String>; 3]| -> Vec<String> {
+        let with = |names: Vec<String>, kind: &str| {
+            names
+                .into_iter()
+                .map(|name| format!("{name} {kind}"))
+                .collect::<Vec<_>>()
+        };
+        [
+            with(counters, "counter"),
+            with(gauges, "gauge"),
+            with(histograms, "summary"),
+        ]
+        .concat()
+    };
+    assert_eq!(prometheus_types(&stdio), typed(catalogue(&stdio)));
+
+    // One binary socket session on the same service.
+    let path = std::env::temp_dir().join(format!("optrr_catalogue_{}.sock", std::process::id()));
+    let server = NetServer::start(Arc::clone(&service), NetConfig::new(ListenAddr::Unix(path)))
+        .expect("binding a Unix socket succeeds");
+    let mut client = NetClient::connect(&server.listen_addr(), Codec::Binary).unwrap();
+    let query = Request::BestForPrivacy {
+        key: None,
+        name: Some("demo".to_string()),
+        min_privacy: 0.05,
+    };
+    assert!(matches!(
+        client.request(&query),
+        Ok(Response::Matrix { .. })
+    ));
+    let stats = Request::Stats {
+        key: None,
+        name: None,
+    };
+    assert!(matches!(
+        client.request(&stats),
+        Ok(Response::ServiceStats { .. })
+    ));
+    let socket = client.request(&Request::Metrics).unwrap();
+    client.hang_up();
+    server.request_drain();
+    server.wait();
+
+    let [counters, gauges, histograms] = catalogue(&socket);
+    assert_eq!(counters, strings(&CATALOGUE_COUNTERS));
+    assert_eq!(gauges, strings(&CATALOGUE_GAUGES));
+    assert_eq!(
+        histograms,
+        strings(&[
+            "serve_net_verb_best_for_privacy_binary_latency_ns",
+            "serve_net_verb_best_for_privacy_json_latency_ns",
+            "serve_net_verb_disguise_json_latency_ns",
+            "serve_net_verb_estimate_json_latency_ns",
+            "serve_net_verb_evict_json_latency_ns",
+            "serve_net_verb_front_json_latency_ns",
+            "serve_net_verb_ingest_json_latency_ns",
+            "serve_net_verb_metrics_json_latency_ns",
+            "serve_net_verb_refresh_json_latency_ns",
+            "serve_net_verb_register_json_latency_ns",
+            "serve_net_verb_stats_binary_latency_ns",
+            "serve_net_verb_stats_json_latency_ns",
+            "serve_net_verb_sync_json_latency_ns",
+            "serve_verb_best_for_privacy_latency_ns",
+            "serve_verb_disguise_latency_ns",
+            "serve_verb_estimate_latency_ns",
+            "serve_verb_evict_latency_ns",
+            "serve_verb_front_latency_ns",
+            "serve_verb_ingest_latency_ns",
+            "serve_verb_metrics_latency_ns",
+            "serve_verb_refresh_latency_ns",
+            "serve_verb_register_latency_ns",
+            "serve_verb_stats_latency_ns",
+            "serve_verb_sync_latency_ns",
+        ])
+    );
+    assert_eq!(prometheus_types(&socket), typed(catalogue(&socket)));
+    // A per-verb histogram reads as its codec rows together.
+    let Response::Metrics { histograms, .. } = &socket else {
+        unreachable!()
+    };
+    let find = |name: String| {
+        histograms
+            .iter()
+            .find(|h| h.name == name)
+            .unwrap_or_else(|| panic!("missing {name}"))
+    };
+    for verb in ["best_for_privacy", "stats"] {
+        let merged = find(format!("serve_verb_{verb}_latency_ns"));
+        let json = find(format!("serve_net_verb_{verb}_json_latency_ns"));
+        let binary = find(format!("serve_net_verb_{verb}_binary_latency_ns"));
+        assert_eq!(merged.count, json.count + binary.count, "{verb}");
+        assert_eq!(merged.sum, json.sum + binary.sum, "{verb}");
+        assert_eq!(merged.max, json.max.max(binary.max), "{verb}");
+        assert_eq!(binary.count, 1, "{verb}");
+    }
+
+    // Metrics off: every counter listed at 0, no gauge, no histogram.
+    let off = metrics_reply(&run_session(&smoke_service(13, false), &session));
+    let Response::Metrics {
+        enabled,
+        counters,
+        gauges,
+        histograms,
+        ..
+    } = &off
+    else {
+        unreachable!()
+    };
+    assert!(!enabled);
+    assert!(counters.iter().all(|c| c.value == 0));
+    assert_eq!(catalogue(&off)[0], strings(&CATALOGUE_COUNTERS));
+    assert!(gauges.is_empty() && histograms.is_empty());
+    assert_eq!(prometheus_types(&off), typed(catalogue(&off)));
+}
