@@ -55,6 +55,11 @@ mod tests {
     use rand::SeedableRng;
     use rr::schemes::warner;
 
+    /// An RR matrix from nested rows.
+    fn from_rows(rows: &[Vec<f64>]) -> rr::Result<RrMatrix> {
+        RrMatrix::new(linalg::Matrix::from_rows(rows).unwrap())
+    }
+
     #[test]
     fn children_are_valid_rr_matrices() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -130,8 +135,8 @@ mod tests {
 
     #[test]
     fn two_category_matrices_swap_exactly_one_column() {
-        let a = RrMatrix::from_rows(&[vec![0.9, 0.2], vec![0.1, 0.8]]).unwrap();
-        let b = RrMatrix::from_rows(&[vec![0.6, 0.4], vec![0.4, 0.6]]).unwrap();
+        let a = from_rows(&[vec![0.9, 0.2], vec![0.1, 0.8]]).unwrap();
+        let b = from_rows(&[vec![0.6, 0.4], vec![0.4, 0.6]]).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let (c1, _c2) = column_swap_crossover(&a, &b, &mut rng);
         // With n = 2 the only possible cut is after column 0, so child 1 is

@@ -137,6 +137,11 @@ mod tests {
     use rand::SeedableRng;
     use rr::schemes::warner;
 
+    /// An RR matrix from nested rows.
+    fn from_rows(rows: &[Vec<f64>]) -> rr::Result<RrMatrix> {
+        RrMatrix::new(linalg::Matrix::from_rows(rows).unwrap())
+    }
+
     #[test]
     fn mutation_preserves_stochasticity() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -192,7 +197,7 @@ mod tests {
         // Column with structural zeros: increasing another element must not
         // make the zeros negative, and subtracting proportionally keeps them
         // at exactly zero.
-        let m = RrMatrix::from_rows(&[
+        let m = from_rows(&[
             vec![0.5, 0.0, 0.0],
             vec![0.5, 1.0, 0.0],
             vec![0.0, 0.0, 1.0],
@@ -215,7 +220,7 @@ mod tests {
     fn degenerate_point_mass_column_is_left_unchanged_on_add() {
         // Column 1 is a point mass on row 1: the "others" sum is zero, so an
         // add-mutation of that element must leave the matrix unchanged.
-        let m = RrMatrix::from_rows(&[vec![0.8, 0.0], vec![0.2, 1.0]]).unwrap();
+        let m = from_rows(&[vec![0.8, 0.0], vec![0.2, 1.0]]).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
         for _ in 0..50 {
             let mutated = proportional_column_mutation(&m, 0.5, &mut rng);

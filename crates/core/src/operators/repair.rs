@@ -292,7 +292,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let (repaired, ok) = repair_to_delta_bound(&m, &p, 0.75, &mut rng);
         assert!(ok);
-        assert!(repaired.is_diagonally_dominant());
+        assert!(repaired.as_matrix().is_column_diagonally_dominant());
     }
 
     #[test]

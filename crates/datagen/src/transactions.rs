@@ -61,11 +61,6 @@ impl TransactionDataset {
         self.transactions.is_empty()
     }
 
-    /// Borrow the transactions.
-    pub fn transactions(&self) -> &[Vec<usize>] {
-        &self.transactions
-    }
-
     /// The support (fraction of transactions containing every item of
     /// `itemset`) of an itemset.
     pub fn support(&self, itemset: &[usize]) -> f64 {
@@ -107,18 +102,6 @@ pub struct TransactionConfig {
     pub planted_itemsets: Vec<(Vec<usize>, f64)>,
     /// RNG seed.
     pub seed: u64,
-}
-
-impl Default for TransactionConfig {
-    fn default() -> Self {
-        Self {
-            num_items: 20,
-            num_transactions: 5_000,
-            background_prob: 0.05,
-            planted_itemsets: vec![(vec![0, 1], 0.30), (vec![2, 3, 4], 0.20)],
-            seed: 7,
-        }
-    }
 }
 
 /// Generates a synthetic transaction data set with planted frequent
@@ -192,6 +175,17 @@ pub fn generate(config: &TransactionConfig) -> StatsResult<TransactionDataset> {
 mod tests {
     use super::*;
 
+    /// Two planted itemsets over 20 items and 5,000 transactions.
+    fn config() -> TransactionConfig {
+        TransactionConfig {
+            num_items: 20,
+            num_transactions: 5_000,
+            background_prob: 0.05,
+            planted_itemsets: vec![(vec![0, 1], 0.30), (vec![2, 3, 4], 0.20)],
+            seed: 7,
+        }
+    }
+
     #[test]
     fn dataset_construction_validates() {
         assert!(TransactionDataset::new(0, vec![]).is_err());
@@ -224,34 +218,34 @@ mod tests {
     fn generator_validates_config() {
         assert!(generate(&TransactionConfig {
             num_items: 0,
-            ..Default::default()
+            ..config()
         })
         .is_err());
         assert!(generate(&TransactionConfig {
             num_transactions: 0,
-            ..Default::default()
+            ..config()
         })
         .is_err());
         assert!(generate(&TransactionConfig {
             background_prob: 1.5,
-            ..Default::default()
+            ..config()
         })
         .is_err());
         assert!(generate(&TransactionConfig {
             planted_itemsets: vec![(vec![99], 0.5)],
-            ..Default::default()
+            ..config()
         })
         .is_err());
         assert!(generate(&TransactionConfig {
             planted_itemsets: vec![(vec![0], 1.5)],
-            ..Default::default()
+            ..config()
         })
         .is_err());
     }
 
     #[test]
     fn planted_itemsets_are_frequent() {
-        let cfg = TransactionConfig::default();
+        let cfg = config();
         let d = generate(&cfg).unwrap();
         assert_eq!(d.len(), cfg.num_transactions);
         // The planted pair {0,1} should appear in at least ~30% of
@@ -265,9 +259,9 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let cfg = TransactionConfig::default();
+        let cfg = config();
         assert_eq!(generate(&cfg).unwrap(), generate(&cfg).unwrap());
         let other = generate(&TransactionConfig { seed: 8, ..cfg }).unwrap();
-        assert_ne!(generate(&TransactionConfig::default()).unwrap(), other);
+        assert_ne!(generate(&config()).unwrap(), other);
     }
 }

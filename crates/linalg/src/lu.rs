@@ -365,10 +365,16 @@ mod tests {
     fn inverse_times_original_is_identity() {
         let m = warner(6, 0.7);
         let inv = invert(&m).unwrap();
-        let prod = m.mul_matrix(&inv).unwrap();
-        assert!(prod.approx_eq(&Matrix::identity(6), 1e-10));
-        let prod2 = inv.mul_matrix(&m).unwrap();
-        assert!(prod2.approx_eq(&Matrix::identity(6), 1e-10));
+        // Column j of both products is e_j.
+        for (a, b) in [(&m, &inv), (&inv, &m)] {
+            for j in 0..6 {
+                let column = a.mul_vector(&b.column(j).unwrap()).unwrap();
+                for (i, &x) in column.iter().enumerate() {
+                    let expected = if i == j { 1.0 } else { 0.0 };
+                    assert!((x - expected).abs() <= 1e-10, "({i}, {j}): {x}");
+                }
+            }
+        }
     }
 
     #[test]

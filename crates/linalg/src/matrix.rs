@@ -13,12 +13,6 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-/// Panel edge (in elements) of the blocked [`Matrix::mul_matrix`] kernel:
-/// a 32×32 `f64` panel is 8 KiB, so the three active panels (A, B, out)
-/// stay well inside a 32 KiB L1 data cache, and each 32-element row panel
-/// spans four 64-byte cache lines.
-pub const MUL_BLOCK: usize = 32;
-
 /// A dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
@@ -235,53 +229,6 @@ impl Matrix {
             *o = acc;
         }
         Ok(())
-    }
-
-    /// Matrix-matrix product `A B`.
-    ///
-    /// Cache-blocked i-k-j product. Tiling `i`/`k`/`j` into
-    /// [`MUL_BLOCK`]-sized panels keeps one panel of `A`, one of `B`, and
-    /// one of the output resident in L1 while they are reused; because each
-    /// output element still accumulates its `k` terms in strictly ascending
-    /// order (ascending `k`-blocks, ascending `k` within a block) with the
-    /// same zero-skip, the result is bitwise equal to the naive reference
-    /// loop the crate's tests keep (`reference::mul_matrix_naive`).
-    pub fn mul_matrix(&self, b: &Matrix) -> Result<Matrix> {
-        if self.cols != b.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "mul_matrix",
-                lhs: (self.rows, self.cols),
-                rhs: (b.rows, b.cols),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, b.cols);
-        let (ni, nk, nj) = (self.rows, self.cols, b.cols);
-        for ib in (0..ni).step_by(MUL_BLOCK) {
-            let i_end = (ib + MUL_BLOCK).min(ni);
-            for kb in (0..nk).step_by(MUL_BLOCK) {
-                let k_end = (kb + MUL_BLOCK).min(nk);
-                for jb in (0..nj).step_by(MUL_BLOCK) {
-                    let j_end = (jb + MUL_BLOCK).min(nj);
-                    for i in ib..i_end {
-                        let arow = i * nk;
-                        let orow = i * nj;
-                        for k in kb..k_end {
-                            let aik = self.data[arow + k];
-                            if aik == 0.0 {
-                                continue;
-                            }
-                            let brow = k * nj;
-                            let out_panel = &mut out.data[orow + jb..orow + j_end];
-                            let b_panel = &b.data[brow + jb..brow + j_end];
-                            for (o, &bv) in out_panel.iter_mut().zip(b_panel) {
-                                *o += aik * bv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Element-wise addition.
@@ -515,15 +462,21 @@ mod tests {
         assert_eq!(m.mul_vector(&x).unwrap().as_slice(), &[3.0, 7.0]);
         assert!(m.mul_vector(&Vector::zeros(3)).is_err());
 
+        // A product, one column of the right factor at a time.
+        let product = |a: &Matrix, b: &Matrix| {
+            let columns: Vec<Vector> = (0..b.cols())
+                .map(|j| a.mul_vector(&b.column(j).unwrap()).unwrap())
+                .collect();
+            Matrix::from_columns(&columns).unwrap()
+        };
         let id = Matrix::identity(2);
-        assert_eq!(m.mul_matrix(&id).unwrap(), m);
-        assert_eq!(id.mul_matrix(&m).unwrap(), m);
-        let prod = m.mul_matrix(&m).unwrap();
+        assert_eq!(product(&m, &id), m);
+        assert_eq!(product(&id, &m), m);
+        let prod = product(&m, &m);
         assert_eq!(prod[(0, 0)], 7.0);
         assert_eq!(prod[(0, 1)], 10.0);
         assert_eq!(prod[(1, 0)], 15.0);
         assert_eq!(prod[(1, 1)], 22.0);
-        assert!(m.mul_matrix(&Matrix::zeros(3, 2)).is_err());
     }
 
     #[test]

@@ -1,39 +1,13 @@
-//! Naive reference kernels the blocked/slice implementations are gated
-//! against.
+//! The naive reference kernel the slice-based LU is gated against.
 //!
-//! These are the seed's textbook loops, kept verbatim as the test oracle
-//! for [`Matrix::mul_matrix`] and [`LuDecomposition`](crate::LuDecomposition):
-//! the proptests in this crate compare the optimized kernels against them.
-//! Only tests should call them. The contract is **bitwise** equality: the
-//! optimized kernels reorder memory traffic, never arithmetic.
+//! This is the seed's textbook elimination, kept verbatim as the test
+//! oracle for [`LuDecomposition`](crate::LuDecomposition): the crate's
+//! proptests compare the optimized factorization against it. Only tests
+//! call it. The contract is **bitwise** equality: the optimized kernel
+//! reorders memory traffic, never arithmetic.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
-
-/// Textbook i-k-j matrix product with the same zero-skip as
-/// [`Matrix::mul_matrix`], unblocked.
-pub fn mul_matrix_naive(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    if a.cols() != b.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "mul_matrix_naive",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    for i in 0..a.rows() {
-        for k in 0..a.cols() {
-            let aik = a[(i, k)];
-            if aik == 0.0 {
-                continue;
-            }
-            for j in 0..b.cols() {
-                out[(i, j)] += aik * b[(k, j)];
-            }
-        }
-    }
-    Ok(out)
-}
 
 /// Textbook right-looking LU with partial pivoting via per-element indexed
 /// accesses — the seed implementation of [`crate::LuDecomposition::new`].
@@ -97,15 +71,6 @@ pub fn lu_factor_naive(a: &Matrix) -> Result<(Matrix, Vec<usize>, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn naive_product_matches_known_values() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let p = mul_matrix_naive(&m, &m).unwrap();
-        assert_eq!(p[(0, 0)], 7.0);
-        assert_eq!(p[(1, 1)], 22.0);
-        assert!(mul_matrix_naive(&m, &Matrix::zeros(3, 2)).is_err());
-    }
 
     #[test]
     fn naive_lu_validates_like_the_fast_path() {

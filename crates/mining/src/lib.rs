@@ -60,6 +60,16 @@ mod proptests {
         })
     }
 
+    /// Each transaction of `data` as the sorted items its bitmap sets.
+    fn item_sets(data: &TransactionDataset) -> Vec<Vec<usize>> {
+        (0..data.len())
+            .map(|t| {
+                let bits = data.bitmap(t).unwrap();
+                (0..bits.len()).filter(|&item| bits[item]).collect()
+            })
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(proptest::test_runner::Config::with_cases(24))]
 
@@ -70,14 +80,11 @@ mod proptests {
             let disguised = disguise_transactions(&m, &data, &mut rng).unwrap();
             prop_assert_eq!(disguised.len(), data.len());
             prop_assert_eq!(disguised.num_items(), data.num_items());
-            for t in disguised.transactions() {
-                prop_assert!(t.iter().all(|&i| i < data.num_items()));
-                // Transactions are sets (sorted unique indices by construction).
-                let mut sorted = t.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                prop_assert_eq!(sorted.len(), t.len());
-            }
+            // Transactions are sets (sorted unique indices by construction)
+            // of items in range: rebuilt from their bitmaps, the disguised
+            // data set is unchanged.
+            let rebuilt = TransactionDataset::new(data.num_items(), item_sets(&disguised)).unwrap();
+            prop_assert_eq!(rebuilt, disguised);
         }
 
         #[test]

@@ -152,6 +152,17 @@ mod tests {
     use rand::SeedableRng;
     use rr::schemes::warner;
 
+    /// Two planted itemsets over 20 items and 5,000 transactions.
+    fn config() -> TransactionConfig {
+        TransactionConfig {
+            num_items: 20,
+            num_transactions: 5_000,
+            background_prob: 0.05,
+            planted_itemsets: vec![(vec![0, 1], 0.30), (vec![2, 3, 4], 0.20)],
+            seed: 7,
+        }
+    }
+
     fn rr2(p: f64) -> RrMatrix {
         warner(2, p).unwrap()
     }
@@ -172,7 +183,7 @@ mod tests {
 
     #[test]
     fn disguise_validates_inputs() {
-        let data = generate(&TransactionConfig::default()).unwrap();
+        let data = generate(&config()).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         assert!(disguise_transactions(&warner(3, 0.8).unwrap(), &data, &mut rng).is_err());
         let empty = TransactionDataset::new(5, vec![]).unwrap();
@@ -184,7 +195,7 @@ mod tests {
 
     #[test]
     fn identity_disguise_preserves_transactions() {
-        let data = generate(&TransactionConfig::default()).unwrap();
+        let data = generate(&config()).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let disguised =
             disguise_transactions(&RrMatrix::identity(2).unwrap(), &data, &mut rng).unwrap();
@@ -195,7 +206,7 @@ mod tests {
     fn support_estimation_recovers_planted_itemsets() {
         let cfg = TransactionConfig {
             num_transactions: 20_000,
-            ..TransactionConfig::default()
+            ..config()
         };
         let data = generate(&cfg).unwrap();
         let m = rr2(0.85);
@@ -233,7 +244,7 @@ mod tests {
 
     #[test]
     fn support_estimation_validates_inputs() {
-        let data = generate(&TransactionConfig::default()).unwrap();
+        let data = generate(&config()).unwrap();
         let m = rr2(0.9);
         let mut rng = StdRng::seed_from_u64(4);
         let disguised = disguise_transactions(&m, &data, &mut rng).unwrap();
@@ -249,7 +260,7 @@ mod tests {
 
     #[test]
     fn singular_bit_matrix_is_rejected() {
-        let data = generate(&TransactionConfig::default()).unwrap();
+        let data = generate(&config()).unwrap();
         let m = RrMatrix::uniform(2).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let disguised = disguise_transactions(&m, &data, &mut rng).unwrap();

@@ -240,6 +240,13 @@ mod tests {
     use rand::SeedableRng;
     use stats::divergence::total_variation;
 
+    /// A point mass on category `i` of `n`.
+    fn point_mass(n: usize, i: usize) -> Categorical {
+        let mut probs = vec![0.0; n];
+        probs[i] = 1.0;
+        Categorical::new(probs).unwrap()
+    }
+
     fn sample_dataset(p: &Categorical, n: usize, seed: u64) -> CategoricalDataset {
         let mut rng = StdRng::seed_from_u64(seed);
         CategoricalDataset::new(p.num_categories(), p.sample_many(&mut rng, n)).unwrap()
@@ -364,7 +371,7 @@ mod tests {
         let m = warner(4, 0.7).unwrap();
         let p = Categorical::new(vec![0.4, 0.3, 0.2, 0.1]).unwrap();
         let p_star = m.disguised_distribution(&p).unwrap();
-        let degenerate = Categorical::point_mass(4, 0).unwrap();
+        let degenerate = point_mass(4, 0);
         let out =
             iterative_estimate_warm(&m, &p_star, &degenerate, &IterativeConfig::default()).unwrap();
         assert!(
@@ -376,7 +383,7 @@ mod tests {
 
     #[test]
     fn handoff_posterior_floors_zeros_and_preserves_the_simplex() {
-        let degenerate = Categorical::point_mass(4, 2).unwrap();
+        let degenerate = point_mass(4, 2);
         let target = handoff_posterior(&degenerate, 1e-3);
         assert!((target.probs().iter().sum::<f64>() - 1.0).abs() < 1e-12);
         for (i, &p) in target.probs().iter().enumerate() {

@@ -44,12 +44,6 @@ impl RrMatrix {
         Ok(Self { inner })
     }
 
-    /// Builds an RR matrix from nested rows.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
-        let matrix = Matrix::from_rows(rows).map_err(RrError::from)?;
-        Self::new(matrix)
-    }
-
     /// Builds an RR matrix from per-category columns (each column is the
     /// randomization distribution of one original category).
     pub fn from_columns(columns: &[Vector]) -> Result<Self> {
@@ -162,12 +156,6 @@ impl RrMatrix {
         self.inner.is_symmetric(STOCHASTIC_TOLERANCE)
     }
 
-    /// Whether every diagonal entry dominates its column — true of all the
-    /// classical schemes with "retain" probability above `1/n`.
-    pub fn is_diagonally_dominant(&self) -> bool {
-        self.inner.is_column_diagonally_dominant()
-    }
-
     /// Largest absolute difference with another RR matrix of the same size.
     pub fn max_abs_difference(&self, other: &RrMatrix) -> Result<f64> {
         if self.num_categories() != other.num_categories() {
@@ -247,9 +235,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// An RR matrix from nested rows.
+    fn from_rows(rows: &[Vec<f64>]) -> Result<RrMatrix> {
+        RrMatrix::new(Matrix::from_rows(rows).unwrap())
+    }
+
     fn warner3(p: f64) -> RrMatrix {
         let off = (1.0 - p) / 2.0;
-        RrMatrix::from_rows(&[vec![p, off, off], vec![off, p, off], vec![off, off, p]]).unwrap()
+        from_rows(&[vec![p, off, off], vec![off, p, off], vec![off, off, p]]).unwrap()
     }
 
     #[test]
@@ -259,20 +252,20 @@ mod tests {
         // Too small.
         assert!(RrMatrix::new(Matrix::identity(1)).is_err());
         // Negative entry.
-        assert!(RrMatrix::from_rows(&[vec![1.1, 0.0], vec![-0.1, 1.0]]).is_err());
+        assert!(from_rows(&[vec![1.1, 0.0], vec![-0.1, 1.0]]).is_err());
         // Columns not summing to one.
-        assert!(RrMatrix::from_rows(&[vec![0.5, 0.5], vec![0.4, 0.5]]).is_err());
+        assert!(from_rows(&[vec![0.5, 0.5], vec![0.4, 0.5]]).is_err());
         // Non-finite entries.
         let mut m = Matrix::identity(2);
         m[(0, 0)] = f64::NAN;
         assert!(RrMatrix::new(m).is_err());
         // A valid matrix passes.
-        assert!(RrMatrix::from_rows(&[vec![0.9, 0.2], vec![0.1, 0.8]]).is_ok());
+        assert!(from_rows(&[vec![0.9, 0.2], vec![0.1, 0.8]]).is_ok());
     }
 
     #[test]
     fn construction_renormalizes_small_slack() {
-        let m = RrMatrix::from_rows(&[vec![0.7 + 1e-9, 0.3], vec![0.3, 0.7 - 1e-9]]).unwrap();
+        let m = from_rows(&[vec![0.7 + 1e-9, 0.3], vec![0.3, 0.7 - 1e-9]]).unwrap();
         for j in 0..2 {
             let col: f64 = (0..2).map(|i| m.theta(i, j)).sum();
             assert!((col - 1.0).abs() < 1e-12);
@@ -287,7 +280,7 @@ mod tests {
         assert_eq!(id.theta(0, 2), 0.0);
         assert!(id.is_invertible());
         assert!(id.is_symmetric());
-        assert!(id.is_diagonally_dominant());
+        assert!(id.as_matrix().is_column_diagonally_dominant());
 
         let u = RrMatrix::uniform(4).unwrap();
         assert!((u.theta(1, 3) - 0.25).abs() < 1e-12);
@@ -340,8 +333,14 @@ mod tests {
     fn inverse_round_trip() {
         let m = warner3(0.75);
         let inv = m.inverse().unwrap();
-        let prod = m.as_matrix().mul_matrix(&inv).unwrap();
-        assert!(prod.approx_eq(&Matrix::identity(3), 1e-10));
+        // M times column j of the inverse is e_j.
+        for j in 0..3 {
+            let column = m.as_matrix().mul_vector(&inv.column(j).unwrap()).unwrap();
+            for (i, &x) in column.iter().enumerate() {
+                let expected = if i == j { 1.0 } else { 0.0 };
+                assert!((x - expected).abs() <= 1e-10, "({i}, {j}): {x}");
+            }
+        }
         assert!(matches!(
             RrMatrix::uniform(3).unwrap().inverse(),
             Err(RrError::SingularMatrix)
@@ -350,11 +349,11 @@ mod tests {
 
     #[test]
     fn symmetry_and_dominance_predicates() {
-        let asym = RrMatrix::from_rows(&[vec![0.9, 0.3], vec![0.1, 0.7]]).unwrap();
+        let asym = from_rows(&[vec![0.9, 0.3], vec![0.1, 0.7]]).unwrap();
         assert!(!asym.is_symmetric());
-        assert!(asym.is_diagonally_dominant());
-        let off = RrMatrix::from_rows(&[vec![0.2, 0.6], vec![0.8, 0.4]]).unwrap();
-        assert!(!off.is_diagonally_dominant());
+        assert!(asym.as_matrix().is_column_diagonally_dominant());
+        let off = from_rows(&[vec![0.2, 0.6], vec![0.8, 0.4]]).unwrap();
+        assert!(!off.as_matrix().is_column_diagonally_dominant());
     }
 
     #[test]

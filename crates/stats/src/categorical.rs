@@ -77,25 +77,6 @@ impl Categorical {
         Self::new(vec![1.0 / n as f64; n])
     }
 
-    /// A point mass on category `i` of a domain with `n` categories.
-    pub fn point_mass(n: usize, i: usize) -> Result<Self> {
-        if n == 0 {
-            return Err(StatsError::InvalidDistribution {
-                reason: "no categories",
-            });
-        }
-        if i >= n {
-            return Err(StatsError::InvalidParameter {
-                name: "i",
-                value: i as f64,
-                constraint: "must be < n",
-            });
-        }
-        let mut probs = vec![0.0; n];
-        probs[i] = 1.0;
-        Self::new(probs)
-    }
-
     /// Number of categories.
     pub fn num_categories(&self) -> usize {
         self.probs.len()
@@ -204,6 +185,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A point mass on category `i` of `n`.
+    fn point_mass(n: usize, i: usize) -> Categorical {
+        let mut probs = vec![0.0; n];
+        probs[i] = 1.0;
+        Categorical::new(probs).unwrap()
+    }
+
     #[test]
     fn construction_validates() {
         assert!(Categorical::new(vec![]).is_err());
@@ -233,11 +221,9 @@ mod tests {
         assert!((u.prob(0) - 0.25).abs() < 1e-12);
         assert!(Categorical::uniform(0).is_err());
 
-        let p = Categorical::point_mass(3, 1).unwrap();
+        let p = point_mass(3, 1);
         assert_eq!(p.mode(), 1);
         assert_eq!(p.max_prob(), 1.0);
-        assert!(Categorical::point_mass(3, 3).is_err());
-        assert!(Categorical::point_mass(0, 0).is_err());
     }
 
     #[test]
@@ -278,7 +264,7 @@ mod tests {
 
     #[test]
     fn sampling_point_mass_is_constant() {
-        let d = Categorical::point_mass(5, 3).unwrap();
+        let d = point_mass(5, 3);
         let mut rng = StdRng::seed_from_u64(7);
         assert!(d.sample_many(&mut rng, 100).iter().all(|&s| s == 3));
     }

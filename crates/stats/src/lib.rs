@@ -23,7 +23,6 @@
 //!   streaming ingest pipeline).
 //! * [`multinomial`] — `Var(N_i/N)` and `Cov(N_i/N, N_j/N)` (Theorem 6).
 //! * [`divergence`] — MSE and total variation.
-//! * [`summary`] — sample quantiles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +38,6 @@ pub mod divergence;
 pub mod error;
 pub mod multinomial;
 pub mod sampler;
-pub mod summary;
 
 pub use categorical::{normalize_probabilities, Categorical};
 pub use continuous::{ContinuousDistribution, Gamma, Normal};
@@ -47,7 +45,6 @@ pub use counts::CountSet;
 pub use discretize::{assign_bins, discretize_distribution, EqualWidthBins};
 pub use error::{Result, StatsError};
 pub use sampler::{Sampler, Zipf};
-pub use summary::{median, quantile};
 
 #[cfg(test)]
 mod proptests {
@@ -107,18 +104,6 @@ mod proptests {
             prop_assert_eq!(d.num_categories(), n);
             let total: f64 = d.probs().iter().sum();
             prop_assert!((total - 1.0).abs() < 1e-9);
-        }
-
-        #[test]
-        fn quantiles_are_monotone(mut xs in proptest::collection::vec(-100.0f64..100.0, 3..50)) {
-            xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let q25 = quantile(&xs, 0.25).unwrap();
-            let q50 = quantile(&xs, 0.50).unwrap();
-            let q75 = quantile(&xs, 0.75).unwrap();
-            prop_assert!(q25 <= q50 + 1e-12);
-            prop_assert!(q50 <= q75 + 1e-12);
-            prop_assert!(*xs.first().unwrap() <= q25 + 1e-12);
-            prop_assert!(q75 <= *xs.last().unwrap() + 1e-12);
         }
     }
 }
