@@ -2,12 +2,13 @@
 //!
 //! Dependency-light observability primitives for the serving stack:
 //!
-//! * [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s, and log₂
-//!   [`Histogram`]s. The write path is lock-free: every handle is a plain
-//!   atomic touched with `Ordering::Relaxed`, and quantiles (p50/p90/p99)
-//!   are computed from a snapshot of the bucket array without stopping
-//!   writers. Registration (name → handle) takes a lock, but hot paths
-//!   hold pre-resolved `Arc` handles so they never see it.
+//! * [`Counter`]s, [`Gauge`]s and log₂ [`Histogram`]s. Each is plain
+//!   atomics touched with `Ordering::Relaxed`, so recording takes no lock
+//!   and allocates nothing. A user holds them in fixed fields known at
+//!   compile time and names them only when it reads them out, as a
+//!   [`MetricsSnapshot`]. Quantiles (p50/p90/p99) are computed from a
+//!   copy of the bucket array without stopping writers, and
+//!   [`Histogram::snapshot_merged`] reads several histograms as one.
 //! * [`TraceRing`] — a bounded ring buffer of typed events, each stamped
 //!   with a sequence number and a timestamp from an injectable [`Clock`],
 //!   so traces are deterministic under test ([`ManualClock`]) and
@@ -24,10 +25,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Number of histogram buckets: bucket 0 holds exact zeros, bucket
@@ -165,15 +166,14 @@ impl Gauge {
 
 /// A fixed-bucket log₂ latency histogram with atomic buckets.
 ///
-/// Recording is lock-free — one relaxed `fetch_add` per bucket/count/sum
-/// plus a relaxed `fetch_max` — and quantile reads walk a point-in-time
-/// copy of the bucket array, so p50/p90/p99 are readable while writers
-/// keep recording. A quantile is reported as the *upper bound* of the
+/// Recording is lock-free — one relaxed `fetch_add` on the bucket, a
+/// saturating add on the sum and a relaxed `fetch_max` — and quantile
+/// reads walk a point-in-time copy of the bucket array, so p50/p90/p99
+/// are readable while writers keep recording. A quantile is reported as the *upper bound* of the
 /// bucket containing its rank (bucket 0 reports exactly 0), so reported
 /// values never understate the true latency by more than one bucket.
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -216,7 +216,6 @@ impl Histogram {
     pub fn new() -> Self {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -225,7 +224,6 @@ impl Histogram {
     /// Records one observation (nanoseconds, but any `u64` works).
     pub fn record(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         // Saturating: after ~585 years of accumulated nanoseconds the sum
         // pins at MAX rather than wrapping into nonsense.
         let _ = self
@@ -236,18 +234,30 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Total observations recorded.
+    /// Total observations recorded: the sum of the bucket counts.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// A point-in-time copy of counts, quantiles, and extrema.
     pub fn snapshot(&self, name: &str) -> HistogramSnapshot {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        Self::snapshot_merged(name, std::slice::from_ref(self))
+    }
+
+    /// One snapshot of `parts` read as one histogram: the snapshot that
+    /// recording each of their values into a single histogram would give.
+    /// Bucket counts and sums add (the sum saturating), and the maximum
+    /// is the largest part's.
+    pub fn snapshot_merged(name: &str, parts: &[Histogram]) -> HistogramSnapshot {
+        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
+        let (mut sum, mut max) = (0u64, 0u64);
+        for part in parts {
+            for (total, bucket) in buckets.iter_mut().zip(&part.buckets) {
+                *total += bucket.load(Ordering::Relaxed);
+            }
+            sum = sum.saturating_add(part.sum.load(Ordering::Relaxed));
+            max = max.max(part.max.load(Ordering::Relaxed));
+        }
         let total: u64 = buckets.iter().sum();
         let quantile = |q: f64| -> u64 {
             if total == 0 {
@@ -268,8 +278,8 @@ impl Histogram {
         HistogramSnapshot {
             name: name.to_string(),
             count: total,
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
+            sum,
+            max,
             p50: quantile(0.50),
             p90: quantile(0.90),
             p99: quantile(0.99),
@@ -280,7 +290,7 @@ impl Histogram {
 /// A point-in-time view of one histogram, safe to serialize elsewhere.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Registered name.
+    /// The metric's name.
     pub name: String,
     /// Observations recorded.
     pub count: u64,
@@ -296,7 +306,7 @@ pub struct HistogramSnapshot {
     pub p99: u64,
 }
 
-/// A point-in-time view of every registered metric.
+/// A point-in-time view of a set of metrics.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// `(name, value)` for every counter, name-sorted.
@@ -330,82 +340,6 @@ impl MetricsSnapshot {
             }
         }
         out
-    }
-}
-
-/// The name → handle table. Handles are `Arc`s: resolve once at startup,
-/// record lock-free forever after. Names are sorted on readout so
-/// renderings are stable.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: RwLock<BTreeMap<String, Arc<Counter>>>,
-    gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
-    histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
-}
-
-/// Get-or-create in one of the registry maps: read-lock fast path, write
-/// lock only on first sighting of a name.
-fn resolve<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
-    if let Some(found) = map.read().expect("metrics registry poisoned").get(name) {
-        return Arc::clone(found);
-    }
-    let mut writable = map.write().expect("metrics registry poisoned");
-    Arc::clone(
-        writable
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(T::default())),
-    )
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The counter registered under `name`, created on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        resolve(&self.counters, name)
-    }
-
-    /// The gauge registered under `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        resolve(&self.gauges, name)
-    }
-
-    /// The histogram registered under `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        resolve(&self.histograms, name)
-    }
-
-    /// A point-in-time copy of every metric, without stopping writers.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .read()
-            .expect("metrics registry poisoned")
-            .iter()
-            .map(|(name, c)| (name.clone(), c.get()))
-            .collect();
-        let gauges = self
-            .gauges
-            .read()
-            .expect("metrics registry poisoned")
-            .iter()
-            .map(|(name, g)| (name.clone(), g.get()))
-            .collect();
-        let histograms = self
-            .histograms
-            .read()
-            .expect("metrics registry poisoned")
-            .iter()
-            .map(|(name, h)| h.snapshot(name))
-            .collect();
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-        }
     }
 }
 
@@ -557,37 +491,37 @@ mod tests {
     }
 
     #[test]
-    fn registry_resolves_one_handle_per_name() {
-        let registry = MetricsRegistry::new();
-        let a = registry.counter("requests");
-        let b = registry.counter("requests");
-        a.inc();
-        b.add(2);
-        assert_eq!(registry.counter("requests").get(), 3);
-        registry.gauge("resident").set(17);
-        registry.histogram("lat").record(5);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counters, vec![("requests".to_string(), 3)]);
-        assert_eq!(snap.gauges, vec![("resident".to_string(), 17)]);
-        assert_eq!(snap.histograms.len(), 1);
-        assert_eq!(snap.histograms[0].count, 1);
-        // A view counter is published, not counted.
-        registry.counter("requests").set(7);
-        assert_eq!(a.get(), 7);
+    fn merged_snapshot_reads_its_parts_as_one_histogram() {
+        let values = [0, 1, 3, 7, 100, 100, 4_096, u64::MAX / 2, u64::MAX];
+        let whole = Histogram::new();
+        let parts = [Histogram::new(), Histogram::new()];
+        for (i, &value) in values.iter().enumerate() {
+            whole.record(value);
+            parts[i % 2].record(value);
+        }
+        let merged = Histogram::snapshot_merged("h", &parts);
+        assert_eq!(merged, whole.snapshot("h"));
+        assert_eq!(merged.count, values.len() as u64);
+        assert_eq!(merged.sum, u64::MAX, "the merged sum saturates");
+        assert_eq!(parts[0].count() + parts[1].count(), merged.count);
+        let empty = Histogram::snapshot_merged("e", &[Histogram::new(), Histogram::new()]);
+        assert_eq!(empty, Histogram::new().snapshot("e"));
     }
 
     #[test]
     fn prometheus_rendering_is_stable_and_complete() {
-        let registry = MetricsRegistry::new();
-        registry.counter("b_counter").add(2);
-        registry.counter("a_counter").inc();
-        registry.gauge("g").set(9);
-        registry.histogram("h").record(3);
-        let text = registry.snapshot().render_prometheus();
-        // Name-sorted, typed, with quantile lines.
+        let h = Histogram::new();
+        h.record(3);
+        let snapshot = MetricsSnapshot {
+            counters: vec![("a_counter".to_string(), 1), ("b_counter".to_string(), 2)],
+            gauges: vec![("g".to_string(), 9)],
+            histograms: vec![h.snapshot("h")],
+        };
+        let text = snapshot.render_prometheus();
+        // In snapshot order, typed, with quantile lines.
         let a = text.find("a_counter 1").expect("a_counter rendered");
         let b = text.find("b_counter 2").expect("b_counter rendered");
-        assert!(a < b, "counters render in name order");
+        assert!(a < b, "counters render in snapshot order");
         assert!(text.contains("# TYPE g gauge\ng 9\n"));
         assert!(text.contains("h_count 1"));
         assert!(text.contains("h{quantile=\"0.99\"} 3"));

@@ -318,17 +318,11 @@ impl Service {
     }
 
     /// Answers the `Metrics` verb: publishes the service totals (the
-    /// registered-keys and resident-bytes gauges and the view counters)
-    /// and the worker-pool gauges, then ships one snapshot as DTOs plus
-    /// its Prometheus-style rendering.
+    /// registered-keys, resident-bytes and worker-pool gauges and the
+    /// view counters), then ships one snapshot as DTOs plus its
+    /// Prometheus-style rendering.
     fn metrics_response(&self) -> Response {
         self.obs.publish_totals(&self.totals());
-        self.obs
-            .set_gauge("serve_worker_jobs_submitted", self.pool.jobs_submitted());
-        self.obs
-            .set_gauge("serve_worker_jobs_executed", self.pool.jobs_executed());
-        self.obs
-            .set_gauge("serve_worker_jobs_panicked", self.pool.jobs_panicked());
         // One snapshot feeds both halves of the reply, so the DTO lists
         // and the Prometheus text agree even while other threads record.
         let snapshot = self.obs.metrics_snapshot();

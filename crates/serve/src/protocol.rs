@@ -220,30 +220,56 @@ pub enum Request {
     Shutdown,
 }
 
+/// Every protocol verb's stable lowercase name, in the order the
+/// [`Request`] variants are declared: the one list of verb names, and
+/// the rows of the serve stack's per-verb latency histograms.
+pub const VERBS: [&str; 18] = [
+    "register",
+    "register_batch",
+    "best_for_privacy",
+    "best_for_mse",
+    "front",
+    "ingest",
+    "disguise",
+    "estimate",
+    "estimate_all",
+    "save",
+    "load",
+    "evict",
+    "refresh",
+    "sync",
+    "stats",
+    "metrics",
+    "trace",
+    "shutdown",
+];
+
 impl Request {
-    /// The verb's stable lowercase name — the label of its per-verb
-    /// latency histogram (`serve_verb_<verb>_latency_ns`).
+    /// The verb's stable lowercase name, read from [`VERBS`]: the label
+    /// of its latency histograms (`serve_verb_<verb>_latency_ns`, read
+    /// out as the sum of its per-codec rows
+    /// `serve_net_verb_<verb>_<codec>_latency_ns`).
     pub fn verb(&self) -> &'static str {
-        match self {
-            Request::Register { .. } => "register",
-            Request::RegisterBatch { .. } => "register_batch",
-            Request::BestForPrivacy { .. } => "best_for_privacy",
-            Request::BestForMse { .. } => "best_for_mse",
-            Request::Front { .. } => "front",
-            Request::Ingest { .. } => "ingest",
-            Request::Disguise { .. } => "disguise",
-            Request::Estimate { .. } => "estimate",
-            Request::EstimateAll => "estimate_all",
-            Request::Save { .. } => "save",
-            Request::Load { .. } => "load",
-            Request::Evict { .. } => "evict",
-            Request::Refresh { .. } => "refresh",
-            Request::Sync => "sync",
-            Request::Stats { .. } => "stats",
-            Request::Metrics => "metrics",
-            Request::Trace { .. } => "trace",
-            Request::Shutdown => "shutdown",
-        }
+        VERBS[match self {
+            Request::Register { .. } => 0,
+            Request::RegisterBatch { .. } => 1,
+            Request::BestForPrivacy { .. } => 2,
+            Request::BestForMse { .. } => 3,
+            Request::Front { .. } => 4,
+            Request::Ingest { .. } => 5,
+            Request::Disguise { .. } => 6,
+            Request::Estimate { .. } => 7,
+            Request::EstimateAll => 8,
+            Request::Save { .. } => 9,
+            Request::Load { .. } => 10,
+            Request::Evict { .. } => 11,
+            Request::Refresh { .. } => 12,
+            Request::Sync => 13,
+            Request::Stats { .. } => 14,
+            Request::Metrics => 15,
+            Request::Trace { .. } => 16,
+            Request::Shutdown => 17,
+        }]
     }
 }
 
@@ -450,7 +476,7 @@ pub struct EstimateDto {
 /// One named counter or gauge value reported by `Metrics`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricValueDto {
-    /// Registered metric name (e.g. `serve_queries_total`).
+    /// Metric name (e.g. `serve_queries_total`).
     pub name: String,
     /// Current value.
     pub value: u64,
@@ -461,7 +487,7 @@ pub struct MetricValueDto {
 /// never understate the true latency by more than one bucket.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramDto {
-    /// Registered histogram name (e.g. `serve_verb_estimate_latency_ns`).
+    /// Histogram name (e.g. `serve_verb_estimate_latency_ns`).
     pub name: String,
     /// Observations recorded.
     pub count: u64,
@@ -828,6 +854,44 @@ mod tests {
         ];
         for (request, verb) in labeled {
             assert_eq!(request.verb(), verb);
+        }
+    }
+
+    #[test]
+    fn every_variant_reads_its_own_verb_name() {
+        // One request line per variant, in `VERBS` order.
+        let lines = [
+            r#"{"Register":{"prior":[0.5,0.5],"delta":0.8}}"#,
+            r#"{"RegisterBatch":{"priors":[[0.5,0.5]],"delta":0.8}}"#,
+            r#"{"BestForPrivacy":{"key":1,"min_privacy":0.1}}"#,
+            r#"{"BestForMse":{"key":1,"max_mse":0.1}}"#,
+            r#"{"Front":{"key":1}}"#,
+            r#"{"Ingest":{"key":1,"counts":[1]}}"#,
+            r#"{"Disguise":{"key":1,"min_privacy":0.1,"records":[0]}}"#,
+            r#"{"Estimate":{"key":1}}"#,
+            r#""EstimateAll""#,
+            r#"{"Save":{"path":"s"}}"#,
+            r#"{"Load":{"path":"s"}}"#,
+            r#"{"Evict":{"key":1}}"#,
+            r#"{"Refresh":{"key":1}}"#,
+            r#""Sync""#,
+            r#"{"Stats":{}}"#,
+            r#""Metrics""#,
+            r#"{"Trace":{}}"#,
+            r#""Shutdown""#,
+        ];
+        for (line, verb) in lines.iter().zip(VERBS) {
+            assert_eq!(decode_request(line).unwrap().verb(), verb, "{line}");
+            let tag: String = line
+                .trim_start_matches(['{', '"'])
+                .chars()
+                .take_while(|c| c.is_ascii_alphabetic())
+                .flat_map(|c| {
+                    let under = c.is_ascii_uppercase().then_some('_');
+                    under.into_iter().chain([c.to_ascii_lowercase()])
+                })
+                .collect();
+            assert_eq!(&tag[1..], verb, "the verb is the variant's name");
         }
     }
 

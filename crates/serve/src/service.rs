@@ -281,6 +281,12 @@ pub struct ServiceTotals {
     pub resident_bytes: u64,
     /// The configured memory budget, when one is set.
     pub budget_bytes: Option<u64>,
+    /// Jobs submitted to the worker pool.
+    pub jobs_submitted: u64,
+    /// Worker-pool jobs that ran to the end, panicking or not.
+    pub jobs_executed: u64,
+    /// Worker-pool jobs that panicked.
+    pub jobs_panicked: u64,
 }
 
 /// The long-lived matrix-serving service.
@@ -646,6 +652,9 @@ impl Service {
     pub fn totals(&self) -> ServiceTotals {
         let mut totals = ServiceTotals {
             budget_bytes: self.config.memory_budget_bytes,
+            jobs_submitted: self.pool.jobs_submitted(),
+            jobs_executed: self.pool.jobs_executed(),
+            jobs_panicked: self.pool.jobs_panicked(),
             ..ServiceTotals::default()
         };
         for entry in self.registry.entries() {

@@ -166,7 +166,6 @@ fn request_loop<R: BufRead>(
                 let start_ns = obs.now_ns();
                 let reply = service.reply(request);
                 let elapsed = obs.now_ns().saturating_sub(start_ns);
-                obs.record_verb(verb, elapsed);
                 obs.record_net_verb(verb, codec.label(), elapsed);
                 reply
             }

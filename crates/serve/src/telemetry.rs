@@ -8,6 +8,12 @@
 //! subsystems that cannot depend on the service (the lifecycle's
 //! [`TransitionSink`], the core optimizer's generation observer).
 //!
+//! Every metric has a fixed slot known at compile time: a [`Counter`]
+//! or [`Gauge`] field, or a cell of one verb × codec histogram table. A
+//! session records each request once, into its cell, with no name, lock
+//! or allocation. Names exist only at readout, which reads each verb's
+//! codec-agnostic histogram as the sum of its codec row.
+//!
 //! Everything here is *recording only*. A [`ServeObs`] is consulted to
 //! answer the `Metrics`/`Trace` protocol verbs and for nothing else; no
 //! counter, histogram, or trace value feeds back into request handling.
@@ -21,8 +27,10 @@
 //! branch per instrumentation site.
 
 use crate::lifecycle::{KeyState, TransitionSink};
+use crate::protocol::VERBS;
 use crate::service::ServiceTotals;
-use obs::{Clock, Counter, MetricsRegistry, MetricsSnapshot, TraceEntry, TraceRing};
+use crate::wire::Codec;
+use obs::{Clock, Counter, Gauge, Histogram, MetricsSnapshot, TraceEntry, TraceRing};
 use std::sync::Arc;
 
 /// Default bound on the structured event trace (events, not bytes).
@@ -280,63 +288,90 @@ impl ServeEvent {
     }
 }
 
-/// Pre-resolved counter handles for every event-linked total the serve
-/// stack maintains. Grouped so [`ServeObs::emit`] can bump the matching
-/// total without a registry lookup.
-#[derive(Debug)]
-struct EventCounters {
-    transitions: Arc<Counter>,
-    refresh_runs: Arc<Counter>,
-    generations: Arc<Counter>,
-    drift_trips: Arc<Counter>,
-    coverage_trips: Arc<Counter>,
-    ingest_batches: Arc<Counter>,
-    ingest_records: Arc<Counter>,
-    sampler_rebuilds: Arc<Counter>,
-    snapshot_saves: Arc<Counter>,
-    snapshot_loads: Arc<Counter>,
-    degraded: Arc<Counter>,
-    snapshot_load_failures: Arc<Counter>,
+/// Declares a struct of metrics of one type, one field per metric with
+/// the name it is read out under, and `read`, which lists them.
+macro_rules! metric_slots {
+    ($(#[$doc:meta])* struct $slots:ident of $metric:ty { $($field:ident: $name:literal,)* }) => {
+        $(#[$doc])*
+        #[derive(Debug, Default)]
+        struct $slots {
+            $($field: $metric,)*
+        }
+
+        impl $slots {
+            /// Every metric's name and current value, name-sorted.
+            fn read(&self) -> Vec<(String, u64)> {
+                let mut named = vec![$(($name.to_string(), self.$field.get())),*];
+                named.sort();
+                named
+            }
+        }
+    };
 }
 
-/// Handles for the view counters: totals whose only store is the
-/// per-key lifecycle counters. The hub never counts them; each
-/// `Metrics` readout publishes the registry sums through
-/// [`ServeObs::publish_totals`].
-#[derive(Debug)]
-struct ViewCounters {
-    queries: Arc<Counter>,
-    warm_hits: Arc<Counter>,
-    evictions: Arc<Counter>,
-    rewarms: Arc<Counter>,
-    refresh_failures: Arc<Counter>,
-    refresh_retries: Arc<Counter>,
+metric_slots! {
+    /// Every counter. The hub counts events ([`ServeObs::emit`]),
+    /// coverage misses and transport totals as they happen. The view
+    /// counters, `queries` through `refresh_retries`, have a per-key store
+    /// only, and each `Metrics` readout publishes their sums
+    /// ([`ServeObs::publish_totals`]).
+    struct Counters of Counter {
+        transitions: "serve_transitions_total",
+        refresh_runs: "serve_refresh_runs_total",
+        generations: "serve_engine_generations_total",
+        drift_trips: "serve_drift_trips_total",
+        coverage_trips: "serve_coverage_trips_total",
+        ingest_batches: "serve_ingest_batches_total",
+        ingest_records: "serve_ingest_records_total",
+        sampler_rebuilds: "serve_sampler_rebuilds_total",
+        snapshot_saves: "serve_snapshot_saves_total",
+        snapshot_loads: "serve_snapshot_loads_total",
+        degraded: "serve_degraded_total",
+        snapshot_load_failures: "serve_snapshot_load_failures_total",
+        coverage_misses: "serve_coverage_misses_total",
+        net_conns: "serve_net_conns_total",
+        net_conn_errors: "serve_net_conn_errors_total",
+        net_bytes_in: "serve_net_bytes_in_total",
+        net_bytes_out: "serve_net_bytes_out_total",
+        queries: "serve_queries_total",
+        warm_hits: "serve_warm_hits_total",
+        evictions: "serve_evictions_total",
+        rewarms: "serve_rewarms_total",
+        refresh_failures: "serve_refresh_failures_total",
+        refresh_retries: "serve_refresh_retries_total",
+    }
 }
 
-/// Pre-resolved handles for the transport totals (`serve::net` and the
-/// session core): connection and byte counters are on the per-request
-/// hot path, so they must not pay a registry lookup per event.
-#[derive(Debug)]
-struct NetCounters {
-    conns: Arc<Counter>,
-    conn_errors: Arc<Counter>,
-    bytes_in: Arc<Counter>,
-    bytes_out: Arc<Counter>,
+metric_slots! {
+    /// Every gauge: live socket sessions, counted as they open and
+    /// close, and the totals a `Metrics` readout publishes.
+    struct Gauges of Gauge {
+        connections_active: "serve_connections_active",
+        registered_keys: "serve_registered_keys",
+        resident_bytes: "serve_resident_bytes",
+        worker_jobs_submitted: "serve_worker_jobs_submitted",
+        worker_jobs_executed: "serve_worker_jobs_executed",
+        worker_jobs_panicked: "serve_worker_jobs_panicked",
+    }
 }
 
-/// The service's observability hub: a metric registry, the per-verb
-/// latency histograms, and the bounded event trace, behind one enabled
-/// flag and one injectable clock.
+/// The codecs a served verb's latency is recorded under, one column of
+/// [`ServeObs`]'s latency table each.
+const CODECS: [Codec; 2] = [Codec::Json, Codec::Binary];
+
+/// The service's observability hub: every counter, gauge and latency
+/// histogram in a fixed field, and the bounded event trace, behind one
+/// enabled flag and one injectable clock. Metric names exist only at
+/// readout ([`ServeObs::metrics_snapshot`]).
 #[derive(Debug)]
 pub struct ServeObs {
     enabled: bool,
     clock: Arc<dyn Clock>,
-    registry: MetricsRegistry,
     trace: TraceRing<ServeEvent>,
-    events: EventCounters,
-    views: ViewCounters,
-    coverage_misses: Arc<Counter>,
-    net: NetCounters,
+    counters: Counters,
+    gauges: Gauges,
+    /// Served-verb latencies, indexed like [`VERBS`] × [`CODECS`].
+    verb_latency: [[Histogram; CODECS.len()]; VERBS.len()],
 }
 
 impl ServeObs {
@@ -344,45 +379,13 @@ impl ServeObs {
     /// point into a branch-and-return; `trace_cap = 0` disables the
     /// event trace while keeping counters and histograms live.
     pub fn new(enabled: bool, trace_cap: usize, clock: Arc<dyn Clock>) -> Self {
-        let registry = MetricsRegistry::new();
-        let events = EventCounters {
-            transitions: registry.counter("serve_transitions_total"),
-            refresh_runs: registry.counter("serve_refresh_runs_total"),
-            generations: registry.counter("serve_engine_generations_total"),
-            drift_trips: registry.counter("serve_drift_trips_total"),
-            coverage_trips: registry.counter("serve_coverage_trips_total"),
-            ingest_batches: registry.counter("serve_ingest_batches_total"),
-            ingest_records: registry.counter("serve_ingest_records_total"),
-            sampler_rebuilds: registry.counter("serve_sampler_rebuilds_total"),
-            snapshot_saves: registry.counter("serve_snapshot_saves_total"),
-            snapshot_loads: registry.counter("serve_snapshot_loads_total"),
-            degraded: registry.counter("serve_degraded_total"),
-            snapshot_load_failures: registry.counter("serve_snapshot_load_failures_total"),
-        };
-        let views = ViewCounters {
-            queries: registry.counter("serve_queries_total"),
-            warm_hits: registry.counter("serve_warm_hits_total"),
-            evictions: registry.counter("serve_evictions_total"),
-            rewarms: registry.counter("serve_rewarms_total"),
-            refresh_failures: registry.counter("serve_refresh_failures_total"),
-            refresh_retries: registry.counter("serve_refresh_retries_total"),
-        };
-        let coverage_misses = registry.counter("serve_coverage_misses_total");
-        let net = NetCounters {
-            conns: registry.counter("serve_net_conns_total"),
-            conn_errors: registry.counter("serve_net_conn_errors_total"),
-            bytes_in: registry.counter("serve_net_bytes_in_total"),
-            bytes_out: registry.counter("serve_net_bytes_out_total"),
-        };
         Self {
             enabled,
             trace: TraceRing::new(if enabled { trace_cap } else { 0 }, Arc::clone(&clock)),
             clock,
-            registry,
-            events,
-            views,
-            coverage_misses,
-            net,
+            counters: Counters::default(),
+            gauges: Gauges::default(),
+            verb_latency: Default::default(),
         }
     }
 
@@ -412,20 +415,20 @@ impl ServeObs {
             return;
         }
         match &event {
-            ServeEvent::Transition { .. } => self.events.transitions.inc(),
-            ServeEvent::RefreshRun { .. } => self.events.refresh_runs.inc(),
-            ServeEvent::Generation { .. } => self.events.generations.inc(),
-            ServeEvent::Drift { .. } => self.events.drift_trips.inc(),
-            ServeEvent::CoverageTrip { .. } => self.events.coverage_trips.inc(),
+            ServeEvent::Transition { .. } => self.counters.transitions.inc(),
+            ServeEvent::RefreshRun { .. } => self.counters.refresh_runs.inc(),
+            ServeEvent::Generation { .. } => self.counters.generations.inc(),
+            ServeEvent::Drift { .. } => self.counters.drift_trips.inc(),
+            ServeEvent::CoverageTrip { .. } => self.counters.coverage_trips.inc(),
             ServeEvent::Ingest { accepted, .. } => {
-                self.events.ingest_batches.inc();
-                self.events.ingest_records.add(*accepted);
+                self.counters.ingest_batches.inc();
+                self.counters.ingest_records.add(*accepted);
             }
-            ServeEvent::SamplerRebuild { .. } => self.events.sampler_rebuilds.inc(),
-            ServeEvent::SnapshotSaved { .. } => self.events.snapshot_saves.inc(),
-            ServeEvent::SnapshotLoaded { .. } => self.events.snapshot_loads.inc(),
-            ServeEvent::Degraded { .. } => self.events.degraded.inc(),
-            ServeEvent::SnapshotLoadFailed { .. } => self.events.snapshot_load_failures.inc(),
+            ServeEvent::SamplerRebuild { .. } => self.counters.sampler_rebuilds.inc(),
+            ServeEvent::SnapshotSaved { .. } => self.counters.snapshot_saves.inc(),
+            ServeEvent::SnapshotLoaded { .. } => self.counters.snapshot_loads.inc(),
+            ServeEvent::Degraded { .. } => self.counters.degraded.inc(),
+            ServeEvent::SnapshotLoadFailed { .. } => self.counters.snapshot_load_failures.inc(),
             ServeEvent::Evicted { .. }
             | ServeEvent::Rewarmed { .. }
             | ServeEvent::RefreshFailed { .. }
@@ -437,124 +440,104 @@ impl ServeObs {
     /// Counts one coverage miss (threshold trips emit a
     /// [`ServeEvent::CoverageTrip`] separately).
     pub fn count_coverage_miss(&self) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.counters.coverage_misses.inc();
         }
-        self.coverage_misses.inc();
     }
 
-    /// Records one handled protocol verb into its per-verb latency
-    /// histogram (`serve_verb_<verb>_latency_ns`).
-    pub fn record_verb(&self, verb: &str, nanos: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.registry
-            .histogram(&format!("serve_verb_{verb}_latency_ns"))
-            .record(nanos);
-    }
+    /// Records nothing: a verb is recorded once, by
+    /// [`ServeObs::record_net_verb`], and `serve_verb_<verb>_latency_ns`
+    /// is read out from its codec rows. Kept so a caller that records a
+    /// verb both ways (the benchmark's telemetry rung) pays what a
+    /// session pays.
+    pub fn record_verb(&self, _verb: &str, _nanos: u64) {}
 
     /// Counts one accepted network connection
     /// (`serve_net_conns_total`).
     pub fn count_net_conn(&self) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.counters.net_conns.inc();
         }
-        self.net.conns.inc();
     }
 
     /// Counts one session (stdio or socket) that ended on a transport
     /// error — a torn or oversized frame, a failed checksum, an abrupt
     /// client disconnect (`serve_net_conn_errors_total`).
     pub fn count_net_conn_error(&self) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.counters.net_conn_errors.inc();
         }
-        self.net.conn_errors.inc();
     }
 
     /// Adds request bytes a session read, on any transport
     /// (`serve_net_bytes_in_total`).
     pub fn add_net_bytes_in(&self, bytes: u64) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.counters.net_bytes_in.add(bytes);
         }
-        self.net.bytes_in.add(bytes);
     }
 
     /// Adds response bytes a session emitted, on any transport
     /// (`serve_net_bytes_out_total`).
     pub fn add_net_bytes_out(&self, bytes: u64) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.counters.net_bytes_out.add(bytes);
         }
-        self.net.bytes_out.add(bytes);
     }
 
     /// Counts one socket session opened on the
     /// `serve_connections_active` gauge. Opens add and closes subtract,
-    /// so the gauge is exact however concurrent sessions interleave; it
-    /// exists from the first socket session on.
+    /// so the gauge is exact however concurrent sessions interleave.
     pub fn connection_opened(&self) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.gauges.connections_active.inc();
         }
-        self.registry.gauge("serve_connections_active").inc();
     }
 
     /// Counts one socket session closed (see
     /// [`ServeObs::connection_opened`]).
     pub fn connection_closed(&self) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.gauges.connections_active.dec();
         }
-        self.registry.gauge("serve_connections_active").dec();
     }
 
-    /// Records one handled verb into its per-codec latency histogram
-    /// (`serve_net_verb_<verb>_<codec>_latency_ns`), beside the
-    /// codec-agnostic [`ServeObs::record_verb`] histogram the session
-    /// core also feeds, on every transport (stdio is `json`).
+    /// Records one served verb's latency, once, into its verb × codec
+    /// histogram (`serve_net_verb_<verb>_<codec>_latency_ns`; stdio is
+    /// `json`). `verb` is one of [`VERBS`] and `codec` a
+    /// [`Codec::label`]; a name outside those lists has no histogram and
+    /// records nothing.
     pub fn record_net_verb(&self, verb: &str, codec: &str, nanos: u64) {
         if !self.enabled {
             return;
         }
-        self.registry
-            .histogram(&format!("serve_net_verb_{verb}_{codec}_latency_ns"))
-            .record(nanos);
-    }
-
-    /// Overwrites a point-in-time gauge (registered keys, resident
-    /// bytes, worker totals) — called when the `Metrics` verb reads out,
-    /// not on the hot path.
-    pub fn set_gauge(&self, name: &str, value: u64) {
-        if !self.enabled {
-            return;
+        let row = VERBS.iter().position(|v| *v == verb);
+        let column = CODECS.iter().position(|c| c.label() == codec);
+        if let (Some(row), Some(column)) = (row, column) {
+            self.verb_latency[row][column].record(nanos);
         }
-        self.registry.gauge(name).set(value);
     }
 
     /// Publishes the service totals read at a `Metrics` readout: the
-    /// registered-keys and resident-bytes gauges, and the view counters.
-    /// The counters keep their `counter` type: each is a sum of per-key
-    /// counters that only ever grow.
+    /// registered-keys, resident-bytes and worker-pool gauges, and the
+    /// view counters. The counters keep their `counter` type: each is a
+    /// sum of per-key counters that only ever grow.
     pub fn publish_totals(&self, totals: &ServiceTotals) {
         if !self.enabled {
             return;
         }
-        self.registry
-            .gauge("serve_registered_keys")
-            .set(totals.keys as u64);
-        self.registry
-            .gauge("serve_resident_bytes")
-            .set(totals.resident_bytes);
-        let views = &self.views;
-        views.queries.set(totals.queries);
-        views.warm_hits.set(totals.warm_hits);
-        views.evictions.set(totals.evictions);
-        views.rewarms.set(totals.rewarms);
-        views.refresh_failures.set(totals.refresh_failures);
-        views.refresh_retries.set(totals.retries);
+        let (g, c) = (&self.gauges, &self.counters);
+        g.registered_keys.set(totals.keys as u64);
+        g.resident_bytes.set(totals.resident_bytes);
+        g.worker_jobs_submitted.set(totals.jobs_submitted);
+        g.worker_jobs_executed.set(totals.jobs_executed);
+        g.worker_jobs_panicked.set(totals.jobs_panicked);
+        c.queries.set(totals.queries);
+        c.warm_hits.set(totals.warm_hits);
+        c.evictions.set(totals.evictions);
+        c.rewarms.set(totals.rewarms);
+        c.refresh_failures.set(totals.refresh_failures);
+        c.refresh_retries.set(totals.retries);
     }
 
     /// A per-key lifecycle sink for
@@ -592,9 +575,33 @@ impl ServeObs {
         }))
     }
 
-    /// A point-in-time copy of every counter, gauge, and histogram.
+    /// A point-in-time copy of every metric, each list name-sorted: every
+    /// counter; every gauge when recording is on (none when it is off);
+    /// and every latency histogram that has recorded something. Each
+    /// verb lists its per-codec histograms and
+    /// `serve_verb_<verb>_latency_ns`, the sum of its codec rows.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+        let mut histograms = Vec::new();
+        for (verb, row) in VERBS.iter().zip(&self.verb_latency) {
+            for (codec, histogram) in CODECS.iter().zip(row) {
+                let name = format!("serve_net_verb_{verb}_{}_latency_ns", codec.label());
+                histograms.push(histogram.snapshot(&name));
+            }
+            let name = format!("serve_verb_{verb}_latency_ns");
+            histograms.push(Histogram::snapshot_merged(&name, row));
+        }
+        histograms.retain(|h| h.count > 0);
+        histograms.sort_by(|a, b| a.name.cmp(&b.name));
+        MetricsSnapshot {
+            counters: self.counters.read(),
+            // A disabled hub publishes no gauge, so it lists none.
+            gauges: if self.enabled {
+                self.gauges.read()
+            } else {
+                Vec::new()
+            },
+            histograms,
+        }
     }
 
     /// The newest `limit` trace entries (all when `None`) plus how many
@@ -653,8 +660,7 @@ mod tests {
         let hub = hub(false);
         hub.emit(ServeEvent::Rewarmed { key: 1 });
         hub.count_coverage_miss();
-        hub.record_verb("estimate", 125);
-        hub.set_gauge("serve_registered_keys", 3);
+        hub.record_net_verb("estimate", "json", 125);
         hub.publish_totals(&ServiceTotals {
             keys: 1,
             queries: 4,
@@ -663,7 +669,7 @@ mod tests {
         });
         let snap = hub.metrics_snapshot();
         assert!(snap.counters.iter().all(|(_, v)| *v == 0));
-        assert!(snap.gauges.iter().all(|(_, v)| *v == 0));
+        assert!(snap.gauges.is_empty());
         assert!(snap.histograms.is_empty());
         assert!(hub.trace_snapshot(None).0.is_empty());
         assert!(hub.transition_sink(1).is_none());
@@ -674,20 +680,38 @@ mod tests {
     #[test]
     fn verb_histograms_register_per_verb_and_record() {
         let hub = hub(true);
-        hub.record_verb("estimate", 100);
-        hub.record_verb("estimate", 200);
-        hub.record_verb("query", 50);
+        hub.record_net_verb("estimate", "json", 100);
+        hub.record_net_verb("estimate", "binary", 200);
+        hub.record_net_verb("estimate", "json", 300);
+        hub.record_net_verb("sync", "binary", 50);
+        // `record_verb` records nothing, and names outside the catalogue
+        // have no slot.
+        hub.record_verb("estimate", 7);
+        hub.record_net_verb("no_such_verb", "json", 1);
+        hub.record_net_verb("sync", "no_such_codec", 1);
         let snap = hub.metrics_snapshot();
         let names: Vec<&str> = snap.histograms.iter().map(|h| h.name.as_str()).collect();
         assert_eq!(
             names,
             vec![
+                "serve_net_verb_estimate_binary_latency_ns",
+                "serve_net_verb_estimate_json_latency_ns",
+                "serve_net_verb_sync_binary_latency_ns",
                 "serve_verb_estimate_latency_ns",
-                "serve_verb_query_latency_ns"
+                "serve_verb_sync_latency_ns",
             ]
         );
-        assert_eq!(snap.histograms[0].count, 2);
-        assert_eq!(snap.histograms[1].count, 1);
+        let counts: Vec<u64> = snap.histograms.iter().map(|h| h.count).collect();
+        assert_eq!(counts, vec![1, 2, 1, 3, 1]);
+        let merged = &snap.histograms[3];
+        assert_eq!((merged.sum, merged.max), (600, 300));
+        // The merged row is what recording every value into one
+        // histogram gives.
+        let whole = Histogram::new();
+        for value in [100, 200, 300] {
+            whole.record(value);
+        }
+        assert_eq!(*merged, whole.snapshot("serve_verb_estimate_latency_ns"));
     }
 
     #[test]
