@@ -13,6 +13,19 @@
 //! real crates; a hand-written `write_json` impl would need porting to
 //! real serde's `Serializer`.
 //!
+//! Two provided trait methods are hooks for arrays:
+//! [`Serialize::write_json_slice`] writes `[T]` and `Vec<T>`, and
+//! [`Deserialize::read_json_vec`] reads `Vec<T>`. Both default to the
+//! element-by-element loop. Only `u64` and `usize` override them: the
+//! reader takes an element of 1 to 18 digits, with no leading zero and
+//! followed by `,` or `]`, straight from the bytes and hands anything
+//! else to the element reader at the same position, and the writer puts
+//! digits and commas together in one ASCII run. The same values and
+//! errors come out either way (the `bitwise` tests pin it). No derived
+//! type and no other impl names a hook, so the derived types port to real
+//! serde unchanged; there the hooks simply go, as real serde's JSON
+//! codec reads and writes integer arrays without them.
+//!
 //! Reading follows RFC 8259 strictly: a number has no leading zeros
 //! (`01`) and no bare point (`1.`, `.5`), a string holds no raw control
 //! character (U+0000–U+001F must be escaped), and a `\u` escape is four
@@ -65,12 +78,39 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// Appends `self` to `out` as compact JSON.
     fn write_json(&self, out: &mut String);
+
+    /// Appends `items` to `out` as a JSON array: the hook behind
+    /// `[T]` and `Vec<T>`. The default writes element by element.
+    fn write_json_slice(items: &[Self], out: &mut String)
+    where
+        Self: Sized,
+    {
+        out.push('[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
+    }
 }
 
 /// Types that read themselves from JSON text.
 pub trait Deserialize: Sized {
     /// Reads one value at the reader's position.
     fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error>;
+
+    /// Reads a JSON array of `Self` at the reader's position: the hook
+    /// behind `Vec<T>`. The default reads element by element.
+    fn read_json_vec(reader: &mut Reader<'_>) -> Result<Vec<Self>, Error> {
+        let mut items = Vec::new();
+        reader.read_array("expected array", |reader| {
+            items.push(Self::read_json(reader)?);
+            Ok(())
+        })?;
+        Ok(items)
+    }
 
     /// The value of a struct field the object leaves out: an error for
     /// every type but `Option`, which reads as `None`.
@@ -242,6 +282,48 @@ impl<'a> Reader<'a> {
         }
         self.pos = end;
         Ok(Some(Number::U64(value)))
+    }
+
+    /// Reads array elements from the reader's position, for
+    /// [`Reader::read_array`]'s `item`: a run of plain elements, each 1 to
+    /// 18 digits with no leading zero, followed by `,` or `]` and fitting
+    /// `T`, taken straight from the bytes with the `,` after each, up to
+    /// the `]` or the first element that is not plain. That one goes to
+    /// `read`, the element reader, at its own position; the element
+    /// reader reads a plain element to the same value, so the array
+    /// reads to the same values and errors as element by element.
+    fn read_plain_run<T: TryFrom<u64>>(
+        &mut self,
+        items: &mut Vec<T>,
+        read: impl FnOnce(&mut Self) -> Result<T, Error>,
+    ) -> Result<(), Error> {
+        let bytes = self.bytes();
+        loop {
+            let start = self.pos;
+            let mut end = start;
+            let mut value: u64 = 0;
+            while let Some(&digit @ b'0'..=b'9') = bytes.get(end) {
+                value = value.wrapping_mul(10).wrapping_add(u64::from(digit - b'0'));
+                end += 1;
+            }
+            let digits = end - start;
+            let separator = bytes.get(end).copied();
+            let plain = (1..=18).contains(&digits)
+                && (digits == 1 || bytes[start] != b'0')
+                && matches!(separator, Some(b',' | b']'));
+            match T::try_from(value) {
+                Ok(item) if plain => items.push(item),
+                _ => {
+                    items.push(read(self)?);
+                    return Ok(());
+                }
+            }
+            if separator == Some(b']') {
+                self.pos = end;
+                return Ok(());
+            }
+            self.pos = end + 1;
+        }
     }
 
     /// Reads a number token through its last digit, sign, point or
@@ -503,25 +585,59 @@ fn is_json_number(token: &[u8]) -> bool {
 
 // ---- primitive impls -------------------------------------------------------
 
-/// Appends the decimal digits of `x`.
-fn write_u64(out: &mut String, mut x: u64) {
+/// The most decimal digits a `u64` has.
+const U64_DIGITS: usize = 20;
+
+/// Writes the decimal digits of `x` at the start of `buf` and returns
+/// how many.
+fn put_digits(mut x: u64, buf: &mut [u8]) -> usize {
     if x < 10 {
-        out.push(char::from(b'0' + x as u8));
-        return;
+        buf[0] = b'0' + x as u8;
+        return 1;
     }
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (x % 10) as u8;
+    let len = x.checked_ilog10().map_or(1, |log| log as usize + 1);
+    for slot in buf[..len].iter_mut().rev() {
+        *slot = b'0' + (x % 10) as u8;
         x /= 10;
-        if x == 0 {
-            break;
+    }
+    len
+}
+
+/// Bytes the writer put together as digits, commas and brackets.
+fn ascii(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("digits, commas and brackets are ASCII")
+}
+
+/// Appends the decimal digits of `x`.
+fn write_u64(out: &mut String, x: u64) {
+    let mut digits = [0u8; U64_DIGITS];
+    let len = put_digits(x, &mut digits);
+    out.push_str(ascii(&digits[..len]));
+}
+
+/// Appends `items` as a JSON array of integers, the text the element
+/// loop writes. Digits and commas are put together in a stack buffer
+/// and reach `out` as one ASCII run per buffer, not a `char` at a time.
+fn write_u64_array(items: impl Iterator<Item = u64>, out: &mut String) {
+    let mut run = [0u8; 512];
+    run[0] = b'[';
+    let mut len = 1;
+    for x in items {
+        // Room for the longest number and its comma.
+        if len + U64_DIGITS + 1 > run.len() {
+            out.push_str(ascii(&run[..len]));
+            len = 0;
         }
+        len += put_digits(x, &mut run[len..]);
+        run[len] = b',';
+        len += 1;
     }
-    for &digit in &digits[start..] {
-        out.push(char::from(digit));
+    // The closing bracket takes the last comma's place.
+    if run[len - 1] == b',' {
+        len -= 1;
     }
+    run[len] = b']';
+    out.push_str(ascii(&run[..=len]));
 }
 
 macro_rules! impl_serde_unsigned {
@@ -530,6 +646,10 @@ macro_rules! impl_serde_unsigned {
             fn write_json(&self, out: &mut String) {
                 write_u64(out, *self as u64);
             }
+
+            fn write_json_slice(items: &[Self], out: &mut String) {
+                write_u64_array(items.iter().map(|&x| x as u64), out);
+            }
         }
         impl Deserialize for $t {
             fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
@@ -537,6 +657,14 @@ macro_rules! impl_serde_unsigned {
                     .and_then(Number::as_u64)
                     .and_then(|x| <$t>::try_from(x).ok())
                     .ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))
+            }
+
+            fn read_json_vec(reader: &mut Reader<'_>) -> Result<Vec<Self>, Error> {
+                let mut items = Vec::new();
+                reader.read_array("expected array", |reader| {
+                    reader.read_plain_run(&mut items, Self::read_json)
+                })?;
+                Ok(items)
             }
         }
     )*};
@@ -627,14 +755,7 @@ impl Deserialize for String {
 
 impl<T: Serialize> Serialize for [T] {
     fn write_json(&self, out: &mut String) {
-        out.push('[');
-        for (i, item) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            item.write_json(out);
-        }
-        out.push(']');
+        T::write_json_slice(self, out);
     }
 }
 
@@ -646,12 +767,7 @@ impl<T: Serialize> Serialize for Vec<T> {
 
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
-        let mut items = Vec::new();
-        reader.read_array("expected array", |reader| {
-            items.push(T::read_json(reader)?);
-            Ok(())
-        })?;
-        Ok(items)
+        T::read_json_vec(reader)
     }
 }
 
@@ -710,6 +826,7 @@ impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn write<T: Serialize + ?Sized>(value: &T) -> String {
         let mut out = String::new();
@@ -757,5 +874,194 @@ mod tests {
             "\"q\\\"b\\\\n\\nr\\rt\\tc\\u0001\\u001fd\u{7f}ü😀\""
         );
         assert_eq!(read::<String>(&written).unwrap(), text);
+    }
+
+    /// An integer that reads and writes through the element loop: it
+    /// keeps the default `read_json_vec` and `write_json_slice`, the
+    /// oracle for the `u64` and `usize` hooks.
+    #[derive(Debug, PartialEq)]
+    struct Elementwise<T>(T);
+
+    impl<T: Serialize> Serialize for Elementwise<T> {
+        fn write_json(&self, out: &mut String) {
+            self.0.write_json(out);
+        }
+    }
+
+    impl<T: Deserialize> Deserialize for Elementwise<T> {
+        fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
+            T::read_json(reader).map(Elementwise)
+        }
+    }
+
+    /// Reads `text` through the hook and through the element loop; both
+    /// must give the same values or the same error.
+    fn assert_reads_alike<T>(text: &str) -> Result<(), String>
+    where
+        T: Deserialize + Copy + PartialEq + std::fmt::Debug,
+    {
+        let hook = read::<Vec<T>>(text);
+        let oracle = read::<Vec<Elementwise<T>>>(text)
+            .map(|items| items.into_iter().map(|item| item.0).collect::<Vec<T>>());
+        if hook == oracle {
+            Ok(())
+        } else {
+            Err(format!("{text:?}: hook {hook:?}, element loop {oracle:?}"))
+        }
+    }
+
+    /// Array elements on and off the plain-digit path, as text.
+    fn near_miss(kind: u8, x: u64) -> String {
+        let digits = |n: u32| {
+            let low = 10u128.pow(n - 1);
+            (low + u128::from(x) % (9 * low)).to_string()
+        };
+        match kind {
+            0..=3 => x.to_string(),
+            4 => (x % 10).to_string(),
+            5 => digits(1 + (x % 21) as u32),
+            6 => format!("0{}", x % 1000),
+            7 => format!("-{}", x % 3),
+            8 => format!("{}.0", x % 100),
+            9 => format!("{}e1", x % 10),
+            10 => format!("{}E+0", x % 10),
+            11 => u64::MAX.to_string(),
+            12 => (u128::from(u64::MAX) + 1).to_string(),
+            13 => format!("{}.", x % 10),
+            14 => "null".to_owned(),
+            15 => format!("\"{}\"", x % 10),
+            _ => "[]".to_owned(),
+        }
+    }
+
+    const SEPARATORS: [&str; 6] = [",", ",", " , ", ",\n\t", ",,", " "];
+
+    /// A near-miss array: elements of every `near_miss` kind, separators
+    /// with whitespace, doubled or missing commas, a trailing comma, and
+    /// truncation at any byte. The bits of `shape`: 1 keeps to integers
+    /// and well-formed separators, so valid arrays come up often; 2 pads
+    /// the opening bracket; 4 adds a trailing comma and 8 truncates at
+    /// `cut`, each unless bit 1 is set.
+    fn near_miss_array(elements: &[(u8, u64, u8)], shape: u8, cut: usize) -> String {
+        let clean = shape & 1 != 0;
+        let mut text = String::from(if shape & 2 != 0 { "[ " } else { "[" });
+        for (i, &(kind, x, separator)) in elements.iter().enumerate() {
+            let (kind, separator) = if clean {
+                (kind % 6, separator % 4)
+            } else {
+                (kind, separator)
+            };
+            if i > 0 {
+                text.push_str(SEPARATORS[usize::from(separator) % SEPARATORS.len()]);
+            }
+            text.push_str(&near_miss(kind, x));
+        }
+        if !clean && shape & 4 != 0 {
+            text.push(',');
+        }
+        text.push(']');
+        if !clean && shape & 8 != 0 {
+            text.truncate(cut % (text.len() + 1));
+        }
+        text
+    }
+
+    #[test]
+    fn near_miss_arrays_read_bitwise_like_the_element_loop() {
+        let max = u64::MAX;
+        let past_max = u128::from(u64::MAX) + 1;
+        let texts = [
+            "[]".to_owned(),
+            "[ ]".to_owned(),
+            "[0]".to_owned(),
+            "[0,9,10,99]".to_owned(),
+            "[01]".to_owned(),
+            "[1,00]".to_owned(),
+            "[-0]".to_owned(),
+            "[3.0]".to_owned(),
+            "[2e1]".to_owned(),
+            "[1 ,2]".to_owned(),
+            "[1, 2]".to_owned(),
+            "[ 1,2 ]".to_owned(),
+            "[999999999999999999]".to_owned(),
+            "[1000000000000000000]".to_owned(),
+            "[12345678901234567890]".to_owned(),
+            "[123456789012345678901]".to_owned(),
+            format!("[{max}]"),
+            format!("[1,{past_max}]"),
+            "[1,2,]".to_owned(),
+            "[1,2".to_owned(),
+            "[1,".to_owned(),
+            "[1".to_owned(),
+            "[".to_owned(),
+            "[1]x".to_owned(),
+            "[1 2]".to_owned(),
+            "[1,,2]".to_owned(),
+            "[1,null]".to_owned(),
+            "[\"1\"]".to_owned(),
+            "{}".to_owned(),
+            "7".to_owned(),
+        ];
+        for text in &texts {
+            assert_reads_alike::<u64>(text).unwrap();
+            assert_reads_alike::<usize>(text).unwrap();
+        }
+        assert_eq!(read::<Vec<u64>>(&format!("[{max}]")).unwrap(), vec![max]);
+        assert!(read::<Vec<u64>>("[01]").is_err());
+    }
+
+    #[test]
+    fn unsigned_arrays_nest_through_the_hook() {
+        let text = "[[1,2],[],[ 3 ,4]]";
+        let nested: Vec<Vec<u64>> = read(text).unwrap();
+        assert_eq!(nested, vec![vec![1, 2], vec![], vec![3, 4]]);
+        assert_eq!(write(&nested), "[[1,2],[],[3,4]]");
+    }
+
+    /// A value from the writer's edge cases: 0, 9, 10, 10^k - 1, 10^k and
+    /// `u64::MAX`, or any `u64`.
+    fn edge_value(kind: u8, x: u64) -> u64 {
+        let k = (x % 20) as u32;
+        match kind {
+            0 => 0,
+            1 => 9,
+            2 => 10,
+            3 => 10u64.pow(k) - 1,
+            4 => 10u64.saturating_pow(k),
+            5 => u64::MAX,
+            6 => x % 1000,
+            _ => x,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn unsigned_arrays_read_bitwise_like_the_element_loop(
+            elements in proptest::collection::vec((0u8..=16, 0u64..u64::MAX, 0u8..=20), 0..=24),
+            shape in 0u8..16,
+            cut in 0usize..=4096,
+        ) {
+            let text = near_miss_array(&elements, shape, cut);
+            assert_reads_alike::<u64>(&text)?;
+            assert_reads_alike::<usize>(&text)?;
+        }
+
+        #[test]
+        fn unsigned_arrays_write_bitwise_like_the_element_loop(
+            values in proptest::collection::vec((0u8..=7, 0u64..u64::MAX), 0..=300),
+            prefix in 0usize..=2,
+        ) {
+            let values: Vec<u64> = values.into_iter().map(|(kind, x)| edge_value(kind, x)).collect();
+            let sizes: Vec<usize> = values.iter().map(|&x| x as usize).collect();
+            let oracle: Vec<Elementwise<u64>> = values.iter().map(|&x| Elementwise(x)).collect();
+            let start = &"{\"records\":"[..prefix * 5];
+            let (mut hook, mut hook_sizes, mut loop_text) =
+                (start.to_owned(), start.to_owned(), start.to_owned());
+            values.write_json(&mut hook);
+            sizes.write_json(&mut hook_sizes);
+            oracle.write_json(&mut loop_text);
+            prop_assert_eq!(&hook, &loop_text);
+            prop_assert_eq!(&hook_sizes, &loop_text);
+        }
     }
 }

@@ -1,17 +1,19 @@
-//! Cost gates: what the serve stack's per-request recording may cost.
+//! Cost gates: what the serve stack's per-request recording and codecs
+//! may cost.
 //!
 //! A counting global allocator wraps the system allocator and counts
 //! every allocation the current thread makes. Each gate warms its call
-//! up once (so one-time setup does not count) and then asserts that the
-//! call allocates nothing: recording a served request must not build a
-//! metric name or grow a map. Counters are thread-local, so the
-//! service's own worker threads never perturb the reading of the test
-//! thread.
+//! up once (so one-time setup does not count) and then asserts how many
+//! allocations the call makes: recording a served request must not build
+//! a metric name or grow a map, the frame CRC must not build its tables
+//! lazily, and decoding a request allocates only what it returns.
+//! Counters are thread-local, so the service's own worker threads never
+//! perturb the reading of the test thread.
 //!
 //! The allocator is the one `unsafe` item of the workspace's tests; the
 //! library crates stay `#![forbid(unsafe_code)]`.
 
-use serve::{Request, ServeObs, Service, ServiceConfig};
+use serve::{protocol, wire, Request, ServeObs, Service, ServiceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -113,4 +115,59 @@ fn the_counting_allocator_counts_this_thread() {
         std::hint::black_box(format!("serve_verb_{}_latency_ns", Request::Sync.verb()));
     });
     assert!(allocations >= 1, "{allocations}");
+}
+
+#[test]
+fn the_frame_crc_allocates_nothing() {
+    let bytes: Vec<u8> = (0..4096u32).map(|i| (i * 151 + 13) as u8).collect();
+    let allocations = allocations_after_warm_up(|| {
+        std::hint::black_box(wire::crc32(std::hint::black_box(&bytes)));
+    });
+    assert_eq!(allocations, 0, "crc32 over 4 KiB");
+}
+
+/// A raw `Ingest` of 4,096 records, the largest batch the `ingest`
+/// workload sends.
+fn large_ingest() -> Request {
+    Request::Ingest {
+        key: Some(7),
+        name: None,
+        min_privacy: None,
+        records: Some((0..4096).map(|i| i % 13).collect()),
+        counts: None,
+        seed: Some(3),
+    }
+}
+
+#[test]
+fn decoding_a_binary_ingest_allocates_only_its_records() {
+    let request = large_ingest();
+    let frame = wire::encode_request_frame(&request).unwrap();
+    let decode = || {
+        let (tag, payload) = wire::parse_body(&frame[4..]).unwrap();
+        wire::decode_request_frame(tag, payload).unwrap()
+    };
+    assert_eq!(decode(), request);
+    let allocations = allocations_after_warm_up(|| drop(std::hint::black_box(decode())));
+    assert_eq!(allocations, 1, "binary Ingest of 4,096 records");
+}
+
+/// Allocations a 4,096-record JSON `Ingest` line costs to decode: its
+/// records `Vec`, grown by doubling from the first push.
+const JSON_INGEST_ALLOCATIONS: u64 = 11;
+
+#[test]
+fn decoding_a_json_ingest_allocates_no_more_than_its_growth() {
+    let request = large_ingest();
+    let line = protocol::encode_request(&request);
+    assert_eq!(protocol::decode_request(&line).unwrap(), request);
+    let allocations = allocations_after_warm_up(|| {
+        drop(std::hint::black_box(
+            protocol::decode_request(&line).unwrap(),
+        ));
+    });
+    assert!(
+        allocations <= JSON_INGEST_ALLOCATIONS,
+        "JSON Ingest of 4,096 records: {allocations}"
+    );
 }
